@@ -262,6 +262,12 @@ impl Workload for MemcachedWorkload {
     }
 
     fn next_request(&mut self, rng: &mut Rng) -> Trace {
+        let mut trace = Trace::default();
+        self.next_request_into(rng, &mut trace);
+        trace
+    }
+
+    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
         let key_id = match &self.zipf_cdf {
             Some(cdf) => {
                 let u = rng.gen_f64();
@@ -269,21 +275,23 @@ impl Workload for MemcachedWorkload {
             }
             None => rng.gen_range(self.kvs.num_keys),
         };
-        let mut rec = TraceRecorder::new(CostModel::default());
+        // Record into the recycled buffer's own step storage.
+        let steps = std::mem::take(&mut buf.steps);
+        let mut rec = TraceRecorder::with_steps(CostModel::default(), steps);
         // Request parse (memcached protocol header + key).
         rec.compute_ns(120.0);
         if self.set_fraction > 0.0 && rng.gen_bool(self.set_fraction) {
             let value = Kvs::value_for(rng.next_u64(), self.value_len);
             self.kvs.set(key_id, &value, &mut rec);
             rec.compute_ns(60.0);
-            rec.finish(CLASS_SET, self.request_bytes + self.value_len, 16)
+            rec.finish_into(buf, CLASS_SET, self.request_bytes + self.value_len, 16);
         } else {
             let value = self.kvs.get(key_id, &mut rec);
             debug_assert!(value.is_some(), "loaded key must be found");
             let reply = 16 + value.map(|v| v.len() as u32).unwrap_or(0);
             // Reply serialization.
             rec.compute_ns(60.0);
-            rec.finish(CLASS_GET, self.request_bytes, reply)
+            rec.finish_into(buf, CLASS_GET, self.request_bytes, reply);
         }
     }
 }

@@ -32,3 +32,58 @@ pub use llmserve::{LlmServe, LlmServeWorkload};
 pub use ordb::{OrderedDb, RocksDbWorkload};
 pub use silo::{SiloDb, TpccWorkload};
 pub use vecdb::{FaissWorkload, IvfFlat};
+
+#[cfg(test)]
+mod tests {
+    use desim::Rng;
+    use paging::trace::{Step, Trace};
+    use runtime::Workload;
+
+    use super::{MemcachedWorkload, RocksDbWorkload};
+
+    /// Apps-side twin of `runtime::workload`'s
+    /// `into_path_matches_allocating_path`: the pooled
+    /// `next_request_into` path (one recycled, pre-dirtied buffer) must
+    /// produce the same trace stream as the allocating path from the
+    /// same rng draws — the simulator's trace pool depends on it.
+    #[test]
+    fn into_path_matches_allocating_path() {
+        fn check(mut fresh: impl Workload, mut pooled: impl Workload, seed: u64) {
+            let mut rng_a = Rng::new(seed);
+            let mut rng_b = Rng::new(seed);
+            let mut buf = Trace::default();
+            // Pre-dirty the buffer so stale state would be caught.
+            buf.steps.push(Step {
+                compute_ns: 1,
+                access: None,
+            });
+            buf.class = 7;
+            let mut classes = [0usize; 2];
+            for _ in 0..500 {
+                let t = fresh.next_request(&mut rng_a);
+                pooled.next_request_into(&mut rng_b, &mut buf);
+                assert_eq!(t.class, buf.class);
+                assert_eq!(t.steps, buf.steps);
+                assert_eq!(t.request_bytes, buf.request_bytes);
+                assert_eq!(t.reply_bytes, buf.reply_bytes);
+                classes[t.class as usize] += 1;
+            }
+            assert!(classes[0] > 0 && classes[1] > 0, "mix: {classes:?}");
+            // Both streams consumed the same number of draws.
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+        }
+        // GET/SET: SETs mutate the store, so each side owns its own.
+        check(
+            MemcachedWorkload::new(4_000, 128).with_sets(0.3),
+            MemcachedWorkload::new(4_000, 128).with_sets(0.3),
+            21,
+        );
+        // GET/SCAN: short point lookups alternate with long scans, so
+        // the recycled buffer both shrinks and grows.
+        check(
+            RocksDbWorkload::new(4_000, 256).with_mix(0.2, 100),
+            RocksDbWorkload::new(4_000, 256).with_mix(0.2, 100),
+            22,
+        );
+    }
+}

@@ -234,7 +234,15 @@ impl Workload for RocksDbWorkload {
     }
 
     fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        let mut rec = TraceRecorder::new(CostModel::default());
+        let mut trace = Trace::default();
+        self.next_request_into(rng, &mut trace);
+        trace
+    }
+
+    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+        // Record into the recycled buffer's own step storage.
+        let steps = std::mem::take(&mut buf.steps);
+        let mut rec = TraceRecorder::with_steps(CostModel::default(), steps);
         rec.compute_ns(120.0); // request parse
         let rank = rng.gen_range(self.db.num_keys());
         let key = OrderedDb::key_of_rank(rank);
@@ -242,12 +250,13 @@ impl Workload for RocksDbWorkload {
             let rows = self.db.scan(key, self.scan_len, &mut rec);
             debug_assert!(!rows.is_empty());
             rec.compute_ns(80.0); // reply with the series summary
-            rec.finish(CLASS_SCAN, 64, 16 + 9 * rows.len() as u32)
+            rec.finish_into(buf, CLASS_SCAN, 64, 16 + 9 * rows.len() as u32);
         } else {
             let v = self.db.get(key, &mut rec);
             debug_assert!(v.is_some());
             rec.compute_ns(60.0);
-            rec.finish(CLASS_GET, 64, 16 + v.map(|v| v.len() as u32).unwrap_or(0))
+            let reply = 16 + v.map(|v| v.len() as u32).unwrap_or(0);
+            rec.finish_into(buf, CLASS_GET, 64, reply);
         }
     }
 }

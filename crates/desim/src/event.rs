@@ -26,9 +26,20 @@
 //!   order of the previous heap implementation is reproduced exactly.
 //! - An event at time `t` lives at the level of the highest byte in
 //!   which `t` differs from the current cursor, in slot
-//!   `(t >> 8·L) & 0xff`. When the cursor crosses into an upper-level
-//!   slot, that slot *cascades*: its entries re-place themselves one or
-//!   more levels lower, preserving their relative (insertion) order.
+//!   `(t >> 8·L) & 0xff`.
+//! - When the cursor crosses into a slot of level ≥ 2, that slot
+//!   *cascades*: its entries re-place themselves one or more levels
+//!   lower, preserving their relative (insertion) order.
+//! - A **level-1** slot does not cascade; it is *delivered in place*.
+//!   The simulator keeps only 5–25 events pending, nearly all of them
+//!   0.25–8 µs out — one level-1 hop — so cascading would place almost
+//!   every event twice. Instead the slot's deque (already in push
+//!   order) is stable-sorted by timestamp, which *is* `(time, seq)`
+//!   order, and popped from the front, merged by time with level 0.
+//!   Ties go to the in-place run: its entries were all pushed before
+//!   the cursor entered the slot's 256 ns window, and every push made
+//!   while the cursor is inside that window differs from it only in
+//!   byte 0, so it lands in level 0 and carries a later `seq`.
 //! - A 256-bit occupancy bitmap per level makes "find the earliest
 //!   non-empty slot" a handful of trailing-zero scans.
 //!
@@ -76,7 +87,15 @@ pub struct EventQueue<E> {
     /// Timestamp of the most recently popped event; also the placement
     /// cursor for the wheel.
     now: SimTime,
+    /// Index into `slots` of the level-1 slot being delivered in place
+    /// (sorted by time, occupancy bit already cleared), or `NO_RUN`.
+    /// While set the cursor sits inside that slot's 256 ns window and
+    /// the deque is non-empty.
+    run: usize,
 }
+
+/// `EventQueue::run` when no level-1 slot is being delivered in place.
+const NO_RUN: usize = usize::MAX;
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
@@ -102,6 +121,7 @@ impl<E> EventQueue<E> {
             occ: [[0; BITMAP_WORDS]; LEVELS],
             len: 0,
             now: SimTime::ZERO,
+            run: NO_RUN,
         }
     }
 
@@ -135,6 +155,12 @@ impl<E> EventQueue<E> {
         self.len += 1;
     }
 
+    /// Absolute timestamp of level-0 slot `slot` in the cursor's window.
+    #[inline]
+    fn level0_time(&self, slot: usize) -> u64 {
+        (self.now.0 & !(SLOTS as u64 - 1)) | slot as u64
+    }
+
     /// Removes and returns the next event, advancing the queue clock to
     /// its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -143,22 +169,34 @@ impl<E> EventQueue<E> {
         }
         loop {
             // All pending level-0 entries lie in the cursor's current
-            // 256 ns window, so the first occupied slot holds the
-            // globally earliest timestamp, FIFO within the deque.
-            if let Some(slot) = first_set(&self.occ[0]) {
+            // 256 ns window, so the first occupied slot holds level 0's
+            // earliest timestamp, FIFO within the deque.
+            let l0 = first_set(&self.occ[0]);
+            if self.run != NO_RUN {
+                // The in-place run shares that window. Its entries were
+                // all pushed before the cursor entered it, level 0's
+                // after, so the run wins ties.
+                let rt = self.slots[self.run][0].0;
+                if l0.is_none_or(|slot| rt <= self.level0_time(slot)) {
+                    let q = &mut self.slots[self.run];
+                    let (t, payload) = q.pop_front().expect("in-place run on empty slot");
+                    if q.is_empty() {
+                        self.run = NO_RUN;
+                    }
+                    return Some(self.deliver(t, payload));
+                }
+            }
+            if let Some(slot) = l0 {
                 let q = &mut self.slots[slot];
                 let (t, payload) = q.pop_front().expect("occupancy bit set on empty slot");
                 if q.is_empty() {
                     self.occ[0][slot / 64] &= !(1u64 << (slot % 64));
                 }
-                self.len -= 1;
-                debug_assert!(t >= self.now.0);
-                self.now = SimTime(t);
-                return Some((SimTime(t), payload));
+                return Some(self.deliver(t, payload));
             }
-            // Level 0 exhausted: cascade the earliest occupied slot of
-            // the lowest occupied level down one or more levels.
-            let mut cascaded = false;
+            // Level 0 and the run are exhausted: advance the cursor to
+            // the earliest occupied slot of the lowest occupied level.
+            let mut advanced = false;
             for level in 1..LEVELS {
                 let Some(slot) = first_set(&self.occ[level]) else {
                     continue;
@@ -176,21 +214,43 @@ impl<E> EventQueue<E> {
                 debug_assert!(slot_start >= self.now.0);
                 self.now = SimTime(slot_start);
                 self.occ[level][slot / 64] &= !(1u64 << (slot % 64));
-                let mut moved = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-                for (t, payload) in moved.drain(..) {
-                    debug_assert!(t >= slot_start);
-                    self.place(t, payload);
+                let idx = level * SLOTS + slot;
+                if level == 1 {
+                    // Deliver in place: the deque holds push order, so a
+                    // stable sort by time yields `(time, seq)` order with
+                    // no second placement. No later push can land here —
+                    // the cursor's byte 1 now equals this slot.
+                    let q = self.slots[idx].make_contiguous();
+                    if q.len() > 1 {
+                        q.sort_by_key(|&(t, _)| t);
+                    }
+                    self.run = idx;
+                } else {
+                    let mut moved = std::mem::take(&mut self.slots[idx]);
+                    for (t, payload) in moved.drain(..) {
+                        debug_assert!(t >= slot_start);
+                        self.place(t, payload);
+                    }
+                    // Hand the drained deque's capacity back to the slot.
+                    self.slots[idx] = moved;
                 }
-                // Hand the drained deque's capacity back to the slot.
-                self.slots[level * SLOTS + slot] = moved;
-                cascaded = true;
+                advanced = true;
                 break;
             }
-            debug_assert!(cascaded, "len > 0 but no occupied slot");
-            if !cascaded {
+            debug_assert!(advanced, "len > 0 but no occupied slot");
+            if !advanced {
                 return None;
             }
         }
+    }
+
+    /// Books the removal of an entry at `t` and advances the clock.
+    #[inline]
+    fn deliver(&mut self, t: u64, payload: E) -> (SimTime, E) {
+        self.len -= 1;
+        debug_assert!(t >= self.now.0);
+        self.now = SimTime(t);
+        (SimTime(t), payload)
     }
 
     /// Returns the timestamp of the next event without removing it.
@@ -198,10 +258,12 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
-        // Level 0: first occupied slot is the earliest instant.
-        if let Some(slot) = first_set(&self.occ[0]) {
-            let window = self.now.0 & !(SLOTS as u64 - 1);
-            return Some(SimTime(window | slot as u64));
+        // Level 0's first occupied slot and the in-place run's front
+        // are the only candidates inside the cursor's window.
+        let l0 = first_set(&self.occ[0]).map(|slot| self.level0_time(slot));
+        let run = (self.run != NO_RUN).then(|| self.slots[self.run][0].0);
+        if let Some(t) = l0.into_iter().chain(run).min() {
+            return Some(SimTime(t));
         }
         // Otherwise the minimum lives in the first occupied slot of the
         // lowest occupied level; slots above level 0 are not ordered
@@ -569,6 +631,119 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s), "events lost in the wheel");
         }
+    }
+
+    /// The wheel and the heap oracle driven in lock-step; every pop
+    /// checks the payload order and that `peek_time` predicted it.
+    struct Lockstep {
+        wheel: EventQueue<usize>,
+        heap: HeapEventQueue<usize>,
+        next_id: usize,
+    }
+
+    impl Lockstep {
+        fn new() -> Lockstep {
+            Lockstep {
+                wheel: EventQueue::new(),
+                heap: HeapEventQueue::new(),
+                next_id: 0,
+            }
+        }
+
+        fn push(&mut self, t: SimTime) {
+            self.wheel.push(t, self.next_id);
+            self.heap.push(t, self.next_id);
+            self.next_id += 1;
+        }
+
+        fn pop(&mut self) -> Option<SimTime> {
+            let peeked = self.wheel.peek_time();
+            let w = self.wheel.pop();
+            assert_eq!(w, self.heap.pop(), "wheel diverged from the heap oracle");
+            assert_eq!(peeked, w.map(|(t, _)| t), "peek_time disagrees with pop");
+            assert_eq!(self.wheel.len(), self.heap.len());
+            w.map(|(t, _)| t)
+        }
+    }
+
+    /// Differential test on the traffic shape the simulator actually
+    /// produces: 4–30 pending events, 85 % of delays between 256 ns and
+    /// 8 µs (one level-1 hop away — the in-place delivery path),
+    /// same-instant bursts, and zero-delay pushes issued while a
+    /// level-1 slot is being delivered in place. `peek_time` must agree
+    /// with `pop` at every step.
+    #[test]
+    fn in_place_delivery_matches_heap_on_measured_traffic_shape() {
+        let mut rng = Rng::new(0x1A7E);
+        let mut q = Lockstep::new();
+        let mut pushes_into_live_run = 0u32;
+        let mut ties_against_run = 0u32;
+        for _ in 0..60_000 {
+            let pending = q.wheel.len();
+            if pending < 4 || (pending < 30 && rng.gen_range(2) == 0) {
+                let delay = match rng.gen_range(100) {
+                    0..=84 => 256 + rng.gen_range(8_000 - 256),
+                    85..=89 => 0,
+                    90..=94 => rng.gen_range(256),
+                    _ => rng.gen_range(3_000_000),
+                };
+                let t = SimTime(q.wheel.now().0 + delay);
+                // One event, or a same-instant burst of up to five.
+                let burst = match rng.gen_range(8) {
+                    0 => 2 + rng.gen_range(4),
+                    _ => 1,
+                };
+                for _ in 0..burst {
+                    q.push(t);
+                }
+                continue;
+            }
+            q.pop();
+            if q.wheel.run == NO_RUN {
+                continue;
+            }
+            // A handler reacting inside the window of a live run: a
+            // zero-delay follow-up, or one aimed at the instant of the
+            // run's next entry (lands in level 0, must lose the tie).
+            match rng.gen_range(4) {
+                0 => {
+                    q.push(q.wheel.now());
+                    pushes_into_live_run += 1;
+                }
+                1 => {
+                    q.push(SimTime(q.wheel.slots[q.wheel.run][0].0));
+                    ties_against_run += 1;
+                }
+                _ => {}
+            }
+        }
+        while q.pop().is_some() {}
+        assert_eq!(q.wheel.run, NO_RUN);
+        // The shape really exercised the paths it is named for.
+        assert!(pushes_into_live_run > 500, "{pushes_into_live_run}");
+        assert!(ties_against_run > 500, "{ties_against_run}");
+    }
+
+    /// The overload shape: ~500 pending events, almost all of them a
+    /// monotone stream of admission ticks a fixed service time apart,
+    /// with deliveries scheduling µs-scale follow-ups.
+    #[test]
+    fn deep_monotone_admit_stream_matches_heap() {
+        let mut rng = Rng::new(0xAD31);
+        let mut q = Lockstep::new();
+        let mut admit_at = 0u64;
+        for _ in 0..40_000 {
+            // Top the backlog up to 500 pending admits, 210 ns apart.
+            while q.wheel.len() < 500 {
+                admit_at = admit_at.max(q.wheel.now().0) + 210;
+                q.push(SimTime(admit_at));
+            }
+            let now = q.pop().expect("backlog is never empty");
+            if rng.gen_range(3) == 0 {
+                q.push(now + SimDuration::from_nanos(rng.gen_range(4_000)));
+            }
+        }
+        while q.pop().is_some() {}
     }
 
     /// peek_time always agrees with the subsequent pop, including when

@@ -147,6 +147,9 @@ pub struct RdmaNic {
     params: Rc<FabricParams>,
     engine_free: SimTime,
     qps: Vec<Qp>,
+    /// Running Σ `qps[i].outstanding`: `post` and `on_cqe` adjust it, so
+    /// the per-fetch occupancy accounting never re-sums the QPs.
+    total: u32,
     /// Compute → memory direction (READ requests, WRITE data).
     to_remote: Link,
     /// Memory → compute direction (READ data, WRITE acks).
@@ -192,6 +195,7 @@ impl RdmaNic {
                     cq: CqId(i),
                 })
                 .collect(),
+            total: 0,
             engine_free: SimTime::ZERO,
             ctrl_bytes: 16,
             posted_reads: 0,
@@ -325,7 +329,8 @@ impl RdmaNic {
         let q = &mut self.qps[qp.0 as usize];
         q.outstanding += 1;
         let cq = q.cq;
-        self.occ_max = self.occ_max.max(self.total_outstanding());
+        self.total += 1;
+        self.occ_max = self.occ_max.max(self.total);
 
         // Doorbell + shared WQE engine (single FIFO server).
         let ready = now + self.params.doorbell;
@@ -433,6 +438,7 @@ impl RdmaNic {
         let q = &mut self.qps[qp.0 as usize];
         assert!(q.outstanding > 0, "CQE for idle QP {qp:?}");
         q.outstanding -= 1;
+        self.total -= 1;
     }
 
     /// Takes an occupancy snapshot at `now` (see [`OccupancySnapshot`]).
@@ -455,7 +461,11 @@ impl RdmaNic {
 
     /// Total outstanding work requests across all QPs.
     pub fn total_outstanding(&self) -> u32 {
-        self.qps.iter().map(|q| q.outstanding).sum()
+        debug_assert_eq!(
+            self.total,
+            self.qps.iter().map(|q| q.outstanding).sum::<u32>()
+        );
+        self.total
     }
 
     /// The memory→compute direction (carries fetched pages); its
@@ -1098,5 +1108,84 @@ mod tests {
         // halved bandwidth, the request leg a few ns.
         let extra = slow.done_at.since(base.done_at).as_nanos();
         assert!((4_300..4_500).contains(&extra), "extra = {extra} ns");
+    }
+
+    /// The running total is a shortcut for Σ `outstanding(qp)`; hold it
+    /// to that sum (and the occupancy integral and maximum derived from
+    /// it to a scalar model) after every step of a seeded random
+    /// post/CQE sequence — in release builds too, where the
+    /// `debug_assert` inside `total_outstanding` is compiled out.
+    /// Covers `QpFull` rejections, error CQEs (lossy link with no retry
+    /// budget) and the write-back / failover QPs past the worker range.
+    #[test]
+    fn running_total_equals_per_qp_sum_on_random_sequences() {
+        const WORKERS: u32 = 8;
+        const QPS: u32 = WORKERS + 2; // + write-back, + failover
+        let params = FabricParams {
+            qp_depth: 4,
+            rc_retries: 0,
+            ..FabricParams::default()
+        };
+        let mut nic = RdmaNic::new(params, QPS);
+        let mut mem = MemNode::new(1 << 20, 4096);
+        let mut plane = FaultPlane::new(FaultScenario::lossy(), 7);
+        let mut rng = desim::Rng::new(0x70_7A1);
+        let mut now = SimTime::ZERO;
+        // Scalar model: completions in flight, occupancy integral, maximum.
+        let mut inflight: Vec<(SimTime, QpId)> = Vec::new();
+        let (mut weighted, mut since, mut max) = (0u128, SimTime::ZERO, 0u32);
+        let (mut rejected, mut errors) = (0u32, 0u32);
+        for _ in 0..20_000 {
+            let post = inflight.is_empty() || rng.gen_range(100) < 55;
+            // Either post a little later, or consume the earliest
+            // completion (as the runtime does) when it surfaces.
+            let cqe = if post {
+                now += SimDuration::from_nanos(rng.gen_range(1_500));
+                None
+            } else {
+                let i = (0..inflight.len()).min_by_key(|&i| inflight[i].0).unwrap();
+                let (done_at, qp) = inflight.swap_remove(i);
+                now = now.max(done_at);
+                Some(qp)
+            };
+            let held = inflight.len() as u128 + cqe.is_some() as u128;
+            weighted += held * now.since(since).as_nanos() as u128;
+            since = now;
+            if let Some(qp) = cqe {
+                nic.on_cqe(now, qp);
+            } else {
+                let qp = QpId(rng.gen_range(QPS as u64) as u32);
+                let verb = if qp.0 == WORKERS {
+                    Verb::Write
+                } else {
+                    Verb::Read
+                };
+                let page = rng.gen_range(1 << 20);
+                match nic.post(now, qp, verb, page, 4096, &mut mem, &mut plane) {
+                    Ok(c) => {
+                        errors += c.is_error() as u32;
+                        inflight.push((c.done_at, qp));
+                        max = max.max(inflight.len() as u32);
+                    }
+                    Err(PostError::QpFull) => {
+                        assert_eq!(nic.outstanding(qp), 4);
+                        rejected += 1;
+                    }
+                }
+            }
+            let sum: u32 = (0..QPS).map(|q| nic.outstanding(QpId(q))).sum();
+            assert_eq!(nic.total_outstanding(), sum);
+            assert_eq!(sum as usize, inflight.len());
+            assert_eq!(
+                nic.occupancy(now),
+                OccupancySnapshot {
+                    weighted_ns: weighted,
+                    max
+                }
+            );
+        }
+        assert!(rejected > 50, "QpFull never exercised: {rejected}");
+        assert!(errors > 50, "error CQEs never exercised: {errors}");
+        assert!(now > SimTime(5_000_000), "never reached the lossy spike");
     }
 }

@@ -101,8 +101,16 @@ pub struct TraceRecorder {
 impl TraceRecorder {
     /// Creates a recorder with the given cost model.
     pub fn new(cost: CostModel) -> TraceRecorder {
+        TraceRecorder::with_steps(cost, Vec::new())
+    }
+
+    /// Creates a recorder that records into `steps`: the buffer is
+    /// cleared and its capacity kept, so a recycled [`Trace`]'s step
+    /// storage serves the next request without a fresh allocation.
+    pub fn with_steps(cost: CostModel, mut steps: Vec<Step>) -> TraceRecorder {
+        steps.clear();
         TraceRecorder {
-            steps: Vec::new(),
+            steps,
             pending_ns: 0.0,
             recent: [u64::MAX; 4],
             recent_next: 0,
@@ -176,6 +184,13 @@ impl TraceRecorder {
             request_bytes,
             reply_bytes,
         }
+    }
+
+    /// Finishes recording into `out`, replacing every field (the step
+    /// buffer moves; pair with [`TraceRecorder::with_steps`] to recycle
+    /// `out`'s own storage).
+    pub fn finish_into(self, out: &mut Trace, class: u16, request_bytes: u32, reply_bytes: u32) {
+        *out = self.finish(class, request_bytes, reply_bytes);
     }
 }
 
@@ -266,6 +281,40 @@ mod tests {
         r.touch(3, false); // outside window by then? window = 4, still in
         let t = r.finish(0, 0, 0);
         assert_eq!(t.distinct_pages(), 3);
+    }
+
+    /// Recording into an adopted, pre-dirtied buffer yields the same
+    /// trace as a fresh recorder and keeps the buffer's allocation.
+    #[test]
+    fn adopted_buffer_is_cleared_and_reused() {
+        let record = |mut r: TraceRecorder| {
+            r.compute_ns(10.0);
+            r.touch(3, false);
+            r.touch(4, true);
+            r.compute_ns(5.0);
+            r
+        };
+        let fresh = record(TraceRecorder::default()).finish(2, 64, 128);
+        let mut buf = Trace {
+            class: 9,
+            steps: Vec::with_capacity(32),
+            request_bytes: 1,
+            reply_bytes: 1,
+        };
+        buf.steps.push(Step {
+            compute_ns: 1,
+            access: None,
+        });
+        let storage = buf.steps.as_ptr();
+        let steps = std::mem::take(&mut buf.steps);
+        record(TraceRecorder::with_steps(CostModel::default(), steps))
+            .finish_into(&mut buf, 2, 64, 128);
+        assert_eq!(buf.steps, fresh.steps);
+        assert_eq!(
+            (buf.class, buf.request_bytes, buf.reply_bytes),
+            (fresh.class, fresh.request_bytes, fresh.reply_bytes)
+        );
+        assert_eq!(buf.steps.as_ptr(), storage, "step storage reallocated");
     }
 
     #[test]

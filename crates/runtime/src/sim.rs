@@ -803,9 +803,45 @@ struct Inflight {
     /// still remote and every requester must abort.
     failed: bool,
     /// Yield-policy waiters (request ids) to resume on completion.
-    waiters: Vec<usize>,
+    waiters: Waiters,
     /// Completion consumed early by a worker that caught up with it.
     completed_early: bool,
+}
+
+/// The requests parked on one fetch, in park order. Nearly every fetch
+/// parks exactly one (the faulting request), which is held inline; only
+/// coalesced waiters go to the heap. The `Vec`'s niche keeps this the
+/// size of the `Vec` it replaced, so [`Inflight`] does not grow.
+#[derive(Default)]
+enum Waiters {
+    #[default]
+    None,
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Waiters {
+    fn push(&mut self, req: usize) {
+        match self {
+            Waiters::None => *self = Waiters::One(req),
+            Waiters::One(first) => *self = Waiters::Many(vec![*first, req]),
+            Waiters::Many(all) => all.push(req),
+        }
+    }
+}
+
+impl IntoIterator for Waiters {
+    type Item = usize;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<usize>, std::vec::IntoIter<usize>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self {
+            Waiters::None => (None, Vec::new()),
+            Waiters::One(req) => (Some(req), Vec::new()),
+            Waiters::Many(all) => (None, all),
+        };
+        one.into_iter().chain(many)
+    }
 }
 
 #[derive(PartialEq)]
@@ -922,7 +958,7 @@ pub struct Simulation<'w> {
     free_reqs: Vec<usize>,
     /// Retired requests' step buffers, recycled through
     /// [`Workload::next_request_into`] so steady-state arrivals perform
-    /// no per-request trace allocation.
+    /// no per-request trace allocation (where the workload overrides it).
     trace_pool: Vec<Trace>,
     /// Observability feature mask ([`obs`]): resolved once at
     /// construction so disabled layers cost one integer test per
@@ -985,6 +1021,10 @@ pub struct Simulation<'w> {
     /// shard's reclaimer-QP slot.
     deferred_writebacks: Vec<VecDeque<u64>>,
     reclaim_state: ReclaimState,
+    /// The reclaimer's start / stop thresholds in free frames, resolved
+    /// once from `cfg.watermarks` (the cache capacity never changes).
+    low_frames: usize,
+    high_frames: usize,
     gen_end: SimTime,
     metrics: Metrics,
     ids: MetricIds,
@@ -1069,10 +1109,12 @@ impl<'w> Simulation<'w> {
 
         // Warm the cache to its steady-state fill (free list sitting at
         // the high watermark) so measurement starts in steady state.
+        let low_frames = cfg.watermarks.low_frames(capacity);
+        let high_frames = cfg.watermarks.high_frames(capacity);
         let fill = if capacity == total_pages as usize {
             capacity
         } else {
-            capacity - cfg.watermarks.high_frames(capacity)
+            capacity - high_frames
         };
         match workload.warm_pages() {
             Some(pages) => cache.warm_with(pages.into_iter().take(fill)),
@@ -1400,6 +1442,8 @@ impl<'w> Simulation<'w> {
             orphan_fetches: Vec::new(),
             deferred_writebacks: vec![VecDeque::new(); shards],
             reclaim_state: ReclaimState::Idle,
+            low_frames,
+            high_frames,
             gen_end: measure_end,
             metrics,
             ids,
@@ -2478,12 +2522,15 @@ impl<'w> Simulation<'w> {
 
     fn on_arrival(&mut self, now: SimTime, req: usize) {
         self.schedule_next_arrival();
-        let depth = self.pending_depth()
-            + self
+        // Only the per-worker queue models ever fill `local_queue`.
+        let mut depth = self.pending_depth();
+        if self.cfg.queue_model != QueueModel::SingleQueue {
+            depth += self
                 .workers
                 .iter()
                 .map(|w| w.local_queue.len())
                 .sum::<usize>();
+        }
         self.metrics
             .gauge_set(self.ids.queue_depth, now, depth as f64);
         let inflight = self.total_outstanding();
@@ -2688,17 +2735,21 @@ impl<'w> Simulation<'w> {
                 // outstanding count spans every shard rail its QP id is
                 // mapped onto, so dispatch stays fault-aware under
                 // sharding without favouring any one shard.
-                self.workers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| !w.busy)
-                    .min_by_key(|(i, w)| {
-                        (
-                            self.nics.iter().map(|n| n.outstanding(w.qp)).sum::<u32>(),
-                            *i,
-                        )
-                    })
-                    .map(|(i, _)| i)
+                let mut best: Option<(u32, usize)> = None;
+                for (i, w) in self.workers.iter().enumerate() {
+                    if w.busy {
+                        continue;
+                    }
+                    let count: u32 = self.nics.iter().map(|n| n.outstanding(w.qp)).sum();
+                    // The first idle worker with nothing in flight is
+                    // the minimum already; else `<` keeps the lower index.
+                    if count == 0 {
+                        return Some(i);
+                    } else if best.is_none_or(|(c, _)| count < c) {
+                        best = Some((count, i));
+                    }
+                }
+                best.map(|(_, i)| i)
             }
         }
     }
@@ -3194,7 +3245,7 @@ impl<'w> Simulation<'w> {
                 done_at: outcome.done_at,
                 qp: outcome.qp,
                 failed: outcome.failed,
-                waiters: Vec::new(),
+                waiters: Waiters::default(),
                 completed_early: false,
             },
         ) {
@@ -3482,7 +3533,7 @@ impl<'w> Simulation<'w> {
                             done_at: c.done_at,
                             qp,
                             failed: c.is_error(),
-                            waiters: Vec::new(),
+                            waiters: Waiters::default(),
                             completed_early: false,
                         },
                     ) {
@@ -3829,12 +3880,7 @@ impl<'w> Simulation<'w> {
         if self.reclaim_state == ReclaimState::Scheduled {
             return;
         }
-        let free = self.cache.free_frames();
-        if !self
-            .cfg
-            .watermarks
-            .should_start(free, self.cache.capacity())
-        {
+        if self.cache.free_frames() >= self.low_frames {
             return;
         }
         let delay = match self.cfg.reclaimer_mode {
@@ -3848,11 +3894,7 @@ impl<'w> Simulation<'w> {
     fn on_reclaim_tick(&mut self, now: SimTime) {
         let mut evicted = 0;
         while evicted < self.cfg.reclaim_batch {
-            if self
-                .cfg
-                .watermarks
-                .may_stop(self.cache.free_frames(), self.cache.capacity())
-            {
+            if self.cache.free_frames() >= self.high_frames {
                 break;
             }
             match self.cache.evict_one() {
@@ -3869,7 +3911,7 @@ impl<'w> Simulation<'w> {
         let free = self.cache.free_frames();
         self.metrics.inc(self.ids.reclaim_ticks);
         self.trace(now, "reclaim", "tick", evicted as u64, free as u64);
-        if !self.cfg.watermarks.may_stop(free, self.cache.capacity()) && evicted > 0 {
+        if free < self.high_frames && evicted > 0 {
             let batch_time = self.cfg.evict_cost.saturating_mul(evicted as u64);
             self.events.push(now + batch_time, Ev::ReclaimTick);
         } else {
@@ -5033,5 +5075,68 @@ mod tests {
         let lo2 = sim.alloc_req(Trace::default(), SimTime::ZERO, 1);
         sim.cons.arrivals += 1;
         assert!(!sim.tenant_admission(SimTime::ZERO, lo2));
+    }
+
+    /// PF-aware selection is a hand-rolled early-exit loop; hold it to
+    /// the reference it replaced — `min_by_key((Σ rails outstanding,
+    /// index))` over idle workers — across random busy masks and
+    /// outstanding vectors on 1, 4 and 8 rails, including all-busy
+    /// (`None`) and all-zero states.
+    #[test]
+    fn pf_aware_pick_matches_min_by_key_reference() {
+        let mut rng = Rng::new(0x91C4);
+        for shards in [1usize, 4, 8] {
+            let cfg = SystemConfig {
+                memnode_shards: shards,
+                ..SystemConfig::adios()
+            };
+            assert_eq!(cfg.worker_select, WorkerSelect::PfAware);
+            let mut w = small_workload();
+            let mut sim = Simulation::new(cfg, &mut w, quick_params(100_000.0));
+            let n = sim.workers.len();
+            let (mut none, mut zero_exit, mut by_count) = (0, 0, 0);
+            for trial in 0..600 {
+                // Steer every (worker, rail) towards a random target
+                // depth; every fourth trial drains to all-zero.
+                for i in 0..n {
+                    let qp = sim.workers[i].qp;
+                    for rail in 0..shards {
+                        let target = match trial % 4 {
+                            0 => 0,
+                            _ => rng.gen_range(4) as u32,
+                        };
+                        while sim.nics[rail].outstanding(qp) < target {
+                            sim.post_read(SimTime::ZERO, rail, qp, 0, 0).unwrap();
+                        }
+                        while sim.nics[rail].outstanding(qp) > target {
+                            sim.nics[rail].on_cqe(SimTime::ZERO, qp);
+                        }
+                    }
+                }
+                // Busy mask: random density, all-busy every seventh.
+                let density = rng.gen_range(5);
+                for worker in &mut sim.workers {
+                    worker.busy = trial % 7 == 0 || rng.gen_range(4) < density;
+                }
+                let count = |sim: &Simulation, i: usize| -> u32 {
+                    let qp = sim.workers[i].qp;
+                    sim.nics.iter().map(|nic| nic.outstanding(qp)).sum()
+                };
+                let want = (0..n)
+                    .filter(|&i| !sim.workers[i].busy)
+                    .min_by_key(|&i| (count(&sim, i), i));
+                assert_eq!(
+                    sim.pick_idle_worker(),
+                    want,
+                    "{shards} rails, trial {trial}"
+                );
+                match want {
+                    None => none += 1,
+                    Some(i) if count(&sim, i) == 0 => zero_exit += 1,
+                    Some(_) => by_count += 1,
+                }
+            }
+            assert!(none > 50 && zero_exit > 50 && by_count > 50);
+        }
     }
 }
