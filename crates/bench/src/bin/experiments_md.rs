@@ -4,6 +4,10 @@
 //! ADIOS_FULL=1 cargo run -p bench --bin experiments_md --release
 //! ```
 //!
+//! Only a Full-scale run writes `EXPERIMENTS.md`; a Quick-scale run (no
+//! `ADIOS_FULL`) writes `<out-dir>/EXPERIMENTS.quick.md`, so a quick
+//! refactor guard never overwrites the committed Full-scale record.
+//!
 //! Smoke flags skip the sweep and instead run one short instrumented
 //! run per system: `--trace` prints the virtual-time event timeline
 //! and writes the full per-run JSON, `--spans` records per-request
@@ -23,7 +27,8 @@ type Step = (&'static str, Box<dyn FnOnce(Scale) -> FigureReport>);
 const USAGE: &str = "\
 usage: experiments_md [FLAGS]
 
-With no flags, runs every experiment and writes EXPERIMENTS.md.
+With no flags, runs every experiment and writes EXPERIMENTS.md at Full
+scale (ADIOS_FULL=1), <out-dir>/EXPERIMENTS.quick.md otherwise.
 Any smoke flag (--trace / --spans / --perfetto / --faults) skips the
 sweep and runs one short instrumented run per system instead.
 
@@ -1095,11 +1100,17 @@ fn main() {
     eprintln!("[experiments-md] extensions…");
     reports.extend(experiments::extensions::run(scale));
 
+    // The header names the command that matches the scale, and only a
+    // Full-scale run may replace the committed record.
+    let (env, path) = match scale {
+        Scale::Full => ("ADIOS_FULL=1 ", PathBuf::from("EXPERIMENTS.md")),
+        Scale::Quick => ("", cli.out_dir.join("EXPERIMENTS.quick.md")),
+    };
     let mut md = String::new();
     let _ = writeln!(md, "# Experiments: paper vs measured\n");
     let _ = writeln!(
         md,
-        "Generated by `ADIOS_FULL=1 cargo run -p bench --bin experiments_md --release` \
+        "Generated by `{env}cargo run -p bench --bin experiments_md --release` \
          at `{scale:?}` scale in {:.0} s.\n",
         start.elapsed().as_secs_f64()
     );
@@ -1122,7 +1133,8 @@ fn main() {
         md.push_str(&r.to_markdown());
     }
 
-    std::fs::write("EXPERIMENTS.md", md).expect("write EXPERIMENTS.md");
+    std::fs::create_dir_all(&cli.out_dir).expect("create output directory");
+    std::fs::write(&path, md).expect("write the experiments report");
     if std::env::var("ADIOS_CSV")
         .map(|v| v == "1")
         .unwrap_or(false)
@@ -1136,7 +1148,8 @@ fn main() {
         );
     }
     eprintln!(
-        "[experiments-md] wrote EXPERIMENTS.md ({} reports, {} misses) in {:.0} s",
+        "[experiments-md] wrote {} ({} reports, {} misses) in {:.0} s",
+        path.display(),
         reports.len(),
         misses,
         start.elapsed().as_secs_f64()

@@ -1,0 +1,1123 @@
+use super::*;
+use crate::config::{DispatchPolicy, QueueModel, SystemKind, WorkerSelect};
+use crate::workload::ArrayIndexWorkload;
+
+/// A small working set so tests run fast: 16 Ki pages, 20 % local.
+fn small_workload() -> ArrayIndexWorkload {
+    ArrayIndexWorkload::new(16_384)
+}
+
+fn quick_params(rps: f64) -> RunParams {
+    RunParams {
+        offered_rps: rps,
+        seed: 42,
+        warmup: SimDuration::from_millis(2),
+        measure: SimDuration::from_millis(10),
+        local_mem_fraction: 0.2,
+        keep_breakdowns: false,
+        burst: None,
+        timeline_bucket: None,
+        trace_capacity: None,
+        spans: None,
+        faults: None,
+        telemetry: None,
+        profile: None,
+        memory: None,
+        tenants: None,
+    }
+}
+
+fn run(kind: SystemKind, rps: f64) -> RunResult {
+    let mut w = small_workload();
+    run_one(SystemConfig::for_kind(kind), &mut w, quick_params(rps))
+}
+
+fn run_faulty(cfg: SystemConfig, rps: f64, scenario: FaultScenario) -> RunResult {
+    let mut w = small_workload();
+    run_one(
+        cfg,
+        &mut w,
+        RunParams {
+            faults: Some(scenario),
+            telemetry: None,
+            ..quick_params(rps)
+        },
+    )
+}
+
+/// Every error CQE either fails over to the next replica or
+/// terminates its chain — no fetch can vanish in between. On
+/// sharded runs the same partition must hold shard by shard:
+/// failovers on one shard cannot paper over chain failures on
+/// another.
+fn assert_fault_invariant(res: &RunResult) {
+    use desim::trace::shard_names as sn;
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    assert_eq!(
+        c("fetch_cqe_errors"),
+        c("fetch_failovers") + c("fetch_chain_failures"),
+        "error CQEs must be exactly partitioned into failovers and chain failures"
+    );
+    for s in 0..sn::MAX_SHARDS {
+        if let Some(errs) = res.metrics.counter(sn::CQE_ERRORS[s]) {
+            assert_eq!(
+                errs,
+                c(sn::FAILOVERS[s]) + c(sn::CHAIN_FAILURES[s]),
+                "shard {s}: error CQEs must partition into failovers and chain failures"
+            );
+        }
+    }
+}
+
+#[test]
+fn lossy_fabric_retransmits_but_conserves_every_request() {
+    for kind in [SystemKind::Dilos, SystemKind::Adios] {
+        let res = run_faulty(
+            SystemConfig::for_kind(kind),
+            400_000.0,
+            FaultScenario::lossy(),
+        );
+        let c = |name| res.metrics.counter(name).unwrap_or(0);
+        assert!(
+            c("fetch_retransmits") > 0,
+            "{}: 2% loss must trigger retransmissions",
+            kind.name()
+        );
+        // 7 RC retries put retry exhaustion at ~loss^8: every fetch
+        // eventually completes and nothing is dropped.
+        assert_eq!(res.recorder.dropped(), 0, "{}", kind.name());
+        assert_eq!(c("fetch_aborts"), 0, "{}", kind.name());
+        assert_fault_invariant(&res);
+        assert!(res.recorder.completed_in_window() > 500);
+    }
+}
+
+#[test]
+fn memnode_crash_fails_over_to_replica() {
+    let cfg = SystemConfig {
+        memnode_replicas: 2,
+        ..SystemConfig::adios()
+    };
+    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash());
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    assert!(
+        c("fetch_failovers") > 0,
+        "outage fetches must divert to the secondary replica"
+    );
+    assert_eq!(res.recorder.dropped(), 0, "replica absorbs the outage");
+    assert_fault_invariant(&res);
+}
+
+#[test]
+fn memnode_crash_without_replica_aborts_chains() {
+    // A failed chain burns ~3.8 ms of RTO ladders before its error
+    // CQE surfaces; keep measuring long enough to observe the
+    // aborts the 10 ms outage provokes.
+    let mut w = small_workload();
+    let res = run_one(
+        SystemConfig::adios(),
+        &mut w,
+        RunParams {
+            faults: Some(FaultScenario::crash()),
+            telemetry: None,
+            measure: SimDuration::from_millis(20),
+            ..quick_params(400_000.0)
+        },
+    );
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    // With a single replica the failover chain re-targets the same
+    // dead node and exhausts its attempt budget.
+    assert!(c("fetch_chain_failures") > 0);
+    assert!(c("fetch_aborts") > 0);
+    assert!(res.recorder.dropped() > 0);
+    assert_fault_invariant(&res);
+}
+
+#[test]
+fn stall_episodes_inflate_busywait_spin() {
+    let base = run(SystemKind::Dilos, 400_000.0);
+    let stalled = run_faulty(SystemConfig::dilos(), 400_000.0, FaultScenario::stall());
+    assert!(
+        stalled.stats.spin_ns > base.stats.spin_ns,
+        "stalled memnode must lengthen busy-wait spins: {} vs {}",
+        stalled.stats.spin_ns,
+        base.stats.spin_ns
+    );
+    assert_fault_invariant(&stalled);
+}
+
+#[test]
+fn fault_runs_are_deterministic() {
+    let a = run_faulty(SystemConfig::adios(), 500_000.0, FaultScenario::lossy());
+    let b = run_faulty(SystemConfig::adios(), 500_000.0, FaultScenario::lossy());
+    assert_eq!(
+        a.recorder.completed_in_window(),
+        b.recorder.completed_in_window()
+    );
+    assert_eq!(
+        a.recorder.overall().percentile(99.9),
+        b.recorder.overall().percentile(99.9)
+    );
+    assert_eq!(
+        a.metrics.counter("fetch_retransmits"),
+        b.metrics.counter("fetch_retransmits")
+    );
+    assert_eq!(
+        a.metrics.counter("faults.injected_losses"),
+        b.metrics.counter("faults.injected_losses")
+    );
+}
+
+#[test]
+fn low_load_latency_is_microsecond_scale() {
+    for kind in [SystemKind::Dilos, SystemKind::Adios] {
+        let res = run(kind, 100_000.0);
+        let p50 = res.recorder.overall().percentile(50.0);
+        assert!(
+            (1_000..20_000).contains(&p50),
+            "{}: p50 = {p50} ns",
+            kind.name()
+        );
+        assert_eq!(res.recorder.dropped(), 0, "{}", kind.name());
+        assert!(res.recorder.completed_in_window() > 500);
+    }
+}
+
+#[test]
+fn determinism_same_seed_same_results() {
+    let a = run(SystemKind::Adios, 500_000.0);
+    let b = run(SystemKind::Adios, 500_000.0);
+    assert_eq!(
+        a.recorder.completed_in_window(),
+        b.recorder.completed_in_window()
+    );
+    assert_eq!(
+        a.recorder.overall().percentile(99.0),
+        b.recorder.overall().percentile(99.0)
+    );
+    assert_eq!(a.stats.prefetches, b.stats.prefetches);
+}
+
+#[test]
+fn adios_beats_dilos_at_high_load() {
+    // Past DiLOS' saturation point, Adios must deliver both more
+    // throughput and a dramatically lower tail (the paper's headline
+    // result).
+    let dilos = run(SystemKind::Dilos, 2_200_000.0);
+    let adios = run(SystemKind::Adios, 2_200_000.0);
+    assert!(
+        adios.recorder.achieved_rps() > dilos.recorder.achieved_rps() * 1.2,
+        "throughput: adios {} vs dilos {}",
+        adios.recorder.achieved_rps(),
+        dilos.recorder.achieved_rps()
+    );
+}
+
+#[test]
+fn adios_spin_time_is_negligible() {
+    let dilos = run(SystemKind::Dilos, 1_200_000.0);
+    let adios = run(SystemKind::Adios, 1_200_000.0);
+    assert!(
+        dilos.spin_fraction() > 0.2,
+        "dilos spin fraction = {}",
+        dilos.spin_fraction()
+    );
+    assert!(
+        adios.spin_fraction() < 0.05,
+        "adios spin fraction = {}",
+        adios.spin_fraction()
+    );
+}
+
+#[test]
+fn rdma_utilization_higher_for_adios() {
+    let dilos = run(SystemKind::Dilos, 2_500_000.0);
+    let adios = run(SystemKind::Adios, 2_500_000.0);
+    assert!(
+        adios.rdma_data_util > dilos.rdma_data_util * 1.2,
+        "util: adios {} vs dilos {}",
+        adios.rdma_data_util,
+        dilos.rdma_data_util
+    );
+}
+
+#[test]
+fn hermit_is_slowest() {
+    let hermit = run(SystemKind::Hermit, 1_200_000.0);
+    let dilos = run(SystemKind::Dilos, 1_200_000.0);
+    assert!(
+        hermit.recorder.achieved_rps() < dilos.recorder.achieved_rps(),
+        "hermit {} vs dilos {}",
+        hermit.recorder.achieved_rps(),
+        dilos.recorder.achieved_rps()
+    );
+    assert!(
+        hermit.recorder.overall().percentile(99.9) > dilos.recorder.overall().percentile(99.9),
+        "hermit tail should be worse"
+    );
+}
+
+#[test]
+fn all_local_memory_means_no_fetches() {
+    let mut params = quick_params(500_000.0);
+    params.local_mem_fraction = 1.0;
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, params);
+    assert_eq!(res.cache.misses, 0);
+    assert_eq!(res.stats.prefetches, 0);
+    assert!(res.rdma_data_util < 1e-6);
+    assert!(res.recorder.completed_in_window() > 1000);
+}
+
+#[test]
+fn overload_drops_requests_and_caps_throughput() {
+    let res = run(SystemKind::Dilos, 5_000_000.0);
+    assert!(res.recorder.dropped() > 0, "expected drops at 5 MRPS");
+    let achieved = res.recorder.achieved_rps();
+    assert!(
+        achieved < 3_000_000.0,
+        "achieved {achieved} should be capped by saturation"
+    );
+}
+
+#[test]
+fn preemption_happens_only_in_dilos_p() {
+    // A long-compute workload (SCAN-like) to give probes a chance.
+    struct LongCompute;
+    impl Workload for LongCompute {
+        fn classes(&self) -> &'static [&'static str] {
+            &["long"]
+        }
+        fn total_pages(&self) -> u64 {
+            4096
+        }
+        fn next_request(&mut self, rng: &mut Rng) -> Trace {
+            let steps = (0..20)
+                .map(|_| paging::trace::Step {
+                    compute_ns: 1_000,
+                    access: Some(paging::trace::Access {
+                        page: rng.gen_range(4096),
+                        write: false,
+                    }),
+                })
+                .collect();
+            Trace {
+                class: 0,
+                steps,
+                request_bytes: 64,
+                reply_bytes: 64,
+            }
+        }
+    }
+    let params = quick_params(50_000.0);
+    let p = run_one(SystemConfig::dilos_p(), &mut LongCompute, params.clone());
+    let d = run_one(SystemConfig::dilos(), &mut LongCompute, params);
+    assert!(p.stats.preemptions > 0, "DiLOS-P must preempt long scans");
+    assert_eq!(d.stats.preemptions, 0, "DiLOS never preempts");
+}
+
+#[test]
+fn breakdown_components_populated() {
+    let mut params = quick_params(1_000_000.0);
+    params.keep_breakdowns = true;
+    let mut w = small_workload();
+    let mut res = run_one(SystemConfig::dilos(), &mut w, params.clone());
+    let p50 = res.recorder.breakdown_at(50.0);
+    assert!(p50.mean.handling_ns > 0.0);
+    // 80 % of requests fault; at P50 the fetch shows up.
+    assert!(p50.mean.rdma_ns > 0.0);
+
+    let mut w2 = small_workload();
+    let mut adios = run_one(SystemConfig::adios(), &mut w2, params);
+    let a99 = adios.breakdown99();
+    assert!(a99.mean.busywait_ns < 100.0, "adios must not spin: {a99:?}");
+}
+
+impl RunResult {
+    fn breakdown99(&mut self) -> loadgen::record::BreakdownAt {
+        self.recorder.breakdown_at(99.0)
+    }
+}
+
+#[test]
+fn writebacks_happen_with_dirty_pages() {
+    struct WriteHeavy;
+    impl Workload for WriteHeavy {
+        fn classes(&self) -> &'static [&'static str] {
+            &["write"]
+        }
+        fn total_pages(&self) -> u64 {
+            8192
+        }
+        fn next_request(&mut self, rng: &mut Rng) -> Trace {
+            Trace {
+                class: 0,
+                steps: vec![paging::trace::Step {
+                    compute_ns: 300,
+                    access: Some(paging::trace::Access {
+                        page: rng.gen_range(8192),
+                        write: true,
+                    }),
+                }],
+                request_bytes: 64,
+                reply_bytes: 64,
+            }
+        }
+    }
+    let res = run_one(
+        SystemConfig::adios(),
+        &mut WriteHeavy,
+        quick_params(500_000.0),
+    );
+    assert!(res.stats.writebacks > 0, "dirty evictions must write back");
+    assert!(res.rdma_ctrl_util > 0.0);
+}
+
+#[test]
+fn qp_depth_one_forces_handler_pauses() {
+    let mut cfg = SystemConfig::adios();
+    cfg.fabric.qp_depth = 1;
+    let mut w = small_workload();
+    let res = run_one(cfg, &mut w, quick_params(1_500_000.0));
+    assert!(
+        res.stats.qp_stalls > 0,
+        "depth-1 QPs must pause the fault handler (§5.2 mechanism)"
+    );
+    assert!(
+        res.recorder.completed_in_window() > 1_000,
+        "still makes progress"
+    );
+}
+
+#[test]
+fn hot_page_faults_coalesce() {
+    // Every request hits the same handful of pages: concurrent
+    // faults must wait on the in-flight fetch, not duplicate it.
+    struct HotPages;
+    impl Workload for HotPages {
+        fn classes(&self) -> &'static [&'static str] {
+            &["hot"]
+        }
+        fn total_pages(&self) -> u64 {
+            4096
+        }
+        fn next_request(&mut self, rng: &mut Rng) -> Trace {
+            Trace {
+                class: 0,
+                steps: vec![paging::trace::Step {
+                    compute_ns: 300,
+                    access: Some(paging::trace::Access {
+                        page: rng.gen_range(4), // 4 hot pages
+                        write: false,
+                    }),
+                }],
+                request_bytes: 32,
+                reply_bytes: 32,
+            }
+        }
+        fn warm_pages(&self) -> Option<Vec<u64>> {
+            Some(vec![4000, 4001]) // keep the hot pages cold initially
+        }
+    }
+    let mut params = quick_params(2_000_000.0);
+    params.local_mem_fraction = 0.05;
+    // The hot set becomes resident within microseconds, so the
+    // coalescing happens at the very start of the run: measure
+    // from t = 0 or the windowed counters will miss it.
+    params.warmup = SimDuration::ZERO;
+    let res = run_one(SystemConfig::adios(), &mut HotPages, params);
+    assert!(
+        res.stats.coalesced > 0,
+        "concurrent faults on hot pages must coalesce"
+    );
+    // Far fewer fetches than requests: the hot set stays resident.
+    assert!(res.cache.misses < res.recorder.completed_in_window() / 10);
+}
+
+#[test]
+fn stealing_happens_and_is_counted() {
+    let cfg = SystemConfig {
+        queue_model: QueueModel::PerWorkerStealing,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let res = run_one(cfg, &mut w, quick_params(1_500_000.0));
+    assert!(
+        res.stats.steals > 0,
+        "random steering must imbalance queues"
+    );
+}
+
+#[test]
+fn infiniswap_resume_delay_slows_remote_requests() {
+    let mut w = small_workload();
+    let inf = run_one(SystemConfig::infiniswap(), &mut w, quick_params(150_000.0));
+    let adios = run_one(SystemConfig::adios(), &mut w, quick_params(150_000.0));
+    let (i50, a50) = (
+        inf.recorder.overall().percentile(50.0),
+        adios.recorder.overall().percentile(50.0),
+    );
+    assert!(
+        i50 > a50 * 4,
+        "kernel wake-up delay must dominate: infiniswap {i50} vs adios {a50}"
+    );
+    assert!(inf.spin_fraction() < 0.05, "infiniswap yields, never spins");
+}
+
+#[test]
+fn timeline_records_queue_dynamics() {
+    let mut params = quick_params(1_800_000.0);
+    params.timeline_bucket = Some(SimDuration::from_micros(100));
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::dilos(), &mut w, params);
+    let tl = res.timeline.expect("timeline requested");
+    assert!(tl.queue_depth.samples() > 1_000);
+    assert!(tl.inflight.global_max() >= 1.0);
+    assert!(!tl.queue_depth.means().is_empty());
+}
+
+#[test]
+fn huge_page_fetches_inflate_latency() {
+    let mut cfg = SystemConfig::adios();
+    cfg.fetch_page_bytes = 2 * 1024 * 1024;
+    cfg.speculative_readahead = 0.0;
+    cfg.prefetcher = crate::config::PrefetcherKind::None;
+    // Below the 2 MB variant's (tiny) link capacity, so remote
+    // requests actually complete and dominate the median.
+    let mut w = small_workload();
+    let huge = run_one(cfg, &mut w, quick_params(8_000.0));
+    let small = run_one(SystemConfig::adios(), &mut w, quick_params(8_000.0));
+    assert!(
+        huge.recorder.overall().percentile(50.0) > small.recorder.overall().percentile(50.0) * 10,
+        "512x I/O amplification must show: {} vs {}",
+        huge.recorder.overall().percentile(50.0),
+        small.recorder.overall().percentile(50.0)
+    );
+}
+
+#[test]
+fn near_zero_load_runs_cleanly() {
+    // A window that may see zero or a handful of arrivals must not
+    // wedge the event loop or the utilisation accounting.
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, quick_params(100.0));
+    assert_eq!(res.recorder.dropped(), 0);
+    assert!(res.rdma_data_util < 0.01);
+}
+
+#[test]
+#[should_panic(expected = "at least one worker")]
+fn zero_workers_rejected() {
+    let cfg = SystemConfig {
+        workers: 0,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let _ = run_one(cfg, &mut w, quick_params(1_000.0));
+}
+
+#[test]
+fn conservation_completed_plus_dropped() {
+    let res = run(SystemKind::Adios, 800_000.0);
+    // Within the measurement window, throughput ≈ offered − drops.
+    let offered_in_window = res.offered_rps * res.window.as_secs_f64();
+    let acc = res.recorder.completed_in_window() + res.recorder.dropped();
+    let ratio = acc as f64 / offered_in_window;
+    assert!(
+        (0.95..=1.05).contains(&ratio),
+        "conservation ratio {ratio} (completed+dropped {acc} vs offered {offered_in_window})"
+    );
+}
+
+#[test]
+fn warmup_activity_excluded_from_window_counters() {
+    // A warmup longer than the measurement window: with cumulative
+    // counters (the old bug) spin_ns would cover warmup + drain and
+    // spin_fraction could exceed 1; windowed counters keep it sane.
+    let mut params = quick_params(1_500_000.0);
+    params.warmup = SimDuration::from_millis(8);
+    params.measure = SimDuration::from_millis(4);
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::dilos(), &mut w, params);
+    assert!(res.stats.spin_ns > 0, "DiLOS busy-waits under load");
+    assert!(
+        res.spin_fraction() <= 1.0 + 1e-9,
+        "spin fraction {} must not exceed total worker time",
+        res.spin_fraction()
+    );
+    // The snapshot window covers the measurement phase only, not
+    // warmup or the post-measure drain.
+    let win = res.metrics.window_ns as f64;
+    let measure = SimDuration::from_millis(4).as_nanos() as f64;
+    assert!(
+        win >= measure && win < measure * 1.5,
+        "window {win} ns should be ≈ measure window {measure} ns"
+    );
+}
+
+#[test]
+fn trace_records_virtual_time_events() {
+    let mut params = quick_params(1_000_000.0);
+    params.trace_capacity = Some(50_000);
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, params);
+    let trace = res.trace.expect("trace requested");
+    assert!(!trace.is_empty());
+    assert!(
+        trace.windows(2).all(|w| w[0].at <= w[1].at),
+        "trace must be sorted by virtual time"
+    );
+    let names: std::collections::HashSet<_> = trace.iter().map(|e| (e.component, e.name)).collect();
+    assert!(names.contains(&("dispatch", "arrival")));
+    assert!(names.contains(&("fault", "miss")));
+    assert!(names.contains(&("worker", "complete")));
+}
+
+#[test]
+fn metrics_registry_matches_stats_view() {
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::dilos(), &mut w, quick_params(1_500_000.0));
+    let m = &res.metrics;
+    assert_eq!(m.counter("spin_ns"), Some(res.stats.spin_ns));
+    assert_eq!(m.counter("preemptions"), Some(res.stats.preemptions));
+    assert_eq!(m.counter("qp_stalls"), Some(res.stats.qp_stalls));
+    assert_eq!(m.counter("coalesced"), Some(res.stats.coalesced));
+    assert_eq!(m.counter("writebacks"), Some(res.stats.writebacks));
+    assert_eq!(m.counter("steals"), Some(res.stats.steals));
+    // Completions flow through both the recorder and the registry.
+    // The recorder windows on each completion's rx timestamp while
+    // the registry re-bases at the first *event* past each boundary
+    // (and worker virtual clocks lead the event clock), so the two
+    // may disagree by the couple of requests in flight at a
+    // boundary — but no more.
+    let reg = m.counter("completions").unwrap();
+    let rec = res.recorder.completed_in_window();
+    assert!(
+        reg.abs_diff(rec) <= 8,
+        "registry completions {reg} vs recorder {rec}"
+    );
+    // Gauges exist and saw activity.
+    let qd = m.gauge("queue_depth").expect("queue_depth registered");
+    assert!(qd.max >= 1.0);
+    assert!(m.gauge("qp_outstanding").is_some());
+}
+
+// ----- memnode sharding ---------------------------------------------
+
+#[test]
+fn single_shard_runs_register_no_per_shard_counters() {
+    use desim::trace::shard_names as sn;
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, quick_params(400_000.0));
+    assert!(
+        res.metrics.counter(sn::FETCHES[0]).is_none(),
+        "per-shard counters must stay out of single-shard registries"
+    );
+    assert!(res.metrics.gauge(sn::QP_OUTSTANDING[0]).is_none());
+    assert_eq!(
+        res.shards.len(),
+        1,
+        "the lone shard still gets a window view"
+    );
+}
+
+#[test]
+fn sharded_run_spreads_fetches_across_every_shard() {
+    use desim::trace::shard_names as sn;
+    let cfg = SystemConfig {
+        memnode_shards: 4,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let res = run_one(cfg, &mut w, quick_params(400_000.0));
+    assert_eq!(res.shards.len(), 4);
+    for s in 0..4 {
+        let fetched = res.metrics.counter(sn::FETCHES[s]).unwrap_or(0);
+        assert!(fetched > 0, "shard {s} saw no fetches");
+        assert!(
+            res.shards[s].data_bytes > 0,
+            "shard {s} moved no data on its rail"
+        );
+    }
+    assert_eq!(res.recorder.dropped(), 0);
+    assert_fault_invariant(&res);
+}
+
+#[test]
+fn sharded_crash_fails_over_one_shard_and_spares_the_rest() {
+    use desim::trace::shard_names as sn;
+    // Down global node 0 — shard 0's primary under the packed chain
+    // layout — with no steady error rate (the canonical `crash`
+    // scenario adds 0.1 % background CQE errors, which would touch
+    // every shard). Shard 0's pages must walk its replica chain;
+    // shards 1–3 must never see an error.
+    let cfg = SystemConfig {
+        memnode_shards: 4,
+        memnode_replicas: 2,
+        ..SystemConfig::adios()
+    };
+    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash_node(0));
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    assert!(
+        c(sn::FAILOVERS[0]) > 0,
+        "shard 0's outage must divert onto its replica"
+    );
+    for s in 1..4 {
+        assert_eq!(
+            c(sn::CQE_ERRORS[s]),
+            0,
+            "shard {s} shares no fate with shard 0's dead primary"
+        );
+    }
+    assert_eq!(res.recorder.dropped(), 0, "replica absorbs the outage");
+    assert_fault_invariant(&res);
+}
+
+#[test]
+fn sharded_crash_of_a_non_primary_node_spares_shard_zero() {
+    use desim::trace::shard_names as sn;
+    // Down shard 1's primary (global node 2 when replicas = 2):
+    // re-mapping must stay contained to shard 1.
+    let cfg = SystemConfig {
+        memnode_shards: 4,
+        memnode_replicas: 2,
+        ..SystemConfig::adios()
+    };
+    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash_node(2));
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    assert!(c(sn::FAILOVERS[1]) > 0, "shard 1 must fail over");
+    for s in [0usize, 2, 3] {
+        assert_eq!(c(sn::CQE_ERRORS[s]), 0, "shard {s} must be untouched");
+    }
+    assert_eq!(res.recorder.dropped(), 0);
+    assert_fault_invariant(&res);
+}
+
+#[test]
+#[should_panic(expected = "memnode_shards must be at least 1")]
+fn zero_shards_is_rejected_at_run_start() {
+    let cfg = SystemConfig {
+        memnode_shards: 0,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let _ = run_one(cfg, &mut w, quick_params(100_000.0));
+}
+
+// ----- tenant plane --------------------------------------------------
+
+use loadgen::{TenantPlane, TenantPriority, TenantSpec};
+
+fn tenant_params(plane: TenantPlane) -> RunParams {
+    RunParams {
+        offered_rps: plane.total_rate_rps(),
+        tenants: Some(plane),
+        ..quick_params(0.0)
+    }
+}
+
+#[test]
+fn single_tenant_plane_registers_no_tenant_counters() {
+    use desim::trace::tenant_names as tn;
+    let plane = TenantPlane::new(vec![TenantSpec::new(
+        400_000.0,
+        "array",
+        TenantPriority::High,
+    )]);
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, tenant_params(plane));
+    assert!(
+        res.metrics.counter(tn::ARRIVALS[0]).is_none(),
+        "tenantN.* counters must stay out of single-tenant registries"
+    );
+    assert_eq!(res.tenants.len(), 1, "the lone tenant still gets a window");
+    let t = &res.tenants[0];
+    assert_eq!(t.priority, "high");
+    assert!(
+        t.completed > 1_000,
+        "tenant saw {} completions",
+        t.completed
+    );
+    assert_eq!(t.completed, res.recorder.completed_in_window());
+    assert_eq!(t.sheds + t.drops, 0);
+    assert!(t.slo_ok.is_none(), "no SLO rule, no verdict");
+    assert!(res.conservation.holds());
+    assert!(res.conservation.sheds == 0 && res.conservation.aborts == 0);
+}
+
+#[test]
+fn overloaded_mix_sheds_low_priority_and_conserves_requests() {
+    use desim::trace::tenant_names as tn;
+    // A high-priority tenant comfortably inside capacity plus a
+    // low-priority flood far past saturation, with the watermark
+    // set low enough to engage: shedding must land entirely on the
+    // flood while the partition identities hold.
+    let plane = TenantPlane::new(vec![
+        TenantSpec::new(300_000.0, "array", TenantPriority::High),
+        TenantSpec::new(6_000_000.0, "array", TenantPriority::Low),
+    ])
+    .with_shed_watermark(64);
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, tenant_params(plane));
+    assert_eq!(res.tenants.len(), 2);
+    let (hi, lo) = (&res.tenants[0], &res.tenants[1]);
+    assert_eq!(hi.sheds, 0, "watermark must never shed high priority");
+    assert!(lo.sheds > 1_000, "the flood must shed (got {})", lo.sheds);
+    assert!(hi.completed > 1_000 && lo.completed > 0);
+    // Windowed per-tenant views partition the recorder's view.
+    assert_eq!(
+        hi.completed + lo.completed,
+        res.recorder.completed_in_window()
+    );
+    assert_eq!(
+        hi.sheds + lo.sheds + hi.drops + lo.drops,
+        res.recorder.dropped()
+    );
+    // Registry counters partition the global ones (whole run, not
+    // just the window).
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    assert_eq!(
+        c(tn::COMPLETIONS[0]) + c(tn::COMPLETIONS[1]),
+        res.metrics.counter("completions").unwrap_or(0)
+    );
+    assert!(c(tn::ARRIVALS[0]) > 0 && c(tn::ARRIVALS[1]) > 0);
+    assert_eq!(c(tn::SHEDS[0]), 0);
+    assert!(c(tn::SHEDS[1]) > 0);
+    assert!(res.conservation.holds(), "{:?}", res.conservation);
+    assert!(res.conservation.sheds > 0);
+}
+
+#[test]
+fn token_bucket_polices_a_tenant_to_its_configured_rate() {
+    // One tenant offering 600k but policed to 200k: admitted
+    // throughput must track the bucket, not the offered rate, and
+    // the excess must surface as sheds.
+    let plane = TenantPlane::new(vec![
+        TenantSpec::new(600_000.0, "array", TenantPriority::High).with_bucket(200_000.0, 64),
+        TenantSpec::new(100_000.0, "array", TenantPriority::High),
+    ]);
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, tenant_params(plane));
+    let t0 = &res.tenants[0];
+    let window_s = SimDuration::from_millis(10).as_secs_f64();
+    let admitted_rps = t0.admitted as f64 / window_s;
+    assert!(
+        (150_000.0..=210_000.0).contains(&admitted_rps),
+        "policed tenant admitted {admitted_rps:.0} rps, want ~200k"
+    );
+    assert!(t0.sheds > 1_000, "policing must shed the excess");
+    assert_eq!(res.tenants[1].sheds, 0, "unpoliced tenant is untouched");
+    assert!(res.conservation.holds());
+}
+
+#[test]
+fn per_tenant_slo_verdicts_follow_the_latency_split() {
+    // Same workload, wildly different objectives: a 1 s objective
+    // must pass and a 1 ns objective must fail on the same run.
+    let generous = desim::parse_slo_spec("lat<1s:0.01@1ms").unwrap();
+    let impossible = desim::parse_slo_spec("lat<1ns:0.01@1ms").unwrap();
+    let plane = TenantPlane::new(vec![
+        TenantSpec::new(200_000.0, "array", TenantPriority::High).with_slo(generous),
+        TenantSpec::new(200_000.0, "array", TenantPriority::High).with_slo(impossible),
+    ]);
+    let mut w = small_workload();
+    let res = run_one(SystemConfig::adios(), &mut w, tenant_params(plane));
+    assert_eq!(res.tenants[0].slo_ok, Some(true));
+    assert_eq!(res.tenants[1].slo_ok, Some(false));
+}
+
+#[test]
+fn conservation_tracked_on_legacy_single_stream_runs() {
+    let res = run(SystemKind::Adios, 400_000.0);
+    assert!(res.conservation.holds(), "{:?}", res.conservation);
+    assert!(res.conservation.arrivals > 0);
+    assert_eq!(res.conservation.sheds, 0, "no plane, no sheds");
+    assert!(res.tenants.is_empty(), "no plane, no tenant windows");
+}
+
+// ----- dispatcher scaling --------------------------------------------
+
+/// Scalar single-queue reference dispatcher: replays a charge log
+/// with the exact arithmetic the pre-scaling hot path used
+/// (`free = max(free, now) + cost`) and asserts the multi-queue
+/// implementation produced the identical admit/handoff sequence.
+fn assert_matches_scalar_reference(cfg: &SystemConfig, log: &[DispatchCharge]) {
+    assert!(!log.is_empty(), "the oracle needs a non-empty charge log");
+    let mut free = SimTime::ZERO;
+    for (i, c) in log.iter().enumerate() {
+        assert_eq!(c.disp, 0, "charge {i}: SingleFcfs must serve on core 0");
+        let cost = match c.op {
+            DispatchOp::Admit => cfg.dispatch_cost + cfg.client_stack,
+            DispatchOp::PushHandoff | DispatchOp::PullHandoff => cfg.handoff_cost,
+            DispatchOp::Recycle => cfg.recycle_cost,
+        };
+        let start = free.max(c.now);
+        let end = start + cost;
+        assert_eq!(
+            (c.start, c.end),
+            (start, end),
+            "charge {i} ({:?} at {:?}) diverges from the scalar reference",
+            c.op,
+            c.now
+        );
+        free = end;
+    }
+}
+
+#[test]
+fn single_fcfs_matches_scalar_reference_dispatcher() {
+    // Lock-step differential oracle, at one dispatcher (the default
+    // machine) and at four (extra cores must change nothing under
+    // SingleFcfs — the shared queue head serialises on core 0).
+    for ndisp in [1, 4] {
+        let cfg = SystemConfig {
+            dispatchers: ndisp,
+            ..SystemConfig::adios()
+        };
+        let mut w = small_workload();
+        let res = run_one(cfg.clone(), &mut w, quick_params(900_000.0));
+        let kinds: std::collections::HashSet<_> = res.dispatcher_log.iter().map(|c| c.op).collect();
+        assert!(
+            kinds.contains(&DispatchOp::Admit) && kinds.contains(&DispatchOp::Recycle),
+            "the run must exercise admits and delegated recycles"
+        );
+        assert_matches_scalar_reference(&cfg, &res.dispatcher_log);
+    }
+}
+
+#[test]
+fn single_dispatcher_registers_no_per_dispatcher_counters() {
+    use desim::trace::dispatcher_names as dn;
+    let res = run(SystemKind::Adios, 400_000.0);
+    for d in 0..dn::MAX_DISPATCHERS {
+        assert_eq!(
+            res.metrics.counter(dn::ADMITTED[d]),
+            None,
+            "dispatcher counters must not exist on single-dispatcher runs"
+        );
+    }
+}
+
+#[test]
+fn single_fcfs_extra_dispatchers_stay_idle() {
+    use desim::trace::dispatcher_names as dn;
+    let cfg = SystemConfig {
+        dispatchers: 4,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let res = run_one(cfg, &mut w, quick_params(900_000.0));
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    assert!(c(dn::ADMITTED[0]) > 0, "core 0 serves every admission");
+    for d in 1..4 {
+        assert_eq!(c(dn::ADMITTED[d]), 0, "SingleFcfs keeps core {d} idle");
+        assert_eq!(c(dn::STEALS[d]), 0);
+        assert_eq!(c(dn::COMBINES[d]), 0);
+    }
+    assert!(res.conservation.holds(), "{:?}", res.conservation);
+}
+
+#[test]
+fn work_stealing_steals_under_skew_and_conserves() {
+    use desim::trace::dispatcher_names as dn;
+    let cfg = SystemConfig {
+        dispatchers: 4,
+        dispatch_policy: DispatchPolicy::WorkStealing,
+        workers: 32,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let res = run_one(
+        cfg,
+        &mut w,
+        RunParams {
+            local_mem_fraction: 1.0,
+            ..quick_params(5_000_000.0)
+        },
+    );
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    let admitted: u64 = (0..4).map(|d| c(dn::ADMITTED[d])).sum();
+    assert!(admitted > 0);
+    assert!(
+        (0..4).all(|d| c(dn::ADMITTED[d]) > 0),
+        "RSS fan-in plus stealing must spread admissions over every core"
+    );
+    let steals: u64 = (0..4).map(|d| c(dn::STEALS[d])).sum();
+    assert!(steals > 0, "overload must trigger steals from hot slots");
+    assert!(res.conservation.holds(), "{:?}", res.conservation);
+}
+
+#[test]
+fn flat_combining_amortises_admissions() {
+    use desim::trace::dispatcher_names as dn;
+    let cfg = SystemConfig {
+        dispatchers: 4,
+        dispatch_policy: DispatchPolicy::FlatCombining,
+        workers: 32,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let res = run_one(
+        cfg,
+        &mut w,
+        RunParams {
+            local_mem_fraction: 1.0,
+            ..quick_params(5_000_000.0)
+        },
+    );
+    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    let admitted: u64 = (0..4).map(|d| c(dn::ADMITTED[d])).sum();
+    let combines: u64 = (0..4).map(|d| c(dn::COMBINES[d])).sum();
+    assert!(combines > 0, "a saturated combiner must batch admissions");
+    assert!(
+        combines < admitted,
+        "every batch has an opener that pays full cost"
+    );
+    assert!(res.conservation.holds(), "{:?}", res.conservation);
+}
+
+#[test]
+fn work_stealing_scales_past_the_single_queue_knee() {
+    // Dispatcher-bound regime: all-local requests on a wide worker
+    // pool, offered far past the single-dispatcher admission rate.
+    // Four stealing dispatchers must beat one shared FCFS queue by
+    // a wide margin on the same machine.
+    let params = || RunParams {
+        local_mem_fraction: 1.0,
+        ..quick_params(5_000_000.0)
+    };
+    let fcfs = {
+        let cfg = SystemConfig {
+            dispatchers: 4,
+            workers: 32,
+            ..SystemConfig::adios()
+        };
+        let mut w = small_workload();
+        run_one(cfg, &mut w, params()).recorder.achieved_rps()
+    };
+    let ws = {
+        let cfg = SystemConfig {
+            dispatchers: 4,
+            dispatch_policy: DispatchPolicy::WorkStealing,
+            workers: 32,
+            ..SystemConfig::adios()
+        };
+        let mut w = small_workload();
+        run_one(cfg, &mut w, params()).recorder.achieved_rps()
+    };
+    assert!(
+        ws > fcfs * 1.3,
+        "work stealing {ws:.0} rps must clearly beat single FCFS {fcfs:.0} rps"
+    );
+}
+
+/// Red-green regression for the shed watermark: the depth it
+/// compares must sum the admission backlog over *every* ingress
+/// slot. Under the old single-slot accounting, four slots of 10
+/// waiting admits each would read as depth 10 and the watermark at
+/// 32 would never trip.
+#[test]
+fn shed_watermark_sums_backlog_across_all_ingress_slots() {
+    let plane = || {
+        TenantPlane::new(vec![
+            TenantSpec::new(100_000.0, "array", TenantPriority::High),
+            TenantSpec::new(100_000.0, "array", TenantPriority::Low),
+        ])
+        .with_shed_watermark(32)
+    };
+    let cfg = SystemConfig {
+        dispatchers: 4,
+        dispatch_policy: DispatchPolicy::FlatCombining,
+        ..SystemConfig::adios()
+    };
+    let mut w = small_workload();
+    let mut sim = Simulation::new(
+        cfg,
+        &mut w,
+        RunParams {
+            tenants: Some(plane()),
+            ..quick_params(100_000.0)
+        },
+    );
+    // Every slot individually under the watermark, the machine as a
+    // whole past it: the low-priority request must shed.
+    sim.admission_backlog = vec![10, 10, 10, 10];
+    let lo = sim.alloc_req(Trace::default(), SimTime::ZERO, 1);
+    sim.cons.arrivals += 1;
+    assert!(
+        sim.tenant_admission(SimTime::ZERO, lo),
+        "summed ingress backlog (40) must trip the watermark (32)"
+    );
+    // High priority is never watermark-shed, whatever the depth.
+    let hi = sim.alloc_req(Trace::default(), SimTime::ZERO, 0);
+    sim.cons.arrivals += 1;
+    assert!(!sim.tenant_admission(SimTime::ZERO, hi));
+    // And a genuinely shallow machine admits low priority.
+    sim.admission_backlog = vec![10, 0, 0, 0];
+    let lo2 = sim.alloc_req(Trace::default(), SimTime::ZERO, 1);
+    sim.cons.arrivals += 1;
+    assert!(!sim.tenant_admission(SimTime::ZERO, lo2));
+}
+
+/// PF-aware selection is a hand-rolled early-exit loop; hold it to
+/// the reference it replaced — `min_by_key((Σ rails outstanding,
+/// index))` over idle workers — across random busy masks and
+/// outstanding vectors on 1, 4 and 8 rails, including all-busy
+/// (`None`) and all-zero states.
+#[test]
+fn pf_aware_pick_matches_min_by_key_reference() {
+    let mut rng = Rng::new(0x91C4);
+    for shards in [1usize, 4, 8] {
+        let cfg = SystemConfig {
+            memnode_shards: shards,
+            ..SystemConfig::adios()
+        };
+        assert_eq!(cfg.worker_select, WorkerSelect::PfAware);
+        let mut w = small_workload();
+        let mut sim = Simulation::new(cfg, &mut w, quick_params(100_000.0));
+        let n = sim.workers.len();
+        let (mut none, mut zero_exit, mut by_count) = (0, 0, 0);
+        for trial in 0..600 {
+            // Steer every (worker, rail) towards a random target
+            // depth; every fourth trial drains to all-zero.
+            for i in 0..n {
+                let qp = sim.workers[i].qp;
+                for rail in 0..shards {
+                    let target = match trial % 4 {
+                        0 => 0,
+                        _ => rng.gen_range(4) as u32,
+                    };
+                    while sim.nics[rail].outstanding(qp) < target {
+                        sim.post_read(SimTime::ZERO, rail, qp, 0, 0).unwrap();
+                    }
+                    while sim.nics[rail].outstanding(qp) > target {
+                        sim.nics[rail].on_cqe(SimTime::ZERO, qp);
+                    }
+                }
+            }
+            // Busy mask: random density, all-busy every seventh.
+            let density = rng.gen_range(5);
+            for worker in &mut sim.workers {
+                worker.busy = trial % 7 == 0 || rng.gen_range(4) < density;
+            }
+            let count = |sim: &Simulation, i: usize| -> u32 {
+                let qp = sim.workers[i].qp;
+                sim.nics.iter().map(|nic| nic.outstanding(qp)).sum()
+            };
+            let want = (0..n)
+                .filter(|&i| !sim.workers[i].busy)
+                .min_by_key(|&i| (count(&sim, i), i));
+            assert_eq!(
+                sim.pick_idle_worker(),
+                want,
+                "{shards} rails, trial {trial}"
+            );
+            match want {
+                None => none += 1,
+                Some(i) if count(&sim, i) == 0 => zero_exit += 1,
+                Some(_) => by_count += 1,
+            }
+        }
+        assert!(none > 50 && zero_exit > 50 && by_count > 50);
+    }
+}

@@ -1,32 +1,20 @@
+//! Prints the golden anchors `tests/determinism.rs` pins: the original
+//! Adios + trace + spans capture and every row of the golden matrix
+//! (`tests/golden/mod.rs`), each as `(len, fnv1a)` next to the constant
+//! currently committed. Refresh a constant only when an intentional
+//! format or model change lands.
+
 use adios::prelude::*;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+#[path = "../tests/golden/mod.rs"]
+mod golden;
+
+use golden::fnv1a;
 
 fn main() {
-    let p = RunParams {
-        offered_rps: 900_000.0,
-        seed: 5,
-        warmup: SimDuration::from_millis(3),
-        measure: SimDuration::from_millis(12),
-        local_mem_fraction: 0.2,
-        keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
-        trace_capacity: Some(200_000),
-        spans: Some(adios::desim::SpanConfig::with_exemplars(95.0, 32)),
-        faults: None,
-        telemetry: None,
-        profile: None,
-        memory: None,
-        tenants: None,
-    };
+    let mut p = golden::params();
+    p.trace_capacity = Some(200_000);
+    p.spans = Some(adios::desim::SpanConfig::with_exemplars(95.0, 32));
     let mut w = ArrayIndexWorkload::new(16_384);
     let res = run_one(SystemConfig::adios(), &mut w, p);
     let json = adios::core_api::run_json(&res);
@@ -41,4 +29,15 @@ fn main() {
         perfetto.len(),
         fnv1a(perfetto.as_bytes())
     );
+    for case in golden::MATRIX {
+        let out = (case.run)();
+        let got = (out.len(), fnv1a(out.as_bytes()));
+        println!(
+            "{:<42} golden: ({}, 0x{:016x}),{}",
+            case.name,
+            got.0,
+            got.1,
+            if got == case.golden { "" } else { "  // DRIFT" }
+        );
+    }
 }

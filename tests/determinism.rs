@@ -5,23 +5,14 @@
 use adios::apps::silo::tpcc::TpccScale;
 use adios::prelude::*;
 
+mod golden;
+
+use golden::fnv1a;
+
 fn params(seed: u64) -> RunParams {
     RunParams {
-        offered_rps: 900_000.0,
         seed,
-        warmup: SimDuration::from_millis(3),
-        measure: SimDuration::from_millis(12),
-        local_mem_fraction: 0.2,
-        keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
-        trace_capacity: None,
-        spans: None,
-        faults: None,
-        telemetry: None,
-        profile: None,
-        memory: None,
-        tenants: None,
+        ..golden::params()
     }
 }
 
@@ -277,16 +268,6 @@ fn telemetry_json_bitwise_reproducible() {
     p2.seed = 6;
     let c = run_one(SystemConfig::adios(), &mut w3, p2);
     assert_ne!(ta.to_json(), c.telemetry.as_ref().unwrap().to_json());
-}
-
-/// FNV-1a 64 over a byte string (no dependency needed).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]
@@ -562,4 +543,79 @@ fn memory_observatory_bitwise_reproducible() {
     p2.seed = 6;
     let c = run_one(SystemConfig::adios(), &mut w4, p2);
     assert_ne!(ma.to_json(), c.memory.as_ref().unwrap().to_json());
+}
+
+#[test]
+fn golden_matrix_reproduces_the_captured_byte_streams() {
+    // Cross-commit anchor for every corner of the node model — all five
+    // systems, each plane alone and together, faults, shards,
+    // dispatchers, tenants, queue models, write-back and prefetch paths:
+    // each row's serialised output must land on the `(len, fnv1a)`
+    // captured before `runtime::sim` was decomposed.
+    let drifted: Vec<String> = golden::MATRIX
+        .iter()
+        .filter_map(|case| {
+            let out = (case.run)();
+            let got = (out.len(), fnv1a(out.as_bytes()));
+            (got != case.golden).then(|| {
+                format!(
+                    "{}: got ({}, 0x{:016x}), golden ({}, 0x{:016x})",
+                    case.name, got.0, got.1, case.golden.0, case.golden.1
+                )
+            })
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "golden matrix drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+#[test]
+fn observer_is_write_only() {
+    // The Observer contract: switching every plane on must not move one
+    // modelled number. Latency histogram, cache, conservation, the
+    // run-total counters and link utilisation are equal to the
+    // planes-off run at the same seed, system by system.
+    let model = |r: &RunResult| {
+        let h = r.recorder.overall();
+        format!(
+            "{} {} {} {} {:.6} | {:?} | {:?} | {:?} | {:.9}",
+            h.count(),
+            h.percentile(50.0),
+            h.percentile(99.0),
+            h.percentile(99.9),
+            h.mean(),
+            r.cache,
+            r.conservation,
+            r.stats,
+            r.rdma_data_util
+        )
+    };
+    let cases = [
+        ("adios", SystemConfig::adios(), None),
+        ("dilos", SystemConfig::dilos(), None),
+        ("dilos_p", SystemConfig::dilos_p(), None),
+        ("hermit", SystemConfig::hermit(), None),
+        (
+            "4x2-shards+lossy",
+            golden::sharded(),
+            Some(FaultScenario::lossy()),
+        ),
+    ];
+    for (name, cfg, faults) in cases {
+        let mut p = params(5);
+        p.faults = faults;
+        let mut w_off = ArrayIndexWorkload::new(16_384);
+        let mut w_on = ArrayIndexWorkload::new(16_384);
+        let off = run_one(cfg.clone(), &mut w_off, p.clone());
+        let on = run_one(cfg, &mut w_on, golden::all_planes(p));
+        assert!(on.profile.is_some() && on.telemetry.is_some() && on.memory.is_some());
+        assert_eq!(
+            model(&off),
+            model(&on),
+            "{name}: planes perturbed the model"
+        );
+    }
 }
