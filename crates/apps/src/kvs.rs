@@ -15,7 +15,7 @@
 //! working set, which is exactly the paper's Memcached fault profile.
 
 use desim::Rng;
-use paging::trace::{CostModel, Trace};
+use paging::trace::Trace;
 use paging::{PagedArena, TraceRecorder};
 use runtime::Workload;
 
@@ -36,7 +36,8 @@ const ITEM_HEADER: u64 = 16;
 ///
 /// let kvs = Kvs::build(1_000, 128);
 /// let mut rec = TraceRecorder::default();
-/// let value = kvs.get(42, &mut rec).unwrap();
+/// // A borrowed view of the stored bytes: nothing is copied.
+/// let value: &[u8] = kvs.get(42, &mut rec).unwrap();
 /// assert_eq!(value, Kvs::value_for(42, 128));
 /// let trace = rec.finish(0, 64, 144);
 /// assert!(trace.accesses() >= 2); // index probe + item pages
@@ -48,10 +49,23 @@ pub struct Kvs {
     value_len: u32,
 }
 
+/// The key of `key_id`: its 20 zero-padded decimal digits (a `u64`
+/// never has more), then `k` filler up to [`KEY_BYTES`].
 fn key_bytes(key_id: u64) -> [u8; KEY_BYTES] {
     let mut k = [b'k'; KEY_BYTES];
-    k[..20].copy_from_slice(format!("{key_id:020}").as_bytes());
+    let mut rest = key_id;
+    for digit in k[..20].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
     k
+}
+
+/// Writes the deterministic value of `key_id` over `out`.
+fn fill_value(key_id: u64, out: &mut [u8]) {
+    for (i, b) in out.iter_mut().enumerate() {
+        *b = (key_id as u8).wrapping_add(i as u8);
+    }
 }
 
 fn key_hash(key: &[u8]) -> u64 {
@@ -67,7 +81,12 @@ fn key_hash(key: &[u8]) -> u64 {
 impl Kvs {
     /// Builds and populates a store with `num_keys` keys of
     /// `value_len`-byte values (values are a deterministic fill).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_keys` is zero.
     pub fn build(num_keys: u64, value_len: u32) -> Kvs {
+        assert!(num_keys > 0, "Kvs needs num_keys > 0");
         let item_bytes = ITEM_HEADER + KEY_BYTES as u64 + value_len as u64;
         let index_bytes = (num_keys as f64 / 0.7 * 16.0) as u64 * 2;
         let capacity = num_keys * (item_bytes + 8) + index_bytes + (8 << 20);
@@ -79,13 +98,16 @@ impl Kvs {
             num_keys,
             value_len,
         };
+        // One value buffer serves the whole load.
+        let mut value = vec![0u8; value_len as usize];
         for id in 0..num_keys {
-            kvs.load_item(id);
+            fill_value(id, &mut value);
+            kvs.load_item(id, &value);
         }
         kvs
     }
 
-    fn load_item(&mut self, key_id: u64) {
+    fn load_item(&mut self, key_id: u64, value: &[u8]) {
         let key = key_bytes(key_id);
         let h = key_hash(&key);
         let len = ITEM_HEADER + KEY_BYTES as u64 + self.value_len as u64;
@@ -94,17 +116,18 @@ impl Kvs {
         let meta = ((KEY_BYTES as u64) << 32) | self.value_len as u64;
         self.arena.poke_u64(addr + 8, meta);
         self.arena.poke_bytes(addr + ITEM_HEADER, &key);
-        let value = Self::value_for(key_id, self.value_len);
         self.arena
-            .poke_bytes(addr + ITEM_HEADER + KEY_BYTES as u64, &value);
+            .poke_bytes(addr + ITEM_HEADER + KEY_BYTES as u64, value);
         self.index.insert_untraced(&mut self.arena, h, addr);
     }
 
-    /// The deterministic value stored for `key_id`.
+    /// The deterministic value stored for `key_id`, in a fresh `Vec`
+    /// (the allocating convenience; loads and SETs fill a reused
+    /// buffer instead).
     pub fn value_for(key_id: u64, value_len: u32) -> Vec<u8> {
-        (0..value_len)
-            .map(|i| (key_id as u8).wrapping_add(i as u8))
-            .collect()
+        let mut value = vec![0u8; value_len as usize];
+        fill_value(key_id, &mut value);
+        value
     }
 
     /// Number of keys loaded.
@@ -142,7 +165,8 @@ impl Kvs {
             .write_bytes(addr + ITEM_HEADER + key_len, value, rec);
     }
 
-    /// GET by key id: returns the value, recording every page touch.
+    /// GET by key id: returns the stored value as a borrowed view of
+    /// the arena, recording every page touch.
     ///
     /// Like real Memcached, a GET is not read-only: it bumps the item's
     /// LRU recency metadata, dirtying the item's header page. Under
@@ -150,7 +174,7 @@ impl Kvs {
     /// eviction — which is what saturates the RNIC's message rate and
     /// caps Memcached's throughput in the paper (§5.2: "the NIC could
     /// not match the host's processing power").
-    pub fn get(&self, key_id: u64, rec: &mut TraceRecorder) -> Option<Vec<u8>> {
+    pub fn get(&self, key_id: u64, rec: &mut TraceRecorder) -> Option<&[u8]> {
         let key = key_bytes(key_id);
         // Hashing 50 key bytes + memcached protocol/locking overhead.
         rec.compute_ns(350.0);
@@ -170,10 +194,10 @@ impl Kvs {
         // Key comparison + LRU bump (a *write* to the item header).
         rec.compute_ns(120.0);
         rec.touch(addr / paging::PAGE_SIZE, true);
-        let value = self
-            .arena
-            .read_bytes(addr + ITEM_HEADER + key_len, val_len, rec);
-        Some(value.to_vec())
+        Some(
+            self.arena
+                .read_bytes(addr + ITEM_HEADER + key_len, val_len, rec),
+        )
     }
 }
 
@@ -189,7 +213,8 @@ pub struct MemcachedWorkload {
     kvs: Kvs,
     request_bytes: u32,
     set_fraction: f64,
-    value_len: u32,
+    /// Scratch for the value a SET carries, refilled per request.
+    set_payload: Vec<u8>,
     /// Normalized Zipf CDF over key ranks (rank = key id, so hot keys
     /// cluster at low arena addresses); `None` keeps the paper's
     /// uniform key pick.
@@ -198,12 +223,16 @@ pub struct MemcachedWorkload {
 
 impl MemcachedWorkload {
     /// Creates the GET-only workload over a freshly built store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_keys` is zero.
     pub fn new(num_keys: u64, value_len: u32) -> MemcachedWorkload {
         MemcachedWorkload {
             kvs: Kvs::build(num_keys, value_len),
             request_bytes: 24 + KEY_BYTES as u32,
             set_fraction: 0.0,
-            value_len,
+            set_payload: vec![0; value_len as usize],
             zipf_cdf: None,
         }
     }
@@ -261,12 +290,6 @@ impl Workload for MemcachedWorkload {
         self.kvs.total_pages()
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        let mut trace = Trace::default();
-        self.next_request_into(rng, &mut trace);
-        trace
-    }
-
     fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
         let key_id = match &self.zipf_cdf {
             Some(cdf) => {
@@ -275,20 +298,19 @@ impl Workload for MemcachedWorkload {
             }
             None => rng.gen_range(self.kvs.num_keys),
         };
-        // Record into the recycled buffer's own step storage.
-        let steps = std::mem::take(&mut buf.steps);
-        let mut rec = TraceRecorder::with_steps(CostModel::default(), steps);
+        let mut rec = TraceRecorder::reusing(buf);
         // Request parse (memcached protocol header + key).
         rec.compute_ns(120.0);
         if self.set_fraction > 0.0 && rng.gen_bool(self.set_fraction) {
-            let value = Kvs::value_for(rng.next_u64(), self.value_len);
-            self.kvs.set(key_id, &value, &mut rec);
+            fill_value(rng.next_u64(), &mut self.set_payload);
+            self.kvs.set(key_id, &self.set_payload, &mut rec);
             rec.compute_ns(60.0);
-            rec.finish_into(buf, CLASS_SET, self.request_bytes + self.value_len, 16);
+            let request = self.request_bytes + self.set_payload.len() as u32;
+            rec.finish_into(buf, CLASS_SET, request, 16);
         } else {
             let value = self.kvs.get(key_id, &mut rec);
             debug_assert!(value.is_some(), "loaded key must be found");
-            let reply = 16 + value.map(|v| v.len() as u32).unwrap_or(0);
+            let reply = 16 + value.map_or(0, |v| v.len() as u32);
             // Reply serialization.
             rec.compute_ns(60.0);
             rec.finish_into(buf, CLASS_GET, self.request_bytes, reply);
@@ -298,6 +320,8 @@ impl Workload for MemcachedWorkload {
 
 #[cfg(test)]
 mod tests {
+    use paging::trace::CostModel;
+
     use super::*;
 
     #[test]
@@ -311,13 +335,34 @@ mod tests {
     }
 
     #[test]
+    fn key_digits_match_the_formatted_id() {
+        for id in [0u64, 7, 42, 1_999, 10_000_000_019, u64::MAX] {
+            let key = key_bytes(id);
+            assert_eq!(&key[..20], format!("{id:020}").as_bytes());
+            assert!(key[20..].iter().all(|&b| b == b'k'));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "num_keys > 0")]
+    fn empty_store_is_rejected() {
+        Kvs::build(0, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "num_keys > 0")]
+    fn empty_workload_is_rejected() {
+        MemcachedWorkload::new(0, 128);
+    }
+
+    #[test]
     fn matches_reference_hashmap() {
         let kvs = Kvs::build(500, 64);
         let reference: std::collections::HashMap<u64, Vec<u8>> =
             (0..500).map(|id| (id, Kvs::value_for(id, 64))).collect();
         for id in 0..500u64 {
             let mut rec = TraceRecorder::new(CostModel::default());
-            assert_eq!(kvs.get(id, &mut rec).as_ref(), reference.get(&id));
+            assert_eq!(kvs.get(id, &mut rec), reference.get(&id).map(Vec::as_slice));
         }
     }
 

@@ -22,7 +22,7 @@
 //! touch pattern.
 
 use desim::Rng;
-use paging::trace::{CostModel, Trace};
+use paging::trace::Trace;
 use paging::{PagedArena, TraceRecorder, PAGE_SIZE};
 use runtime::Workload;
 
@@ -255,7 +255,7 @@ impl Workload for LlmServeWorkload {
         self.llm.total_pages()
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
+    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
         let session = rng.gen_range(self.llm.num_sessions() as u64) as u32;
         let filled = self.llm.context_pages(session);
         let full = filled >= self.llm.max_context_pages;
@@ -263,7 +263,7 @@ impl Workload for LlmServeWorkload {
         // decides. The bool is drawn unconditionally so the rng stream
         // does not depend on session state.
         let want_prefill = rng.gen_bool(self.prefill_fraction);
-        let mut rec = TraceRecorder::new(CostModel::default());
+        let mut rec = TraceRecorder::reusing(buf);
         // Request parse + session-table lookup.
         rec.compute_ns(150.0);
         if filled == 0 || full || want_prefill {
@@ -272,17 +272,19 @@ impl Workload for LlmServeWorkload {
             self.llm.prefill(session, prompt, &mut rec);
             // The prompt tokens ride in on the request.
             let request = 64 + prompt * 256;
-            rec.finish(CLASS_PREFILL, request, 24)
+            rec.finish_into(buf, CLASS_PREFILL, request, 24);
         } else {
             self.llm.decode(session, self.decode_window, &mut rec);
             // One generated token out.
-            rec.finish(CLASS_DECODE, 48, 24)
+            rec.finish_into(buf, CLASS_DECODE, 48, 24);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use paging::trace::CostModel;
+
     use super::*;
 
     #[test]

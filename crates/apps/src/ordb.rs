@@ -18,7 +18,7 @@
 //!   detects (this is the long bimodal-tail request of Figure 11).
 
 use desim::Rng;
-use paging::trace::{CostModel, Trace};
+use paging::trace::Trace;
 use paging::{PagedArena, TraceRecorder};
 use runtime::Workload;
 
@@ -41,6 +41,14 @@ const GROUP: u64 = 16;
 /// let rows = db.scan(start, 5, &mut rec);
 /// assert_eq!(rows.len(), 5);
 /// assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "key order");
+///
+/// // Readers hand out borrowed views of the arena; `scan_with` shows
+/// // each row to a visitor and materialises nothing itself.
+/// let value: &[u8] = db.get(start, &mut rec).unwrap();
+/// assert_eq!(value, OrderedDb::value_for(start, 32));
+/// let mut bytes = 0;
+/// let visited = db.scan_with(start, 5, &mut rec, |_key, value| bytes += value.len());
+/// assert_eq!((visited, bytes), (5, 5 * 32));
 /// ```
 pub struct OrderedDb {
     arena: PagedArena,
@@ -57,7 +65,12 @@ pub struct OrderedDb {
 impl OrderedDb {
     /// Builds a store with `num_keys` sorted keys and `value_len`-byte
     /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_keys` is zero.
     pub fn build(num_keys: u64, value_len: u32) -> OrderedDb {
+        assert!(num_keys > 0, "OrderedDb needs num_keys > 0");
         let record_bytes = 8 + value_len as u64;
         let index_entries = num_keys.div_ceil(GROUP);
         let capacity = num_keys * record_bytes
@@ -78,11 +91,13 @@ impl OrderedDb {
             record_bytes,
             value_len,
         };
+        // One value buffer serves the whole load.
+        let mut value = vec![0u8; value_len as usize];
         for rank in 0..num_keys {
             let key = Self::key_of_rank(rank);
             let addr = db.record_addr(rank);
             db.arena.poke_u64(addr, key);
-            let value = Self::value_for(key, value_len);
+            fill_value(key, &mut value);
             db.arena.poke_bytes(addr + 8, &value);
             db.hash_index.insert_untraced(&mut db.arena, key, rank);
             if rank % GROUP == 0 {
@@ -100,11 +115,12 @@ impl OrderedDb {
         rank * 1000 + (rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54)
     }
 
-    /// The deterministic value stored under `key`.
+    /// The deterministic value stored under `key`, in a fresh `Vec`
+    /// (the allocating convenience; the load fills a reused buffer).
     pub fn value_for(key: u64, value_len: u32) -> Vec<u8> {
-        (0..value_len)
-            .map(|i| (key as u8) ^ (i as u8).wrapping_mul(31))
-            .collect()
+        let mut value = vec![0u8; value_len as usize];
+        fill_value(key, &mut value);
+        value
     }
 
     fn record_addr(&self, rank: u64) -> u64 {
@@ -155,8 +171,9 @@ impl OrderedDb {
     }
 
     /// Point lookup through PlainTable's hash index (GETs never walk
-    /// the sorted index; that is the SCAN positioning path).
-    pub fn get(&self, key: u64, rec: &mut TraceRecorder) -> Option<Vec<u8>> {
+    /// the sorted index; that is the SCAN positioning path). Returns
+    /// the value as a borrowed view of the arena.
+    pub fn get(&self, key: u64, rec: &mut TraceRecorder) -> Option<&[u8]> {
         rec.compute_ns(40.0); // key hash + bucket arithmetic
         let rank = self.hash_index.get(&self.arena, key, rec)?;
         let addr = self.record_addr(rank);
@@ -164,27 +181,50 @@ impl OrderedDb {
         if k != key {
             return None;
         }
-        let v = self.arena.read_bytes(addr + 8, self.value_len as u64, rec);
-        Some(v.to_vec())
+        Some(self.arena.read_bytes(addr + 8, self.value_len as u64, rec))
     }
 
-    /// Iterates `n` records starting at the first key ≥ `start_key`,
-    /// returning `(key, value-checksum)` pairs (the paper's SCAN(100)
-    /// reads the values referenced by a series of keys).
-    pub fn scan(&self, start_key: u64, n: usize, rec: &mut TraceRecorder) -> Vec<(u64, u8)> {
-        let mut rank = self.lower_bound(start_key, rec);
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n && rank < self.num_keys {
+    /// Iterates up to `n` records starting at the first key ≥
+    /// `start_key` (the paper's SCAN(100) reads the values referenced
+    /// by a series of keys), showing each `(key, value)` — the value a
+    /// borrowed view of the arena — to `visit`. Returns the number of
+    /// rows visited. Every record's bytes are recorded as read whatever
+    /// the visitor does with them.
+    pub fn scan_with(
+        &self,
+        start_key: u64,
+        n: usize,
+        rec: &mut TraceRecorder,
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> usize {
+        let first = self.lower_bound(start_key, rec);
+        let end = first.saturating_add(n as u64).min(self.num_keys);
+        for rank in first..end {
             let addr = self.record_addr(rank);
             let k = self.arena.read_u64(addr, rec);
             let v = self.arena.read_bytes(addr + 8, self.value_len as u64, rec);
             // Iterator + value materialisation cost per record.
             rec.compute_ns(30.0);
-            let checksum = v.iter().fold(0u8, |a, &b| a.wrapping_add(b));
-            out.push((k, checksum));
-            rank += 1;
+            visit(k, v);
         }
+        (end - first) as usize
+    }
+
+    /// [`OrderedDb::scan_with`] collecting `(key, value-checksum)`
+    /// pairs: the allocating convenience the correctness tests use.
+    pub fn scan(&self, start_key: u64, n: usize, rec: &mut TraceRecorder) -> Vec<(u64, u8)> {
+        let mut out = Vec::with_capacity(n);
+        self.scan_with(start_key, n, rec, |k, v| {
+            out.push((k, v.iter().fold(0u8, |a, &b| a.wrapping_add(b))));
+        });
         out
+    }
+}
+
+/// Writes the deterministic value of `key` over `out`.
+fn fill_value(key: u64, out: &mut [u8]) {
+    for (i, b) in out.iter_mut().enumerate() {
+        *b = (key as u8) ^ (i as u8).wrapping_mul(31);
     }
 }
 
@@ -198,6 +238,10 @@ pub struct RocksDbWorkload {
 
 impl RocksDbWorkload {
     /// Creates the 99/1 GET/SCAN(100) mix over a fresh store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_keys` is zero.
     pub fn new(num_keys: u64, value_len: u32) -> RocksDbWorkload {
         RocksDbWorkload {
             db: OrderedDb::build(num_keys, value_len),
@@ -207,7 +251,14 @@ impl RocksDbWorkload {
     }
 
     /// Overrides the mix (used by ablations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scan_fraction` is outside `[0, 1]` or `scan_len` is
+    /// zero.
     pub fn with_mix(mut self, scan_fraction: f64, scan_len: usize) -> RocksDbWorkload {
+        assert!((0.0..=1.0).contains(&scan_fraction), "scan_fraction");
+        assert!(scan_len > 0, "scan_len must be positive");
         self.scan_fraction = scan_fraction;
         self.scan_len = scan_len;
         self
@@ -233,29 +284,23 @@ impl Workload for RocksDbWorkload {
         self.db.total_pages()
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        let mut trace = Trace::default();
-        self.next_request_into(rng, &mut trace);
-        trace
-    }
-
     fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
-        // Record into the recycled buffer's own step storage.
-        let steps = std::mem::take(&mut buf.steps);
-        let mut rec = TraceRecorder::with_steps(CostModel::default(), steps);
+        let mut rec = TraceRecorder::reusing(buf);
         rec.compute_ns(120.0); // request parse
         let rank = rng.gen_range(self.db.num_keys());
         let key = OrderedDb::key_of_rank(rank);
         if rng.gen_bool(self.scan_fraction) {
-            let rows = self.db.scan(key, self.scan_len, &mut rec);
-            debug_assert!(!rows.is_empty());
+            // The reply is a series summary: the rows are read (and
+            // recorded) in place, none is copied out.
+            let rows = self.db.scan_with(key, self.scan_len, &mut rec, |_, _| {});
+            debug_assert!(rows > 0);
             rec.compute_ns(80.0); // reply with the series summary
-            rec.finish_into(buf, CLASS_SCAN, 64, 16 + 9 * rows.len() as u32);
+            rec.finish_into(buf, CLASS_SCAN, 64, 16 + 9 * rows as u32);
         } else {
             let v = self.db.get(key, &mut rec);
             debug_assert!(v.is_some());
             rec.compute_ns(60.0);
-            let reply = 16 + v.map(|v| v.len() as u32).unwrap_or(0);
+            let reply = 16 + v.map_or(0, |v| v.len() as u32);
             rec.finish_into(buf, CLASS_GET, 64, reply);
         }
     }
@@ -266,7 +311,7 @@ mod tests {
     use super::*;
 
     fn recorder() -> TraceRecorder {
-        TraceRecorder::new(CostModel::default())
+        TraceRecorder::default()
     }
 
     #[test]
@@ -311,6 +356,42 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "scan from {start}");
         }
+    }
+
+    /// A no-op visitor records exactly the trace the collecting `scan`
+    /// does, and a scan running off the end reports the short count.
+    #[test]
+    fn scan_with_records_the_same_trace_whatever_the_visitor() {
+        let db = OrderedDb::build(2_000, 256);
+        for (rank, want) in [(0u64, 100), (1_234, 100), (1_950, 50)] {
+            let start = OrderedDb::key_of_rank(rank);
+            let mut rec_a = recorder();
+            let rows = db.scan(start, 100, &mut rec_a);
+            let mut rec_b = recorder();
+            let visited = db.scan_with(start, 100, &mut rec_b, |_, _| {});
+            assert_eq!((rows.len(), visited), (want, want));
+            assert_eq!(rec_a.finish(1, 0, 0).steps, rec_b.finish(1, 0, 0).steps);
+        }
+        let mut rec = recorder();
+        assert_eq!(db.scan_with(u64::MAX, 10, &mut rec, |_, _| {}), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "num_keys > 0")]
+    fn empty_store_is_rejected() {
+        OrderedDb::build(0, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "scan_len must be positive")]
+    fn zero_length_scans_are_rejected() {
+        let _ = RocksDbWorkload::new(100, 64).with_mix(0.2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scan_fraction")]
+    fn out_of_range_scan_fraction_is_rejected() {
+        let _ = RocksDbWorkload::new(100, 64).with_mix(1.5, 100);
     }
 
     #[test]

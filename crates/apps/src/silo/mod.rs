@@ -81,11 +81,28 @@ pub struct Engine {
 }
 
 /// An in-flight transaction: read set, buffered writes and inserts.
+///
+/// A `Txn` is reusable scratch: [`Txn::clear`] empties it and keeps its
+/// storage, so a workload that owns its transactions buffers the next
+/// one without allocating.
 #[derive(Default)]
 pub struct Txn {
     reads: Vec<(u64, u64)>,
     writes: Vec<(u64, usize, u64)>,
-    inserts: Vec<(TableId, u64, Vec<u64>)>,
+    /// `(table, key, field count)` per insert; the fields sit back to
+    /// back in `insert_fields`, in insert order.
+    inserts: Vec<(TableId, u64, usize)>,
+    insert_fields: Vec<u64>,
+}
+
+impl Txn {
+    /// Empties the transaction for reuse (a retry, or the next one).
+    pub fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.inserts.clear();
+        self.insert_fields.clear();
+    }
 }
 
 impl Engine {
@@ -200,13 +217,14 @@ impl Engine {
     }
 
     /// Buffers an insert.
-    pub fn insert(&self, txn: &mut Txn, t: TableId, key: u64, fields: Vec<u64>) {
-        txn.inserts.push((t, key, fields));
+    pub fn insert(&self, txn: &mut Txn, t: TableId, key: u64, fields: &[u64]) {
+        txn.inserts.push((t, key, fields.len()));
+        txn.insert_fields.extend_from_slice(fields);
     }
 
     /// Silo commit: validate the read set, then install writes and
     /// inserts under a fresh TID (all touches recorded).
-    pub fn commit(&mut self, txn: Txn, rec: &mut TraceRecorder) -> Result<u64, Abort> {
+    pub fn commit(&mut self, txn: &Txn, rec: &mut TraceRecorder) -> Result<u64, Abort> {
         // Validation phase: every read row must still carry the TID we
         // saw (Silo re-reads the TID words).
         for &(addr, tid) in &txn.reads {
@@ -223,7 +241,10 @@ impl Engine {
             self.arena.write_u64(addr + 8 + i as u64 * 8, value, rec);
             self.arena.write_u64(addr, tid, rec);
         }
-        for (t, key, fields) in txn.inserts {
+        let mut unplaced = txn.insert_fields.as_slice();
+        for &(t, key, field_count) in &txn.inserts {
+            let (fields, rest) = unplaced.split_at(field_count);
+            unplaced = rest;
             let addr = self.alloc_row(t, fields.len());
             self.arena.write_u64(addr, tid, rec);
             for (i, &f) in fields.iter().enumerate() {
@@ -284,7 +305,7 @@ mod tests {
         let row = e.read(T, 1, &mut txn, &mut r).unwrap();
         assert_eq!(e.field(row, 1, &mut r), 20);
         e.write_field(&mut txn, row, 1, 21);
-        e.commit(txn, &mut r).unwrap();
+        e.commit(&txn, &mut r).unwrap();
         assert_eq!(e.peek_field(T, 1, 1), Some(21));
         assert_eq!(e.commits(), 1);
     }
@@ -307,8 +328,8 @@ mod tests {
         e.write_field(&mut t2, row2, 0, v2 + 1);
 
         // t1 commits; t2 must fail read validation.
-        e.commit(t1, &mut r).unwrap();
-        assert_eq!(e.commit(t2, &mut r), Err(Abort::ReadValidation));
+        e.commit(&t1, &mut r).unwrap();
+        assert_eq!(e.commit(&t2, &mut r), Err(Abort::ReadValidation));
         assert_eq!(e.peek_field(T, 7, 0), Some(101), "lost update prevented");
         assert_eq!(e.aborts(), 1);
     }
@@ -320,7 +341,7 @@ mod tests {
         let mut r = rec();
         let mut t1 = e.begin();
         e.read(T, 2, &mut t1, &mut r).unwrap();
-        assert!(e.commit(t1, &mut r).is_ok());
+        assert!(e.commit(&t1, &mut r).is_ok());
     }
 
     #[test]
@@ -335,8 +356,8 @@ mod tests {
         let mut t2 = e.begin();
         let r2 = e.read(T, 2, &mut t2, &mut r).unwrap();
         e.write_field(&mut t2, r2, 0, 22);
-        assert!(e.commit(t1, &mut r).is_ok());
-        assert!(e.commit(t2, &mut r).is_ok());
+        assert!(e.commit(&t1, &mut r).is_ok());
+        assert!(e.commit(&t2, &mut r).is_ok());
         assert_eq!(e.peek_field(T, 1, 0), Some(11));
         assert_eq!(e.peek_field(T, 2, 0), Some(22));
     }
@@ -346,8 +367,8 @@ mod tests {
         let mut e = engine();
         let mut r = rec();
         let mut t1 = e.begin();
-        e.insert(&mut t1, T, 99, vec![7, 8, 9]);
-        e.commit(t1, &mut r).unwrap();
+        e.insert(&mut t1, T, 99, &[7, 8, 9]);
+        e.commit(&t1, &mut r).unwrap();
         assert_eq!(e.peek_field(T, 99, 2), Some(9));
         // Readable by a later transaction.
         let mut t2 = e.begin();
@@ -364,7 +385,7 @@ mod tests {
             let mut t1 = e.begin();
             let row = e.read(T, 1, &mut t1, &mut r).unwrap();
             e.write_field(&mut t1, row, 0, 1);
-            let tid = e.commit(t1, &mut r).unwrap();
+            let tid = e.commit(&t1, &mut r).unwrap();
             assert!(tid > last);
             last = tid;
         }
@@ -416,7 +437,7 @@ mod tests {
             }
             for (txn, src, dst) in staged {
                 let mut r = TraceRecorder::new(CostModel::default());
-                if e.commit(txn, &mut r).is_ok() {
+                if e.commit(&txn, &mut r).is_ok() {
                     // Apply the same semantic operation serially. Note:
                     // the oracle re-reads current values — valid because
                     // OCC only commits if the txn's reads were still
@@ -454,7 +475,7 @@ mod tests {
                 pair.push(t);
             }
             for t in pair {
-                if e.commit(t, &mut r).is_ok() {
+                if e.commit(&t, &mut r).is_ok() {
                     committed += 1;
                 }
             }

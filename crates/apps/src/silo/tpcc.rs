@@ -22,10 +22,10 @@
 //! real OCC validation failures, aborts and re-executions.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::ops::Deref;
 
 use desim::Rng;
-use paging::trace::{CostModel, Trace};
+use paging::trace::Trace;
 use paging::TraceRecorder;
 use runtime::Workload;
 
@@ -166,9 +166,32 @@ pub enum CustomerSel {
     ByName(u64),
 }
 
+/// Most lines a New-Order carries (spec 2.4.1.3: 5 to 15).
+const MAX_LINES: usize = 15;
+
+/// The `(item, quantity, supplying warehouse)` lines of one New-Order,
+/// stored inline so drawing an order allocates nothing; derefs to the
+/// slice of drawn lines.
+#[derive(Debug, Clone, Copy)]
+pub struct OrderLines {
+    len: usize,
+    lines: [(u64, u64, u64); MAX_LINES],
+}
+
+impl Deref for OrderLines {
+    type Target = [(u64, u64, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.lines[..self.len]
+    }
+}
+
 /// Drawn parameters of one transaction (reused verbatim on retry, as
 /// the spec requires).
-#[derive(Debug, Clone)]
+// New-Order is 44.5 % of the mix, and boxing its lines is the
+// per-request allocation `OrderLines` exists to avoid.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, Copy)]
 pub enum TxnParams {
     /// New-Order: 44.5 %.
     NewOrder {
@@ -181,7 +204,7 @@ pub enum TxnParams {
         /// `(item, quantity, supplying warehouse)` per line — 1 % of
         /// lines are supplied remotely when more than one warehouse
         /// exists.
-        lines: Vec<(u64, u64, u64)>,
+        lines: OrderLines,
         /// 1 % of new-orders carry an invalid item and roll back.
         rollback: bool,
     },
@@ -430,20 +453,21 @@ impl SiloDb {
         if roll < 445 {
             let d = rng.gen_range(self.scale.districts_per_w);
             let c = nurand(rng, 1023, self.scale.customers_per_d);
-            let ol_cnt = 5 + rng.gen_range(11);
-            let lines = (0..ol_cnt)
-                .map(|_| {
-                    let item = nurand(rng, 8191, self.scale.items);
-                    let qty = 1 + rng.gen_range(10);
-                    // Spec 2.4.1.5: 1 % of lines are supplied remotely.
-                    let supply_w = if self.scale.warehouses > 1 && rng.gen_bool(0.01) {
-                        self.other_warehouse(w, rng)
-                    } else {
-                        w
-                    };
-                    (item, qty, supply_w)
-                })
-                .collect();
+            let mut lines = OrderLines {
+                len: 5 + rng.gen_range(11) as usize,
+                lines: [(0, 0, 0); MAX_LINES],
+            };
+            for line in &mut lines.lines[..lines.len] {
+                let item = nurand(rng, 8191, self.scale.items);
+                let qty = 1 + rng.gen_range(10);
+                // Spec 2.4.1.5: 1 % of lines are supplied remotely.
+                let supply_w = if self.scale.warehouses > 1 && rng.gen_bool(0.01) {
+                    self.other_warehouse(w, rng)
+                } else {
+                    w
+                };
+                *line = (item, qty, supply_w);
+            }
             TxnParams::NewOrder {
                 w,
                 d,
@@ -631,7 +655,7 @@ impl SiloDb {
                 txn,
                 ORDER_LINE,
                 (did * O_SPACE + o_id) * 16 + li as u64,
-                vec![item, qty, amount, 0],
+                &[item, qty, amount, 0],
             );
             // Per-line application logic.
             rec.compute_ns(40.0);
@@ -641,7 +665,7 @@ impl SiloDb {
             txn,
             ORDERS,
             did * O_SPACE + o_id,
-            vec![c, o_id, 0, lines.len() as u64],
+            &[c, o_id, 0, lines.len() as u64],
         );
         rec.compute_ns(120.0);
         true
@@ -676,7 +700,7 @@ impl SiloDb {
         e.write_field(txn, crow, C_PAY_CNT, e.field(crow, C_PAY_CNT, rec) + 1);
         let seq = self.history_seq.get();
         self.history_seq.set(seq + 1);
-        e.insert(txn, HISTORY, seq, vec![w, d, amount, seq]);
+        e.insert(txn, HISTORY, seq, &[w, d, amount, seq]);
         rec.compute_ns(100.0);
     }
 
@@ -794,22 +818,40 @@ pub struct TpccStats {
     pub user_aborts: u64,
 }
 
+/// Transactions in flight per batch; mirrors the worker count.
+const BATCH: usize = 8;
+
+/// One in-flight transaction's reusable state: its read/write/insert
+/// sets and, once the batch has committed, its finished trace.
+#[derive(Default)]
+struct Slot {
+    txn: Txn,
+    trace: Trace,
+}
+
 /// The TPC-C workload adapter (implements [`Workload`]).
 pub struct TpccWorkload {
     db: SiloDb,
-    buffered: VecDeque<Trace>,
-    batch: usize,
+    /// The current batch. A finished trace is handed out by swapping it
+    /// with the caller's buffer, which then records the next batch: in
+    /// steady state a batch allocates nothing.
+    slots: [Slot; BATCH],
+    /// Next slot to hand out; `BATCH` when the batch is spent.
+    next: usize,
+    /// Each slot's drawn parameters, recorder and whether it survived
+    /// execution, between a batch's execute and commit phases.
+    staged: Vec<(TxnParams, TraceRecorder, bool)>,
     stats: TpccStats,
 }
 
 impl TpccWorkload {
-    /// Builds the database and the workload; `batch` mirrors the worker
-    /// count (concurrent transactions in flight).
+    /// Builds the database and the workload.
     pub fn new(scale: TpccScale, seed: u64) -> TpccWorkload {
         TpccWorkload {
             db: SiloDb::build(scale, seed),
-            buffered: VecDeque::new(),
-            batch: 8,
+            slots: Default::default(),
+            next: BATCH,
+            staged: Vec::with_capacity(BATCH),
             stats: TpccStats::default(),
         }
     }
@@ -825,30 +867,29 @@ impl TpccWorkload {
     }
 
     fn generate_batch(&mut self, rng: &mut Rng) {
-        let params: Vec<TxnParams> = (0..self.batch).map(|_| self.db.draw(rng)).collect();
-        // Phase 1: execute all against the same snapshot.
-        let mut staged = Vec::with_capacity(params.len());
-        for p in &params {
-            let mut rec = TraceRecorder::new(CostModel::default());
+        // Phase 1: execute all against the same snapshot (drawing
+        // parameters reads no database state, so it interleaves).
+        for slot in &mut self.slots {
+            let p = self.db.draw(rng);
+            let mut rec = TraceRecorder::reusing(&mut slot.trace);
             rec.compute_ns(150.0); // request parse
-            let mut txn = self.db.engine.begin();
-            let ok = self.db.execute(p, &mut txn, &mut rec);
-            staged.push((p.clone(), txn, rec, ok));
+            slot.txn.clear();
+            let ok = self.db.execute(&p, &mut slot.txn, &mut rec);
+            self.staged.push((p, rec, ok));
         }
         // Phase 2: commit in order; conflicting transactions abort and
         // re-execute against the updated state.
-        for (p, txn, mut rec, ok) in staged {
+        for (slot, (p, mut rec, ok)) in self.slots.iter_mut().zip(self.staged.drain(..)) {
             let class = p.class();
             if !ok {
                 self.stats.user_aborts += 1;
                 rec.compute_ns(80.0);
-                self.buffered.push_back(rec.finish(class, 128, 32));
+                rec.finish_into(&mut slot.trace, class, 128, 32);
                 continue;
             }
-            let mut attempt = txn;
             let mut tries = 0;
             loop {
-                match self.db.engine.commit(attempt, &mut rec) {
+                match self.db.engine.commit(&slot.txn, &mut rec) {
                     Ok(_) => {
                         self.stats.commits[class as usize] += 1;
                         break;
@@ -861,18 +902,16 @@ impl TpccWorkload {
                             break;
                         }
                         rec.compute_ns(120.0); // abort handling
-                        let mut t = self.db.engine.begin();
-                        let ok = self.db.execute(&p, &mut t, &mut rec);
-                        if !ok {
+                        slot.txn.clear();
+                        if !self.db.execute(&p, &mut slot.txn, &mut rec) {
                             self.stats.user_aborts += 1;
                             break;
                         }
-                        attempt = t;
                     }
                 }
             }
             rec.compute_ns(80.0); // reply serialization
-            self.buffered.push_back(rec.finish(class, 128, 64));
+            rec.finish_into(&mut slot.trace, class, 128, 64);
         }
     }
 }
@@ -892,16 +931,20 @@ impl Workload for TpccWorkload {
         self.db.engine.total_pages()
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        if self.buffered.is_empty() {
+    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+        if self.next == BATCH {
             self.generate_batch(rng);
+            self.next = 0;
         }
-        self.buffered.pop_front().expect("batch generated")
+        std::mem::swap(buf, &mut self.slots[self.next].trace);
+        self.next += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use paging::trace::CostModel;
+
     use super::*;
 
     fn run_requests(w: &mut TpccWorkload, n: usize, seed: u64) {

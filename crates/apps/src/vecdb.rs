@@ -23,7 +23,7 @@
 use std::collections::BinaryHeap;
 
 use desim::Rng;
-use paging::trace::{CostModel, Trace};
+use paging::trace::Trace;
 use paging::{PagedArena, TraceRecorder};
 use runtime::Workload;
 
@@ -44,6 +44,17 @@ pub struct IvfFlat {
     /// Per-list `(ids_base, vecs_base, len)`.
     lists: Vec<(u64, u64, u64)>,
     num_vectors: u64,
+}
+
+/// Scratch a caller keeps across [`IvfFlat::search_with`] calls: the
+/// centroid ranking, the top-k heap and the sorted hits, so a warmed-up
+/// search allocates nothing.
+#[derive(Debug, Default)]
+pub struct SearchScratch {
+    ranked: Vec<(f64, usize)>,
+    /// Max-heap on distance.
+    heap: BinaryHeap<(u64, u64)>,
+    hits: Vec<(u64, u64)>,
 }
 
 fn l2_u8(a: &[u8], b: &[u8]) -> u64 {
@@ -183,15 +194,15 @@ impl IvfFlat {
         self.arena.total_pages()
     }
 
-    /// Reads back an indexed vector by scanning its lists (test helper).
-    pub fn vector(&self, id: u64) -> Option<Vec<u8>> {
+    /// Reads back an indexed vector by scanning its lists (untraced;
+    /// a borrowed view of the arena).
+    pub fn vector(&self, id: u64) -> Option<&[u8]> {
         for &(ids_base, vecs_base, len) in &self.lists {
             for slot in 0..len {
                 if self.arena.peek_u64(ids_base + slot * 8) == id {
                     return Some(
                         self.arena
-                            .peek_bytes(vecs_base + slot * DIM as u64, DIM as u64)
-                            .to_vec(),
+                            .peek_bytes(vecs_base + slot * DIM as u64, DIM as u64),
                     );
                 }
             }
@@ -201,7 +212,8 @@ impl IvfFlat {
 
     /// kNN search: returns the `k` nearest `(id, distance)` pairs,
     /// probing the `nprobe` closest lists and recording every page
-    /// touch.
+    /// touch. The allocating convenience over
+    /// [`IvfFlat::search_with`].
     pub fn search(
         &self,
         query: &[u8],
@@ -209,34 +221,53 @@ impl IvfFlat {
         nprobe: usize,
         rec: &mut TraceRecorder,
     ) -> Vec<(u64, u64)> {
+        let mut scratch = SearchScratch::default();
+        self.search_with(query, k, nprobe, &mut scratch, rec);
+        scratch.hits
+    }
+
+    /// [`IvfFlat::search`] over caller-owned scratch: the hits are a
+    /// view into `scratch`, and list ids and vectors are read in place
+    /// in the arena.
+    pub fn search_with<'s>(
+        &self,
+        query: &[u8],
+        k: usize,
+        nprobe: usize,
+        scratch: &'s mut SearchScratch,
+        rec: &mut TraceRecorder,
+    ) -> &'s [(u64, u64)] {
         assert_eq!(query.len(), DIM, "query dimensionality");
+        let SearchScratch { ranked, heap, hits } = scratch;
         // Coarse quantizer: stream the centroid table and rank.
         let raw = self
             .arena
             .read_bytes(self.centroid_base, (self.nlist * DIM * 4) as u64, rec);
         rec.compute_ns(COARSE_NS_PER_CENTROID * self.nlist as f64);
-        let mut ranked: Vec<(f64, usize)> = (0..self.nlist)
-            .map(|i| {
-                let mut d = 0.0f64;
-                for (j, &q) in query.iter().enumerate() {
-                    let off = (i * DIM + j) * 4;
-                    let c = f32::from_le_bytes(raw[off..off + 4].try_into().unwrap());
-                    let diff = c as f64 - q as f64;
-                    d += diff * diff;
-                }
-                (d, i)
-            })
-            .collect();
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        ranked.clear();
+        ranked.extend((0..self.nlist).map(|i| {
+            let mut d = 0.0f64;
+            for (j, &q) in query.iter().enumerate() {
+                let off = (i * DIM + j) * 4;
+                let c = f32::from_le_bytes(raw[off..off + 4].try_into().unwrap());
+                let diff = c as f64 - q as f64;
+                d += diff * diff;
+            }
+            (d, i)
+        }));
+        // Ties keep list order, as a stable sort on distance would —
+        // without the stable sort's merge buffer.
+        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         // Scan the nprobe nearest lists.
-        let mut heap: BinaryHeap<(u64, u64)> = BinaryHeap::new(); // max-heap on distance
+        heap.clear();
+        heap.reserve(k);
         for &(_, list) in ranked.iter().take(nprobe.min(self.nlist)) {
             let (ids_base, vecs_base, len) = self.lists[list];
             if len == 0 {
                 continue;
             }
-            let ids = self.arena.read_bytes(ids_base, len * 8, rec).to_vec();
+            let ids = self.arena.read_bytes(ids_base, len * 8, rec);
             let vecs = self.arena.read_bytes(vecs_base, len * DIM as u64, rec);
             rec.compute_ns(SCAN_NS_PER_VEC * len as f64);
             for slot in 0..len as usize {
@@ -253,9 +284,10 @@ impl IvfFlat {
                 }
             }
         }
-        let mut out: Vec<(u64, u64)> = heap.into_iter().map(|(d, id)| (id, d)).collect();
-        out.sort_by_key(|&(_, d)| d);
-        out
+        hits.clear();
+        hits.extend(heap.drain().map(|(d, id)| (id, d)));
+        hits.sort_by_key(|&(_, d)| d);
+        hits
     }
 
     /// Exact brute-force kNN over all lists (untraced; test oracle).
@@ -281,6 +313,18 @@ pub struct FaissWorkload {
     index: IvfFlat,
     nprobe: usize,
     k: usize,
+    /// Scratch for the query vector, redrawn per request.
+    query: [u8; DIM],
+    scratch: SearchScratch,
+}
+
+/// A BIGANN-style query: `base` with N(0, 2) noise on every dimension
+/// (query vectors are drawn from the same distribution as the base
+/// set).
+fn perturb(base: &[u8], rng: &mut Rng, query: &mut [u8; DIM]) {
+    for (q, &b) in query.iter_mut().zip(base) {
+        *q = (b as f64 + rng.normal(0.0, 2.0)).clamp(0.0, 255.0) as u8;
+    }
 }
 
 impl FaissWorkload {
@@ -291,6 +335,8 @@ impl FaissWorkload {
             index: IvfFlat::build(num_vectors, nlist, seed),
             nprobe,
             k: 10,
+            query: [0; DIM],
+            scratch: SearchScratch::default(),
         }
     }
 
@@ -309,14 +355,12 @@ impl FaissWorkload {
     /// perturbed dataset vectors (real computation, no simulation).
     pub fn measure_recall(&self, queries: usize, rng: &mut Rng) -> f64 {
         let mut hits = 0usize;
+        let mut query = [0u8; DIM];
         for _ in 0..queries {
             let id = rng.gen_range(self.index.num_vectors());
             let base = self.index.vector(id).expect("indexed vector");
-            let query: Vec<u8> = base
-                .iter()
-                .map(|&b| (b as f64 + rng.normal(0.0, 2.0)).clamp(0.0, 255.0) as u8)
-                .collect();
-            let mut rec = TraceRecorder::new(CostModel::default());
+            perturb(base, rng, &mut query);
+            let mut rec = TraceRecorder::default();
             let approx = self.index.search(&query, self.k, self.nprobe, &mut rec);
             let exact = self.index.brute_force(&query, self.k);
             let ids: std::collections::HashSet<u64> = approx.iter().map(|&(i, _)| i).collect();
@@ -335,26 +379,33 @@ impl Workload for FaissWorkload {
         self.index.total_pages()
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        // Query: a perturbed dataset vector (BIGANN query vectors are
-        // drawn from the same distribution as the base set).
+    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+        // Query: a perturbed dataset vector.
         let id = rng.gen_range(self.index.num_vectors());
         let base = self.index.vector(id).expect("indexed vector");
-        let query: Vec<u8> = base
-            .iter()
-            .map(|&b| (b as f64 + rng.normal(0.0, 2.0)).clamp(0.0, 255.0) as u8)
-            .collect();
-        let mut rec = TraceRecorder::new(CostModel::default());
+        perturb(base, rng, &mut self.query);
+        let mut rec = TraceRecorder::reusing(buf);
         rec.compute_ns(300.0); // request parse + query decode
-        let hits = self.index.search(&query, self.k, self.nprobe, &mut rec);
-        debug_assert!(!hits.is_empty());
+        let hits = self
+            .index
+            .search_with(
+                &self.query,
+                self.k,
+                self.nprobe,
+                &mut self.scratch,
+                &mut rec,
+            )
+            .len();
+        debug_assert!(hits > 0);
         rec.compute_ns(200.0); // reply with ids + distances
-        rec.finish(0, 64 + DIM as u32, 16 + 16 * hits.len() as u32)
+        rec.finish_into(buf, 0, 64 + DIM as u32, 16 + 16 * hits as u32);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use paging::trace::CostModel;
+
     use super::*;
 
     fn small_index() -> IvfFlat {
@@ -375,7 +426,7 @@ mod tests {
         for id in [0u64, 17, 500, 1999] {
             let v = idx.vector(id).unwrap();
             let mut rec = TraceRecorder::new(CostModel::default());
-            let hits = idx.search(&v, 1, 4, &mut rec);
+            let hits = idx.search(v, 1, 4, &mut rec);
             if hits
                 .first()
                 .map(|&(i, d)| d == 0 && i == id)
@@ -395,8 +446,8 @@ mod tests {
             let id = rng.gen_range(2_000);
             let q = idx.vector(id).unwrap();
             let mut rec = TraceRecorder::new(CostModel::default());
-            let approx = idx.search(&q, 5, 16, &mut rec); // probe everything
-            let exact = idx.brute_force(&q, 5);
+            let approx = idx.search(q, 5, 16, &mut rec); // probe everything
+            let exact = idx.brute_force(q, 5);
             let approx_ids: std::collections::HashSet<u64> =
                 approx.iter().map(|&(i, _)| i).collect();
             let hits = exact
@@ -417,8 +468,8 @@ mod tests {
             let id = rng.gen_range(5_000);
             let q = idx.vector(id).unwrap();
             let mut rec = TraceRecorder::new(CostModel::default());
-            let approx = idx.search(&q, 10, 8, &mut rec);
-            let exact = idx.brute_force(&q, 10);
+            let approx = idx.search(q, 10, 8, &mut rec);
+            let exact = idx.brute_force(q, 10);
             let approx_ids: std::collections::HashSet<u64> =
                 approx.iter().map(|&(i, _)| i).collect();
             recall_hits += exact
@@ -435,7 +486,7 @@ mod tests {
         let idx = IvfFlat::build(20_000, 16, 5);
         let q = idx.vector(42).unwrap();
         let mut rec = TraceRecorder::new(CostModel::default());
-        idx.search(&q, 10, 4, &mut rec);
+        idx.search(q, 10, 4, &mut rec);
         let t = rec.finish(0, 0, 0);
         // 4 lists × ~1250 vectors × 128 B ≈ 160 pages.
         assert!(t.accesses() > 60, "accesses = {}", t.accesses());

@@ -118,6 +118,13 @@ impl TraceRecorder {
         }
     }
 
+    /// Creates a default-cost recorder over `buf`'s own step storage,
+    /// leaving `buf` empty until [`TraceRecorder::finish_into`] hands
+    /// the steps back: the pooled request path of every generator.
+    pub fn reusing(buf: &mut Trace) -> TraceRecorder {
+        TraceRecorder::with_steps(CostModel::default(), std::mem::take(&mut buf.steps))
+    }
+
     /// Adds pure compute time.
     #[inline]
     pub fn compute_ns(&mut self, ns: f64) {
@@ -165,7 +172,13 @@ impl TraceRecorder {
     }
 
     fn flush_step(&mut self, access: Option<Access>) {
-        let compute = self.pending_ns.round() as u32;
+        // Round half up without the libm `round` call: the cast
+        // truncates (and saturates), and for the non-negative values
+        // accrued here the remaining fraction is exact in f64, so this
+        // equals `pending_ns.round() as u32`.
+        let whole = self.pending_ns as u32;
+        let round_up = self.pending_ns - whole as f64 >= 0.5;
+        let compute = whole.saturating_add(round_up as u32);
         self.pending_ns = 0.0;
         self.steps.push(Step {
             compute_ns: compute,
@@ -187,7 +200,7 @@ impl TraceRecorder {
     }
 
     /// Finishes recording into `out`, replacing every field (the step
-    /// buffer moves; pair with [`TraceRecorder::with_steps`] to recycle
+    /// buffer moves; pair with [`TraceRecorder::reusing`] to recycle
     /// `out`'s own storage).
     pub fn finish_into(self, out: &mut Trace, class: u16, request_bytes: u32, reply_bytes: u32) {
         *out = self.finish(class, request_bytes, reply_bytes);
@@ -306,15 +319,39 @@ mod tests {
             access: None,
         });
         let storage = buf.steps.as_ptr();
-        let steps = std::mem::take(&mut buf.steps);
-        record(TraceRecorder::with_steps(CostModel::default(), steps))
-            .finish_into(&mut buf, 2, 64, 128);
+        record(TraceRecorder::reusing(&mut buf)).finish_into(&mut buf, 2, 64, 128);
         assert_eq!(buf.steps, fresh.steps);
         assert_eq!(
             (buf.class, buf.request_bytes, buf.reply_bytes),
             (fresh.class, fresh.request_bytes, fresh.reply_bytes)
         );
         assert_eq!(buf.steps.as_ptr(), storage, "step storage reallocated");
+    }
+
+    /// The libm-free rounding equals `round() as u32` on everything a
+    /// recorder can accrue: quarter-ns multiples (byte streaming),
+    /// values next to a half, and the saturating top end.
+    #[test]
+    fn step_rounding_matches_libm_round() {
+        let mut samples: Vec<f64> = (0..40_000).map(|i| i as f64 * 0.25).collect();
+        samples.extend([
+            0.5f64.next_down(),
+            0.5f64.next_up(),
+            1e9 + 0.5,
+            (1e9 + 0.5f64).next_down(),
+            4_294_967_294.5,
+            4_294_967_295.4,
+            4_294_967_295.5,
+            5e9,
+            1e300,
+        ]);
+        for ns in samples {
+            let mut r = TraceRecorder::default();
+            r.compute_ns(ns);
+            let t = r.finish(0, 0, 0);
+            let got = t.steps.first().map_or(0, |s| s.compute_ns);
+            assert_eq!(got, ns.round() as u32, "pending {ns}");
+        }
     }
 
     #[test]

@@ -291,7 +291,7 @@ fn preemption_happens_only_in_dilos_p() {
         fn total_pages(&self) -> u64 {
             4096
         }
-        fn next_request(&mut self, rng: &mut Rng) -> Trace {
+        fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
             let steps = (0..20)
                 .map(|_| paging::trace::Step {
                     compute_ns: 1_000,
@@ -301,12 +301,12 @@ fn preemption_happens_only_in_dilos_p() {
                     }),
                 })
                 .collect();
-            Trace {
+            *buf = Trace {
                 class: 0,
                 steps,
                 request_bytes: 64,
                 reply_bytes: 64,
-            }
+            };
         }
     }
     let params = quick_params(50_000.0);
@@ -349,8 +349,8 @@ fn writebacks_happen_with_dirty_pages() {
         fn total_pages(&self) -> u64 {
             8192
         }
-        fn next_request(&mut self, rng: &mut Rng) -> Trace {
-            Trace {
+        fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+            *buf = Trace {
                 class: 0,
                 steps: vec![paging::trace::Step {
                     compute_ns: 300,
@@ -361,7 +361,7 @@ fn writebacks_happen_with_dirty_pages() {
                 }],
                 request_bytes: 64,
                 reply_bytes: 64,
-            }
+            };
         }
     }
     let res = run_one(
@@ -401,8 +401,8 @@ fn hot_page_faults_coalesce() {
         fn total_pages(&self) -> u64 {
             4096
         }
-        fn next_request(&mut self, rng: &mut Rng) -> Trace {
-            Trace {
+        fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+            *buf = Trace {
                 class: 0,
                 steps: vec![paging::trace::Step {
                     compute_ns: 300,
@@ -413,7 +413,7 @@ fn hot_page_faults_coalesce() {
                 }],
                 request_bytes: 32,
                 reply_bytes: 32,
-            }
+            };
         }
         fn warm_pages(&self) -> Option<Vec<u64>> {
             Some(vec![4000, 4001]) // keep the hot pages cold initially

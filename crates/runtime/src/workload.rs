@@ -8,6 +8,46 @@ use paging::trace::{Access, Step, Trace};
 /// Application crates implement this by executing a real request
 /// against their [`paging::PagedArena`]-backed data structures and
 /// recording the page touches; the simulator replays the trace.
+///
+/// The contract every generator keeps: execute for real, record every
+/// byte range, materialise nothing the caller did not ask for.
+/// Per-request scratch (payloads, read/write sets, ranking buffers) is
+/// owned by the workload, and the trace lands in the caller's recycled
+/// buffer — so a warmed-up generator allocates nothing per request.
+///
+/// # Examples
+///
+/// ```
+/// use desim::Rng;
+/// use paging::trace::{Access, Step, Trace};
+/// use runtime::Workload;
+///
+/// /// One random page touch per request.
+/// struct OnePage;
+///
+/// impl Workload for OnePage {
+///     fn classes(&self) -> &'static [&'static str] {
+///         &["touch"]
+///     }
+///     fn total_pages(&self) -> u64 {
+///         1024
+///     }
+///     fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+///         // Replace every field; keep the step storage.
+///         (buf.class, buf.request_bytes, buf.reply_bytes) = (0, 32, 64);
+///         buf.steps.clear();
+///         let page = rng.gen_range(1024);
+///         buf.steps.push(Step {
+///             compute_ns: 200,
+///             access: Some(Access { page, write: false }),
+///         });
+///     }
+/// }
+///
+/// // `next_request` is provided: a fresh buffer through the same method.
+/// let trace = OnePage.next_request(&mut Rng::new(1));
+/// assert_eq!(trace.accesses(), 1);
+/// ```
 pub trait Workload {
     /// Human-readable names of the request classes (index = `class`).
     fn classes(&self) -> &'static [&'static str];
@@ -15,20 +55,21 @@ pub trait Workload {
     /// Number of pages in the working set (the remote region size).
     fn total_pages(&self) -> u64;
 
-    /// Produces the next request's trace.
-    fn next_request(&mut self, rng: &mut Rng) -> Trace;
+    /// Produces the next request's trace into `buf`, replacing every
+    /// field and reusing its step storage. This is the one method a
+    /// generator writes: the simulator recycles retired requests'
+    /// traces through it, so steady-state arrivals allocate nothing.
+    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace);
 
-    /// Produces the next request's trace into `buf`, reusing its step
-    /// storage. Must draw from `rng` exactly like [`next_request`]
-    /// (the simulator recycles retired requests' traces through this
-    /// path, and determinism depends on an identical draw sequence).
+    /// Produces the next request's trace in a fresh buffer — the
+    /// allocating convenience for tests and examples. Same stream and
+    /// same `rng` draws as [`next_request_into`] by construction.
     ///
-    /// The default delegates to [`next_request`]; hot workloads
-    /// override it to skip the per-request allocation.
-    ///
-    /// [`next_request`]: Workload::next_request
-    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
-        *buf = self.next_request(rng);
+    /// [`next_request_into`]: Workload::next_request_into
+    fn next_request(&mut self, rng: &mut Rng) -> Trace {
+        let mut trace = Trace::default();
+        self.next_request_into(rng, &mut trace);
+        trace
     }
 
     /// Produces the next request's trace for a specific tenant of a
@@ -92,25 +133,6 @@ impl Workload for ArrayIndexWorkload {
         self.total_pages
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        let page = rng.gen_range(self.total_pages);
-        Trace {
-            class: 0,
-            steps: vec![
-                Step {
-                    compute_ns: self.parse_ns as u32,
-                    access: Some(Access { page, write: false }),
-                },
-                Step {
-                    compute_ns: self.reply_ns as u32,
-                    access: None,
-                },
-            ],
-            request_bytes: self.request_bytes,
-            reply_bytes: self.reply_bytes,
-        }
-    }
-
     fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
         let page = rng.gen_range(self.total_pages);
         buf.class = 0;
@@ -168,30 +190,6 @@ impl Workload for StridedWorkload {
 
     fn total_pages(&self) -> u64 {
         self.total_pages
-    }
-
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        let span = self.stride * self.touches as u64;
-        let start = rng.gen_range(self.total_pages - span);
-        let mut steps: Vec<Step> = (0..self.touches)
-            .map(|i| Step {
-                compute_ns: 220,
-                access: Some(Access {
-                    page: start + i as u64 * self.stride,
-                    write: false,
-                }),
-            })
-            .collect();
-        steps.push(Step {
-            compute_ns: 180,
-            access: None,
-        });
-        Trace {
-            class: 0,
-            steps,
-            request_bytes: 32,
-            reply_bytes: 64,
-        }
     }
 
     fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
@@ -262,26 +260,10 @@ impl<A: Workload, B: Workload> Workload for MixedWorkload<A, B> {
         self.a.total_pages() + self.b.total_pages()
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        if rng.gen_bool(self.fraction_b) {
-            let mut t = self.b.next_request(rng);
-            // Shift tenant b into its own page namespace and class range.
-            let offset = self.a.total_pages();
-            for step in &mut t.steps {
-                if let Some(a) = &mut step.access {
-                    a.page += offset;
-                }
-            }
-            t.class += self.a.classes().len() as u16;
-            t
-        } else {
-            self.a.next_request(rng)
-        }
-    }
-
     fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
         if rng.gen_bool(self.fraction_b) {
             self.b.next_request_into(rng, buf);
+            // Shift tenant b into its own page namespace and class range.
             let offset = self.a.total_pages();
             for step in &mut buf.steps {
                 if let Some(a) = &mut step.access {
@@ -360,14 +342,8 @@ impl Workload for TenantWorkload {
         self.apps.iter().map(|a| a.total_pages()).sum()
     }
 
-    fn next_request(&mut self, rng: &mut Rng) -> Trace {
-        // Un-tagged draws come from tenant 0 (the single-tenant path).
-        let mut buf = Trace::default();
-        self.next_request_for(0, rng, &mut buf);
-        buf
-    }
-
     fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+        // Un-tagged draws come from tenant 0 (the single-tenant path).
         self.next_request_for(0, rng, buf);
     }
 
@@ -500,9 +476,10 @@ mod tests {
         assert!(pages.len() > 750, "only {} distinct pages", pages.len());
     }
 
-    /// The pooled `next_request_into` path must produce the same trace
-    /// stream as the allocating path, from the same rng draws — the
-    /// simulator's byte-determinism depends on it.
+    /// A recycled, pre-dirtied buffer must come back holding exactly the
+    /// trace a fresh buffer gets, from the same rng draws: generators
+    /// replace every field — the simulator's byte-determinism depends
+    /// on it.
     #[test]
     fn into_path_matches_allocating_path() {
         fn check(mut fresh: impl Workload, mut pooled: impl Workload, seed: u64) {

@@ -1,13 +1,17 @@
 //! Prints the golden anchors `tests/determinism.rs` pins: the original
 //! Adios + trace + spans capture and every row of the golden matrix
 //! (`tests/golden/mod.rs`), each as `(len, fnv1a)` next to the constant
-//! currently committed. Refresh a constant only when an intentional
+//! currently committed, then the trace-stream anchors of the six
+//! request generators (`crates/apps/tests/stream/mod.rs`) as `(fnv1a,
+//! trailing rng draw)`. Refresh a constant only when an intentional
 //! format or model change lands.
 
 use adios::prelude::*;
 
 #[path = "../tests/golden/mod.rs"]
 mod golden;
+#[path = "../crates/apps/tests/stream/mod.rs"]
+mod stream;
 
 use golden::fnv1a;
 
@@ -39,5 +43,8 @@ fn main() {
             got.1,
             if got == case.golden { "" } else { "  // DRIFT" }
         );
+    }
+    for line in stream::report() {
+        println!("{line}");
     }
 }
