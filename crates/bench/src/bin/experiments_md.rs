@@ -851,10 +851,9 @@ fn smoke_mode(cli: &Cli) {
         }
 
         if cli.trace {
-            let trace = res.trace.as_deref().unwrap_or(&[]);
+            let events = res.trace.as_ref().map_or(0, |t| t.len());
             println!(
-                "==== {kind:?}: virtual-time trace ({} events, {} dropped) ====",
-                trace.len(),
+                "==== {kind:?}: virtual-time trace ({events} events, {} dropped) ====",
                 res.trace_dropped
             );
             if res.trace_dropped > 0 {
@@ -865,7 +864,7 @@ fn smoke_mode(cli: &Cli) {
                 );
             }
             // The full timeline is in the JSON; print a readable head.
-            for ev in trace.iter().take(40) {
+            for ev in res.trace.iter().flatten().take(40) {
                 println!(
                     "{:>12} ns  {:<9} {:<12} a={:<8} b={}",
                     ev.at.as_nanos(),
@@ -875,8 +874,8 @@ fn smoke_mode(cli: &Cli) {
                     ev.b
                 );
             }
-            if trace.len() > 40 {
-                println!("… {} more events (see JSON)", trace.len() - 40);
+            if events > 40 {
+                println!("… {} more events (see JSON)", events - 40);
             }
             let path = cli.out_dir.join(format!("trace_{system}.json"));
             std::fs::write(&path, run_json(&res)).expect("write trace JSON");

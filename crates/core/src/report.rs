@@ -131,8 +131,8 @@ pub fn run_json(res: &RunResult) -> String {
     // be distinguishable from a quiet run.
     let _ = write!(out, "\"trace_dropped\":{},", res.trace_dropped);
     match &res.trace {
-        Some(events) => {
-            let _ = write!(out, "\"trace\":{}", desim::trace::trace_to_json(events));
+        Some(log) => {
+            let _ = write!(out, "\"trace\":{}", log.to_json());
         }
         None => out.push_str("\"trace\":null"),
     }

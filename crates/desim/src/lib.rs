@@ -61,5 +61,6 @@ pub use telemetry::{
 };
 pub use time::{SimDuration, SimTime, CYCLES_PER_SEC, NS_PER_SEC};
 pub use trace::{
-    CounterId, GaugeId, Metrics, MetricsSnapshot, NoopTracer, RingTracer, TraceEvent, Tracer,
+    CounterId, GaugeId, Metrics, MetricsSnapshot, NoopTracer, RingTracer, TraceCode, TraceEvent,
+    TraceLog, Tracer,
 };

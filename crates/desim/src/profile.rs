@@ -209,6 +209,10 @@ struct CoreSlot {
     /// State accrued for open-ended intervals (idle/parked/stalled gaps
     /// closed by the next `flush`).
     gap: CoreState,
+    /// Flame sub-window holding the last accrued instant. Accruals
+    /// start at the cursor, which only advances, so the search for an
+    /// interval's sub-window resumes here.
+    sub: usize,
     /// ns per state per flame sub-window, measurement-window scoped.
     tiles: Vec<[u64; NUM_STATES]>,
 }
@@ -231,6 +235,11 @@ pub struct CoreProfiler {
     w_start: SimTime,
     w_end: SimTime,
     flame_windows: usize,
+    /// The `flame_windows + 1` sub-window boundaries in ns: sub-window
+    /// `k` covers `[bounds[k], bounds[k + 1])`, `bounds[k] = w_start +
+    /// window · k / flame_windows`. Fixed per run, so they are divided
+    /// out once here and an accrual only compares against them.
+    bounds: Vec<u64>,
     cores: Vec<CoreSlot>,
 }
 
@@ -244,10 +253,13 @@ impl CoreProfiler {
     pub fn new(w_start: SimTime, w_end: SimTime, cfg: &ProfileConfig) -> CoreProfiler {
         assert!(w_end >= w_start, "inverted measurement window");
         assert!(cfg.flame_windows >= 1, "flame_windows must be positive");
+        let (ws, nb) = (w_start.as_nanos(), cfg.flame_windows as u128);
+        let win = (w_end.as_nanos() - ws) as u128;
         CoreProfiler {
             w_start,
             w_end,
             flame_windows: cfg.flame_windows,
+            bounds: (0..=nb).map(|k| ws + (win * k / nb) as u64).collect(),
             cores: Vec::new(),
         }
     }
@@ -260,6 +272,7 @@ impl CoreProfiler {
             is_worker,
             cursor: SimTime::ZERO,
             gap: CoreState::Idle,
+            sub: 0,
             tiles: vec![[0; NUM_STATES]; self.flame_windows],
         });
         self.cores.len() - 1
@@ -271,8 +284,36 @@ impl CoreProfiler {
     }
 
     /// Accrues the window-clamped part of `[from, to]` to `state`,
-    /// split exactly across flame sub-windows.
+    /// split exactly across flame sub-windows. `from` is the core's
+    /// cursor, so successive calls never go back in time.
     fn accrue(&mut self, core: usize, state: CoreState, from: SimTime, to: SimTime) {
+        let a = from.max(self.w_start).as_nanos();
+        let b = to.min(self.w_end).as_nanos();
+        if b <= a {
+            return;
+        }
+        let s = state.idx();
+        let slot = &mut self.cores[core];
+        // `lo < b <= w_end`, the last boundary, so `k` stops in range.
+        let (mut lo, mut k) = (a, slot.sub);
+        while lo < b {
+            let hi = self.bounds[k + 1];
+            if hi <= lo {
+                k += 1;
+                continue;
+            }
+            let end = b.min(hi);
+            slot.tiles[k][s] += end - lo;
+            lo = end;
+        }
+        slot.sub = k;
+    }
+
+    /// [`CoreProfiler::accrue`] as it was before the boundary table:
+    /// the sub-window index and each boundary divided out per call. The
+    /// oracle of the equivalence tests.
+    #[cfg(test)]
+    fn accrue_reference(&mut self, core: usize, state: CoreState, from: SimTime, to: SimTime) {
         let a = from.max(self.w_start).as_nanos();
         let b = to.min(self.w_end).as_nanos();
         if b <= a {
@@ -837,6 +878,87 @@ mod tests {
         assert_eq!(tiles[0][CoreState::Work.idx()], 3);
         assert_eq!(tiles[1][CoreState::Work.idx()], 3);
         assert_eq!(tiles[2][CoreState::Work.idx()], 4);
+    }
+
+    /// Applies one pseudo-random stream of `phase` / `flush` /
+    /// `set_gap` calls to a profiler whose accruals go through the
+    /// boundary table and to one driven through
+    /// [`CoreProfiler::accrue_reference`], and compares every tile.
+    fn assert_tiles_like_the_reference(ws: u64, we: u64, flame_windows: usize, seed: u64) {
+        let cfg = ProfileConfig { flame_windows };
+        let new = || {
+            let mut p = CoreProfiler::new(t(ws), t(we), &cfg);
+            p.add_core("dispatcher".into(), false);
+            p.add_core("worker0".into(), true);
+            p
+        };
+        let (mut fast, mut slow) = (new(), new());
+        // The reference's `phase`: the same cursor discipline around
+        // the old accrual.
+        let phase_reference = |p: &mut CoreProfiler, core: usize, state, until: SimTime| {
+            let cursor = p.cores[core].cursor;
+            if until > cursor {
+                p.accrue_reference(core, state, cursor, until);
+                p.cores[core].cursor = until;
+            }
+        };
+        let mut rng = crate::rng::Rng::new(seed);
+        let bounds = fast.bounds.clone();
+        let span = (we - ws).max(1);
+        let mut now = [ws.saturating_sub(span / 16); 2];
+        for _ in 0..600 {
+            let core = rng.gen_range(2) as usize;
+            // Mostly short steps; sometimes a jump across sub-windows,
+            // an instant exactly on a boundary, or a stale one.
+            now[core] = match rng.gen_range(10) {
+                0 => now[core].saturating_add(span / 3),
+                1 => bounds[rng.gen_range(bounds.len() as u64) as usize].max(now[core]),
+                _ => now[core].saturating_add(rng.gen_range(span / 200 + 2)),
+            };
+            let until = t(match rng.gen_range(6) {
+                0 => now[core].saturating_sub(span / 50),
+                _ => now[core],
+            });
+            let state = CoreState::ALL[rng.gen_range(NUM_STATES as u64) as usize];
+            if rng.gen_bool(0.3) {
+                fast.set_gap(core, state);
+                slow.set_gap(core, state);
+                fast.flush(core, until);
+                phase_reference(&mut slow, core, state, until);
+            } else {
+                fast.phase(core, state, until);
+                phase_reference(&mut slow, core, state, until);
+            }
+        }
+        for core in 0..2 {
+            let gap = slow.cores[core].gap;
+            phase_reference(&mut slow, core, gap, t(we));
+        }
+        let fast = fast.finish(Vec::new(), 0);
+        for (f, s) in fast.cores.iter().zip(&slow.cores) {
+            assert_eq!(
+                f.tiles, s.tiles,
+                "[{ws}, {we}] / {flame_windows}, seed {seed}"
+            );
+            assert_eq!(f.total_ns(), we - ws);
+        }
+    }
+
+    #[test]
+    fn boundary_table_accrues_like_the_division_formula() {
+        let mut rng = crate::rng::Rng::new(77);
+        for flame_windows in [1, 3, 8] {
+            // The benchmark's open-ended window, degenerate ones
+            // narrower than the sub-window count, and random ones.
+            assert_tiles_like_the_reference(0, u64::MAX / 2, flame_windows, 1);
+            assert_tiles_like_the_reference(1_000, 1_000, flame_windows, 2);
+            assert_tiles_like_the_reference(1_000, 1_005, flame_windows, 3);
+            for seed in 0..40 {
+                let ws = rng.gen_range(1_000_000);
+                let we = ws + 1 + rng.gen_range(50_000_000);
+                assert_tiles_like_the_reference(ws, we, flame_windows, seed);
+            }
+        }
     }
 
     #[test]

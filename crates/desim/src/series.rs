@@ -39,6 +39,15 @@ impl TimeSeries {
         }
     }
 
+    /// Reserves room for `buckets` buckets, so recording up to that
+    /// horizon never regrows the series.
+    pub fn reserve(&mut self, buckets: usize) {
+        self.sums.reserve(buckets);
+        self.counts.reserve(buckets);
+        self.maxima.reserve(buckets);
+        self.lasts.reserve(buckets);
+    }
+
     /// Records one sample of the quantity at time `t`.
     ///
     /// # Panics

@@ -12,11 +12,31 @@
 //! attribution ([`CriticalPath`]) and the figure-2c/7c breakdowns rest
 //! on.
 //!
-//! The layer is zero-cost when disabled (the runtime holds an
-//! `Option<SpanBuilder>` per request; `None` costs one branch per
-//! site) and arena-backed when on: completed trees return their span
-//! buffers to a pool inside [`SpanStore`], so steady-state recording
-//! does not allocate.
+//! Records are fixed-size and carry no text. A [`Span`] is 40 bytes and
+//! its name is a [`Name`]: one byte, spelled [`stage`]`::*` /
+//! [`node`]`::*` at call sites and turned into text only by the
+//! exporters ([`Name::as_str`], `Display`). The attribution is kept as
+//! the tree grows — [`SpanBuilder::phase`] adds each phase to its
+//! stage's total — so completing a request reads ten totals plus the
+//! few stall and fetch intervals the overlays need.
+//!
+//! Whether a tree is *materialised* at all follows from the
+//! [`SpanConfig`]: a store that can never retain an exemplar
+//! (`exemplar_percentile: None` or `max_exemplars == 0` — what
+//! [`SpanConfig::default`] and [`SpanConfig::stats_only`] say, and what
+//! every sweep uses) hands out *sparse* builders, which keep the root,
+//! the stall phases and the fetch spans the overlays read, and drop
+//! every other span after adding it to the totals. The attribution is
+//! the same either way.
+//!
+//! The layer is zero-cost when disabled (the runtime's observer keeps
+//! the builders in a side table indexed by request slot that only
+//! exists while the layer is on; every site is one branch otherwise)
+//! and allocation-free in steady state when on: completed trees return
+//! their span buffers to a pool inside [`SpanStore`],
+//! [`SpanStore::complete`] computes the attribution over scratch the
+//! store owns, and [`SpanStore::reserve`] sizes the per-request rows
+//! once. Only a retained exemplar takes its buffer out of the pool.
 //!
 //! [`SpanStore`] aggregates completed trees three ways:
 //!
@@ -34,6 +54,7 @@
 //! [`perfetto_json`] (Chrome trace event format, loadable in
 //! [Perfetto](https://ui.perfetto.dev) — see `docs/MODEL.md` §7).
 
+use std::fmt;
 use std::fmt::Write as _;
 
 use crate::hist::Histogram;
@@ -42,59 +63,156 @@ use crate::time::SimTime;
 /// Sentinel parent index meaning "no parent" (only the root uses it).
 pub const NO_PARENT: u32 = u32::MAX;
 
+/// Number of phase names (the components of [`CriticalPath`]).
+const NUM_PHASES: usize = 10;
+
+/// An interned span name: one byte in a [`Span`], text only at export.
+///
+/// The phase names come first, in [`CriticalPath`]'s component order,
+/// so a phase's discriminant indexes its stage total. Call sites spell
+/// names through the [`stage`] and [`node`] constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum Name {
+    /// [`stage::NET`].
+    Net,
+    /// [`stage::DISPATCH`].
+    Dispatch,
+    /// [`stage::QUEUE`].
+    Queue,
+    /// [`stage::HANDLE`].
+    Handle,
+    /// [`stage::SPIN`].
+    Spin,
+    /// [`stage::FETCH_WAIT`].
+    FetchWait,
+    /// [`stage::QP_STALL`].
+    QpStall,
+    /// [`stage::TX_WAIT`].
+    TxWait,
+    /// [`stage::CTX`].
+    Ctx,
+    /// [`stage::REPLY`].
+    Reply,
+    /// [`node::REQUEST`].
+    Request,
+    /// [`node::SEGMENT`].
+    Segment,
+    /// [`node::FAULT`].
+    Fault,
+    /// [`node::FETCH`].
+    Fetch,
+    /// [`node::NIC_QUEUE`].
+    NicQueue,
+    /// [`node::WIRE`].
+    Wire,
+    /// [`node::RETRANS`].
+    Retrans,
+    /// [`node::FAILOVER`].
+    Failover,
+}
+
+impl Name {
+    /// The name as the exporters write it.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            Name::Net => "net",
+            Name::Dispatch => "dispatch",
+            Name::Queue => "queue",
+            Name::Handle => "handle",
+            Name::Spin => "spin",
+            Name::FetchWait => "fetch_wait",
+            Name::QpStall => "qp_stall",
+            Name::TxWait => "tx_wait",
+            Name::Ctx => "ctx",
+            Name::Reply => "reply",
+            Name::Request => "request",
+            Name::Segment => "segment",
+            Name::Fault => "fault",
+            Name::Fetch => "fetch",
+            Name::NicQueue => "nic_queue",
+            Name::Wire => "wire",
+            Name::Retrans => "retrans",
+            Name::Failover => "failover",
+        }
+    }
+
+    /// Whether this is a phase ([`stage`]) name.
+    #[inline]
+    fn is_phase(self) -> bool {
+        (self as usize) < NUM_PHASES
+    }
+
+    /// Whether this phase blocks the request on a fetch.
+    #[inline]
+    fn is_stall(self) -> bool {
+        matches!(self, Name::Spin | Name::FetchWait)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// Phase-span names: a gap-free partition of each request's
 /// end-to-end interval. Every nanosecond of a request's latency is
 /// covered by exactly one phase span, so these sum to the root span's
 /// duration by construction.
 pub mod stage {
+    use super::Name;
+
     /// Client↔server network time (request delivery + reply flight).
-    pub const NET: &str = "net";
+    pub const NET: Name = Name::Net;
     /// Dispatcher occupancy before the request is queued to a worker.
-    pub const DISPATCH: &str = "dispatch";
+    pub const DISPATCH: Name = Name::Dispatch;
     /// Waiting in a run queue for a worker (initial, resume, or retry).
-    pub const QUEUE: &str = "queue";
+    pub const QUEUE: Name = Name::Queue;
     /// Handler compute on a worker (includes fault-entry kernel cost).
-    pub const HANDLE: &str = "handle";
+    pub const HANDLE: Name = Name::Handle;
     /// Busy-wait polling for a fetch completion (wasted CPU).
-    pub const SPIN: &str = "spin";
+    pub const SPIN: Name = Name::Spin;
     /// Parked waiting for a fetch completion (worker reused elsewhere).
-    pub const FETCH_WAIT: &str = "fetch_wait";
+    pub const FETCH_WAIT: Name = Name::FetchWait;
     /// Blocked on a full QP send queue before the fetch could post.
-    pub const QP_STALL: &str = "qp_stall";
+    pub const QP_STALL: Name = Name::QpStall;
     /// Waiting for the reply doorbell/CQE after handler completion.
-    pub const TX_WAIT: &str = "tx_wait";
+    pub const TX_WAIT: Name = Name::TxWait;
     /// Context-switch cost (park + resume halves).
-    pub const CTX: &str = "ctx";
+    pub const CTX: Name = Name::Ctx;
     /// Reply construction and server-side network stack.
-    pub const REPLY: &str = "reply";
+    pub const REPLY: Name = Name::Reply;
 }
 
 /// Structural (non-phase) span names.
 pub mod node {
+    use super::Name;
+
     /// Root span: one per request, arrival→client reply receipt.
-    pub const REQUEST: &str = "request";
+    pub const REQUEST: Name = Name::Request;
     /// One contiguous occupancy of a worker core.
-    pub const SEGMENT: &str = "segment";
+    pub const SEGMENT: Name = Name::Segment;
     /// One page fault, entry→resume (or retry chain).
-    pub const FAULT: &str = "fault";
+    pub const FAULT: Name = Name::Fault;
     /// One RDMA read, post→completion. `b` is a [`super::shard_qp`]
     /// payload: the QP in the low word and the memnode shard the fetch
     /// routed to in the high word (zero on single-shard runs, which
     /// keeps their span JSON identical to pre-sharding output).
-    pub const FETCH: &str = "fetch";
+    pub const FETCH: Name = Name::Fetch;
     /// Fetch sub-span: doorbell→NIC engine dispatch.
-    pub const NIC_QUEUE: &str = "nic_queue";
+    pub const NIC_QUEUE: Name = Name::NicQueue;
     /// Fetch sub-span: NIC engine dispatch→DMA completion (of the
     /// final transmission attempt when the transport retransmitted).
-    pub const WIRE: &str = "wire";
+    pub const WIRE: Name = Name::Wire;
     /// Fetch sub-span: RC retransmission window, first dispatch→final
     /// attempt's send (`a` = retransmission count). Only present when
     /// the transport retransmitted.
-    pub const RETRANS: &str = "retrans";
+    pub const RETRANS: Name = Name::Retrans;
     /// Instant marker: the runtime re-issued a failed fetch on the
     /// failover QP (`a` = global memnode id the retry targets — equal
     /// to the replica index on single-shard runs — `b` = attempt).
-    pub const FAILOVER: &str = "failover";
+    pub const FAILOVER: Name = Name::Failover;
 }
 
 /// Packs a fetch span's `b` payload: the QP id in the low 32 bits and
@@ -107,11 +225,11 @@ pub fn shard_qp(shard: u64, qp: u64) -> u64 {
     (shard << 32) | qp
 }
 
-/// One node in a request's span tree.
+/// One node in a request's span tree (40 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Span name ([`stage`] or [`node`] constant).
-    pub name: &'static str,
+    pub name: Name,
     /// Index of the parent span in the tree, or [`NO_PARENT`].
     pub parent: u32,
     /// Start instant.
@@ -160,21 +278,35 @@ impl SpanTree {
 /// produce no span. This makes the phase tiling gap-free and
 /// overlap-free regardless of emission-site ordering quirks, which is
 /// what guarantees `Σ phases = e2e` exactly.
+///
+/// A builder from [`SpanBuilder::new`] materialises every span. One
+/// from a [`SpanStore`] that can never retain a tree is *sparse*: it
+/// keeps the root, the stall phases and the fetch spans — what the
+/// attribution's overlays read — and only adds every other phase to
+/// its stage total; the structural calls are no-ops.
 #[derive(Debug)]
 pub struct SpanBuilder {
     request: u64,
     class: u16,
+    /// Whether every span is materialised (`false` = sparse).
+    full: bool,
     spans: Vec<Span>,
     cursor: SimTime,
     open_segment: u32,
     open_fault: u32,
+    /// Phase totals so far, indexed by the phase's [`Name`].
+    stage_ns: [u64; NUM_PHASES],
 }
 
 impl SpanBuilder {
     /// Starts a tree for request `request` of `class`, arriving
     /// (client transmit) at `tx`. `buf` is a recycled span buffer
     /// (pass `Vec::new()` when not pooling).
-    pub fn new(request: u64, class: u16, tx: SimTime, mut buf: Vec<Span>) -> SpanBuilder {
+    pub fn new(request: u64, class: u16, tx: SimTime, buf: Vec<Span>) -> SpanBuilder {
+        SpanBuilder::start(request, class, tx, buf, true)
+    }
+
+    fn start(request: u64, class: u16, tx: SimTime, mut buf: Vec<Span>, full: bool) -> SpanBuilder {
         buf.clear();
         buf.push(Span {
             name: node::REQUEST,
@@ -187,10 +319,12 @@ impl SpanBuilder {
         SpanBuilder {
             request,
             class,
+            full,
             spans: buf,
             cursor: tx,
             open_segment: NO_PARENT,
             open_fault: NO_PARENT,
+            stage_ns: [0; NUM_PHASES],
         }
     }
 
@@ -210,26 +344,34 @@ impl SpanBuilder {
         }
     }
 
-    /// Tiles `[cursor, until]` with phase `name` and advances the
-    /// cursor. If `until` is not after the cursor, nothing is emitted.
-    pub fn phase(&mut self, name: &'static str, until: SimTime) {
+    /// Tiles `[cursor, until]` with phase `name` (a [`stage`] constant)
+    /// and advances the cursor. If `until` is not after the cursor,
+    /// nothing is emitted.
+    pub fn phase(&mut self, name: Name, until: SimTime) {
         if until <= self.cursor {
             return;
         }
-        let parent = self.phase_parent();
-        self.spans.push(Span {
-            name,
-            parent,
-            start: self.cursor,
-            end: until,
-            a: 0,
-            b: 0,
-        });
+        debug_assert!(name.is_phase(), "`{name}` is not a phase name");
+        self.stage_ns[name as usize] += until.as_nanos() - self.cursor.as_nanos();
+        if self.full || name.is_stall() {
+            let parent = self.phase_parent();
+            self.spans.push(Span {
+                name,
+                parent,
+                start: self.cursor,
+                end: until,
+                a: 0,
+                b: 0,
+            });
+        }
         self.cursor = until;
     }
 
     /// Opens a worker-occupancy segment at `at` on worker `worker`.
     pub fn begin_segment(&mut self, at: SimTime, worker: usize) {
+        if !self.full {
+            return;
+        }
         debug_assert_eq!(self.open_segment, NO_PARENT, "segment already open");
         self.open_segment = self.spans.len() as u32;
         self.spans.push(Span {
@@ -255,7 +397,7 @@ impl SpanBuilder {
     /// already open (QP-full retry re-enters the fault path), the
     /// existing span is kept.
     pub fn begin_fault(&mut self, at: SimTime, page: u64) {
-        if self.open_fault != NO_PARENT {
+        if !self.full || self.open_fault != NO_PARENT {
             return;
         }
         let parent = if self.open_segment != NO_PARENT {
@@ -319,6 +461,9 @@ impl SpanBuilder {
             a: page,
             b: qp,
         });
+        if !self.full {
+            return;
+        }
         self.spans.push(Span {
             name: node::NIC_QUEUE,
             parent: fetch_idx,
@@ -351,6 +496,9 @@ impl SpanBuilder {
     /// up on a fetch attempt and re-issued it targeting `replica`
     /// (`attempt` counts issues of this fetch, starting at 1).
     pub fn failover(&mut self, at: SimTime, replica: u64, attempt: u64) {
+        if !self.full {
+            return;
+        }
         let parent = self.phase_parent();
         self.spans.push(Span {
             name: node::FAILOVER,
@@ -362,9 +510,25 @@ impl SpanBuilder {
         });
     }
 
+    /// The attribution of the request as completed at `rx`: the phase
+    /// totals kept by [`SpanBuilder::phase`] plus the fetch overlays of
+    /// the spans recorded so far (`stalls` is scratch).
+    fn attribution(&self, rx: SimTime, stalls: &mut Vec<(u64, u64)>) -> CriticalPath {
+        debug_assert_eq!(self.cursor, rx, "phase tiling must reach the reply instant");
+        let tx = self.spans[0].start;
+        let (wall, hidden) = fetch_overlays(&self.spans, stalls);
+        CriticalPath::from_parts(
+            rx.max(tx).as_nanos() - tx.as_nanos(),
+            self.stage_ns,
+            wall,
+            hidden,
+        )
+    }
+
     /// Completes the tree: the reply reached the client at `rx`. The
     /// caller must have tiled phases up to `rx`; any still-open
-    /// segment or fault is closed defensively.
+    /// segment or fault is closed defensively. (A sparse builder yields
+    /// the sparse tree: root, stall phases, fetches.)
     pub fn finish(mut self, rx: SimTime) -> SpanTree {
         debug_assert_eq!(self.cursor, rx, "phase tiling must reach the reply instant");
         self.end_fault(rx);
@@ -383,6 +547,31 @@ impl SpanBuilder {
     pub fn into_buf(self) -> Vec<Span> {
         self.spans
     }
+}
+
+/// The fetch overlays of a span list, `(fetch_wall_ns,
+/// fetch_hidden_ns)`: summed wall time of the `fetch` spans, and the
+/// part of it no stall phase (`spin`, `fetch_wait`) overlaps. `stalls`
+/// is scratch for the stall intervals.
+fn fetch_overlays(spans: &[Span], stalls: &mut Vec<(u64, u64)>) -> (u64, u64) {
+    stalls.clear();
+    stalls.extend(
+        spans
+            .iter()
+            .filter(|s| s.name.is_stall())
+            .map(|s| (s.start.as_nanos(), s.end.as_nanos())),
+    );
+    let (mut wall, mut hidden) = (0, 0);
+    for f in spans.iter().filter(|s| s.name == node::FETCH) {
+        let (fs, fe) = (f.start.as_nanos(), f.end.as_nanos());
+        wall += fe - fs;
+        let stalled: u64 = stalls
+            .iter()
+            .map(|&(bs, be)| be.min(fe).saturating_sub(bs.max(fs)))
+            .sum();
+        hidden += (fe - fs).saturating_sub(stalled.min(fe - fs));
+    }
+    (wall, hidden)
 }
 
 /// Exact attribution of one request's end-to-end latency.
@@ -427,35 +616,75 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Computes the attribution for one completed tree.
+    /// Computes the attribution for one completed tree (one built with
+    /// every span materialised — see [`SpanBuilder::new`]).
     pub fn of(tree: &SpanTree) -> CriticalPath {
+        let mut stage_ns = [0; NUM_PHASES];
+        for s in tree.spans.iter().filter(|s| s.name.is_phase()) {
+            stage_ns[s.name as usize] += s.dur_ns();
+        }
+        let (wall, hidden) = fetch_overlays(&tree.spans, &mut Vec::new());
+        CriticalPath::from_parts(tree.e2e_ns(), stage_ns, wall, hidden)
+    }
+
+    /// Assembles an attribution from phase totals indexed by the
+    /// phase's [`Name`] and the two fetch overlays.
+    fn from_parts(
+        e2e_ns: u64,
+        stage_ns: [u64; NUM_PHASES],
+        fetch_wall_ns: u64,
+        fetch_hidden_ns: u64,
+    ) -> CriticalPath {
+        let [net_ns, dispatch_ns, queue_ns, handle_ns, spin_ns, fetch_wait_ns, qp_stall_ns, tx_wait_ns, ctx_ns, reply_ns] =
+            stage_ns;
+        CriticalPath {
+            e2e_ns,
+            net_ns,
+            dispatch_ns,
+            queue_ns,
+            handle_ns,
+            spin_ns,
+            fetch_wait_ns,
+            qp_stall_ns,
+            tx_wait_ns,
+            ctx_ns,
+            reply_ns,
+            fetch_wall_ns,
+            fetch_hidden_ns,
+        }
+    }
+
+    /// The attribution as the pre-interning implementation computed it:
+    /// a string match per span and two fresh interval lists per tree.
+    /// Kept as the oracle the equivalence tests compare against.
+    #[cfg(test)]
+    fn of_reference(tree: &SpanTree) -> CriticalPath {
         let mut cp = CriticalPath {
             e2e_ns: tree.e2e_ns(),
             ..CriticalPath::default()
         };
-        // Stall intervals: the request is blocked on a fetch.
         let mut stalls: Vec<(u64, u64)> = Vec::new();
         let mut fetches: Vec<(u64, u64)> = Vec::new();
         for s in &tree.spans {
             let d = s.dur_ns();
-            match s.name {
-                stage::NET => cp.net_ns += d,
-                stage::DISPATCH => cp.dispatch_ns += d,
-                stage::QUEUE => cp.queue_ns += d,
-                stage::HANDLE => cp.handle_ns += d,
-                stage::SPIN => {
+            match s.name.as_str() {
+                "net" => cp.net_ns += d,
+                "dispatch" => cp.dispatch_ns += d,
+                "queue" => cp.queue_ns += d,
+                "handle" => cp.handle_ns += d,
+                "spin" => {
                     cp.spin_ns += d;
                     stalls.push((s.start.as_nanos(), s.end.as_nanos()));
                 }
-                stage::FETCH_WAIT => {
+                "fetch_wait" => {
                     cp.fetch_wait_ns += d;
                     stalls.push((s.start.as_nanos(), s.end.as_nanos()));
                 }
-                stage::QP_STALL => cp.qp_stall_ns += d,
-                stage::TX_WAIT => cp.tx_wait_ns += d,
-                stage::CTX => cp.ctx_ns += d,
-                stage::REPLY => cp.reply_ns += d,
-                node::FETCH => fetches.push((s.start.as_nanos(), s.end.as_nanos())),
+                "qp_stall" => cp.qp_stall_ns += d,
+                "tx_wait" => cp.tx_wait_ns += d,
+                "ctx" => cp.ctx_ns += d,
+                "reply" => cp.reply_ns += d,
+                "fetch" => fetches.push((s.start.as_nanos(), s.end.as_nanos())),
                 _ => {}
             }
         }
@@ -474,16 +703,16 @@ impl CriticalPath {
     /// canonical order.
     pub fn components(&self) -> [(&'static str, u64); 10] {
         [
-            (stage::NET, self.net_ns),
-            (stage::DISPATCH, self.dispatch_ns),
-            (stage::QUEUE, self.queue_ns),
-            (stage::HANDLE, self.handle_ns),
-            (stage::SPIN, self.spin_ns),
-            (stage::FETCH_WAIT, self.fetch_wait_ns),
-            (stage::QP_STALL, self.qp_stall_ns),
-            (stage::TX_WAIT, self.tx_wait_ns),
-            (stage::CTX, self.ctx_ns),
-            (stage::REPLY, self.reply_ns),
+            (stage::NET.as_str(), self.net_ns),
+            (stage::DISPATCH.as_str(), self.dispatch_ns),
+            (stage::QUEUE.as_str(), self.queue_ns),
+            (stage::HANDLE.as_str(), self.handle_ns),
+            (stage::SPIN.as_str(), self.spin_ns),
+            (stage::FETCH_WAIT.as_str(), self.fetch_wait_ns),
+            (stage::QP_STALL.as_str(), self.qp_stall_ns),
+            (stage::TX_WAIT.as_str(), self.tx_wait_ns),
+            (stage::CTX.as_str(), self.ctx_ns),
+            (stage::REPLY.as_str(), self.reply_ns),
         ]
     }
 
@@ -498,16 +727,16 @@ impl CriticalPath {
 /// phase components, then the two fetch overlays.
 pub const STAGES: [&str; 13] = [
     "e2e",
-    stage::NET,
-    stage::DISPATCH,
-    stage::QUEUE,
-    stage::HANDLE,
-    stage::SPIN,
-    stage::FETCH_WAIT,
-    stage::QP_STALL,
-    stage::TX_WAIT,
-    stage::CTX,
-    stage::REPLY,
+    stage::NET.as_str(),
+    stage::DISPATCH.as_str(),
+    stage::QUEUE.as_str(),
+    stage::HANDLE.as_str(),
+    stage::SPIN.as_str(),
+    stage::FETCH_WAIT.as_str(),
+    stage::QP_STALL.as_str(),
+    stage::TX_WAIT.as_str(),
+    stage::CTX.as_str(),
+    stage::REPLY.as_str(),
     "fetch_wall",
     "fetch_hidden",
 ];
@@ -553,6 +782,11 @@ impl StageStats {
         for ((_, h), v) in self.hists.iter_mut().zip(values) {
             h.record(v);
         }
+    }
+
+    /// The end-to-end histogram ([`STAGES`]`[0]`).
+    fn e2e(&self) -> &Histogram {
+        &self.hists[0].1
     }
 
     /// Histogram for `name`, if it is a canonical stage.
@@ -643,11 +877,15 @@ const POOL_CAP: usize = 256;
 #[derive(Debug)]
 pub struct SpanStore {
     cfg: SpanConfig,
+    /// Whether any tree can ever be retained as an exemplar; when not,
+    /// builders are sparse.
+    retains: bool,
     stats: StageStats,
-    e2e: Histogram,
     attributions: Vec<CriticalPath>,
     exemplars: Vec<SpanTree>,
     pool: Vec<Vec<Span>>,
+    /// Scratch for the stall intervals of the tree being completed.
+    stalls: Vec<(u64, u64)>,
     next_request: u64,
     measured: u64,
 }
@@ -657,13 +895,24 @@ impl SpanStore {
     pub fn new(cfg: SpanConfig) -> SpanStore {
         SpanStore {
             cfg,
+            retains: cfg.exemplar_percentile.is_some() && cfg.max_exemplars > 0,
             stats: StageStats::new(),
-            e2e: Histogram::new(),
             attributions: Vec::new(),
             exemplars: Vec::new(),
             pool: Vec::new(),
+            stalls: Vec::new(),
             next_request: 0,
             measured: 0,
+        }
+    }
+
+    /// Sizes the per-request attribution rows for `measured` completions
+    /// inside the window, so a run of known horizon never regrows (and
+    /// re-copies) them. A no-op unless
+    /// [`SpanConfig::keep_attributions`].
+    pub fn reserve(&mut self, measured: usize) {
+        if self.cfg.keep_attributions {
+            self.attributions.reserve(measured);
         }
     }
 
@@ -673,23 +922,19 @@ impl SpanStore {
         let request = self.next_request;
         self.next_request += 1;
         let buf = self.pool.pop().unwrap_or_default();
-        SpanBuilder::new(request, class, tx, buf)
+        SpanBuilder::start(request, class, tx, buf, self.retains)
     }
 
     /// Reclaims an abandoned builder's buffer (dropped request).
     pub fn discard(&mut self, b: SpanBuilder) {
-        self.recycle_buf(b.into_buf());
+        self.recycle(b.into_buf());
     }
 
-    fn recycle_buf(&mut self, mut buf: Vec<Span>) {
+    fn recycle(&mut self, mut buf: Vec<Span>) {
         if self.pool.len() < POOL_CAP {
             buf.clear();
             self.pool.push(buf);
         }
-    }
-
-    fn recycle(&mut self, tree: SpanTree) {
-        self.recycle_buf(tree.spans);
     }
 
     /// Completes a request at reply-receipt instant `rx` and returns
@@ -697,47 +942,39 @@ impl SpanStore {
     /// exemplars) only when `in_window` — warm-up and drain-phase
     /// completions still produce an attribution but leave no trace.
     pub fn complete(&mut self, b: SpanBuilder, rx: SimTime, in_window: bool) -> CriticalPath {
-        let tree = b.finish(rx);
-        let cp = CriticalPath::of(&tree);
-        if !in_window {
-            self.recycle(tree);
-            return cp;
-        }
-        self.measured += 1;
-        self.stats.record(&cp);
-        self.e2e.record(cp.e2e_ns);
-        if self.cfg.keep_attributions {
-            self.attributions.push(cp);
+        let cp = b.attribution(rx, &mut self.stalls);
+        if in_window {
+            self.measured += 1;
+            self.stats.record(&cp);
+            if self.cfg.keep_attributions {
+                self.attributions.push(cp);
+            }
         }
         match self.cfg.exemplar_percentile {
-            Some(p) if self.cfg.max_exemplars > 0 => {
-                // Online threshold over the measured e2e distribution:
-                // a tree qualifies while it sits at/above the p-th
-                // percentile seen so far.
-                if cp.e2e_ns >= self.e2e.percentile(p) {
-                    if self.exemplars.len() < self.cfg.max_exemplars {
-                        self.exemplars.push(tree);
-                    } else {
-                        let (mi, min_e2e) = self
-                            .exemplars
-                            .iter()
-                            .enumerate()
-                            .map(|(i, t)| (i, t.e2e_ns()))
-                            .min_by_key(|&(_, e)| e)
-                            .expect("max_exemplars > 0");
-                        if cp.e2e_ns > min_e2e {
-                            let old = std::mem::replace(&mut self.exemplars[mi], tree);
-                            self.recycle(old);
-                        } else {
-                            self.recycle(tree);
-                        }
-                    }
-                } else {
-                    self.recycle(tree);
+            // Online threshold over the measured e2e distribution: a
+            // tree qualifies while it sits at/above the p-th percentile
+            // seen so far.
+            Some(p) if in_window && self.retains && cp.e2e_ns >= self.stats.e2e().percentile(p) => {
+                if self.exemplars.len() < self.cfg.max_exemplars {
+                    self.exemplars.push(b.finish(rx));
+                    return cp;
+                }
+                let (mi, min_e2e) = self
+                    .exemplars
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| (i, t.e2e_ns()))
+                    .min_by_key(|&(_, e)| e)
+                    .expect("max_exemplars > 0");
+                if cp.e2e_ns > min_e2e {
+                    let old = std::mem::replace(&mut self.exemplars[mi], b.finish(rx));
+                    self.recycle(old.spans);
+                    return cp;
                 }
             }
-            _ => self.recycle(tree),
+            _ => {}
         }
+        self.discard(b);
         cp
     }
 
@@ -959,6 +1196,159 @@ mod tests {
         b.phase(stage::TX_WAIT, t(1_250));
         b.phase(stage::NET, t(1_400));
         b.finish(t(1_400))
+    }
+
+    #[test]
+    fn span_fits_40_bytes() {
+        assert!(std::mem::size_of::<Span>() <= 40);
+        assert_eq!(std::mem::size_of::<Name>(), 1);
+    }
+
+    /// The instants [`drive`] hands out: a clock that mostly advances.
+    struct Steps {
+        rng: crate::rng::Rng,
+        now: u64,
+    }
+
+    impl Steps {
+        fn next(&mut self) -> SimTime {
+            self.now += self.rng.gen_range(400);
+            // One instant in eight is stale (behind the cursor).
+            t(if self.rng.gen_range(8) == 0 {
+                self.now.saturating_sub(300)
+            } else {
+                self.now
+            })
+        }
+
+        fn after(&mut self, from: SimTime, min: u64, spread: u64) -> SimTime {
+            t(from.as_nanos() + min + self.rng.gen_range(spread))
+        }
+    }
+
+    /// Drives `b` through one pseudo-random request life — segments,
+    /// re-entrant faults, demand fetches with retransmits and
+    /// failovers, prefetch fetches overlapping everything, stalls of
+    /// both kinds, stale instants — and returns the reply instant.
+    /// Equal seeds issue equal calls, whatever the builder's mode.
+    fn drive(b: &mut SpanBuilder, seed: u64) -> SimTime {
+        let mut s = Steps {
+            rng: crate::rng::Rng::new(seed),
+            now: b.cursor().as_nanos(),
+        };
+        b.phase(stage::NET, s.next());
+        b.phase(stage::DISPATCH, s.next());
+        b.phase(stage::QUEUE, s.next());
+        for _ in 0..1 + s.rng.gen_range(4) {
+            b.begin_segment(s.next(), 3);
+            b.phase(stage::HANDLE, s.next());
+            for _ in 0..s.rng.gen_range(3) {
+                let page = s.rng.gen_range(1 << 20);
+                b.begin_fault(s.next(), page);
+                // A QP-full retry re-enters the open fault.
+                if s.rng.gen_bool(0.3) {
+                    b.phase(stage::QP_STALL, s.next());
+                    b.begin_fault(s.next(), page);
+                }
+                // Prefetches ride along: they overlap the demand
+                // fetch, each other, and the stalls below.
+                for _ in 0..s.rng.gen_range(3) {
+                    let post = s.next();
+                    let done = s.after(post, 0, 5_000);
+                    b.fetch(post, s.after(post, 20, 1), done, page + 1, 9);
+                }
+                let post = s.next();
+                let issued = s.after(post, 40, 1);
+                let mut done = s.after(post, 200, 3_000);
+                let retransmits = s.rng.gen_range(3) as u32;
+                let wire = s.after(issued, 1_000 * retransmits as u64, 1);
+                b.fetch_with_retrans(post, issued, wire, done, page, 3, retransmits);
+                if s.rng.gen_bool(0.3) {
+                    b.failover(done, 1, 2);
+                    let again = done;
+                    done = s.after(again, 200, 3_000);
+                    b.fetch(again, s.after(again, 30, 1), done, page, 4);
+                }
+                // The stall ends around the fetch's completion.
+                s.now = s
+                    .now
+                    .max(done.as_nanos().saturating_sub(s.rng.gen_range(600)));
+                if s.rng.gen_bool(0.5) {
+                    b.phase(stage::SPIN, s.next());
+                } else {
+                    b.phase(stage::CTX, s.next());
+                    b.end_segment(s.next());
+                    b.phase(stage::FETCH_WAIT, s.next());
+                    b.phase(stage::QUEUE, s.next());
+                    b.begin_segment(s.next(), 0);
+                }
+                b.end_fault(s.next());
+                b.phase(stage::HANDLE, s.next());
+            }
+            b.phase(stage::CTX, s.next());
+            b.end_segment(s.next());
+            b.phase(stage::QUEUE, s.next());
+        }
+        b.phase(stage::REPLY, s.next());
+        b.phase(stage::TX_WAIT, s.next());
+        let rx = t(s.now + 500);
+        b.phase(stage::NET, rx);
+        rx
+    }
+
+    #[test]
+    fn attributions_agree_with_the_reference_on_random_trees() {
+        let mut scratch = Vec::new();
+        let (mut stalled, mut hidden) = (0, 0);
+        for seed in 0..500 {
+            let mut full = SpanBuilder::new(seed, 0, t(1_000), Vec::new());
+            let mut sparse = SpanBuilder::start(seed, 0, t(1_000), Vec::new(), false);
+            let rx = drive(&mut full, seed);
+            assert_eq!(drive(&mut sparse, seed), rx);
+            let incremental = full.attribution(rx, &mut scratch);
+            let no_tree = sparse.attribution(rx, &mut scratch);
+            assert!(sparse.spans.len() < full.spans.len());
+            let tree = full.finish(rx);
+            let want = CriticalPath::of_reference(&tree);
+            assert_eq!(incremental, want, "seed {seed}: incremental");
+            assert_eq!(no_tree, want, "seed {seed}: no-tree");
+            assert_eq!(CriticalPath::of(&tree), want, "seed {seed}: of()");
+            assert_eq!(want.components_sum(), want.e2e_ns);
+            stalled += want.spin_ns + want.fetch_wait_ns;
+            hidden += want.fetch_hidden_ns;
+        }
+        // The trees exercised what the overlays are about.
+        assert!(stalled > 0 && hidden > 0);
+    }
+
+    #[test]
+    fn store_attributes_alike_whether_or_not_it_keeps_trees() {
+        let mut sparse = SpanStore::new(SpanConfig::default());
+        let mut full = SpanStore::new(SpanConfig {
+            keep_attributions: true,
+            ..SpanConfig::with_exemplars(50.0, 8)
+        });
+        assert!(!sparse.retains && full.retains);
+        for seed in 0..200 {
+            let (mut a, mut b) = (sparse.builder(0, t(0)), full.builder(0, t(0)));
+            let rx = drive(&mut a, seed);
+            drive(&mut b, seed);
+            let in_window = seed % 5 != 0;
+            assert_eq!(
+                sparse.complete(a, rx, in_window),
+                full.complete(b, rx, in_window)
+            );
+        }
+        let (sparse, full) = (sparse.finish(), full.finish());
+        assert_eq!(sparse.attributions, full.attributions);
+        assert_eq!(sparse.stats.to_json(), full.stats.to_json());
+        assert!(sparse.exemplars.is_empty());
+        assert_eq!(full.exemplars.len(), 8);
+        // A retained tree is the whole tree.
+        for tree in &full.exemplars {
+            assert_eq!(CriticalPath::of(tree), CriticalPath::of_reference(tree));
+            assert!(tree.spans.iter().any(|s| s.name == node::SEGMENT));
+        }
     }
 
     #[test]

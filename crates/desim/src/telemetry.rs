@@ -427,6 +427,24 @@ impl FlightRecorder {
         }
     }
 
+    /// Reserves every series (counters, gauges, burn rates, and the
+    /// health entities registered so far) for a recording of `ticks`
+    /// ticks, so [`FlightRecorder::tick`] does not allocate up to that
+    /// horizon. Call once, after the last
+    /// [`FlightRecorder::register_health`].
+    pub fn reserve(&mut self, ticks: usize) {
+        let series = self
+            .counter_series
+            .iter_mut()
+            .chain(&mut self.gauge_series)
+            .chain(&mut self.health_series)
+            .chain(self.states.iter_mut().map(|st| &mut st.burn));
+        for s in series {
+            // Bucket `ticks` itself is the last one a tick lands in.
+            s.reserve(ticks + 1);
+        }
+    }
+
     /// Sampling period.
     pub fn tick_period(&self) -> SimDuration {
         self.tick

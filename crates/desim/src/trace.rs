@@ -7,7 +7,9 @@
 //!   so instrumentation sites cost one branch; [`RingTracer`] keeps the
 //!   most recent `capacity` events in a bounded ring and counts what it
 //!   dropped, so a saturated run can still be traced with bounded
-//!   memory.
+//!   memory. The ring stores fixed-size, name-free records (the
+//!   `(component, name)` pair is interned to a [`TraceCode`]); text and
+//!   time order are restored only at export, by [`TraceLog`].
 //! - [`Metrics`] — a typed counter/gauge registry. Components register
 //!   named counters ([`CounterId`]) and time-weighted gauges
 //!   ([`GaugeId`]) once, then update them through copyable handles on
@@ -49,14 +51,118 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Renders the event as one deterministic JSON object.
     pub fn to_json(&self) -> String {
-        format!(
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "{{\"t\":{},\"c\":\"{}\",\"e\":\"{}\",\"a\":{},\"b\":{}}}",
             self.at.as_nanos(),
             self.component,
             self.name,
             self.a,
             self.b
-        )
+        );
+    }
+}
+
+/// An interned `(component, name)` pair: an index into the closed
+/// [`code`] table or, past its end, into the names a [`RingTracer`]
+/// interned for callers of [`Tracer::record`]. Only the [`code`]
+/// constants exist outside this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceCode(u16);
+
+/// Declares the closed table once: a [`TraceCode`] constant per pair
+/// (in [`code`]) and the text each code exports as.
+macro_rules! trace_codes {
+    ($($id:ident = ($component:literal, $name:literal),)*) => {
+        /// The closed table of events the simulator itself emits (the
+        /// runtime's observer and the telemetry SLO engine): emitting
+        /// through one of these codes skips interning.
+        /// `docs/MODEL.md` §7 documents each event's payload.
+        pub mod code {
+            use super::TraceCode;
+
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            enum Idx {
+                $($id,)*
+            }
+            $(
+                #[doc = concat!("`", $component, "` / `", $name, "`.")]
+                pub const $id: TraceCode = TraceCode(Idx::$id as u16);
+            )*
+        }
+
+        /// Text of every [`code`] constant, indexed by the code.
+        const CLOSED: &[(&str, &str)] = &[$(($component, $name),)*];
+    };
+}
+
+trace_codes! {
+    DISPATCH_ARRIVAL = ("dispatch", "arrival"),
+    DISPATCH_DROP = ("dispatch", "drop"),
+    DISPATCH_SHED = ("dispatch", "shed"),
+    DISPATCH_STEAL = ("dispatch", "disp_steal"),
+    DISPATCH_ADMIT = ("dispatch", "disp_admit"),
+    DISPATCH_ASSIGN = ("dispatch", "assign"),
+    DISPATCH_ASSIGN_LOCAL = ("dispatch", "assign_local"),
+    WORKER_SPIN = ("worker", "spin"),
+    WORKER_STEAL = ("worker", "steal"),
+    WORKER_SEG_START = ("worker", "seg_start"),
+    WORKER_SEG_RESUME = ("worker", "seg_resume"),
+    WORKER_SEG_AFTER_SPIN = ("worker", "seg_after_spin"),
+    WORKER_SEG_RETRY = ("worker", "seg_retry"),
+    WORKER_SEG_ABORT = ("worker", "seg_abort"),
+    WORKER_PREEMPT = ("worker", "preempt"),
+    WORKER_COMPLETE = ("worker", "complete"),
+    FAULT_ABORT = ("fault", "abort"),
+    FAULT_COALESCE = ("fault", "coalesce"),
+    FAULT_MISS = ("fault", "miss"),
+    FAULT_QP_STALL = ("fault", "qp_stall"),
+    FAULT_RETRANSMIT = ("fault", "retransmit"),
+    FAULT_FETCH_ERROR = ("fault", "fetch_error"),
+    FAULT_FAILOVER = ("fault", "failover"),
+    FAULT_CHAIN_FAIL = ("fault", "chain_fail"),
+    FAULT_PREFETCH = ("fault", "prefetch"),
+    FAULT_FETCH_FAILED = ("fault", "fetch_failed"),
+    RECLAIM_DIRECT = ("reclaim", "direct"),
+    RECLAIM_TICK = ("reclaim", "tick"),
+    RECLAIM_WRITEBACK = ("reclaim", "writeback"),
+    NIC_FETCH_DONE = ("nic", "fetch_done"),
+    NIC_CQE_RETIRE = ("nic", "cqe_retire"),
+    SLO_BREACH_BEGIN = ("slo", "breach_begin"),
+    SLO_BREACH_END = ("slo", "breach_end"),
+}
+
+/// What the ring stores per event: 32 bytes, no text.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    at: SimTime,
+    a: u64,
+    b: u64,
+    code: TraceCode,
+}
+
+impl Record {
+    /// Restores the text of the record's code (`interned` is the
+    /// owning ring's extension of the closed table).
+    fn expand(&self, interned: &[(&'static str, &'static str)]) -> TraceEvent {
+        let i = self.code.0 as usize;
+        let (component, name) = match CLOSED.get(i) {
+            Some(&pair) => pair,
+            None => interned[i - CLOSED.len()],
+        };
+        TraceEvent {
+            at: self.at,
+            component,
+            name,
+            a: self.a,
+            b: self.b,
+        }
     }
 }
 
@@ -91,16 +197,33 @@ impl Tracer for NoopTracer {
     }
 }
 
+/// Largest ring allocated up front; a larger `capacity` (it is caller
+/// input) grows past this on demand instead of reserving it all.
+const EAGER_RECORDS: usize = 1 << 20;
+
 /// A bounded ring of the most recent events.
+///
+/// Two entry points feed one storage format: [`RingTracer::emit`] takes
+/// an already-interned [`TraceCode`] (what the simulator's own sites
+/// use), and [`Tracer::record`] interns a [`TraceEvent`]'s
+/// `(component, name)` first — any `&'static str` pair is accepted.
 #[derive(Debug)]
 pub struct RingTracer {
-    buf: VecDeque<TraceEvent>,
+    buf: VecDeque<Record>,
     capacity: usize,
     dropped: u64,
+    /// Pairs outside the closed table, in first-seen order; code
+    /// `CLOSED.len() + i` names `interned[i]`.
+    interned: Vec<(&'static str, &'static str)>,
+    /// The pair [`Tracer::record`] interned last: a site that emits one
+    /// event repeatedly is recognised by address, without a search.
+    last: Option<(&'static str, &'static str, TraceCode)>,
 }
 
 impl RingTracer {
-    /// Creates a tracer retaining at most `capacity` events.
+    /// Creates a tracer retaining at most `capacity` events. The ring
+    /// is allocated here, once (its pages are first touched as events
+    /// arrive).
     ///
     /// # Panics
     ///
@@ -108,9 +231,11 @@ impl RingTracer {
     pub fn new(capacity: usize) -> RingTracer {
         assert!(capacity > 0, "tracer needs capacity");
         RingTracer {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
+            buf: VecDeque::with_capacity(capacity.min(EAGER_RECORDS)),
             capacity,
             dropped: 0,
+            interned: Vec::new(),
+            last: None,
         }
     }
 
@@ -123,6 +248,45 @@ impl RingTracer {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
+
+    /// Records one event by code (one of the [`code`] constants — the
+    /// only codes there are outside this module).
+    #[inline]
+    pub fn emit(&mut self, at: SimTime, code: TraceCode, a: u64, b: u64) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(Record { at, a, b, code });
+    }
+
+    fn intern(&mut self, component: &'static str, name: &'static str) -> TraceCode {
+        if let Some((c, n, code)) = self.last {
+            if std::ptr::eq(c, component) && std::ptr::eq(n, name) {
+                return code;
+            }
+        }
+        let known = CLOSED
+            .iter()
+            .chain(&self.interned)
+            .position(|&(c, n)| c == component && n == name);
+        let idx = known.unwrap_or_else(|| {
+            self.interned.push((component, name));
+            CLOSED.len() + self.interned.len() - 1
+        });
+        let code = TraceCode(u16::try_from(idx).expect("over 65 536 distinct trace event names"));
+        self.last = Some((component, name, code));
+        code
+    }
+
+    /// Every buffered event, oldest first, as a [`TraceLog`]. The ring's
+    /// buffer becomes the log's — nothing is copied or expanded.
+    pub fn into_log(self) -> TraceLog {
+        TraceLog {
+            records: Vec::from(self.buf),
+            interned: self.interned,
+        }
+    }
 }
 
 impl Tracer for RingTracer {
@@ -131,19 +295,119 @@ impl Tracer for RingTracer {
     }
 
     fn record(&mut self, ev: TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
+        let code = self.intern(ev.component, ev.name);
+        self.emit(ev.at, code, ev.a, ev.b);
     }
 
     fn drain(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
+        let interned = &self.interned;
+        self.buf.drain(..).map(|r| r.expand(interned)).collect()
     }
 
     fn dropped(&self) -> u64 {
         self.dropped
+    }
+}
+
+/// Insertion steps per record [`TraceLog::sort_by_time`] spends before
+/// it hands the rest to the general merge sort.
+const SKEW_BUDGET: usize = 64;
+
+/// The events taken out of a [`RingTracer`], still in their compact
+/// form; text is produced by the accessors that export
+/// ([`TraceLog::iter`], [`TraceLog::to_json`]).
+#[derive(Debug, Clone)]
+pub struct TraceLog {
+    records: Vec<Record>,
+    interned: Vec<(&'static str, &'static str)>,
+}
+
+impl TraceLog {
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the log holds no events.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The events, in the log's current order.
+    pub fn iter(&self) -> Events<'_> {
+        Events {
+            records: self.records.iter(),
+            interned: &self.interned,
+        }
+    }
+
+    /// Orders the events by instant, equal instants keeping their
+    /// relative order — exactly `sort_by_key(|e| e.at)`, in place.
+    ///
+    /// Emission order is almost time order (worker virtual clocks run
+    /// a bounded skew ahead of the event clock), so this is an
+    /// insertion sort: linear while records sit within a bounded
+    /// distance of their place. Input that is not like that exhausts
+    /// the step budget and falls through to the merge sort; the
+    /// insertions made until then were themselves stable, so the result
+    /// is the same.
+    pub fn sort_by_time(&mut self) {
+        let v = &mut self.records[..];
+        let budget = SKEW_BUDGET.saturating_mul(v.len());
+        let mut steps = 0;
+        for i in 1..v.len() {
+            let rec = v[i];
+            let mut j = i;
+            while j > 0 && v[j - 1].at > rec.at {
+                v[j] = v[j - 1];
+                j -= 1;
+            }
+            v[j] = rec;
+            steps += i - j;
+            if steps > budget {
+                v.sort_by_key(|r| r.at);
+                return;
+            }
+        }
+    }
+
+    /// Renders the events as a deterministic JSON array (the bytes
+    /// [`trace_to_json`] produces for the same events).
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(2 + 64 * self.records.len());
+        write_json_array(&mut out, self.iter());
+        out
+    }
+}
+
+/// Iterator over a [`TraceLog`]'s events, expanding each to a
+/// [`TraceEvent`] as it is read.
+#[derive(Debug, Clone)]
+pub struct Events<'a> {
+    records: std::slice::Iter<'a, Record>,
+    interned: &'a [(&'static str, &'static str)],
+}
+
+impl Iterator for Events<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        self.records.next().map(|r| r.expand(self.interned))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
+
+impl<'a> IntoIterator for &'a TraceLog {
+    type Item = TraceEvent;
+    type IntoIter = Events<'a>;
+
+    fn into_iter(self) -> Events<'a> {
+        self.iter()
     }
 }
 
@@ -694,16 +958,21 @@ pub mod dispatcher_names {
     ];
 }
 
-/// Renders a slice of trace events as a deterministic JSON array.
-pub fn trace_to_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("[");
-    for (i, ev) in events.iter().enumerate() {
+fn write_json_array(out: &mut String, events: impl Iterator<Item = TraceEvent>) {
+    out.push('[');
+    for (i, ev) in events.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&ev.to_json());
+        ev.write_json(out);
     }
     out.push(']');
+}
+
+/// Renders a slice of trace events as a deterministic JSON array.
+pub fn trace_to_json(events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    write_json_array(&mut out, events.iter().copied());
     out
 }
 
@@ -748,6 +1017,108 @@ mod tests {
     #[should_panic(expected = "tracer needs capacity")]
     fn zero_capacity_rejected() {
         RingTracer::new(0);
+    }
+
+    #[test]
+    fn ring_record_fits_32_bytes() {
+        assert!(std::mem::size_of::<Record>() <= 32);
+    }
+
+    #[test]
+    fn closed_codes_export_their_pair() {
+        let mut t = RingTracer::new(4);
+        t.emit(SimTime(1), code::DISPATCH_ARRIVAL, 0, 0);
+        t.emit(SimTime(2), code::NIC_CQE_RETIRE, 0, 0);
+        t.emit(SimTime(3), code::SLO_BREACH_END, 0, 0);
+        let names: Vec<_> = t.drain().iter().map(|e| (e.component, e.name)).collect();
+        assert_eq!(
+            names,
+            [
+                ("dispatch", "arrival"),
+                ("nic", "cqe_retire"),
+                ("slo", "breach_end")
+            ]
+        );
+        // The table is a set: no pair is declared twice.
+        for (i, pair) in CLOSED.iter().enumerate() {
+            assert!(!CLOSED[..i].contains(pair), "{pair:?} declared twice");
+        }
+    }
+
+    #[test]
+    fn record_interns_by_content_not_address() {
+        let mut t = RingTracer::new(16);
+        // A closed pair through the adaptor lands on the closed code.
+        t.record(ev(1, "x"));
+        t.record(TraceEvent {
+            component: "fault",
+            name: "miss",
+            ..ev(2, "")
+        });
+        // Equal text at another address is the same name.
+        let copy: &'static str = String::from("x").leak();
+        t.record(ev(3, copy));
+        t.record(ev(4, "y"));
+        assert_eq!(t.interned, [("test", "x"), ("test", "y")]);
+        let log = t.into_log();
+        assert_eq!(log.records[1].code, code::FAULT_MISS);
+        assert_eq!(log.records[0].code, log.records[2].code);
+        let names: Vec<_> = log.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["x", "miss", "x", "y"]);
+    }
+
+    /// Feeds the same skewed stream to two wrapped rings and checks the
+    /// in-place ordering of one against `sort_by_key` over the other's
+    /// expanded events.
+    fn assert_sorts_like_sort_by_key(capacity: usize, stamps: &[u64]) {
+        let (mut a, mut b) = (RingTracer::new(capacity), RingTracer::new(capacity));
+        for (i, &at) in stamps.iter().enumerate() {
+            // The payload is the emission index: it tells equal
+            // instants apart, so a stability slip shows.
+            let name = if i % 3 == 0 { "p" } else { "q" };
+            a.record(TraceEvent {
+                a: i as u64,
+                ..ev(at, name)
+            });
+            b.record(TraceEvent {
+                a: i as u64,
+                ..ev(at, name)
+            });
+        }
+        let mut log = a.into_log();
+        log.sort_by_time();
+        let mut want = b.drain();
+        want.sort_by_key(|e| e.at);
+        assert_eq!(log.len(), want.len());
+        assert!(log.iter().eq(want.iter().copied()), "order differs");
+        assert_eq!(log.to_json(), trace_to_json(&want));
+    }
+
+    #[test]
+    fn log_orders_skewed_wrapped_rings_like_sort_by_key() {
+        let mut rng = crate::rng::Rng::new(9);
+        for capacity in [1, 7, 1_000, 4_096] {
+            // An event clock advancing 0-60 ns per event (so instants
+            // repeat), each stamp skewed by up to ±200 ns, 2.5 rings'
+            // worth so the ring has wrapped.
+            let mut clock = 10_000u64;
+            let stamps: Vec<u64> = (0..capacity * 5 / 2 + 3)
+                .map(|_| {
+                    clock += rng.gen_range(4) * 20;
+                    clock + rng.gen_range(401) - 200
+                })
+                .collect();
+            assert_sorts_like_sort_by_key(capacity, &stamps);
+        }
+    }
+
+    #[test]
+    fn log_orders_unbounded_skew_through_the_fallback() {
+        // Descending stamps with repeats: every record is as far from
+        // its place as it can be, which exhausts the insertion budget.
+        let stamps: Vec<u64> = (0..2_000u64).rev().map(|i| i / 2).collect();
+        assert!(stamps.len() * stamps.len() / 4 > SKEW_BUDGET * stamps.len());
+        assert_sorts_like_sort_by_key(stamps.len(), &stamps);
     }
 
     #[test]

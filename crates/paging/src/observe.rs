@@ -29,6 +29,13 @@
 //! sorted snapshots, hashing uses the seed-free Fx tables, and floats
 //! are serialised at fixed precision — equal-seed runs produce
 //! byte-identical [`MemReport`] serialisations.
+//!
+//! Per-page state (last window seen, sketch slot, address bucket, the
+//! tracked prefetch) lives in one page-indexed table (`PageTable`),
+//! so a touch is an indexed load rather than a handful of hash probes,
+//! and the sketch's minimum is the root of an indexed heap rather than
+//! a scan. Both are exact replacements: the report is bit-for-bit what
+//! the hashed, scanning implementation produced.
 
 use desim::fxhash::FxHashMap;
 use std::fmt::Write as _;
@@ -109,15 +116,177 @@ impl FateCounters {
     }
 }
 
-struct PfRec {
-    class: u8,
-    issued_ns: u64,
-    arrived: bool,
+/// What the observatory knows about one page. All-zero means "never
+/// seen", which is what lets the table come zero-filled from the
+/// allocator without being written.
+///
+/// A tuple rather than a struct because `vec![zero; n]` takes the
+/// allocator's zeroed path (untouched, lazily mapped pages) only for
+/// element types the standard library knows to be all-zero — integers
+/// and tuples of them, not user structs. Fields, in order:
+///
+/// 0. `seen`: last window the page was touched in, plus one;
+/// 1. `pf_issued_ns`: issue instant of the tracked prefetch;
+/// 2. `slot`: heat-sketch slot holding the page, plus one;
+/// 3. `bucket`: address bucket, plus one (filled on first touch);
+/// 4. `pf`: tracked prefetch — its class plus one, [`PF_ARRIVED`] set
+///    once the line arrived; zero when none is tracked.
+type PageRec = (u64, u64, u32, u32, u8);
+
+/// Bit of [`PageRec`]'s `pf` field: the prefetched line has arrived.
+const PF_ARRIVED: u8 = 0x80;
+
+/// Class index (into the fate counters) of a non-zero `pf` field.
+#[inline]
+fn pf_class(pf: u8) -> usize {
+    (pf & !PF_ARRIVED) as usize - 1
+}
+
+/// Page-indexed [`PageRec`]s: a dense zero-initialised slab for pages
+/// inside the footprint, a hash table for the (never, in the simulator)
+/// pages beyond it.
+struct PageTable {
+    dense: Vec<PageRec>,
+    sparse: FxHashMap<u64, PageRec>,
+}
+
+impl PageTable {
+    fn new(total_pages: u64) -> PageTable {
+        let n = usize::try_from(total_pages).expect("page footprint exceeds the address space");
+        PageTable {
+            dense: vec![(0, 0, 0, 0, 0); n],
+            sparse: FxHashMap::default(),
+        }
+    }
+
+    /// The page's record, created empty if the page is new.
+    #[inline]
+    fn rec(&mut self, page: u64) -> &mut PageRec {
+        match self.dense.get_mut(page as usize) {
+            Some(r) => r,
+            None => self.sparse.entry(page).or_default(),
+        }
+    }
+
+    /// The page's record if it could hold anything (a lookup never
+    /// grows the sparse part).
+    #[inline]
+    fn peek(&mut self, page: u64) -> Option<&mut PageRec> {
+        match self.dense.get_mut(page as usize) {
+            Some(r) => Some(r),
+            None => self.sparse.get_mut(&page),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &PageRec> {
+        self.dense.iter().chain(self.sparse.values())
+    }
 }
 
 struct HeatSlot {
     page: u64,
     weight: f64,
+}
+
+/// The SpaceSaving slots plus a binary min-heap over them keyed
+/// `(weight, slot index)`, so the slot to displace — minimum weight,
+/// lowest index among ties — is the heap's root.
+struct HeatSketch {
+    slots: Vec<HeatSlot>,
+    /// Slot indices in heap order.
+    heap: Vec<u32>,
+    /// Heap position of each slot.
+    pos: Vec<u32>,
+}
+
+impl HeatSketch {
+    fn with_capacity(top_k: usize) -> HeatSketch {
+        HeatSketch {
+            slots: Vec::with_capacity(top_k),
+            heap: Vec::with_capacity(top_k),
+            pos: Vec::with_capacity(top_k),
+        }
+    }
+
+    #[inline]
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (wa, wb) = (self.slots[a as usize].weight, self.slots[b as usize].weight);
+        wa < wb || (wa == wb && a < b)
+    }
+
+    /// Sinks the slot at heap position `i` (its weight grew).
+    fn sift_down(&mut self, mut i: usize) {
+        let slot = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.before(self.heap[child + 1], self.heap[child]) {
+                child += 1;
+            }
+            if !self.before(self.heap[child], slot) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = slot;
+        self.pos[slot as usize] = i as u32;
+    }
+
+    /// Restores the heap order over all slots.
+    fn heapify(&mut self) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// Adds a slot of weight 1 for `page` and returns its index. (A
+    /// sketch fills its `top_k` slots once, so re-ordering the whole
+    /// heap per fill is cheap enough.)
+    fn push(&mut self, page: u64) -> u32 {
+        let slot = u32::try_from(self.slots.len()).expect("heat sketch has under 2^32 slots");
+        self.slots.push(HeatSlot { page, weight: 1.0 });
+        self.pos.push(slot);
+        self.heap.push(slot);
+        self.heapify();
+        slot
+    }
+
+    /// Adds 1 to a tracked slot's weight.
+    #[inline]
+    fn bump(&mut self, slot: u32) {
+        self.slots[slot as usize].weight += 1.0;
+        self.sift_down(self.pos[slot as usize] as usize);
+    }
+
+    /// Hands the minimum slot to `page` with the displaced page's
+    /// weight plus one. Returns the slot and what it held.
+    fn displace_min(&mut self, page: u64) -> (u32, HeatSlot) {
+        let slot = self.heap[0];
+        let s = &mut self.slots[slot as usize];
+        let old = std::mem::replace(
+            s,
+            HeatSlot {
+                page,
+                weight: s.weight + 1.0,
+            },
+        );
+        self.sift_down(0);
+        (slot, old)
+    }
+
+    /// Multiplies every weight by `age` and rebuilds the heap: scaling
+    /// keeps the order of distinct weights but can round two of them
+    /// equal, and a new tie is ordered by slot index.
+    fn decay(&mut self, age: f64) {
+        for s in &mut self.slots {
+            s.weight *= age;
+        }
+        self.heapify();
+    }
 }
 
 /// One closed observation window.
@@ -139,16 +308,20 @@ pub struct WindowRow {
 pub struct MemObservatory {
     cfg: MemObsConfig,
     total_pages: u64,
+    pages: PageTable,
     // Prefetch-fate attribution.
-    pf: FxHashMap<u64, PfRec>,
+    /// Prefetch records currently tracked in `pages`.
+    pf_tracked: usize,
     fates: [FateCounters; 3],
     // Heat sketch (SpaceSaving) + displaced-weight histogram.
-    slots: Vec<HeatSlot>,
-    slot_of: FxHashMap<u64, usize>,
+    sketch: HeatSketch,
     rest_hist: Vec<f64>,
     // Windows.
     cur_window: u64,
-    last_seen: FxHashMap<u64, u64>,
+    /// `[start, end)` of the current window in ns: a touch inside it
+    /// needs no division to find its window.
+    cur_span: (u64, u64),
+    distinct_pages: u64,
     ws_cur: u64,
     hm_cur: Vec<u64>,
     shard_cur: Vec<u64>,
@@ -179,16 +352,18 @@ impl MemObservatory {
             cfg.heat_decay > 0.0 && cfg.heat_decay <= 1.0,
             "decay outside (0, 1]"
         );
+        let total_pages = total_pages.max(1);
         MemObservatory {
             cfg,
-            total_pages: total_pages.max(1),
-            pf: FxHashMap::default(),
+            total_pages,
+            pages: PageTable::new(total_pages),
+            pf_tracked: 0,
             fates: [FateCounters::default(); 3],
-            slots: Vec::with_capacity(cfg.top_k),
-            slot_of: FxHashMap::default(),
+            sketch: HeatSketch::with_capacity(cfg.top_k),
             rest_hist: vec![0.0; cfg.heatmap_buckets],
             cur_window: 0,
-            last_seen: FxHashMap::default(),
+            cur_span: (0, cfg.heat_window_ns),
+            distinct_pages: 0,
             ws_cur: 0,
             hm_cur: vec![0; cfg.heatmap_buckets],
             shard_cur: vec![0; shards.max(1)],
@@ -202,6 +377,13 @@ impl MemObservatory {
             touches: 0,
             dropped: 0,
         }
+    }
+
+    /// Sizes the window-row series for a run closing `windows` windows
+    /// (capped at [`MemObsConfig::max_windows`], past which rows are
+    /// dropped anyway).
+    pub fn reserve(&mut self, windows: usize) {
+        self.rows.reserve(windows.min(self.cfg.max_windows));
     }
 
     #[inline]
@@ -240,9 +422,7 @@ impl MemObservatory {
             }
         }
         let age_all = d.powi(gap as i32);
-        for s in &mut self.slots {
-            s.weight *= age_all;
-        }
+        self.sketch.decay(age_all);
         for r in &mut self.rest_hist {
             *r *= age_all;
         }
@@ -264,50 +444,57 @@ impl MemObservatory {
         self.ws_cur = 0;
         self.shard_cur.iter_mut().for_each(|c| *c = 0);
         self.cur_window = w;
+        let start = w.saturating_mul(self.cfg.heat_window_ns);
+        self.cur_span = (start, start.saturating_add(self.cfg.heat_window_ns));
     }
 
     /// Books one completed demand access. Returns `true` when one or
     /// more windows closed (gauge values are fresh).
     pub fn on_touch(&mut self, page: u64, shard: usize, now_ns: u64, delta: Option<i64>) -> bool {
-        let w = now_ns / self.cfg.heat_window_ns;
+        // A skewed worker clock can stamp a touch before the current
+        // window; only then (and at a roll) is the window divided out.
+        let in_current = now_ns >= self.cur_span.0 && now_ns < self.cur_span.1;
+        let w = if in_current {
+            self.cur_window
+        } else {
+            now_ns / self.cfg.heat_window_ns
+        };
         let rolled = w > self.cur_window;
         if rolled {
             self.roll_to(w);
         }
         self.touches += 1;
+        let &mut (seen, _, slot, bucket, _) = self.pages.rec(page);
+        let bucket = match bucket {
+            0 => u32::try_from(self.bucket(page) + 1).expect("under 2^32 heatmap buckets"),
+            filled => filled,
+        };
         // Heat sketch: bump a tracked slot, fill a free one, or
         // displace the minimum-weight slot (ties broken by slot index,
         // which is deterministic).
-        if let Some(&i) = self.slot_of.get(&page) {
-            self.slots[i].weight += 1.0;
-        } else if self.slots.len() < self.cfg.top_k {
-            self.slot_of.insert(page, self.slots.len());
-            self.slots.push(HeatSlot { page, weight: 1.0 });
+        let slot = if slot != 0 {
+            self.sketch.bump(slot - 1);
+            slot
+        } else if self.sketch.slots.len() < self.cfg.top_k {
+            self.sketch.push(page) + 1
         } else {
-            let mut min_i = 0;
-            for (i, s) in self.slots.iter().enumerate() {
-                if s.weight < self.slots[min_i].weight {
-                    min_i = i;
-                }
-            }
-            let old = &self.slots[min_i];
-            let b = self.bucket(old.page);
-            self.rest_hist[b] += old.weight;
-            self.slot_of.remove(&old.page);
-            let w0 = old.weight;
-            self.slot_of.insert(page, min_i);
-            self.slots[min_i] = HeatSlot {
-                page,
-                weight: w0 + 1.0,
-            };
-        }
-        let b = self.bucket(page);
-        self.hm_cur[b] += 1;
+            let (slot, old) = self.sketch.displace_min(page);
+            // A page in the sketch was touched: its bucket is filled.
+            let (_, _, old_slot, old_bucket, _) = self.pages.rec(old.page);
+            *old_slot = 0;
+            self.rest_hist[*old_bucket as usize - 1] += old.weight;
+            slot + 1
+        };
+        let (rec_seen, _, rec_slot, rec_bucket, _) = self.pages.rec(page);
+        (*rec_seen, *rec_slot, *rec_bucket) = (w + 1, slot, bucket);
+        self.hm_cur[bucket as usize - 1] += 1;
         if let Some(c) = self.shard_cur.get_mut(shard) {
             *c += 1;
         }
-        let seen = self.last_seen.insert(page, w);
-        if seen != Some(w) && seen.is_none_or(|s| s < w) {
+        if seen == 0 {
+            self.distinct_pages += 1;
+        }
+        if seen < w + 1 {
             self.ws_cur += 1;
         }
         if let Some(d) = delta {
@@ -328,40 +515,52 @@ impl MemObservatory {
     pub fn on_prefetch_issued(&mut self, page: u64, class: PrefetchClass, now_ns: u64) {
         let f = &mut self.fates[class as usize];
         f.issued += 1;
-        if self.pf.len() >= self.cfg.max_tracked {
+        if self.pf_tracked >= self.cfg.max_tracked {
             f.wasted += 1;
             self.dropped += 1;
             return;
         }
-        let prev = self.pf.insert(
-            page,
-            PfRec {
-                class: class as u8,
-                issued_ns: now_ns,
-                arrived: false,
-            },
-        );
-        debug_assert!(prev.is_none(), "prefetch of a page already tracked");
-        if let Some(p) = prev {
+        let (_, pf_issued_ns, _, _, pf) = self.pages.rec(page);
+        let prev = std::mem::replace(pf, class as u8 + 1);
+        *pf_issued_ns = now_ns;
+        debug_assert!(prev == 0, "prefetch of a page already tracked");
+        match prev {
+            0 => self.pf_tracked += 1,
             // Defensive: never lose a record — the displaced prefetch
             // was never consumed.
-            self.fates[p.class as usize].wasted += 1;
+            displaced => self.fates[pf_class(displaced)].wasted += 1,
         }
     }
 
     /// Marks a tracked prefetch's data as arrived (fetch completed).
     pub fn on_prefetch_arrived(&mut self, page: u64) {
-        if let Some(r) = self.pf.get_mut(&page) {
-            r.arrived = true;
+        if let Some((_, _, _, _, pf)) = self.pages.peek(page) {
+            if *pf != 0 {
+                *pf |= PF_ARRIVED;
+            }
         }
+    }
+
+    /// Stops tracking `page`'s prefetch, if there is one, and returns
+    /// its class index and issue instant.
+    #[inline]
+    fn pf_take(&mut self, page: u64) -> Option<(usize, u64)> {
+        let (_, pf_issued_ns, _, _, pf) = self.pages.peek(page)?;
+        if *pf == 0 {
+            return None;
+        }
+        let taken = (pf_class(std::mem::take(pf)), *pf_issued_ns);
+        self.pf_tracked -= 1;
+        Some(taken)
     }
 
     /// Classifies a tracked prefetch as a hit. Returns whether a
     /// record existed.
+    #[inline]
     pub fn classify_hit(&mut self, page: u64) -> bool {
-        match self.pf.remove(&page) {
-            Some(r) => {
-                self.fates[r.class as usize].hits += 1;
+        match self.pf_take(page) {
+            Some((class, _)) => {
+                self.fates[class].hits += 1;
                 true
             }
             None => false,
@@ -372,11 +571,11 @@ impl MemObservatory {
     /// `now_ns` raced the still-in-flight line. The head start since
     /// issue is credited as saved latency.
     pub fn classify_late(&mut self, page: u64, now_ns: u64) -> bool {
-        match self.pf.remove(&page) {
-            Some(r) => {
-                let f = &mut self.fates[r.class as usize];
+        match self.pf_take(page) {
+            Some((class, issued_ns)) => {
+                let f = &mut self.fates[class];
                 f.lates += 1;
-                f.late_saved_ns += now_ns.saturating_sub(r.issued_ns);
+                f.late_saved_ns += now_ns.saturating_sub(issued_ns);
                 true
             }
             None => false,
@@ -385,10 +584,11 @@ impl MemObservatory {
 
     /// Classifies a tracked prefetch as wasted (evicted unaccessed or
     /// failed terminally). Returns whether a record existed.
+    #[inline]
     pub fn classify_wasted(&mut self, page: u64) -> bool {
-        match self.pf.remove(&page) {
-            Some(r) => {
-                self.fates[r.class as usize].wasted += 1;
+        match self.pf_take(page) {
+            Some((class, _)) => {
+                self.fates[class].wasted += 1;
                 true
             }
             None => false,
@@ -437,22 +637,24 @@ impl MemObservatory {
         if w > self.cur_window {
             self.roll_to(w);
         }
-        // Sweep in deterministic page order.
-        let mut leftover: Vec<(u64, bool, u8)> = self
-            .pf
-            .iter()
-            .map(|(&p, r)| (p, r.arrived, r.class))
-            .collect();
-        leftover.sort_unstable();
-        for (_, arrived, class) in leftover {
-            let f = &mut self.fates[class as usize];
-            if arrived {
-                f.wasted += 1;
-            } else {
-                f.inflight_at_end += 1;
+        // Sweep what is still tracked (the fates are counts, so the
+        // order of the sweep is immaterial).
+        if self.pf_tracked > 0 {
+            for &(_, _, _, _, pf) in self.pages.iter().filter(|r| r.4 != 0) {
+                let f = &mut self.fates[pf_class(pf)];
+                if pf & PF_ARRIVED != 0 {
+                    f.wasted += 1;
+                } else {
+                    f.inflight_at_end += 1;
+                }
             }
         }
-        let mut heat_top: Vec<(u64, f64)> = self.slots.iter().map(|s| (s.page, s.weight)).collect();
+        let mut heat_top: Vec<(u64, f64)> = self
+            .sketch
+            .slots
+            .iter()
+            .map(|s| (s.page, s.weight))
+            .collect();
         heat_top.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -465,7 +667,7 @@ impl MemObservatory {
             heatmap_buckets: self.cfg.heatmap_buckets,
             total_pages: self.total_pages,
             touches: self.touches,
-            distinct_pages: self.last_seen.len() as u64,
+            distinct_pages: self.distinct_pages,
             classes: self.fates,
             heat_top,
             rest_hist: self.rest_hist,
@@ -871,5 +1073,544 @@ mod tests {
         assert_eq!(r.rows[1].ws_pages, 1);
         assert_eq!(r.distinct_pages, 2);
         assert_eq!(r.ws_peak(), 2);
+    }
+
+    /// Feeds one pseudo-random run — demand accesses drawn by
+    /// `next_page`, prefetch traffic on neighbouring pages, a clock
+    /// that crosses a window every ~100 touches, idles once, and
+    /// sometimes stamps a touch just behind it — to the observatory and
+    /// to the reference, and compares the two reports bit for bit.
+    fn assert_matches_reference(
+        cfg: MemObsConfig,
+        seed: u64,
+        mut next_page: impl FnMut(&mut desim::Rng, u64) -> u64,
+    ) {
+        const PAGES: u64 = 4_096;
+        const TOUCHES: u64 = 8_000;
+        let mut new = MemObservatory::new(cfg, PAGES, 4);
+        let mut old = reference::RefObservatory::new(cfg, PAGES, 4);
+        let mut rng = desim::Rng::new(seed);
+        let (mut clock, mut last) = (0u64, 0u64);
+        for i in 0..TOUCHES {
+            clock += rng.gen_range(cfg.heat_window_ns / 50);
+            if i == TOUCHES / 2 {
+                // An idle stretch long enough that decay 0.5 underflows
+                // every weight to zero: the whole sketch ties.
+                clock += 1_100 * cfg.heat_window_ns;
+            }
+            // Worker clocks lead the event clock by a bounded skew, so
+            // a touch can be stamped before the window just opened.
+            let now = clock.saturating_sub(rng.gen_range(8) / 7 * (cfg.heat_window_ns / 20));
+            let page = next_page(&mut rng, i);
+            let (shard, delta) = ((page % 4) as usize, Some(page as i64 - last as i64));
+            last = page;
+            if rng.gen_bool(0.5) {
+                assert_eq!(new.classify_hit(page), old.classify_hit(page));
+            }
+            assert_eq!(
+                new.on_touch(page, shard, now, delta),
+                old.on_touch(page, shard, now, delta),
+                "touch {i}"
+            );
+            // Prefetch traffic next to the touched page, every fate.
+            let near = page + 1 + rng.gen_range(3);
+            match rng.gen_range(8) {
+                0 | 1 => {
+                    // The runtime never re-issues a tracked page.
+                    assert_eq!(new.classify_wasted(near), old.classify_wasted(near));
+                    let class = [
+                        PrefetchClass::Readahead,
+                        PrefetchClass::Leap,
+                        PrefetchClass::Speculative,
+                    ][rng.gen_range(3) as usize];
+                    new.on_prefetch_issued(near, class, now);
+                    old.on_prefetch_issued(near, class, now);
+                }
+                2 => {
+                    new.on_prefetch_arrived(near);
+                    old.on_prefetch_arrived(near);
+                }
+                3 => assert_eq!(
+                    new.classify_late(near, now + 50),
+                    old.classify_late(near, now + 50)
+                ),
+                _ => {}
+            }
+            assert_eq!(new.hit_rate().to_bits(), old.hit_rate().to_bits());
+            assert_eq!(new.ws_last(), old.ws_last());
+            assert_eq!(new.dropped(), old.dropped());
+        }
+        assert!(
+            clock / cfg.heat_window_ns >= 50,
+            "the run must roll 50 windows"
+        );
+        let (new, old) = (new.finish(clock), old.finish(clock));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(new.heat_top.len(), old.heat_top.len());
+        for (n, o) in new.heat_top.iter().zip(&old.heat_top) {
+            assert_eq!((n.0, n.1.to_bits()), (o.0, o.1.to_bits()), "heat_top");
+        }
+        assert_eq!(bits(&new.rest_hist), bits(&old.rest_hist), "rest_hist");
+        assert_eq!(new.rows, old.rows, "rows");
+        assert_eq!(new, old);
+        assert!(new.holds());
+        assert_eq!(new.to_json(), old.to_json());
+    }
+
+    /// The slot a linear scan displaces: minimum weight, lowest index
+    /// among ties.
+    fn scan_min(sk: &HeatSketch) -> u32 {
+        let mut min_i = 0;
+        for (i, s) in sk.slots.iter().enumerate() {
+            if s.weight < sk.slots[min_i].weight {
+                min_i = i;
+            }
+        }
+        min_i as u32
+    }
+
+    #[test]
+    fn heap_root_is_the_scan_minimum_after_every_operation() {
+        let mut rng = desim::Rng::new(5);
+        let mut sk = HeatSketch::with_capacity(16);
+        for page in 0..16 {
+            sk.push(page);
+            assert_eq!(sk.heap[0], scan_min(&sk));
+        }
+        for step in 0..4_000u64 {
+            match rng.gen_range(10) {
+                0 => sk.decay([1.0, 0.5, 0.9][rng.gen_range(3) as usize]),
+                1..=4 => sk.bump(rng.gen_range(16) as u32),
+                _ => {
+                    let want = scan_min(&sk);
+                    assert_eq!(sk.displace_min(100 + step).0, want);
+                }
+            }
+            assert_eq!(sk.heap[0], scan_min(&sk), "step {step}");
+            for (i, &slot) in sk.heap.iter().enumerate() {
+                assert_eq!(sk.pos[slot as usize] as usize, i);
+            }
+        }
+    }
+
+    #[test]
+    fn decay_reorders_the_ties_it_creates() {
+        let mut sk = HeatSketch::with_capacity(3);
+        for page in 0..3 {
+            sk.push(page);
+        }
+        // Two distinct subnormal weights that halve to the same value
+        // (3ε → 1.5ε rounds to 2ε; 4ε → 2ε), the smaller in the higher
+        // slot.
+        sk.slots[0].weight = f64::from_bits(4);
+        sk.slots[1].weight = f64::from_bits(3);
+        sk.decay(1.0);
+        assert_eq!(sk.heap[0], 1);
+        sk.decay(0.5);
+        assert_eq!(sk.slots[0].weight.to_bits(), sk.slots[1].weight.to_bits());
+        assert_eq!(sk.heap[0], 0, "a tie goes to the lowest slot");
+    }
+
+    #[test]
+    fn page_table_and_heap_report_like_hash_maps_and_scan() {
+        for heat_decay in [0.5, 1.0] {
+            for top_k in [1, 5, 64] {
+                let cfg = MemObsConfig {
+                    heat_window_ns: 10_000,
+                    heat_decay,
+                    top_k,
+                    max_tracked: 40,
+                    ..MemObsConfig::default()
+                };
+                // Uniform: nearly every touch displaces, and with no
+                // decay every weight is a small integer — ties
+                // everywhere. Every 500th page lies past the footprint.
+                assert_matches_reference(cfg, 1, |rng, i| match i % 500 {
+                    0 => 4_096 + rng.gen_range(64),
+                    _ => rng.gen_range(4_096),
+                });
+                // Zipf-like: a few heavy hitters stay in the sketch.
+                assert_matches_reference(cfg, 2, |rng, _| {
+                    let u = rng.gen_f64();
+                    ((4_096.0f64).powf(u * u * u) as u64).min(4_095)
+                });
+                // Sequential scan, wrapping.
+                assert_matches_reference(cfg, 3, |_, i| (i * 3) % 4_096);
+            }
+        }
+    }
+
+    /// The observatory as it was before the page table and the heap: hash
+    /// maps keyed by page and a linear scan for the sketch's minimum. The
+    /// oracle of the equivalence tests below.
+    #[allow(dead_code)]
+    mod reference {
+        use super::super::*;
+
+        struct PfRec {
+            class: u8,
+            issued_ns: u64,
+            arrived: bool,
+        }
+
+        struct HeatSlot {
+            page: u64,
+            weight: f64,
+        }
+
+        /// Live observatory state; one per enabled run.
+        pub struct RefObservatory {
+            cfg: MemObsConfig,
+            total_pages: u64,
+            // Prefetch-fate attribution.
+            pf: FxHashMap<u64, PfRec>,
+            fates: [FateCounters; 3],
+            // Heat sketch (SpaceSaving) + displaced-weight histogram.
+            slots: Vec<HeatSlot>,
+            slot_of: FxHashMap<u64, usize>,
+            rest_hist: Vec<f64>,
+            // Windows.
+            cur_window: u64,
+            last_seen: FxHashMap<u64, u64>,
+            ws_cur: u64,
+            hm_cur: Vec<u64>,
+            shard_cur: Vec<u64>,
+            shard_heat: Vec<f64>,
+            shares: Vec<f64>,
+            skew: f64,
+            ws_last: u64,
+            rows: Vec<WindowRow>,
+            // Stride fingerprint.
+            strides: FxHashMap<i64, u64>,
+            stride_other: u64,
+            touches: u64,
+            dropped: u64,
+        }
+
+        impl RefObservatory {
+            /// Creates an observatory over a `total_pages` footprint spread
+            /// across `shards` rails.
+            ///
+            /// # Panics
+            ///
+            /// Panics on a degenerate configuration (zero window, no buckets,
+            /// no slots, or a decay outside `(0, 1]`).
+            pub fn new(cfg: MemObsConfig, total_pages: u64, shards: usize) -> RefObservatory {
+                assert!(cfg.heat_window_ns > 0, "zero-width heat window");
+                assert!(cfg.heatmap_buckets > 0 && cfg.top_k > 0, "empty sketch");
+                assert!(
+                    cfg.heat_decay > 0.0 && cfg.heat_decay <= 1.0,
+                    "decay outside (0, 1]"
+                );
+                RefObservatory {
+                    cfg,
+                    total_pages: total_pages.max(1),
+                    pf: FxHashMap::default(),
+                    fates: [FateCounters::default(); 3],
+                    slots: Vec::with_capacity(cfg.top_k),
+                    slot_of: FxHashMap::default(),
+                    rest_hist: vec![0.0; cfg.heatmap_buckets],
+                    cur_window: 0,
+                    last_seen: FxHashMap::default(),
+                    ws_cur: 0,
+                    hm_cur: vec![0; cfg.heatmap_buckets],
+                    shard_cur: vec![0; shards.max(1)],
+                    shard_heat: vec![0.0; shards.max(1)],
+                    shares: vec![0.0; shards.max(1)],
+                    skew: 0.0,
+                    ws_last: 0,
+                    rows: Vec::new(),
+                    strides: FxHashMap::default(),
+                    stride_other: 0,
+                    touches: 0,
+                    dropped: 0,
+                }
+            }
+
+            #[inline]
+            fn bucket(&self, page: u64) -> usize {
+                let b = self.cfg.heatmap_buckets as u64;
+                ((page.min(self.total_pages - 1) * b) / self.total_pages) as usize
+            }
+
+            /// Closes every window before `w` and advances to it.
+            fn roll_to(&mut self, w: u64) {
+                debug_assert!(w > self.cur_window);
+                let gap = w - self.cur_window;
+                // Fold the closing window's shard touches into the decayed
+                // heat, then age everything across the (possibly idle) gap.
+                let d = self.cfg.heat_decay;
+                let total: f64 = {
+                    for (h, c) in self.shard_heat.iter_mut().zip(&self.shard_cur) {
+                        *h = *h * d + *c as f64;
+                    }
+                    self.shard_heat.iter().sum()
+                };
+                if total > 0.0 {
+                    let n = self.shard_heat.len() as f64;
+                    let mut max = 0.0f64;
+                    for (s, h) in self.shard_heat.iter().enumerate() {
+                        let share = h / total;
+                        self.shares[s] = share;
+                        max = max.max(share);
+                    }
+                    self.skew = max * n;
+                }
+                if gap > 1 {
+                    let age = d.powi((gap - 1) as i32);
+                    for h in &mut self.shard_heat {
+                        *h *= age;
+                    }
+                }
+                let age_all = d.powi(gap as i32);
+                for s in &mut self.slots {
+                    s.weight *= age_all;
+                }
+                for r in &mut self.rest_hist {
+                    *r *= age_all;
+                }
+                self.ws_last = self.ws_cur;
+                if self.ws_cur > 0 || self.hm_cur.iter().any(|&c| c > 0) {
+                    if self.rows.len() < self.cfg.max_windows {
+                        self.rows.push(WindowRow {
+                            idx: self.cur_window,
+                            ws_pages: self.ws_cur,
+                            skew: self.skew,
+                            hit_rate: self.hit_rate(),
+                            buckets: std::mem::replace(
+                                &mut self.hm_cur,
+                                vec![0; self.cfg.heatmap_buckets],
+                            ),
+                        });
+                    } else {
+                        self.dropped += 1;
+                        self.hm_cur.iter_mut().for_each(|c| *c = 0);
+                    }
+                }
+                self.ws_cur = 0;
+                self.shard_cur.iter_mut().for_each(|c| *c = 0);
+                self.cur_window = w;
+            }
+
+            /// Books one completed demand access. Returns `true` when one or
+            /// more windows closed (gauge values are fresh).
+            pub fn on_touch(
+                &mut self,
+                page: u64,
+                shard: usize,
+                now_ns: u64,
+                delta: Option<i64>,
+            ) -> bool {
+                let w = now_ns / self.cfg.heat_window_ns;
+                let rolled = w > self.cur_window;
+                if rolled {
+                    self.roll_to(w);
+                }
+                self.touches += 1;
+                // Heat sketch: bump a tracked slot, fill a free one, or
+                // displace the minimum-weight slot (ties broken by slot index,
+                // which is deterministic).
+                if let Some(&i) = self.slot_of.get(&page) {
+                    self.slots[i].weight += 1.0;
+                } else if self.slots.len() < self.cfg.top_k {
+                    self.slot_of.insert(page, self.slots.len());
+                    self.slots.push(HeatSlot { page, weight: 1.0 });
+                } else {
+                    let mut min_i = 0;
+                    for (i, s) in self.slots.iter().enumerate() {
+                        if s.weight < self.slots[min_i].weight {
+                            min_i = i;
+                        }
+                    }
+                    let old = &self.slots[min_i];
+                    let b = self.bucket(old.page);
+                    self.rest_hist[b] += old.weight;
+                    self.slot_of.remove(&old.page);
+                    let w0 = old.weight;
+                    self.slot_of.insert(page, min_i);
+                    self.slots[min_i] = HeatSlot {
+                        page,
+                        weight: w0 + 1.0,
+                    };
+                }
+                let b = self.bucket(page);
+                self.hm_cur[b] += 1;
+                if let Some(c) = self.shard_cur.get_mut(shard) {
+                    *c += 1;
+                }
+                let seen = self.last_seen.insert(page, w);
+                if seen != Some(w) && seen.is_none_or(|s| s < w) {
+                    self.ws_cur += 1;
+                }
+                if let Some(d) = delta {
+                    if let Some(c) = self.strides.get_mut(&d) {
+                        *c += 1;
+                    } else if self.strides.len() < self.cfg.max_strides {
+                        self.strides.insert(d, 1);
+                    } else {
+                        self.stride_other += 1;
+                    }
+                }
+                rolled
+            }
+
+            /// Records a prefetch issuance. When the record table is full the
+            /// prefetch is conservatively booked `issued + wasted` at once and
+            /// counted dropped, keeping the conservation identity exact.
+            pub fn on_prefetch_issued(&mut self, page: u64, class: PrefetchClass, now_ns: u64) {
+                let f = &mut self.fates[class as usize];
+                f.issued += 1;
+                if self.pf.len() >= self.cfg.max_tracked {
+                    f.wasted += 1;
+                    self.dropped += 1;
+                    return;
+                }
+                let prev = self.pf.insert(
+                    page,
+                    PfRec {
+                        class: class as u8,
+                        issued_ns: now_ns,
+                        arrived: false,
+                    },
+                );
+                debug_assert!(prev.is_none(), "prefetch of a page already tracked");
+                if let Some(p) = prev {
+                    // Defensive: never lose a record — the displaced prefetch
+                    // was never consumed.
+                    self.fates[p.class as usize].wasted += 1;
+                }
+            }
+
+            /// Marks a tracked prefetch's data as arrived (fetch completed).
+            pub fn on_prefetch_arrived(&mut self, page: u64) {
+                if let Some(r) = self.pf.get_mut(&page) {
+                    r.arrived = true;
+                }
+            }
+
+            /// Classifies a tracked prefetch as a hit. Returns whether a
+            /// record existed.
+            pub fn classify_hit(&mut self, page: u64) -> bool {
+                match self.pf.remove(&page) {
+                    Some(r) => {
+                        self.fates[r.class as usize].hits += 1;
+                        true
+                    }
+                    None => false,
+                }
+            }
+
+            /// Classifies a tracked prefetch as late: a demand access at
+            /// `now_ns` raced the still-in-flight line. The head start since
+            /// issue is credited as saved latency.
+            pub fn classify_late(&mut self, page: u64, now_ns: u64) -> bool {
+                match self.pf.remove(&page) {
+                    Some(r) => {
+                        let f = &mut self.fates[r.class as usize];
+                        f.lates += 1;
+                        f.late_saved_ns += now_ns.saturating_sub(r.issued_ns);
+                        true
+                    }
+                    None => false,
+                }
+            }
+
+            /// Classifies a tracked prefetch as wasted (evicted unaccessed or
+            /// failed terminally). Returns whether a record existed.
+            pub fn classify_wasted(&mut self, page: u64) -> bool {
+                match self.pf.remove(&page) {
+                    Some(r) => {
+                        self.fates[r.class as usize].wasted += 1;
+                        true
+                    }
+                    None => false,
+                }
+            }
+
+            /// Rows (ws/heatmap/series) and records dropped so far.
+            pub fn dropped(&self) -> u64 {
+                self.dropped
+            }
+
+            /// Distinct pages touched in the last closed window.
+            pub fn ws_last(&self) -> u64 {
+                self.ws_last
+            }
+
+            /// Shard heat skew (`max/mean` share) as of the last closed window.
+            pub fn heat_skew(&self) -> f64 {
+                self.skew
+            }
+
+            /// Decayed heat share of shard `s` as of the last closed window.
+            pub fn shard_share(&self, s: usize) -> f64 {
+                self.shares.get(s).copied().unwrap_or(0.0)
+            }
+
+            /// Cumulative strict hit-rate over classified prefetches.
+            pub fn hit_rate(&self) -> f64 {
+                let (mut hits, mut done) = (0u64, 0u64);
+                for f in &self.fates {
+                    hits += f.hits;
+                    done += f.hits + f.lates + f.wasted;
+                }
+                if done == 0 {
+                    0.0
+                } else {
+                    hits as f64 / done as f64
+                }
+            }
+
+            /// Closes the run at `end_ns`: flushes the open window, sweeps the
+            /// remaining records (arrived → wasted, in flight →
+            /// `inflight_at_end`) and freezes the report.
+            pub fn finish(mut self, end_ns: u64) -> MemReport {
+                let w = end_ns / self.cfg.heat_window_ns + 1;
+                if w > self.cur_window {
+                    self.roll_to(w);
+                }
+                // Sweep in deterministic page order.
+                let mut leftover: Vec<(u64, bool, u8)> = self
+                    .pf
+                    .iter()
+                    .map(|(&p, r)| (p, r.arrived, r.class))
+                    .collect();
+                leftover.sort_unstable();
+                for (_, arrived, class) in leftover {
+                    let f = &mut self.fates[class as usize];
+                    if arrived {
+                        f.wasted += 1;
+                    } else {
+                        f.inflight_at_end += 1;
+                    }
+                }
+                let mut heat_top: Vec<(u64, f64)> =
+                    self.slots.iter().map(|s| (s.page, s.weight)).collect();
+                heat_top.sort_unstable_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.0.cmp(&b.0))
+                });
+                let mut strides: Vec<(i64, u64)> =
+                    self.strides.iter().map(|(&d, &c)| (d, c)).collect();
+                strides.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                MemReport {
+                    window_ns: self.cfg.heat_window_ns,
+                    heatmap_buckets: self.cfg.heatmap_buckets,
+                    total_pages: self.total_pages,
+                    touches: self.touches,
+                    distinct_pages: self.last_seen.len() as u64,
+                    classes: self.fates,
+                    heat_top,
+                    rest_hist: self.rest_hist,
+                    rows: self.rows,
+                    strides,
+                    stride_other: self.stride_other,
+                    shard_shares: self.shares,
+                    heat_skew: self.skew,
+                    obs_dropped: self.dropped,
+                }
+            }
+        }
     }
 }

@@ -40,7 +40,7 @@ use std::rc::Rc;
 use desim::profile::{ProfileConfig, ProfileReport};
 use desim::span::{SpanConfig, SpanReport};
 use desim::telemetry::{TelemetryConfig, TelemetryReport};
-use desim::{EventQueue, FxHashMap, MetricsSnapshot, Rng, SimDuration, SimTime, TraceEvent};
+use desim::{EventQueue, FxHashMap, MetricsSnapshot, Rng, SimDuration, SimTime, TraceLog};
 use fabric::{EthPort, FabricParams, MemNode, QpId, RdmaNic, ShardMap};
 use faults::{FaultPlane, FaultScenario};
 use loadgen::{IngressFanIn, LoadPoint, Recorder, TenantMix, TenantPlane};
@@ -297,8 +297,10 @@ pub struct RunResult {
     /// occupancy).
     pub metrics: MetricsSnapshot,
     /// Virtual-time event trace, sorted by simulated time (present only
-    /// when [`RunParams::trace_capacity`] was set).
-    pub trace: Option<Vec<TraceEvent>>,
+    /// when [`RunParams::trace_capacity`] was set). The log holds the
+    /// ring's compact records; iterating it yields
+    /// [`desim::TraceEvent`]s.
+    pub trace: Option<TraceLog>,
     /// Trace events discarded because the ring buffer was full.
     pub trace_dropped: u64,
     /// Page-cache counters over the measurement window.

@@ -18,7 +18,14 @@
 //!   then leaves on one integer test unless a plane it feeds is on;
 //! - **registration order is serialisation order** — `setup.rs`
 //!   registers counters, gauges, probes and health entities in the
-//!   order the run JSON carries them; reordering it changes the bytes.
+//!   order the run JSON carries them; reordering it changes the bytes;
+//! - **records are fixed-size, ordered and formatted at `finish` /
+//!   export** — a hook stores codes and indices ([`TraceCode`], the
+//!   span layer's one-byte names), never text, and does no arithmetic
+//!   that is constant for the run; the trace is put in time order once,
+//!   in [`Observer::finish`], names reappear only in the exporters, and
+//!   `setup.rs` reserves every series whose length follows from the
+//!   horizon.
 //!
 //! `setup.rs` builds the observer, `report.rs` owns the window edges
 //! and freezes everything into the [`super::RunResult`], `telemetry.rs`
@@ -27,8 +34,8 @@
 
 use desim::profile::{CoreProfiler, CoreState, QueueProbe};
 use desim::span::{shard_qp, stage, SpanBuilder, SpanStore};
-use desim::trace::{CounterId, GaugeId};
-use desim::{Histogram, Metrics, MetricsSnapshot, RingTracer, SimTime, TraceEvent, Tracer};
+use desim::trace::{code, CounterId, GaugeId, TraceCode};
+use desim::{Histogram, Metrics, MetricsSnapshot, RingTracer, SimTime};
 use fabric::nic::Completion;
 use fabric::{QpId, RdmaNic, ShardMap};
 use loadgen::{Breakdown, Recorder, TenantSpec};
@@ -309,15 +316,9 @@ impl Observer {
     }
 
     #[inline]
-    fn trace(&mut self, at: SimTime, component: &'static str, name: &'static str, a: u64, b: u64) {
+    fn trace(&mut self, at: SimTime, code: TraceCode, a: u64, b: u64) {
         if let Some(ring) = &mut self.ring {
-            ring.record(TraceEvent {
-                at,
-                component,
-                name,
-                a,
-                b,
-            });
+            ring.emit(at, code, a, b);
         }
     }
 
@@ -349,7 +350,7 @@ impl Observer {
     #[inline]
     fn book_spin(&mut self, at: SimTime, w: usize, ns: u64) {
         self.metrics.add(self.ids.spin_ns, ns);
-        self.trace(at, "worker", "spin", w as u64, ns);
+        self.trace(at, code::WORKER_SPIN, w as u64, ns);
     }
 
     /// Publishes the QP-occupancy gauges after a post or a CQE on
@@ -433,7 +434,7 @@ impl Observer {
             self.metrics
                 .gauge_set(self.ids.fault_episode_active, now, active as u64 as f64);
         }
-        self.trace(now, "dispatch", "arrival", id as u64, depth as u64);
+        self.trace(now, code::DISPATCH_ARRIVAL, id as u64, depth as u64);
         // Request flight + RX path: tx_time → delivery.
         if let Some(sb) = self.span(id) {
             sb.phase(stage::NET, now);
@@ -464,10 +465,10 @@ impl Observer {
         self.tenant(r.tenant, outcome, r.tx_time, 0);
         let id = id as u64;
         match why {
-            Retire::Overflow { queue } => self.trace(now, "dispatch", "drop", id, queue as u64),
-            Retire::Shed => self.trace(now, "dispatch", "shed", id, r.tenant as u64),
+            Retire::Overflow { queue } => self.trace(now, code::DISPATCH_DROP, id, queue as u64),
+            Retire::Shed => self.trace(now, code::DISPATCH_SHED, id, r.tenant as u64),
             Retire::AbortedSpinning { worker } => {
-                self.trace(now, "fault", "abort", worker as u64, id)
+                self.trace(now, code::FAULT_ABORT, worker as u64, id)
             }
             // The `fetch_failed` event already covers every parked waiter.
             Retire::AbortedParked => {}
@@ -478,7 +479,7 @@ impl Observer {
         if let Some(ids) = self.dispatcher_ids.get(thief) {
             self.metrics.inc(ids.steals);
         }
-        self.trace(now, "dispatch", "disp_steal", thief as u64, home as u64);
+        self.trace(now, code::DISPATCH_STEAL, thief as u64, home as u64);
     }
 
     pub fn dispatcher_combined(&mut self, leader: usize) {
@@ -530,7 +531,7 @@ impl Observer {
         }
         self.tenant(r.tenant, TenantEvent::Admitted, r.tx_time, 0);
         if let Some(d) = serving {
-            self.trace(now, "dispatch", "disp_admit", id as u64, d as u64);
+            self.trace(now, code::DISPATCH_ADMIT, id as u64, d as u64);
         }
     }
 
@@ -577,15 +578,15 @@ impl Observer {
         match how {
             Handoff::Pushed | Handoff::Local => {
                 self.metrics.inc(self.ids.dispatches);
-                let name = match how {
-                    Handoff::Local => "assign_local",
-                    _ => "assign",
+                let code = match how {
+                    Handoff::Local => code::DISPATCH_ASSIGN_LOCAL,
+                    _ => code::DISPATCH_ASSIGN,
                 };
-                self.trace(now, "dispatch", name, id as u64, w as u64);
+                self.trace(now, code, id as u64, w as u64);
             }
             Handoff::Stolen { victim } => {
                 self.metrics.inc(self.ids.steals);
-                self.trace(now, "worker", "steal", w as u64, victim as u64);
+                self.trace(now, code::WORKER_STEAL, w as u64, victim as u64);
             }
             Handoff::Pulled => {}
         }
@@ -616,14 +617,14 @@ impl Observer {
         if self.mask & (TRACE | SPANS | PROFILE) == 0 {
             return;
         }
-        let (name, id) = match cont {
-            Cont::Start { req } => ("seg_start", req),
-            Cont::Resume { req } => ("seg_resume", req),
-            Cont::AfterBusyWait { req } => ("seg_after_spin", req),
-            Cont::RetryFault { req } => ("seg_retry", req),
-            Cont::AbortFault { req } => ("seg_abort", req),
+        let (code, id) = match cont {
+            Cont::Start { req } => (code::WORKER_SEG_START, req),
+            Cont::Resume { req } => (code::WORKER_SEG_RESUME, req),
+            Cont::AfterBusyWait { req } => (code::WORKER_SEG_AFTER_SPIN, req),
+            Cont::RetryFault { req } => (code::WORKER_SEG_RETRY, req),
+            Cont::AbortFault { req } => (code::WORKER_SEG_ABORT, req),
         };
-        self.trace(now, "worker", name, w as u64, id as u64);
+        self.trace(now, code, w as u64, id as u64);
         if let Some(p) = &mut self.prof {
             p.cores.flush(p.wbase + w, now);
         }
@@ -673,7 +674,7 @@ impl Observer {
     /// `saved`.
     pub fn preempted(&mut self, t: SimTime, w: usize, id: usize, saved: SimTime) {
         self.metrics.inc(self.ids.preemptions);
-        self.trace(t, "worker", "preempt", w as u64, id as u64);
+        self.trace(t, code::WORKER_PREEMPT, w as u64, id as u64);
         if let Some(sb) = self.span(id) {
             sb.phase(stage::HANDLE, t);
             sb.phase(stage::CTX, saved);
@@ -856,7 +857,7 @@ impl Observer {
             .complete(r.trace.class, r.tx_time, rx, breakdown);
         self.metrics.inc(self.ids.completions);
         self.tenant(r.tenant, TenantEvent::Completion, rx, latency.as_nanos());
-        self.trace(done, "worker", "complete", w as u64, id as u64);
+        self.trace(done, code::WORKER_COMPLETE, w as u64, id as u64);
     }
 
     // ----- fetch.rs -------------------------------------------------------
@@ -869,7 +870,7 @@ impl Observer {
     /// the completion path to classify wasted.
     pub fn coalesced(&mut self, t: SimTime, id: usize, page: u64, done_at: SimTime, failed: bool) {
         self.metrics.inc(self.ids.coalesced);
-        self.trace(t, "fault", "coalesce", id as u64, page);
+        self.trace(t, code::FAULT_COALESCE, id as u64, page);
         if let Some(mp) = &mut self.mem {
             if done_at <= t {
                 mp.obs.classify_hit(page);
@@ -888,12 +889,12 @@ impl Observer {
             sb.phase(stage::HANDLE, t);
             sb.begin_fault(t, page);
         }
-        self.trace(entered, "fault", "miss", id as u64, page);
+        self.trace(entered, code::FAULT_MISS, id as u64, page);
     }
 
     pub fn direct_reclaimed(&mut self, t: SimTime, victim: u64, dirty: bool) {
         self.metrics.inc(self.ids.direct_reclaims);
-        self.trace(t, "reclaim", "direct", victim, dirty as u64);
+        self.trace(t, code::RECLAIM_DIRECT, victim, dirty as u64);
         self.evicted(victim);
     }
 
@@ -937,7 +938,7 @@ impl Observer {
     pub fn qp_stalled(&mut self, w: usize, id: usize, t: SimTime, page: u64) {
         self.metrics.inc(self.ids.qp_stalls);
         self.metrics.inc(self.ids.qp_full_retries);
-        self.trace(t, "fault", "qp_stall", w as u64, page);
+        self.trace(t, code::FAULT_QP_STALL, w as u64, page);
         self.handler_paused(w, id, t);
     }
 
@@ -998,7 +999,7 @@ impl Observer {
         let retransmits = c.retransmits as u64;
         if retransmits > 0 {
             self.chain_add(shard, |i| i.retransmits, retransmits);
-            self.trace(c.wire_start, "fault", "retransmit", id as u64, retransmits);
+            self.trace(c.wire_start, code::FAULT_RETRANSMIT, id as u64, retransmits);
         }
         if let Some(sb) = self.span(id) {
             let qp = shard_qp(shard as u64, c.qp.0 as u64);
@@ -1029,11 +1030,11 @@ impl Observer {
         next: Option<(u64, u32)>,
     ) {
         self.chain_add(shard, |i| i.cqe_errors, 1);
-        self.trace(at, "fault", "fetch_error", id as u64, page);
+        self.trace(at, code::FAULT_FETCH_ERROR, id as u64, page);
         match next {
             None => self.chain_add(shard, |i| i.chain_failures, 1),
             Some((node, attempt)) => {
-                self.trace(at, "fault", "failover", node, attempt as u64);
+                self.trace(at, code::FAULT_FAILOVER, node, attempt as u64);
                 if let Some(sb) = self.span(id) {
                     sb.failover(at, node, attempt as u64);
                 }
@@ -1045,7 +1046,7 @@ impl Observer {
     pub fn chain_cut(&mut self, at: SimTime, id: usize, shard: usize, page: u64) {
         self.metrics.inc(self.ids.qp_full_retries);
         self.chain_add(shard, |i| i.chain_failures, 1);
-        self.trace(at, "fault", "chain_fail", id as u64, page);
+        self.trace(at, code::FAULT_CHAIN_FAIL, id as u64, page);
     }
 
     /// A prefetch of `page` (triggered by a fault on `trigger`) was
@@ -1070,7 +1071,7 @@ impl Observer {
         if let Some(mp) = &mut self.mem {
             mp.obs.on_prefetch_issued(page, class, t.as_nanos());
         }
-        self.trace(t, "fault", "prefetch", trigger, page);
+        self.trace(t, code::FAULT_PREFETCH, trigger, page);
     }
 
     /// QP full: the prefetch was dropped.
@@ -1087,9 +1088,9 @@ impl Observer {
         self.qp_gauges(now, shard, nics);
         match what {
             Cqe::Fetch { worker, page } => {
-                self.trace(now, "nic", "fetch_done", worker as u64, page)
+                self.trace(now, code::NIC_FETCH_DONE, worker as u64, page)
             }
-            Cqe::Retire { qp } => self.trace(now, "nic", "cqe_retire", qp.0 as u64, shard as u64),
+            Cqe::Retire { qp } => self.trace(now, code::NIC_CQE_RETIRE, qp.0 as u64, shard as u64),
             Cqe::Write => {}
         }
     }
@@ -1098,7 +1099,7 @@ impl Observer {
     /// page never arrived, so a tracked prefetch of it is wasted.
     pub fn fetch_failed(&mut self, now: SimTime, w: usize, page: u64) {
         self.evicted(page);
-        self.trace(now, "fault", "fetch_failed", w as u64, page);
+        self.trace(now, code::FAULT_FETCH_FAILED, w as u64, page);
     }
 
     /// The live fetch of `page` completed: a tracked prefetch's line
@@ -1114,7 +1115,7 @@ impl Observer {
 
     pub fn reclaim_ticked(&mut self, now: SimTime, evicted: usize, free: usize) {
         self.metrics.inc(self.ids.reclaim_ticks);
-        self.trace(now, "reclaim", "tick", evicted as u64, free as u64);
+        self.trace(now, code::RECLAIM_TICK, evicted as u64, free as u64);
     }
 
     pub fn writeback_posted(&mut self, now: SimTime, shard: usize, page: u64, c: &Completion) {
@@ -1125,7 +1126,7 @@ impl Observer {
         if c.is_error() {
             self.metrics.inc(self.ids.writeback_errors);
         }
-        self.trace(now, "reclaim", "writeback", page, 0);
+        self.trace(now, code::RECLAIM_WRITEBACK, page, 0);
     }
 
     /// The write-back QP was full: the page joins the deferred queue.

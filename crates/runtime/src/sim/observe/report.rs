@@ -143,12 +143,14 @@ impl Observer {
         // Worker virtual clocks run slightly ahead of the event clock,
         // so records arrive almost — not exactly — in time order;
         // present the timeline sorted (stable, so equal timestamps keep
-        // emission order and stay deterministic).
+        // emission order and stay deterministic). The ring's buffer
+        // becomes the log as it is: compact records, named at export.
         let (trace, trace_dropped) = match self.ring {
-            Some(mut ring) => {
-                let mut events = ring.drain();
-                events.sort_by_key(|e| e.at);
-                (Some(events), ring.dropped())
+            Some(ring) => {
+                let dropped = ring.dropped();
+                let mut log = ring.into_log();
+                log.sort_by_time();
+                (Some(log), dropped)
             }
             None => (None, 0),
         };

@@ -5,7 +5,7 @@ use desim::profile::{queue_names, CoreProfiler, QueueProbe};
 use desim::span::{SpanConfig, SpanStore};
 use desim::telemetry::FlightRecorder;
 use desim::trace::{dispatcher_names as dn, shard_names as sn, tenant_names as tn};
-use desim::{Histogram, Metrics, RingTracer, SimTime, TimeSeries};
+use desim::{Histogram, Metrics, RingTracer, SimDuration, SimTime, TimeSeries};
 use fabric::ShardMap;
 use loadgen::{Recorder, TenantSpec};
 use paging::observe::MemObservatory;
@@ -28,6 +28,14 @@ fn multi<T>(n: usize, register: impl FnMut(usize) -> T) -> Vec<T> {
     } else {
         Vec::new()
     }
+}
+
+/// Completions a Poisson source of `rps` is not expected to exceed over
+/// `measure`: the mean plus six standard deviations (a completion needs
+/// an arrival, so saturation only lowers the count).
+fn measured_bound(rps: f64, measure: SimDuration) -> usize {
+    let mean = rps * measure.as_secs_f64();
+    (mean + 6.0 * mean.sqrt()) as usize + 1
 }
 
 impl Observer {
@@ -155,8 +163,16 @@ impl Observer {
             }
         });
 
+        // Planes size their per-window / per-tick / per-request series
+        // once, from the horizon, instead of regrowing (and re-copying)
+        // them as the run proceeds.
+        let horizon = params.warmup + params.measure;
         let mem = params.memory.take().map(|mc| MemPlane {
-            obs: MemObservatory::new(mc, total_pages, shards),
+            obs: {
+                let mut obs = MemObservatory::new(mc, total_pages, shards);
+                obs.reserve((horizon.as_nanos() / mc.heat_window_ns) as usize + 1);
+                obs
+            },
             last_page: Vec::new(),
             ws_pages: m.gauge("memory.ws_pages"),
             heat_skew: m.gauge("memory.heat_skew"),
@@ -195,8 +211,10 @@ impl Observer {
                 rec.register_health(format!("tenant{t}"));
                 tenant_specs[t].rate_rps * tick_s
             });
+            rec.reserve((horizon.as_nanos() / rec.tick_period().as_nanos()) as usize);
             TelemBridge {
                 rec,
+                health: Vec::new(),
                 qps: vec![Tallied::default(); cfg.workers],
                 shards: vec![Tallied::default(); shards],
                 tenants: vec![Tallied::default(); tenant_per_tick.len()],
@@ -212,9 +230,13 @@ impl Observer {
         let spans = params
             .spans
             .or(params.keep_breakdowns.then(SpanConfig::stats_only))
-            .map(|sc| SpanPlane {
-                store: SpanStore::new(sc),
-                live: Vec::new(),
+            .map(|sc| {
+                let mut store = SpanStore::new(sc);
+                store.reserve(measured_bound(params.offered_rps, params.measure));
+                SpanPlane {
+                    store,
+                    live: Vec::new(),
+                }
             });
         let bit = |on: bool, bit: u8| if on { bit } else { 0 };
         Observer {

@@ -81,6 +81,8 @@ impl Tallied {
 /// in that order.
 pub(super) struct TelemBridge {
     pub(super) rec: FlightRecorder,
+    /// The tick's health rows, rebuilt in place every tick.
+    pub(super) health: Vec<HealthInput>,
     pub(super) qps: Vec<Tallied>,
     pub(super) shards: Vec<Tallied>,
     /// Multi-tenant planes only.
@@ -137,7 +139,8 @@ impl Observer {
     ) -> SimTime {
         let b = self.telem.as_mut().expect("tick without telemetry");
         let qp_depth = cfg.fabric.qp_depth as f64;
-        let mut health = Vec::with_capacity(b.qps.len() + b.shards.len() + b.tenants.len());
+        let health = &mut b.health;
+        health.clear();
         for (worker, tally) in workers.iter().zip(&mut b.qps) {
             let outstanding: u32 = nics.iter().map(|n| n.outstanding(worker.qp)).sum();
             let degraded = worker.resumes.len()
@@ -179,7 +182,7 @@ impl Observer {
             Some(ring) => ring,
             None => &mut NoopTracer,
         };
-        b.rec.tick(now, &self.metrics, &health, tracer);
+        b.rec.tick(now, &self.metrics, &b.health, tracer);
         now + b.rec.tick_period()
     }
 }

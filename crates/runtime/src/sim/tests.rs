@@ -561,7 +561,7 @@ fn trace_records_virtual_time_events() {
     params.trace_capacity = Some(50_000);
     let mut w = small_workload();
     let res = run_one(SystemConfig::adios(), &mut w, params);
-    let trace = res.trace.expect("trace requested");
+    let trace: Vec<_> = res.trace.expect("trace requested").iter().collect();
     assert!(!trace.is_empty());
     assert!(
         trace.windows(2).all(|w| w[0].at <= w[1].at),

@@ -610,12 +610,32 @@ fn observer_is_write_only() {
         let mut w_off = ArrayIndexWorkload::new(16_384);
         let mut w_on = ArrayIndexWorkload::new(16_384);
         let off = run_one(cfg.clone(), &mut w_off, p.clone());
-        let on = run_one(cfg, &mut w_on, golden::all_planes(p));
+        let on = run_one(cfg.clone(), &mut w_on, golden::all_planes(p.clone()));
         assert!(on.profile.is_some() && on.telemetry.is_some() && on.memory.is_some());
         assert_eq!(
             model(&off),
             model(&on),
             "{name}: planes perturbed the model"
         );
+        // The same with the span layer in its sweep setting
+        // (`SpanConfig::default()`: no tree is ever retained, so the
+        // builders are sparse) — which must also attribute every
+        // request exactly as the tree-keeping run did.
+        let mut sparse = golden::all_planes(p);
+        sparse.spans = Some(adios::desim::SpanConfig::default());
+        let mut w_sparse = ArrayIndexWorkload::new(16_384);
+        let sparse = run_one(cfg, &mut w_sparse, sparse);
+        assert_eq!(
+            model(&off),
+            model(&sparse),
+            "{name}: planes (sparse spans) perturbed the model"
+        );
+        let (kept, swept) = (on.spans.unwrap(), sparse.spans.unwrap());
+        assert_eq!(
+            kept.stats.to_json(),
+            swept.stats.to_json(),
+            "{name}: sparse spans attribute differently"
+        );
+        assert_eq!(swept.attributions.len() as u64, swept.measured);
     }
 }
