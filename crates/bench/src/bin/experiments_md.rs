@@ -1,12 +1,17 @@
-//! Regenerates `EXPERIMENTS.md` from a complete experiment run.
+//! The one driver of [`adios_core::experiments::ALL`]: regenerates
+//! `EXPERIMENTS.md` from a complete run, or re-runs single reports.
 //!
 //! ```text
 //! ADIOS_FULL=1 cargo run -p bench --bin experiments_md --release
+//! cargo run -p bench --bin experiments_md --release -- fig7 ablation
 //! ```
 //!
 //! Only a Full-scale run writes `EXPERIMENTS.md`; a Quick-scale run (no
 //! `ADIOS_FULL`) writes `<out-dir>/EXPERIMENTS.quick.md`, so a quick
 //! refactor guard never overwrites the committed Full-scale record.
+//! With experiment ids (prefixes of the registry's) it prints the
+//! matching reports, writes nothing and exits 1 on a missed shape
+//! check.
 //!
 //! Smoke flags skip the sweep and instead run one short instrumented
 //! run per system: `--trace` prints the virtual-time event timeline
@@ -21,16 +26,17 @@ use std::time::Instant;
 use adios_core::prelude::*;
 use adios_core::{experiments, run_json, FigureReport, Scale};
 
-/// One named experiment step.
-type Step = (&'static str, Box<dyn FnOnce(Scale) -> FigureReport>);
-
 const USAGE: &str = "\
-usage: experiments_md [FLAGS]
+usage: experiments_md [FLAGS] [ID...]
 
-With no flags, runs every experiment and writes EXPERIMENTS.md at Full
-scale (ADIOS_FULL=1), <out-dir>/EXPERIMENTS.quick.md otherwise.
-Any smoke flag (--trace / --spans / --perfetto / --faults) skips the
-sweep and runs one short instrumented run per system instead.
+With no arguments, runs every experiment and writes EXPERIMENTS.md at
+Full scale (ADIOS_FULL=1), <out-dir>/EXPERIMENTS.quick.md otherwise.
+With experiment ids (any prefix: fig7, ablation, extension_shard) it
+runs the matching experiments at that scale, prints their reports,
+writes no Markdown and exits 1 if a shape check missed.
+Any smoke flag (--trace / --spans / --faults / ...) skips the sweep
+and runs one short instrumented run per system instead; ids and smoke
+flags do not combine.
 
 flags:
   --help             print this message and exit
@@ -40,8 +46,6 @@ flags:
   --spans            record per-request span trees; writes the tail
                      exemplars as Perfetto JSON to
                      <out-dir>/spans_<system>.json
-  --perfetto <path>  also write the Adios run's Perfetto JSON to
-                     exactly <path> (implies --spans)
   --faults <name>    inject a named fault scenario into the smoke runs
                      (none, lossy, flaky, stall, crash) and print the
                      fault-plane / retransmission counters
@@ -52,34 +56,21 @@ flags:
                      park/ctx-switch/fetch-wait/tx-wait/idle), queue
                      depth/wait probes with a Little's-law consistency
                      score, a per-core utilization table on stdout, and
-                     <out-dir>/flame_<system>.folded plus
+                     <out-dir>/flame_<system>.folded (render with
+                     speedscope or inferno-flamegraph) plus
                      profile_<system>.json on disk
-  --flame <path>     also write the Adios run's folded flamegraph to
-                     exactly <path> (implies --profile); render with
-                     speedscope or inferno-flamegraph
   --memory-obs       run the memory-access observatory: prefetch-fate
                      attribution (hit/late/wasted per detector class),
                      page-heat/working-set windows and stride
                      fingerprints; prints the fate table and writes
                      <out-dir>/memory_<system>.json,
                      heatmap_<system>.csv and strides_<system>.csv
-  --heatmap <path>   also write the Adios run's page-heat CSV to
-                     exactly <path> (implies --memory-obs)
   --telemetry        run the continuous-telemetry plane: per-tick
                      counter/gauge series, per-QP/per-shard health
                      scores and SLO breach events; writes
                      <out-dir>/telemetry_<system>.{json,csv},
                      health_<system>.csv, slo_events_<system>.csv and
                      perfetto_counters_<system>.json
-  --bench            capture the perf baseline: saturating Adios runs
-                     over a long simulated horizon, repeated with
-                     distinct seeds; writes BENCH_adios.json in the cwd
-                     (median wall-clock + median peak simulated RPS +
-                     repeat spread)
-  --bench-repeats N  repeats for --bench (default 5, minimum 5)
-  --bench-horizon-ms N
-                     simulated measure horizon per repeat in ms for
-                     --bench (default 2000, minimum 2000)
   --tick <us>        telemetry sampling period in microseconds
                      (default 100; implies --telemetry)
   --slo <spec>       comma-separated SLO rules (implies --telemetry):
@@ -109,42 +100,46 @@ flags:
                      flat-combining
   --seed N           RNG seed for the smoke runs (unsigned integer,
                      default 1)
-  --out-dir <dir>    output directory (default: results)";
+  --out-dir <dir>    output directory (default: results)
+
+experiment ids:";
+
+/// [`USAGE`] followed by the registry's ids, one per line.
+fn usage() -> String {
+    let mut out = String::from(USAGE);
+    for (id, _) in experiments::ALL {
+        let _ = write!(out, "\n  {id}");
+    }
+    out
+}
 
 /// Parsed command line.
 struct Cli {
     trace: bool,
     trace_cap: usize,
     spans: bool,
-    perfetto: Option<PathBuf>,
     faults: Option<FaultScenario>,
     shards: Option<usize>,
     telemetry: bool,
     profile: bool,
-    flame: Option<PathBuf>,
     memory_obs: bool,
-    heatmap: Option<PathBuf>,
     tick_us: u64,
     slo: Option<Vec<desim::SloRule>>,
     seed: Option<u64>,
     out_dir: PathBuf,
-    bench: bool,
-    bench_repeats: usize,
-    bench_horizon_ms: u64,
     tenants: Option<TenantPlane>,
-    /// The raw `--tenants` spec, kept for bench provenance.
-    tenants_spec: Option<String>,
     shed_watermark: Option<usize>,
     app: Option<String>,
     dispatchers: Option<usize>,
     dispatch_policy: Option<DispatchPolicy>,
+    /// Positional experiment-id prefixes.
+    ids: Vec<String>,
 }
 
 impl Cli {
     fn smoke(&self) -> bool {
         self.trace
             || self.spans
-            || self.perfetto.is_some()
             || self.faults.is_some()
             || self.shards.is_some()
             || self.telemetry
@@ -187,7 +182,7 @@ fn app_workload(name: &str) -> Box<dyn Workload> {
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("experiments_md: {msg}\n\n{USAGE}");
+    eprintln!("experiments_md: {msg}\n\n{}", usage());
     std::process::exit(2);
 }
 
@@ -196,33 +191,27 @@ fn parse_args(args: &[String]) -> Cli {
         trace: false,
         trace_cap: 100_000,
         spans: false,
-        perfetto: None,
         faults: None,
         shards: None,
         telemetry: false,
         profile: false,
-        flame: None,
         memory_obs: false,
-        heatmap: None,
         tick_us: 100,
         slo: None,
         seed: None,
         out_dir: PathBuf::from("results"),
-        bench: false,
-        bench_repeats: 5,
-        bench_horizon_ms: 2_000,
         tenants: None,
-        tenants_spec: None,
         shed_watermark: None,
         app: None,
         dispatchers: None,
         dispatch_policy: None,
+        ids: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             "--trace" => cli.trace = true,
@@ -237,13 +226,6 @@ fn parse_args(args: &[String]) -> Cli {
                 if cli.trace_cap == 0 {
                     die("--trace-cap must be positive");
                 }
-            }
-            "--perfetto" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--perfetto requires a path"));
-                cli.perfetto = Some(PathBuf::from(v));
-                cli.spans = true;
             }
             "--faults" => {
                 let v = it
@@ -273,45 +255,7 @@ fn parse_args(args: &[String]) -> Cli {
             }
             "--telemetry" => cli.telemetry = true,
             "--profile" => cli.profile = true,
-            "--flame" => {
-                let v = it.next().unwrap_or_else(|| die("--flame requires a path"));
-                cli.flame = Some(PathBuf::from(v));
-                cli.profile = true;
-            }
             "--memory-obs" => cli.memory_obs = true,
-            "--heatmap" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--heatmap requires a path"));
-                cli.heatmap = Some(PathBuf::from(v));
-                cli.memory_obs = true;
-            }
-            "--bench" => cli.bench = true,
-            "--bench-repeats" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--bench-repeats requires a value"));
-                cli.bench_repeats = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("invalid --bench-repeats value: {v}")));
-                // Median-of-<5 is too noisy to gate a perf trajectory on.
-                if cli.bench_repeats < 5 {
-                    die("--bench-repeats must be at least 5");
-                }
-                cli.bench = true;
-            }
-            "--bench-horizon-ms" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--bench-horizon-ms requires a value"));
-                cli.bench_horizon_ms = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("invalid --bench-horizon-ms value: {v}")));
-                if cli.bench_horizon_ms < 2_000 {
-                    die("--bench-horizon-ms must be at least 2000 (sub-2s runs are noise)");
-                }
-                cli.bench = true;
-            }
             "--tick" => {
                 let v = it.next().unwrap_or_else(|| die("--tick requires a value"));
                 cli.tick_us = v
@@ -338,7 +282,6 @@ fn parse_args(args: &[String]) -> Cli {
                     TenantPlane::parse(v)
                         .unwrap_or_else(|e| die(&format!("invalid --tenants spec: {e}"))),
                 );
-                cli.tenants_spec = Some(v.clone());
             }
             "--shed-watermark" => {
                 let v = it
@@ -402,7 +345,8 @@ fn parse_args(args: &[String]) -> Cli {
                     .unwrap_or_else(|| die("--out-dir requires a path"));
                 cli.out_dir = PathBuf::from(v);
             }
-            other => die(&format!("unknown argument: {other}")),
+            flag if flag.starts_with('-') => die(&format!("unknown flag: {flag}")),
+            id => cli.ids.push(id.to_string()),
         }
     }
     cli
@@ -431,8 +375,6 @@ fn splice_counters(span_perfetto: &str, counters: &[String]) -> String {
 /// span trees on disk, summaries on stdout.
 fn smoke_mode(cli: &Cli) {
     std::fs::create_dir_all(&cli.out_dir).expect("create output directory");
-    let wall_start = Instant::now();
-    let mut peak_rps: f64 = 0.0;
     for kind in [SystemKind::Dilos, SystemKind::Adios] {
         // With a tenant plane, every tenant gets its own app instance
         // behind a partitioned TenantWorkload; otherwise --app picks the
@@ -496,7 +438,6 @@ fn smoke_mode(cli: &Cli) {
         let dpolicy = cfg.dispatch_policy;
         let res = run_one(cfg, &mut *workload, params);
         let system = format!("{kind:?}").to_lowercase();
-        peak_rps = peak_rps.max(res.recorder.achieved_rps());
 
         if let Some(n) = cli.dispatchers {
             use desim::trace::dispatcher_names as dn;
@@ -752,21 +693,11 @@ fn smoke_mode(cli: &Cli) {
                     q.littles_consistency
                 );
             }
-            let folded = p.folded();
             let fp = cli.out_dir.join(format!("flame_{system}.folded"));
-            std::fs::write(&fp, &folded).expect("write folded flamegraph");
+            std::fs::write(&fp, p.folded()).expect("write folded flamegraph");
             let pj = cli.out_dir.join(format!("profile_{system}.json"));
             std::fs::write(&pj, p.to_json()).expect("write profile JSON");
             println!("wrote {}, {}\n", fp.display(), pj.display());
-            if kind == SystemKind::Adios {
-                if let Some(path) = &cli.flame {
-                    if let Some(parent) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                        std::fs::create_dir_all(parent).expect("create flame directory");
-                    }
-                    std::fs::write(path, &folded).expect("write flame file");
-                    println!("wrote {}\n", path.display());
-                }
-            }
         }
 
         if let Some(m) = &res.memory {
@@ -839,15 +770,6 @@ fn smoke_mode(cli: &Cli) {
                 heat.display(),
                 strides.display()
             );
-            if kind == SystemKind::Adios {
-                if let Some(path) = &cli.heatmap {
-                    if let Some(parent) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                        std::fs::create_dir_all(parent).expect("create heatmap directory");
-                    }
-                    std::fs::write(path, m.heatmap_csv()).expect("write heatmap file");
-                    println!("wrote {}\n", path.display());
-                }
-            }
         }
 
         if cli.trace {
@@ -923,181 +845,46 @@ fn smoke_mode(cli: &Cli) {
                 "wrote {} (open at https://ui.perfetto.dev)\n",
                 path.display()
             );
-            if kind == SystemKind::Adios {
-                if let Some(p) = &cli.perfetto {
-                    if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
-                        std::fs::create_dir_all(parent).expect("create perfetto directory");
-                    }
-                    std::fs::write(p, &perfetto).expect("write perfetto JSON");
-                    println!("wrote {}\n", p.display());
-                }
-            }
         }
     }
-    if cli.telemetry {
-        // The smoke sweep is far too short to gate perf on; it only
-        // reports its own timing. The baseline comes from --bench.
-        println!(
-            "smoke sweep took {:.3} s wall-clock (best achieved {:.0} rps); \
-             run --bench for a gateable baseline",
-            wall_start.elapsed().as_secs_f64(),
-            peak_rps
-        );
-    }
-}
-
-/// Sorted-copy median (len must be non-zero).
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(f64::total_cmp);
-    s[s.len() / 2]
-}
-
-/// Perf-baseline capture: repeated saturating Adios runs over a long
-/// simulated horizon, each with a distinct seed.
-///
-/// The offered load sits far past the Adios saturation point, so the
-/// achieved (simulated) RPS measures the modelled system's capacity —
-/// a machine-independent number the CI perf gate can compare across
-/// runners. Wall-clock tracks the simulator engine's own speed on this
-/// machine; the repeat spread is recorded so a gate can tell signal
-/// from noise.
-fn bench_mode(cli: &Cli) {
-    // ~2× the modelled saturation point: deep overload, so achieved
-    // RPS reads capacity, not offered load. The overload scales with
-    // `--dispatchers` so the bigger machine is still saturated.
-    let offered = 5_000_000.0 * cli.dispatchers.unwrap_or(1) as f64;
-    let mut cfg = SystemConfig::adios();
-    cli.apply_dispatchers(&mut cfg);
-    let horizon = SimDuration::from_millis(cli.bench_horizon_ms);
-    let seed0 = cli.seed.unwrap_or(1);
-    let mut walls: Vec<f64> = Vec::new();
-    let mut rpss: Vec<f64> = Vec::new();
-    println!(
-        "bench: {} repeats × {:.1} s simulated horizon, offered {offered:.0} rps",
-        cli.bench_repeats,
-        cli.bench_horizon_ms as f64 / 1e3,
-    );
-    for i in 0..cli.bench_repeats {
-        let mut workload = ArrayIndexWorkload::new(16_384);
-        let params = RunParams {
-            offered_rps: offered,
-            seed: seed0 + i as u64,
-            warmup: SimDuration::from_millis(100),
-            measure: horizon,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let res = run_one(cfg.clone(), &mut workload, params);
-        let wall = t0.elapsed().as_secs_f64();
-        let rps = res.recorder.achieved_rps();
-        println!("  repeat {i}: {wall:.3} s wall, {rps:.0} achieved simulated rps");
-        walls.push(wall);
-        rpss.push(rps);
-    }
-    let min = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = |xs: &[f64]| xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    // Provenance: which tree produced this baseline, under which knobs
-    // — so a perf-gate failure can say *what* regressed against *which*
-    // baseline. Nested object; the gate's keys stay top-level scalars.
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    // `wall_clock_s` and `peak_rps` stay top-level scalars: CI gates
-    // key on exactly those names. Tenant-plane flags ride along inside
-    // provenance only, so the top-level key set never changes.
-    let mut tenant_flags = String::new();
-    if let Some(spec) = &cli.tenants_spec {
-        write!(tenant_flags, " --tenants {spec}").unwrap();
-    }
-    if let Some(w) = cli.shed_watermark {
-        write!(tenant_flags, " --shed-watermark {w}").unwrap();
-    }
-    if let Some(app) = &cli.app {
-        write!(tenant_flags, " --app {app}").unwrap();
-    }
-    if cli.memory_obs {
-        write!(tenant_flags, " --memory-obs").unwrap();
-    }
-    if let Some(p) = &cli.heatmap {
-        write!(tenant_flags, " --heatmap {}", p.display()).unwrap();
-    }
-    if let Some(n) = cli.dispatchers {
-        // Record the *resolved* policy so a rerun is exact even when
-        // the flag relied on the work-stealing default.
-        write!(
-            tenant_flags,
-            " --dispatchers {n} --dispatch-policy {}",
-            cfg.dispatch_policy.name()
-        )
-        .unwrap();
-    }
-    let tenant_flags = tenant_flags.replace('"', "\\\"");
-    let bench = format!(
-        "{{\"name\":\"adios_saturation\",\"repeats\":{},\"horizon_s\":{:.3},\
-         \"offered_rps\":{offered:.1},\
-         \"wall_clock_s\":{:.3},\"wall_clock_min_s\":{:.3},\"wall_clock_max_s\":{:.3},\
-         \"peak_rps\":{:.3},\"peak_rps_min\":{:.3},\"peak_rps_max\":{:.3},\
-         \"provenance\":{{\"commit\":\"{commit}\",\"seed\":{seed0},\
-         \"bench_repeats\":{},\"bench_horizon_ms\":{},\
-         \"flags\":\"--bench --bench-repeats {} --bench-horizon-ms {} --seed {seed0}{tenant_flags}\"}}}}\n",
-        cli.bench_repeats,
-        cli.bench_horizon_ms as f64 / 1e3,
-        median(&walls),
-        min(&walls),
-        max(&walls),
-        median(&rpss),
-        min(&rpss),
-        max(&rpss),
-        cli.bench_repeats,
-        cli.bench_horizon_ms,
-        cli.bench_repeats,
-        cli.bench_horizon_ms,
-    );
-    std::fs::write("BENCH_adios.json", &bench).expect("write BENCH_adios.json");
-    print!("wrote BENCH_adios.json: {bench}");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = parse_args(&args);
-    if cli.bench {
-        bench_mode(&cli);
-        return;
-    }
     if cli.smoke() {
+        if !cli.ids.is_empty() {
+            die("experiment ids do not combine with smoke flags");
+        }
         smoke_mode(&cli);
         return;
     }
+    let by_id = !cli.ids.is_empty();
+    let selected: Vec<&experiments::Experiment> = if by_id {
+        experiments::select(&cli.ids)
+            .unwrap_or_else(|miss| die(&format!("no experiment id starts with `{miss}`")))
+    } else {
+        experiments::ALL.iter().collect()
+    };
     let scale = Scale::from_env();
     let start = Instant::now();
     let mut reports: Vec<FigureReport> = Vec::new();
-
-    let steps: Vec<Step> = vec![
-        ("Table 1", Box::new(experiments::table1_ctxswitch::run)),
-        ("Figure 2", Box::new(experiments::fig2_motivation::run)),
-        ("Figure 7", Box::new(experiments::fig7_microbench::run)),
-        ("Figure 8", Box::new(experiments::fig8_sensitivity::run)),
-        ("Figure 9", Box::new(experiments::fig9_polling::run)),
-        ("Table 2", Box::new(experiments::table2_workloads::run)),
-        ("Figure 10", Box::new(experiments::fig10_memcached::run)),
-        ("Figure 11", Box::new(experiments::fig11_rocksdb::run)),
-        ("Figure 12", Box::new(experiments::fig12_silo::run)),
-        ("Figure 13", Box::new(experiments::fig13_faiss::run)),
-    ];
-    for (name, run) in steps {
-        eprintln!("[experiments-md] {name}…");
-        reports.push(run(scale));
+    for (id, run) in selected {
+        eprintln!("[experiments-md] {id} at {scale:?} scale…");
+        let report = run(scale);
+        if by_id {
+            report.print();
+        }
+        reports.push(report);
     }
-    eprintln!("[experiments-md] ablations…");
-    reports.extend(experiments::ablations::run(scale));
-    eprintln!("[experiments-md] extensions…");
-    reports.extend(experiments::extensions::run(scale));
+    let misses = reports.iter().filter(|r| !r.all_ok()).count();
+    if by_id {
+        if misses > 0 {
+            eprintln!("[experiments-md] shape expectation MISSED in {misses} report(s)");
+            std::process::exit(1);
+        }
+        return;
+    }
 
     // The header names the command that matches the scale, and only a
     // Full-scale run may replace the committed record.
@@ -1121,7 +908,6 @@ fn main() {
          Datasets are scaled (DESIGN.md §2) with the paper's 20 % local-memory \
          ratio preserved.\n"
     );
-    let misses = reports.iter().filter(|r| !r.all_ok()).count();
     let _ = writeln!(
         md,
         "**{} / {} reports have every shape check passing.**\n",

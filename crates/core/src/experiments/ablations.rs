@@ -339,18 +339,6 @@ pub fn write_mix(scale: Scale) -> FigureReport {
     report
 }
 
-/// Runs all ablations.
-pub fn run(scale: Scale) -> Vec<FigureReport> {
-    vec![
-        reclaimer(scale),
-        queueing(scale),
-        prefetch(scale),
-        unithread_memory(scale),
-        eviction(scale),
-        write_mix(scale),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -359,17 +359,9 @@ pub fn burst_tolerance(scale: Scale) -> FigureReport {
             seed: 99,
             warmup: scale.warmup(),
             measure: scale.measure(),
-            local_mem_fraction: 0.2,
-            keep_breakdowns: false,
             burst: Some((1.9, SimDuration::from_micros(400))),
             timeline_bucket: Some(SimDuration::from_micros(200)),
-            trace_capacity: None,
-            spans: None,
-            faults: None,
-            telemetry: None,
-            profile: None,
-            memory: None,
-            tenants: None,
+            ..Default::default()
         };
         let r = Simulation::new(cfg, &mut wl, params).run();
         if i == 0 {
@@ -422,16 +414,7 @@ pub fn scalability(scale: Scale) -> FigureReport {
             // Saturation probing only: short window.
             measure: SimDuration::from_millis(15),
             local_mem_fraction: 1.0,
-            keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
-            trace_capacity: None,
-            spans: None,
-            faults: None,
-            telemetry: None,
-            profile: None,
-            memory: None,
-            tenants: None,
+            ..Default::default()
         };
         let r = Simulation::new(cfg, &mut wl, params).run();
         let achieved = r.recorder.achieved_rps();
@@ -570,17 +553,7 @@ pub fn faiss_nprobe(scale: Scale) -> FigureReport {
             seed: 113,
             warmup: scale.warmup(),
             measure: SimDuration::from_millis(250),
-            local_mem_fraction: 0.2,
-            keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
-            trace_capacity: None,
-            spans: None,
-            faults: None,
-            telemetry: None,
-            profile: None,
-            memory: None,
-            tenants: None,
+            ..Default::default()
         };
         let r = Simulation::new(SystemConfig::adios(), &mut wl, params).run();
         let p50 = r.recorder.overall().percentile(50.0);
@@ -771,17 +744,9 @@ fn run_faulty(
         seed,
         warmup: scale.warmup(),
         measure: scale.measure(),
-        local_mem_fraction: 0.2,
-        keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
-        trace_capacity: None,
         spans: Some(desim::SpanConfig::stats_only()),
         faults: Some(scenario),
-        telemetry: None,
-        profile: None,
-        memory: None,
-        tenants: None,
+        ..Default::default()
     };
     Simulation::new(cfg.clone(), wl, params).run()
 }
@@ -1047,17 +1012,7 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
             seed: 160,
             warmup: scale.warmup(),
             measure: scale.measure(),
-            local_mem_fraction: 0.2,
-            keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
-            trace_capacity: None,
-            spans: None,
-            faults: None,
-            telemetry: None,
-            profile: None,
-            memory: None,
-            tenants: None,
+            ..Default::default()
         };
         let r = Simulation::new(cfg, &mut wl, params).run();
         let bytes: u64 = r.shards.iter().map(|w| w.data_bytes).sum();
@@ -1112,17 +1067,8 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
         seed: 161,
         warmup: scale.warmup(),
         measure: scale.measure(),
-        local_mem_fraction: 0.2,
-        keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
-        trace_capacity: None,
-        spans: None,
         faults,
-        telemetry: None,
-        profile: None,
-        memory: None,
-        tenants: None,
+        ..Default::default()
     };
     let base = Simulation::new(crash_cfg.clone(), &mut wl, mk_params(None)).run();
     let crash = Simulation::new(
@@ -1220,16 +1166,7 @@ pub fn dispatcher_scaling(scale: Scale) -> FigureReport {
                 // Saturation probing only: short window.
                 measure: SimDuration::from_millis(15),
                 local_mem_fraction: 1.0,
-                keep_breakdowns: false,
-                burst: None,
-                timeline_bucket: None,
-                trace_capacity: None,
-                spans: None,
-                faults: None,
-                telemetry: None,
-                profile: None,
-                memory: None,
-                tenants: None,
+                ..Default::default()
             };
             let r = Simulation::new(cfg, &mut wl, params).run();
             achieved[pi].push(r.recorder.achieved_rps());
@@ -1361,17 +1298,8 @@ pub fn tenant_isolation(scale: Scale) -> FigureReport {
             seed: 170,
             warmup: scale.warmup(),
             measure: scale.measure(),
-            local_mem_fraction: 0.2,
-            keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
-            trace_capacity: None,
-            spans: None,
-            faults: None,
-            telemetry: None,
-            profile: None,
-            memory: None,
             tenants: Some(plane),
+            ..Default::default()
         };
         Simulation::new(SystemConfig::adios(), wl, params).run()
     };
@@ -1450,17 +1378,7 @@ pub fn tenant_isolation(scale: Scale) -> FigureReport {
             seed: 171,
             warmup: scale.warmup(),
             measure: scale.measure(),
-            local_mem_fraction: 0.2,
-            keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
-            trace_capacity: None,
-            spans: None,
-            faults: None,
-            telemetry: None,
-            profile: None,
-            memory: None,
-            tenants: None,
+            ..Default::default()
         };
         Simulation::new(SystemConfig::adios(), &mut *wl, params).run()
     };
@@ -1519,17 +1437,8 @@ fn run_obs(
         seed,
         warmup: scale.warmup(),
         measure: scale.measure(),
-        local_mem_fraction: 0.2,
-        keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
-        trace_capacity: None,
-        spans: None,
-        faults: None,
-        telemetry: None,
-        profile: None,
         memory: Some(runtime::sim::MemObsConfig::default()),
-        tenants: None,
+        ..Default::default()
     };
     Simulation::new(cfg.clone(), wl, params).run()
 }
@@ -1677,26 +1586,6 @@ pub fn memory_observatory(scale: Scale) -> FigureReport {
             .into(),
     );
     report
-}
-
-/// Runs all extension studies.
-pub fn run(scale: Scale) -> Vec<FigureReport> {
-    vec![
-        infiniswap(scale),
-        huge_pages(scale),
-        prefetcher_policy(scale),
-        work_stealing(scale),
-        burst_tolerance(scale),
-        scalability(scale),
-        colocation(scale),
-        networking(scale),
-        faiss_nprobe(scale),
-        fault_tolerance(scale),
-        shard_scaling(scale),
-        tenant_isolation(scale),
-        dispatcher_scaling(scale),
-        memory_observatory(scale),
-    ]
 }
 
 #[cfg(test)]

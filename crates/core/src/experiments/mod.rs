@@ -1,8 +1,10 @@
-//! One module per table/figure of the paper's evaluation.
+//! One function per table/figure of the paper's evaluation, and the
+//! one list of them: [`ALL`].
 //!
-//! Every module exposes `run(scale) -> FigureReport`; the `bench` crate
-//! has one bench target per module, and `EXPERIMENTS.md` is the
-//! collected Markdown of all reports at [`Scale::Full`].
+//! Every entry is a `fn(Scale) -> FigureReport`; the `experiments_md`
+//! binary of the `bench` crate is the only driver, and
+//! `EXPERIMENTS.md` is the collected Markdown of all reports at
+//! [`Scale::Full`], in [`ALL`]'s order.
 
 pub mod ablations;
 pub mod extensions;
@@ -21,8 +23,64 @@ use desim::SimDuration;
 use runtime::sim::{RunParams, RunResult, Simulation};
 use runtime::{SystemConfig, Workload};
 
-use crate::report::Series;
+use crate::report::{FigureReport, Series};
 use crate::scale::Scale;
+
+/// One runnable report: its id on the `experiments_md` command line
+/// and the function that produces it.
+pub type Experiment = (&'static str, fn(Scale) -> FigureReport);
+
+/// Every report of the evaluation, in `EXPERIMENTS.md` order: the
+/// paper's tables and figures, the design-choice ablations
+/// (DESIGN.md §6), then the extension studies.
+#[rustfmt::skip] // one row per line
+pub const ALL: &[Experiment] = &[
+    ("table1_ctxswitch", table1_ctxswitch::run),
+    ("fig2_motivation", fig2_motivation::run),
+    ("fig7_microbench", fig7_microbench::run),
+    ("fig8_sensitivity", fig8_sensitivity::run),
+    ("fig9_polling", fig9_polling::run),
+    ("table2_workloads", table2_workloads::run),
+    ("fig10_memcached", fig10_memcached::run),
+    ("fig11_rocksdb", fig11_rocksdb::run),
+    ("fig12_silo", fig12_silo::run),
+    ("fig13_faiss", fig13_faiss::run),
+    ("ablation_reclaimer", ablations::reclaimer),
+    ("ablation_queueing", ablations::queueing),
+    ("ablation_prefetch", ablations::prefetch),
+    ("ablation_unithread_memory", ablations::unithread_memory),
+    ("ablation_eviction", ablations::eviction),
+    ("ablation_write_mix", ablations::write_mix),
+    ("extension_infiniswap", extensions::infiniswap),
+    ("extension_huge_pages", extensions::huge_pages),
+    ("extension_prefetcher_policy", extensions::prefetcher_policy),
+    ("extension_work_stealing", extensions::work_stealing),
+    ("extension_burst_tolerance", extensions::burst_tolerance),
+    ("extension_scalability", extensions::scalability),
+    ("extension_colocation", extensions::colocation),
+    ("extension_networking", extensions::networking),
+    ("extension_faiss_nprobe", extensions::faiss_nprobe),
+    ("extension_fault_tolerance", extensions::fault_tolerance),
+    ("extension_shard_scaling", extensions::shard_scaling),
+    ("extension_tenant_isolation", extensions::tenant_isolation),
+    ("extension_dispatcher_scaling", extensions::dispatcher_scaling),
+    ("extension_memory_observatory", extensions::memory_observatory),
+];
+
+/// The entries whose id starts with one of `prefixes`, in registry
+/// order; `Err` names the first prefix that matches no id.
+pub fn select<S: AsRef<str>>(prefixes: &[S]) -> Result<Vec<&'static Experiment>, &S> {
+    if let Some(miss) = prefixes
+        .iter()
+        .find(|p| !ALL.iter().any(|(id, _)| id.starts_with(p.as_ref())))
+    {
+        return Err(miss);
+    }
+    Ok(ALL
+        .iter()
+        .filter(|(id, _)| prefixes.iter().any(|p| id.starts_with(p.as_ref())))
+        .collect())
+}
 
 /// Runs one configuration over an offered-load grid, reusing the
 /// workload (datasets build once per sweep).
@@ -44,17 +102,9 @@ pub(crate) fn sweep(
                 warmup,
                 measure,
                 local_mem_fraction,
-                keep_breakdowns: false,
-                burst: None,
-                timeline_bucket: None,
-                trace_capacity: None,
                 // Per-stage latency histograms for every sweep row.
                 spans: Some(desim::SpanConfig::stats_only()),
-                faults: None,
-                telemetry: None,
-                profile: None,
-                memory: None,
-                tenants: None,
+                ..Default::default()
             };
             Simulation::new(cfg.clone(), workload, params).run()
         })
@@ -77,17 +127,10 @@ pub(crate) fn run_with_breakdowns(
         measure: scale.measure(),
         local_mem_fraction,
         keep_breakdowns: true,
-        burst: None,
-        timeline_bucket: None,
-        trace_capacity: None,
         // Full span layer: the Figure 2c/7c breakdowns are derived from
         // the per-request span trees' critical paths.
         spans: Some(desim::SpanConfig::default()),
-        faults: None,
-        telemetry: None,
-        profile: None,
-        memory: None,
-        tenants: None,
+        ..Default::default()
     };
     Simulation::new(cfg.clone(), workload, params).run()
 }
@@ -194,6 +237,50 @@ mod tests {
         assert_eq!(s.rows.len(), 2);
         let c = class_series("DiLOS", &results, 0);
         assert_eq!(c.rows.len(), 2);
+    }
+
+    #[test]
+    fn registry_ids_are_unique_and_well_formed() {
+        assert_eq!(ALL.len(), 30);
+        for (i, (id, _)) in ALL.iter().enumerate() {
+            assert!(
+                !id.is_empty()
+                    && id
+                        .bytes()
+                        .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_')),
+                "malformed id {id:?}"
+            );
+            assert!(
+                ALL[..i].iter().all(|(other, _)| other != id),
+                "duplicate id {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn select_keeps_registry_order_and_names_the_miss() {
+        let ids = |prefixes: &[&str]| -> Vec<&str> {
+            select(prefixes)
+                .expect("every prefix matches")
+                .iter()
+                .map(|(id, _)| *id)
+                .collect()
+        };
+        // Command-line order and overlap do not matter; `fig1` taking
+        // Figures 10–13 is intended.
+        assert_eq!(
+            ids(&["fig1", "table", "fig10"]),
+            [
+                "table1_ctxswitch",
+                "table2_workloads",
+                "fig10_memcached",
+                "fig11_rocksdb",
+                "fig12_silo",
+                "fig13_faiss"
+            ]
+        );
+        assert_eq!(ids(&["extension_shard"]), ["extension_shard_scaling"]);
+        assert_eq!(select(&["fig7", "fig3"]).err(), Some(&"fig3"));
     }
 
     #[test]

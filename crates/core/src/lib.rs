@@ -6,9 +6,11 @@
 //! - the four systems under test ([`SystemKind`], [`SystemConfig`]);
 //! - the simulation entry points ([`Simulation`], [`RunParams`]);
 //! - the application workloads (re-exported from [`apps`]);
-//! - one experiment module per table/figure of the paper
-//!   ([`experiments`]), each returning a printable [`FigureReport`]
-//!   with measured series and paper-vs-measured expectation rows.
+//! - the experiment registry ([`experiments::ALL`]): one function per
+//!   table/figure of the paper, ablation and extension study, each
+//!   returning a printable [`FigureReport`] with measured series and
+//!   paper-vs-measured expectation rows (the `bench` crate's
+//!   `experiments_md` binary is its only driver).
 //!
 //! # Quickstart
 //!

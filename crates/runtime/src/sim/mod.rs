@@ -622,8 +622,8 @@ impl<'w> Simulation<'w> {
             tenants.as_ref().map(|p| TenantMix::new(p, params.seed)),
         );
         let admission = tenants.as_ref().map(TenantAdmission::new);
-        // The scenario is consumed, not cloned: it is not read again
-        // after construction.
+        // The scenario is consumed, not cloned: the armed plane keeps
+        // it for the run-end telemetry episode annotations.
         let plane = match params.faults.take() {
             Some(s) => FaultPlane::new(s, params.seed ^ 0xFA17_1A7E_0000_0001),
             None => FaultPlane::inert(),
@@ -725,9 +725,9 @@ impl<'w> Simulation<'w> {
         let res = self.obs.finish(
             self.last_now,
             &self.params,
-            self.cfg.workers,
+            &self.cfg,
             self.cons,
-            self.plane.active(),
+            &self.plane,
         );
         #[cfg(test)]
         let res = RunResult {

@@ -3,12 +3,13 @@
 //! identities, and assembling the [`RunResult`].
 
 use desim::profile::CoreState;
-use desim::{Histogram, MetricsSnapshot, SimTime, SloRule, Tracer};
+use desim::{EpisodeNote, Histogram, MetricsSnapshot, SimTime, SloRule, Tracer};
 use fabric::link::{Link, LinkSnapshot};
-use faults::FaultStats;
+use faults::{EpisodeKind, FaultPlane, FaultStats};
 use paging::cache::CacheStats;
 
 use super::Observer;
+use crate::config::SystemConfig;
 use crate::sim::{Conservation, RunParams, RunResult, ShardWindow, TenantWindow};
 
 /// Aggregate statistics of one run, scoped to the measurement window.
@@ -114,9 +115,9 @@ impl Observer {
         self,
         end: SimTime,
         params: &RunParams,
-        workers: usize,
+        cfg: &SystemConfig,
         conservation: Conservation,
-        faults_active: bool,
+        plane: &FaultPlane,
     ) -> RunResult {
         let window = params.measure;
         let (closed, metrics) = self.closed.expect("window closed before finish");
@@ -212,7 +213,7 @@ impl Observer {
         // while the profiler clamps every accrual to the window — so
         // the bound is 2 % of total worker time plus 5 % of the counter
         // itself.
-        if let (true, Some(p), false) = (cfg!(debug_assertions), &profile, faults_active) {
+        if let (true, Some(p), false) = (cfg!(debug_assertions), &profile, plane.active()) {
             let workers = || p.cores.iter().filter(|c| c.is_worker);
             let derived = workers()
                 .map(|c| {
@@ -266,22 +267,47 @@ impl Observer {
             },
             offered_rps: params.offered_rps,
             window,
-            workers,
+            workers: cfg.workers,
             timeline: self.timeline,
             spans: self.spans.map(|sp| sp.store.finish()),
             shards,
             tenants,
             conservation,
-            // No episode annotations: the fault scenario is consumed
-            // when the fault plane is armed, and the report bytes are
-            // pinned without them.
-            telemetry: self.telem.map(|b| b.rec.finish(Vec::new())),
+            telemetry: self
+                .telem
+                .map(|b| b.rec.finish(episode_notes(plane, cfg.replicas()))),
             profile,
             memory,
             #[cfg(test)]
             dispatcher_log: Vec::new(),
         }
     }
+}
+
+/// The fault episodes the plane was armed with, as telemetry
+/// annotations, so breaches can be read against the injected
+/// disturbance: link episodes hit every series, node episodes are
+/// pinned to the shard whose replica chain the node belongs to.
+fn episode_notes(plane: &FaultPlane, replicas: usize) -> Vec<EpisodeNote> {
+    let shard = |node: u32| vec![format!("shard{}", node as usize / replicas)];
+    plane
+        .scenario()
+        .episodes
+        .iter()
+        .map(|ep| {
+            let (kind, affected) = match ep.kind {
+                EpisodeKind::LinkDegraded { .. } => ("link_degraded", vec!["*".to_string()]),
+                EpisodeKind::NodeStall { node, .. } => ("node_stall", shard(node)),
+                EpisodeKind::NodeDown { node } => ("node_down", shard(node)),
+            };
+            EpisodeNote {
+                start: ep.start,
+                end: ep.end,
+                kind,
+                affected,
+            }
+        })
+        .collect()
 }
 
 /// Evaluates a tenant's latency SLO rules over its window histogram:

@@ -1121,3 +1121,41 @@ fn pf_aware_pick_matches_min_by_key_reference() {
         assert!(none > 50 && zero_exit > 50 && by_count > 50);
     }
 }
+
+/// The telemetry report annotates the fault episodes the plane was
+/// armed with (regression: the list was always empty because the
+/// scenario is consumed when the plane is armed): link episodes cover
+/// every series, node episodes the shard whose chain the node is in.
+#[test]
+fn telemetry_report_annotates_the_armed_fault_episodes() {
+    let episodes = |cfg: SystemConfig, faults: Option<FaultScenario>| {
+        let mut w = small_workload();
+        let params = RunParams {
+            faults,
+            telemetry: Some(desim::TelemetryConfig::default()),
+            ..quick_params(400_000.0)
+        };
+        let report = run_one(cfg, &mut w, params).telemetry;
+        report.expect("telemetry was enabled").episodes
+    };
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+
+    let lossy = episodes(SystemConfig::adios(), Some(FaultScenario::lossy()));
+    assert_eq!(lossy.len(), 1);
+    assert_eq!(lossy[0].kind, "link_degraded");
+    assert_eq!((lossy[0].start, lossy[0].end), (ms(5), ms(7)));
+    assert_eq!(lossy[0].affected, ["*"]);
+
+    // Node 5 of a 4 × 2 layout is shard 2's secondary.
+    let sharded = SystemConfig {
+        memnode_shards: 4,
+        memnode_replicas: 2,
+        ..SystemConfig::adios()
+    };
+    let crash = episodes(sharded, Some(FaultScenario::crash_node(5)));
+    assert_eq!(crash.len(), 1);
+    assert_eq!(crash[0].kind, "node_down");
+    assert_eq!(crash[0].affected, ["shard2"]);
+
+    assert!(episodes(SystemConfig::adios(), None).is_empty());
+}

@@ -7,7 +7,8 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! - [`core_api`] — systems, experiment harness, figure reproduction;
+//! - [`core_api`] — systems, the experiment registry
+//!   (`core_api::experiments::ALL`), figure reproduction;
 //! - [`desim`] — the deterministic discrete-event simulation kernel;
 //! - [`fabric`] — RDMA NIC / link / Raw-Ethernet models;
 //! - [`paging`] — page cache, reclaim, traces, the paged arena;
