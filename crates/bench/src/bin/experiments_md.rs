@@ -13,10 +13,12 @@
 //! matching reports, writes nothing and exits 1 on a missed shape
 //! check.
 //!
-//! Smoke flags skip the sweep and instead run one short instrumented
-//! run per system: `--trace` prints the virtual-time event timeline
-//! and writes the full per-run JSON, `--spans` records per-request
-//! span trees and writes tail exemplars as Perfetto JSON. Run with
+//! Any flag other than `--help` / `--out-dir` skips the sweep and runs
+//! one short instrumented run per system instead (1 ms warm-up + 12 ms
+//! measured, DiLOS then Adios). Each writes one report,
+//! `<out-dir>/run_<system>.json` ([`run_json`]), and — when a plane
+//! with tracks is on — one timeline, `perfetto_<system>.json`
+//! ([`perfetto_json`]), next to the planes' own text exports. Run with
 //! `--help` for the full flag list.
 
 use std::fmt::Write as _;
@@ -24,7 +26,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use adios_core::prelude::*;
-use adios_core::{experiments, run_json, FigureReport, Scale};
+use adios_core::{experiments, perfetto_json, run_json, FigureReport, Scale};
 
 const USAGE: &str = "\
 usage: experiments_md [FLAGS] [ID...]
@@ -34,72 +36,71 @@ Full scale (ADIOS_FULL=1), <out-dir>/EXPERIMENTS.quick.md otherwise.
 With experiment ids (any prefix: fig7, ablation, extension_shard) it
 runs the matching experiments at that scale, prints their reports,
 writes no Markdown and exits 1 if a shape check missed.
-Any smoke flag (--trace / --spans / --faults / ...) skips the sweep
-and runs one short instrumented run per system instead; ids and smoke
-flags do not combine.
+Any other flag than --help / --out-dir skips the sweep and runs one
+short instrumented run per system instead (1 ms warm-up + 12 ms
+measured), writing <out-dir>/run_<system>.json (the full per-run JSON)
+and, with --spans / --profile / --memory-obs / --telemetry,
+<out-dir>/perfetto_<system>.json (one timeline of every plane's tracks,
+open at https://ui.perfetto.dev); ids and such flags do not combine.
 
 flags:
   --help             print this message and exit
-  --trace            print the virtual-time event timeline and write
-                     per-run JSON to <out-dir>/trace_<system>.json
-  --trace-cap N      ring-buffer capacity for --trace (default 100000)
-  --spans            record per-request span trees; writes the tail
-                     exemplars as Perfetto JSON to
-                     <out-dir>/spans_<system>.json
-  --faults <name>    inject a named fault scenario into the smoke runs
+  --trace            record the virtual-time event timeline into the
+                     run JSON's `trace` array and print its head
+  --trace-cap N      ring-buffer capacity for --trace (default 100000;
+                     implies --trace)
+  --spans            record per-request span trees: per-stage critical
+                     path in the run JSON, tail exemplars in the
+                     Perfetto timeline
+  --faults <name>    inject a named fault scenario into the runs
                      (none, lossy, flaky, stall, crash) and print the
                      fault-plane / retransmission counters
   --shards N         shard the page space across N memnodes in the
-                     smoke runs and print the per-shard counters
+                     runs and print the per-shard counters
   --profile          run the virtual-time core profiler: exhaustive
                      per-core state tiling (dispatch/handoff/work/spin/
                      park/ctx-switch/fetch-wait/tx-wait/idle), queue
                      depth/wait probes with a Little's-law consistency
                      score, a per-core utilization table on stdout, and
                      <out-dir>/flame_<system>.folded (render with
-                     speedscope or inferno-flamegraph) plus
-                     profile_<system>.json on disk
+                     speedscope or inferno-flamegraph)
   --memory-obs       run the memory-access observatory: prefetch-fate
                      attribution (hit/late/wasted per detector class),
                      page-heat/working-set windows and stride
                      fingerprints; prints the fate table and writes
-                     <out-dir>/memory_<system>.json,
-                     heatmap_<system>.csv and strides_<system>.csv
+                     <out-dir>/heatmap_<system>.csv and
+                     strides_<system>.csv
   --telemetry        run the continuous-telemetry plane: per-tick
                      counter/gauge series, per-QP/per-shard health
                      scores and SLO breach events; writes
-                     <out-dir>/telemetry_<system>.{json,csv},
-                     health_<system>.csv, slo_events_<system>.csv and
-                     perfetto_counters_<system>.json
+                     <out-dir>/telemetry_<system>.csv,
+                     health_<system>.csv and slo_events_<system>.csv
   --tick <us>        telemetry sampling period in microseconds
                      (default 100; implies --telemetry)
   --slo <spec>       comma-separated SLO rules (implies --telemetry):
                      lat<OBJ:BUDGET@WINDOW (e.g. lat<20us:0.05@1ms),
                      err<BUDGET@WINDOW, qgrow>FACTOR@WINDOW
-  --tenants <spec>   run the smoke runs under a multi-tenant traffic
+  --tenants <spec>   put the runs under a multi-tenant traffic
                      plane: `;`-separated `RATE[@BUCKET]:APP:PRIO[:SLO]`
                      fields (rates take k/m suffixes, @BUCKET enables
                      token-bucket admission at that rate, APP is
                      array/kvs/llm, PRIO is hi/lo, SLO is a
                      lat<OBJ:BUDGET@WINDOW spec), e.g.
                      `300k:kvs:hi:lat<200us:0.001@10ms;2m@400k:llm:lo`;
-                     prints per-tenant admission/latency tables and the
-                     request-conservation identity
+                     prints per-tenant admission/latency tables
   --shed-watermark N dispatcher-queue depth beyond which low-priority
                      arrivals are shed (requires --tenants)
-  --app <name>       workload for single-stream smoke runs:
+  --app <name>       workload for single-stream runs:
                      array (default), kvs, llm, or scan
   --dispatchers N    model a proportionally scaled machine with N
                      dispatcher cores, 8·N workers and min(N, 8)
-                     memnode shards; smoke runs go to deep overload and
-                     print per-dispatcher admit/steal/combine counters,
-                     writing dispatch_<system>_<N>d_<policy>.json
+                     memnode shards; the runs go to deep overload and
+                     print per-dispatcher admit/steal/combine counters
   --dispatch-policy <name>
-                     ingress policy for --dispatchers: single-fcfs,
-                     work-stealing (default above 1 dispatcher) or
-                     flat-combining
-  --seed N           RNG seed for the smoke runs (unsigned integer,
-                     default 1)
+                     ingress policy (requires --dispatchers):
+                     single-fcfs, work-stealing (default above 1
+                     dispatcher) or flat-combining
+  --seed N           RNG seed for the runs (unsigned integer, default 1)
   --out-dir <dir>    output directory (default: results)
 
 experiment ids:";
@@ -115,6 +116,9 @@ fn usage() -> String {
 
 /// Parsed command line.
 struct Cli {
+    /// Any flag but `--help` / `--out-dir` was given: run the
+    /// instrumented runs, not the sweep.
+    instrumented: bool,
     trace: bool,
     trace_cap: usize,
     spans: bool,
@@ -137,19 +141,6 @@ struct Cli {
 }
 
 impl Cli {
-    fn smoke(&self) -> bool {
-        self.trace
-            || self.spans
-            || self.faults.is_some()
-            || self.shards.is_some()
-            || self.telemetry
-            || self.profile
-            || self.memory_obs
-            || self.tenants.is_some()
-            || self.app.is_some()
-            || self.dispatchers.is_some()
-    }
-
     /// `--dispatchers N` models a proportionally scaled machine — N
     /// dispatcher cores, 8·N workers, min(N, 8) memnode shards — so
     /// the knob measures dispatch-plane scaling instead of running a
@@ -168,7 +159,7 @@ impl Cli {
     }
 }
 
-/// Resolves a tenant/app name to a smoke-scale workload instance.
+/// Resolves a tenant/app name to a workload sized for the short runs.
 fn app_workload(name: &str) -> Box<dyn Workload> {
     match name {
         "array" => Box::new(ArrayIndexWorkload::new(16_384)),
@@ -188,6 +179,7 @@ fn die(msg: &str) -> ! {
 
 fn parse_args(args: &[String]) -> Cli {
     let mut cli = Cli {
+        instrumented: false,
         trace: false,
         trace_cap: 100_000,
         spans: false,
@@ -209,6 +201,7 @@ fn parse_args(args: &[String]) -> Cli {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        cli.instrumented |= arg.starts_with('-') && arg != "--out-dir";
         match arg.as_str() {
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -226,6 +219,7 @@ fn parse_args(args: &[String]) -> Cli {
                 if cli.trace_cap == 0 {
                     die("--trace-cap must be positive");
                 }
+                cli.trace = true;
             }
             "--faults" => {
                 let v = it
@@ -349,31 +343,21 @@ fn parse_args(args: &[String]) -> Cli {
             id => cli.ids.push(id.to_string()),
         }
     }
+    if cli.shed_watermark.is_some() && cli.tenants.is_none() {
+        die("--shed-watermark requires --tenants");
+    }
+    if cli.dispatch_policy.is_some() && cli.dispatchers.is_none() {
+        die("--dispatch-policy requires --dispatchers");
+    }
+    if cli.instrumented && !cli.ids.is_empty() {
+        die("experiment ids do not combine with instrumented-run flags");
+    }
     cli
 }
 
-/// Splices telemetry counter events into a span-layer Perfetto
-/// document so series and spans share one timeline (the counter tracks
-/// land under their own synthetic "telemetry" process).
-fn splice_counters(span_perfetto: &str, counters: &[String]) -> String {
-    let body = span_perfetto
-        .strip_suffix("]}")
-        .expect("span perfetto JSON ends with ]}");
-    let mut out = String::with_capacity(
-        span_perfetto.len() + counters.iter().map(String::len).sum::<usize>(),
-    );
-    out.push_str(body);
-    for c in counters {
-        out.push(',');
-        out.push_str(c);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Smoke mode: one short instrumented run per system; timelines and
-/// span trees on disk, summaries on stdout.
-fn smoke_mode(cli: &Cli) {
+/// One short instrumented run per system: the report, the timeline and
+/// the planes' text exports on disk, summaries on stdout.
+fn instrumented_runs(cli: &Cli) {
     std::fs::create_dir_all(&cli.out_dir).expect("create output directory");
     for kind in [SystemKind::Dilos, SystemKind::Adios] {
         // With a tenant plane, every tenant gets its own app instance
@@ -402,10 +386,12 @@ fn smoke_mode(cli: &Cli) {
         let mut params = RunParams {
             offered_rps: offered,
             tenants: plane,
+            // One horizon for every run: it covers the first episode of
+            // each named fault scenario (stall 3–4 ms, lossy / flaky
+            // 5–7 ms, the crash outage from 10 ms) with room for a
+            // before/during/after SLO arc around it.
             warmup: SimDuration::from_millis(1),
-            // The telemetry smoke needs room for a before/during/after
-            // SLO arc around the lossy scenario's 5–7 ms episode.
-            measure: SimDuration::from_millis(if cli.telemetry { 12 } else { 2 }),
+            measure: SimDuration::from_millis(12),
             trace_capacity: cli.trace.then_some(cli.trace_cap),
             spans: cli
                 .spans
@@ -438,15 +424,42 @@ fn smoke_mode(cli: &Cli) {
         let dpolicy = cfg.dispatch_policy;
         let res = run_one(cfg, &mut *workload, params);
         let system = format!("{kind:?}").to_lowercase();
+        let export = |name: String, contents: String| {
+            let path = cli.out_dir.join(name);
+            std::fs::write(&path, contents).expect("write run artifact");
+            println!("wrote {}", path.display());
+        };
+
+        let cons = &res.conservation;
+        println!(
+            "==== {kind:?}: {offered:.0} rps offered, {:.0} achieved; conservation: \
+             {} arrivals = {} completed + {} dropped + {} shed + {} aborted \
+             + {} in flight ({}) ====",
+            res.recorder.achieved_rps(),
+            cons.arrivals,
+            cons.completions,
+            cons.drops,
+            cons.sheds,
+            cons.aborts,
+            cons.inflight_at_end,
+            if cons.holds() { "holds" } else { "VIOLATED" }
+        );
+        export(format!("run_{system}.json"), run_json(&res));
+        if let Some(timeline) = perfetto_json(&res) {
+            export(format!("perfetto_{system}.json"), timeline);
+        }
+        println!();
 
         if let Some(n) = cli.dispatchers {
             use desim::trace::dispatcher_names as dn;
             let c = |name: &str| res.metrics.counter(name).unwrap_or(0);
             println!(
-                "==== {kind:?}: dispatcher plane ({n} cores, {}, {offered:.0} rps offered) ====",
+                "==== {kind:?}: dispatcher plane ({n} cores, {}) ====",
                 dpolicy.name()
             );
-            for d in 0..n.min(dn::MAX_DISPATCHERS) {
+            // Per-dispatcher counters exist only above one dispatcher:
+            // single-dispatcher runs keep the pre-scaling registry.
+            for d in 0..n {
                 if n > 1 {
                     println!(
                         "    dispatcher {d}: {} admitted, {} steals, {} combines",
@@ -456,64 +469,13 @@ fn smoke_mode(cli: &Cli) {
                     );
                 }
             }
-            let cons = &res.conservation;
-            println!(
-                "    achieved {:.0} rps; conservation: {} arrivals = {} completed \
-                 + {} dropped + {} shed + {} aborted + {} in flight ({})",
-                res.recorder.achieved_rps(),
-                cons.arrivals,
-                cons.completions,
-                cons.drops,
-                cons.sheds,
-                cons.aborts,
-                cons.inflight_at_end,
-                if cons.holds() { "holds" } else { "VIOLATED" }
-            );
-            // Machine-readable capture for the dispatch-scaling CI
-            // smoke: per-dispatcher counters plus the conservation
-            // identity (counters exist only above one dispatcher —
-            // single-dispatcher runs keep the pre-scaling registry).
-            let mut per = String::new();
-            for d in 0..n {
-                if n > 1 {
-                    let _ = write!(
-                        per,
-                        "{}{{\"dispatcher\":{d},\"admitted\":{},\"steals\":{},\"combines\":{}}}",
-                        if d > 0 { "," } else { "" },
-                        c(dn::ADMITTED[d]),
-                        c(dn::STEALS[d]),
-                        c(dn::COMBINES[d])
-                    );
-                }
-            }
-            let json = format!(
-                "{{\"system\":\"{system}\",\"dispatchers\":{n},\"policy\":\"{}\",\
-                 \"offered_rps\":{offered:.1},\"achieved_rps\":{:.1},\
-                 \"arrivals\":{},\"completions\":{},\"drops\":{},\"sheds\":{},\
-                 \"aborts\":{},\"inflight_at_end\":{},\"conservation_holds\":{},\
-                 \"per_dispatcher\":[{per}]}}\n",
-                dpolicy.name(),
-                res.recorder.achieved_rps(),
-                cons.arrivals,
-                cons.completions,
-                cons.drops,
-                cons.sheds,
-                cons.aborts,
-                cons.inflight_at_end,
-                cons.holds()
-            );
-            let path = cli
-                .out_dir
-                .join(format!("dispatch_{system}_{n}d_{}.json", dpolicy.name()));
-            std::fs::write(&path, json).expect("write dispatch JSON");
-            println!("wrote {}\n", path.display());
+            println!();
         }
 
         if res.tenants.len() > 1 {
             println!(
-                "==== {kind:?}: tenant plane ({} tenants, {:.0} rps offered) ====",
-                res.tenants.len(),
-                offered
+                "==== {kind:?}: tenant plane ({} tenants) ====",
+                res.tenants.len()
             );
             println!(
                 "    {:<10} {:<4} {:>12} {:>9} {:>9} {:>9} {:>6} {:>6} {:>10} {:>5}",
@@ -547,21 +509,7 @@ fn smoke_mode(cli: &Cli) {
                     }
                 );
             }
-            let c = &res.conservation;
-            println!(
-                "    conservation: {} arrivals = {} completed + {} dropped + {} shed \
-                 + {} aborted + {} in flight ({})",
-                c.arrivals,
-                c.completions,
-                c.drops,
-                c.sheds,
-                c.aborts,
-                c.inflight_at_end,
-                if c.holds() { "holds" } else { "VIOLATED" }
-            );
-            let path = cli.out_dir.join(format!("tenants_{system}.json"));
-            std::fs::write(&path, run_json(&res)).expect("write tenant JSON");
-            println!("wrote {}\n", path.display());
+            println!();
         }
 
         if let Some(n) = cli.shards.filter(|&n| n > 1) {
@@ -636,24 +584,10 @@ fn smoke_mode(cli: &Cli) {
                     scores.len()
                 );
             }
-            let json = cli.out_dir.join(format!("telemetry_{system}.json"));
-            std::fs::write(&json, run_json(&res)).expect("write telemetry JSON");
-            let csv = cli.out_dir.join(format!("telemetry_{system}.csv"));
-            std::fs::write(&csv, t.series_csv()).expect("write telemetry CSV");
-            let health = cli.out_dir.join(format!("health_{system}.csv"));
-            std::fs::write(&health, t.health_csv()).expect("write health CSV");
-            let events = cli.out_dir.join(format!("slo_events_{system}.csv"));
-            std::fs::write(&events, t.events_csv()).expect("write SLO event CSV");
-            let counters = cli.out_dir.join(format!("perfetto_counters_{system}.json"));
-            std::fs::write(&counters, t.perfetto_json()).expect("write counter tracks");
-            println!(
-                "wrote {}, {}, {}, {}, {}\n",
-                json.display(),
-                csv.display(),
-                health.display(),
-                events.display(),
-                counters.display()
-            );
+            export(format!("telemetry_{system}.csv"), t.series_csv());
+            export(format!("health_{system}.csv"), t.health_csv());
+            export(format!("slo_events_{system}.csv"), t.events_csv());
+            println!();
         }
 
         if let Some(p) = &res.profile {
@@ -693,11 +627,8 @@ fn smoke_mode(cli: &Cli) {
                     q.littles_consistency
                 );
             }
-            let fp = cli.out_dir.join(format!("flame_{system}.folded"));
-            std::fs::write(&fp, p.folded()).expect("write folded flamegraph");
-            let pj = cli.out_dir.join(format!("profile_{system}.json"));
-            std::fs::write(&pj, p.to_json()).expect("write profile JSON");
-            println!("wrote {}, {}\n", fp.display(), pj.display());
+            export(format!("flame_{system}.folded"), p.folded());
+            println!();
         }
 
         if let Some(m) = &res.memory {
@@ -758,18 +689,9 @@ fn smoke_mode(cli: &Cli) {
                     m.obs_dropped
                 );
             }
-            let json = cli.out_dir.join(format!("memory_{system}.json"));
-            std::fs::write(&json, run_json(&res)).expect("write memory JSON");
-            let heat = cli.out_dir.join(format!("heatmap_{system}.csv"));
-            std::fs::write(&heat, m.heatmap_csv()).expect("write heatmap CSV");
-            let strides = cli.out_dir.join(format!("strides_{system}.csv"));
-            std::fs::write(&strides, m.fingerprint_csv()).expect("write stride CSV");
-            println!(
-                "wrote {}, {}, {}\n",
-                json.display(),
-                heat.display(),
-                strides.display()
-            );
+            export(format!("heatmap_{system}.csv"), m.heatmap_csv());
+            export(format!("strides_{system}.csv"), m.fingerprint_csv());
+            println!();
         }
 
         if cli.trace {
@@ -785,7 +707,7 @@ fn smoke_mode(cli: &Cli) {
                     res.trace_dropped, cli.trace_cap
                 );
             }
-            // The full timeline is in the JSON; print a readable head.
+            // The full timeline is in the run JSON; print a readable head.
             for ev in res.trace.iter().flatten().take(40) {
                 println!(
                     "{:>12} ns  {:<9} {:<12} a={:<8} b={}",
@@ -797,11 +719,9 @@ fn smoke_mode(cli: &Cli) {
                 );
             }
             if events > 40 {
-                println!("… {} more events (see JSON)", events - 40);
+                println!("… {} more events (see run_{system}.json)", events - 40);
             }
-            let path = cli.out_dir.join(format!("trace_{system}.json"));
-            std::fs::write(&path, run_json(&res)).expect("write trace JSON");
-            println!("wrote {}\n", path.display());
+            println!();
         }
 
         if let Some(report) = &res.spans {
@@ -821,30 +741,7 @@ fn smoke_mode(cli: &Cli) {
                     h.percentile(99.9)
                 );
             }
-            // With telemetry or the profiler on, the counter and
-            // per-core state tracks ride along in the span document so
-            // every view shares one Perfetto timeline.
-            let mut extra: Vec<String> = Vec::new();
-            if let Some(t) = &res.telemetry {
-                extra.extend(t.perfetto_counter_events());
-            }
-            if let Some(p) = &res.profile {
-                extra.extend(p.perfetto_events());
-            }
-            if let Some(m) = &res.memory {
-                extra.extend(m.perfetto_counter_events(3_000_000));
-            }
-            let perfetto = if extra.is_empty() {
-                desim::span::perfetto_json(&report.exemplars)
-            } else {
-                splice_counters(&desim::span::perfetto_json(&report.exemplars), &extra)
-            };
-            let path = cli.out_dir.join(format!("spans_{system}.json"));
-            std::fs::write(&path, &perfetto).expect("write span JSON");
-            println!(
-                "wrote {} (open at https://ui.perfetto.dev)\n",
-                path.display()
-            );
+            println!();
         }
     }
 }
@@ -852,11 +749,8 @@ fn smoke_mode(cli: &Cli) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = parse_args(&args);
-    if cli.smoke() {
-        if !cli.ids.is_empty() {
-            die("experiment ids do not combine with smoke flags");
-        }
-        smoke_mode(&cli);
+    if cli.instrumented {
+        instrumented_runs(&cli);
         return;
     }
     let by_id = !cli.ids.is_empty();

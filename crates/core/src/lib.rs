@@ -34,7 +34,7 @@ pub mod scale;
 
 pub use faults::{FaultScenario, FaultStats};
 pub use loadgen::{TenantMix, TenantPlane, TenantPriority, TenantSpec};
-pub use report::{run_json, Expectation, FigureReport, Series};
+pub use report::{perfetto_json, run_json, Expectation, FigureReport, Series};
 pub use runtime::sim::{run_one, Conservation, MemObsConfig, RunParams, RunResult, TenantWindow};
 pub use runtime::{
     DispatchPolicy, FaultPolicy, PrefetcherKind, QueueModel, Simulation, SystemConfig, SystemKind,

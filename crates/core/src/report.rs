@@ -140,6 +140,44 @@ pub fn run_json(res: &RunResult) -> String {
     out
 }
 
+/// Perfetto pid of the memory observatory's counter tracks (telemetry
+/// and the profiler own [`desim::PERFETTO_TELEMETRY_PID`] and
+/// [`desim::PERFETTO_PROFILE_PID`]; request pids stay far below all three).
+const PERFETTO_MEMORY_PID: u64 = 3_000_000;
+
+/// Renders one run as a single Perfetto (Chrome trace event) document,
+/// the timeline sibling of [`run_json`]: the span layer's tail
+/// exemplars, then the telemetry counter tracks, the profiler's
+/// per-core state tracks and the memory observatory's counters, each
+/// under its own synthetic process so every view shares one time axis.
+/// `None` when no plane with tracks was on.
+pub fn perfetto_json(res: &RunResult) -> Option<String> {
+    let (telemetry, profile, memory) = (&res.telemetry, &res.profile, &res.memory);
+    let mut tracks = (telemetry.iter().flat_map(|t| t.perfetto_counter_events()))
+        .chain(profile.iter().flat_map(|p| p.perfetto_events()))
+        .chain(
+            memory
+                .iter()
+                .flat_map(|m| m.perfetto_counter_events(PERFETTO_MEMORY_PID)),
+        )
+        .peekable();
+    if res.spans.is_none() && tracks.peek().is_none() {
+        return None;
+    }
+    let exemplars = res.spans.as_ref().map_or(&[][..], |s| &s.exemplars);
+    let mut out = desim::span::perfetto_json(exemplars);
+    assert!(out.ends_with("]}"), "a Perfetto document closes its array");
+    out.truncate(out.len() - "]}".len());
+    for ev in tracks {
+        if !out.ends_with('[') {
+            out.push(',');
+        }
+        out.push_str(&ev);
+    }
+    out.push_str("]}");
+    Some(out)
+}
+
 /// One plotted series (a line of a figure, or a table block).
 #[derive(Debug, Clone)]
 pub struct Series {

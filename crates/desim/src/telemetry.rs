@@ -839,9 +839,9 @@ impl TelemetryReport {
     /// Perfetto (Chrome trace format) events for the telemetry process:
     /// one `"C"` counter track per series under
     /// [`PERFETTO_TELEMETRY_PID`], plus an instant per SLO transition —
-    /// each event serialised as one JSON object string. Splice these
-    /// into a span export's `traceEvents` to see counters and spans on
-    /// one timeline.
+    /// each event serialised as one JSON object string.
+    /// `adios_core::perfetto_json` puts them on one timeline with the
+    /// span exemplars and the other planes' tracks.
     pub fn perfetto_counter_events(&self) -> Vec<String> {
         fn us(t: SimTime) -> String {
             format!("{:.3}", t.as_nanos() as f64 / 1000.0)
@@ -881,19 +881,6 @@ impl TelemetryReport {
             ));
         }
         evs
-    }
-
-    /// Standalone Perfetto JSON document of the counter tracks.
-    pub fn perfetto_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        for (i, e) in self.perfetto_counter_events().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(e);
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -1148,6 +1135,7 @@ mod tests {
         assert!(json.contains("\"health\":{\"qp0\":[[100000,100.000]]}"));
         assert!(json.contains("\"slo0.burn\":[[100000,0.000]]"));
         assert!(rep.health_csv().contains("qp0,100000,100.000"));
-        assert!(rep.perfetto_json().contains("\"ph\":\"C\""));
+        let tracks = rep.perfetto_counter_events();
+        assert!(tracks.iter().any(|e| e.contains("\"ph\":\"C\"")));
     }
 }

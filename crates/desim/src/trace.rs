@@ -646,8 +646,9 @@ impl MetricsSnapshot {
 /// [`Metrics::counter`] and [`Metrics::gauge`] take `&'static str`, so
 /// per-shard names cannot be formatted at run time; this table holds
 /// them for up to [`shard_names::MAX_SHARDS`] shards. The schema is the
-/// sharded simulation's contract with external consumers (CI smoke
-/// checks parse these names out of the run JSON): per shard `N`, the
+/// sharded simulation's contract with external consumers (held by
+/// `tests/properties.rs::sharded_counters_sum_to_run_totals`, which
+/// reads the registry through this table): per shard `N`, the
 /// counters `shardN.fetches`, `shardN.fetch_retransmits`,
 /// `shardN.fetch_cqe_errors`, `shardN.fetch_failovers` and
 /// `shardN.fetch_chain_failures`, plus the `shardN.qp_outstanding`
@@ -784,11 +785,13 @@ pub mod shard_names {
 /// [`Metrics::counter`] takes `&'static str`, so the tenant plane
 /// pre-bakes names for up to [`tenant_names::MAX_TENANTS`] tenants. The
 /// schema is the multi-tenant simulation's contract with external
-/// consumers (the CI multitenant smoke parses these out of the run
-/// JSON): per tenant `N`, the counters `tenantN.arrivals`,
-/// `tenantN.admitted`, `tenantN.completions`, `tenantN.sheds` and
-/// `tenantN.drops`. Single-tenant runs register none of them, keeping
-/// their metrics JSON bit-identical to pre-tenant output.
+/// consumers (held by the runtime's
+/// `overloaded_mix_sheds_low_priority_and_conserves_requests`, which
+/// reads the registry through this table): per tenant `N`, the
+/// counters `tenantN.arrivals`, `tenantN.admitted`,
+/// `tenantN.completions`, `tenantN.sheds` and `tenantN.drops`.
+/// Single-tenant runs register none of them, keeping their metrics
+/// JSON bit-identical to pre-tenant output.
 pub mod tenant_names {
     /// Highest tenant count the static name tables cover.
     pub const MAX_TENANTS: usize = 8;
@@ -862,13 +865,14 @@ pub mod tenant_names {
 /// in a static table covering up to
 /// [`dispatcher_names::MAX_DISPATCHERS`] ingress cores. The schema is
 /// the multi-dispatcher simulation's contract with external consumers
-/// (the `dispatch-scaling-smoke` CI job parses these names out of the
-/// run JSON): per dispatcher `N`, the counters `dispatcherN.admitted`,
-/// `dispatcherN.steals` and `dispatcherN.combines`, plus the
-/// `dispatcherN.busy_fraction` gauge. Single-dispatcher runs register
-/// none of them (the lone core keeps the scalar
-/// `dispatcher.busy_fraction` gauge), keeping their metrics JSON
-/// bit-identical to pre-scaling output.
+/// (held by `tests/properties.rs::steals_never_dispatch_a_request_twice`
+/// and the runtime's `flat_combining_amortises_admissions`, which read
+/// the registry through this table): per dispatcher `N`, the counters
+/// `dispatcherN.admitted`, `dispatcherN.steals` and
+/// `dispatcherN.combines`, plus the `dispatcherN.busy_fraction` gauge.
+/// Single-dispatcher runs register none of them (the lone core keeps
+/// the scalar `dispatcher.busy_fraction` gauge), keeping their metrics
+/// JSON bit-identical to pre-scaling output.
 pub mod dispatcher_names {
     /// Highest dispatcher count the static name tables cover.
     pub const MAX_DISPATCHERS: usize = 16;

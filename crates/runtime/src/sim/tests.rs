@@ -763,6 +763,7 @@ fn overloaded_mix_sheds_low_priority_and_conserves_requests() {
     let (hi, lo) = (&res.tenants[0], &res.tenants[1]);
     assert_eq!(hi.sheds, 0, "watermark must never shed high priority");
     assert!(lo.sheds > 1_000, "the flood must shed (got {})", lo.sheds);
+    assert!(lo.admitted < lo.arrivals, "admission never bit");
     assert!(hi.completed > 1_000 && lo.completed > 0);
     // Windowed per-tenant views partition the recorder's view.
     assert_eq!(
@@ -784,7 +785,8 @@ fn overloaded_mix_sheds_low_priority_and_conserves_requests() {
     assert_eq!(c(tn::SHEDS[0]), 0);
     assert!(c(tn::SHEDS[1]) > 0);
     assert!(res.conservation.holds(), "{:?}", res.conservation);
-    assert!(res.conservation.sheds > 0);
+    // Tenant counts are windowed, conservation spans the whole run.
+    assert!(hi.sheds + lo.sheds <= res.conservation.sheds);
 }
 
 #[test]

@@ -253,7 +253,7 @@ fn telemetry_json_bitwise_reproducible() {
         tb.to_json(),
         "equal seeds must serialise identical telemetry JSON"
     );
-    assert_eq!(ta.perfetto_json(), tb.perfetto_json());
+    assert_eq!(ta.perfetto_counter_events(), tb.perfetto_counter_events());
     assert_eq!(ta.series_csv(), tb.series_csv());
     let ja = adios::core_api::run_json(&a);
     assert!(

@@ -568,10 +568,16 @@ fn time_series_merge_conserves_samples() {
 /// is >= 1.0 exactly at ticks inside a breach interval.
 #[test]
 fn slo_breach_intervals_are_well_formed_and_match_burn_series() {
+    for kind in [SystemKind::Dilos, SystemKind::Adios] {
+        slo_breach_arc_under_lossy(kind);
+    }
+}
+
+fn slo_breach_arc_under_lossy(kind: SystemKind) {
     use adios::desim::{parse_slo_spec, SloEventKind, TelemetryConfig};
     let mut wl = ArrayIndexWorkload::new(16_384);
     let r = run_one(
-        SystemConfig::adios(),
+        SystemConfig::for_kind(kind),
         &mut wl,
         RunParams {
             offered_rps: 800_000.0,
@@ -592,9 +598,21 @@ fn slo_breach_intervals_are_well_formed_and_match_burn_series() {
     );
     let report = r.telemetry.expect("telemetry was enabled");
     assert!(report.ticks > 0);
+    assert!(report.health_series().next().is_some(), "no health series");
+    // The lossy scenario degrades the link over [5 ms, 7 ms): a breach
+    // must open inside that episode and one must close once the fabric
+    // recovers.
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    let of = |edge| report.events.iter().filter(move |e| e.kind == edge);
     assert!(
-        !report.events.is_empty(),
-        "the lossy episode must trip at least one breach"
+        of(SloEventKind::BreachBegin).any(|e| (ms(5)..ms(7)).contains(&e.at)),
+        "no SLO breach opened during the fault episode: {:?}",
+        report.events
+    );
+    assert!(
+        of(SloEventKind::BreachEnd).any(|e| e.at >= ms(7)),
+        "SLO breach never cleared after the episode: {:?}",
+        report.events
     );
 
     for (i, _rule) in report.rules.iter().enumerate() {
@@ -782,6 +800,14 @@ fn queue_littles_law_holds_on_none_and_lossy() {
             );
             let p = r.profile.as_ref().expect("profiler requested");
             let name = scenario.as_ref().map_or("none", |s| s.name);
+            // Adios parks instead of spinning; DiLOS busy-waits, the
+            // more the slower the link.
+            if kind == SystemKind::Dilos && scenario.is_some() {
+                assert!(
+                    p.worker_spin_fraction() > 0.05,
+                    "DiLOS must burn worker time spinning under the lossy link"
+                );
+            }
             let mut checked = 0usize;
             for q in &p.queues {
                 assert!(
