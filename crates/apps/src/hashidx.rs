@@ -80,6 +80,7 @@ impl HashIndex {
     }
 
     /// Looks a key up, recording the probed pages.
+    #[inline]
     pub fn get(&self, arena: &PagedArena, key: u64, rec: &mut TraceRecorder) -> Option<u64> {
         let mut i = mix(key) & self.mask;
         for _ in 0..=self.mask {

@@ -74,6 +74,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be positive");
         loop {
@@ -94,6 +95,7 @@ impl Rng {
     }
 
     /// Returns `true` with probability `p`.
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
     }
@@ -102,6 +104,7 @@ impl Rng {
     ///
     /// Used for Poisson inter-arrival times in the open-loop load
     /// generator, exactly as the paper's mutilate-like generator does.
+    #[inline]
     pub fn exp(&mut self, mean: f64) -> f64 {
         // 1 - U is in (0, 1], so ln() is finite.
         -mean * (1.0 - self.gen_f64()).ln()

@@ -105,11 +105,13 @@ impl EthPort {
     /// Carries a client request put on the wire at `now` (the load
     /// generator's hardware TX timestamp); returns when it lands in the
     /// compute node's RX ring.
+    #[inline]
     pub fn deliver_request(&mut self, now: SimTime, bytes: u32) -> SimTime {
         self.ingress.transmit(now, bytes)
     }
 
     /// Transmits a reply posted by a worker at `now`.
+    #[inline]
     pub fn send_reply(&mut self, now: SimTime, bytes: u32) -> TxResult {
         self.tx_engine_free = self.tx_engine_free.max(now) + self.tx_engine_cost;
         let client_rx_at = self.egress.transmit(self.tx_engine_free, bytes);

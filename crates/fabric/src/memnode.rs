@@ -42,6 +42,7 @@ impl MemNode {
     }
 
     /// This node's id in the fault plane's namespace.
+    #[inline]
     pub fn id(&self) -> u32 {
         self.id
     }
@@ -52,6 +53,7 @@ impl MemNode {
     ///
     /// Panics if `page` is outside the exported region — a fetch of an
     /// unmapped remote page is always a compute-node paging bug.
+    #[inline]
     pub fn serve_read(&mut self, page: u64) {
         assert!(
             page < self.total_pages,
@@ -67,6 +69,7 @@ impl MemNode {
     /// # Panics
     ///
     /// Panics if `page` is outside the exported region.
+    #[inline]
     pub fn serve_write(&mut self, page: u64) {
         assert!(
             page < self.total_pages,

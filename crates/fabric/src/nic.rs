@@ -213,6 +213,7 @@ impl RdmaNic {
     /// Accrues occupancy-time up to `now`. Non-monotone timestamps
     /// (worker virtual clocks run slightly ahead of the event clock)
     /// are tolerated by never accruing negative intervals.
+    #[inline]
     fn advance_occupancy(&mut self, now: SimTime) {
         if now > self.occ_since {
             let held = self.total_outstanding() as u128;
@@ -283,6 +284,7 @@ impl RdmaNic {
     /// Extra one-way cost a degraded link adds on top of a FIFO
     /// transmit: the slowed-down share of serialization plus added
     /// latency. Zero (exactly) on a healthy link.
+    #[inline]
     fn degrade_extra(&self, bytes: u32, pen: &faults::LinkPenalty) -> SimDuration {
         if pen.bw_factor <= 1.0 && pen.extra_latency == SimDuration::ZERO {
             return SimDuration::ZERO;
@@ -433,6 +435,7 @@ impl RdmaNic {
     /// # Panics
     ///
     /// Panics if the QP has no outstanding request.
+    #[inline]
     pub fn on_cqe(&mut self, now: SimTime, qp: QpId) {
         self.advance_occupancy(now);
         let q = &mut self.qps[qp.0 as usize];
@@ -455,11 +458,13 @@ impl RdmaNic {
     }
 
     /// Outstanding work requests on `qp` (the PF-aware dispatch signal).
+    #[inline]
     pub fn outstanding(&self, qp: QpId) -> u32 {
         self.qps[qp.0 as usize].outstanding
     }
 
     /// Total outstanding work requests across all QPs.
+    #[inline]
     pub fn total_outstanding(&self) -> u32 {
         debug_assert_eq!(
             self.total,

@@ -34,6 +34,20 @@ pub struct ShardMap {
     replicas: usize,
     total_pages: u64,
     policy: ShardPolicy,
+    /// How [`ShardMap::shard_of`] evaluates the policy, resolved once.
+    eval: Eval,
+}
+
+/// The map's shape is constant for the run, so the two shapes whose
+/// placement needs no division are recognised at construction.
+#[derive(Debug, Clone, Copy)]
+enum Eval {
+    /// One shard: every page is on shard 0 under either policy.
+    Single,
+    /// `Hash` over a power-of-two shard count: `% shards` is this mask.
+    HashMask(u64),
+    /// The policy's defining expression.
+    General,
 }
 
 /// The finalizer of splitmix64: a full-avalanche 64-bit mix.
@@ -55,11 +69,19 @@ impl ShardMap {
         assert!(shards >= 1, "at least one memnode shard required");
         assert!(replicas >= 1, "at least one replica per shard required");
         assert!(total_pages >= 1, "empty page space");
+        let eval = if shards == 1 {
+            Eval::Single
+        } else if policy == ShardPolicy::Hash && shards.is_power_of_two() {
+            Eval::HashMask(shards as u64 - 1)
+        } else {
+            Eval::General
+        };
         ShardMap {
             shards,
             replicas,
             total_pages,
             policy,
+            eval,
         }
     }
 
@@ -85,8 +107,20 @@ impl ShardMap {
 
     /// The shard owning `page`. Total over the page space and pure in
     /// `(page, policy, shards, total_pages)`.
+    #[inline]
     pub fn shard_of(&self, page: u64) -> usize {
         debug_assert!(page < self.total_pages, "page outside the page space");
+        match self.eval {
+            Eval::Single => 0,
+            Eval::HashMask(mask) => (mix64(page) & mask) as usize,
+            Eval::General => self.shard_of_general(page),
+        }
+    }
+
+    /// The policies' defining expressions (and the tests' oracle for
+    /// the shapes [`Eval`] short-cuts).
+    #[inline]
+    fn shard_of_general(&self, page: u64) -> usize {
         match self.policy {
             ShardPolicy::Hash => (mix64(page) % self.shards as u64) as usize,
             // u128 keeps `page * shards` exact for any page count.
@@ -97,6 +131,7 @@ impl ShardMap {
     }
 
     /// Global memnode id of `replica` in `shard`'s chain.
+    #[inline]
     pub fn node_id(&self, shard: usize, replica: usize) -> u32 {
         debug_assert!(shard < self.shards && replica < self.replicas);
         (shard * self.replicas + replica) as u32
@@ -228,6 +263,29 @@ mod tests {
         // A fully-dead chain is reported, not silently mis-routed.
         let dead = ShardMap::new(2, 1, PAGES, ShardPolicy::Hash);
         assert_eq!(dead.route(0, |_| false), None);
+    }
+
+    /// The division-free shapes place every page exactly where the
+    /// policy's defining expression does — and are actually taken.
+    #[test]
+    fn fast_paths_match_the_defining_expression() {
+        const N: u64 = 100_000;
+        for shards in 1usize..=9 {
+            for policy in [ShardPolicy::Hash, ShardPolicy::Range] {
+                let m = ShardMap::new(shards, 1, N, policy);
+                let fast = !matches!(m.eval, Eval::General);
+                let expect =
+                    shards == 1 || (policy == ShardPolicy::Hash && [2, 4, 8].contains(&shards));
+                assert_eq!(fast, expect, "{shards} shards, {policy:?}: {:?}", m.eval);
+                for page in 0..N {
+                    assert_eq!(
+                        m.shard_of(page),
+                        m.shard_of_general(page),
+                        "{shards} shards, {policy:?}, page {page}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

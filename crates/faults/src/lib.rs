@@ -330,6 +330,7 @@ impl FaultPlane {
 
     /// Draws whether a packet put on the wire at `at` is lost (dropped,
     /// or corrupted and NAK'd — the transport reacts identically).
+    #[inline]
     pub fn packet_lost(&mut self, at: SimTime) -> bool {
         if !self.active {
             return false;
@@ -354,6 +355,7 @@ impl FaultPlane {
 
     /// Draws whether a completion delivered at `at` is reported as a
     /// fatal CQE error instead of a success.
+    #[inline]
     pub fn cqe_error(&mut self, _at: SimTime) -> bool {
         if !self.active || self.scenario.cqe_error <= 0.0 {
             return false;
@@ -367,6 +369,7 @@ impl FaultPlane {
 
     /// Health of memnode `node` at instant `at`. `Down` dominates
     /// `Stalled`; overlapping stalls add up.
+    #[inline]
     pub fn node_health(&self, node: u32, at: SimTime) -> NodeHealth {
         if !self.active {
             return NodeHealth::Up;
@@ -391,6 +394,7 @@ impl FaultPlane {
 
     /// Aggregate link penalty at instant `at`: extra latencies add,
     /// bandwidth factors multiply.
+    #[inline]
     pub fn link_penalty(&self, at: SimTime) -> LinkPenalty {
         if !self.active {
             return LinkPenalty::NONE;
@@ -414,6 +418,7 @@ impl FaultPlane {
 
     /// Whether any episode window covers `at` (drives the runtime's
     /// degraded-mode gauge).
+    #[inline]
     pub fn episode_active(&self, at: SimTime) -> bool {
         self.active && self.scenario.episodes.iter().any(|e| e.active_at(at))
     }

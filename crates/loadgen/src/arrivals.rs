@@ -2,6 +2,18 @@
 
 use desim::{Rng, SimDuration, SimTime};
 
+/// An inter-arrival draw in whole nanoseconds, at least one:
+/// `gap.round().max(1.0) as u64` without the libm `round` call. The
+/// cast truncates (and saturates, NaN to 0), and for a non-negative
+/// draw the remaining fraction is exact in f64, so carrying it half-up
+/// is round-half-away-from-zero.
+#[inline]
+fn gap_ns(gap: f64) -> u64 {
+    let whole = gap as u64;
+    let carry = gap - whole as f64 >= 0.5;
+    whole.saturating_add(carry as u64).max(1)
+}
+
 /// An open-loop Poisson request source.
 ///
 /// Being *open loop* is essential to the paper's methodology: arrivals
@@ -43,9 +55,10 @@ impl OpenLoop {
     }
 
     /// Returns the next request's hardware TX timestamp.
+    #[inline]
     pub fn next_arrival(&mut self) -> SimTime {
         let gap = self.rng.exp(self.mean_interarrival_ns);
-        self.next += SimDuration::from_nanos(gap.round().max(1.0) as u64);
+        self.next += SimDuration::from_nanos(gap_ns(gap));
         self.generated += 1;
         self.next
     }
@@ -110,6 +123,7 @@ impl BurstyLoop {
     }
 
     /// Returns the next request's hardware TX timestamp.
+    #[inline]
     pub fn next_arrival(&mut self) -> SimTime {
         loop {
             if self.next >= self.phase_end {
@@ -122,7 +136,7 @@ impl BurstyLoop {
             } else {
                 self.off_interarrival_ns
             };
-            let gap = SimDuration::from_nanos(self.rng.exp(mean).round().max(1.0) as u64);
+            let gap = SimDuration::from_nanos(gap_ns(self.rng.exp(mean)));
             let candidate = self.next + gap;
             if candidate > self.phase_end {
                 // Cross into the next phase and redraw at its rate.
@@ -180,6 +194,7 @@ impl IngressFanIn {
     }
 
     /// Steers the next arrival to a lane in `0..lanes`.
+    #[inline]
     pub fn steer(&mut self) -> usize {
         let i = self.seq;
         self.seq += 1;
@@ -258,6 +273,46 @@ mod tests {
         let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
         let cv = var.sqrt() / mean;
         assert!((cv - 1.0).abs() < 0.05, "cv = {cv}");
+    }
+
+    /// `gap_ns` is the libm expression it replaced, on the draws real
+    /// runs make and on the values where truncate-and-carry could
+    /// differ from `round` (halves, the f64 integer boundary, casts
+    /// that saturate, negatives, NaN).
+    #[test]
+    fn gap_rounding_matches_libm_round() {
+        let reference = |gap: f64| gap.round().max(1.0) as u64;
+        for rate in [0.3e6, 1.3e6, 2.4e6] {
+            let mut rng = Rng::new(rate as u64);
+            for _ in 0..1_000_000 {
+                let gap = rng.exp(1e9 / rate);
+                assert_eq!(gap_ns(gap), reference(gap), "gap {gap}");
+            }
+        }
+        let mut samples: Vec<f64> = (0..40_000).map(|i| i as f64 * 0.25).collect();
+        let two52 = (1u64 << 52) as f64;
+        samples.extend([
+            0.5f64.next_down(),
+            0.5f64.next_up(),
+            1.5f64.next_down(),
+            1e9 + 0.5,
+            (1e9 + 0.5f64).next_down(),
+            4_294_967_295.5,
+            two52 - 0.5,
+            two52 - 1.0,
+            two52 + 1.0,
+            u64::MAX as f64,
+            (u64::MAX as f64).next_down(),
+            1e300,
+            f64::INFINITY,
+            -0.0,
+            -0.4,
+            -3.7,
+            f64::NAN,
+        ]);
+        for gap in samples {
+            assert_eq!(gap_ns(gap), reference(gap), "gap {gap}");
+        }
     }
 
     #[test]

@@ -149,6 +149,7 @@ impl Recorder {
     }
 
     /// Records a completed request.
+    #[inline]
     pub fn complete(
         &mut self,
         class: u16,

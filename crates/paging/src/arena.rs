@@ -63,18 +63,21 @@ impl PagedArena {
     }
 
     /// Reads a `u64` at `addr` (dependent access: one page touch).
+    #[inline]
     pub fn read_u64(&self, addr: u64, rec: &mut TraceRecorder) -> u64 {
         rec.touch(addr / PAGE_SIZE, false);
         self.peek_u64(addr)
     }
 
     /// Writes a `u64` at `addr`.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64, rec: &mut TraceRecorder) {
         rec.touch(addr / PAGE_SIZE, true);
         self.poke_u64(addr, value);
     }
 
     /// Reads a `u32` at `addr`.
+    #[inline]
     pub fn read_u32(&self, addr: u64, rec: &mut TraceRecorder) -> u32 {
         rec.touch(addr / PAGE_SIZE, false);
         let a = addr as usize;
@@ -82,6 +85,7 @@ impl PagedArena {
     }
 
     /// Writes a `u32` at `addr`.
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, value: u32, rec: &mut TraceRecorder) {
         rec.touch(addr / PAGE_SIZE, true);
         let a = addr as usize;
@@ -89,12 +93,14 @@ impl PagedArena {
     }
 
     /// Bulk-reads `len` bytes at `addr` (streaming access).
+    #[inline]
     pub fn read_bytes(&self, addr: u64, len: u64, rec: &mut TraceRecorder) -> &[u8] {
         rec.touch_range(addr, len, false);
         &self.data[addr as usize..(addr + len) as usize]
     }
 
     /// Bulk-writes `src` at `addr` (streaming access).
+    #[inline]
     pub fn write_bytes(&mut self, addr: u64, src: &[u8], rec: &mut TraceRecorder) {
         rec.touch_range(addr, src.len() as u64, true);
         self.data[addr as usize..addr as usize + src.len()].copy_from_slice(src);
@@ -102,23 +108,27 @@ impl PagedArena {
 
     /// Reads a `u64` without recording — for load-time population only
     /// (the paper's load phase is not measured either).
+    #[inline]
     pub fn peek_u64(&self, addr: u64) -> u64 {
         let a = addr as usize;
         u64::from_le_bytes(self.data[a..a + 8].try_into().unwrap())
     }
 
     /// Writes a `u64` without recording (load-time population).
+    #[inline]
     pub fn poke_u64(&mut self, addr: u64, value: u64) {
         let a = addr as usize;
         self.data[a..a + 8].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Bulk-reads without recording (load-time population).
+    #[inline]
     pub fn peek_bytes(&self, addr: u64, len: u64) -> &[u8] {
         &self.data[addr as usize..(addr + len) as usize]
     }
 
     /// Bulk-writes without recording (load-time population).
+    #[inline]
     pub fn poke_bytes(&mut self, addr: u64, src: &[u8]) {
         self.data[addr as usize..addr as usize + src.len()].copy_from_slice(src);
     }

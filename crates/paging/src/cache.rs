@@ -2,8 +2,14 @@
 //!
 //! DiLOS' key paging optimisation — kept by Adios — is a *unified page
 //! table*: all paging-related metadata is resolved with a single lookup.
-//! [`PageCache`] mirrors that: `state[page]` is one flat array whose
-//! entry encodes residency, in-flight status and the owning frame.
+//! [`PageCache`] mirrors that: `state[page]` and `frame_of[page]` are
+//! flat arrays whose entry encodes residency, in-flight status and the
+//! owning frame, and the frame of an in-flight page also names the
+//! fetch filling it ([`PageCache::tag_fetch`] / [`PageCache::fetch_tag`]
+//! carry the caller's 32-bit handle in what used to be padding). A
+//! second access to a page in flight therefore finds the fetch to wait
+//! on with the lookup that told it the page was in flight — the runtime
+//! keeps no page → fetch map beside the table.
 //!
 //! Fetches are two-phase because RDMA READs are one-sided: the fault
 //! handler must *reserve a frame first* (the NIC DMA-writes the page
@@ -44,8 +50,20 @@ const NO_PAGE: u64 = u64::MAX;
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     page: u64,
+    /// Caller's tag of the fetch in flight into this frame (see
+    /// [`PageCache::tag_fetch`]); it sits in what was padding.
+    fetch_tag: u32,
     referenced: bool,
     dirty: bool,
+}
+
+impl Frame {
+    const EMPTY: Frame = Frame {
+        page: NO_PAGE,
+        fetch_tag: 0,
+        referenced: false,
+        dirty: false,
+    };
 }
 
 /// Counters the experiments report.
@@ -128,14 +146,7 @@ impl PageCache {
         PageCache {
             state: vec![S_NOT; total_pages as usize],
             frame_of: vec![NO_FRAME; total_pages as usize],
-            frames: vec![
-                Frame {
-                    page: NO_PAGE,
-                    referenced: false,
-                    dirty: false,
-                };
-                capacity
-            ],
+            frames: vec![Frame::EMPTY; capacity],
             free: (0..capacity as u32).rev().collect(),
             clock_hand: 0,
             policy,
@@ -183,16 +194,19 @@ impl PageCache {
     }
 
     /// Frames on the free list.
+    #[inline]
     pub fn free_frames(&self) -> usize {
         self.free.len()
     }
 
     /// Resident + in-flight pages.
+    #[inline]
     pub fn used_frames(&self) -> usize {
         self.capacity() - self.free_frames()
     }
 
     /// Pages in the working set.
+    #[inline]
     pub fn total_pages(&self) -> u64 {
         self.state.len() as u64
     }
@@ -213,6 +227,7 @@ impl PageCache {
     /// # Panics
     ///
     /// Panics if the page is not resident.
+    #[inline]
     pub fn touch(&mut self, page: u64, write: bool) {
         assert_eq!(
             self.state[page as usize], S_RESIDENT,
@@ -236,6 +251,7 @@ impl PageCache {
     /// # Panics
     ///
     /// Panics if the page is already resident or in flight.
+    #[inline]
     pub fn begin_fetch(&mut self, page: u64) -> bool {
         assert_eq!(
             self.state[page as usize], S_NOT,
@@ -249,6 +265,7 @@ impl PageCache {
         self.frame_of[page as usize] = frame;
         self.frames[frame as usize] = Frame {
             page,
+            fetch_tag: 0,
             referenced: true,
             dirty: false,
         };
@@ -261,8 +278,41 @@ impl PageCache {
     /// Counts a fault that found the fetch already in flight (a second
     /// unithread faulting on the same page; it waits on the existing
     /// fetch instead of issuing a duplicate READ).
+    #[inline]
     pub fn note_coalesced(&mut self) {
         self.stats.coalesced += 1;
+    }
+
+    /// Attaches the caller's `tag` to the fetch in flight for `page` —
+    /// the runtime stores its fetch-record handle here, so the same
+    /// lookup that finds a page in flight also names the fetch to wait
+    /// on. Read it back with [`PageCache::fetch_tag`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no fetch is in flight for `page`.
+    #[inline]
+    pub fn tag_fetch(&mut self, page: u64, tag: u32) {
+        assert_eq!(
+            self.state[page as usize], S_INFLIGHT,
+            "tag_fetch without begin_fetch for page {page}"
+        );
+        self.frames[self.frame_of[page as usize] as usize].fetch_tag = tag;
+    }
+
+    /// The tag [`PageCache::tag_fetch`] attached to the fetch in flight
+    /// for `page` (0 if none was attached).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no fetch is in flight for `page`.
+    #[inline]
+    pub fn fetch_tag(&self, page: u64) -> u32 {
+        assert_eq!(
+            self.state[page as usize], S_INFLIGHT,
+            "fetch_tag of page {page}, which is not in flight"
+        );
+        self.frames[self.frame_of[page as usize] as usize].fetch_tag
     }
 
     /// Completes the in-flight fetch of `page`: the page becomes
@@ -271,6 +321,7 @@ impl PageCache {
     /// # Panics
     ///
     /// Panics if no fetch is in flight for `page`.
+    #[inline]
     pub fn complete_fetch(&mut self, page: u64) {
         assert_eq!(
             self.state[page as usize], S_INFLIGHT,
@@ -281,7 +332,21 @@ impl PageCache {
 
     /// Evicts one resident page and returns `(page, was_dirty)`, or
     /// `None` if nothing is evictable (all frames free or in flight).
+    #[inline]
     pub fn evict_one(&mut self) -> Option<(u64, bool)> {
+        // The frame count is constant for the run, so the CLOCK hand
+        // wraps with a compare; `% n` would be a division per step.
+        self.evict_one_stepping(|hand, n| if hand + 1 == n { 0 } else { hand + 1 })
+    }
+
+    /// [`PageCache::evict_one`] with the CLOCK hand's successor function
+    /// `next_hand(hand, frames)` supplied by the caller (the tests pass
+    /// the `% n` it replaced).
+    #[inline]
+    fn evict_one_stepping(
+        &mut self,
+        next_hand: impl Fn(usize, usize) -> usize,
+    ) -> Option<(u64, bool)> {
         let n = self.frames.len();
         if self.used_frames() == 0 {
             return None;
@@ -294,11 +359,7 @@ impl PageCache {
                 if page != NO_PAGE && self.state[page as usize] != S_INFLIGHT {
                     let dirty = self.frames[f as usize].dirty;
                     self.lru_unlink(f);
-                    self.frames[f as usize] = Frame {
-                        page: NO_PAGE,
-                        referenced: false,
-                        dirty: false,
-                    };
+                    self.frames[f as usize] = Frame::EMPTY;
                     self.state[page as usize] = S_NOT;
                     self.frame_of[page as usize] = NO_FRAME;
                     self.free.push(f);
@@ -315,7 +376,7 @@ impl PageCache {
         // Up to two sweeps: the first may only clear reference bits.
         for _ in 0..2 * n {
             let i = self.clock_hand;
-            self.clock_hand = (self.clock_hand + 1) % n;
+            self.clock_hand = next_hand(i, n);
             let f = &mut self.frames[i];
             if f.page == NO_PAGE || self.state[f.page as usize] == S_INFLIGHT {
                 continue;
@@ -326,9 +387,7 @@ impl PageCache {
             }
             let page = f.page;
             let dirty = f.dirty;
-            f.page = NO_PAGE;
-            f.referenced = false;
-            f.dirty = false;
+            *f = Frame::EMPTY;
             self.state[page as usize] = S_NOT;
             self.frame_of[page as usize] = NO_FRAME;
             self.free.push(i as u32);
@@ -348,6 +407,15 @@ impl PageCache {
     pub fn warm(&mut self, n: usize, rng: &mut Rng) {
         let n = n.min(self.capacity());
         let total = self.total_pages();
+        if n as u64 == total {
+            // Every page fits: drawing distinct random pages until all
+            // are placed is a coupon collector (≈ ln(total) draws per
+            // page). With everything resident nothing ever faults or is
+            // evicted, so which frame holds which page is unobservable:
+            // fill in page order.
+            self.warm_with(0..total);
+            return;
+        }
         let mut placed = 0;
         while placed < n {
             let page = rng.gen_range(total);
@@ -600,6 +668,98 @@ mod tests {
                 assert!(resident <= c.capacity());
             }
         }
+    }
+
+    /// The compare-wrapped CLOCK hand picks the victims `% n` picked:
+    /// two caches fed the op streams of `frame_conservation`, one
+    /// stepping its hand with the expression `evict_one` replaced.
+    #[test]
+    fn clock_hand_wrap_matches_modulo() {
+        let mut rng = Rng::new(0xCACE);
+        let mut victims = 0;
+        for round in 0..48 {
+            let policy = [EvictionPolicy::Clock, EvictionPolicy::Fifo][round % 2];
+            // Small caches wrap the hand often; a one-frame cache wraps
+            // it on every step.
+            let cap = [1usize, 2, 3, 8][round % 4];
+            let mut fast = PageCache::new(cap, 50, policy);
+            let mut reference = PageCache::new(cap, 50, policy);
+            let ops = 1 + rng.gen_range(299) as usize;
+            for _ in 0..ops {
+                let page = rng.gen_range(50);
+                let write = rng.gen_bool(0.5);
+                assert_eq!(fast.lookup(page), reference.lookup(page));
+                match fast.lookup(page) {
+                    PageState::Resident => {
+                        fast.touch(page, write);
+                        reference.touch(page, write);
+                    }
+                    PageState::InFlight => {
+                        fast.complete_fetch(page);
+                        reference.complete_fetch(page);
+                    }
+                    PageState::NotResident => {
+                        if !fast.begin_fetch(page) {
+                            assert!(!reference.begin_fetch(page));
+                            let victim = fast.evict_one();
+                            let expect = reference.evict_one_stepping(|hand, n| (hand + 1) % n);
+                            assert_eq!(victim, expect, "round {round}");
+                            if victim.is_some() {
+                                victims += 1;
+                                assert!(fast.begin_fetch(page));
+                                assert!(reference.begin_fetch(page));
+                            }
+                        } else {
+                            assert!(reference.begin_fetch(page));
+                        }
+                    }
+                }
+                assert_eq!(fast.clock_hand, reference.clock_hand);
+            }
+        }
+        assert!(victims > 300, "only {victims} evictions compared");
+    }
+
+    /// The in-flight page's entry carries the caller's fetch tag until
+    /// the fetch completes; a later fetch into the same frame starts
+    /// untagged.
+    #[test]
+    fn fetch_tag_rides_the_inflight_entry() {
+        let mut c = cache(1, 10);
+        assert!(c.begin_fetch(4));
+        assert_eq!(c.fetch_tag(4), 0, "untagged until the caller tags it");
+        c.tag_fetch(4, 77);
+        assert_eq!(c.fetch_tag(4), 77);
+        c.complete_fetch(4);
+        assert_eq!(c.evict_one(), Some((4, false)));
+        assert!(c.begin_fetch(5), "same frame, next fetch");
+        assert_eq!(c.fetch_tag(5), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in flight")]
+    fn fetch_tag_of_resident_page_panics() {
+        let mut c = cache(1, 10);
+        c.begin_fetch(4);
+        c.complete_fetch(4);
+        c.fetch_tag(4);
+    }
+
+    /// Warming every page (100 % local) fills in page order without a
+    /// single draw; a partial fill still draws.
+    #[test]
+    fn warm_to_full_draws_nothing() {
+        let mut rng = Rng::new(9);
+        let mut untouched = rng.clone();
+        let mut c = cache(64, 64);
+        c.warm(64, &mut rng);
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "no draw taken");
+        assert_eq!(c.free_frames(), 0);
+        assert!((0..64).all(|p| c.lookup(p) == PageState::Resident));
+        assert_eq!(c.stats().misses, 0, "warming is not measured");
+        let mut c = cache(63, 64);
+        c.warm(63, &mut rng);
+        assert_ne!(rng.next_u64(), untouched.next_u64(), "partial fill draws");
     }
 
     /// Evicting until empty returns every resident page exactly once.

@@ -45,6 +45,7 @@ impl SeqDetector {
 
     /// Observes a faulting page; returns how many pages ahead to
     /// prefetch (0 = no stream detected).
+    #[inline]
     pub fn on_fault(&mut self, page: u64) -> u32 {
         if page == self.last_page.wrapping_add(1) {
             self.streak += 1;
@@ -100,6 +101,7 @@ impl LeapDetector {
     /// Observes a faulting page; returns `(stride, count)`: prefetch
     /// pages `page + stride * i` for `i in 1..=count` (count 0 = no
     /// majority trend).
+    #[inline]
     pub fn on_fault(&mut self, page: u64) -> (i64, u32) {
         if self.last_page != u64::MAX {
             let delta = page.wrapping_sub(self.last_page) as i64;

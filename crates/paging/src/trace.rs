@@ -107,6 +107,7 @@ impl TraceRecorder {
     /// Creates a recorder that records into `steps`: the buffer is
     /// cleared and its capacity kept, so a recycled [`Trace`]'s step
     /// storage serves the next request without a fresh allocation.
+    #[inline]
     pub fn with_steps(cost: CostModel, mut steps: Vec<Step>) -> TraceRecorder {
         steps.clear();
         TraceRecorder {
@@ -121,6 +122,7 @@ impl TraceRecorder {
     /// Creates a default-cost recorder over `buf`'s own step storage,
     /// leaving `buf` empty until [`TraceRecorder::finish_into`] hands
     /// the steps back: the pooled request path of every generator.
+    #[inline]
     pub fn reusing(buf: &mut Trace) -> TraceRecorder {
         TraceRecorder::with_steps(CostModel::default(), std::mem::take(&mut buf.steps))
     }
@@ -132,6 +134,7 @@ impl TraceRecorder {
     }
 
     /// Records a touch of `page`; dedupes against the recent window.
+    #[inline]
     pub fn touch(&mut self, page: u64, write: bool) {
         if self.recent.contains(&page) {
             // Still charge the (cached) access itself.
@@ -159,6 +162,7 @@ impl TraceRecorder {
 
     /// Records a bulk access of `len` bytes starting at `addr`,
     /// touching every covered page.
+    #[inline]
     pub fn touch_range(&mut self, addr: u64, len: u64, write: bool) {
         if len == 0 {
             return;
@@ -171,6 +175,7 @@ impl TraceRecorder {
         }
     }
 
+    #[inline]
     fn flush_step(&mut self, access: Option<Access>) {
         // Round half up without the libm `round` call: the cast
         // truncates (and saturates), and for the non-negative values
@@ -187,6 +192,7 @@ impl TraceRecorder {
     }
 
     /// Finishes recording, producing the trace.
+    #[inline]
     pub fn finish(mut self, class: u16, request_bytes: u32, reply_bytes: u32) -> Trace {
         if self.pending_ns > 0.0 {
             self.flush_step(None);
@@ -202,6 +208,7 @@ impl TraceRecorder {
     /// Finishes recording into `out`, replacing every field (the step
     /// buffer moves; pair with [`TraceRecorder::reusing`] to recycle
     /// `out`'s own storage).
+    #[inline]
     pub fn finish_into(self, out: &mut Trace, class: u16, request_bytes: u32, reply_bytes: u32) {
         *out = self.finish(class, request_bytes, reply_bytes);
     }

@@ -251,6 +251,9 @@ impl Simulation<'_> {
     /// `tenantN.sheds` counters, the `dispatch/shed` trace event and
     /// [`super::Conservation::sheds`].
     pub(super) fn tenant_admission(&mut self, now: SimTime, req: usize) -> bool {
+        if self.admission.is_none() {
+            return false;
+        }
         // Watermark depth is the full dispatcher ingress picture:
         // requests waiting for their admit tick — summed over *every*
         // dispatcher's ingress slot, not just one — plus both central
@@ -378,7 +381,7 @@ impl Simulation<'_> {
                 .map(|w| w.local_queue.len())
                 .sum::<usize>();
         }
-        let inflight = self.total_outstanding();
+        let inflight = self.outstanding;
         let episode = self.plane.active().then(|| self.plane.episode_active(now));
         let r = live(&self.reqs, req);
         self.obs.arrived(now, req, r, depth, inflight, episode);

@@ -40,7 +40,7 @@ use std::rc::Rc;
 use desim::profile::{ProfileConfig, ProfileReport};
 use desim::span::{SpanConfig, SpanReport};
 use desim::telemetry::{TelemetryConfig, TelemetryReport};
-use desim::{EventQueue, FxHashMap, MetricsSnapshot, Rng, SimDuration, SimTime, TraceLog};
+use desim::{EventQueue, MetricsSnapshot, Rng, SimDuration, SimTime, TraceLog};
 use fabric::{EthPort, FabricParams, MemNode, QpId, RdmaNic, ShardMap};
 use faults::{FaultPlane, FaultScenario};
 use loadgen::{IngressFanIn, LoadPoint, Recorder, TenantMix, TenantPlane};
@@ -60,7 +60,7 @@ mod reclaim;
 mod tests;
 mod worker;
 
-use fetch::{Detector, Inflight};
+use fetch::{Detector, FetchId, FetchTable};
 use ingress::{Arrivals, Combiner, TenantAdmission};
 pub use observe::SimStats;
 use observe::{Observer, WindowEdge};
@@ -188,6 +188,23 @@ pub(crate) struct DispatchCharge {
     pub(crate) end: SimTime,
     /// Serving dispatcher core.
     pub(crate) disp: usize,
+}
+
+/// What one superseded fetch completion did, recorded only under
+/// `cfg(test)` (see `Simulation::on_fetch_done`): the stale event must
+/// free its own QP slot and leave the page's later fetch alone.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StaleCompletion {
+    /// Work requests outstanding run-wide / on the record's QP, before
+    /// and after the event.
+    pub(crate) outstanding: (u32, u32),
+    pub(crate) on_qp: (u32, u32),
+    /// Requests parked on the stale record itself.
+    pub(crate) own_waiters: usize,
+    /// Requests parked on the page's later fetch, before and after
+    /// (`None` = the page has no record in the table).
+    pub(crate) later_waiters: (Option<usize>, Option<usize>),
 }
 
 /// What a dispatcher core is charged for (see
@@ -406,8 +423,9 @@ enum Ev {
     Admit { req: usize },
     /// A worker continues at its scheduled time.
     WorkerWake { worker: usize, cont: Cont },
-    /// A page fetch CQE became pollable.
-    FetchDone { worker: usize, page: u64 },
+    /// A page fetch CQE became pollable; `fetch` is the handle of the
+    /// fetch's own record in the fetch table.
+    FetchDone { worker: usize, fetch: FetchId },
     /// A yielded request becomes runnable (after any kernel wake-up
     /// delay — nonzero only for Infiniswap).
     WaiterReady { req: usize },
@@ -482,6 +500,12 @@ pub struct Simulation<'w> {
     /// writeback / failover QP layout. A fetch posts on its page's
     /// shard rail, so shards queue and account independently.
     nics: Vec<RdmaNic>,
+    /// Outstanding work requests per QP id, summed over every rail (the
+    /// PF-aware dispatch signal), and their run-wide total: running
+    /// sums kept where posts and CQEs happen (`Simulation::post`,
+    /// `Simulation::consume_cqe`), never re-summed per event.
+    qp_outstanding: Vec<u32>,
+    outstanding: u32,
     /// Deterministic page → shard → memnode placement.
     shard_map: ShardMap,
     /// Memory nodes, indexed by global node id: shard `s`'s replica
@@ -537,14 +561,16 @@ pub struct Simulation<'w> {
     /// Dispatcher-timeline charges for the differential oracle.
     #[cfg(test)]
     dispatcher_log: Vec<DispatchCharge>,
-    inflight: FxHashMap<u64, Inflight>,
-    /// Superseded fetch records: a fetch whose completion was consumed
-    /// early can see its page evicted and re-faulted while its
-    /// `FetchDone` event is still queued. The re-fault moves the old
-    /// record here (keyed by page + completion time) so the stale event
-    /// still frees the right QP slot and wakes its own waiters instead
-    /// of stealing the live entry's.
-    orphan_fetches: Vec<(u64, Inflight)>,
+    /// Every superseded fetch completion, in event order.
+    #[cfg(test)]
+    stale_completions: Vec<StaleCompletion>,
+    /// One record per fetch whose `FetchDone` is still queued, indexed
+    /// by the handle the event carries. A fetch whose completion was
+    /// consumed early can see its page evicted and re-faulted while its
+    /// event is still queued: the re-fault marks the old record
+    /// superseded, so the stale event still frees the right QP slot and
+    /// wakes its own waiters instead of the later fetch's.
+    fetches: FetchTable,
     /// Per-shard dirty pages whose write-back is waiting for that
     /// shard's reclaimer-QP slot.
     deferred_writebacks: Vec<VecDeque<u64>>,
@@ -647,6 +673,8 @@ impl<'w> Simulation<'w> {
             nics: (0..shards)
                 .map(|_| RdmaNic::new(fabric_params.clone(), cfg.workers as u32 + 2))
                 .collect(),
+            qp_outstanding: vec![0; cfg.workers + 2],
+            outstanding: 0,
             // Every shard's chain exports the full page space
             // (address-preserving, like the pre-sharding replicas), so
             // re-mapping a page is purely a routing decision.
@@ -675,8 +703,10 @@ impl<'w> Simulation<'w> {
             combiner: Combiner::default(),
             #[cfg(test)]
             dispatcher_log: Vec::new(),
-            inflight: FxHashMap::default(),
-            orphan_fetches: Vec::new(),
+            #[cfg(test)]
+            stale_completions: Vec::new(),
+            // A record holds its QP slot until its event fires.
+            fetches: FetchTable::new(shards * (cfg.workers + 2) * cfg.fabric.qp_depth as usize),
             deferred_writebacks: vec![VecDeque::new(); shards],
             reclaim_state: ReclaimState::Idle,
             low_frames,
@@ -751,18 +781,12 @@ impl<'w> Simulation<'w> {
         }
     }
 
-    /// Outstanding work requests summed over every shard rail.
-    #[inline]
-    fn total_outstanding(&self) -> u32 {
-        self.nics.iter().map(|n| n.total_outstanding()).sum()
-    }
-
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrival { req } => self.on_arrival(now, req),
             Ev::Admit { req } => self.on_admit(now, req),
             Ev::WorkerWake { worker, cont } => self.on_worker_wake(now, worker, cont),
-            Ev::FetchDone { worker, page } => self.on_fetch_done(now, worker, page),
+            Ev::FetchDone { worker, fetch } => self.on_fetch_done(now, worker, fetch),
             Ev::WaiterReady { req } => self.make_waiter_ready(now, req),
             Ev::WriteDone { shard } => self.on_write_done(now, shard),
             Ev::ReclaimTick => self.on_reclaim_tick(now),

@@ -37,7 +37,7 @@ use desim::span::{shard_qp, stage, SpanBuilder, SpanStore};
 use desim::trace::{code, CounterId, GaugeId, TraceCode};
 use desim::{Histogram, Metrics, MetricsSnapshot, RingTracer, SimTime};
 use fabric::nic::Completion;
-use fabric::{QpId, RdmaNic, ShardMap};
+use fabric::{QpId, ShardMap};
 use loadgen::{Breakdown, Recorder, TenantSpec};
 use paging::observe::{MemObservatory, PrefetchClass};
 
@@ -354,14 +354,14 @@ impl Observer {
     }
 
     /// Publishes the QP-occupancy gauges after a post or a CQE on
-    /// `shard`'s rail (the per-shard gauge exists on sharded runs only).
+    /// `shard`'s rail: `total` work requests are outstanding run-wide,
+    /// `on_rail` of them on that rail (the per-shard gauge exists on
+    /// sharded runs only).
     #[inline]
-    fn qp_gauges(&mut self, at: SimTime, shard: usize, nics: &[RdmaNic]) {
-        let total: u32 = nics.iter().map(|n| n.total_outstanding()).sum();
+    fn qp_gauges(&mut self, at: SimTime, shard: usize, total: u32, on_rail: u32) {
         self.metrics
             .gauge_set(self.ids.qp_outstanding, at, total as f64);
         if let Some(ids) = self.shard_ids.get(shard) {
-            let on_rail = nics[shard].total_outstanding();
             self.metrics
                 .gauge_set(ids.qp_outstanding, at, on_rail as f64);
         }
@@ -951,11 +951,12 @@ impl Observer {
         self.book_spin(now, w, now.saturating_since(since).as_nanos());
     }
 
-    /// The fault handler finished issuing a demand fetch at `t`.
+    /// The fault handler finished issuing a demand fetch at `t`
+    /// (`total` / `on_rail` as in [`Observer::qp_gauges`]).
     #[inline]
-    pub fn fetch_issued(&mut self, w: usize, t: SimTime, shard: usize, nics: &[RdmaNic]) {
+    pub fn fetch_issued(&mut self, w: usize, t: SimTime, shard: usize, total: u32, on_rail: u32) {
         self.tile(w, CoreState::Work, t);
-        self.qp_gauges(t, shard, nics);
+        self.qp_gauges(t, shard, total, on_rail);
     }
 
     /// A READ was posted at `at` on `shard`'s rail for a chain that
@@ -1079,13 +1080,21 @@ impl Observer {
         self.metrics.inc(self.ids.qp_full_retries);
     }
 
-    /// A CQE was consumed, freeing its send-queue slot on the rail.
+    /// A CQE was consumed, freeing its send-queue slot on the rail
+    /// (`total` / `on_rail` as in [`Observer::qp_gauges`]).
     #[inline]
-    pub fn cqe_consumed(&mut self, now: SimTime, shard: usize, nics: &[RdmaNic], what: Cqe) {
+    pub fn cqe_consumed(
+        &mut self,
+        now: SimTime,
+        shard: usize,
+        total: u32,
+        on_rail: u32,
+        what: Cqe,
+    ) {
         if let Some(p) = &mut self.prof {
             p.sq[shard].step(&mut self.metrics, now, QueueProbe::dec);
         }
-        self.qp_gauges(now, shard, nics);
+        self.qp_gauges(now, shard, total, on_rail);
         match what {
             Cqe::Fetch { worker, page } => {
                 self.trace(now, code::NIC_FETCH_DONE, worker as u64, page)

@@ -73,16 +73,8 @@ impl Simulation<'_> {
         // WQE engine and stall page fetches behind them.
         let qp = self.writeback_qp();
         let shard = self.shard_map.shard_of(page);
-        let primary = self.shard_map.node_id(shard, 0) as usize;
-        match self.nics[shard].post(
-            now,
-            qp,
-            Verb::Write,
-            page,
-            self.cfg.fetch_page_bytes,
-            &mut self.mems[primary],
-            &mut self.plane,
-        ) {
+        // Write-backs go to the shard's primary.
+        match self.post(now, shard, qp, Verb::Write, page, 0) {
             Ok(c) => {
                 // The frame was already reused and page contents are
                 // host-side in this model, so a failed write-back is

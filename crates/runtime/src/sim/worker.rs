@@ -8,6 +8,7 @@ use desim::{SimDuration, SimTime};
 use fabric::QpId;
 use paging::PageState;
 
+use super::fetch::FetchId;
 use super::observe::{Handoff, Queue};
 use super::{live, Cont, DispatchOp, Ev, Retire, Simulation};
 use crate::config::{FaultPolicy, QueueModel, WorkerSelect};
@@ -91,14 +92,15 @@ impl Simulation<'_> {
                 // SortByOutstandingPFCount over idle workers: take the
                 // minimum (ties by index for determinism). A worker's
                 // outstanding count spans every shard rail its QP id is
-                // mapped onto, so dispatch stays fault-aware under
-                // sharding without favouring any one shard.
+                // mapped onto (`qp_outstanding` is that running sum), so
+                // dispatch stays fault-aware under sharding without
+                // favouring any one shard.
                 let mut best: Option<(u32, usize)> = None;
                 for (i, w) in self.workers.iter().enumerate() {
                     if w.busy {
                         continue;
                     }
-                    let count: u32 = self.nics.iter().map(|n| n.outstanding(w.qp)).sum();
+                    let count = self.qp_outstanding[w.qp.0 as usize];
                     // The first idle worker with nothing in flight is
                     // the minimum already; else `<` keeps the lower index.
                     if count == 0 {
@@ -209,24 +211,19 @@ impl Simulation<'_> {
     /// Runs `req` on worker `w` from its current step at virtual time
     /// `t`, until it blocks or completes.
     fn execute(&mut self, w: usize, req: usize, mut t: SimTime) {
+        // Constant for the run: read once, not once per step.
+        let kernel = self.cfg.kernel;
+        let preempt_after = (self.cfg.fault_policy == FaultPolicy::BusyWaitPreempt)
+            .then_some(self.cfg.preempt_interval);
         loop {
-            let (step_opt, do_preempt) = {
-                let interval = self.cfg.preempt_interval;
-                let preemptable = self.cfg.fault_policy == FaultPolicy::BusyWaitPreempt;
-                let r = self.req(req);
-                if r.step >= r.trace.steps.len() {
-                    (None, false)
-                } else {
-                    let over =
-                        preemptable && r.step > 0 && t.saturating_since(r.sched_epoch) >= interval;
-                    (Some(r.trace.steps[r.step]), over)
-                }
-            };
-            let Some(step) = step_opt else {
+            let r = live(&self.reqs, req);
+            let Some(&step) = r.trace.steps.get(r.step) else {
                 self.finish_request(w, req, t);
                 return;
             };
-            if do_preempt {
+            if preempt_after
+                .is_some_and(|interval| r.step > 0 && t.saturating_since(r.sched_epoch) >= interval)
+            {
                 // Concord-style probe fired: save context, re-enqueue at
                 // the tail of the central queue, pick other work.
                 let saved = t + self.cfg.preempt_cost;
@@ -238,7 +235,7 @@ impl Simulation<'_> {
 
             // Compute part of the step (+ kernel interference on Hermit).
             let mut compute = SimDuration::from_nanos(step.compute_ns as u64);
-            if let Some(k) = self.cfg.kernel {
+            if let Some(k) = kernel {
                 let p = step.compute_ns as f64 / k.interference_period.as_nanos() as f64;
                 if p > 0.0 && self.rng.gen_bool(p.min(1.0)) {
                     let stall = SimDuration::from_nanos(
@@ -285,19 +282,15 @@ impl Simulation<'_> {
         }
     }
 
-    /// Yields `req` at `t` onto the in-flight fetch of `page`: the
+    /// Yields `req` at `t` onto the in-flight fetch `fetch`: the
     /// unithread switches out, the worker polls its CQ once and takes
     /// its next unit of work (Figure 5 steps 4–7).
     #[inline]
-    pub(super) fn park(&mut self, w: usize, req: usize, page: u64, t: SimTime) {
+    pub(super) fn park(&mut self, w: usize, req: usize, fetch: FetchId, t: SimTime) {
         let switched = t + self.cfg.ctx_switch;
         let polled = switched + self.cfg.cq_poll;
         self.req(req).worker = w;
-        self.inflight
-            .get_mut(&page)
-            .expect("in-flight page")
-            .waiters
-            .push(req);
+        self.fetches.get_mut(fetch).waiters.push(req);
         self.obs.parked(w, req, t, switched, polled);
         self.worker_pick_next(w, polled);
     }
