@@ -2,67 +2,29 @@
 //!
 //! All simulated activity is driven by a single [`EventQueue`]. Events
 //! scheduled for the same instant are delivered in insertion order
-//! (FIFO), which makes every run a pure function of its inputs — a
-//! property the integration tests rely on to compare systems under
-//! identical arrival sequences.
+//! (FIFO), which makes every run a pure function of its inputs.
 //!
-//! # Implementation: hierarchical timing wheel
+//! It is one `VecDeque` sorted by timestamp. `push` inserts *after*
+//! every entry at or before its instant, so equal instants sit in push
+//! order, and `pop` takes the front: by induction the ring is always in
+//! the reference heap's `(time, seq)` order, with no `seq` stored.
 //!
-//! The queue is a hashed hierarchical timing wheel (Varghese & Lauck)
-//! rather than a binary heap. µs-scale memory disaggregation produces
-//! dense, near-sorted timestamps — fetch completions a few µs out,
-//! telemetry ticks every 100 µs, retransmission timeouts a few ms out —
-//! exactly the regime where O(1) wheel operations beat the heap's
-//! O(log n) sift with its payload moves.
+//! Cost: `pop` / `peek_time` O(1); `push` one or two compares when the
+//! event is the latest or the earliest pending, else O(log n) compares
+//! and a move of min(k, n − k) entries (`VecDeque::insert` shifts the
+//! shorter side) — O(n) mid-queue in a deep queue, which the simulator
+//! (5–25 events; deep backlogs are monotone admit ticks, which append)
+//! never makes and whose ceiling `runtime::sim` asserts (DESIGN.md §9).
 //!
-//! Geometry:
-//!
-//! - 8 levels × 256 slots; level `L` slots are `2^(8L)` ns wide, so the
-//!   eight levels tile the full 64-bit nanosecond timeline (8 × 8 = 64
-//!   bits) with no overflow list.
-//! - Level 0 slots are **1 ns** wide: every entry in a level-0 slot has
-//!   the exact same timestamp, so FIFO delivery within a slot *is*
-//!   insertion order — no per-slot sort, and the `(time, seq)` total
-//!   order of the previous heap implementation is reproduced exactly.
-//! - An event at time `t` lives at the level of the highest byte in
-//!   which `t` differs from the current cursor, in slot
-//!   `(t >> 8·L) & 0xff`.
-//! - When the cursor crosses into a slot of level ≥ 2, that slot
-//!   *cascades*: its entries re-place themselves one or more levels
-//!   lower, preserving their relative (insertion) order.
-//! - A **level-1** slot does not cascade; it is *delivered in place*.
-//!   The simulator keeps only 5–25 events pending, nearly all of them
-//!   0.25–8 µs out — one level-1 hop — so cascading would place almost
-//!   every event twice. Instead the slot's deque (already in push
-//!   order) is stable-sorted by timestamp, which *is* `(time, seq)`
-//!   order, and popped from the front, merged by time with level 0.
-//!   Ties go to the in-place run: its entries were all pushed before
-//!   the cursor entered the slot's 256 ns window, and every push made
-//!   while the cursor is inside that window differs from it only in
-//!   byte 0, so it lands in level 0 and carries a later `seq`.
-//! - A 256-bit occupancy bitmap per level makes "find the earliest
-//!   non-empty slot" a handful of trailing-zero scans.
-//!
-//! Slot deques retain their capacity across reuse, so steady-state
-//! operation performs no allocation per event: the wheel doubles as the
-//! event-payload arena.
+//! Why not the timing wheel this replaced (8 × 256 slot deques): at
+//! 5–25 pending nearly every pop paid a cursor advance over ≈ 80 KB.
+//! Why not a binary heap: a sift-down per pop, and ties need a `seq`.
 
 use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
-/// log2(slots per level); 256 slots → one byte of the timestamp.
-const SLOT_BITS: usize = 8;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; 8 levels × 8 bits cover the whole u64 ns timeline.
-const LEVELS: usize = 8;
-/// Words of the per-level occupancy bitmap.
-const BITMAP_WORDS: usize = SLOTS / 64;
-
 /// A total-order discrete-event queue.
-///
-/// # Examples
 ///
 /// ```
 /// use desim::{EventQueue, SimTime};
@@ -77,25 +39,11 @@ const BITMAP_WORDS: usize = SLOTS / 64;
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS` deques, indexed `level * SLOTS + slot`. Entries
-    /// carry their absolute timestamp so cascades can re-place them.
-    slots: Vec<VecDeque<(u64, E)>>,
-    /// Per-level occupancy bitmaps.
-    occ: [[u64; BITMAP_WORDS]; LEVELS],
-    /// Pending-event count.
-    len: usize,
-    /// Timestamp of the most recently popped event; also the placement
-    /// cursor for the wheel.
+    /// Pending events, sorted by time; equal instants in push order.
+    ring: VecDeque<(SimTime, E)>,
+    /// Timestamp of the most recently popped event.
     now: SimTime,
-    /// Index into `slots` of the level-1 slot being delivered in place
-    /// (sorted by time, occupancy bit already cleared), or `NO_RUN`.
-    /// While set the cursor sits inside that slot's 256 ns window and
-    /// the deque is non-empty.
-    run: usize,
 }
-
-/// `EventQueue::run` when no level-1 slot is being delivered in place.
-const NO_RUN: usize = usize::MAX;
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
@@ -103,182 +51,46 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-#[inline]
-fn first_set(words: &[u64; BITMAP_WORDS]) -> Option<usize> {
-    for (w, word) in words.iter().enumerate() {
-        if *word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at t = 0.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
-            occ: [[0; BITMAP_WORDS]; LEVELS],
-            len: 0,
+            ring: VecDeque::new(),
             now: SimTime::ZERO,
-            run: NO_RUN,
         }
-    }
-
-    /// Places `(t, payload)` into the wheel relative to the current
-    /// cursor. Does not touch `len`.
-    #[inline]
-    fn place(&mut self, t: u64, payload: E) {
-        // Highest differing byte between t and the cursor picks the
-        // level; `| 1` maps the t == now case onto level 0.
-        let x = (t ^ self.now.0) | 1;
-        let level = ((63 - x.leading_zeros()) >> 3) as usize;
-        let slot = ((t >> (SLOT_BITS * level)) & (SLOTS as u64 - 1)) as usize;
-        self.occ[level][slot / 64] |= 1u64 << (slot % 64);
-        self.slots[level * SLOTS + slot].push_back((t, payload));
     }
 
     /// Schedules `payload` for delivery at `time`.
     ///
     /// # Panics
     ///
-    /// Panics if `time` is earlier than the timestamp of the most
-    /// recently popped event — scheduling into the past is always a
-    /// simulation bug.
+    /// Panics if `time` precedes the last popped event's: always a bug.
     pub fn push(&mut self, time: SimTime, payload: E) {
         assert!(
             time >= self.now,
             "event scheduled in the past: {time:?} < now {:?}",
             self.now
         );
-        self.place(time.0, payload);
-        self.len += 1;
+        if self.ring.back().is_none_or(|&(back, _)| time >= back) {
+            self.ring.push_back((time, payload));
+        } else if time < self.ring[0].0 {
+            // Strictly the earliest: no search (a fifth of all pushes).
+            self.ring.push_front((time, payload));
+        } else {
+            // After every entry at or before `time`: FIFO among equals.
+            let at = self.ring.partition_point(|&(t, _)| t <= time);
+            self.ring.insert(at, (time, payload));
+        }
     }
 
-    /// Absolute timestamp of level-0 slot `slot` in the cursor's window.
-    #[inline]
-    fn level0_time(&self, slot: usize) -> u64 {
-        (self.now.0 & !(SLOTS as u64 - 1)) | slot as u64
-    }
-
-    /// Removes and returns the next event, advancing the queue clock to
-    /// its timestamp.
+    /// Removes and returns the next event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // All pending level-0 entries lie in the cursor's current
-            // 256 ns window, so the first occupied slot holds level 0's
-            // earliest timestamp, FIFO within the deque.
-            let l0 = first_set(&self.occ[0]);
-            if self.run != NO_RUN {
-                // The in-place run shares that window. Its entries were
-                // all pushed before the cursor entered it, level 0's
-                // after, so the run wins ties.
-                let rt = self.slots[self.run][0].0;
-                if l0.is_none_or(|slot| rt <= self.level0_time(slot)) {
-                    let q = &mut self.slots[self.run];
-                    let (t, payload) = q.pop_front().expect("in-place run on empty slot");
-                    if q.is_empty() {
-                        self.run = NO_RUN;
-                    }
-                    return Some(self.deliver(t, payload));
-                }
-            }
-            if let Some(slot) = l0 {
-                let q = &mut self.slots[slot];
-                let (t, payload) = q.pop_front().expect("occupancy bit set on empty slot");
-                if q.is_empty() {
-                    self.occ[0][slot / 64] &= !(1u64 << (slot % 64));
-                }
-                return Some(self.deliver(t, payload));
-            }
-            // Level 0 and the run are exhausted: advance the cursor to
-            // the earliest occupied slot of the lowest occupied level.
-            let mut advanced = false;
-            for level in 1..LEVELS {
-                let Some(slot) = first_set(&self.occ[level]) else {
-                    continue;
-                };
-                let shift = SLOT_BITS * level;
-                // Absolute start of that slot: the cursor's bytes above
-                // `level` are unchanged since placement (crossing them
-                // would have cascaded this slot first).
-                let high = if shift + SLOT_BITS >= 64 {
-                    0
-                } else {
-                    (self.now.0 >> (shift + SLOT_BITS)) << (shift + SLOT_BITS)
-                };
-                let slot_start = high | ((slot as u64) << shift);
-                debug_assert!(slot_start >= self.now.0);
-                self.now = SimTime(slot_start);
-                self.occ[level][slot / 64] &= !(1u64 << (slot % 64));
-                let idx = level * SLOTS + slot;
-                if level == 1 {
-                    // Deliver in place: the deque holds push order, so a
-                    // stable sort by time yields `(time, seq)` order with
-                    // no second placement. No later push can land here —
-                    // the cursor's byte 1 now equals this slot.
-                    let q = self.slots[idx].make_contiguous();
-                    if q.len() > 1 {
-                        q.sort_by_key(|&(t, _)| t);
-                    }
-                    self.run = idx;
-                } else {
-                    let mut moved = std::mem::take(&mut self.slots[idx]);
-                    for (t, payload) in moved.drain(..) {
-                        debug_assert!(t >= slot_start);
-                        self.place(t, payload);
-                    }
-                    // Hand the drained deque's capacity back to the slot.
-                    self.slots[idx] = moved;
-                }
-                advanced = true;
-                break;
-            }
-            debug_assert!(advanced, "len > 0 but no occupied slot");
-            if !advanced {
-                return None;
-            }
-        }
-    }
-
-    /// Books the removal of an entry at `t` and advances the clock.
-    #[inline]
-    fn deliver(&mut self, t: u64, payload: E) -> (SimTime, E) {
-        self.len -= 1;
-        debug_assert!(t >= self.now.0);
-        self.now = SimTime(t);
-        (SimTime(t), payload)
+        self.ring.pop_front().inspect(|&(t, _)| self.now = t)
     }
 
     /// Returns the timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        // Level 0's first occupied slot and the in-place run's front
-        // are the only candidates inside the cursor's window.
-        let l0 = first_set(&self.occ[0]).map(|slot| self.level0_time(slot));
-        let run = (self.run != NO_RUN).then(|| self.slots[self.run][0].0);
-        if let Some(t) = l0.into_iter().chain(run).min() {
-            return Some(SimTime(t));
-        }
-        // Otherwise the minimum lives in the first occupied slot of the
-        // lowest occupied level; slots above level 0 are not ordered
-        // internally, so scan the deque.
-        for level in 1..LEVELS {
-            if let Some(slot) = first_set(&self.occ[level]) {
-                let t = self.slots[level * SLOTS + slot]
-                    .iter()
-                    .map(|(t, _)| *t)
-                    .min()
-                    .expect("occupancy bit set on empty slot");
-                return Some(SimTime(t));
-            }
-        }
-        None
+        self.ring.front().map(|&(t, _)| t)
     }
 
     /// Returns the timestamp of the most recently popped event.
@@ -288,18 +100,18 @@ impl<E> EventQueue<E> {
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
     }
 }
 
 /// The original `BinaryHeap`-backed queue, retained as a differential
 /// oracle: it defines the reference `(time, seq)` total order that the
-/// timing wheel must reproduce exactly.
+/// sorted ring must reproduce exactly.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::cmp::Ordering;
@@ -480,15 +292,15 @@ mod tests {
     fn wheel_matches_heap_oracle_on_random_schedules() {
         let mut rng = Rng::new(0xD1FF);
         for round in 0..48 {
-            let mut wheel = EventQueue::new();
+            let mut ring = EventQueue::new();
             let mut heap = HeapEventQueue::new();
             let mut next_id = 0usize;
             let ops = 400 + rng.gen_range(400) as usize;
             for _ in 0..ops {
                 // Bias towards pushes early, pops late; always keep the
                 // two queues in lock-step.
-                if wheel.is_empty() || rng.gen_range(3) > 0 {
-                    let base = wheel.now().0;
+                if ring.is_empty() || rng.gen_range(3) > 0 {
+                    let base = ring.now().0;
                     // Mix of near (µs-scale), far (ms-scale) and
                     // zero-delay events, like the simulator emits.
                     let delta = match rng.gen_range(10) {
@@ -498,27 +310,27 @@ mod tests {
                         _ => rng.gen_range(60_000_000),
                     };
                     let t = SimTime(base + delta);
-                    wheel.push(t, next_id);
+                    ring.push(t, next_id);
                     heap.push(t, next_id);
                     next_id += 1;
                 } else {
-                    let w = wheel.pop();
+                    let w = ring.pop();
                     let h = heap.pop();
                     assert_eq!(w, h, "divergence in round {round}");
                     // Occasionally emulate a handler scheduling a
                     // zero-delay follow-up during the drain.
                     if rng.gen_range(4) == 0 {
-                        let t = wheel.now();
-                        wheel.push(t, next_id);
+                        let t = ring.now();
+                        ring.push(t, next_id);
                         heap.push(t, next_id);
                         next_id += 1;
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(ring.len(), heap.len());
             }
             // Drain to empty; sequences must stay identical.
             loop {
-                let w = wheel.pop();
+                let w = ring.pop();
                 let h = heap.pop();
                 assert_eq!(w, h, "drain divergence in round {round}");
                 if w.is_none() {
@@ -528,20 +340,20 @@ mod tests {
         }
     }
 
-    /// FIFO holds for equal instants even when the earlier push had to
-    /// traverse more cascade hops than the later one (pushed closer to
-    /// delivery time).
+    /// FIFO holds for equal instants however far ahead of delivery each
+    /// push was made (3 ms, ~1 µs and 100 ns: three different levels of
+    /// the timing wheel this test was written against).
     #[test]
     fn equal_instant_fifo_across_cascade_levels() {
         let mut q = EventQueue::new();
-        let t = SimTime(3_000_000); // lands at level 2 relative to t = 0
-        q.push(t, 0u32); // placed far from the target: cascades twice
+        let t = SimTime(3_000_000);
+        q.push(t, 0u32); // pushed 3 ms ahead
         q.push(SimTime(2_999_000), 99);
         assert_eq!(q.pop(), Some((SimTime(2_999_000), 99)));
-        q.push(t, 1); // placed ~1 µs out: one level lower
+        q.push(t, 1); // pushed ~1 µs ahead
         q.push(SimTime(2_999_900), 98);
         assert_eq!(q.pop(), Some((SimTime(2_999_900), 98)));
-        q.push(t, 2); // placed 100 ns out: level 0 directly
+        q.push(t, 2); // pushed 100 ns ahead
         assert_eq!(q.pop(), Some((t, 0)));
         assert_eq!(q.pop(), Some((t, 1)));
         assert_eq!(q.pop(), Some((t, 2)));
@@ -570,12 +382,12 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6]);
     }
 
-    /// Far-future timestamps that overflow the lower wheel levels —
-    /// up to and including `u64::MAX` — are stored and delivered in
-    /// order, against the oracle.
+    /// Far-future timestamps — either side of every power of 256, up
+    /// to and including `u64::MAX` — are stored and delivered in order,
+    /// against the oracle.
     #[test]
     fn far_future_timestamps_span_all_levels() {
-        let mut wheel = EventQueue::new();
+        let mut ring = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         let times = [
             0u64,
@@ -595,12 +407,12 @@ mod tests {
             u64::MAX, // duplicate at the very top: FIFO there too
         ];
         for (i, &t) in times.iter().enumerate() {
-            wheel.push(SimTime(t), i);
+            ring.push(SimTime(t), i);
             heap.push(SimTime(t), i);
         }
         let mut popped = 0usize;
         loop {
-            let w = wheel.pop();
+            let w = ring.pop();
             assert_eq!(w, heap.pop());
             if w.is_none() {
                 break;
@@ -610,8 +422,8 @@ mod tests {
         assert_eq!(popped, times.len());
     }
 
-    /// Conservation under cascade-heavy schedules: every event pushed
-    /// across widely-spaced timestamps is popped exactly once.
+    /// Conservation: every event pushed across widely-spaced
+    /// timestamps is popped exactly once.
     #[test]
     fn conservation_across_levels() {
         let mut rng = Rng::new(0xCAFE);
@@ -620,8 +432,7 @@ mod tests {
             let mut q = EventQueue::new();
             let mut seen = vec![false; n];
             for i in 0..n {
-                // Spread across ~6 orders of magnitude so every level
-                // below the top sees traffic.
+                // Spread across ~12 orders of magnitude.
                 let magnitude = 1u64 << (rng.gen_range(40) as u32);
                 q.push(SimTime(rng.gen_range(magnitude.max(2))), i);
             }
@@ -629,57 +440,66 @@ mod tests {
                 assert!(!seen[i], "event {i} delivered twice");
                 seen[i] = true;
             }
-            assert!(seen.iter().all(|&s| s), "events lost in the wheel");
+            assert!(seen.iter().all(|&s| s), "events lost in the queue");
         }
     }
 
-    /// The wheel and the heap oracle driven in lock-step; every pop
+    /// The ring and the heap oracle driven in lock-step; every pop
     /// checks the payload order and that `peek_time` predicted it.
     struct Lockstep {
-        wheel: EventQueue<usize>,
+        ring: EventQueue<usize>,
         heap: HeapEventQueue<usize>,
         next_id: usize,
+        /// Latest instant pushed so far: while it is after `now` it is
+        /// still pending, i.e. the ring's back.
+        latest: SimTime,
     }
 
     impl Lockstep {
         fn new() -> Lockstep {
             Lockstep {
-                wheel: EventQueue::new(),
+                ring: EventQueue::new(),
                 heap: HeapEventQueue::new(),
                 next_id: 0,
+                latest: SimTime::ZERO,
             }
         }
 
+        /// Pushes the next payload id (they count up from 0) at `t`.
         fn push(&mut self, t: SimTime) {
-            self.wheel.push(t, self.next_id);
+            self.ring.push(t, self.next_id);
             self.heap.push(t, self.next_id);
             self.next_id += 1;
+            self.latest = self.latest.max(t);
         }
 
-        fn pop(&mut self) -> Option<SimTime> {
-            let peeked = self.wheel.peek_time();
-            let w = self.wheel.pop();
-            assert_eq!(w, self.heap.pop(), "wheel diverged from the heap oracle");
-            assert_eq!(peeked, w.map(|(t, _)| t), "peek_time disagrees with pop");
-            assert_eq!(self.wheel.len(), self.heap.len());
-            w.map(|(t, _)| t)
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            let peeked = self.ring.peek_time();
+            let r = self.ring.pop();
+            assert_eq!(r, self.heap.pop(), "ring diverged from the heap oracle");
+            assert_eq!(peeked, r.map(|(t, _)| t), "peek_time disagrees with pop");
+            assert_eq!(self.ring.len(), self.heap.len());
+            r
         }
     }
 
     /// Differential test on the traffic shape the simulator actually
     /// produces: 4–30 pending events, 85 % of delays between 256 ns and
-    /// 8 µs (one level-1 hop away — the in-place delivery path),
-    /// same-instant bursts, and zero-delay pushes issued while a
-    /// level-1 slot is being delivered in place. `peek_time` must agree
-    /// with `pop` at every step.
+    /// 8 µs, same-instant bursts, zero-delay pushes issued mid-drain,
+    /// pushes aimed at the instant `peek_time` reports — which must queue
+    /// behind everything already pending there — and pushes one ns
+    /// before the latest pending instant, which must not append.
+    /// `peek_time` must agree with `pop` at every step.
     #[test]
-    fn in_place_delivery_matches_heap_on_measured_traffic_shape() {
+    fn sorted_ring_matches_heap_on_measured_traffic_shape() {
         let mut rng = Rng::new(0x1A7E);
         let mut q = Lockstep::new();
-        let mut pushes_into_live_run = 0u32;
-        let mut ties_against_run = 0u32;
+        let mut zero_delay_pushes = 0u32;
+        let mut ties_against_front = 0u32;
+        let mut front_inserts = 0u32;
+        let mut one_before_back = 0u32;
         for _ in 0..60_000 {
-            let pending = q.wheel.len();
+            let pending = q.ring.len();
             if pending < 4 || (pending < 30 && rng.gen_range(2) == 0) {
                 let delay = match rng.gen_range(100) {
                     0..=84 => 256 + rng.gen_range(8_000 - 256),
@@ -687,7 +507,8 @@ mod tests {
                     90..=94 => rng.gen_range(256),
                     _ => rng.gen_range(3_000_000),
                 };
-                let t = SimTime(q.wheel.now().0 + delay);
+                let t = SimTime(q.ring.now().0 + delay);
+                front_inserts += q.ring.peek_time().is_some_and(|front| t < front) as u32;
                 // One event, or a same-instant burst of up to five.
                 let burst = match rng.gen_range(8) {
                     0 => 2 + rng.gen_range(4),
@@ -699,55 +520,92 @@ mod tests {
                 continue;
             }
             q.pop();
-            if q.wheel.run == NO_RUN {
-                continue;
-            }
-            // A handler reacting inside the window of a live run: a
-            // zero-delay follow-up, or one aimed at the instant of the
-            // run's next entry (lands in level 0, must lose the tie).
-            match rng.gen_range(4) {
-                0 => {
-                    q.push(q.wheel.now());
-                    pushes_into_live_run += 1;
+            // A handler reacting to the delivery: a zero-delay
+            // follow-up, one aimed at the next pending instant (it must
+            // lose the tie to every entry already there), or one a
+            // nanosecond ahead of the back.
+            match (rng.gen_range(6), q.ring.peek_time()) {
+                (0, _) => {
+                    q.push(q.ring.now());
+                    zero_delay_pushes += 1;
                 }
-                1 => {
-                    q.push(SimTime(q.wheel.slots[q.wheel.run][0].0));
-                    ties_against_run += 1;
+                (1, Some(front)) => {
+                    q.push(front);
+                    ties_against_front += 1;
+                }
+                (2, _) if q.latest > q.ring.now() => {
+                    q.push(SimTime(q.latest.0 - 1));
+                    one_before_back += 1;
                 }
                 _ => {}
             }
         }
         while q.pop().is_some() {}
-        assert_eq!(q.wheel.run, NO_RUN);
         // The shape really exercised the paths it is named for.
-        assert!(pushes_into_live_run > 500, "{pushes_into_live_run}");
-        assert!(ties_against_run > 500, "{ties_against_run}");
+        assert!(zero_delay_pushes > 500, "{zero_delay_pushes}");
+        assert!(ties_against_front > 500, "{ties_against_front}");
+        assert!(front_inserts > 500, "{front_inserts}");
+        assert!(one_before_back > 500, "{one_before_back}");
     }
 
-    /// The overload shape: ~500 pending events, almost all of them a
-    /// monotone stream of admission ticks a fixed service time apart,
-    /// with deliveries scheduling µs-scale follow-ups.
+    /// The overload shape: ≈ 16 k pending events, almost all of them
+    /// four interleaved monotone streams of admission ticks (one per
+    /// dispatcher, a fixed service time apart, unequal backlogs — so the
+    /// shorter streams' ticks land mid-queue), with deliveries
+    /// scheduling µs-scale follow-ups at the front.
     #[test]
     fn deep_monotone_admit_stream_matches_heap() {
+        const BACKLOG: [usize; 4] = [4_096, 4_096, 4_000, 3_900];
+        const SERVICE_NS: [u64; 4] = [210, 210, 215, 220];
         let mut rng = Rng::new(0xAD31);
         let mut q = Lockstep::new();
-        let mut admit_at = 0u64;
+        let mut admit_at = [0u64; 4];
+        let mut queued = [0usize; 4];
+        // Stream of each payload id (4 = a follow-up).
+        let mut stream_of = Vec::new();
         for _ in 0..40_000 {
-            // Top the backlog up to 500 pending admits, 210 ns apart.
-            while q.wheel.len() < 500 {
-                admit_at = admit_at.max(q.wheel.now().0) + 210;
-                q.push(SimTime(admit_at));
+            // Top every stream's backlog up, round-robin.
+            while (0..4).any(|d| queued[d] < BACKLOG[d]) {
+                for d in 0..4 {
+                    if queued[d] < BACKLOG[d] {
+                        admit_at[d] = admit_at[d].max(q.ring.now().0) + SERVICE_NS[d];
+                        q.push(SimTime(admit_at[d]));
+                        stream_of.push(d);
+                        queued[d] += 1;
+                    }
+                }
             }
-            let now = q.pop().expect("backlog is never empty");
+            let (now, id) = q.pop().expect("backlog is never empty");
+            if let Some(n) = queued.get_mut(stream_of[id]) {
+                *n -= 1;
+            }
             if rng.gen_range(3) == 0 {
                 q.push(now + SimDuration::from_nanos(rng.gen_range(4_000)));
+                stream_of.push(4);
             }
+        }
+        assert!(q.ring.len() > 16_000, "{}", q.ring.len());
+        while q.pop().is_some() {}
+    }
+
+    /// The slow case, for correctness only: 10 k events pending and
+    /// uniformly random delays, so nearly every push is a mid-queue
+    /// insert — the shape the simulator never produces.
+    #[test]
+    fn adversarial_mid_queue_inserts_match_heap() {
+        let mut rng = Rng::new(0xADE5);
+        let mut q = Lockstep::new();
+        for _ in 0..30_000 {
+            while q.ring.len() < 10_000 {
+                q.push(SimTime(q.ring.now().0 + rng.gen_range(10_000_000)));
+            }
+            q.pop();
         }
         while q.pop().is_some() {}
     }
 
     /// peek_time always agrees with the subsequent pop, including when
-    /// the next event sits in an upper level awaiting a cascade.
+    /// the next event is far (ms) beyond the last delivery.
     #[test]
     fn peek_agrees_with_pop_across_levels() {
         let mut rng = Rng::new(0xBEEF);

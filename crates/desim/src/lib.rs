@@ -6,9 +6,9 @@
 //! - [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //!   with conversions to CPU cycles at the testbed clock rate (2 GHz, the
 //!   Intel Xeon Gold 6330 of the paper's compute node).
-//! - [`EventQueue`] — a total-order event queue backed by a hierarchical
-//!   timing wheel. Ties in timestamps are broken by insertion order, so
-//!   a simulation run is a pure function of its inputs and seed.
+//! - [`EventQueue`] — a total-order event queue: one ring kept sorted
+//!   by time. Ties in timestamps are broken by insertion order, so a
+//!   simulation run is a pure function of its inputs and seed.
 //! - [`fxhash`] — an unkeyed, deterministic hasher ([`FxHashMap`]) for
 //!   hot-path lookups that don't need SipHash's DoS resistance.
 //! - [`Rng`] — a small, seedable xoshiro256** generator (no external

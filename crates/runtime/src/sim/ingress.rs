@@ -172,12 +172,12 @@ impl Simulation<'_> {
 
     #[inline]
     pub(super) fn free_req(&mut self, id: usize) {
-        if let Some(req) = self.reqs[id].take() {
-            // Bound the pool so a transient burst doesn't pin its
-            // high-water mark of step buffers forever.
-            if self.trace_pool.len() < 4_096 {
-                self.trace_pool.push(req.trace);
-            }
+        // A second free would hand one slot to two live requests.
+        let req = self.reqs[id].take().expect("request slot freed twice");
+        // Bound the pool so a transient burst doesn't pin its
+        // high-water mark of step buffers forever.
+        if self.trace_pool.len() < 4_096 {
+            self.trace_pool.push(req.trace);
         }
         self.free_reqs.push(id);
     }

@@ -49,7 +49,7 @@ use paging::observe::MemReport;
 use paging::trace::Trace;
 use paging::{PageCache, PAGE_SIZE};
 
-use crate::config::SystemConfig;
+use crate::config::{QueueModel, SystemConfig};
 use crate::workload::Workload;
 
 mod fetch;
@@ -586,6 +586,9 @@ pub struct Simulation<'w> {
     last_now: SimTime,
     warmup_end: SimTime,
     measure_end: SimTime,
+    /// The most events the queue can hold at once, waiter-ready events
+    /// aside (see `Simulation::event_bound`).
+    event_ceiling: usize,
     /// Every measurement of the run (see the module docs).
     obs: Observer,
 }
@@ -638,6 +641,19 @@ impl<'w> Simulation<'w> {
         let replicas = cfg.replicas();
         let ndisp = cfg.ndispatchers();
         let shard_map = ShardMap::new(shards, replicas, total_pages, cfg.shard_policy);
+        // Every posted work request holds its QP slot until the one
+        // event that consumes its CQE fires (`FetchDone`, `CqeRetire`,
+        // `WriteDone`): this bounds the fetch table and those events.
+        let qp_slots = shards * (cfg.workers + 2) * cfg.fabric.qp_depth as usize;
+        // Admit ticks are one per occupied dispatcher ingress slot; the
+        // per-worker queue models admit without an event.
+        let ingress_slots = match cfg.queue_model {
+            QueueModel::SingleQueue => ndisp * cfg.fabric.rx_ring_entries,
+            QueueModel::PerWorker | QueueModel::PerWorkerStealing => 0,
+        };
+        // + the next arrival, one wake per worker, the reclaim tick and
+        // the telemetry tick.
+        let event_ceiling = 1 + ingress_slots + qp_slots + cfg.workers + 2;
 
         // Tenant plane: the merged arrival mix and the admission state
         // are built from the spec list; the specs themselves go to the
@@ -686,7 +702,13 @@ impl<'w> Simulation<'w> {
             cache,
             arrivals,
             rng,
-            reqs: Vec::new(),
+            // Request slots start at the parked-request scale — one per
+            // slot of the workers' own QPs — so the table does not grow
+            // by doubling through warm-up. (Its size also decides on
+            // which side of glibc's heap-trim threshold repeated
+            // set-ups of the array workloads fall: re-measure `setup_s`
+            // when changing it; CHANGES.md, PR 20.)
+            reqs: Vec::with_capacity(cfg.workers * cfg.fabric.qp_depth as usize),
             free_reqs: Vec::new(),
             trace_pool: Vec::new(),
             workers: (0..cfg.workers).map(Worker::new).collect(),
@@ -705,8 +727,7 @@ impl<'w> Simulation<'w> {
             dispatcher_log: Vec::new(),
             #[cfg(test)]
             stale_completions: Vec::new(),
-            // A record holds its QP slot until its event fires.
-            fetches: FetchTable::new(shards * (cfg.workers + 2) * cfg.fabric.qp_depth as usize),
+            fetches: FetchTable::new(qp_slots),
             deferred_writebacks: vec![VecDeque::new(); shards],
             reclaim_state: ReclaimState::Idle,
             low_frames,
@@ -716,6 +737,7 @@ impl<'w> Simulation<'w> {
             last_now: SimTime::ZERO,
             warmup_end,
             measure_end,
+            event_ceiling,
             obs,
             workload,
             cfg,
@@ -793,12 +815,35 @@ impl<'w> Simulation<'w> {
             Ev::CqeRetire { shard, qp } => self.on_cqe_retire(now, shard, qp),
             Ev::TelemetryTick => self.on_telemetry_tick(now),
         }
+        debug_assert!(
+            self.events.len() <= self.event_bound(),
+            "{} events pending, over the ceiling of {} (DESIGN.md §9)",
+            self.events.len(),
+            self.event_bound()
+        );
+    }
+
+    /// The most events that can be pending right now. The ceiling
+    /// resolved in [`Simulation::new`] covers every kind but
+    /// `WaiterReady`, which is queued only when resumes are delayed
+    /// (Infiniswap's kernel wake-up) and then at most once per live
+    /// request. The event queue's `push` is O(pending) in the worst
+    /// case, so the bound is checked after every handler in debug
+    /// builds (tier-1) instead of assumed.
+    fn event_bound(&self) -> usize {
+        let waiters = if self.cfg.resume_delay > SimDuration::ZERO {
+            self.reqs.len() - self.free_reqs.len()
+        } else {
+            0
+        };
+        self.event_ceiling + waiters
     }
 
     /// One flight-recorder sample; the observer reads the live queues
     /// it scores health from and nothing else, so enabling telemetry
-    /// perturbs nothing but the event queue's tie-break sequence
-    /// numbers.
+    /// perturbs nothing: a tick only adds one entry to the event queue,
+    /// which keeps every other pair of events in the same relative
+    /// order.
     fn on_telemetry_tick(&mut self, now: SimTime) {
         let next = self.obs.telemetry_tick(
             now,

@@ -1179,6 +1179,34 @@ fn drain(sim: &mut Simulation, mut after: impl FnMut(&Simulation)) {
     }
 }
 
+/// The pending-set ceiling (DESIGN.md §9) is tight enough to mean
+/// something: at 20 Mrps — four times what the dispatcher admits — a
+/// full rx ring of admit ticks stays queued, within 15 % of the bound
+/// `handle` asserts.
+#[test]
+fn overload_runs_the_event_queue_close_to_its_ceiling() {
+    let mut w = small_workload();
+    let mut sim = Simulation::new(SystemConfig::adios(), &mut w, quick_params(20_000_000.0));
+    sim.schedule_next_arrival();
+    let mut deepest = 0;
+    drain(&mut sim, |sim| deepest = deepest.max(sim.events.len()));
+    let ceiling = sim.event_ceiling;
+    assert!(deepest > sim.cfg.fabric.rx_ring_entries, "{deepest}");
+    assert!(deepest * 100 >= ceiling * 85, "{deepest} of {ceiling}");
+}
+
+/// ... and it is checked: a run that outgrows its ceiling stops at the
+/// first handler that leaves the queue over it (debug builds).
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "over the ceiling")]
+fn event_queue_over_its_ceiling_panics() {
+    let mut w = small_workload();
+    let mut sim = Simulation::new(SystemConfig::adios(), &mut w, quick_params(1_000_000.0));
+    sim.event_ceiling = 4;
+    sim.run();
+}
+
 /// What every superseded completion must have done (see
 /// [`StaleCompletion`]): freed exactly its own QP slot and left the
 /// waiters of the page's later fetch parked.
