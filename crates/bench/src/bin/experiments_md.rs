@@ -55,8 +55,8 @@ flags:
   --faults <name>    inject a named fault scenario into the runs
                      (none, lossy, flaky, stall, crash) and print the
                      fault-plane / retransmission counters
-  --shards N         shard the page space across N memnodes in the
-                     runs and print the per-shard counters
+  --shards N         shard the page space across N >= 1 memnodes in
+                     the runs and print the per-shard counters
   --profile          run the virtual-time core profiler: exhaustive
                      per-core state tiling (dispatch/handoff/work/spin/
                      park/ctx-switch/fetch-wait/tx-wait/idle), queue
@@ -92,7 +92,7 @@ flags:
                      arrivals are shed (requires --tenants)
   --app <name>       workload for single-stream runs:
                      array (default), kvs, llm, or scan
-  --dispatchers N    model a proportionally scaled machine with N
+  --dispatchers N    model a proportionally scaled machine with N >= 1
                      dispatcher cores, 8·N workers and min(N, 8)
                      memnode shards; the runs go to deep overload and
                      print per-dispatcher admit/steal/combine counters
@@ -239,11 +239,8 @@ fn parse_args(args: &[String]) -> Cli {
                 let n: usize = v
                     .parse()
                     .unwrap_or_else(|_| die(&format!("invalid --shards value: {v}")));
-                if n == 0 || n > desim::trace::shard_names::MAX_SHARDS {
-                    die(&format!(
-                        "--shards must be between 1 and {}",
-                        desim::trace::shard_names::MAX_SHARDS
-                    ));
+                if n == 0 {
+                    die("--shards must be positive");
                 }
                 cli.shards = Some(n);
             }
@@ -296,11 +293,8 @@ fn parse_args(args: &[String]) -> Cli {
                 let n: usize = v
                     .parse()
                     .unwrap_or_else(|_| die(&format!("invalid --dispatchers value: {v}")));
-                if n == 0 || n > desim::trace::dispatcher_names::MAX_DISPATCHERS {
-                    die(&format!(
-                        "--dispatchers must be between 1 and {}",
-                        desim::trace::dispatcher_names::MAX_DISPATCHERS
-                    ));
+                if n == 0 {
+                    die("--dispatchers must be positive");
                 }
                 cli.dispatchers = Some(n);
             }
@@ -450,9 +444,8 @@ fn instrumented_runs(cli: &Cli) {
         }
         println!();
 
+        let c = |name: &str| res.metrics.counter(name).unwrap_or(0);
         if let Some(n) = cli.dispatchers {
-            use desim::trace::dispatcher_names as dn;
-            let c = |name: &str| res.metrics.counter(name).unwrap_or(0);
             println!(
                 "==== {kind:?}: dispatcher plane ({n} cores, {}) ====",
                 dpolicy.name()
@@ -463,9 +456,9 @@ fn instrumented_runs(cli: &Cli) {
                 if n > 1 {
                     println!(
                         "    dispatcher {d}: {} admitted, {} steals, {} combines",
-                        c(dn::ADMITTED[d]),
-                        c(dn::STEALS[d]),
-                        c(dn::COMBINES[d])
+                        c(&format!("dispatcher{d}.admitted")),
+                        c(&format!("dispatcher{d}.steals")),
+                        c(&format!("dispatcher{d}.combines"))
                     );
                 }
             }
@@ -513,25 +506,23 @@ fn instrumented_runs(cli: &Cli) {
         }
 
         if let Some(n) = cli.shards.filter(|&n| n > 1) {
-            use desim::trace::shard_names as sn;
-            let c = |name: &str| res.metrics.counter(name).unwrap_or(0);
+            let shard = |s: usize, field: &str| c(&format!("shard{s}.{field}"));
             println!("==== {kind:?}: page space over {n} memnode shards ====");
             for s in 0..n {
                 println!(
                     "    shard {s}: {} fetches, {} retransmits, {} error cqes, \
                      {} failovers, {} chain failures",
-                    c(sn::FETCHES[s]),
-                    c(sn::RETRANSMITS[s]),
-                    c(sn::CQE_ERRORS[s]),
-                    c(sn::FAILOVERS[s]),
-                    c(sn::CHAIN_FAILURES[s])
+                    shard(s, "fetches"),
+                    shard(s, "fetch_retransmits"),
+                    shard(s, "fetch_cqe_errors"),
+                    shard(s, "fetch_failovers"),
+                    shard(s, "fetch_chain_failures")
                 );
             }
             println!();
         }
 
         if let Some(scenario) = &cli.faults {
-            let c = |name: &str| res.metrics.counter(name).unwrap_or(0);
             println!(
                 "==== {kind:?}: fault plane (scenario `{}`) ====",
                 scenario.name

@@ -69,6 +69,9 @@ fn bad_invocations_exit_2_with_usage() {
         // Modifiers without the flag they modify.
         &["--shed-watermark", "64"],
         &["--dispatch-policy", "flat-combining"],
+        // Counts with no entity to run.
+        &["--shards", "0"],
+        &["--dispatchers", "0"],
     ];
     for args in cases {
         let out = experiments_md(args, here());
@@ -249,6 +252,20 @@ fn plane_less_flags_write_the_two_reports_and_every_fault_episode_lands_inside()
         }
         std::fs::remove_dir_all(&dir).expect("remove scratch out-dir");
     }
+}
+
+/// Shard counts are not capped by a name table: nine shards register
+/// `shard8.*` like any other.
+#[test]
+fn nine_shards_run_and_register_the_ninth() {
+    let (dir, names) = instrumented("nine_shards", &["--shards", "9"]);
+    assert_eq!(names, RUN_FILES);
+    for file in RUN_FILES {
+        let run = parse(&dir.join(file));
+        let fetches = at(&run, &["metrics", "counters", "shard8.fetches"]);
+        assert!(fetches.as_f64().unwrap() > 0.0, "{file}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch out-dir");
 }
 
 /// The timeline of a run without span exemplars must still be one

@@ -1051,7 +1051,6 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
     ));
 
     // -- crash containment: one shard's primary dies --------------------
-    use desim::trace::shard_names as sn;
     let crash_cfg = SystemConfig {
         memnode_shards: 4,
         memnode_replicas: 2,
@@ -1077,7 +1076,10 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
         mk_params(Some(faults::FaultScenario::crash_node(0))),
     )
     .run();
-    let c = |name| crash.metrics.counter(name).unwrap_or(0);
+    let c = |s: usize, field: &str| {
+        let name = format!("shard{s}.{field}");
+        crash.metrics.counter(&name).unwrap_or(0)
+    };
     let mut s = Series::new(
         "shard-0 primary down for the whole window (4 shards, 2 replicas, 0.1 MRPS)",
         "  shard   fetches  failovers   fetch p999(us)   baseline p999(us)",
@@ -1086,8 +1088,8 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
         s.rows.push(format!(
             "{:>7} {:>9} {:>10} {:>16.2} {:>19.2}",
             sh,
-            c(sn::FETCHES[sh]),
-            c(sn::FAILOVERS[sh]),
+            c(sh, "fetches"),
+            c(sh, "fetch_failovers"),
             crash.shards[sh].fetch_ns.percentile(99.9) as f64 / 1e3,
             base.shards[sh].fetch_ns.percentile(99.9) as f64 / 1e3,
         ));
@@ -1098,12 +1100,12 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
         "pages re-map onto the shard's replica chain",
         format!(
             "{} failovers on shard 0, {} drops",
-            c(sn::FAILOVERS[0]),
+            c(0, "fetch_failovers"),
             crash.recorder.dropped()
         ),
-        c(sn::FAILOVERS[0]) > 0 && crash.recorder.dropped() == 0,
+        c(0, "fetch_failovers") > 0 && crash.recorder.dropped() == 0,
     ));
-    let spared = (1..4usize).all(|sh| c(sn::CQE_ERRORS[sh]) == 0);
+    let spared = (1..4usize).all(|sh| c(sh, "fetch_cqe_errors") == 0);
     let contained = (1..4usize).all(|sh| {
         let b = base.shards[sh].fetch_ns.percentile(99.9);
         let f = crash.shards[sh].fetch_ns.percentile(99.9);

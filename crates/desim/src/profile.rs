@@ -120,86 +120,6 @@ impl Default for ProfileConfig {
     }
 }
 
-/// Static metric names for the queue-depth gauges the observatory
-/// registers (the registry requires `&'static str` names, so dynamic
-/// indices need name tables — same scheme as `trace::shard_names`).
-pub mod queue_names {
-    /// Workers with a dedicated runnable-queue gauge (larger worker
-    /// counts are still profiled; they just lose the per-tick series).
-    pub const MAX_WORKERS: usize = 16;
-    /// Shard rails with dedicated send-queue / write-back gauges.
-    pub const MAX_SHARDS: usize = 8;
-
-    /// Dispatcher cores with a dedicated per-ingress depth gauge
-    /// (matches `trace::dispatcher_names::MAX_DISPATCHERS`).
-    pub const MAX_DISPATCHERS: usize = 16;
-
-    /// Central dispatcher ingress queue depth.
-    pub const INGRESS: &str = "q.ingress.depth";
-    /// Per-dispatcher ingress slot depth (arrivals published to the
-    /// dispatcher that it has not yet admitted). Registered only when
-    /// the ingress plane has more than one dispatcher core.
-    pub const D_INGRESS: [&str; MAX_DISPATCHERS] = [
-        "q.d0.ingress.depth",
-        "q.d1.ingress.depth",
-        "q.d2.ingress.depth",
-        "q.d3.ingress.depth",
-        "q.d4.ingress.depth",
-        "q.d5.ingress.depth",
-        "q.d6.ingress.depth",
-        "q.d7.ingress.depth",
-        "q.d8.ingress.depth",
-        "q.d9.ingress.depth",
-        "q.d10.ingress.depth",
-        "q.d11.ingress.depth",
-        "q.d12.ingress.depth",
-        "q.d13.ingress.depth",
-        "q.d14.ingress.depth",
-        "q.d15.ingress.depth",
-    ];
-    /// Per-worker runnable (resumed unithread) queue depth.
-    pub const RUNNABLE: [&str; MAX_WORKERS] = [
-        "q.w0.runnable.depth",
-        "q.w1.runnable.depth",
-        "q.w2.runnable.depth",
-        "q.w3.runnable.depth",
-        "q.w4.runnable.depth",
-        "q.w5.runnable.depth",
-        "q.w6.runnable.depth",
-        "q.w7.runnable.depth",
-        "q.w8.runnable.depth",
-        "q.w9.runnable.depth",
-        "q.w10.runnable.depth",
-        "q.w11.runnable.depth",
-        "q.w12.runnable.depth",
-        "q.w13.runnable.depth",
-        "q.w14.runnable.depth",
-        "q.w15.runnable.depth",
-    ];
-    /// Per-shard outstanding send-queue entries (all QPs on the rail).
-    pub const SQ: [&str; MAX_SHARDS] = [
-        "q.shard0.sq.depth",
-        "q.shard1.sq.depth",
-        "q.shard2.sq.depth",
-        "q.shard3.sq.depth",
-        "q.shard4.sq.depth",
-        "q.shard5.sq.depth",
-        "q.shard6.sq.depth",
-        "q.shard7.sq.depth",
-    ];
-    /// Per-shard deferred write-back queue depth.
-    pub const WRITEBACK: [&str; MAX_SHARDS] = [
-        "q.shard0.writeback.depth",
-        "q.shard1.writeback.depth",
-        "q.shard2.writeback.depth",
-        "q.shard3.writeback.depth",
-        "q.shard4.writeback.depth",
-        "q.shard5.writeback.depth",
-        "q.shard6.writeback.depth",
-        "q.shard7.writeback.depth",
-    ];
-}
-
 struct CoreSlot {
     label: String,
     /// Counts toward worker aggregates (`worker_spin_fraction`).
@@ -594,7 +514,7 @@ impl QueueProbe {
 /// One queue's measurement-window summary.
 #[derive(Debug, Clone)]
 pub struct QueueReport {
-    /// Queue name (matches its depth-gauge name minus the suffix).
+    /// Queue name (its depth gauge is `q.<name>.depth`).
     pub name: String,
     /// Elements entering the queue inside the window.
     pub arrivals: u64,

@@ -17,13 +17,16 @@
 //!   [`Metrics::reset`] re-bases every instrument at a window boundary,
 //!   which is how the runtime scopes rates to the measurement window
 //!   (warm-up activity is discarded at the warm-up→measure boundary).
+//!   Names are `&'static str`; a name built at registration time
+//!   (`shard3.fetches`) goes through [`intern`] first.
 //!
 //! Snapshots serialize to JSON with a deterministic field order
 //! (registration order), so two runs with the same seed produce
 //! byte-identical output — the determinism suite relies on this.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
+use std::sync::{Mutex, OnceLock};
 
 use crate::time::SimTime;
 
@@ -411,6 +414,90 @@ impl<'a> IntoIterator for &'a TraceLog {
     }
 }
 
+/// Bytes of the longest name [`intern`] stores in static memory.
+const NAME_BYTES: usize = 63;
+
+/// Distinct names [`intern`] stores in static memory; later ones, and
+/// longer ones, are stored on the heap.
+const STATIC_NAMES: usize = 1024;
+
+/// One name stored inline.
+struct Name {
+    len: u8,
+    bytes: [u8; NAME_BYTES],
+}
+
+impl Name {
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("written as whole `str`s")
+    }
+}
+
+/// The static name slots; the first [`Interner::used`] are filled.
+static SLOTS: [OnceLock<Name>; STATIC_NAMES] = [const { OnceLock::new() }; STATIC_NAMES];
+
+/// What [`intern`] has stored besides the slots' contents.
+struct Interner {
+    /// Filled [`SLOTS`].
+    used: usize,
+    /// Names stored on the heap (one leaked copy each).
+    spilled: BTreeSet<&'static str>,
+}
+
+static INTERNER: Mutex<Interner> = Mutex::new(Interner {
+    used: 0,
+    spilled: BTreeSet::new(),
+});
+
+/// A `&'static str` with the text of `name`, for registering an
+/// instrument whose name is built at run time:
+/// `intern(format_args!("shard{s}.fetches"))`.
+///
+/// Equal texts return the same copy, stored once per process however
+/// many registries use it. The first 1 024 names of up to 63 bytes
+/// are formatted on the stack and stored in static memory, so
+/// interning them never touches the heap: a simulation's
+/// set-up allocates exactly what it would with literal names. That
+/// matters because set-up time sits on the allocator's trim threshold,
+/// where even a few small blocks that outlive one set-up can make every
+/// later one re-fault its pages (CHANGES.md measures it). Other names
+/// are formatted on the heap and leaked once.
+pub fn intern(name: impl std::fmt::Display) -> &'static str {
+    let mut bytes = [0; NAME_BYTES];
+    let mut rest = &mut bytes[..];
+    let fits = std::io::Write::write_fmt(&mut rest, format_args!("{name}")).is_ok();
+    let len = (NAME_BYTES - rest.len()) as u8;
+    let inline = Name { len, bytes };
+    let mut interner = INTERNER
+        .lock()
+        .expect("name interner poisoned: a thread panicked while holding it");
+    if fits {
+        let used = interner.used;
+        let stored = SLOTS[..used]
+            .iter()
+            .map(|slot| slot.get().expect("slots below `used` are filled"))
+            .find(|stored| stored.as_bytes() == inline.as_bytes());
+        if let Some(stored) = stored {
+            return stored.as_str();
+        }
+        if used < STATIC_NAMES {
+            interner.used += 1;
+            return SLOTS[used].get_or_init(|| inline).as_str();
+        }
+    }
+    let text = name.to_string();
+    if let Some(&stored) = interner.spilled.get(text.as_str()) {
+        return stored;
+    }
+    let stored: &'static str = text.leak();
+    interner.spilled.insert(stored);
+    stored
+}
+
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
@@ -608,6 +695,12 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
     }
 
+    /// Value of the counter `id` of the registry this snapshot froze —
+    /// an index, no name comparison.
+    pub fn counter_value(&self, id: CounterId) -> u64 {
+        self.counters[id.0].1
+    }
+
     /// Looks a gauge up by name.
     pub fn gauge(&self, name: &str) -> Option<&GaugeSnapshot> {
         self.gauges.iter().find(|g| g.name == name)
@@ -641,265 +734,17 @@ impl MetricsSnapshot {
     }
 }
 
-/// Static per-shard metric names.
+/// Per-dispatcher steal-counter names for dispatchers 0–15, as literals.
 ///
-/// [`Metrics::counter`] and [`Metrics::gauge`] take `&'static str`, so
-/// per-shard names cannot be formatted at run time; this table holds
-/// them for up to [`shard_names::MAX_SHARDS`] shards. The schema is the
-/// sharded simulation's contract with external consumers (held by
-/// `tests/properties.rs::sharded_counters_sum_to_run_totals`, which
-/// reads the registry through this table): per shard `N`, the
-/// counters `shardN.fetches`, `shardN.fetch_retransmits`,
-/// `shardN.fetch_cqe_errors`, `shardN.fetch_failovers` and
-/// `shardN.fetch_chain_failures`, plus the `shardN.qp_outstanding`
-/// gauge. Single-shard runs register none of them, keeping their
-/// metrics JSON bit-identical to pre-sharding output.
-pub mod shard_names {
-    /// Highest shard count the static name tables cover.
-    pub const MAX_SHARDS: usize = 8;
-
-    /// READ posts (demand attempts + prefetches) routed to the shard.
-    pub const FETCHES: [&str; MAX_SHARDS] = [
-        "shard0.fetches",
-        "shard1.fetches",
-        "shard2.fetches",
-        "shard3.fetches",
-        "shard4.fetches",
-        "shard5.fetches",
-        "shard6.fetches",
-        "shard7.fetches",
-    ];
-
-    /// RC retransmissions burned by the shard's fetches.
-    pub const RETRANSMITS: [&str; MAX_SHARDS] = [
-        "shard0.fetch_retransmits",
-        "shard1.fetch_retransmits",
-        "shard2.fetch_retransmits",
-        "shard3.fetch_retransmits",
-        "shard4.fetch_retransmits",
-        "shard5.fetch_retransmits",
-        "shard6.fetch_retransmits",
-        "shard7.fetch_retransmits",
-    ];
-
-    /// Error CQEs surfaced by the shard's demand-fetch chains.
-    pub const CQE_ERRORS: [&str; MAX_SHARDS] = [
-        "shard0.fetch_cqe_errors",
-        "shard1.fetch_cqe_errors",
-        "shard2.fetch_cqe_errors",
-        "shard3.fetch_cqe_errors",
-        "shard4.fetch_cqe_errors",
-        "shard5.fetch_cqe_errors",
-        "shard6.fetch_cqe_errors",
-        "shard7.fetch_cqe_errors",
-    ];
-
-    /// Fetches re-mapped onto the next replica of the shard's chain.
-    pub const FAILOVERS: [&str; MAX_SHARDS] = [
-        "shard0.fetch_failovers",
-        "shard1.fetch_failovers",
-        "shard2.fetch_failovers",
-        "shard3.fetch_failovers",
-        "shard4.fetch_failovers",
-        "shard5.fetch_failovers",
-        "shard6.fetch_failovers",
-        "shard7.fetch_failovers",
-    ];
-
-    /// Chains that exhausted the shard's replicas or attempt budget.
-    pub const CHAIN_FAILURES: [&str; MAX_SHARDS] = [
-        "shard0.fetch_chain_failures",
-        "shard1.fetch_chain_failures",
-        "shard2.fetch_chain_failures",
-        "shard3.fetch_chain_failures",
-        "shard4.fetch_chain_failures",
-        "shard5.fetch_chain_failures",
-        "shard6.fetch_chain_failures",
-        "shard7.fetch_chain_failures",
-    ];
-
-    /// Outstanding work requests on the shard's NIC rail.
-    pub const QP_OUTSTANDING: [&str; MAX_SHARDS] = [
-        "shard0.qp_outstanding",
-        "shard1.qp_outstanding",
-        "shard2.qp_outstanding",
-        "shard3.qp_outstanding",
-        "shard4.qp_outstanding",
-        "shard5.qp_outstanding",
-        "shard6.qp_outstanding",
-        "shard7.qp_outstanding",
-    ];
-
-    /// Fraction of decayed page heat landing on the shard (memory
-    /// observatory; registered only when the observatory is enabled).
-    pub const HEAT_SHARE: [&str; MAX_SHARDS] = [
-        "shard0.heat_share",
-        "shard1.heat_share",
-        "shard2.heat_share",
-        "shard3.heat_share",
-        "shard4.heat_share",
-        "shard5.heat_share",
-        "shard6.heat_share",
-        "shard7.heat_share",
-    ];
-
-    /// Smoothed RTT estimate of the shard's NIC rail, microseconds.
-    pub const SRTT_US: [&str; MAX_SHARDS] = [
-        "shard0.srtt_us",
-        "shard1.srtt_us",
-        "shard2.srtt_us",
-        "shard3.srtt_us",
-        "shard4.srtt_us",
-        "shard5.srtt_us",
-        "shard6.srtt_us",
-        "shard7.srtt_us",
-    ];
-
-    /// RTT variance estimate of the shard's NIC rail, microseconds.
-    pub const RTTVAR_US: [&str; MAX_SHARDS] = [
-        "shard0.rttvar_us",
-        "shard1.rttvar_us",
-        "shard2.rttvar_us",
-        "shard3.rttvar_us",
-        "shard4.rttvar_us",
-        "shard5.rttvar_us",
-        "shard6.rttvar_us",
-        "shard7.rttvar_us",
-    ];
-
-    /// Base (un-backed-off) retransmission timeout the shard's rail
-    /// would arm next, microseconds.
-    pub const RTO_US: [&str; MAX_SHARDS] = [
-        "shard0.rto_us",
-        "shard1.rto_us",
-        "shard2.rto_us",
-        "shard3.rto_us",
-        "shard4.rto_us",
-        "shard5.rto_us",
-        "shard6.rto_us",
-        "shard7.rto_us",
-    ];
-}
-
-/// Static per-tenant counter names. Same rationale as [`shard_names`]:
-/// [`Metrics::counter`] takes `&'static str`, so the tenant plane
-/// pre-bakes names for up to [`tenant_names::MAX_TENANTS`] tenants. The
-/// schema is the multi-tenant simulation's contract with external
-/// consumers (held by the runtime's
-/// `overloaded_mix_sheds_low_priority_and_conserves_requests`, which
-/// reads the registry through this table): per tenant `N`, the
-/// counters `tenantN.arrivals`, `tenantN.admitted`,
-/// `tenantN.completions`, `tenantN.sheds` and `tenantN.drops`.
-/// Single-tenant runs register none of them, keeping their metrics
-/// JSON bit-identical to pre-tenant output.
-pub mod tenant_names {
-    /// Highest tenant count the static name tables cover.
-    pub const MAX_TENANTS: usize = 8;
-
-    /// Requests generated for the tenant (offered load).
-    pub const ARRIVALS: [&str; MAX_TENANTS] = [
-        "tenant0.arrivals",
-        "tenant1.arrivals",
-        "tenant2.arrivals",
-        "tenant3.arrivals",
-        "tenant4.arrivals",
-        "tenant5.arrivals",
-        "tenant6.arrivals",
-        "tenant7.arrivals",
-    ];
-
-    /// Requests that passed admission into the dispatcher queue.
-    pub const ADMITTED: [&str; MAX_TENANTS] = [
-        "tenant0.admitted",
-        "tenant1.admitted",
-        "tenant2.admitted",
-        "tenant3.admitted",
-        "tenant4.admitted",
-        "tenant5.admitted",
-        "tenant6.admitted",
-        "tenant7.admitted",
-    ];
-
-    /// Requests the tenant completed with a reply.
-    pub const COMPLETIONS: [&str; MAX_TENANTS] = [
-        "tenant0.completions",
-        "tenant1.completions",
-        "tenant2.completions",
-        "tenant3.completions",
-        "tenant4.completions",
-        "tenant5.completions",
-        "tenant6.completions",
-        "tenant7.completions",
-    ];
-
-    /// Requests rejected by admission control (token bucket empty or
-    /// low-priority past the shed watermark).
-    pub const SHEDS: [&str; MAX_TENANTS] = [
-        "tenant0.sheds",
-        "tenant1.sheds",
-        "tenant2.sheds",
-        "tenant3.sheds",
-        "tenant4.sheds",
-        "tenant5.sheds",
-        "tenant6.sheds",
-        "tenant7.sheds",
-    ];
-
-    /// Requests lost to queue overflow or fault aborts.
-    pub const DROPS: [&str; MAX_TENANTS] = [
-        "tenant0.drops",
-        "tenant1.drops",
-        "tenant2.drops",
-        "tenant3.drops",
-        "tenant4.drops",
-        "tenant5.drops",
-        "tenant6.drops",
-        "tenant7.drops",
-    ];
-}
-
-/// Static per-dispatcher metric names.
-///
-/// Same discipline as [`shard_names`]: [`Metrics::counter`] and
-/// [`Metrics::gauge`] take `&'static str`, so per-dispatcher names live
-/// in a static table covering up to
-/// [`dispatcher_names::MAX_DISPATCHERS`] ingress cores. The schema is
-/// the multi-dispatcher simulation's contract with external consumers
-/// (held by `tests/properties.rs::steals_never_dispatch_a_request_twice`
-/// and the runtime's `flat_combining_amortises_admissions`, which read
-/// the registry through this table): per dispatcher `N`, the counters
-/// `dispatcherN.admitted`, `dispatcherN.steals` and
-/// `dispatcherN.combines`, plus the `dispatcherN.busy_fraction` gauge.
-/// Single-dispatcher runs register none of them (the lone core keeps
-/// the scalar `dispatcher.busy_fraction` gauge), keeping their metrics
-/// JSON bit-identical to pre-scaling output.
+/// The runtime builds every per-entity name where it registers the
+/// instrument (`dispatcher{d}.steals`, through [`intern`]); this table
+/// is the one copy kept as text because the perf ledger
+/// (`benchmark/src/run.rs`, which sums steals per dispatcher) indexes
+/// it. A runtime test pins each entry to the name the registry carries.
 pub mod dispatcher_names {
-    /// Highest dispatcher count the static name tables cover.
-    pub const MAX_DISPATCHERS: usize = 16;
-
-    /// Requests admitted by the dispatcher (steals included).
-    pub const ADMITTED: [&str; MAX_DISPATCHERS] = [
-        "dispatcher0.admitted",
-        "dispatcher1.admitted",
-        "dispatcher2.admitted",
-        "dispatcher3.admitted",
-        "dispatcher4.admitted",
-        "dispatcher5.admitted",
-        "dispatcher6.admitted",
-        "dispatcher7.admitted",
-        "dispatcher8.admitted",
-        "dispatcher9.admitted",
-        "dispatcher10.admitted",
-        "dispatcher11.admitted",
-        "dispatcher12.admitted",
-        "dispatcher13.admitted",
-        "dispatcher14.admitted",
-        "dispatcher15.admitted",
-    ];
-
-    /// Arrivals this dispatcher admitted away from a busier sibling's
-    /// ingress slot (`DispatchPolicy::WorkStealing`).
-    pub const STEALS: [&str; MAX_DISPATCHERS] = [
+    /// `dispatcherN.steals`: arrivals dispatcher `N` admitted away from
+    /// a busier sibling's ingress slot (`DispatchPolicy::WorkStealing`).
+    pub const STEALS: [&str; 16] = [
         "dispatcher0.steals",
         "dispatcher1.steals",
         "dispatcher2.steals",
@@ -916,49 +761,6 @@ pub mod dispatcher_names {
         "dispatcher13.steals",
         "dispatcher14.steals",
         "dispatcher15.steals",
-    ];
-
-    /// Arrivals absorbed into a batch this dispatcher opened as the
-    /// combiner (`DispatchPolicy::FlatCombining`; the opener itself is
-    /// not counted).
-    pub const COMBINES: [&str; MAX_DISPATCHERS] = [
-        "dispatcher0.combines",
-        "dispatcher1.combines",
-        "dispatcher2.combines",
-        "dispatcher3.combines",
-        "dispatcher4.combines",
-        "dispatcher5.combines",
-        "dispatcher6.combines",
-        "dispatcher7.combines",
-        "dispatcher8.combines",
-        "dispatcher9.combines",
-        "dispatcher10.combines",
-        "dispatcher11.combines",
-        "dispatcher12.combines",
-        "dispatcher13.combines",
-        "dispatcher14.combines",
-        "dispatcher15.combines",
-    ];
-
-    /// Busy/idle square wave of the dispatcher core (mirrors the scalar
-    /// `dispatcher.busy_fraction` gauge of single-dispatcher runs).
-    pub const BUSY_FRACTION: [&str; MAX_DISPATCHERS] = [
-        "dispatcher0.busy_fraction",
-        "dispatcher1.busy_fraction",
-        "dispatcher2.busy_fraction",
-        "dispatcher3.busy_fraction",
-        "dispatcher4.busy_fraction",
-        "dispatcher5.busy_fraction",
-        "dispatcher6.busy_fraction",
-        "dispatcher7.busy_fraction",
-        "dispatcher8.busy_fraction",
-        "dispatcher9.busy_fraction",
-        "dispatcher10.busy_fraction",
-        "dispatcher11.busy_fraction",
-        "dispatcher12.busy_fraction",
-        "dispatcher13.busy_fraction",
-        "dispatcher14.busy_fraction",
-        "dispatcher15.busy_fraction",
     ];
 }
 
@@ -1137,8 +939,40 @@ mod tests {
         assert_eq!(snap.counter("a"), Some(5));
         assert_eq!(snap.counter("b"), Some(1));
         assert_eq!(snap.counter("missing"), None);
+        assert_eq!((snap.counter_value(a), snap.counter_value(b)), (5, 1));
         m.reset(SimTime(10));
         assert_eq!(m.counter_value(a), 0);
+    }
+
+    #[test]
+    fn interning_keeps_one_copy_per_text() {
+        let built = format!("shard{}.fetches", 11);
+        let first = intern(&built);
+        assert_eq!(first, "shard11.fetches");
+        assert!(!std::ptr::eq(first, built.as_str()), "a copy, not a borrow");
+        // Same text, however it is spelled: the stored copy again.
+        assert!(std::ptr::eq(intern("shard11.fetches"), first));
+        let spelled = intern(format_args!("shard{}.fetches", 11));
+        assert!(std::ptr::eq(spelled, first));
+        assert!(!std::ptr::eq(intern("shard12.fetches"), first));
+        // Too long for a static slot: stored on the heap, interned alike.
+        let probe = "w".repeat(NAME_BYTES);
+        let long = intern(format_args!("q.{probe}.depth"));
+        assert_eq!(long, format!("q.{probe}.depth"));
+        assert!(std::ptr::eq(intern(format!("q.{probe}.depth")), long));
+    }
+
+    #[test]
+    fn interning_past_the_static_slots_spills_to_the_heap() {
+        // More distinct names than there are slots: every one of them
+        // still round-trips to one stored copy.
+        let names: Vec<&str> = (0..STATIC_NAMES + 8)
+            .map(|i| intern(format_args!("spill{i}.depth")))
+            .collect();
+        for (i, &stored) in names.iter().enumerate() {
+            assert_eq!(stored, format!("spill{i}.depth"));
+            assert!(std::ptr::eq(intern(stored), stored), "{stored}");
+        }
     }
 
     #[test]

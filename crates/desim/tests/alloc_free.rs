@@ -2,12 +2,13 @@
 //! per-event entry points of every plane `desim` owns — span build and
 //! completion, the trace ring at capacity, core-state transitions,
 //! queue probes at bounded depth, flight-recorder ticks inside the
-//! reserved horizon — must not touch the allocator.
+//! reserved horizon — must not touch the allocator; nor may interning a
+//! registry name.
 
 use desim::profile::{CoreProfiler, CoreState, ProfileConfig, QueueProbe};
 use desim::span::{stage, SpanConfig, SpanStore};
 use desim::telemetry::{FlightRecorder, HealthInput, TelemetryConfig};
-use desim::trace::code;
+use desim::trace::{code, intern};
 use desim::{Metrics, NoopTracer, RingTracer, SimDuration, SimTime, TraceEvent, Tracer};
 
 #[path = "support/counting_alloc.rs"]
@@ -156,5 +157,24 @@ fn flight_recorder_ticks_inside_the_reserved_horizon_do_not_allocate() {
         metrics.gauge_set(gauge, now, 3.0 + (i & 1) as f64);
         rec.on_completion(SimDuration::from_nanos(8_000 + (i & 255) * 20));
         rec.tick(now, &metrics, &health, &mut NoopTracer);
+    });
+}
+
+#[test]
+fn interning_a_short_name_does_not_allocate() {
+    // First sight and every later one alike: a short name is formatted
+    // on the stack and stored in static memory.
+    let before = counting_alloc::allocs();
+    let stored = [
+        intern(format_args!("shard{}.fetches", 11)),
+        intern(format_args!("q.w{}.runnable.depth", 23)),
+    ];
+    assert_eq!(counting_alloc::allocs() - before, 0, "first sight");
+    assert_alloc_free("name interner hit", |i| {
+        let name = match i % 2 {
+            0 => intern(format_args!("shard{}.fetches", 11)),
+            _ => intern("q.w23.runnable.depth"),
+        };
+        assert!(std::ptr::eq(name, stored[(i % 2) as usize]));
     });
 }

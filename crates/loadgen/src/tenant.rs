@@ -170,6 +170,10 @@ fn parse_rate(s: &str) -> Result<f64, String> {
     Ok(v * mult)
 }
 
+/// The most tenants a plane holds: a request carries its tenant id as
+/// a `u16` ([`TenantMix::next_arrival`]).
+const TENANT_LIMIT: usize = 1 << 16;
+
 /// The full tenant mix plus the admission knobs the runtime enforces.
 #[derive(Debug, Clone)]
 pub struct TenantPlane {
@@ -182,10 +186,19 @@ pub struct TenantPlane {
 
 impl TenantPlane {
     /// A plane over explicit specs; names default to `tN`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `specs` is empty or holds more than 65 536 tenants
+    /// (tenant ids are `u16`).
     pub fn new(mut specs: Vec<TenantSpec>) -> TenantPlane {
         assert!(
             !specs.is_empty(),
             "a tenant plane needs at least one tenant"
+        );
+        assert!(
+            specs.len() <= TENANT_LIMIT,
+            "at most {TENANT_LIMIT} tenants (tenant ids are u16)"
         );
         for (i, s) in specs.iter_mut().enumerate() {
             if s.name.is_empty() {
@@ -216,10 +229,9 @@ impl TenantPlane {
         if specs.is_empty() {
             return Err("empty tenant spec".into());
         }
-        if specs.len() > desim::trace::tenant_names::MAX_TENANTS {
+        if specs.len() > TENANT_LIMIT {
             return Err(format!(
-                "at most {} tenants supported",
-                desim::trace::tenant_names::MAX_TENANTS
+                "at most {TENANT_LIMIT} tenants supported (tenant ids are u16)"
             ));
         }
         Ok(TenantPlane::new(specs))
@@ -448,6 +460,25 @@ mod tests {
         assert!(TenantPlane::parse("800k:kvs").is_err());
         assert!(TenantPlane::parse("800k:kvs:mid").is_err());
         assert!(TenantPlane::parse("800k:kvs:hi:lat<oops").is_err());
-        assert!(TenantPlane::parse("1k:a:hi;".repeat(9).as_str()).is_err());
+        // Tenant ids are u16: one past 65 536 is refused; a mix wider
+        // than any fixed name table is fine.
+        let too_many = "1k:a:hi;".repeat(TENANT_LIMIT + 1);
+        assert!(TenantPlane::parse(&too_many)
+            .unwrap_err()
+            .contains("at most 65536 tenants"));
+        assert_eq!(
+            TenantPlane::parse(&"1k:a:hi;".repeat(9))
+                .unwrap()
+                .specs
+                .len(),
+            9
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 tenants")]
+    fn oversized_tenant_plane_rejected() {
+        let spec = TenantSpec::new(1_000.0, "array", TenantPriority::Low);
+        TenantPlane::new(vec![spec; TENANT_LIMIT + 1]);
     }
 }

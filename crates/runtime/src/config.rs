@@ -425,18 +425,11 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `memnode_shards` is zero (a page space with no home)
-    /// or exceeds [`desim::trace::shard_names::MAX_SHARDS`] (the
-    /// per-shard counter schema is a static name table).
+    /// Panics when `memnode_shards` is zero (a page space with no home).
     pub fn shards(&self) -> usize {
         assert!(
             self.memnode_shards >= 1,
             "memnode_shards must be at least 1"
-        );
-        assert!(
-            self.memnode_shards <= desim::trace::shard_names::MAX_SHARDS,
-            "memnode_shards must not exceed {}",
-            desim::trace::shard_names::MAX_SHARDS
         );
         self.memnode_shards
     }
@@ -446,14 +439,13 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics when `dispatchers` is zero (nobody to admit arrivals) or
-    /// exceeds [`desim::trace::dispatcher_names::MAX_DISPATCHERS`] (the
-    /// per-dispatcher counter schema is a static name table).
+    /// exceeds 65 536: a request carries the dispatcher that admitted it
+    /// and the ingress slot it was steered to as `u16` indices.
     pub fn ndispatchers(&self) -> usize {
         assert!(self.dispatchers >= 1, "dispatchers must be at least 1");
         assert!(
-            self.dispatchers <= desim::trace::dispatcher_names::MAX_DISPATCHERS,
-            "dispatchers must not exceed {}",
-            desim::trace::dispatcher_names::MAX_DISPATCHERS
+            self.dispatchers <= 1 << 16,
+            "dispatchers must not exceed 65536 (requests carry u16 dispatcher indices)"
         );
         self.dispatchers
     }
@@ -529,16 +521,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "memnode_shards must not exceed")]
-    fn oversized_shard_count_rejected() {
-        let cfg = SystemConfig {
-            memnode_shards: desim::trace::shard_names::MAX_SHARDS + 1,
-            ..SystemConfig::adios()
-        };
-        let _ = cfg.shards();
-    }
-
-    #[test]
     fn dispatcher_accessor_validates() {
         let cfg = SystemConfig::adios();
         assert_eq!(cfg.ndispatchers(), 1, "presets default to one dispatcher");
@@ -550,6 +532,12 @@ mod tests {
         };
         assert_eq!(scaled.ndispatchers(), 4);
         assert_eq!(scaled.dispatch_policy.name(), "work-stealing");
+
+        let widest = SystemConfig {
+            dispatchers: 1 << 16,
+            ..SystemConfig::adios()
+        };
+        assert_eq!(widest.ndispatchers(), 65_536, "every u16 index is usable");
     }
 
     #[test]
@@ -563,10 +551,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dispatchers must not exceed")]
+    #[should_panic(expected = "dispatchers must not exceed 65536")]
     fn oversized_dispatcher_count_rejected() {
         let cfg = SystemConfig {
-            dispatchers: desim::trace::dispatcher_names::MAX_DISPATCHERS + 1,
+            dispatchers: (1 << 16) + 1,
             ..SystemConfig::adios()
         };
         let _ = cfg.ndispatchers();

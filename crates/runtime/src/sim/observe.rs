@@ -96,15 +96,14 @@ struct ChainIds {
     chain_failures: CounterId,
 }
 
-/// Per-shard counter/gauge handles (see [`desim::trace::shard_names`]).
+/// Per-shard counter/gauge handles (`shardN.*`).
 struct ShardIds {
     fetches: CounterId,
     chain: ChainIds,
     qp_outstanding: GaugeId,
 }
 
-/// Per-dispatcher counter/gauge handles (see
-/// [`desim::trace::dispatcher_names`]).
+/// Per-dispatcher counter/gauge handles (`dispatcherN.*`).
 struct DispatcherIds {
     admitted: CounterId,
     steals: CounterId,
@@ -115,8 +114,8 @@ struct DispatcherIds {
     busy: Option<GaugeId>,
 }
 
-/// Per-tenant outcomes, indexing the tenant counter handles and window
-/// accounting (see [`desim::trace::tenant_names`]).
+/// Per-tenant outcomes, indexing the tenant counter handles
+/// (`tenantN.*`) and window accounting.
 #[derive(Clone, Copy, PartialEq)]
 enum TenantEvent {
     Arrival,
@@ -175,20 +174,17 @@ pub enum Cqe {
     Retire { qp: QpId },
 }
 
-/// One instrumented queue: its probe and, where the static name table
-/// covers it, a registered depth gauge.
+/// One instrumented queue: its probe and its depth gauge.
 struct Probed {
     probe: QueueProbe,
-    gauge: Option<GaugeId>,
+    gauge: GaugeId,
 }
 
 impl Probed {
     /// Applies one depth change and publishes the new depth.
     fn step(&mut self, m: &mut Metrics, at: SimTime, op: fn(&mut QueueProbe, SimTime) -> u64) {
         let depth = op(&mut self.probe, at);
-        if let Some(g) = self.gauge {
-            m.gauge_set(g, at, depth as f64);
-        }
+        m.gauge_set(self.gauge, at, depth as f64);
     }
 }
 

@@ -8,7 +8,7 @@ use fabric::link::{Link, LinkSnapshot};
 use faults::{EpisodeKind, FaultPlane, FaultStats};
 use paging::cache::CacheStats;
 
-use super::Observer;
+use super::{ChainIds, Observer};
 use crate::config::SystemConfig;
 use crate::sim::{Conservation, RunParams, RunResult, ShardWindow, TenantWindow};
 
@@ -191,17 +191,20 @@ impl Observer {
                 "prefetch-fate conservation violated: {classes:?}"
             );
         }
-        let c = |name| metrics.counter(name).unwrap_or(0);
-        assert_eq!(
-            c("fetch_cqe_errors"),
-            c("fetch_failovers") + c("fetch_chain_failures"),
-            "fetch-chain bookkeeping violated"
-        );
-        for s in 0..self.shard_ids.len() {
-            use desim::trace::shard_names as sn;
+        // (error CQEs, failovers + chain failures), read by handle.
+        let split = |chain: &ChainIds| {
+            let c = |id| metrics.counter_value(id);
+            (
+                c(chain.cqe_errors),
+                c(chain.failovers) + c(chain.chain_failures),
+            )
+        };
+        let (errors, resolved) = split(&self.ids.chain);
+        assert_eq!(errors, resolved, "fetch-chain bookkeeping violated");
+        for (s, ids) in self.shard_ids.iter().enumerate() {
+            let (errors, resolved) = split(&ids.chain);
             assert_eq!(
-                c(sn::CQE_ERRORS[s]),
-                c(sn::FAILOVERS[s]) + c(sn::CHAIN_FAILURES[s]),
+                errors, resolved,
                 "shard {s}: fetch-chain bookkeeping violated"
             );
         }

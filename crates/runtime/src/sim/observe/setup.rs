@@ -1,10 +1,10 @@
 //! Builds the [`Observer`]: registers every instrument and plane, in
 //! serialisation order.
 
-use desim::profile::{queue_names, CoreProfiler, QueueProbe};
+use desim::profile::{CoreProfiler, QueueProbe};
 use desim::span::{SpanConfig, SpanStore};
 use desim::telemetry::FlightRecorder;
-use desim::trace::{dispatcher_names as dn, shard_names as sn, tenant_names as tn};
+use desim::trace::intern;
 use desim::{Histogram, Metrics, RingTracer, SimDuration, SimTime, TimeSeries};
 use fabric::ShardMap;
 use loadgen::{Recorder, TenantSpec};
@@ -28,6 +28,12 @@ fn multi<T>(n: usize, register: impl FnMut(usize) -> T) -> Vec<T> {
     } else {
         Vec::new()
     }
+}
+
+/// The registry name `{entity}{i}.{field}` of a per-entity instrument
+/// (`shard3.fetches`), built where it is registered.
+fn named(entity: &str, i: usize, field: &str) -> &'static str {
+    intern(format_args!("{entity}{i}.{field}"))
 }
 
 /// Completions a Poisson source of `rps` is not expected to exceed over
@@ -93,34 +99,28 @@ impl Observer {
             fault_episode_active: m.gauge("fault_episode_active"),
         };
         let shard_ids = multi(shards, |s| ShardIds {
-            fetches: m.counter(sn::FETCHES[s]),
+            fetches: m.counter(named("shard", s, "fetches")),
             chain: ChainIds {
-                retransmits: m.counter(sn::RETRANSMITS[s]),
-                cqe_errors: m.counter(sn::CQE_ERRORS[s]),
-                failovers: m.counter(sn::FAILOVERS[s]),
-                chain_failures: m.counter(sn::CHAIN_FAILURES[s]),
+                retransmits: m.counter(named("shard", s, "fetch_retransmits")),
+                cqe_errors: m.counter(named("shard", s, "fetch_cqe_errors")),
+                failovers: m.counter(named("shard", s, "fetch_failovers")),
+                chain_failures: m.counter(named("shard", s, "fetch_chain_failures")),
             },
-            qp_outstanding: m.gauge(sn::QP_OUTSTANDING[s]),
+            qp_outstanding: m.gauge(named("shard", s, "qp_outstanding")),
         });
         let tenant_ids = multi(tenant_specs.len(), |t| {
-            [
-                tn::ARRIVALS[t],
-                tn::ADMITTED[t],
-                tn::COMPLETIONS[t],
-                tn::SHEDS[t],
-                tn::DROPS[t],
-            ]
-            .map(|name| m.counter(name))
+            ["arrivals", "admitted", "completions", "sheds", "drops"]
+                .map(|field| m.counter(named("tenant", t, field)))
         });
         // Dispatcher utilization joins the registry only when an
         // observer of it (telemetry or the profiler) is on: per core on
         // scaled ingress planes, else the one scalar gauge.
         let observed = params.telemetry.is_some() || params.profile.is_some();
         let dispatcher_ids = multi(ndisp, |d| DispatcherIds {
-            admitted: m.counter(dn::ADMITTED[d]),
-            steals: m.counter(dn::STEALS[d]),
-            combines: m.counter(dn::COMBINES[d]),
-            busy: observed.then(|| m.gauge(dn::BUSY_FRACTION[d])),
+            admitted: m.counter(named("dispatcher", d, "admitted")),
+            steals: m.counter(named("dispatcher", d, "steals")),
+            combines: m.counter(named("dispatcher", d, "combines")),
+            busy: observed.then(|| m.gauge(named("dispatcher", d, "busy_fraction"))),
         });
         let dispatcher_busy = (ndisp == 1 && observed).then(|| m.gauge("dispatcher.busy_fraction"));
 
@@ -136,29 +136,26 @@ impl Observer {
             for w in 0..cfg.workers {
                 cores.add_core(format!("worker{w}"), true);
             }
-            // A queue gets a depth gauge where the static name table
-            // reaches it.
-            let mut probed = |name: String, gauge: Option<&&'static str>| Probed {
+            // Every queue's depth gauge is named after its probe.
+            let mut probed = |name: String| Probed {
+                gauge: m.gauge(intern(format_args!("q.{name}.depth"))),
                 probe: QueueProbe::new(name, w_start, w_end),
-                gauge: gauge.map(|g| m.gauge(g)),
             };
             ProfPlane {
                 cores,
                 wbase: ndisp,
                 parked: vec![0; cfg.workers],
                 frame_wait_ns: 0,
-                ingress: probed("ingress".to_string(), Some(&queue_names::INGRESS)),
-                dispatcher_ingress: multi(ndisp, |d| {
-                    probed(format!("d{d}.ingress"), queue_names::D_INGRESS.get(d))
-                }),
+                ingress: probed("ingress".to_string()),
+                dispatcher_ingress: multi(ndisp, |d| probed(format!("d{d}.ingress"))),
                 runnable: (0..cfg.workers)
-                    .map(|w| probed(format!("w{w}.runnable"), queue_names::RUNNABLE.get(w)))
+                    .map(|w| probed(format!("w{w}.runnable")))
                     .collect(),
                 sq: (0..shards)
-                    .map(|s| probed(format!("shard{s}.sq"), queue_names::SQ.get(s)))
+                    .map(|s| probed(format!("shard{s}.sq")))
                     .collect(),
                 writeback: (0..shards)
-                    .map(|s| probed(format!("shard{s}.writeback"), queue_names::WRITEBACK.get(s)))
+                    .map(|s| probed(format!("shard{s}.writeback")))
                     .collect(),
             }
         });
@@ -178,7 +175,7 @@ impl Observer {
             heat_skew: m.gauge("memory.heat_skew"),
             hit_rate: m.gauge("memory.prefetch_hit_rate"),
             obs_dropped: m.counter("memory.obs_dropped"),
-            heat_share: multi(shards, |s| m.gauge(sn::HEAT_SHARE[s])),
+            heat_share: multi(shards, |s| m.gauge(named("shard", s, "heat_share"))),
             dropped_synced: 0,
         });
 
@@ -187,9 +184,9 @@ impl Observer {
             // recorder, so they are telemetry-gated.
             let mut rto = multi(shards, |s| {
                 (
-                    m.gauge(sn::SRTT_US[s]),
-                    m.gauge(sn::RTTVAR_US[s]),
-                    m.gauge(sn::RTO_US[s]),
+                    m.gauge(named("shard", s, "srtt_us")),
+                    m.gauge(named("shard", s, "rttvar_us")),
+                    m.gauge(named("shard", s, "rto_us")),
                 )
             });
             if rto.is_empty() {

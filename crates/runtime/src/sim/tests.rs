@@ -53,22 +53,27 @@ fn run_faulty(cfg: SystemConfig, rps: f64, scenario: FaultScenario) -> RunResult
 /// failovers on one shard cannot paper over chain failures on
 /// another.
 fn assert_fault_invariant(res: &RunResult) {
-    use desim::trace::shard_names as sn;
-    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    let c = |name: &str| res.metrics.counter(name).unwrap_or(0);
     assert_eq!(
         c("fetch_cqe_errors"),
         c("fetch_failovers") + c("fetch_chain_failures"),
         "error CQEs must be exactly partitioned into failovers and chain failures"
     );
-    for s in 0..sn::MAX_SHARDS {
-        if let Some(errs) = res.metrics.counter(sn::CQE_ERRORS[s]) {
-            assert_eq!(
-                errs,
-                c(sn::FAILOVERS[s]) + c(sn::CHAIN_FAILURES[s]),
-                "shard {s}: error CQEs must partition into failovers and chain failures"
-            );
-        }
+    for s in 0..res.shards.len() {
+        let c = |field| entity_counter(res, "shard", s, field);
+        assert_eq!(
+            c("fetch_cqe_errors"),
+            c("fetch_failovers") + c("fetch_chain_failures"),
+            "shard {s}: error CQEs must partition into failovers and chain failures"
+        );
     }
+}
+
+/// Counter `{entity}{i}.{field}` of a run's registry, 0 when absent.
+fn entity_counter(res: &RunResult, entity: &str, i: usize, field: &str) -> u64 {
+    res.metrics
+        .counter(&format!("{entity}{i}.{field}"))
+        .unwrap_or(0)
 }
 
 #[test]
@@ -608,14 +613,13 @@ fn metrics_registry_matches_stats_view() {
 
 #[test]
 fn single_shard_runs_register_no_per_shard_counters() {
-    use desim::trace::shard_names as sn;
     let mut w = small_workload();
     let res = run_one(SystemConfig::adios(), &mut w, quick_params(400_000.0));
     assert!(
-        res.metrics.counter(sn::FETCHES[0]).is_none(),
+        res.metrics.counter("shard0.fetches").is_none(),
         "per-shard counters must stay out of single-shard registries"
     );
-    assert!(res.metrics.gauge(sn::QP_OUTSTANDING[0]).is_none());
+    assert!(res.metrics.gauge("shard0.qp_outstanding").is_none());
     assert_eq!(
         res.shards.len(),
         1,
@@ -625,7 +629,6 @@ fn single_shard_runs_register_no_per_shard_counters() {
 
 #[test]
 fn sharded_run_spreads_fetches_across_every_shard() {
-    use desim::trace::shard_names as sn;
     let cfg = SystemConfig {
         memnode_shards: 4,
         ..SystemConfig::adios()
@@ -634,7 +637,7 @@ fn sharded_run_spreads_fetches_across_every_shard() {
     let res = run_one(cfg, &mut w, quick_params(400_000.0));
     assert_eq!(res.shards.len(), 4);
     for s in 0..4 {
-        let fetched = res.metrics.counter(sn::FETCHES[s]).unwrap_or(0);
+        let fetched = entity_counter(&res, "shard", s, "fetches");
         assert!(fetched > 0, "shard {s} saw no fetches");
         assert!(
             res.shards[s].data_bytes > 0,
@@ -647,7 +650,6 @@ fn sharded_run_spreads_fetches_across_every_shard() {
 
 #[test]
 fn sharded_crash_fails_over_one_shard_and_spares_the_rest() {
-    use desim::trace::shard_names as sn;
     // Down global node 0 — shard 0's primary under the packed chain
     // layout — with no steady error rate (the canonical `crash`
     // scenario adds 0.1 % background CQE errors, which would touch
@@ -659,14 +661,14 @@ fn sharded_crash_fails_over_one_shard_and_spares_the_rest() {
         ..SystemConfig::adios()
     };
     let res = run_faulty(cfg, 400_000.0, FaultScenario::crash_node(0));
-    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    let c = |s, field| entity_counter(&res, "shard", s, field);
     assert!(
-        c(sn::FAILOVERS[0]) > 0,
+        c(0, "fetch_failovers") > 0,
         "shard 0's outage must divert onto its replica"
     );
     for s in 1..4 {
         assert_eq!(
-            c(sn::CQE_ERRORS[s]),
+            c(s, "fetch_cqe_errors"),
             0,
             "shard {s} shares no fate with shard 0's dead primary"
         );
@@ -677,7 +679,6 @@ fn sharded_crash_fails_over_one_shard_and_spares_the_rest() {
 
 #[test]
 fn sharded_crash_of_a_non_primary_node_spares_shard_zero() {
-    use desim::trace::shard_names as sn;
     // Down shard 1's primary (global node 2 when replicas = 2):
     // re-mapping must stay contained to shard 1.
     let cfg = SystemConfig {
@@ -686,10 +687,10 @@ fn sharded_crash_of_a_non_primary_node_spares_shard_zero() {
         ..SystemConfig::adios()
     };
     let res = run_faulty(cfg, 400_000.0, FaultScenario::crash_node(2));
-    let c = |name| res.metrics.counter(name).unwrap_or(0);
-    assert!(c(sn::FAILOVERS[1]) > 0, "shard 1 must fail over");
+    let c = |s, field| entity_counter(&res, "shard", s, field);
+    assert!(c(1, "fetch_failovers") > 0, "shard 1 must fail over");
     for s in [0usize, 2, 3] {
-        assert_eq!(c(sn::CQE_ERRORS[s]), 0, "shard {s} must be untouched");
+        assert_eq!(c(s, "fetch_cqe_errors"), 0, "shard {s} must be untouched");
     }
     assert_eq!(res.recorder.dropped(), 0);
     assert_fault_invariant(&res);
@@ -720,7 +721,6 @@ fn tenant_params(plane: TenantPlane) -> RunParams {
 
 #[test]
 fn single_tenant_plane_registers_no_tenant_counters() {
-    use desim::trace::tenant_names as tn;
     let plane = TenantPlane::new(vec![TenantSpec::new(
         400_000.0,
         "array",
@@ -729,7 +729,7 @@ fn single_tenant_plane_registers_no_tenant_counters() {
     let mut w = small_workload();
     let res = run_one(SystemConfig::adios(), &mut w, tenant_params(plane));
     assert!(
-        res.metrics.counter(tn::ARRIVALS[0]).is_none(),
+        res.metrics.counter("tenant0.arrivals").is_none(),
         "tenantN.* counters must stay out of single-tenant registries"
     );
     assert_eq!(res.tenants.len(), 1, "the lone tenant still gets a window");
@@ -749,7 +749,6 @@ fn single_tenant_plane_registers_no_tenant_counters() {
 
 #[test]
 fn overloaded_mix_sheds_low_priority_and_conserves_requests() {
-    use desim::trace::tenant_names as tn;
     // A high-priority tenant comfortably inside capacity plus a
     // low-priority flood far past saturation, with the watermark
     // set low enough to engage: shedding must land entirely on the
@@ -778,14 +777,14 @@ fn overloaded_mix_sheds_low_priority_and_conserves_requests() {
     );
     // Registry counters partition the global ones (whole run, not
     // just the window).
-    let c = |name| res.metrics.counter(name).unwrap_or(0);
+    let c = |t, field| entity_counter(&res, "tenant", t, field);
     assert_eq!(
-        c(tn::COMPLETIONS[0]) + c(tn::COMPLETIONS[1]),
+        c(0, "completions") + c(1, "completions"),
         res.metrics.counter("completions").unwrap_or(0)
     );
-    assert!(c(tn::ARRIVALS[0]) > 0 && c(tn::ARRIVALS[1]) > 0);
-    assert_eq!(c(tn::SHEDS[0]), 0);
-    assert!(c(tn::SHEDS[1]) > 0);
+    assert!(c(0, "arrivals") > 0 && c(1, "arrivals") > 0);
+    assert_eq!(c(0, "sheds"), 0);
+    assert!(c(1, "sheds") > 0);
     assert!(res.conservation.holds(), "{:?}", res.conservation);
     // Tenant counts are windowed, conservation spans the whole run.
     assert!(hi.sheds + lo.sheds <= res.conservation.sheds);
@@ -891,39 +890,36 @@ fn single_fcfs_matches_scalar_reference_dispatcher() {
 
 #[test]
 fn single_dispatcher_registers_no_per_dispatcher_counters() {
-    use desim::trace::dispatcher_names as dn;
     let res = run(SystemKind::Adios, 400_000.0);
-    for d in 0..dn::MAX_DISPATCHERS {
-        assert_eq!(
-            res.metrics.counter(dn::ADMITTED[d]),
-            None,
-            "dispatcher counters must not exist on single-dispatcher runs"
-        );
-    }
+    assert!(
+        res.metrics
+            .counters
+            .iter()
+            .all(|(name, _)| !name.starts_with("dispatcher")),
+        "dispatcher counters must not exist on single-dispatcher runs"
+    );
 }
 
 #[test]
 fn single_fcfs_extra_dispatchers_stay_idle() {
-    use desim::trace::dispatcher_names as dn;
     let cfg = SystemConfig {
         dispatchers: 4,
         ..SystemConfig::adios()
     };
     let mut w = small_workload();
     let res = run_one(cfg, &mut w, quick_params(900_000.0));
-    let c = |name| res.metrics.counter(name).unwrap_or(0);
-    assert!(c(dn::ADMITTED[0]) > 0, "core 0 serves every admission");
+    let c = |d, field| entity_counter(&res, "dispatcher", d, field);
+    assert!(c(0, "admitted") > 0, "core 0 serves every admission");
     for d in 1..4 {
-        assert_eq!(c(dn::ADMITTED[d]), 0, "SingleFcfs keeps core {d} idle");
-        assert_eq!(c(dn::STEALS[d]), 0);
-        assert_eq!(c(dn::COMBINES[d]), 0);
+        assert_eq!(c(d, "admitted"), 0, "SingleFcfs keeps core {d} idle");
+        assert_eq!(c(d, "steals"), 0);
+        assert_eq!(c(d, "combines"), 0);
     }
     assert!(res.conservation.holds(), "{:?}", res.conservation);
 }
 
 #[test]
 fn work_stealing_steals_under_skew_and_conserves() {
-    use desim::trace::dispatcher_names as dn;
     let cfg = SystemConfig {
         dispatchers: 4,
         dispatch_policy: DispatchPolicy::WorkStealing,
@@ -939,21 +935,18 @@ fn work_stealing_steals_under_skew_and_conserves() {
             ..quick_params(5_000_000.0)
         },
     );
-    let c = |name| res.metrics.counter(name).unwrap_or(0);
-    let admitted: u64 = (0..4).map(|d| c(dn::ADMITTED[d])).sum();
-    assert!(admitted > 0);
+    let c = |d, field| entity_counter(&res, "dispatcher", d, field);
     assert!(
-        (0..4).all(|d| c(dn::ADMITTED[d]) > 0),
+        (0..4).all(|d| c(d, "admitted") > 0),
         "RSS fan-in plus stealing must spread admissions over every core"
     );
-    let steals: u64 = (0..4).map(|d| c(dn::STEALS[d])).sum();
+    let steals: u64 = (0..4).map(|d| c(d, "steals")).sum();
     assert!(steals > 0, "overload must trigger steals from hot slots");
     assert!(res.conservation.holds(), "{:?}", res.conservation);
 }
 
 #[test]
 fn flat_combining_amortises_admissions() {
-    use desim::trace::dispatcher_names as dn;
     let cfg = SystemConfig {
         dispatchers: 4,
         dispatch_policy: DispatchPolicy::FlatCombining,
@@ -969,9 +962,12 @@ fn flat_combining_amortises_admissions() {
             ..quick_params(5_000_000.0)
         },
     );
-    let c = |name| res.metrics.counter(name).unwrap_or(0);
-    let admitted: u64 = (0..4).map(|d| c(dn::ADMITTED[d])).sum();
-    let combines: u64 = (0..4).map(|d| c(dn::COMBINES[d])).sum();
+    let sum = |field| {
+        (0..4)
+            .map(|d| entity_counter(&res, "dispatcher", d, field))
+            .sum::<u64>()
+    };
+    let (admitted, combines) = (sum("admitted"), sum("combines"));
     assert!(combines > 0, "a saturated combiner must batch admissions");
     assert!(
         combines < admitted,
@@ -1013,6 +1009,76 @@ fn work_stealing_scales_past_the_single_queue_knee() {
         ws > fcfs * 1.3,
         "work stealing {ws:.0} rps must clearly beat single FCFS {fcfs:.0} rps"
     );
+}
+
+/// Planes wider than any fixed name table: 20 stealing dispatchers,
+/// 10 tenants and 24 profiled workers. Every per-entity instrument is
+/// registered exactly once and sampled by the flight recorder, and the
+/// literal `dispatcher_names::STEALS` table the perf ledger reads is
+/// the registry's own names.
+#[test]
+fn wide_planes_register_and_sample_every_entity_once() {
+    let (ndisp, ntenants, nworkers) = (20, 10, 24);
+    let cfg = SystemConfig {
+        dispatchers: ndisp,
+        dispatch_policy: DispatchPolicy::WorkStealing,
+        workers: nworkers,
+        ..SystemConfig::adios()
+    };
+    let plane = TenantPlane::new(
+        (0..ntenants)
+            .map(|t| {
+                let prio = [TenantPriority::High, TenantPriority::Low][t % 2];
+                TenantSpec::new(150_000.0, "array", prio)
+            })
+            .collect(),
+    );
+    let mut w = small_workload();
+    let res = run_one(
+        cfg,
+        &mut w,
+        RunParams {
+            warmup: SimDuration::from_millis(1),
+            measure: SimDuration::from_millis(3),
+            profile: Some(desim::ProfileConfig::default()),
+            telemetry: Some(desim::TelemetryConfig::default()),
+            ..tenant_params(plane)
+        },
+    );
+    let telemetry = res.telemetry.as_ref().expect("telemetry was enabled");
+    let counter_names: Vec<&str> = res.metrics.counters.iter().map(|c| c.0).collect();
+    let gauge_names: Vec<&str> = res.metrics.gauges.iter().map(|g| g.name).collect();
+    let once = |names: &[&str], name: &str| names.iter().filter(|n| **n == name).count() == 1;
+    let per = |n: usize, entity: &str, fields: &[&str]| -> Vec<String> {
+        (0..n)
+            .flat_map(|i| fields.iter().map(move |f| format!("{entity}{i}.{f}")))
+            .collect()
+    };
+    let counters = per(ndisp, "dispatcher", &["admitted", "steals", "combines"])
+        .into_iter()
+        .chain(per(
+            ntenants,
+            "tenant",
+            &["arrivals", "admitted", "completions", "sheds", "drops"],
+        ));
+    for name in counters {
+        assert!(once(&counter_names, &name), "{name}");
+        let series = telemetry.counter_series(&name);
+        assert!(series.is_some_and(|s| s.samples() > 0), "{name} unsampled");
+    }
+    let gauges = per(ndisp, "dispatcher", &["busy_fraction"])
+        .into_iter()
+        .chain((0..ndisp).map(|d| format!("q.d{d}.ingress.depth")))
+        .chain((0..nworkers).map(|w| format!("q.w{w}.runnable.depth")));
+    for name in gauges {
+        assert!(once(&gauge_names, &name), "{name}");
+        let series = telemetry.gauge_series(&name);
+        assert!(series.is_some_and(|s| s.samples() > 0), "{name} unsampled");
+    }
+    for (d, name) in desim::trace::dispatcher_names::STEALS.iter().enumerate() {
+        assert_eq!(*name, format!("dispatcher{d}.steals"));
+    }
+    assert!(res.conservation.holds(), "{:?}", res.conservation);
 }
 
 /// Red-green regression for the shed watermark: the depth it

@@ -353,12 +353,12 @@ fn crash_faults_account_for_every_request() {
 /// to the run totals — no event can land on two shards or on none.
 #[test]
 fn sharded_counters_sum_to_run_totals() {
-    use adios::desim::trace::shard_names as sn;
-    for (scenario, replicas) in [
-        (FaultScenario::lossy(), 1usize),
-        (FaultScenario::crash(), 2usize),
+    // 12 shards: past the 8 a fixed name table once allowed.
+    for (scenario, replicas, shards) in [
+        (FaultScenario::lossy(), 1, 4),
+        (FaultScenario::crash(), 2, 4),
+        (FaultScenario::lossy(), 1, 12),
     ] {
-        let shards = 4usize;
         let mut wl = ArrayIndexWorkload::new(8_192);
         let r = run_one(
             SystemConfig {
@@ -379,31 +379,26 @@ fn sharded_counters_sum_to_run_totals() {
                 ..Default::default()
             },
         );
-        let ctx = format!("scenario={}", scenario.name);
+        let ctx = format!("scenario={} shards={shards}", scenario.name);
         let c = |n: &str| r.metrics.counter(n).unwrap_or(0);
-        let shard_sum =
-            |table: &[&'static str; sn::MAX_SHARDS]| (0..shards).map(|s| c(table[s])).sum::<u64>();
-        assert_eq!(
-            shard_sum(&sn::RETRANSMITS),
-            c("fetch_retransmits"),
-            "{ctx}: retransmits"
+        let shard = |s: usize, field: &str| {
+            r.metrics
+                .counter(&format!("shard{s}.{field}"))
+                .unwrap_or_else(|| panic!("{ctx}: shard{s}.{field} not registered"))
+        };
+        let shard_sum = |field: &str| (0..shards).map(|s| shard(s, field)).sum::<u64>();
+        for field in [
+            "fetch_retransmits",
+            "fetch_cqe_errors",
+            "fetch_failovers",
+            "fetch_chain_failures",
+        ] {
+            assert_eq!(shard_sum(field), c(field), "{ctx}: {field}");
+        }
+        assert!(
+            (0..shards).all(|s| shard(s, "fetches") > 0),
+            "{ctx}: a shard saw no fetch traffic"
         );
-        assert_eq!(
-            shard_sum(&sn::CQE_ERRORS),
-            c("fetch_cqe_errors"),
-            "{ctx}: cqe errors"
-        );
-        assert_eq!(
-            shard_sum(&sn::FAILOVERS),
-            c("fetch_failovers"),
-            "{ctx}: failovers"
-        );
-        assert_eq!(
-            shard_sum(&sn::CHAIN_FAILURES),
-            c("fetch_chain_failures"),
-            "{ctx}: chain failures"
-        );
-        assert!(shard_sum(&sn::FETCHES) > 0, "{ctx}: no fetch traffic");
     }
 }
 
@@ -412,7 +407,6 @@ fn sharded_counters_sum_to_run_totals() {
 /// into failovers plus chain failures.
 #[test]
 fn sharded_crash_partitions_errors_per_shard() {
-    use adios::desim::trace::shard_names as sn;
     let shards = 4usize;
     let mut wl = ArrayIndexWorkload::new(8_192);
     let r = run_one(
@@ -436,15 +430,16 @@ fn sharded_crash_partitions_errors_per_shard() {
         },
     );
     let c = |n: &str| r.metrics.counter(n).unwrap_or(0);
+    let shard = |s: usize, field: &str| c(&format!("shard{s}.{field}"));
     for s in 0..shards {
         assert_eq!(
-            c(sn::CQE_ERRORS[s]),
-            c(sn::FAILOVERS[s]) + c(sn::CHAIN_FAILURES[s]),
+            shard(s, "fetch_cqe_errors"),
+            shard(s, "fetch_failovers") + shard(s, "fetch_chain_failures"),
             "shard {s}: error CQEs must partition into failovers and chain failures"
         );
     }
     assert!(
-        c(sn::FAILOVERS[0]) > 0,
+        shard(0, "fetch_failovers") > 0,
         "the crash downs shard 0's primary, which must fail over"
     );
     // Demand chains never fail (the replica absorbs the outage); only
@@ -1007,7 +1002,6 @@ fn request_conservation_holds_for_every_dispatch_policy() {
 /// completions.
 #[test]
 fn steals_never_dispatch_a_request_twice() {
-    use adios::desim::trace::dispatcher_names as dn;
     let cfg = SystemConfig {
         dispatchers: 4,
         dispatch_policy: DispatchPolicy::WorkStealing,
@@ -1030,10 +1024,20 @@ fn steals_never_dispatch_a_request_twice() {
             ..Default::default()
         },
     );
-    let c = |name| r.metrics.counter(name).unwrap_or(0);
-    let steals: u64 = (0..4).map(|d| c(dn::STEALS[d])).sum();
-    assert!(steals > 0, "the overload must actually trigger steals");
-    let admitted: u64 = (0..4).map(|d| c(dn::ADMITTED[d])).sum();
+    let sum = |field: &str| -> u64 {
+        (0..4)
+            .map(|d| {
+                r.metrics
+                    .counter(&format!("dispatcher{d}.{field}"))
+                    .unwrap_or(0)
+            })
+            .sum()
+    };
+    assert!(
+        sum("steals") > 0,
+        "the overload must actually trigger steals"
+    );
+    let admitted = sum("admitted");
     let cons = &r.conservation;
     let upper = cons.arrivals - cons.drops - cons.sheds;
     let lower = cons.completions;
@@ -1057,7 +1061,6 @@ fn steals_never_dispatch_a_request_twice() {
 /// exempt by design — it trades cross-ingress order for throughput.
 #[test]
 fn combining_never_reorders_same_class_requests() {
-    use adios::desim::trace::dispatcher_names as dn;
     for policy in [DispatchPolicy::SingleFcfs, DispatchPolicy::FlatCombining] {
         let cfg = SystemConfig {
             dispatchers: 4,
@@ -1085,7 +1088,11 @@ fn combining_never_reorders_same_class_requests() {
         );
         if policy == DispatchPolicy::FlatCombining {
             let combines: u64 = (0..4)
-                .map(|d| r.metrics.counter(dn::COMBINES[d]).unwrap_or(0))
+                .map(|d| {
+                    r.metrics
+                        .counter(&format!("dispatcher{d}.combines"))
+                        .unwrap_or(0)
+                })
                 .sum();
             assert!(combines > 0, "the load must actually form batches");
         }
