@@ -92,8 +92,9 @@ flags:
                      arrivals are shed (requires --tenants)
   --app <name>       workload for single-stream runs:
                      array (default), kvs, llm, or scan
+                     (not with --tenants)
   --dispatchers N    model a proportionally scaled machine with N >= 1
-                     dispatcher cores, 8·N workers and min(N, 8)
+                     dispatcher cores, 8·N workers and >= min(N, 8)
                      memnode shards; the runs go to deep overload and
                      print per-dispatcher admit/steal/combine counters
   --dispatch-policy <name>
@@ -142,7 +143,7 @@ struct Cli {
 
 impl Cli {
     /// `--dispatchers N` models a proportionally scaled machine — N
-    /// dispatcher cores, 8·N workers, min(N, 8) memnode shards — so
+    /// dispatcher cores, 8·N workers, ≥ min(N, 8) memnode shards — so
     /// the knob measures dispatch-plane scaling instead of running a
     /// wider ingress into the seed machine's 8-worker ceiling. The
     /// policy defaults to work-stealing above one dispatcher.
@@ -342,6 +343,9 @@ fn parse_args(args: &[String]) -> Cli {
     }
     if cli.dispatch_policy.is_some() && cli.dispatchers.is_none() {
         die("--dispatch-policy requires --dispatchers");
+    }
+    if cli.app.is_some() && cli.tenants.is_some() {
+        die("--app does not combine with --tenants (each tenant spec names its app)");
     }
     if cli.instrumented && !cli.ids.is_empty() {
         die("experiment ids do not combine with instrumented-run flags");

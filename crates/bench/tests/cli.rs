@@ -69,6 +69,9 @@ fn bad_invocations_exit_2_with_usage() {
         // Modifiers without the flag they modify.
         &["--shed-watermark", "64"],
         &["--dispatch-policy", "flat-combining"],
+        // A single-stream modifier under a plane whose specs pick the
+        // workloads.
+        &["--app", "kvs", "--tenants", "300k:kvs:hi"],
         // Counts with no entity to run.
         &["--shards", "0"],
         &["--dispatchers", "0"],

@@ -360,7 +360,6 @@ pub fn burst_tolerance(scale: Scale) -> FigureReport {
             warmup: scale.warmup(),
             measure: scale.measure(),
             burst: Some((1.9, SimDuration::from_micros(400))),
-            timeline_bucket: Some(SimDuration::from_micros(200)),
             ..Default::default()
         };
         let r = Simulation::new(cfg, &mut wl, params).run();
@@ -369,15 +368,16 @@ pub fn burst_tolerance(scale: Scale) -> FigureReport {
         } else {
             big_cap_drops = r.recorder.dropped();
         }
-        let tl = r.timeline.as_ref().expect("timeline requested");
+        // Time-weighted window mean and peak of the pending-queue depth.
+        let queue = r.metrics.gauge("queue_depth").expect("always registered");
         s.rows.push(format!(
             "{:>13} {:>9} {:>11.2} {:>11} {:>11.0} {:>11.0}",
             cap,
             r.recorder.dropped(),
             r.point().p999_ns as f64 / 1000.0,
             r.recorder.completed_in_window(),
-            tl.queue_depth.overall_mean(),
-            tl.queue_depth.global_max(),
+            queue.mean,
+            queue.max,
         ));
     }
     report.series.push(s);

@@ -1,9 +1,10 @@
 //! Time-bucketed series sampling.
 //!
 //! A [`TimeSeries`] aggregates samples of a fluctuating quantity (queue
-//! depth, in-flight fetches) into fixed simulated-time buckets, so
-//! experiments can show *dynamics* — e.g. the queue oscillation under
-//! bursty arrivals — instead of only end-of-run percentiles.
+//! depth, counter rates, health scores) into fixed simulated-time
+//! buckets, so the telemetry plane can show *dynamics* — e.g. the queue
+//! oscillation under bursty arrivals — instead of only end-of-run
+//! percentiles.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -71,44 +72,6 @@ impl TimeSeries {
         self.lasts[idx] = value;
     }
 
-    /// Folds `other` into `self` bucket by bucket: sums and counts add,
-    /// maxima take the larger value, and `other`'s last sample wins in
-    /// every bucket it touched (merge order is "self, then other" — the
-    /// argument is the later recording).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ (the bucket grids would not
-    /// align, so per-bucket aggregation is meaningless).
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert!(
-            self.bucket == other.bucket,
-            "bucket width mismatch: {} vs {}",
-            self.bucket,
-            other.bucket
-        );
-        if other.sums.len() > self.sums.len() {
-            self.sums.resize(other.sums.len(), 0.0);
-            self.counts.resize(other.sums.len(), 0);
-            self.maxima.resize(other.sums.len(), f64::NEG_INFINITY);
-            self.lasts.resize(other.sums.len(), 0.0);
-        }
-        for i in 0..other.sums.len() {
-            if other.counts[i] == 0 {
-                continue;
-            }
-            self.sums[i] += other.sums[i];
-            self.counts[i] += other.counts[i];
-            self.maxima[i] = self.maxima[i].max(other.maxima[i]);
-            self.lasts[i] = other.lasts[i];
-        }
-    }
-
-    /// Bucket width.
-    pub fn bucket(&self) -> SimDuration {
-        self.bucket
-    }
-
     /// Returns `(bucket start, mean)` for every non-empty bucket.
     pub fn means(&self) -> Vec<(SimTime, f64)> {
         self.iter_stat(|i| self.sums[i] / self.counts[i] as f64)
@@ -133,23 +96,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// The largest sample across the whole run.
-    pub fn global_max(&self) -> f64 {
-        self.maxima
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Mean of per-bucket means (ignores empty buckets).
-    pub fn overall_mean(&self) -> f64 {
-        let means = self.means();
-        if means.is_empty() {
-            return 0.0;
-        }
-        means.iter().map(|(_, m)| m).sum::<f64>() / means.len() as f64
-    }
-
     /// Total samples recorded.
     pub fn samples(&self) -> u64 {
         self.counts.iter().sum()
@@ -171,7 +117,8 @@ mod tests {
         assert_eq!(means[0], (SimTime(0), 3.0));
         assert_eq!(means[1], (SimTime(20_000), 10.0));
         assert_eq!(s.maxima()[0].1, 4.0);
-        assert_eq!(s.global_max(), 10.0);
+        assert_eq!(s.maxima()[1].1, 10.0);
+        assert_eq!(s.lasts()[0].1, 4.0);
         assert_eq!(s.samples(), 3);
     }
 
@@ -180,7 +127,6 @@ mod tests {
         let s = TimeSeries::new(SimDuration::from_micros(1));
         assert!(s.means().is_empty());
         assert_eq!(s.samples(), 0);
-        assert_eq!(s.overall_mean(), 0.0);
     }
 
     #[test]
@@ -189,8 +135,11 @@ mod tests {
         s.record(SimTime(50), 1.0);
         s.record(SimTime(1_050), 5.0);
         let means = s.means();
-        assert_eq!(means.len(), 2, "gap buckets are not reported");
-        assert!((s.overall_mean() - 3.0).abs() < 1e-12);
+        assert_eq!(
+            means,
+            vec![(SimTime(0), 1.0), (SimTime(1_000), 5.0)],
+            "gap buckets are not reported"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Watermarks {
     /// # Panics
     ///
     /// Panics unless `0 < low <= high < 1`.
-    pub fn new(low: f64, high: f64) -> Watermarks {
+    pub const fn new(low: f64, high: f64) -> Watermarks {
         assert!(low > 0.0 && low <= high && high < 1.0, "bad watermarks");
         Watermarks { low, high }
     }

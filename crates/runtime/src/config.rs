@@ -58,7 +58,7 @@ pub enum FaultPolicy {
     /// Spin on the CQ until the fetch completes (Fastswap/Hermit/DiLOS).
     BusyWait,
     /// Spin, but the scheduler preempts requests at app-level probe
-    /// points every `preempt_interval` (DiLOS-P / Concord).
+    /// points every [`PREEMPT_INTERVAL`] (DiLOS-P / Concord).
     BusyWaitPreempt,
     /// Issue the fetch and context-switch back to the worker (Adios).
     Yield,
@@ -90,13 +90,13 @@ pub enum DispatchPolicy {
     SingleFcfs,
     /// Per-dispatcher ingress queues with RSS-style hash steering; a
     /// dispatcher whose timeline is idle steals an arrival from a busier
-    /// sibling, paying `steal_cost` on its own timeline.
+    /// sibling, paying [`STEAL_COST`] on its own timeline.
     WorkStealing,
     /// Flat combining / delegation: arrivals publish to per-dispatcher
     /// slots and the current combiner drains them in batches under an
     /// exclusive combiner role. The batch opener pays the full
-    /// `dispatch_cost`; joiners within `combining_window` (up to
-    /// `combining_batch` per batch) pay a quarter of it.
+    /// [`DISPATCH_COST`]; joiners within [`COMBINING_WINDOW`] (up to
+    /// [`COMBINING_BATCH`] per batch) pay a quarter of it.
     FlatCombining,
 }
 
@@ -167,6 +167,57 @@ pub struct KernelCosts {
     pub interference_stall: SimDuration,
 }
 
+// ----- costs every system shares (no preset or caller varies them) -----
+
+/// Flat-combining batch window: arrivals landing within this window of
+/// the batch opener may join its batch at amortised cost.
+pub const COMBINING_WINDOW: SimDuration = SimDuration::from_micros(1);
+/// Maximum requests per flat-combining batch (opener included).
+pub const COMBINING_BATCH: usize = 8;
+/// Reclaim watermarks: reclamation starts below 15 % free frames (the
+/// paper's threshold, §3.3) and stops at 16 %.
+pub const WATERMARKS: Watermarks = Watermarks::new(0.15, 0.16);
+/// Preemption interval (DiLOS-P; paper default 5 µs).
+pub const PREEMPT_INTERVAL: SimDuration = SimDuration::from_micros(5);
+/// Cost of one preemption (probe hit + ucontext-class switch +
+/// re-enqueue).
+pub const PREEMPT_COST: SimDuration = SimDuration::from_nanos(220);
+/// Cost of one work-steal, by a dispatcher ([`DispatchPolicy::WorkStealing`])
+/// or by a worker ([`QueueModel::PerWorkerStealing`]).
+pub const STEAL_COST: SimDuration = SimDuration::from_nanos(250);
+/// Dispatcher cost to admit + dispatch one request.
+pub const DISPATCH_COST: SimDuration = SimDuration::from_nanos(150);
+/// Dispatcher cost to hand a queued request to a newly idle worker.
+pub const HANDOFF_COST: SimDuration = SimDuration::from_nanos(80);
+/// Dispatcher cost to recycle one delegated TX completion.
+pub const RECYCLE_COST: SimDuration = SimDuration::from_nanos(60);
+/// Worker cost to set up a request (parse headers, create the
+/// unithread / handler frame).
+pub const REQUEST_SETUP: SimDuration = SimDuration::from_nanos(150);
+/// Worker cost to build the reply before posting TX.
+pub const REPLY_BUILD: SimDuration = SimDuration::from_nanos(100);
+/// Unikernel fault-handler entry (exception + unified lookup).
+pub const FAULT_ENTRY: SimDuration = SimDuration::from_nanos(500);
+/// Frame allocation + WQE build cost at fault time.
+pub const FAULT_ISSUE: SimDuration = SimDuration::from_nanos(300);
+/// Prefetch-algorithm compute run while the fetch is in flight.
+pub const PREFETCH_COMPUTE: SimDuration = SimDuration::from_nanos(400);
+/// Mapping the fetched page + resuming the faulting code.
+pub const FAULT_MAP: SimDuration = SimDuration::from_nanos(700);
+/// One CQ poll by a worker.
+pub const CQ_POLL: SimDuration = SimDuration::from_nanos(60);
+/// Per-page eviction cost paid by the reclaimer.
+pub const EVICT_COST: SimDuration = SimDuration::from_nanos(100);
+/// Reclaimer batch size per tick.
+pub const RECLAIM_BATCH: usize = 16;
+/// Wake-up delay of a `WakeUp`-mode reclaimer.
+pub const RECLAIM_WAKE_DELAY: SimDuration = SimDuration::from_micros(5);
+/// Synchronous direct-reclaim cost when a fault finds no free frame.
+pub const DIRECT_RECLAIM_COST: SimDuration = SimDuration::from_nanos(600);
+/// Total issue attempts per demand fetch (the original plus failovers)
+/// before the runtime gives up and aborts the request.
+pub const MAX_FETCH_ATTEMPTS: u32 = 3;
+
 /// Full configuration of one simulated system.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -187,25 +238,13 @@ pub struct SystemConfig {
     pub dispatchers: usize,
     /// Admission policy across dispatcher cores.
     pub dispatch_policy: DispatchPolicy,
-    /// Flat-combining batch window: arrivals landing within this window
-    /// of the batch opener may join its batch at amortised cost.
-    pub combining_window: SimDuration,
-    /// Maximum requests per flat-combining batch (opener included).
-    pub combining_batch: usize,
     /// Whether reply-TX completions are delegated to the dispatcher's
     /// CQ (§3.4). Without it the worker busy-waits the TX completion.
     pub polling_delegation: bool,
     /// Reclaimer drive mode.
     pub reclaimer_mode: ReclaimerMode,
-    /// Reclaim watermarks.
-    pub watermarks: Watermarks,
     /// Eviction policy of the page cache.
     pub eviction: EvictionPolicy,
-    /// Preemption interval (DiLOS-P; paper default 5 µs).
-    pub preempt_interval: SimDuration,
-    /// Cost of one preemption (probe hit + ucontext-class switch +
-    /// re-enqueue).
-    pub preempt_cost: SimDuration,
     /// Kernel path costs (Hermit only).
     pub kernel: Option<KernelCosts>,
     /// Expected extra pages speculatively fetched per fault by the
@@ -221,45 +260,14 @@ pub struct SystemConfig {
     /// runnable again (zero in Adios; kernel-scheduler wake-up latency
     /// in Infiniswap).
     pub resume_delay: SimDuration,
-    /// Cost of one work-steal attempt (`PerWorkerStealing`).
-    pub steal_cost: SimDuration,
     /// Per-request networking-stack overhead beyond raw Ethernet,
     /// charged on RX admission (dispatcher) and reply TX (worker).
     /// Zero models the paper's Raw-Ethernet/UDP prototype; ~0.4 µs a
     /// TAS/IX-class kernel-bypass TCP; ~2.5 µs a kernel TCP stack
     /// (§6: "networking protocol support is orthogonal to our design").
     pub client_stack: SimDuration,
-    /// Dispatcher cost to admit + dispatch one request.
-    pub dispatch_cost: SimDuration,
-    /// Dispatcher cost to hand a queued request to a newly idle worker.
-    pub handoff_cost: SimDuration,
-    /// Dispatcher cost to recycle one delegated TX completion.
-    pub recycle_cost: SimDuration,
-    /// Worker cost to set up a request (parse headers, create the
-    /// unithread / handler frame).
-    pub request_setup: SimDuration,
-    /// Worker cost to build the reply before posting TX.
-    pub reply_build: SimDuration,
-    /// Unikernel fault-handler entry (exception + unified lookup).
-    pub fault_entry: SimDuration,
-    /// Frame allocation + WQE build cost at fault time.
-    pub fault_issue: SimDuration,
-    /// Prefetch-algorithm compute run while the fetch is in flight.
-    pub prefetch_compute: SimDuration,
-    /// Mapping the fetched page + resuming the faulting code.
-    pub fault_map: SimDuration,
     /// One unithread context switch (Table 1: 40 cycles = 20 ns).
     pub ctx_switch: SimDuration,
-    /// One CQ poll by a worker.
-    pub cq_poll: SimDuration,
-    /// Per-page eviction cost paid by the reclaimer.
-    pub evict_cost: SimDuration,
-    /// Reclaimer batch size per tick.
-    pub reclaim_batch: usize,
-    /// Wake-up delay of a `WakeUp`-mode reclaimer.
-    pub reclaim_wake_delay: SimDuration,
-    /// Synchronous direct-reclaim cost when a fault finds no free frame.
-    pub direct_reclaim_cost: SimDuration,
     /// Central pending-queue capacity (arrivals beyond it are dropped).
     pub pending_cap: usize,
     /// Memory-node shards the remote page space is partitioned over.
@@ -275,9 +283,6 @@ pub struct SystemConfig {
     /// whose CQE errors fails over to the next replica in the shard's
     /// chain.
     pub memnode_replicas: usize,
-    /// Total issue attempts per demand fetch (the original plus
-    /// failovers) before the runtime gives up and aborts the request.
-    pub max_fetch_attempts: u32,
     /// Fabric parameters.
     pub fabric: FabricParams,
 }
@@ -292,41 +297,20 @@ impl SystemConfig {
             queue_model: QueueModel::SingleQueue,
             dispatchers: 1,
             dispatch_policy: DispatchPolicy::SingleFcfs,
-            combining_window: SimDuration::from_micros(1),
-            combining_batch: 8,
             polling_delegation: false,
             reclaimer_mode: ReclaimerMode::WakeUp,
-            watermarks: Watermarks::default(),
             eviction: EvictionPolicy::Clock,
-            preempt_interval: SimDuration::from_micros(5),
-            preempt_cost: SimDuration::from_nanos(220),
             kernel: None,
             speculative_readahead: 0.25,
             prefetcher: PrefetcherKind::Readahead { window: 8 },
             fetch_page_bytes: paging::PAGE_SIZE as u32,
             resume_delay: SimDuration::ZERO,
-            steal_cost: SimDuration::from_nanos(250),
             client_stack: SimDuration::ZERO,
-            dispatch_cost: SimDuration::from_nanos(150),
-            handoff_cost: SimDuration::from_nanos(80),
-            recycle_cost: SimDuration::from_nanos(60),
-            request_setup: SimDuration::from_nanos(150),
-            reply_build: SimDuration::from_nanos(100),
-            fault_entry: SimDuration::from_nanos(500),
-            fault_issue: SimDuration::from_nanos(300),
-            prefetch_compute: SimDuration::from_nanos(400),
-            fault_map: SimDuration::from_nanos(700),
             ctx_switch: SimDuration::from_nanos(20),
-            cq_poll: SimDuration::from_nanos(60),
-            evict_cost: SimDuration::from_nanos(100),
-            reclaim_batch: 16,
-            reclaim_wake_delay: SimDuration::from_micros(5),
-            direct_reclaim_cost: SimDuration::from_nanos(600),
             pending_cap: 4096,
             memnode_shards: 1,
             shard_policy: ShardPolicy::Hash,
             memnode_replicas: 1,
-            max_fetch_attempts: 3,
             fabric: FabricParams::default(),
         }
     }
@@ -473,11 +457,21 @@ mod tests {
 
         let p = SystemConfig::dilos_p();
         assert_eq!(p.fault_policy, FaultPolicy::BusyWaitPreempt);
-        assert_eq!(p.preempt_interval, SimDuration::from_micros(5));
+        assert_eq!(PREEMPT_INTERVAL, SimDuration::from_micros(5));
 
         let h = SystemConfig::hermit();
         assert!(h.kernel.is_some());
         assert_eq!(h.queue_model, QueueModel::PerWorker);
+
+        // The shared constants: reclamation at the paper's 15 % (the
+        // same thresholds `paging` defaults to), three fetch attempts.
+        let paging_default = Watermarks::default();
+        assert_eq!(WATERMARKS.low, 0.15);
+        assert_eq!(
+            (WATERMARKS.low, WATERMARKS.high),
+            (paging_default.low, paging_default.high)
+        );
+        assert_eq!(MAX_FETCH_ATTEMPTS, 3);
     }
 
     #[test]

@@ -11,7 +11,10 @@ use paging::PageState;
 
 use super::observe::Cqe;
 use super::{Cont, Ev, Retire, Simulation};
-use crate::config::{FaultPolicy, PrefetcherKind};
+use crate::config::{
+    FaultPolicy, PrefetcherKind, DIRECT_RECLAIM_COST, FAULT_ENTRY, FAULT_ISSUE, MAX_FETCH_ATTEMPTS,
+    PREFETCH_COMPUTE,
+};
 
 /// Per-request prefetch-pattern detector.
 pub(super) enum Detector {
@@ -281,7 +284,7 @@ impl Simulation<'_> {
     pub(super) fn fault(&mut self, w: usize, req: usize, page: u64, mut t: SimTime) {
         // Fault-handler entry (+ kernel crossing on Hermit).
         let entered = t
-            + self.cfg.fault_entry
+            + FAULT_ENTRY
             + self
                 .cfg
                 .kernel
@@ -299,7 +302,7 @@ impl Simulation<'_> {
                     if dirty {
                         self.writeback(t, victim);
                     }
-                    t += self.cfg.direct_reclaim_cost;
+                    t += DIRECT_RECLAIM_COST;
                     assert!(self.cache.begin_fetch(page), "evicted frame not reusable");
                 }
                 None => {
@@ -324,7 +327,7 @@ impl Simulation<'_> {
         // come back in error.
         let shard = self.shard_map.shard_of(page);
         let qp = self.workers[w].qp;
-        let post_at = t + self.cfg.fault_issue;
+        let post_at = t + FAULT_ISSUE;
         let Ok(fetch) = self.issue_fetch(req, qp, shard, page, post_at) else {
             // §5.2: "page fault handlers must pause, waiting for
             // available slots in the QPs". The worker is stuck (even
@@ -336,7 +339,7 @@ impl Simulation<'_> {
             self.workers[w].blocked = Some((req, t));
             return;
         };
-        t += self.cfg.fault_issue + self.cfg.prefetch_compute;
+        t += FAULT_ISSUE + PREFETCH_COMPUTE;
         let (total, on_rail) = self.qp_load(shard);
         self.obs.fetch_issued(w, t, shard, total, on_rail);
         let (done_at, failed) = (fetch.done_at, fetch.failed);
@@ -364,7 +367,7 @@ impl Simulation<'_> {
     /// failover chain when completions surface in error: each error CQE
     /// re-issues the fetch on the dedicated failover QP against the next
     /// replica, until a clean completion or the attempt budget
-    /// (`max_fetch_attempts`) runs out.
+    /// ([`MAX_FETCH_ATTEMPTS`]) runs out.
     ///
     /// The analytic fabric resolves each attempt's completion time at
     /// post time, so the whole chain is walked here; intermediate error
@@ -383,7 +386,6 @@ impl Simulation<'_> {
         post_at: SimTime,
     ) -> Result<Inflight, PostError> {
         let replicas = self.cfg.replicas();
-        let max_attempts = self.cfg.max_fetch_attempts.max(1);
         let failover_qp = QpId(self.cfg.workers as u32 + 1);
         let mut qp = qp0;
         let mut replica = 0usize;
@@ -423,7 +425,7 @@ impl Simulation<'_> {
             if !completion.is_error() {
                 return Ok(Inflight::new(page, qp, completion.done_at, false));
             }
-            let last = attempt >= max_attempts;
+            let last = attempt >= MAX_FETCH_ATTEMPTS;
             if !last {
                 replica = (replica + 1) % replicas;
                 attempt += 1;

@@ -10,7 +10,9 @@ use super::observe::Queue;
 #[cfg(test)]
 use super::DispatchCharge;
 use super::{live, Detector, DispatchOp, Ev, Req, Retire, RunParams, Simulation};
-use crate::config::{DispatchPolicy, QueueModel};
+use crate::config::{
+    DispatchPolicy, QueueModel, COMBINING_BATCH, COMBINING_WINDOW, DISPATCH_COST, STEAL_COST,
+};
 
 /// The arrival source (Poisson, MMPP, or a merged multi-tenant mix).
 pub(super) enum Arrivals {
@@ -282,7 +284,7 @@ impl Simulation<'_> {
     /// per [`DispatchPolicy`]. Returns the serving core and the end of
     /// the charge; the admit event fires then.
     fn admit_on_policy(&mut self, now: SimTime, home: usize) -> (usize, SimTime) {
-        let admit_cost = self.cfg.dispatch_cost + self.cfg.client_stack;
+        let admit_cost = DISPATCH_COST + self.cfg.client_stack;
         let ndisp = self.dispatcher_free.len();
         let (serve, cost) = match self.cfg.dispatch_policy {
             // The paper's design: one shared FCFS queue whose head is a
@@ -302,13 +304,13 @@ impl Simulation<'_> {
                 let margin = if self.plane.active() && self.plane.episode_active(now) {
                     SimDuration::ZERO
                 } else {
-                    self.cfg.steal_cost
+                    STEAL_COST
                 };
                 if thief != home
                     && self.dispatcher_free[thief] + margin < self.dispatcher_free[home]
                 {
                     self.obs.dispatcher_stole(now, thief, home);
-                    (thief, admit_cost + self.cfg.steal_cost)
+                    (thief, admit_cost + STEAL_COST)
                 } else {
                     (home, admit_cost)
                 }
@@ -318,15 +320,14 @@ impl Simulation<'_> {
                 // inside its window a quarter of the dispatch cost (the
                 // combiner's amortised slot scan).
                 let fc = &mut self.combiner;
-                let (serve, cost) = if now < fc.until && fc.count < self.cfg.combining_batch.max(1)
-                {
+                let (serve, cost) = if now < fc.until && fc.count < COMBINING_BATCH {
                     fc.count += 1;
                     self.obs.dispatcher_combined(fc.leader);
-                    let pass = SimDuration::from_nanos(self.cfg.dispatch_cost.as_nanos() / 4);
+                    let pass = SimDuration::from_nanos(DISPATCH_COST.as_nanos() / 4);
                     (fc.leader, pass + self.cfg.client_stack)
                 } else {
                     fc.leader = home;
-                    fc.until = now + self.cfg.combining_window;
+                    fc.until = now + COMBINING_WINDOW;
                     fc.count = 1;
                     (home, admit_cost)
                 };
@@ -381,10 +382,9 @@ impl Simulation<'_> {
                 .map(|w| w.local_queue.len())
                 .sum::<usize>();
         }
-        let inflight = self.outstanding;
         let episode = self.plane.active().then(|| self.plane.episode_active(now));
         let r = live(&self.reqs, req);
-        self.obs.arrived(now, req, r, depth, inflight, episode);
+        self.obs.arrived(now, req, r, depth, episode);
         // Tenant-plane ingress: token bucket + low-priority shed
         // watermark (branch-only when the plane is off).
         if self.tenant_admission(now, req) {

@@ -49,7 +49,7 @@ use paging::observe::MemReport;
 use paging::trace::Trace;
 use paging::{PageCache, PAGE_SIZE};
 
-use crate::config::{QueueModel, SystemConfig};
+use crate::config::{QueueModel, SystemConfig, WATERMARKS};
 use crate::workload::Workload;
 
 mod fetch;
@@ -87,9 +87,6 @@ pub struct RunParams {
     /// Poisson source into a two-state MMPP with the same mean rate
     /// (§3.2 burst-tolerance studies).
     pub burst: Option<(f64, SimDuration)>,
-    /// Record a queue-depth/in-flight timeline with this bucket width
-    /// (None = off; used by the burst-tolerance study).
-    pub timeline_bucket: Option<SimDuration>,
     /// Retain a virtual-time event trace with this ring-buffer capacity
     /// (None = tracing off, the zero-cost default). The most recent
     /// `capacity` events are kept; [`RunResult::trace`] returns them
@@ -154,7 +151,6 @@ impl Default for RunParams {
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
             burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -164,14 +160,6 @@ impl Default for RunParams {
             memory: None,
         }
     }
-}
-
-/// Queue-depth and in-flight-fetch dynamics over the run.
-pub struct Timeline {
-    /// Central pending-queue depth, sampled at each arrival.
-    pub queue_depth: desim::TimeSeries,
-    /// Outstanding RDMA fetches, sampled at each arrival.
-    pub inflight: desim::TimeSeries,
 }
 
 /// One dispatcher-timeline charge, recorded only under `cfg(test)` so
@@ -211,7 +199,7 @@ pub(crate) struct StaleCompletion {
 /// `Simulation::charge_dispatcher`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum DispatchOp {
-    /// Admission of one arrival (`dispatch_cost` + `client_stack`).
+    /// Admission of one arrival (`DISPATCH_COST` + `client_stack`).
     Admit,
     /// Push-path handoff of a queued request to an idle worker.
     PushHandoff,
@@ -328,8 +316,6 @@ pub struct RunResult {
     pub window: SimDuration,
     /// Workers configured.
     pub workers: usize,
-    /// Optional dynamics timeline (see [`RunParams::timeline_bucket`]).
-    pub timeline: Option<Timeline>,
     /// Span-layer report: per-stage histograms, critical-path
     /// attributions and tail exemplars (present when spans were on —
     /// see [`RunParams::spans`]).
@@ -576,7 +562,7 @@ pub struct Simulation<'w> {
     deferred_writebacks: Vec<VecDeque<u64>>,
     reclaim_state: ReclaimState,
     /// The reclaimer's start / stop thresholds in free frames, resolved
-    /// once from `cfg.watermarks` (the cache capacity never changes).
+    /// once from [`WATERMARKS`] (the cache capacity never changes).
     low_frames: usize,
     high_frames: usize,
     /// Whether the event clock has crossed the measurement window's
@@ -620,8 +606,8 @@ impl<'w> Simulation<'w> {
 
         // Warm the cache to its steady-state fill (free list sitting at
         // the high watermark) so measurement starts in steady state.
-        let low_frames = cfg.watermarks.low_frames(capacity);
-        let high_frames = cfg.watermarks.high_frames(capacity);
+        let low_frames = WATERMARKS.low_frames(capacity);
+        let high_frames = WATERMARKS.high_frames(capacity);
         let fill = if capacity == total_pages as usize {
             capacity
         } else {

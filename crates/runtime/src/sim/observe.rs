@@ -1,7 +1,7 @@
 //! The observer seam: every measurement the run takes — the latency
 //! recorder, the metrics registry, the trace ring, spans, the core
-//! profiler and its queue probes, the memory observatory, the telemetry
-//! bridge and the dynamics timeline — behind one [`Observer`] that the
+//! profiler and its queue probes, the memory observatory and the
+//! telemetry bridge — behind one [`Observer`] that the
 //! state machine feeds with one semantic call per site.
 //!
 //! The contract (checked by `observer_is_write_only` and the golden
@@ -41,7 +41,7 @@ use fabric::{QpId, ShardMap};
 use loadgen::{Breakdown, Recorder, TenantSpec};
 use paging::observe::{MemObservatory, PrefetchClass};
 
-use super::{Cont, DispatchOp, Req, Retire, Timeline};
+use super::{Cont, DispatchOp, Req, Retire};
 
 mod report;
 mod setup;
@@ -295,7 +295,6 @@ pub struct Observer {
     /// Per-shard demand-fetch latency over the measurement window.
     shard_fetch_ns: Vec<Histogram>,
     shard_map: ShardMap,
-    timeline: Option<Timeline>,
     ring: Option<RingTracer>,
     spans: Option<SpanPlane>,
     prof: Option<ProfPlane>,
@@ -417,15 +416,10 @@ impl Observer {
         id: usize,
         r: &Req,
         depth: usize,
-        inflight: u32,
         episode: Option<bool>,
     ) {
         self.metrics
             .gauge_set(self.ids.queue_depth, now, depth as f64);
-        if let Some(tl) = &mut self.timeline {
-            tl.queue_depth.record(now, depth as f64);
-            tl.inflight.record(now, inflight as f64);
-        }
         if let Some(active) = episode {
             self.metrics
                 .gauge_set(self.ids.fault_episode_active, now, active as u64 as f64);

@@ -271,7 +271,6 @@ impl Observer {
             offered_rps: params.offered_rps,
             window,
             workers: cfg.workers,
-            timeline: self.timeline,
             spans: self.spans.map(|sp| sp.store.finish()),
             shards,
             tenants,

@@ -5,7 +5,7 @@ use desim::profile::{CoreProfiler, QueueProbe};
 use desim::span::{SpanConfig, SpanStore};
 use desim::telemetry::FlightRecorder;
 use desim::trace::intern;
-use desim::{Histogram, Metrics, RingTracer, SimDuration, SimTime, TimeSeries};
+use desim::{Histogram, Metrics, RingTracer, SimDuration, SimTime};
 use fabric::ShardMap;
 use loadgen::{Recorder, TenantSpec};
 use paging::observe::MemObservatory;
@@ -16,7 +16,7 @@ use super::{
     TenantAcct, PROFILE, SPANS, TRACE,
 };
 use crate::config::SystemConfig;
-use crate::sim::{RunParams, Timeline};
+use crate::sim::RunParams;
 
 /// The schema gate: per-entity instruments (shards, tenants,
 /// dispatchers) join the registry only when there is more than one
@@ -254,10 +254,6 @@ impl Observer {
             tenant_specs,
             shard_fetch_ns: vec![Histogram::new(); shards],
             shard_map,
-            timeline: params.timeline_bucket.map(|b| Timeline {
-                queue_depth: TimeSeries::new(b),
-                inflight: TimeSeries::new(b),
-            }),
             ring,
             spans,
             prof,

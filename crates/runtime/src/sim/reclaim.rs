@@ -8,6 +8,7 @@ use paging::reclaim::ReclaimerMode;
 
 use super::observe::{Cqe, Queue};
 use super::{Ev, Simulation};
+use crate::config::{EVICT_COST, RECLAIM_BATCH, RECLAIM_WAKE_DELAY};
 
 #[derive(PartialEq)]
 pub(super) enum ReclaimState {
@@ -26,7 +27,7 @@ impl Simulation<'_> {
         }
         let delay = match self.cfg.reclaimer_mode {
             ReclaimerMode::Proactive => SimDuration::ZERO,
-            ReclaimerMode::WakeUp => self.cfg.reclaim_wake_delay,
+            ReclaimerMode::WakeUp => RECLAIM_WAKE_DELAY,
         };
         self.reclaim_state = ReclaimState::Scheduled;
         self.events.push(now + delay, Ev::ReclaimTick);
@@ -34,7 +35,7 @@ impl Simulation<'_> {
 
     pub(super) fn on_reclaim_tick(&mut self, now: SimTime) {
         let mut evicted = 0;
-        while evicted < self.cfg.reclaim_batch {
+        while evicted < RECLAIM_BATCH {
             if self.cache.free_frames() >= self.high_frames {
                 break;
             }
@@ -52,7 +53,7 @@ impl Simulation<'_> {
         let free = self.cache.free_frames();
         self.obs.reclaim_ticked(now, evicted, free);
         if free < self.high_frames && evicted > 0 {
-            let batch_time = self.cfg.evict_cost.saturating_mul(evicted as u64);
+            let batch_time = EVICT_COST.saturating_mul(evicted as u64);
             self.events.push(now + batch_time, Ev::ReclaimTick);
         } else {
             self.reclaim_state = ReclaimState::Idle;

@@ -1,6 +1,8 @@
 use super::observe::Cqe;
 use super::*;
-use crate::config::{DispatchPolicy, QueueModel, SystemKind, WorkerSelect};
+use crate::config::{
+    DispatchPolicy, QueueModel, SystemKind, WorkerSelect, DISPATCH_COST, HANDOFF_COST, RECYCLE_COST,
+};
 use crate::workload::ArrayIndexWorkload;
 use fabric::nic::Verb;
 
@@ -18,7 +20,6 @@ fn quick_params(rps: f64) -> RunParams {
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
         burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: None,
         faults: None,
@@ -472,15 +473,48 @@ fn infiniswap_resume_delay_slows_remote_requests() {
 }
 
 #[test]
-fn timeline_records_queue_dynamics() {
-    let mut params = quick_params(1_800_000.0);
-    params.timeline_bucket = Some(SimDuration::from_micros(100));
+fn queue_depth_gauge_records_burst_dynamics() {
+    // MMPP bursts and steady Poisson at the same 1.6 Mrps mean: the
+    // bursts must show in the window's queue-depth gauge.
+    let bursty = RunParams {
+        burst: Some((1.9, SimDuration::from_micros(400))),
+        ..quick_params(1_600_000.0)
+    };
     let mut w = small_workload();
-    let res = run_one(SystemConfig::dilos(), &mut w, params);
-    let tl = res.timeline.expect("timeline requested");
-    assert!(tl.queue_depth.samples() > 1_000);
-    assert!(tl.inflight.global_max() >= 1.0);
-    assert!(!tl.queue_depth.means().is_empty());
+    let steady = run_one(SystemConfig::adios(), &mut w, quick_params(1_600_000.0));
+    let burst = run_one(SystemConfig::adios(), &mut w, bursty.clone());
+    let queue = |r: &RunResult| *r.metrics.gauge("queue_depth").expect("always registered");
+    let (s, b) = (queue(&steady), queue(&burst));
+    assert!(
+        b.max > s.max,
+        "window peak: bursty {} vs steady {}",
+        b.max,
+        s.max
+    );
+    assert!(
+        b.mean > s.mean,
+        "window mean: bursty {} vs steady {}",
+        b.mean,
+        s.mean
+    );
+
+    // The over-time view is the flight recorder's sample of the same
+    // gauge, one sample per tick.
+    let observed = RunParams {
+        telemetry: Some(TelemetryConfig::default()),
+        ..bursty
+    };
+    let res = run_one(SystemConfig::adios(), &mut w, observed);
+    let report = res.telemetry.expect("telemetry requested");
+    let series = report.gauge_series("queue_depth").expect("sampled");
+    assert!(report.ticks > 0);
+    assert_eq!(series.samples(), report.ticks, "one sample per tick");
+    assert_eq!(
+        series.lasts().len() as u64,
+        report.ticks,
+        "one tick per bucket"
+    );
+    assert!(series.maxima().iter().any(|&(_, depth)| depth > 0.0));
 }
 
 #[test]
@@ -850,9 +884,9 @@ fn assert_matches_scalar_reference(cfg: &SystemConfig, log: &[DispatchCharge]) {
     for (i, c) in log.iter().enumerate() {
         assert_eq!(c.disp, 0, "charge {i}: SingleFcfs must serve on core 0");
         let cost = match c.op {
-            DispatchOp::Admit => cfg.dispatch_cost + cfg.client_stack,
-            DispatchOp::PushHandoff | DispatchOp::PullHandoff => cfg.handoff_cost,
-            DispatchOp::Recycle => cfg.recycle_cost,
+            DispatchOp::Admit => DISPATCH_COST + cfg.client_stack,
+            DispatchOp::PushHandoff | DispatchOp::PullHandoff => HANDOFF_COST,
+            DispatchOp::Recycle => RECYCLE_COST,
         };
         let start = free.max(c.now);
         let end = start + cost;

@@ -11,7 +11,10 @@ use paging::PageState;
 use super::fetch::FetchId;
 use super::observe::{Handoff, Queue};
 use super::{live, Cont, DispatchOp, Ev, Retire, Simulation};
-use crate::config::{FaultPolicy, QueueModel, WorkerSelect};
+use crate::config::{
+    FaultPolicy, QueueModel, WorkerSelect, CQ_POLL, FAULT_MAP, HANDOFF_COST, PREEMPT_COST,
+    PREEMPT_INTERVAL, RECYCLE_COST, REPLY_BUILD, REQUEST_SETUP, STEAL_COST,
+};
 
 pub(super) struct Worker {
     pub(super) busy: bool,
@@ -54,10 +57,9 @@ impl Simulation<'_> {
             // The handoff is charged on the dispatcher that admitted
             // the request — it owns the run-queue entry.
             let d = self.req(req).disp as usize;
-            let (start, _) =
-                self.charge_dispatcher(d, DispatchOp::PushHandoff, now, self.cfg.handoff_cost);
+            let (start, _) = self.charge_dispatcher(d, DispatchOp::PushHandoff, now, HANDOFF_COST);
             let from = start.max(self.workers[w].free_at);
-            let wake = from + self.cfg.handoff_cost;
+            let wake = from + HANDOFF_COST;
             self.start_request(now, w, req, Handoff::Pushed, from, wake);
         }
     }
@@ -124,7 +126,7 @@ impl Simulation<'_> {
             return;
         };
         let from = now.max(self.workers[w].free_at);
-        let wake = from + self.cfg.handoff_cost;
+        let wake = from + HANDOFF_COST;
         self.start_request(now, w, req, Handoff::Local, from, wake);
     }
 
@@ -173,21 +175,19 @@ impl Simulation<'_> {
                     // Hermit); then unithread creation + switch in, plus
                     // the worker's CQ poll before starting new
                     // unithreads (Figure 5).
-                    let setup = now
-                        + self.cfg.request_setup
-                        + kernel.map_or(SimDuration::ZERO, |k| k.net_stack);
-                    let switch = self.cfg.ctx_switch + self.cfg.cq_poll;
+                    let setup =
+                        now + REQUEST_SETUP + kernel.map_or(SimDuration::ZERO, |k| k.net_stack);
+                    let switch = self.cfg.ctx_switch + CQ_POLL;
                     (req, Some(setup), yields.then(|| setup + switch))
                 }
             }
             Cont::Resume { req } => {
-                let mapped = now + self.cfg.fault_map;
+                let mapped = now + FAULT_MAP;
                 (req, Some(mapped), Some(mapped + self.cfg.ctx_switch))
             }
             // Map + (on Hermit) the kernel→user return crossing.
             Cont::AfterBusyWait { req } => {
-                let mapped =
-                    now + self.cfg.fault_map + kernel.map_or(SimDuration::ZERO, |k| k.kernel_exit);
+                let mapped = now + FAULT_MAP + kernel.map_or(SimDuration::ZERO, |k| k.kernel_exit);
                 (req, Some(mapped), None)
             }
             // Re-enter the fault for the current step's page / abort.
@@ -213,8 +213,8 @@ impl Simulation<'_> {
     fn execute(&mut self, w: usize, req: usize, mut t: SimTime) {
         // Constant for the run: read once, not once per step.
         let kernel = self.cfg.kernel;
-        let preempt_after = (self.cfg.fault_policy == FaultPolicy::BusyWaitPreempt)
-            .then_some(self.cfg.preempt_interval);
+        let preempt_after =
+            (self.cfg.fault_policy == FaultPolicy::BusyWaitPreempt).then_some(PREEMPT_INTERVAL);
         loop {
             let r = live(&self.reqs, req);
             let Some(&step) = r.trace.steps.get(r.step) else {
@@ -226,7 +226,7 @@ impl Simulation<'_> {
             {
                 // Concord-style probe fired: save context, re-enqueue at
                 // the tail of the central queue, pick other work.
-                let saved = t + self.cfg.preempt_cost;
+                let saved = t + PREEMPT_COST;
                 self.obs.preempted(t, w, req, saved);
                 self.push_pending(saved, req);
                 self.worker_pick_next(w, saved);
@@ -288,7 +288,7 @@ impl Simulation<'_> {
     #[inline]
     pub(super) fn park(&mut self, w: usize, req: usize, fetch: FetchId, t: SimTime) {
         let switched = t + self.cfg.ctx_switch;
-        let polled = switched + self.cfg.cq_poll;
+        let polled = switched + CQ_POLL;
         self.req(req).worker = w;
         self.fetches.get_mut(fetch).waiters.push(req);
         self.obs.parked(w, req, t, switched, polled);
@@ -338,19 +338,15 @@ impl Simulation<'_> {
                     // dispatcher that owns the request, so the whole
                     // wait is handoff time on the worker core too.
                     let d = self.req(req).disp as usize;
-                    let (_, end) = self.charge_dispatcher(
-                        d,
-                        DispatchOp::PullHandoff,
-                        t,
-                        self.cfg.handoff_cost,
-                    );
+                    let (_, end) =
+                        self.charge_dispatcher(d, DispatchOp::PullHandoff, t, HANDOFF_COST);
                     self.start_request(t, w, req, Handoff::Pulled, t, end);
                     return;
                 }
             }
             QueueModel::PerWorker | QueueModel::PerWorkerStealing => {
                 if let Some(req) = self.workers[w].local_queue.pop_front() {
-                    self.start_request(t, w, req, Handoff::Pulled, t, t + self.cfg.handoff_cost);
+                    self.start_request(t, w, req, Handoff::Pulled, t, t + HANDOFF_COST);
                     return;
                 }
                 if self.cfg.queue_model == QueueModel::PerWorkerStealing {
@@ -362,7 +358,7 @@ impl Simulation<'_> {
                     if let Some(v) = victim {
                         if let Some(req) = self.workers[v].local_queue.pop_front() {
                             let how = Handoff::Stolen { victim: v };
-                            self.start_request(t, w, req, how, t, t + self.cfg.steal_cost);
+                            self.start_request(t, w, req, how, t, t + STEAL_COST);
                             return;
                         }
                     }
@@ -397,7 +393,7 @@ impl Simulation<'_> {
         let reply_bytes = self.req(req).trace.reply_bytes;
         // Reply serialisation, then (under the yield policy) the switch
         // from the unithread back to the worker.
-        let built = t + self.cfg.reply_build + self.cfg.client_stack;
+        let built = t + REPLY_BUILD + self.cfg.client_stack;
         let switched =
             (self.cfg.fault_policy == FaultPolicy::Yield).then(|| built + self.cfg.ctx_switch);
         self.obs.replied(w, req, t, built, switched);
@@ -418,7 +414,7 @@ impl Simulation<'_> {
             // recycle *work* loads the dispatcher — the CQE's arrival
             // time does not stall admissions (CQEs wait in the CQ).
             let d = r.disp as usize;
-            self.charge_dispatcher(d, DispatchOp::Recycle, t, self.cfg.recycle_cost);
+            self.charge_dispatcher(d, DispatchOp::Recycle, t, RECYCLE_COST);
         }
         self.free_req(req);
         self.cons.completions += 1;

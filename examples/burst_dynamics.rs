@@ -1,5 +1,5 @@
 //! Queue dynamics under bursty arrivals (§3.2's burst-tolerance
-//! argument, visualised with the simulator's timeline sampler).
+//! argument, visualised with the telemetry plane's queue-depth series).
 //!
 //! ```text
 //! cargo run --release --example burst_dynamics
@@ -28,25 +28,31 @@ fn main() {
                 local_mem_fraction: 0.2,
                 keep_breakdowns: false,
                 burst,
-                timeline_bucket: Some(SimDuration::from_micros(500)),
                 trace_capacity: None,
                 spans: None,
                 faults: None,
-                telemetry: None,
+                telemetry: Some(TelemetryConfig {
+                    tick: SimDuration::from_micros(500),
+                    ..Default::default()
+                }),
                 profile: None,
                 memory: None,
                 tenants: None,
             },
         );
-        let tl = r.timeline.as_ref().expect("timeline requested");
+        let telemetry = r.telemetry.as_ref().expect("telemetry requested");
+        let series = telemetry
+            .gauge_series("queue_depth")
+            .expect("queue_depth is always registered");
+        let queue = r.metrics.gauge("queue_depth").expect("always registered");
         println!(
             "\n{name}: achieved {:.0} RPS, P99.9 {:.1} us, drops {}",
             r.recorder.achieved_rps(),
             r.recorder.overall().percentile(99.9) as f64 / 1e3,
             r.recorder.dropped()
         );
-        println!("  queue depth over time (500 us buckets, '#' ≈ 4 requests):");
-        for (t, depth) in tl.queue_depth.means().iter().take(30) {
+        println!("  queue depth over time (500 us ticks, '#' ≈ 4 requests):");
+        for (t, depth) in series.lasts().iter().take(30) {
             println!(
                 "  {:>7.1} ms |{}",
                 t.as_secs_f64() * 1e3,
@@ -54,9 +60,8 @@ fn main() {
             );
         }
         println!(
-            "  mean queue {:.1}, peak {:.0}",
-            tl.queue_depth.overall_mean(),
-            tl.queue_depth.global_max()
+            "  window mean queue {:.1}, peak {:.0}",
+            queue.mean, queue.max
         );
     }
     println!("\nthe pre-allocated unithread pool (131,072 buffers in the paper)");

@@ -35,7 +35,6 @@ fn main() {
                 local_mem_fraction: 0.2,
                 keep_breakdowns: false,
                 burst: None,
-                timeline_bucket: None,
                 trace_capacity: None,
                 spans: None,
                 faults: None,

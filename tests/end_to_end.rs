@@ -13,7 +13,6 @@ fn params(rps: f64) -> RunParams {
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
         burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: None,
         faults: None,

@@ -4,13 +4,15 @@
 //! Every other determinism test compares two runs of the *same* build,
 //! so it cannot see a refactor drift; these constants were captured on
 //! the tree *before* `runtime::sim` was decomposed and must pass
-//! unmodified after. (Two re-pins since: the three telemetry + armed
+//! unmodified after. (Three re-pins since: the three telemetry + armed
 //! fault rows, when the report's `"episodes"` annotations stopped being
 //! empty — their bytes differ from the capture only inside that array;
 //! and the 32-worker all-planes row, when every worker's runnable queue
 //! got its `q.wN.runnable.depth` gauge — removing the gauges of workers
 //! 16–31 from the registry and the telemetry series restores the old
-//! bytes exactly.)
+//! bytes exactly; and the MMPP row, when the dynamics timeline whose
+//! series it appended was removed — cutting that suffix off the old
+//! output gives its new pin exactly.)
 //! Shared by `tests/determinism.rs` (asserts the table) and
 //! `examples/golden_capture.rs` (prints it — refresh a row only when an
 //! intentional format or model change lands).
@@ -52,8 +54,8 @@ pub fn all_planes(mut p: RunParams) -> RunParams {
 }
 
 /// Everything a run serialises: the run JSON (metrics, planes' report
-/// blocks, trace), the Perfetto export of the span exemplars, the
-/// breakdown row and the dynamics timeline where the run kept them.
+/// blocks, trace), the Perfetto export of the span exemplars and the
+/// breakdown row where the run kept them.
 pub fn serialise(mut res: RunResult, breakdowns: bool) -> String {
     let mut out = adios::core_api::run_json(&res);
     if let Some(spans) = &res.spans {
@@ -61,13 +63,6 @@ pub fn serialise(mut res: RunResult, breakdowns: bool) -> String {
     }
     if breakdowns {
         out.push_str(&format!("{:?}", res.recorder.breakdown_at(99.0)));
-    }
-    if let Some(tl) = &res.timeline {
-        out.push_str(&format!(
-            "{:?}{:?}",
-            tl.queue_depth.means(),
-            tl.inflight.maxima()
-        ));
     }
     out
 }
@@ -375,13 +370,12 @@ pub const MATRIX: &[Case] = &[
         golden: (1_118, 0xdaac_3726_9a41_8c60),
     },
     Case {
-        name: "burst+timeline",
+        name: "burst",
         run: || {
             let mut p = params();
             p.burst = Some((1.9, SimDuration::from_micros(400)));
-            p.timeline_bucket = Some(SimDuration::from_micros(100));
             array(SystemConfig::adios(), p)
         },
-        golden: (9_181, 0x2238_8f26_d8a5_2a74),
+        golden: (1_113, 0xaf60_63da_9787_ce8f),
     },
 ];

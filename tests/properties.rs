@@ -19,7 +19,6 @@ fn run_micro(kind: SystemKind, rps: f64, frac: f64, seed: u64) -> RunResult {
             local_mem_fraction: frac,
             keep_breakdowns: false,
             burst: None,
-            timeline_bucket: None,
             ..Default::default()
         },
     )
@@ -127,7 +126,6 @@ fn breakdowns_are_sane() {
                 local_mem_fraction: 0.2,
                 keep_breakdowns: true,
                 burst: None,
-                timeline_bucket: None,
                 ..Default::default()
             },
         );
@@ -466,7 +464,6 @@ fn app_traces_always_complete() {
                 local_mem_fraction: 0.2,
                 keep_breakdowns: false,
                 burst: None,
-                timeline_bucket: None,
                 ..Default::default()
             },
         );
@@ -512,50 +509,6 @@ fn time_series_buckets_are_aligned_and_ordered() {
     }
 }
 
-/// Merging two series is indistinguishable (means, maxima, sample
-/// counts) from recording the union of their samples into one series.
-#[test]
-fn time_series_merge_conserves_samples() {
-    use adios::desim::TimeSeries;
-    let mut gen = Rng::new(0x5E21);
-    for case in 0..16 {
-        let bucket = SimDuration::from_micros(1 + gen.gen_range(100));
-        let mut a = TimeSeries::new(bucket);
-        let mut b = TimeSeries::new(bucket);
-        let mut combined = TimeSeries::new(bucket);
-        for _ in 0..gen.gen_range(150) {
-            let t = SimTime(gen.gen_range(bucket.0 * 48));
-            let v = gen.gen_f64() * 50.0;
-            a.record(t, v);
-            combined.record(t, v);
-        }
-        for _ in 0..gen.gen_range(150) {
-            let t = SimTime(gen.gen_range(bucket.0 * 48));
-            let v = gen.gen_f64() * 50.0;
-            b.record(t, v);
-            combined.record(t, v);
-        }
-        let ctx = format!("case {case} bucket {bucket}");
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.samples(), a.samples() + b.samples(), "{ctx}");
-        assert_eq!(merged.samples(), combined.samples(), "{ctx}");
-        // Maxima are order-independent and must match exactly; means
-        // may differ by rounding since merge adds bucket sums in a
-        // different order than sequential recording.
-        assert_eq!(merged.maxima(), combined.maxima(), "{ctx}: maxima diverge");
-        let (m, c) = (merged.means(), combined.means());
-        assert_eq!(m.len(), c.len(), "{ctx}");
-        for ((tm, vm), (tc, vc)) in m.iter().zip(&c) {
-            assert_eq!(tm, tc, "{ctx}");
-            assert!(
-                (vm - vc).abs() <= 1e-9 * vc.abs().max(1.0),
-                "{ctx}: mean {vm} vs {vc} at {tm}"
-            );
-        }
-    }
-}
-
 /// SLO breach intervals reported by the telemetry plane are well
 /// formed — per rule the events alternate begin/end starting with a
 /// begin, every interval is non-empty, intervals never overlap — and
@@ -582,7 +535,6 @@ fn slo_breach_arc_under_lossy(kind: SystemKind) {
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
             burst: None,
-            timeline_bucket: None,
             faults: Some(FaultScenario::lossy()),
             telemetry: Some(TelemetryConfig {
                 tick: SimDuration::from_micros(100),
@@ -681,7 +633,6 @@ fn telemetry_rates_survive_the_warmup_rebase_boundary() {
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
             burst: None,
-            timeline_bucket: None,
             telemetry: Some(TelemetryConfig {
                 // Four ticks per warm-up ms: the registry reset at 1 ms
                 // lands inside the (750 µs, 1 ms] sampling period, so
