@@ -18,8 +18,8 @@
 //! measured, DiLOS then Adios). Each writes one report,
 //! `<out-dir>/run_<system>.json` ([`run_json`]), and — when a plane
 //! with tracks is on — one timeline, `perfetto_<system>.json`
-//! ([`perfetto_json`]), next to the planes' own text exports. Run with
-//! `--help` for the full flag list.
+//! ([`perfetto_json`]), next to the profiler's and the memory
+//! observatory's text exports. Run with `--help` for the full flag list.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -28,7 +28,24 @@ use std::time::Instant;
 use adios_core::prelude::*;
 use adios_core::{experiments, perfetto_json, run_json, FigureReport, Scale};
 
-const USAGE: &str = "\
+/// Builds one app's workload, sized for the short runs.
+type BuildApp = fn() -> Box<dyn Workload>;
+
+/// The workloads `--app` and a tenant spec's `APP` field name; the
+/// first is the default.
+const APPS: [(&str, BuildApp); 4] = [
+    ("array", || Box::new(ArrayIndexWorkload::new(16_384))),
+    ("kvs", || Box::new(MemcachedWorkload::new(100_000, 128))),
+    ("llm", || Box::new(LlmServeWorkload::new(256, 64))),
+    ("scan", || Box::new(RocksDbWorkload::new(100_000, 1024))),
+];
+
+/// The flag list, then the registry's ids, one per line.
+fn usage() -> String {
+    let apps = APPS.map(|(name, _)| name).join(", ");
+    let policies = DispatchPolicy::ALL.map(DispatchPolicy::name).join(", ");
+    let mut out = format!(
+        "\
 usage: experiments_md [FLAGS] [ID...]
 
 With no arguments, runs every experiment and writes EXPERIMENTS.md at
@@ -72,9 +89,9 @@ flags:
                      strides_<system>.csv
   --telemetry        run the continuous-telemetry plane: per-tick
                      counter/gauge series, per-QP/per-shard health
-                     scores and SLO breach events; writes
-                     <out-dir>/telemetry_<system>.csv,
-                     health_<system>.csv and slo_events_<system>.csv
+                     scores and SLO breach events; prints a summary and
+                     adds them to the run JSON's `telemetry` block and
+                     the Perfetto timeline
   --tick <us>        telemetry sampling period in microseconds
                      (default 100; implies --telemetry)
   --slo <spec>       comma-separated SLO rules (implies --telemetry):
@@ -83,32 +100,28 @@ flags:
   --tenants <spec>   put the runs under a multi-tenant traffic
                      plane: `;`-separated `RATE[@BUCKET]:APP:PRIO[:SLO]`
                      fields (rates take k/m suffixes, @BUCKET enables
-                     token-bucket admission at that rate, APP is
-                     array/kvs/llm, PRIO is hi/lo, SLO is a
+                     token-bucket admission at that rate, APP is an
+                     --app name, PRIO is hi/lo, SLO is a
                      lat<OBJ:BUDGET@WINDOW spec), e.g.
                      `300k:kvs:hi:lat<200us:0.001@10ms;2m@400k:llm:lo`;
                      prints per-tenant admission/latency tables
   --shed-watermark N dispatcher-queue depth beyond which low-priority
                      arrivals are shed (requires --tenants)
-  --app <name>       workload for single-stream runs:
-                     array (default), kvs, llm, or scan
-                     (not with --tenants)
+  --app <name>       workload for single-stream runs (not with
+                     --tenants): {apps}; default {default_app}
   --dispatchers N    model a proportionally scaled machine with N >= 1
                      dispatcher cores, 8·N workers and >= min(N, 8)
                      memnode shards; the runs go to deep overload and
                      print per-dispatcher admit/steal/combine counters
   --dispatch-policy <name>
-                     ingress policy (requires --dispatchers):
-                     single-fcfs, work-stealing (default above 1
-                     dispatcher) or flat-combining
+                     ingress policy (requires --dispatchers): {policies};
+                     default work-stealing above 1 dispatcher
   --seed N           RNG seed for the runs (unsigned integer, default 1)
   --out-dir <dir>    output directory (default: results)
 
-experiment ids:";
-
-/// [`USAGE`] followed by the registry's ids, one per line.
-fn usage() -> String {
-    let mut out = String::from(USAGE);
+experiment ids:",
+        default_app = APPS[0].0,
+    );
     for (id, _) in experiments::ALL {
         let _ = write!(out, "\n  {id}");
     }
@@ -160,17 +173,21 @@ impl Cli {
     }
 }
 
-/// Resolves a tenant/app name to a workload sized for the short runs.
-fn app_workload(name: &str) -> Box<dyn Workload> {
-    match name {
-        "array" => Box::new(ArrayIndexWorkload::new(16_384)),
-        "kvs" => Box::new(MemcachedWorkload::new(100_000, 128)),
-        "llm" => Box::new(LlmServeWorkload::new(256, 64)),
-        "scan" => Box::new(RocksDbWorkload::new(100_000, 1024)),
-        other => die(&format!(
-            "unknown app: {other} (known: array, kvs, llm, scan)"
-        )),
+/// Exits 2 naming the [`APPS`] unless `name` is one of them.
+fn check_app(name: &str) {
+    if !APPS.iter().any(|&(app, _)| app == name) {
+        let known = APPS.map(|(app, _)| app).join(", ");
+        die(&format!("unknown app: {name} (known: {known})"));
     }
+}
+
+/// The workload named `name` (checked by [`check_app`] while parsing).
+fn app_workload(name: &str) -> Box<dyn Workload> {
+    let (_, build) = APPS
+        .iter()
+        .find(|&&(app, _)| app == name)
+        .expect("app names are checked while parsing the command line");
+    build()
 }
 
 fn die(msg: &str) -> ! {
@@ -270,10 +287,12 @@ fn parse_args(args: &[String]) -> Cli {
                 let v = it
                     .next()
                     .unwrap_or_else(|| die("--tenants requires a spec"));
-                cli.tenants = Some(
-                    TenantPlane::parse(v)
-                        .unwrap_or_else(|e| die(&format!("invalid --tenants spec: {e}"))),
-                );
+                let plane = TenantPlane::parse(v)
+                    .unwrap_or_else(|e| die(&format!("invalid --tenants spec: {e}")));
+                for spec in &plane.specs {
+                    check_app(&spec.app);
+                }
+                cli.tenants = Some(plane);
             }
             "--shed-watermark" => {
                 let v = it
@@ -303,21 +322,15 @@ fn parse_args(args: &[String]) -> Cli {
                 let v = it
                     .next()
                     .unwrap_or_else(|| die("--dispatch-policy requires a name"));
-                cli.dispatch_policy = Some(match v.as_str() {
-                    "single-fcfs" => DispatchPolicy::SingleFcfs,
-                    "work-stealing" => DispatchPolicy::WorkStealing,
-                    "flat-combining" => DispatchPolicy::FlatCombining,
-                    other => die(&format!(
-                        "unknown dispatch policy: {other} \
-                         (known: single-fcfs, work-stealing, flat-combining)"
-                    )),
-                });
+                let policy = DispatchPolicy::ALL.into_iter().find(|p| p.name() == v);
+                cli.dispatch_policy = Some(policy.unwrap_or_else(|| {
+                    let known = DispatchPolicy::ALL.map(DispatchPolicy::name).join(", ");
+                    die(&format!("unknown dispatch policy: {v} (known: {known})"))
+                }));
             }
             "--app" => {
                 let v = it.next().unwrap_or_else(|| die("--app requires a name"));
-                if !matches!(v.as_str(), "array" | "kvs" | "llm" | "scan") {
-                    die(&format!("unknown app: {v} (known: array, kvs, llm, scan)"));
-                }
+                check_app(v);
                 cli.app = Some(v.clone());
             }
             "--seed" => {
@@ -365,7 +378,7 @@ fn instrumented_runs(cli: &Cli) {
             Some(plane) => Box::new(TenantWorkload::new(
                 plane.specs.iter().map(|s| app_workload(&s.app)).collect(),
             )),
-            None => app_workload(cli.app.as_deref().unwrap_or("array")),
+            None => app_workload(cli.app.as_deref().unwrap_or(APPS[0].0)),
         };
         let plane = cli.tenants.clone().map(|mut p| {
             if let Some(w) = cli.shed_watermark {
@@ -579,9 +592,6 @@ fn instrumented_runs(cli: &Cli) {
                     scores.len()
                 );
             }
-            export(format!("telemetry_{system}.csv"), t.series_csv());
-            export(format!("health_{system}.csv"), t.health_csv());
-            export(format!("slo_events_{system}.csv"), t.events_csv());
             println!();
         }
 
@@ -809,18 +819,6 @@ fn main() {
 
     std::fs::create_dir_all(&cli.out_dir).expect("create output directory");
     std::fs::write(&path, md).expect("write the experiments report");
-    if std::env::var("ADIOS_CSV")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        for r in &reports {
-            r.write_csvs(&cli.out_dir).expect("write CSVs");
-        }
-        eprintln!(
-            "[experiments-md] wrote per-series CSVs under {}/",
-            cli.out_dir.display()
-        );
-    }
     eprintln!(
         "[experiments-md] wrote {} ({} reports, {} misses) in {:.0} s",
         path.display(),

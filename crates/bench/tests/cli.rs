@@ -1,8 +1,9 @@
 //! Drives the `experiments_md` binary from outside: the help text is
-//! the registry's id list, bad invocations are rejected with usage, the
-//! id form prints its reports without touching the Markdown record, and
-//! an instrumented run leaves exactly its documented exports on disk —
-//! one report and one timeline per system — each of which parses.
+//! the registry's id list, bad invocations are rejected with usage
+//! before anything is written, the id form prints its reports without
+//! touching the Markdown record, and an instrumented run leaves exactly
+//! its documented exports on disk — one report and one timeline per
+//! system — each of which parses, even where a name needs escaping.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -21,7 +22,6 @@ fn experiments_md(args: &[&str], cwd: &Path) -> Output {
         .args(args)
         .current_dir(cwd)
         .env_remove("ADIOS_FULL")
-        .env_remove("ADIOS_CSV")
         .output()
         .expect("spawn experiments_md")
 }
@@ -75,14 +75,23 @@ fn bad_invocations_exit_2_with_usage() {
         // Counts with no entity to run.
         &["--shards", "0"],
         &["--dispatchers", "0"],
+        // A tenant app no workload answers to: rejected while parsing,
+        // not once the runs have started.
+        &["--tenants", "300k:bogus:hi"],
+        &["--dispatch-policy", "fcfs", "--dispatchers", "2"],
     ];
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad_invocations");
+    let _ = std::fs::remove_dir_all(&dir);
     for args in cases {
-        let out = experiments_md(args, here());
+        let mut argv = args.to_vec();
+        argv.extend(["--out-dir", dir.to_str().expect("utf-8 scratch path")]);
+        let out = experiments_md(&argv, here());
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("usage: experiments_md"), "{args:?}: {err}");
         assert!(err.contains("extension_shard_scaling"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(!dir.exists(), "{args:?} created the --out-dir");
     }
 }
 
@@ -161,9 +170,6 @@ fn all_planes_run_leaves_one_report_one_timeline_and_the_text_exports() {
             format!("run_{system}.json"),
             format!("perfetto_{system}.json"),
             format!("flame_{system}.folded"),
-            format!("telemetry_{system}.csv"),
-            format!("health_{system}.csv"),
-            format!("slo_events_{system}.csv"),
             format!("heatmap_{system}.csv"),
             format!("strides_{system}.csv"),
         ]);
@@ -286,4 +292,62 @@ fn profile_alone_writes_a_timeline_that_parses() {
         assert!(!at(&timeline, &["traceEvents"]).as_arr().unwrap().is_empty());
     }
     std::fs::remove_dir_all(&dir).expect("remove scratch out-dir");
+}
+
+/// Names any caller can set — a tenant's, a counter's, a trace event's
+/// component and name — reach the report escaped: the document parses
+/// and each name comes back unchanged.
+#[test]
+fn run_json_round_trips_names_that_need_escaping() {
+    use adios_core::prelude::*;
+    use adios_core::run_json;
+    use desim::{Metrics, RingTracer, TraceEvent, Tracer};
+
+    let (tenant, counter) = ("q\"uo\\te", "quoted\"counter");
+    let (component, event) = ("c\\omp", "ev\"\n");
+    let mut named = TenantSpec::new(300_000.0, "array", TenantPriority::High);
+    named.name = tenant.to_string();
+    let plane = TenantPlane::new(vec![
+        named,
+        TenantSpec::new(200_000.0, "array", TenantPriority::Low),
+    ]);
+    let params = RunParams {
+        offered_rps: plane.total_rate_rps(),
+        warmup: SimDuration::from_millis(1),
+        measure: SimDuration::from_millis(2),
+        tenants: Some(plane),
+        ..Default::default()
+    };
+    let mut workload = TenantWorkload::new(vec![
+        Box::new(ArrayIndexWorkload::new(16_384)),
+        Box::new(ArrayIndexWorkload::new(16_384)),
+    ]);
+    let mut res = run_one(SystemConfig::adios(), &mut workload, params);
+    let mut registry = Metrics::new();
+    let id = registry.counter(counter);
+    registry.add(id, 7);
+    res.metrics
+        .counters
+        .extend(registry.snapshot(SimTime::ZERO).counters);
+    let mut ring = RingTracer::new(4);
+    ring.record(TraceEvent {
+        at: SimTime(5),
+        component,
+        name: event,
+        a: 1,
+        b: 2,
+    });
+    res.trace = Some(ring.into_log());
+
+    let text = run_json(&res);
+    let run = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let tenants = at(&run, &["tenants"]).as_arr().expect("tenant array");
+    assert_eq!(at(&tenants[0], &["name"]).as_str(), Some(tenant));
+    assert_eq!(
+        at(&run, &["metrics", "counters", counter]).as_f64(),
+        Some(7.0)
+    );
+    let trace = at(&run, &["trace"]).as_arr().expect("trace array");
+    assert_eq!(at(&trace[0], &["c"]).as_str(), Some(component));
+    assert_eq!(at(&trace[0], &["e"]).as_str(), Some(event));
 }

@@ -1,6 +1,7 @@
 //! Figure reports: measured series plus paper-vs-measured expectations,
 //! and a machine-readable per-run JSON view of [`RunResult`].
 
+use desim::json::{Perfetto, Writer};
 use runtime::sim::RunResult;
 use std::fmt::Write as _;
 
@@ -14,136 +15,123 @@ use std::fmt::Write as _;
 /// `tests/determinism.rs`).
 pub fn run_json(res: &RunResult) -> String {
     let h = res.recorder.overall();
-    let mut out = String::new();
-    out.push('{');
-    let _ = write!(out, "\"offered_rps\":{:.3},", res.offered_rps);
-    let _ = write!(out, "\"achieved_rps\":{:.3},", res.recorder.achieved_rps());
-    let _ = write!(out, "\"completed\":{},", res.recorder.completed_in_window());
-    let _ = write!(out, "\"dropped\":{},", res.recorder.dropped());
-    let _ = write!(out, "\"window_ns\":{},", res.window.as_nanos());
-    let _ = write!(out, "\"workers\":{},", res.workers);
-    let _ = write!(
-        out,
-        "\"latency_ns\":{{\"p50\":{},\"p99\":{},\"p999\":{},\"mean\":{:.3}}},",
-        h.percentile(50.0),
-        h.percentile(99.0),
-        h.percentile(99.9),
-        h.mean()
-    );
-    let _ = write!(
-        out,
-        "\"rdma_util\":{{\"data\":{:.6},\"ctrl\":{:.6}}},",
-        res.rdma_data_util, res.rdma_ctrl_util
-    );
-    let _ = write!(out, "\"spin_fraction\":{:.6},", res.spin_fraction());
-    let c = &res.cache;
-    let _ = write!(
-        out,
-        "\"cache\":{{\"hits\":{},\"misses\":{},\"coalesced\":{},\"evictions\":{},\"dirty_evictions\":{}}},",
-        c.hits, c.misses, c.coalesced, c.evictions, c.dirty_evictions
-    );
-    // Per-shard window view, only on multi-shard runs: single-shard
-    // output stays byte-identical to the pre-sharding format.
-    if res.shards.len() > 1 {
-        out.push_str("\"shards\":[");
-        for (i, s) in res.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    let mut w = Writer::default();
+    w.object(|w| {
+        w.key("offered_rps").f64(res.offered_rps, 3);
+        w.key("achieved_rps").f64(res.recorder.achieved_rps(), 3);
+        w.key("completed").u64(res.recorder.completed_in_window());
+        w.key("dropped").u64(res.recorder.dropped());
+        w.key("window_ns").u64(res.window.as_nanos());
+        w.key("workers").u64(res.workers as u64);
+        w.key("latency_ns").object(|w| {
+            w.key("p50").u64(h.percentile(50.0));
+            w.key("p99").u64(h.percentile(99.0));
+            w.key("p999").u64(h.percentile(99.9));
+            w.key("mean").f64(h.mean(), 3);
+        });
+        w.key("rdma_util").object(|w| {
+            w.key("data").f64(res.rdma_data_util, 6);
+            w.key("ctrl").f64(res.rdma_ctrl_util, 6);
+        });
+        w.key("spin_fraction").f64(res.spin_fraction(), 6);
+        let c = &res.cache;
+        w.key("cache").object(|w| {
+            w.key("hits").u64(c.hits);
+            w.key("misses").u64(c.misses);
+            w.key("coalesced").u64(c.coalesced);
+            w.key("evictions").u64(c.evictions);
+            w.key("dirty_evictions").u64(c.dirty_evictions);
+        });
+        // Per-shard window view, only on multi-shard runs: single-shard
+        // output stays byte-identical to the pre-sharding format.
+        if res.shards.len() > 1 {
+            w.key("shards").array(|w| {
+                for s in &res.shards {
+                    w.object(|w| {
+                        w.key("shard").u64(s.shard as u64);
+                        w.key("data_bytes").u64(s.data_bytes);
+                        w.key("data_util").f64(s.data_util, 6);
+                        w.key("fetch_ns").object(|w| {
+                            w.key("p50").u64(s.fetch_ns.percentile(50.0));
+                            w.key("p999").u64(s.fetch_ns.percentile(99.9));
+                            w.key("count").u64(s.fetch_ns.count());
+                        });
+                    });
+                }
+            });
+        }
+        // Per-tenant window view, only on multi-tenant runs: single-tenant
+        // (and plane-off) output stays byte-identical to the pre-tenant
+        // format.
+        if res.tenants.len() > 1 {
+            w.key("tenants").array(|w| {
+                for t in &res.tenants {
+                    w.object(|w| {
+                        w.key("tenant").u64(t.tenant as u64);
+                        w.key("name").string(&t.name);
+                        w.key("priority").string(t.priority);
+                        w.key("offered_rps").f64(t.offered_rps, 3);
+                        w.key("arrivals").u64(t.arrivals);
+                        w.key("admitted").u64(t.admitted);
+                        w.key("completed").u64(t.completed);
+                        w.key("sheds").u64(t.sheds);
+                        w.key("drops").u64(t.drops);
+                        w.key("latency_ns").object(|w| {
+                            w.key("p50").u64(t.latency_ns.percentile(50.0));
+                            w.key("p99").u64(t.latency_ns.percentile(99.0));
+                            w.key("p999").u64(t.latency_ns.percentile(99.9));
+                            w.key("count").u64(t.latency_ns.count());
+                        });
+                        match t.slo_ok {
+                            Some(ok) => w.key("slo_ok").bool(ok),
+                            None => w.key("slo_ok").null(),
+                        }
+                    });
+                }
+            });
+            let c = &res.conservation;
+            w.key("conservation").object(|w| {
+                w.key("arrivals").u64(c.arrivals);
+                w.key("completions").u64(c.completions);
+                w.key("drops").u64(c.drops);
+                w.key("sheds").u64(c.sheds);
+                w.key("aborts").u64(c.aborts);
+                w.key("inflight_at_end").u64(c.inflight_at_end);
+                w.key("holds").bool(c.holds());
+            });
+        }
+        w.key("metrics").value(&res.metrics);
+        match &res.spans {
+            Some(report) => {
+                w.key("spans_measured").u64(report.measured);
+                w.key("stages").value(&report.stats);
             }
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"data_bytes\":{},\"data_util\":{:.6},\"fetch_ns\":{{\"p50\":{},\"p999\":{},\"count\":{}}}}}",
-                s.shard,
-                s.data_bytes,
-                s.data_util,
-                s.fetch_ns.percentile(50.0),
-                s.fetch_ns.percentile(99.9),
-                s.fetch_ns.count()
-            );
-        }
-        out.push_str("],");
-    }
-    // Per-tenant window view, only on multi-tenant runs: single-tenant
-    // (and plane-off) output stays byte-identical to the pre-tenant
-    // format.
-    if res.tenants.len() > 1 {
-        out.push_str("\"tenants\":[");
-        for (i, t) in res.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            None => {
+                w.key("spans_measured").u64(0);
+                w.key("stages").null();
             }
-            let slo = match t.slo_ok {
-                Some(true) => "true",
-                Some(false) => "false",
-                None => "null",
-            };
-            let _ = write!(
-                out,
-                "{{\"tenant\":{},\"name\":\"{}\",\"priority\":\"{}\",\"offered_rps\":{:.3},\"arrivals\":{},\"admitted\":{},\"completed\":{},\"sheds\":{},\"drops\":{},\"latency_ns\":{{\"p50\":{},\"p99\":{},\"p999\":{},\"count\":{}}},\"slo_ok\":{}}}",
-                t.tenant,
-                t.name,
-                t.priority,
-                t.offered_rps,
-                t.arrivals,
-                t.admitted,
-                t.completed,
-                t.sheds,
-                t.drops,
-                t.latency_ns.percentile(50.0),
-                t.latency_ns.percentile(99.0),
-                t.latency_ns.percentile(99.9),
-                t.latency_ns.count(),
-                slo
-            );
         }
-        out.push_str("],");
-        let c = &res.conservation;
-        let _ = write!(
-            out,
-            "\"conservation\":{{\"arrivals\":{},\"completions\":{},\"drops\":{},\"sheds\":{},\"aborts\":{},\"inflight_at_end\":{},\"holds\":{}}},",
-            c.arrivals, c.completions, c.drops, c.sheds, c.aborts, c.inflight_at_end, c.holds()
-        );
-    }
-    let _ = write!(out, "\"metrics\":{},", res.metrics.to_json());
-    match &res.spans {
-        Some(report) => {
-            let _ = write!(out, "\"spans_measured\":{},", report.measured);
-            let _ = write!(out, "\"stages\":{},", report.stats.to_json());
+        // Plane blocks only when the plane was on: disabled runs keep
+        // the exact pre-plane byte stream (the golden test pins it).
+        if let Some(t) = &res.telemetry {
+            w.key("telemetry").value(t);
         }
-        None => out.push_str("\"spans_measured\":0,\"stages\":null,"),
-    }
-    // Telemetry block only when the plane was on: disabled runs keep
-    // the exact pre-telemetry byte stream (the golden test pins it).
-    if let Some(t) = &res.telemetry {
-        let _ = write!(out, "\"telemetry\":{},", t.to_json());
-    }
-    // Core-profiler block only when the profiler was on, same golden
-    // byte-identity contract as the telemetry block above.
-    if let Some(p) = &res.profile {
-        let _ = write!(out, "\"profile\":{},", p.to_json());
-    }
-    // Memory-observatory block only when the observatory was on, same
-    // golden byte-identity contract as the blocks above.
-    if let Some(m) = &res.memory {
-        let _ = write!(out, "\"memory\":{},", m.to_json());
-    }
-    // Always present, trace or not: a truncated (or absent) trace must
-    // be distinguishable from a quiet run.
-    let _ = write!(out, "\"trace_dropped\":{},", res.trace_dropped);
-    match &res.trace {
-        Some(log) => {
-            let _ = write!(out, "\"trace\":{}", log.to_json());
+        if let Some(p) = &res.profile {
+            w.key("profile").value(p);
         }
-        None => out.push_str("\"trace\":null"),
-    }
-    out.push('}');
-    out
+        if let Some(m) = &res.memory {
+            w.key("memory").value(m);
+        }
+        // Always present, trace or not: a truncated (or absent) trace must
+        // be distinguishable from a quiet run.
+        w.key("trace_dropped").u64(res.trace_dropped);
+        match &res.trace {
+            Some(log) => w.key("trace").value(log),
+            None => w.key("trace").null(),
+        }
+    });
+    w.finish()
 }
-
-/// Perfetto pid of the memory observatory's counter tracks (telemetry
-/// and the profiler own [`desim::PERFETTO_TELEMETRY_PID`] and
-/// [`desim::PERFETTO_PROFILE_PID`]; request pids stay far below all three).
-const PERFETTO_MEMORY_PID: u64 = 3_000_000;
 
 /// Renders one run as a single Perfetto (Chrome trace event) document,
 /// the timeline sibling of [`run_json`]: the span layer's tail
@@ -152,30 +140,25 @@ const PERFETTO_MEMORY_PID: u64 = 3_000_000;
 /// under its own synthetic process so every view shares one time axis.
 /// `None` when no plane with tracks was on.
 pub fn perfetto_json(res: &RunResult) -> Option<String> {
-    let (telemetry, profile, memory) = (&res.telemetry, &res.profile, &res.memory);
-    let mut tracks = (telemetry.iter().flat_map(|t| t.perfetto_counter_events()))
-        .chain(profile.iter().flat_map(|p| p.perfetto_events()))
-        .chain(
-            memory
-                .iter()
-                .flat_map(|m| m.perfetto_counter_events(PERFETTO_MEMORY_PID)),
-        )
-        .peekable();
-    if res.spans.is_none() && tracks.peek().is_none() {
+    let (spans, telemetry, profile, memory) =
+        (&res.spans, &res.telemetry, &res.profile, &res.memory);
+    if spans.is_none() && telemetry.is_none() && profile.is_none() && memory.is_none() {
         return None;
     }
-    let exemplars = res.spans.as_ref().map_or(&[][..], |s| &s.exemplars);
-    let mut out = desim::span::perfetto_json(exemplars);
-    assert!(out.ends_with("]}"), "a Perfetto document closes its array");
-    out.truncate(out.len() - "]}".len());
-    for ev in tracks {
-        if !out.ends_with('[') {
-            out.push(',');
-        }
-        out.push_str(&ev);
+    let mut doc = Perfetto::default();
+    if let Some(s) = spans {
+        desim::span::write_perfetto(&mut doc, &s.exemplars);
     }
-    out.push_str("]}");
-    Some(out)
+    if let Some(t) = telemetry {
+        t.write_perfetto(&mut doc);
+    }
+    if let Some(p) = profile {
+        p.write_perfetto(&mut doc);
+    }
+    if let Some(m) = memory {
+        m.write_perfetto(&mut doc);
+    }
+    Some(doc.finish())
 }
 
 /// One plotted series (a line of a figure, or a table block).
@@ -197,21 +180,6 @@ impl Series {
             header: header.into(),
             rows: Vec::new(),
         }
-    }
-
-    /// Renders the series as CSV (columns split on whitespace — every
-    /// series in this crate uses fixed-width numeric columns).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let cols: Vec<&str> = self.header.split_whitespace().collect();
-        out.push_str(&cols.join(","));
-        out.push('\n');
-        for r in &self.rows {
-            let cells: Vec<&str> = r.split_whitespace().collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -329,35 +297,6 @@ impl FigureReport {
         print!("{}", self.render());
     }
 
-    /// Writes one CSV per series into `dir` (for external plotting);
-    /// returns the written paths.
-    pub fn write_csvs(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let slug = |s: &str| -> String {
-            s.chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() {
-                        c.to_ascii_lowercase()
-                    } else {
-                        '_'
-                    }
-                })
-                .collect::<String>()
-                .split('_')
-                .filter(|p| !p.is_empty())
-                .collect::<Vec<_>>()
-                .join("_")
-        };
-        let mut paths = Vec::new();
-        for series in &self.series {
-            let name = format!("{}__{}.csv", slug(&self.id), slug(&series.label));
-            let path = dir.join(name);
-            std::fs::write(&path, series.to_csv())?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
-
     /// Renders the report as Markdown (for `EXPERIMENTS.md`).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -428,26 +367,6 @@ mod tests {
         assert!(md.starts_with("## Figure 7"));
         assert!(md.contains("```text"));
         assert!(md.contains("| peak ratio | 1.58x | 1.49x | ✅ |"));
-    }
-
-    #[test]
-    fn csv_has_matching_columns() {
-        let mut s = Series::new("Adios", "  offered   p50(us)  p999(us)");
-        s.rows.push("  1300000      5.50     13.82".into());
-        let csv = s.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "offered,p50(us),p999(us)");
-        assert_eq!(lines[1], "1300000,5.50,13.82");
-    }
-
-    #[test]
-    fn write_csvs_creates_files() {
-        let dir = std::env::temp_dir().join(format!("adios_csv_test_{}", std::process::id()));
-        let paths = sample().write_csvs(&dir).unwrap();
-        assert_eq!(paths.len(), 1);
-        let content = std::fs::read_to_string(&paths[0]).unwrap();
-        assert!(content.starts_with("x,y"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

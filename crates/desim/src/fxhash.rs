@@ -8,7 +8,7 @@
 //! multiply per word, unkeyed and therefore also run-to-run stable —
 //! iteration-order-independent code paths stay byte-deterministic.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit Fx multiplier (derived from the golden ratio).
@@ -70,9 +70,6 @@ impl Hasher for FxHasher {
 
 /// `HashMap` with the Fx hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` with the Fx hasher.
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@
 //!   reports through.
 //! - [`span`] — per-request span trees ([`SpanBuilder`], [`SpanStore`])
 //!   with exact critical-path attribution ([`CriticalPath`]), per-stage
-//!   histograms, tail exemplars, and Perfetto export.
+//!   histograms, tail exemplars, and their Perfetto tracks.
 //! - [`telemetry`] — continuous telemetry: a virtual-time
 //!   [`FlightRecorder`] sampling every counter/gauge into
 //!   [`TimeSeries`] buckets, per-entity health scores, and an SLO
@@ -31,10 +31,15 @@
 //!   every core's timeline exhaustively into typed [`CoreState`]s, plus
 //!   queue probes ([`QueueProbe`]) with a Little's-law cross-check and
 //!   folded-stack flamegraph export.
+//! - [`json`] — the one JSON writer every report serialises through
+//!   ([`json::Writer`], [`json::ToJson`]) and the Perfetto timeline
+//!   document the span layer and the planes write their tracks into
+//!   ([`json::Perfetto`]).
 
 pub mod event;
 pub mod fxhash;
 pub mod hist;
+pub mod json;
 pub mod profile;
 pub mod rng;
 pub mod series;
@@ -44,11 +49,10 @@ pub mod time;
 pub mod trace;
 
 pub use event::EventQueue;
-pub use fxhash::{FxHashMap, FxHashSet};
+pub use fxhash::FxHashMap;
 pub use hist::Histogram;
 pub use profile::{
     CoreProfiler, CoreReport, CoreState, ProfileConfig, ProfileReport, QueueProbe, QueueReport,
-    PERFETTO_PROFILE_PID,
 };
 pub use rng::Rng;
 pub use series::TimeSeries;

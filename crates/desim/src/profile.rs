@@ -20,14 +20,10 @@
 //! perturbs a run.
 
 use crate::hist::Histogram;
+use crate::json::{Perfetto, ToJson, Writer, PERFETTO_PROFILE_PID};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-
-/// Synthetic pid under which per-core state tracks are emitted into
-/// Perfetto documents — above the telemetry pid so the profiler gets
-/// its own process lane in the UI.
-pub const PERFETTO_PROFILE_PID: u64 = 2_000_000;
 
 /// Number of [`CoreState`] variants (array dimension of every tile).
 pub const NUM_STATES: usize = 9;
@@ -635,24 +631,17 @@ impl ProfileReport {
         out
     }
 
-    /// Perfetto events for the per-core state tracks: each core is a
-    /// thread under the profiler's synthetic process, each sub-window
+    /// Writes the per-core state tracks into a Perfetto document: each
+    /// core is a thread under [`PERFETTO_PROFILE_PID`], each sub-window
     /// is tiled by one `"X"` span per non-empty state (states laid out
     /// in [`CoreState::ALL`] order inside the sub-window, so each track
     /// is gap-free exactly like the underlying tiling).
-    pub fn perfetto_events(&self) -> Vec<String> {
+    pub fn write_perfetto(&self, doc: &mut Perfetto) {
         let pid = PERFETTO_PROFILE_PID;
-        let mut evs = Vec::new();
-        evs.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"core profiler\"}}}}"
-        ));
+        doc.process_name(pid, Some(0), "core profiler");
         for (tid, core) in self.cores.iter().enumerate() {
-            evs.push(format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                core.label
-            ));
+            let tid = tid as u64;
+            doc.thread_name(pid, tid, &core.label);
             let win = self.window.as_nanos();
             let nb = self.flame_windows as u64;
             for (k, tile) in core.tiles.iter().enumerate() {
@@ -664,77 +653,55 @@ impl ProfileReport {
                     if ns == 0 {
                         continue;
                     }
-                    evs.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\
-                         \"dur\":{:.3},\"name\":\"{}\"}}",
-                        (base + off) as f64 / 1e3,
-                        ns as f64 / 1e3,
-                        state.name()
-                    ));
+                    doc.complete(pid, tid, base + off, ns, state.name(), None);
                     off += ns;
                 }
             }
         }
-        evs
     }
+}
 
-    /// Deterministic JSON object (embedded under `"profile"` in the
+impl ToJson for ProfileReport {
+    /// One deterministic JSON object (embedded under `"profile"` in the
     /// per-run JSON).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let _ = write!(
-            out,
-            "{{\"window_ns\":{},\"flame_windows\":{},\"worker_spin_fraction\":{:.6},\
-             \"frame_wait_ns\":{},\"cores\":[",
-            self.window.as_nanos(),
-            self.flame_windows,
-            self.worker_spin_fraction(),
-            self.frame_wait_ns
-        );
-        for (i, core) in self.cores.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":\"{}\",\"total_ns\":{},\"states\":{{",
-                core.label,
-                core.total_ns()
-            );
-            for (j, state) in CoreState::ALL.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("window_ns").u64(self.window.as_nanos());
+            w.key("flame_windows").u64(self.flame_windows as u64);
+            w.key("worker_spin_fraction")
+                .f64(self.worker_spin_fraction(), 6);
+            w.key("frame_wait_ns").u64(self.frame_wait_ns);
+            w.key("cores").array(|w| {
+                for core in &self.cores {
+                    w.object(|w| {
+                        w.key("label").string(&core.label);
+                        w.key("total_ns").u64(core.total_ns());
+                        w.key("states").object(|w| {
+                            for state in CoreState::ALL {
+                                w.key(state.name()).u64(core.ns(state));
+                            }
+                        });
+                    });
                 }
-                let _ = write!(out, "\"{}\":{}", state.name(), core.ns(*state));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"queues\":[");
-        for (i, q) in self.queues.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"arrivals\":{},\"departures\":{},\"max_depth\":{},\
-                 \"mean_depth\":{:.6},\"arrival_rate_hz\":{:.3},\"mean_wait_ns\":{:.3},\
-                 \"wait_p50_ns\":{},\"wait_p99_ns\":{},\"wait_samples\":{},\
-                 \"littles_consistency\":{:.6}}}",
-                q.name,
-                q.arrivals,
-                q.departures,
-                q.max_depth,
-                q.mean_depth,
-                q.arrival_rate_hz,
-                q.mean_wait_ns,
-                q.wait_p50_ns,
-                q.wait_p99_ns,
-                q.wait_samples,
-                q.littles_consistency
-            );
-        }
-        out.push_str("]}");
-        out
+            });
+            w.key("queues").array(|w| {
+                for q in &self.queues {
+                    w.object(|w| {
+                        w.key("name").string(&q.name);
+                        w.key("arrivals").u64(q.arrivals);
+                        w.key("departures").u64(q.departures);
+                        w.key("max_depth").u64(q.max_depth);
+                        w.key("mean_depth").f64(q.mean_depth, 6);
+                        w.key("arrival_rate_hz").f64(q.arrival_rate_hz, 3);
+                        w.key("mean_wait_ns").f64(q.mean_wait_ns, 3);
+                        w.key("wait_p50_ns").u64(q.wait_p50_ns);
+                        w.key("wait_p99_ns").u64(q.wait_p99_ns);
+                        w.key("wait_samples").u64(q.wait_samples);
+                        w.key("littles_consistency").f64(q.littles_consistency, 6);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -950,8 +917,12 @@ mod tests {
         assert!(folded.contains("dispatcher;dispatch;w0 500"));
         assert!(folded.contains("worker0;spin;w1 500"));
 
-        let evs = rep.perfetto_events();
-        assert!(evs.iter().any(|e| e.contains("\"thread_name\"")));
-        assert!(evs.iter().any(|e| e.contains("\"name\":\"spin\"")));
+        let mut doc = Perfetto::default();
+        rep.write_perfetto(&mut doc);
+        let evs = doc.finish();
+        assert!(evs.contains("\"name\":\"thread_name\",\"args\":{\"name\":\"worker0\"}"));
+        assert!(evs.contains(
+            "{\"ph\":\"X\",\"pid\":2000000,\"tid\":1,\"ts\":0.500,\"dur\":0.500,\"name\":\"spin\"}"
+        ));
     }
 }

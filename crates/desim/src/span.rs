@@ -50,14 +50,15 @@
 //!   fastest retained exemplar first, so memory stays bounded at
 //!   saturation while the trees that explain the tail survive.
 //!
-//! Exporters: [`spans_to_json`] (raw schema, deterministic) and
-//! [`perfetto_json`] (Chrome trace event format, loadable in
-//! [Perfetto](https://ui.perfetto.dev) — see `docs/MODEL.md` §7).
+//! Exporters: [`StageStats`]' JSON (the run report's `"stages"`) and
+//! the exemplars' Perfetto tracks ([`write_perfetto`], or a whole
+//! document from [`perfetto_json`]; Chrome trace event format, loadable
+//! in [Perfetto](https://ui.perfetto.dev) — see `docs/MODEL.md` §7).
 
 use std::fmt;
-use std::fmt::Write as _;
 
 use crate::hist::Histogram;
+use crate::json::{Perfetto, ToJson, Writer};
 use crate::time::SimTime;
 
 /// Sentinel parent index meaning "no parent" (only the root uses it).
@@ -798,30 +799,24 @@ impl StageStats {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         self.hists.iter().map(|(n, h)| (*n, h))
     }
+}
 
-    /// Renders `{"stage":{"count":..,"mean":..,"p50":..,"p99":..,
-    /// "p999":..,"max":..},..}` deterministically (canonical order,
-    /// fixed float precision).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+impl ToJson for StageStats {
+    /// `{"stage":{"count":..,"mean":..,"p50":..,"p99":..,"p999":..,
+    /// "max":..},..}` in canonical order, the mean at fixed precision.
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            for (name, h) in &self.hists {
+                w.key(name).object(|w| {
+                    w.key("count").u64(h.count());
+                    w.key("mean").f64(h.mean(), 1);
+                    w.key("p50").u64(h.percentile(50.0));
+                    w.key("p99").u64(h.percentile(99.0));
+                    w.key("p999").u64(h.percentile(99.9));
+                    w.key("max").u64(h.max());
+                });
             }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                name,
-                h.count(),
-                h.mean(),
-                h.percentile(50.0),
-                h.percentile(99.0),
-                h.percentile(99.9),
-                h.max()
-            );
-        }
-        out.push('}');
-        out
+        });
     }
 }
 
@@ -1006,54 +1001,7 @@ pub struct SpanReport {
     pub measured: u64,
 }
 
-/// Renders span trees in the raw schema (`docs/MODEL.md` §7):
-/// `[{"request":..,"class":..,"spans":[{"name":..,"parent":..,
-/// "start":..,"end":..,"a":..,"b":..},..]},..]`. `parent` is `-1`
-/// for the root. Deterministic for a deterministic tree list.
-pub fn spans_to_json(trees: &[SpanTree]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in trees.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"request\":{},\"class\":{},\"spans\":[",
-            t.request, t.class
-        );
-        for (j, s) in t.spans.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let parent = if s.parent == NO_PARENT {
-                -1
-            } else {
-                s.parent as i64
-            };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"parent\":{},\"start\":{},\"end\":{},\"a\":{},\"b\":{}}}",
-                s.name,
-                parent,
-                s.start.as_nanos(),
-                s.end.as_nanos(),
-                s.a,
-                s.b
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    out
-}
-
-/// Timestamp in Chrome-trace microseconds, fixed precision.
-fn us(t: SimTime) -> String {
-    format!("{:.3}", t.as_nanos() as f64 / 1_000.0)
-}
-
-/// Renders span trees as Chrome trace event JSON, loadable at
-/// <https://ui.perfetto.dev>.
+/// Writes span trees' tracks into a Perfetto document.
 ///
 /// Layout: each request is a Perfetto *process* (`pid` = request
 /// sequence) with four tracks — `tid` 0 the root `request` span,
@@ -1061,111 +1009,51 @@ fn us(t: SimTime) -> String {
 /// — all as `"X"` complete events (each track is overlap-free by
 /// construction). Fetches and their `nic_queue`/`wire` sub-spans are
 /// async `"b"`/`"e"` pairs (category `"fetch"`, process-wide unique
-/// ids) because concurrent prefetches overlap in time.
-pub fn perfetto_json(trees: &[SpanTree]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
+/// ids) because concurrent prefetches overlap in time; a failover is an
+/// instant on the faults track.
+pub fn write_perfetto(doc: &mut Perfetto, trees: &[SpanTree]) {
     let mut async_id: u64 = 0;
-    let push = |out: &mut String, first: &mut bool, ev: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&ev);
-    };
     for t in trees {
         let pid = t.request;
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"request {} (class {})\"}}}}",
-                t.request, t.class
-            ),
-        );
+        let name = format!("request {} (class {})", t.request, t.class);
+        doc.process_name(pid, None, &name);
         for (tid, name) in [
             (0, "request"),
             (1, "segments"),
             (2, "phases"),
             (3, "faults"),
         ] {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-            );
+            doc.thread_name(pid, tid, name);
         }
         for s in &t.spans {
+            let (start, name, args) = (s.start.as_nanos(), s.name.as_str(), (s.a, s.b));
             let tid = match s.name {
                 node::REQUEST => 0,
                 node::SEGMENT => 1,
                 node::FAULT => 3,
                 node::FAILOVER => {
-                    push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":3,\"ts\":{},\
-                             \"name\":\"failover\",\"s\":\"t\",\
-                             \"args\":{{\"a\":{},\"b\":{}}}}}",
-                            us(s.start),
-                            s.a,
-                            s.b
-                        ),
-                    );
+                    doc.instant(pid, 3, start, name, "t", Some(args));
                     continue;
                 }
                 node::FETCH | node::NIC_QUEUE | node::WIRE | node::RETRANS => {
-                    let id = async_id;
+                    let end = s.end.as_nanos();
+                    doc.async_slice("fetch", async_id, pid, 0, start, end, name, args);
                     async_id += 1;
-                    push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"ph\":\"b\",\"cat\":\"fetch\",\"id\":{id},\"pid\":{pid},\
-                             \"tid\":0,\"ts\":{},\"name\":\"{}\",\
-                             \"args\":{{\"a\":{},\"b\":{}}}}}",
-                            us(s.start),
-                            s.name,
-                            s.a,
-                            s.b
-                        ),
-                    );
-                    push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"ph\":\"e\",\"cat\":\"fetch\",\"id\":{id},\"pid\":{pid},\
-                             \"tid\":0,\"ts\":{},\"name\":\"{}\"}}",
-                            us(s.end),
-                            s.name
-                        ),
-                    );
                     continue;
                 }
                 _ => 2,
             };
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{:.3},\
-                     \"name\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                    us(s.start),
-                    s.dur_ns() as f64 / 1_000.0,
-                    s.name,
-                    s.a,
-                    s.b
-                ),
-            );
+            doc.complete(pid, tid, start, s.dur_ns(), name, Some(args));
         }
     }
-    out.push_str("]}");
-    out
+}
+
+/// Renders span trees as one Chrome trace event document, loadable at
+/// <https://ui.perfetto.dev> (layout: [`write_perfetto`]).
+pub fn perfetto_json(trees: &[SpanTree]) -> String {
+    let mut doc = Perfetto::default();
+    write_perfetto(&mut doc, trees);
+    doc.finish()
 }
 
 #[cfg(test)]
@@ -1586,18 +1474,6 @@ mod tests {
         let b = store.builder(0, t(0));
         store.discard(b);
         assert!(!store.pool.is_empty());
-    }
-
-    #[test]
-    fn spans_json_is_deterministic_and_shaped() {
-        let trees = [sample_tree(0), sample_tree(1)];
-        let a = spans_to_json(&trees);
-        let b = spans_to_json(&trees);
-        assert_eq!(a, b);
-        assert!(a.starts_with('[') && a.ends_with(']'));
-        assert!(a.contains("\"name\":\"request\""));
-        assert!(a.contains("\"parent\":-1"));
-        assert!(a.contains("\"request\":1"));
     }
 
     #[test]

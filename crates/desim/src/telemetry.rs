@@ -16,16 +16,11 @@
 //! and serialisation uses fixed-precision formatting, so two
 //! identically-seeded runs produce byte-identical telemetry JSON.
 
+use crate::json::{Perfetto, ToJson, Writer, PERFETTO_TELEMETRY_PID};
 use crate::series::TimeSeries;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Metrics, TraceEvent, Tracer};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-
-/// Synthetic pid under which Perfetto counter tracks and SLO instants
-/// are emitted, far above any request id used by the span exporter so
-/// the telemetry process gets its own lane in the UI.
-pub const PERFETTO_TELEMETRY_PID: u64 = 1_000_000;
 
 /// Configuration for the telemetry plane.
 #[derive(Debug, Clone)]
@@ -110,7 +105,7 @@ impl SloRule {
         }
     }
 
-    /// Short kind tag used in JSON and CSV output.
+    /// Short kind tag used in JSON output.
     pub fn kind_name(&self) -> &'static str {
         match self {
             SloRule::LatencyBurn { .. } => "latency_burn",
@@ -128,29 +123,21 @@ impl SloRule {
         }
     }
 
-    fn to_json(&self) -> String {
-        match self {
-            SloRule::LatencyBurn {
-                objective,
-                budget,
-                window,
-            } => format!(
-                "{{\"kind\":\"latency_burn\",\"objective_ns\":{},\"budget\":{:.6},\"window_ns\":{}}}",
-                objective.as_nanos(),
-                budget,
-                window.as_nanos()
-            ),
-            SloRule::ErrorBudget { budget, window } => format!(
-                "{{\"kind\":\"error_budget\",\"budget\":{:.6},\"window_ns\":{}}}",
-                budget,
-                window.as_nanos()
-            ),
-            SloRule::QueueGrowth { factor, window } => format!(
-                "{{\"kind\":\"queue_growth\",\"factor\":{:.6},\"window_ns\":{}}}",
-                factor,
-                window.as_nanos()
-            ),
-        }
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("kind").string(self.kind_name());
+            match self {
+                SloRule::LatencyBurn {
+                    objective, budget, ..
+                } => {
+                    w.key("objective_ns").u64(objective.as_nanos());
+                    w.key("budget").f64(*budget, 6);
+                }
+                SloRule::ErrorBudget { budget, .. } => w.key("budget").f64(*budget, 6),
+                SloRule::QueueGrowth { factor, .. } => w.key("factor").f64(*factor, 6),
+            }
+            w.key("window_ns").u64(self.window().as_nanos());
+        });
     }
 }
 
@@ -253,7 +240,7 @@ pub enum SloEventKind {
 }
 
 impl SloEventKind {
-    /// Short tag used in JSON/CSV output and trace event names.
+    /// Short tag used in JSON output and Perfetto instant names.
     pub fn name(&self) -> &'static str {
         match self {
             SloEventKind::BreachBegin => "begin",
@@ -668,8 +655,8 @@ fn ring_mean(ring: &VecDeque<f64>) -> f64 {
 }
 
 /// The finished recording: bucketed series, the SLO event log, health
-/// trajectories, and episode annotations, with deterministic JSON/CSV
-/// and Perfetto serialisations.
+/// trajectories, and episode annotations, with deterministic JSON and
+/// Perfetto serialisations.
 pub struct TelemetryReport {
     /// Sampling period.
     pub tick: SimDuration,
@@ -713,190 +700,105 @@ impl TelemetryReport {
         self.health.iter().map(|(n, s)| (n.as_str(), s))
     }
 
-    /// Serialises the report as one deterministic JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 * 1024);
-        let _ = write!(
-            out,
-            "{{\"tick_ns\":{},\"ticks\":{},\"rules\":[",
-            self.tick.as_nanos(),
-            self.ticks
-        );
-        for (i, r) in self.rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":{},\"kind\":\"{}\",\"t_ns\":{},\"series\":\"{}\",\"window_ns\":{},\"value_milli\":{}}}",
-                e.rule,
-                e.kind.name(),
-                e.at.as_nanos(),
-                e.series,
-                e.window.as_nanos(),
-                e.value_milli
-            );
-        }
-        out.push_str("],\"episodes\":[");
-        for (i, ep) in self.episodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"start_ns\":{},\"end_ns\":{},\"kind\":\"{}\",\"affected\":[",
-                ep.start.as_nanos(),
-                ep.end.as_nanos(),
-                ep.kind
-            );
-            for (j, a) in ep.affected.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{a}\"");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"series\":{");
-        let mut first = true;
+    /// Every counter (per-tick deltas), gauge (last at tick) and burn
+    /// series as `(name, points)`, in export order.
+    fn each_series(&self, mut f: impl FnMut(&str, Vec<(SimTime, f64)>)) {
         for (name, s) in &self.counters {
-            series_json(&mut out, &mut first, name, &s.means());
+            f(name, s.means());
         }
         for (name, s) in &self.gauges {
-            series_json(&mut out, &mut first, name, &s.lasts());
+            f(name, s.lasts());
         }
         for (i, s) in self.burn.iter().enumerate() {
-            series_json(&mut out, &mut first, &format!("slo{i}.burn"), &s.lasts());
+            f(&format!("slo{i}.burn"), s.lasts());
         }
-        out.push_str("},\"health\":{");
-        let mut first = true;
-        for (name, s) in &self.health {
-            series_json(&mut out, &mut first, name, &s.lasts());
-        }
-        out.push_str("}}");
-        out
     }
 
-    /// `series,t_ns,value` CSV over every counter, gauge and burn
-    /// series.
-    pub fn series_csv(&self) -> String {
-        let mut out = String::from("series,t_ns,value\n");
-        for (name, s) in &self.counters {
-            for (t, v) in s.means() {
-                let _ = writeln!(out, "{},{},{:.3}", name, t.as_nanos(), v);
-            }
-        }
-        for (name, s) in &self.gauges {
-            for (t, v) in s.lasts() {
-                let _ = writeln!(out, "{},{},{:.3}", name, t.as_nanos(), v);
-            }
-        }
-        for (i, s) in self.burn.iter().enumerate() {
-            for (t, v) in s.lasts() {
-                let _ = writeln!(out, "slo{}.burn,{},{:.3}", i, t.as_nanos(), v);
-            }
-        }
-        out
-    }
-
-    /// `entity,t_ns,score` CSV over every health trajectory.
-    pub fn health_csv(&self) -> String {
-        let mut out = String::from("entity,t_ns,score\n");
-        for (name, s) in &self.health {
-            for (t, v) in s.lasts() {
-                let _ = writeln!(out, "{},{},{:.3}", name, t.as_nanos(), v);
-            }
-        }
-        out
-    }
-
-    /// `rule,kind,t_ns,series,window_ns,value_milli` CSV of the SLO
-    /// event log.
-    pub fn events_csv(&self) -> String {
-        let mut out = String::from("rule,kind,t_ns,series,window_ns,value_milli\n");
-        for e in &self.events {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{}",
-                e.rule,
-                e.kind.name(),
-                e.at.as_nanos(),
-                e.series,
-                e.window.as_nanos(),
-                e.value_milli
-            );
-        }
-        out
-    }
-
-    /// Perfetto (Chrome trace format) events for the telemetry process:
-    /// one `"C"` counter track per series under
-    /// [`PERFETTO_TELEMETRY_PID`], plus an instant per SLO transition —
-    /// each event serialised as one JSON object string.
+    /// Writes the telemetry process's tracks into a Perfetto document:
+    /// one `"C"` counter track per series and health trajectory under
+    /// [`PERFETTO_TELEMETRY_PID`], plus an instant per SLO transition.
     /// `adios_core::perfetto_json` puts them on one timeline with the
     /// span exemplars and the other planes' tracks.
-    pub fn perfetto_counter_events(&self) -> Vec<String> {
-        fn us(t: SimTime) -> String {
-            format!("{:.3}", t.as_nanos() as f64 / 1000.0)
-        }
+    pub fn write_perfetto(&self, doc: &mut Perfetto) {
         let pid = PERFETTO_TELEMETRY_PID;
-        let mut evs = vec![format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"telemetry\"}}}}"
-        )];
+        doc.process_name(pid, None, "telemetry");
         let mut counter = |name: &str, pts: Vec<(SimTime, f64)>| {
             for (t, v) in pts {
-                evs.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"{}\",\"ts\":{},\"args\":{{\"value\":{:.3}}}}}",
-                    name,
-                    us(t),
-                    v
-                ));
+                doc.counter(pid, name, t.as_nanos(), v, 3);
             }
         };
-        for (name, s) in &self.counters {
-            counter(name, s.means());
-        }
-        for (name, s) in &self.gauges {
-            counter(name, s.lasts());
-        }
-        for (i, s) in self.burn.iter().enumerate() {
-            counter(&format!("slo{i}.burn"), s.lasts());
-        }
+        self.each_series(&mut counter);
         for (name, s) in &self.health {
             counter(&format!("health.{name}"), s.lasts());
         }
         for e in &self.events {
-            evs.push(format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"name\":\"slo{} breach {}\",\"s\":\"p\"}}",
-                us(e.at),
-                e.rule,
-                e.kind.name()
-            ));
+            let name = format!("slo{} breach {}", e.rule, e.kind.name());
+            doc.instant(pid, 0, e.at.as_nanos(), &name, "p", None);
         }
-        evs
     }
 }
 
-fn series_json(out: &mut String, first: &mut bool, name: &str, pts: &[(SimTime, f64)]) {
-    if !*first {
-        out.push(',');
+impl ToJson for TelemetryReport {
+    /// One deterministic JSON object: tick, rules, SLO events, fault
+    /// episodes, then every series and health trajectory as
+    /// `[[t_ns, value], …]` at three decimals.
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("tick_ns").u64(self.tick.as_nanos());
+            w.key("ticks").u64(self.ticks);
+            w.key("rules").array(|w| {
+                for r in &self.rules {
+                    r.write_json(w);
+                }
+            });
+            w.key("events").array(|w| {
+                for e in &self.events {
+                    w.object(|w| {
+                        w.key("rule").u64(e.rule as u64);
+                        w.key("kind").string(e.kind.name());
+                        w.key("t_ns").u64(e.at.as_nanos());
+                        w.key("series").string(e.series);
+                        w.key("window_ns").u64(e.window.as_nanos());
+                        w.key("value_milli").u64(e.value_milli);
+                    });
+                }
+            });
+            w.key("episodes").array(|w| {
+                for ep in &self.episodes {
+                    w.object(|w| {
+                        w.key("start_ns").u64(ep.start.as_nanos());
+                        w.key("end_ns").u64(ep.end.as_nanos());
+                        w.key("kind").string(ep.kind);
+                        w.key("affected").array(|w| {
+                            for a in &ep.affected {
+                                w.string(a);
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("series").object(|w| {
+                self.each_series(|name, pts| points(w.key(name), &pts));
+            });
+            w.key("health").object(|w| {
+                for (name, s) in &self.health {
+                    points(w.key(name), &s.lasts());
+                }
+            });
+        });
     }
-    *first = false;
-    let _ = write!(out, "\"{name}\":[");
-    for (i, (t, v)) in pts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+}
+
+/// `[[t_ns, value], …]`, values at three decimals.
+fn points(w: &mut Writer, pts: &[(SimTime, f64)]) {
+    w.array(|w| {
+        for (t, v) in pts {
+            w.array(|w| {
+                w.u64(t.as_nanos());
+                w.f64(*v, 3);
+            });
         }
-        let _ = write!(out, "[{},{:.3}]", t.as_nanos(), v);
-    }
-    out.push(']');
+    });
 }
 
 #[cfg(test)]
@@ -1134,8 +1036,11 @@ mod tests {
         assert!(json.contains("\"episodes\":[{\"start_ns\":0,\"end_ns\":50000,\"kind\":\"link_degraded\",\"affected\":[\"*\"]}]"));
         assert!(json.contains("\"health\":{\"qp0\":[[100000,100.000]]}"));
         assert!(json.contains("\"slo0.burn\":[[100000,0.000]]"));
-        assert!(rep.health_csv().contains("qp0,100000,100.000"));
-        let tracks = rep.perfetto_counter_events();
-        assert!(tracks.iter().any(|e| e.contains("\"ph\":\"C\"")));
+        let mut doc = Perfetto::default();
+        rep.write_perfetto(&mut doc);
+        let tracks = doc.finish();
+        assert!(tracks.contains(
+            "{\"ph\":\"C\",\"pid\":1000000,\"name\":\"health.qp0\",\"ts\":100.000,\"args\":{\"value\":100.000}}"
+        ));
     }
 }

@@ -25,9 +25,9 @@
 //! byte-identical output — the determinism suite relies on this.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
+use crate::json::{ToJson, Writer};
 use crate::time::SimTime;
 
 /// One traced occurrence at a simulated instant.
@@ -49,27 +49,6 @@ pub struct TraceEvent {
     pub a: u64,
     /// Second payload word (meaning depends on `name`).
     pub b: u64,
-}
-
-impl TraceEvent {
-    /// Renders the event as one deterministic JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"t\":{},\"c\":\"{}\",\"e\":\"{}\",\"a\":{},\"b\":{}}}",
-            self.at.as_nanos(),
-            self.component,
-            self.name,
-            self.a,
-            self.b
-        );
-    }
 }
 
 /// An interned `(component, name)` pair: an index into the closed
@@ -318,7 +297,7 @@ const SKEW_BUDGET: usize = 64;
 
 /// The events taken out of a [`RingTracer`], still in their compact
 /// form; text is produced by the accessors that export
-/// ([`TraceLog::iter`], [`TraceLog::to_json`]).
+/// ([`TraceLog::iter`], its [`ToJson`] array).
 #[derive(Debug, Clone)]
 pub struct TraceLog {
     records: Vec<Record>,
@@ -373,13 +352,24 @@ impl TraceLog {
             }
         }
     }
+}
 
-    /// Renders the events as a deterministic JSON array (the bytes
-    /// [`trace_to_json`] produces for the same events).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2 + 64 * self.records.len());
-        write_json_array(&mut out, self.iter());
-        out
+impl ToJson for TraceLog {
+    /// `[{"t":ns,"c":component,"e":name,"a":a,"b":b},…]` in the log's
+    /// current order.
+    fn write_json(&self, w: &mut Writer) {
+        w.reserve(64 * self.len());
+        w.array(|w| {
+            for ev in self {
+                w.object(|w| {
+                    w.key("t").u64(ev.at.as_nanos());
+                    w.key("c").string(ev.component);
+                    w.key("e").string(ev.name);
+                    w.key("a").u64(ev.a);
+                    w.key("b").u64(ev.b);
+                });
+            }
+        });
     }
 }
 
@@ -705,32 +695,30 @@ impl MetricsSnapshot {
     pub fn gauge(&self, name: &str) -> Option<&GaugeSnapshot> {
         self.gauges.iter().find(|g| g.name == name)
     }
+}
 
-    /// Renders the snapshot as one deterministic JSON object
-    /// (registration order; floats at fixed precision).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"window_ns\":");
-        let _ = write!(out, "{}", self.window_ns);
-        out.push_str(",\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"last\":{:.3},\"max\":{:.3},\"mean\":{:.6}}}",
-                g.name, g.last, g.max, g.mean
-            );
-        }
-        out.push_str("}}");
-        out
+impl ToJson for MetricsSnapshot {
+    /// `{"window_ns":…,"counters":{name:value,…},"gauges":{name:
+    /// {"last","max","mean"},…}}` in registration order, floats at fixed
+    /// precision.
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("window_ns").u64(self.window_ns);
+            w.key("counters").object(|w| {
+                for &(name, v) in &self.counters {
+                    w.key(name).u64(v);
+                }
+            });
+            w.key("gauges").object(|w| {
+                for g in &self.gauges {
+                    w.key(g.name).object(|w| {
+                        w.key("last").f64(g.last, 3);
+                        w.key("max").f64(g.max, 3);
+                        w.key("mean").f64(g.mean, 6);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -762,24 +750,6 @@ pub mod dispatcher_names {
         "dispatcher14.steals",
         "dispatcher15.steals",
     ];
-}
-
-fn write_json_array(out: &mut String, events: impl Iterator<Item = TraceEvent>) {
-    out.push('[');
-    for (i, ev) in events.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        ev.write_json(out);
-    }
-    out.push(']');
-}
-
-/// Renders a slice of trace events as a deterministic JSON array.
-pub fn trace_to_json(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    write_json_array(&mut out, events.iter().copied());
-    out
 }
 
 #[cfg(test)]
@@ -897,7 +867,6 @@ mod tests {
         want.sort_by_key(|e| e.at);
         assert_eq!(log.len(), want.len());
         assert!(log.iter().eq(want.iter().copied()), "order differs");
-        assert_eq!(log.to_json(), trace_to_json(&want));
     }
 
     #[test]
@@ -1038,11 +1007,13 @@ mod tests {
 
     #[test]
     fn trace_json_roundtrips_shape() {
-        let events = [ev(1, "alpha"), ev(2, "beta")];
-        let json = trace_to_json(&events);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"e\":\"alpha\""));
-        assert!(json.contains("\"t\":2"));
-        assert_eq!(json.matches('{').count(), 2);
+        let mut t = RingTracer::new(4);
+        t.record(ev(1, "alpha"));
+        t.record(ev(2, "beta"));
+        let json = t.into_log().to_json();
+        assert_eq!(
+            json,
+            r#"[{"t":1,"c":"test","e":"alpha","a":1,"b":0},{"t":2,"c":"test","e":"beta","a":2,"b":0}]"#
+        );
     }
 }

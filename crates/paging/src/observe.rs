@@ -38,6 +38,7 @@
 //! the hashed, scanning implementation produced.
 
 use desim::fxhash::FxHashMap;
+use desim::json::{Perfetto, ToJson, Writer, PERFETTO_MEMORY_PID};
 use std::fmt::Write as _;
 
 /// Detector class a prefetch is attributed to.
@@ -113,6 +114,16 @@ impl FateCounters {
     /// Exact conservation identity for this class.
     pub fn holds(&self) -> bool {
         self.issued == self.hits + self.lates + self.wasted + self.inflight_at_end
+    }
+
+    /// The six counters as members of the open JSON object.
+    fn write_members(&self, w: &mut Writer) {
+        w.key("issued").u64(self.issued);
+        w.key("hits").u64(self.hits);
+        w.key("lates").u64(self.lates);
+        w.key("wasted").u64(self.wasted);
+        w.key("inflight_at_end").u64(self.inflight_at_end);
+        w.key("late_saved_ns").u64(self.late_saved_ns);
     }
 }
 
@@ -760,90 +771,6 @@ impl MemReport {
         self.rows.iter().map(|r| r.ws_pages).max().unwrap_or(0)
     }
 
-    /// Deterministic JSON for the `"memory"` run-JSON block.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let t = self.totals();
-        let _ = write!(
-            out,
-            "{{\"window_ns\":{},\"touches\":{},\"distinct_pages\":{},\"total_pages\":{}",
-            self.window_ns, self.touches, self.distinct_pages, self.total_pages
-        );
-        let _ = write!(
-            out,
-            ",\"prefetch\":{{\"issued\":{},\"hits\":{},\"lates\":{},\"wasted\":{},\
-             \"inflight_at_end\":{},\"late_saved_ns\":{},\"hit_rate\":{:.6},\"conserved\":{}",
-            t.issued,
-            t.hits,
-            t.lates,
-            t.wasted,
-            t.inflight_at_end,
-            t.late_saved_ns,
-            self.hit_rate(),
-            self.holds()
-        );
-        out.push_str(",\"by_detector\":{");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"issued\":{},\"hits\":{},\"lates\":{},\"wasted\":{},\
-                 \"inflight_at_end\":{},\"late_saved_ns\":{}}}",
-                CLASS_NAMES[i],
-                c.issued,
-                c.hits,
-                c.lates,
-                c.wasted,
-                c.inflight_at_end,
-                c.late_saved_ns
-            );
-        }
-        out.push_str("}}");
-        let _ = write!(
-            out,
-            ",\"working_set\":{{\"windows\":{},\"mean_pages\":{:.3},\"peak_pages\":{}}}",
-            self.rows.len(),
-            self.ws_mean(),
-            self.ws_peak()
-        );
-        out.push_str(",\"heat\":{\"top\":[");
-        for (i, (page, w)) in self.heat_top.iter().take(16).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"page\":{page},\"weight\":{w:.3}}}");
-        }
-        let _ = write!(out, "],\"skew\":{:.6},\"shard_shares\":[", self.heat_skew);
-        for (i, s) in self.shard_shares.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{s:.6}");
-        }
-        out.push_str("]}");
-        out.push_str(",\"strides\":{\"top\":[");
-        for (i, (d, c)) in self.strides.iter().take(16).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"delta\":{d},\"count\":{c}}}");
-        }
-        let _ = write!(out, "],\"other\":{}}}", self.stride_other);
-        let _ = write!(out, ",\"obs_dropped\":{}", self.obs_dropped);
-        if self.obs_dropped > 0 {
-            let _ = write!(
-                out,
-                ",\"warning\":\"{} observatory rows/records dropped by bounded-memory caps; \
-                 series under-report\"",
-                self.obs_dropped
-            );
-        }
-        out.push('}');
-        out
-    }
-
     /// Heatmap CSV: one row per non-zero `window × bucket` cell.
     pub fn heatmap_csv(&self) -> String {
         let mut out = String::from("window_start_us,page_bucket,touches\n");
@@ -870,34 +797,80 @@ impl MemReport {
         out
     }
 
-    /// Perfetto counter events (heat skew, working set, hit-rate) under
-    /// the synthetic process `pid`, one sample per closed window.
-    pub fn perfetto_counter_events(&self, pid: u64) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.rows.len() * 3 + 1);
-        out.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"memory\"}}}}"
-        ));
+    /// Writes the observatory's counter tracks (heat skew, prefetch
+    /// hit-rate, working set) into a Perfetto document under
+    /// [`PERFETTO_MEMORY_PID`], one sample per closed window.
+    pub fn write_perfetto(&self, doc: &mut Perfetto) {
+        let pid = PERFETTO_MEMORY_PID;
+        doc.process_name(pid, None, "memory");
         for r in &self.rows {
             let end_ns = (r.idx + 1) * self.window_ns;
-            let ts = format!("{:.3}", end_ns as f64 / 1000.0);
-            out.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"heat_skew\",\"ts\":{ts},\
-                 \"args\":{{\"value\":{:.6}}}}}",
-                r.skew
-            ));
-            out.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"prefetch_hit_rate\",\"ts\":{ts},\
-                 \"args\":{{\"value\":{:.6}}}}}",
-                r.hit_rate
-            ));
-            out.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"ws_pages\",\"ts\":{ts},\
-                 \"args\":{{\"value\":{}}}}}",
-                r.ws_pages
-            ));
+            doc.counter(pid, "heat_skew", end_ns, r.skew, 6);
+            doc.counter(pid, "prefetch_hit_rate", end_ns, r.hit_rate, 6);
+            doc.counter(pid, "ws_pages", end_ns, r.ws_pages as f64, 0);
         }
-        out
+    }
+}
+
+impl ToJson for MemReport {
+    /// Deterministic JSON for the `"memory"` run-JSON block.
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("window_ns").u64(self.window_ns);
+            w.key("touches").u64(self.touches);
+            w.key("distinct_pages").u64(self.distinct_pages);
+            w.key("total_pages").u64(self.total_pages);
+            w.key("prefetch").object(|w| {
+                self.totals().write_members(w);
+                w.key("hit_rate").f64(self.hit_rate(), 6);
+                w.key("conserved").bool(self.holds());
+                w.key("by_detector").object(|w| {
+                    for (name, c) in CLASS_NAMES.iter().zip(&self.classes) {
+                        w.key(name).object(|w| c.write_members(w));
+                    }
+                });
+            });
+            w.key("working_set").object(|w| {
+                w.key("windows").u64(self.rows.len() as u64);
+                w.key("mean_pages").f64(self.ws_mean(), 3);
+                w.key("peak_pages").u64(self.ws_peak());
+            });
+            w.key("heat").object(|w| {
+                w.key("top").array(|w| {
+                    for &(page, weight) in self.heat_top.iter().take(16) {
+                        w.object(|w| {
+                            w.key("page").u64(page);
+                            w.key("weight").f64(weight, 3);
+                        });
+                    }
+                });
+                w.key("skew").f64(self.heat_skew, 6);
+                w.key("shard_shares").array(|w| {
+                    for &share in &self.shard_shares {
+                        w.f64(share, 6);
+                    }
+                });
+            });
+            w.key("strides").object(|w| {
+                w.key("top").array(|w| {
+                    for &(delta, count) in self.strides.iter().take(16) {
+                        w.object(|w| {
+                            w.key("delta").i64(delta);
+                            w.key("count").u64(count);
+                        });
+                    }
+                });
+                w.key("other").u64(self.stride_other);
+            });
+            w.key("obs_dropped").u64(self.obs_dropped);
+            if self.obs_dropped > 0 {
+                w.key("warning").string(&format!(
+                    "{} observatory rows/records dropped by bounded-memory caps; \
+                     series under-report",
+                    self.obs_dropped
+                ));
+            }
+        });
     }
 }
 
@@ -1045,15 +1018,19 @@ mod tests {
         let (a, b) = (run(), run());
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.heatmap_csv(), b.heatmap_csv());
-        assert_eq!(
-            a.perfetto_counter_events(3_000_000),
-            b.perfetto_counter_events(3_000_000)
-        );
+        let timeline = |r: &MemReport| {
+            let mut doc = Perfetto::default();
+            r.write_perfetto(&mut doc);
+            doc.finish()
+        };
+        let tracks = timeline(&a);
+        assert_eq!(tracks, timeline(&b));
         assert!(a.heatmap_csv().lines().count() > 1, "non-empty heatmap");
         assert!(a.to_json().contains("\"conserved\":true"));
-        for ev in a.perfetto_counter_events(3_000_000).iter().skip(1) {
-            assert!(ev.contains("\"ph\":\"C\""), "{ev}");
-        }
+        // The process name, then three counter samples per closed window.
+        assert_eq!(tracks.matches("\"ph\":\"M\"").count(), 1);
+        assert_eq!(tracks.matches("\"ph\":\"C\"").count(), 3 * a.rows.len());
+        assert!(tracks.contains("\"name\":\"ws_pages\",\"ts\":1000.000,\"args\":{\"value\":"));
     }
 
     #[test]

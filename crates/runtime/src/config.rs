@@ -101,6 +101,13 @@ pub enum DispatchPolicy {
 }
 
 impl DispatchPolicy {
+    /// Every policy, in the order `--dispatch-policy` lists them.
+    pub const ALL: [DispatchPolicy; 3] = [
+        DispatchPolicy::SingleFcfs,
+        DispatchPolicy::WorkStealing,
+        DispatchPolicy::FlatCombining,
+    ];
+
     /// CLI/report label (`--dispatch-policy` accepts these).
     pub fn name(self) -> &'static str {
         match self {

@@ -3,6 +3,7 @@
 //! application substrates.
 
 use adios::apps::silo::tpcc::TpccScale;
+use adios::desim::json::ToJson;
 use adios::prelude::*;
 
 mod golden;
@@ -107,9 +108,9 @@ fn metrics_and_trace_json_bitwise_reproducible() {
 #[test]
 fn span_and_perfetto_json_bitwise_reproducible() {
     // The span layer inherits the simulation's determinism too: equal
-    // seeds must serialise to byte-identical span-tree and Perfetto
-    // JSON (exemplar selection included).
-    use adios::desim::span::{perfetto_json, spans_to_json};
+    // seeds must select equal exemplar trees and serialise them to
+    // byte-identical Perfetto JSON.
+    use adios::desim::span::perfetto_json;
     let mut p = params(5);
     p.spans = Some(adios::desim::SpanConfig::with_exemplars(95.0, 32));
     let mut w1 = ArrayIndexWorkload::new(16_384);
@@ -121,9 +122,8 @@ fn span_and_perfetto_json_bitwise_reproducible() {
     assert_eq!(ra.measured, rb.measured);
     assert_eq!(ra.stats.to_json(), rb.stats.to_json());
     assert_eq!(
-        spans_to_json(&ra.exemplars),
-        spans_to_json(&rb.exemplars),
-        "equal seeds must serialise identical span trees"
+        ra.exemplars, rb.exemplars,
+        "equal seeds must keep identical span trees"
     );
     assert_eq!(
         perfetto_json(&ra.exemplars),
@@ -136,8 +136,8 @@ fn span_and_perfetto_json_bitwise_reproducible() {
     p2.seed = 6;
     let c = run_one(SystemConfig::adios(), &mut w3, p2);
     assert_ne!(
-        spans_to_json(&ra.exemplars),
-        spans_to_json(&c.spans.as_ref().unwrap().exemplars),
+        ra.exemplars,
+        c.spans.as_ref().unwrap().exemplars,
         "different seeds must not collide"
     );
 }
@@ -253,8 +253,11 @@ fn telemetry_json_bitwise_reproducible() {
         tb.to_json(),
         "equal seeds must serialise identical telemetry JSON"
     );
-    assert_eq!(ta.perfetto_counter_events(), tb.perfetto_counter_events());
-    assert_eq!(ta.series_csv(), tb.series_csv());
+    assert_eq!(
+        adios::core_api::perfetto_json(&a),
+        adios::core_api::perfetto_json(&b),
+        "equal seeds must serialise identical counter tracks"
+    );
     let ja = adios::core_api::run_json(&a);
     assert!(
         ja.contains("\"telemetry\":{\"tick_ns\":100000,"),
@@ -402,7 +405,10 @@ fn profiler_output_bitwise_reproducible() {
     assert!(!pa.folded().is_empty(), "flamegraph must have stacks");
     assert_eq!(pa.folded(), pb.folded(), "folded stacks must match");
     assert_eq!(pa.to_json(), pb.to_json(), "profile JSON must match");
-    assert_eq!(pa.perfetto_events(), pb.perfetto_events());
+    assert_eq!(
+        adios::core_api::perfetto_json(&a),
+        adios::core_api::perfetto_json(&b)
+    );
     let ja = adios::core_api::run_json(&a);
     assert!(
         ja.contains("\"profile\":{\"window_ns\":"),
@@ -518,8 +524,8 @@ fn memory_observatory_bitwise_reproducible() {
     assert_eq!(ma.heatmap_csv(), mb.heatmap_csv());
     assert_eq!(ma.fingerprint_csv(), mb.fingerprint_csv());
     assert_eq!(
-        ma.perfetto_counter_events(3_000_000),
-        mb.perfetto_counter_events(3_000_000)
+        adios::core_api::perfetto_json(&a),
+        adios::core_api::perfetto_json(&b)
     );
     let ja = adios::core_api::run_json(&a);
     assert!(
