@@ -14,7 +14,7 @@
 //! The model here is deliberately page-granular: one 4 KB page holds a
 //! few tokens' worth of KV state across all layers, so a
 //! few-hundred-token prompt is a few dozen pages of prefill and each
-//! decode step walks the last `decode_window` pages of its session
+//! decode step walks the last [`DECODE_WINDOW`] pages of its session
 //! (sliding-window attention over the recent context) before appending
 //! to the tail page. All state lives in a [`PagedArena`] session table,
 //! and every value written is checksummable — decode *verifies* the KV
@@ -180,9 +180,12 @@ pub const CLASS_PREFILL: u16 = 0;
 /// Class index of decode requests.
 pub const CLASS_DECODE: u16 = 1;
 
+/// KV pages each decode step re-reads (the sliding attention window).
+pub const DECODE_WINDOW: u32 = 8;
+
 /// The serving workload: a stream of prefill and decode requests over a
 /// session table, with a configurable prefill:decode mix and prompt
-/// lengths.
+/// lengths drawn from a range set by the context window.
 ///
 /// Sessions whose context is empty (fresh) or full (at capacity) take a
 /// prefill; otherwise the mix fraction decides. Decode dominates a
@@ -193,7 +196,6 @@ pub struct LlmServeWorkload {
     prefill_fraction: f64,
     min_prompt_pages: u32,
     max_prompt_pages: u32,
-    decode_window: u32,
 }
 
 impl LlmServeWorkload {
@@ -206,7 +208,6 @@ impl LlmServeWorkload {
             prefill_fraction: 0.06,
             min_prompt_pages: (max_context_pages / 4).max(1),
             max_prompt_pages: (max_context_pages / 2).max(1),
-            decode_window: 8,
         }
     }
 
@@ -218,25 +219,6 @@ impl LlmServeWorkload {
     pub fn with_mix(mut self, prefill_fraction: f64) -> LlmServeWorkload {
         assert!((0.0..=1.0).contains(&prefill_fraction));
         self.prefill_fraction = prefill_fraction;
-        self
-    }
-
-    /// Builder: prompt-length range in KV pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or exceeds the context window.
-    pub fn with_prompt_pages(mut self, min: u32, max: u32) -> LlmServeWorkload {
-        assert!(min >= 1 && min <= max && max <= self.llm.max_context_pages);
-        self.min_prompt_pages = min;
-        self.max_prompt_pages = max;
-        self
-    }
-
-    /// Builder: KV pages each decode step re-reads.
-    pub fn with_decode_window(mut self, window: u32) -> LlmServeWorkload {
-        assert!(window >= 1);
-        self.decode_window = window;
         self
     }
 
@@ -274,7 +256,7 @@ impl Workload for LlmServeWorkload {
             let request = 64 + prompt * 256;
             rec.finish_into(buf, CLASS_PREFILL, request, 24);
         } else {
-            self.llm.decode(session, self.decode_window, &mut rec);
+            self.llm.decode(session, DECODE_WINDOW, &mut rec);
             // One generated token out.
             rec.finish_into(buf, CLASS_DECODE, 48, 24);
         }

@@ -436,11 +436,6 @@ impl SiloDb {
         &self.engine
     }
 
-    /// Mutable engine access (commit phase).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
     /// Deployment scale.
     pub fn scale(&self) -> TpccScale {
         self.scale

@@ -1004,7 +1004,7 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
     for shards in [1usize, 2, 4] {
         let cfg = SystemConfig {
             memnode_shards: shards,
-            fabric: narrow.clone(),
+            fabric: narrow,
             ..SystemConfig::adios()
         };
         let params = RunParams {

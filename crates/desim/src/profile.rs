@@ -194,11 +194,6 @@ impl CoreProfiler {
         self.cores.len() - 1
     }
 
-    /// Number of registered cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Accrues the window-clamped part of `[from, to]` to `state`,
     /// split exactly across flame sub-windows. `from` is the core's
     /// cursor, so successive calls never go back in time.

@@ -933,11 +933,13 @@ impl SpanStore {
     }
 
     /// Completes a request at reply-receipt instant `rx` and returns
-    /// its attribution. Aggregates (histograms, attribution rows,
-    /// exemplars) only when `in_window` — warm-up and drain-phase
-    /// completions still produce an attribution but leave no trace.
+    /// its attribution, whose components sum to its end-to-end latency
+    /// exactly. Aggregates (histograms, attribution rows, exemplars)
+    /// only when `in_window` — warm-up and drain-phase completions still
+    /// produce an attribution but leave no trace.
     pub fn complete(&mut self, b: SpanBuilder, rx: SimTime, in_window: bool) -> CriticalPath {
         let cp = b.attribution(rx, &mut self.stalls);
+        debug_assert_eq!(cp.components_sum(), cp.e2e_ns);
         if in_window {
             self.measured += 1;
             self.stats.record(&cp);

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use desim::SimTime;
 
 use crate::link::Link;
-use crate::params::FabricParams;
+use crate::params::{FabricParams, ETH_TX_COMPLETION, ETH_TX_ENGINE};
 
 /// Bounded RX descriptor ring; packets arriving to a full ring are
 /// dropped (this is where offered-load beyond saturation disappears in
@@ -86,8 +86,6 @@ pub struct EthPort {
     /// Compute node → load generator direction.
     egress: Link,
     tx_engine_free: SimTime,
-    tx_engine_cost: desim::SimDuration,
-    cqe_cost: desim::SimDuration,
 }
 
 impl EthPort {
@@ -97,8 +95,6 @@ impl EthPort {
             ingress: Link::new(params),
             egress: Link::new(params),
             tx_engine_free: SimTime::ZERO,
-            tx_engine_cost: params.eth_tx_engine,
-            cqe_cost: params.eth_tx_completion,
         }
     }
 
@@ -113,10 +109,10 @@ impl EthPort {
     /// Transmits a reply posted by a worker at `now`.
     #[inline]
     pub fn send_reply(&mut self, now: SimTime, bytes: u32) -> TxResult {
-        self.tx_engine_free = self.tx_engine_free.max(now) + self.tx_engine_cost;
+        self.tx_engine_free = self.tx_engine_free.max(now) + ETH_TX_ENGINE;
         let client_rx_at = self.egress.transmit(self.tx_engine_free, bytes);
         // The local CQE is raised once the frame has left the port.
-        let cqe_at = self.egress.next_free() + self.cqe_cost;
+        let cqe_at = self.egress.next_free() + ETH_TX_COMPLETION;
         TxResult {
             cqe_at,
             client_rx_at,

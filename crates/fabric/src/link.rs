@@ -7,14 +7,12 @@
 
 use desim::{SimDuration, SimTime, NS_PER_SEC};
 
-use crate::params::FabricParams;
+use crate::params::{FabricParams, PROPAGATION, WIRE_OVERHEAD_BYTES};
 
 /// A unidirectional, bandwidth-limited wire.
 #[derive(Debug, Clone)]
 pub struct Link {
     bandwidth_bps: u64,
-    propagation: SimDuration,
-    wire_overhead_bytes: u32,
     next_free: SimTime,
     bytes_carried: u64,
     messages: u64,
@@ -47,8 +45,6 @@ impl Link {
     pub fn new(params: &FabricParams) -> Link {
         Link {
             bandwidth_bps: params.link_bandwidth_bps,
-            propagation: params.propagation,
-            wire_overhead_bytes: params.wire_overhead_bytes,
             next_free: SimTime::ZERO,
             bytes_carried: 0,
             messages: 0,
@@ -64,7 +60,7 @@ impl Link {
     /// never zero: the defining expression.
     #[inline]
     fn serialize_ns(&self, payload_bytes: u32) -> u64 {
-        let wire_bytes = (payload_bytes + self.wire_overhead_bytes) as u64;
+        let wire_bytes = (payload_bytes + WIRE_OVERHEAD_BYTES) as u64;
         (wire_bytes * 8 * NS_PER_SEC)
             .div_ceil(self.bandwidth_bps)
             .max(1)
@@ -92,14 +88,14 @@ impl Link {
     /// link congestion appears in the model.
     #[inline]
     pub fn transmit(&mut self, now: SimTime, payload_bytes: u32) -> SimTime {
-        let wire_bytes = (payload_bytes + self.wire_overhead_bytes) as u64;
+        let wire_bytes = (payload_bytes + WIRE_OVERHEAD_BYTES) as u64;
         let ser = SimDuration::from_nanos(self.serialize_ns_memo(payload_bytes));
         let start = self.next_free.max(now);
         self.next_free = start + ser;
         self.bytes_carried += wire_bytes;
         self.messages += 1;
         self.busy += ser;
-        self.next_free + self.propagation
+        self.next_free + PROPAGATION
     }
 
     /// Accounts a hardware-retransmitted message without touching the
@@ -116,7 +112,7 @@ impl Link {
     /// utilisation without distorting the FIFO.
     #[inline]
     pub fn account(&mut self, payload_bytes: u32) {
-        let wire_bytes = (payload_bytes + self.wire_overhead_bytes) as u64;
+        let wire_bytes = (payload_bytes + WIRE_OVERHEAD_BYTES) as u64;
         let ser_ns = self.serialize_ns_memo(payload_bytes);
         self.bytes_carried += wire_bytes;
         self.messages += 1;

@@ -4,7 +4,7 @@
 //! its NIC serves READ/WRITE directly from registered memory (the paper
 //! backs it with 2 MB huge pages). The node is therefore passive in the
 //! model — its per-request cost lives in
-//! [`FabricParams::remote_processing`](crate::FabricParams) — but it
+//! [`REMOTE_PROCESSING`](crate::params::REMOTE_PROCESSING) — but it
 //! still validates addresses and keeps service statistics.
 
 /// The remote memory node backing the compute node's paged memory.

@@ -27,14 +27,14 @@
 //! they bypass the WQE-engine and link FIFO heads (which were already
 //! charged at post time) and only account wasted wire bytes.
 
-use std::rc::Rc;
-
 use desim::{SimDuration, SimTime};
 use faults::{FaultPlane, NodeHealth};
 
 use crate::link::Link;
 use crate::memnode::MemNode;
-use crate::params::FabricParams;
+use crate::params::{
+    FabricParams, DOORBELL, LOCAL_DMA, NIC_ENGINE, PROPAGATION, REMOTE_PROCESSING, RTO_CAP,
+};
 
 /// Identifies a queue pair on the NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,12 +105,6 @@ impl Completion {
         self.status != CompletionStatus::Success
     }
 
-    /// Queueing wait in the shared WQE engine: post instant →
-    /// dispatch. Zero when the engine was idle.
-    pub fn sq_wait(&self, posted_at: SimTime) -> SimDuration {
-        self.issued_at.saturating_since(posted_at)
-    }
-
     /// Full send-queue slot residence: post instant → CQE pollable.
     /// The slot itself frees when the CQE is consumed with
     /// [`RdmaNic::on_cqe`], which simulations do at `done_at` — so this
@@ -141,10 +135,7 @@ pub struct OccupancySnapshot {
 /// The compute-node RNIC together with the RDMA link to the memory node.
 #[derive(Debug, Clone)]
 pub struct RdmaNic {
-    /// Shared, immutable cost constants: the runtime builds one NIC
-    /// rail per memnode shard, and all rails reference one allocation
-    /// instead of each carrying a private copy.
-    params: Rc<FabricParams>,
+    params: FabricParams,
     engine_free: SimTime,
     qps: Vec<Qp>,
     /// Running Σ `qps[i].outstanding`: `post` and `on_cqe` adjust it, so
@@ -180,12 +171,7 @@ const RTO_GRANULARITY_NS: u64 = 1_000;
 impl RdmaNic {
     /// Creates a NIC with `num_qps` queue pairs; QP *i* initially
     /// completes into CQ *i*.
-    ///
-    /// Accepts either owned [`FabricParams`] or a pre-shared
-    /// `Rc<FabricParams>`; multiple rails built from the same `Rc`
-    /// share one parameter allocation.
-    pub fn new(params: impl Into<Rc<FabricParams>>, num_qps: u32) -> RdmaNic {
-        let params = params.into();
+    pub fn new(params: FabricParams, num_qps: u32) -> RdmaNic {
         RdmaNic {
             to_remote: Link::new(&params),
             from_remote: Link::new(&params),
@@ -246,7 +232,7 @@ impl RdmaNic {
             self.params.rto.as_nanos()
         };
         let ns = base.saturating_mul(1u64 << attempt.min(16));
-        SimDuration::from_nanos(ns.min(self.params.rto_cap.as_nanos()).max(1))
+        SimDuration::from_nanos(ns.min(RTO_CAP.as_nanos()).max(1))
     }
 
     /// Folds one RTT measurement into SRTT/RTTVAR (RFC 6298 §2, with
@@ -300,7 +286,7 @@ impl RdmaNic {
     fn retransmit_leg(&self, bytes: u32, pen: &faults::LinkPenalty) -> SimDuration {
         let base = self.params.serialize(bytes).as_nanos() as f64;
         let ser = (base * pen.bw_factor.max(1.0)).round() as u64;
-        SimDuration::from_nanos(ser.max(1)) + self.params.propagation + pen.extra_latency
+        SimDuration::from_nanos(ser.max(1)) + PROPAGATION + pen.extra_latency
     }
 
     /// Posts a one-sided verb of `bytes` payload on `qp` at `now`.
@@ -335,8 +321,8 @@ impl RdmaNic {
         self.occ_max = self.occ_max.max(self.total);
 
         // Doorbell + shared WQE engine (single FIFO server).
-        let ready = now + self.params.doorbell;
-        self.engine_free = self.engine_free.max(ready) + self.params.nic_engine;
+        let ready = now + DOORBELL;
+        self.engine_free = self.engine_free.max(ready) + NIC_ENGINE;
         let dispatched = self.engine_free;
 
         let (out_bytes, in_bytes) = match verb {
@@ -380,7 +366,7 @@ impl RdmaNic {
                     NodeHealth::Stalled(d) => d,
                     _ => SimDuration::ZERO,
                 };
-                let resp_ready = out_arrive + self.params.remote_processing + stall;
+                let resp_ready = out_arrive + REMOTE_PROCESSING + stall;
                 let in_pen = plane.link_penalty(resp_ready);
                 let resp_here = if retx {
                     self.from_remote.account(in_bytes);
@@ -390,7 +376,7 @@ impl RdmaNic {
                     arrive + self.degrade_extra(in_bytes, &in_pen)
                 };
                 if !plane.packet_lost(resp_ready) {
-                    let done = resp_here + self.params.local_dma;
+                    let done = resp_here + LOCAL_DMA;
                     let status = if plane.cqe_error(done) {
                         CompletionStatus::RemoteError
                     } else {
@@ -996,7 +982,7 @@ mod tests {
         let mut plane = FaultPlane::new(FaultScenario::crash(), 3);
         let t = SimTime(20_000_000); // inside the outage window
         let mut primary = MemNode::new(1 << 20, 4096); // id 0: down
-        let mut nic = RdmaNic::new(params.clone(), 8);
+        let mut nic = RdmaNic::new(params, 8);
         let c = nic
             .post(t, QpId(0), Verb::Read, 7, 4096, &mut primary, &mut plane)
             .unwrap();

@@ -1,32 +1,46 @@
 //! Fabric cost constants.
 //!
-//! Defaults are calibrated to the paper's testbed (ConnectX-6 Dx 100 GbE,
+//! Costs are calibrated to the paper's testbed (ConnectX-6 Dx 100 GbE,
 //! PCIe-attached, 4 KB pages) and to the latency components the paper
 //! itself publishes: an unloaded 4 KB one-sided READ lands at ≈2.3 µs,
-//! inside the 2–3 µs the paper quotes (§3, refs [29, 64, 66]).
+//! inside the 2–3 µs the paper quotes (§3, refs [29, 64, 66]). The
+//! testbed is fixed, so every cost no experiment varies is a named
+//! constant; [`FabricParams`] carries only the five knobs a caller sets.
 
 use desim::SimDuration;
 
-/// Cost constants for links and NICs.
-#[derive(Debug, Clone)]
+/// One-way propagation + switching delay per link.
+pub const PROPAGATION: SimDuration = SimDuration::from_nanos(300);
+/// Wire overhead added to every message (Ethernet + IP + UDP + BTH/
+/// RETH + ICRC + FCS for RoCE; Ethernet framing for raw packets).
+pub const WIRE_OVERHEAD_BYTES: u32 = 78;
+/// MMIO doorbell + PCIe posting cost paid by the CPU per work request.
+pub const DOORBELL: SimDuration = SimDuration::from_nanos(100);
+/// Shared NIC work-queue-engine occupancy per WQE. This is the
+/// resource the paper blames for Memcached's throughput ceiling ("the
+/// NIC could not match the host's processing power", §5.2).
+pub const NIC_ENGINE: SimDuration = SimDuration::from_nanos(400);
+/// Memory-node-side NIC processing + host DMA per request.
+pub const REMOTE_PROCESSING: SimDuration = SimDuration::from_nanos(600);
+/// Compute-node-side DMA write + CQE generation on response arrival.
+pub const LOCAL_DMA: SimDuration = SimDuration::from_nanos(250);
+/// Cap on the exponentially backed-off RTO.
+pub const RTO_CAP: SimDuration = SimDuration::from_micros(256);
+/// RX descriptor ring size of the Ethernet port.
+pub const RX_RING_ENTRIES: usize = 4096;
+/// TX engine occupancy per Ethernet transmit.
+pub const ETH_TX_ENGINE: SimDuration = SimDuration::from_nanos(150);
+/// Delay from a frame leaving the port to its TX CQE being pollable
+/// (descriptor fetch + completion DMA over PCIe). This is what a
+/// non-delegating worker busy-waits on.
+pub const ETH_TX_COMPLETION: SimDuration = SimDuration::from_nanos(1_000);
+
+/// The fabric knobs a caller varies; every other cost is a constant of
+/// this module.
+#[derive(Debug, Clone, Copy)]
 pub struct FabricParams {
     /// Link bandwidth in bits per second (100 GbE).
     pub link_bandwidth_bps: u64,
-    /// One-way propagation + switching delay per link.
-    pub propagation: SimDuration,
-    /// Wire overhead added to every message (Ethernet + IP + UDP + BTH/
-    /// RETH + ICRC + FCS for RoCE; Ethernet framing for raw packets).
-    pub wire_overhead_bytes: u32,
-    /// MMIO doorbell + PCIe posting cost paid by the CPU per work request.
-    pub doorbell: SimDuration,
-    /// Shared NIC work-queue-engine occupancy per WQE. This is the
-    /// resource the paper blames for Memcached's throughput ceiling ("the
-    /// NIC could not match the host's processing power", §5.2).
-    pub nic_engine: SimDuration,
-    /// Memory-node-side NIC processing + host DMA per request.
-    pub remote_processing: SimDuration,
-    /// Compute-node-side DMA write + CQE generation on response arrival.
-    pub local_dma: SimDuration,
     /// Send-queue depth per QP (maximum outstanding work requests).
     pub qp_depth: u32,
     /// Base RC retransmission timeout: how long the transport engine
@@ -37,8 +51,6 @@ pub struct FabricParams {
     /// RC retry budget (`retry_cnt`): retransmissions allowed before
     /// the work request completes with a fatal CQE error.
     pub rc_retries: u32,
-    /// Cap on the exponentially backed-off RTO.
-    pub rto_cap: SimDuration,
     /// Adaptive retransmission timer (RFC 6298 style): the transport
     /// engine tracks SRTT/RTTVAR from unretransmitted completions and
     /// arms `SRTT + 4·RTTVAR` instead of the fixed [`rto`](Self::rto)
@@ -47,34 +59,16 @@ pub struct FabricParams {
     /// keeping it the default preserves byte-identity of every run
     /// that predates this knob.
     pub adaptive_rto: bool,
-    /// RX descriptor ring size of the Ethernet port.
-    pub rx_ring_entries: usize,
-    /// TX engine occupancy per Ethernet transmit.
-    pub eth_tx_engine: SimDuration,
-    /// Delay from a frame leaving the port to its TX CQE being
-    /// pollable (descriptor fetch + completion DMA over PCIe). This is
-    /// what a non-delegating worker busy-waits on.
-    pub eth_tx_completion: SimDuration,
 }
 
 impl Default for FabricParams {
     fn default() -> Self {
         FabricParams {
             link_bandwidth_bps: 100_000_000_000,
-            propagation: SimDuration::from_nanos(300),
-            wire_overhead_bytes: 78,
-            doorbell: SimDuration::from_nanos(100),
-            nic_engine: SimDuration::from_nanos(400),
-            remote_processing: SimDuration::from_nanos(600),
-            local_dma: SimDuration::from_nanos(250),
             qp_depth: 64,
             rto: SimDuration::from_micros(16),
             rc_retries: 7,
-            rto_cap: SimDuration::from_micros(256),
             adaptive_rto: false,
-            rx_ring_entries: 4096,
-            eth_tx_engine: SimDuration::from_nanos(150),
-            eth_tx_completion: SimDuration::from_nanos(1_000),
         }
     }
 }
@@ -82,7 +76,7 @@ impl Default for FabricParams {
 impl FabricParams {
     /// Serialization time for `bytes` of payload plus wire overhead.
     pub fn serialize(&self, payload_bytes: u32) -> SimDuration {
-        let wire_bytes = (payload_bytes + self.wire_overhead_bytes) as u64;
+        let wire_bytes = (payload_bytes + WIRE_OVERHEAD_BYTES) as u64;
         // bits / (bits per ns); round up so a message never takes zero time.
         let bits = wire_bytes * 8;
         let ns = (bits * desim::NS_PER_SEC).div_ceil(self.link_bandwidth_bps);
@@ -113,14 +107,14 @@ mod tests {
         // Doorbell + engine + req wire + prop + remote + data wire + prop
         // + local DMA should land in the paper's 2–3 µs window.
         let p = FabricParams::default();
-        let total = p.doorbell
-            + p.nic_engine
+        let total = DOORBELL
+            + NIC_ENGINE
             + p.serialize(16)
-            + p.propagation
-            + p.remote_processing
+            + PROPAGATION
+            + REMOTE_PROCESSING
             + p.serialize(4096)
-            + p.propagation
-            + p.local_dma;
+            + PROPAGATION
+            + LOCAL_DMA;
         let us = total.as_micros_f64();
         assert!((1.9..=3.1).contains(&us), "unloaded fetch = {us} us");
     }

@@ -67,11 +67,6 @@ impl OpenLoop {
     pub fn generated(&self) -> u64 {
         self.generated
     }
-
-    /// The configured mean inter-arrival gap.
-    pub fn mean_interarrival(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean_interarrival_ns.round() as u64)
-    }
 }
 
 /// A two-state Markov-modulated Poisson process (MMPP): bursts of

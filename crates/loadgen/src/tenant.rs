@@ -2,8 +2,8 @@
 //! into one deterministic stream tagged with tenant ids.
 //!
 //! A [`TenantSpec`] describes one tenant — its offered rate, the app it
-//! runs, a priority class, an optional MMPP burst shape and an optional
-//! latency SLO (the PR 5 `lat<OBJ:BUDGET@WINDOW` grammar, parsed with
+//! runs, a priority class and an optional latency SLO (the
+//! `lat<OBJ:BUDGET@WINDOW` grammar, parsed with
 //! [`desim::parse_slo_spec`]). A [`TenantPlane`] is the full mix plus
 //! the admission knobs the runtime enforces (per-tenant token buckets,
 //! the low-priority shed watermark). [`TenantMix`] turns a plane into
@@ -18,8 +18,8 @@
 //! `seed_bump = 0` the stream is *exactly* `OpenLoop::new(rate, seed)`,
 //! which is what keeps `tenants = 1` runs on the golden byte stream.
 
-use crate::arrivals::{BurstyLoop, OpenLoop};
-use desim::{SimDuration, SimTime, SloRule};
+use crate::arrivals::OpenLoop;
+use desim::{SimTime, SloRule};
 
 /// Dispatcher priority class of a tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +55,6 @@ pub struct TenantSpec {
     pub priority: TenantPriority,
     /// SLO rules evaluated over the tenant's own completion window.
     pub slo: Vec<SloRule>,
-    /// MMPP burst shape `(peak_factor, mean_phase)`; `None` = Poisson.
-    pub burst: Option<(f64, SimDuration)>,
     /// XORed into the tenant's derived seed — lets tests perturb one
     /// tenant's stream without touching the others.
     pub seed_bump: u64,
@@ -77,7 +75,6 @@ impl TenantSpec {
             app: app.into(),
             priority,
             slo: Vec::new(),
-            burst: None,
             seed_bump: 0,
             bucket_rps: None,
             bucket_burst: 64,
@@ -87,12 +84,6 @@ impl TenantSpec {
     /// Builder: attach a parsed SLO rule set.
     pub fn with_slo(mut self, slo: Vec<SloRule>) -> TenantSpec {
         self.slo = slo;
-        self
-    }
-
-    /// Builder: MMPP bursts instead of Poisson arrivals.
-    pub fn with_burst(mut self, peak_factor: f64, mean_phase: SimDuration) -> TenantSpec {
-        self.burst = Some((peak_factor, mean_phase));
         self
     }
 
@@ -250,25 +241,11 @@ fn tenant_seed(base: u64, index: usize, bump: u64) -> u64 {
     base ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ bump
 }
 
-/// One tenant's arrival source.
-enum Source {
-    Poisson(OpenLoop),
-    Mmpp(BurstyLoop),
-}
-
-impl Source {
-    fn next_arrival(&mut self) -> SimTime {
-        match self {
-            Source::Poisson(s) => s.next_arrival(),
-            Source::Mmpp(s) => s.next_arrival(),
-        }
-    }
-}
-
 /// N independent arrival sources merged into one stream tagged with
 /// tenant ids, by total order on `(time, tenant index)`.
 pub struct TenantMix {
-    sources: Vec<Source>,
+    /// One Poisson source per tenant.
+    sources: Vec<OpenLoop>,
     /// The head arrival of each tenant, not yet emitted.
     pending: Vec<SimTime>,
     generated: u64,
@@ -277,21 +254,15 @@ pub struct TenantMix {
 impl TenantMix {
     /// Builds the merged stream for a plane.
     pub fn new(plane: &TenantPlane, base_seed: u64) -> TenantMix {
-        let mut sources: Vec<Source> = plane
+        let mut sources: Vec<OpenLoop> = plane
             .specs
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let seed = tenant_seed(base_seed, i, spec.seed_bump);
-                match spec.burst {
-                    Some((peak, phase)) => {
-                        Source::Mmpp(BurstyLoop::new(spec.rate_rps, peak, phase, seed))
-                    }
-                    None => Source::Poisson(OpenLoop::new(spec.rate_rps, seed)),
-                }
+                OpenLoop::new(spec.rate_rps, tenant_seed(base_seed, i, spec.seed_bump))
             })
             .collect();
-        let pending = sources.iter_mut().map(Source::next_arrival).collect();
+        let pending = sources.iter_mut().map(OpenLoop::next_arrival).collect();
         TenantMix {
             sources,
             pending,

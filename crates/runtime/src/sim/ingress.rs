@@ -3,6 +3,7 @@
 //! everything between the wire and `try_dispatch` (§3.1).
 
 use desim::{SimDuration, SimTime};
+use fabric::params::RX_RING_ENTRIES;
 use loadgen::{BurstyLoop, OpenLoop, TenantMix, TenantPlane, TenantPriority};
 use paging::trace::Trace;
 
@@ -22,9 +23,9 @@ pub(super) enum Arrivals {
 }
 
 impl Arrivals {
-    /// The tenant mix when the plane is on (burst shapes are then
-    /// per-tenant and [`RunParams::burst`] is ignored), else the
-    /// single-source Poisson or MMPP stream.
+    /// The tenant mix when the plane is on (`Simulation::new` refuses
+    /// [`RunParams::burst`] with it), else the single-source Poisson or
+    /// MMPP stream.
     pub(super) fn new(params: &RunParams, mix: Option<TenantMix>) -> Arrivals {
         match (mix, params.burst) {
             (Some(mix), _) => Arrivals::Tenant(mix),
@@ -396,7 +397,7 @@ impl Simulation<'_> {
                 // one dispatcher's ingress slot (always slot 0 with one
                 // dispatcher — the steer is a constant there).
                 let home = self.fanin.steer();
-                if self.admission_backlog[home] >= self.cfg.fabric.rx_ring_entries
+                if self.admission_backlog[home] >= RX_RING_ENTRIES
                     || self.pending_depth() >= self.cfg.pending_cap
                 {
                     self.retire(now, req, Retire::Overflow { queue: 0 });

@@ -35,13 +35,13 @@
 //! `observe.rs` for the full contract).
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use desim::profile::{ProfileConfig, ProfileReport};
 use desim::span::{SpanConfig, SpanReport};
 use desim::telemetry::{TelemetryConfig, TelemetryReport};
 use desim::{EventQueue, MetricsSnapshot, Rng, SimDuration, SimTime, TraceLog};
-use fabric::{EthPort, FabricParams, MemNode, QpId, RdmaNic, ShardMap};
+use fabric::params::RX_RING_ENTRIES;
+use fabric::{EthPort, MemNode, QpId, RdmaNic, ShardMap};
 use faults::{FaultPlane, FaultScenario};
 use loadgen::{IngressFanIn, LoadPoint, Recorder, TenantMix, TenantPlane};
 pub use paging::observe::MemObsConfig;
@@ -85,7 +85,9 @@ pub struct RunParams {
     pub keep_breakdowns: bool,
     /// Optional burstiness: `(peak_factor, mean_phase)` turns the
     /// Poisson source into a two-state MMPP with the same mean rate
-    /// (§3.2 burst-tolerance studies).
+    /// (§3.2 burst-tolerance studies). Single-source runs only:
+    /// [`Simulation::new`] refuses it together with
+    /// [`RunParams::tenants`].
     pub burst: Option<(f64, SimDuration)>,
     /// Retain a virtual-time event trace with this ring-buffer capacity
     /// (None = tracing off, the zero-cost default). The most recent
@@ -127,8 +129,8 @@ pub struct RunParams {
     /// per-tenant window accounting. `tenantN.*` counters join the
     /// registry only when the plane has more than one tenant, so a
     /// one-tenant plane reproduces the golden capture byte for byte.
-    /// When the plane is set, [`RunParams::burst`] is ignored — burst
-    /// shapes are per-tenant ([`loadgen::TenantSpec::burst`]).
+    /// Every tenant is a Poisson source, so the plane excludes
+    /// [`RunParams::burst`].
     pub tenants: Option<TenantPlane>,
     /// Memory-access observatory (None = off, the zero-cost default:
     /// nothing registers and no hook fires, so disabled runs replay
@@ -587,7 +589,8 @@ impl<'w> Simulation<'w> {
     ///
     /// # Panics
     ///
-    /// Panics if `local_mem_fraction` is outside `(0, 1]`.
+    /// Panics if `local_mem_fraction` is outside `(0, 1]`, or if both
+    /// [`RunParams::burst`] and [`RunParams::tenants`] are set.
     pub fn new(
         cfg: SystemConfig,
         workload: &'w mut dyn Workload,
@@ -598,6 +601,10 @@ impl<'w> Simulation<'w> {
             "local_mem_fraction must be in (0, 1]"
         );
         assert!(cfg.workers >= 1, "at least one worker required");
+        assert!(
+            params.burst.is_none() || params.tenants.is_none(),
+            "burst and tenants are exclusive (every tenant is a Poisson source)"
+        );
         let total_pages = workload.total_pages();
         let capacity = ((total_pages as f64 * params.local_mem_fraction).round() as usize)
             .clamp(16, total_pages as usize);
@@ -620,9 +627,6 @@ impl<'w> Simulation<'w> {
 
         let warmup_end = SimTime::ZERO + params.warmup;
         let measure_end = warmup_end + params.measure;
-        // One shared allocation for the fabric cost constants: every
-        // NIC rail references it instead of carrying a private copy.
-        let fabric_params: Rc<FabricParams> = Rc::new(cfg.fabric.clone());
         let shards = cfg.shards();
         let replicas = cfg.replicas();
         let ndisp = cfg.ndispatchers();
@@ -634,7 +638,7 @@ impl<'w> Simulation<'w> {
         // Admit ticks are one per occupied dispatcher ingress slot; the
         // per-worker queue models admit without an event.
         let ingress_slots = match cfg.queue_model {
-            QueueModel::SingleQueue => ndisp * cfg.fabric.rx_ring_entries,
+            QueueModel::SingleQueue => ndisp * RX_RING_ENTRIES,
             QueueModel::PerWorker | QueueModel::PerWorkerStealing => 0,
         };
         // + the next arrival, one wake per worker, the reclaim tick and
@@ -667,13 +671,13 @@ impl<'w> Simulation<'w> {
 
         Simulation {
             events: EventQueue::new(),
-            eth: EthPort::new(&fabric_params),
+            eth: EthPort::new(&cfg.fabric),
             // One NIC rail per shard; each rail carries one QP per
             // worker, the reclaimer's write-back QP, and the failover
             // QP used by fetch chains re-issued after an error
             // completion.
             nics: (0..shards)
-                .map(|_| RdmaNic::new(fabric_params.clone(), cfg.workers as u32 + 2))
+                .map(|_| RdmaNic::new(cfg.fabric, cfg.workers as u32 + 2))
                 .collect(),
             qp_outstanding: vec![0; cfg.workers + 2],
             outstanding: 0,

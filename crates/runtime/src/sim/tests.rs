@@ -782,6 +782,22 @@ fn single_tenant_plane_registers_no_tenant_counters() {
 }
 
 #[test]
+#[should_panic(expected = "burst and tenants are exclusive")]
+fn burst_with_tenant_plane_is_rejected_at_run_start() {
+    let plane = TenantPlane::new(vec![TenantSpec::new(
+        400_000.0,
+        "array",
+        TenantPriority::High,
+    )]);
+    let params = RunParams {
+        burst: Some((4.0, SimDuration::from_micros(200))),
+        ..tenant_params(plane)
+    };
+    let mut w = small_workload();
+    let _ = run_one(SystemConfig::adios(), &mut w, params);
+}
+
+#[test]
 fn overloaded_mix_sheds_low_priority_and_conserves_requests() {
     // A high-priority tenant comfortably inside capacity plus a
     // low-priority flood far past saturation, with the watermark
@@ -1291,7 +1307,7 @@ fn overload_runs_the_event_queue_close_to_its_ceiling() {
     let mut deepest = 0;
     drain(&mut sim, |sim| deepest = deepest.max(sim.events.len()));
     let ceiling = sim.event_ceiling;
-    assert!(deepest > sim.cfg.fabric.rx_ring_entries, "{deepest}");
+    assert!(deepest > fabric::params::RX_RING_ENTRIES, "{deepest}");
     assert!(deepest * 100 >= ceiling * 85, "{deepest} of {ceiling}");
 }
 
@@ -1470,4 +1486,21 @@ fn running_outstanding_totals_match_the_rails_on_faulty_sharded_runs() {
         assert!(posts > 10_000 && peak > 8, "{posts} posts, peak {peak}");
         assert_eq!(failover_peak > 0, fails_over, "peak {failover_peak}");
     }
+}
+
+/// Everything a run builds or returns is `Send`, so independent runs
+/// can move to worker threads (point-level parallel sweeps). Shared
+/// ownership (`Rc`) anywhere in this state fails to compile here.
+#[test]
+fn simulator_state_is_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<fabric::RdmaNic>();
+    assert_send::<fabric::EthPort>();
+    assert_send::<fabric::MemNode>();
+    assert_send::<fabric::ShardMap>();
+    assert_send::<paging::PageCache>();
+    assert_send::<faults::FaultPlane>();
+    assert_send::<SystemConfig>();
+    assert_send::<RunParams>();
+    assert_send::<RunResult>();
 }

@@ -72,11 +72,6 @@ impl BufferPool {
         self.free.len()
     }
 
-    /// Per-buffer size in bytes.
-    pub fn buffer_size(&self) -> usize {
-        self.buf_size
-    }
-
     /// Takes a buffer; plants the stack canary. Returns `None` when the
     /// pool is exhausted (the paper sizes the pool for the worst burst).
     pub fn acquire(&mut self) -> Option<u32> {

@@ -296,11 +296,6 @@ impl Runner {
         core.stats.unparks += 1;
     }
 
-    /// Threads currently ready to run.
-    pub fn ready_count(&self) -> usize {
-        self.core.ready.len()
-    }
-
     /// Threads alive in any state (ready, running or parked).
     pub fn live_count(&self) -> usize {
         self.core.pool.capacity() - self.core.pool.free_count()
@@ -315,13 +310,6 @@ impl Runner {
     /// finishes, switches).
     pub fn stats(&self) -> SwitchStats {
         self.core.stats
-    }
-
-    /// Reads a finished-or-live thread's payload area (e.g. a reply the
-    /// thread wrote before finishing is *not* accessible — buffers
-    /// recycle on finish; read from inside the thread instead).
-    pub fn payload_of(&self, tid: ThreadId) -> &[u8] {
-        self.core.pool.payload(tid.0)
     }
 
     #[cfg(test)]
