@@ -415,8 +415,8 @@ fn instrumented_runs(cli: &Cli) {
                     .clone()
                     .unwrap_or_else(desim::telemetry::default_rules),
             }),
-            profile: cli.profile.then(desim::ProfileConfig::default),
-            memory: cli.memory_obs.then(MemObsConfig::default),
+            profile: cli.profile.then_some(desim::ProfileConfig),
+            memory: cli.memory_obs.then_some(MemObsConfig),
             ..Default::default()
         };
         if let Some(seed) = cli.seed {
@@ -599,7 +599,7 @@ fn instrumented_runs(cli: &Cli) {
             println!(
                 "==== {kind:?}: core profiler ({} ns window, {} flame sub-windows) ====",
                 p.window.as_nanos(),
-                p.flame_windows
+                desim::profile::FLAME_WINDOWS
             );
             print!("{:>12}", "core");
             for s in desim::CoreState::ALL {

@@ -1439,7 +1439,7 @@ fn run_obs(
         seed,
         warmup: scale.warmup(),
         measure: scale.measure(),
-        memory: Some(runtime::sim::MemObsConfig::default()),
+        memory: Some(runtime::sim::MemObsConfig),
         ..Default::default()
     };
     Simulation::new(cfg.clone(), wl, params).run()

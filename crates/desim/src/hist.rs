@@ -148,17 +148,6 @@ impl Histogram {
         self.max
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Returns the cumulative distribution as `(value, fraction ≤ value)`
     /// points over non-empty buckets, for CDF plots (Fig 2b).
     pub fn cdf(&self) -> Vec<(u64, f64)> {
@@ -237,18 +226,6 @@ mod tests {
         h.record(20);
         h.record(30);
         assert_eq!(h.mean(), 20.0);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(100);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 100);
-        assert_eq!(a.max(), 1_000_000);
     }
 
     #[test]
@@ -338,34 +315,6 @@ mod tests {
             let ps = [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0];
             for w in ps.windows(2) {
                 assert!(h.percentile(w[0]) <= h.percentile(w[1]));
-            }
-        }
-    }
-
-    /// Merging equals recording the concatenation.
-    #[test]
-    fn merge_equivalence() {
-        let mut rng = Rng::new(0x3E6);
-        for _ in 0..64 {
-            let nx = rng.gen_range(100) as usize;
-            let xs = random_values(&mut rng, nx, 1_000_000);
-            let ny = rng.gen_range(100) as usize;
-            let ys = random_values(&mut rng, ny, 1_000_000);
-            let mut a = Histogram::new();
-            let mut b = Histogram::new();
-            let mut all = Histogram::new();
-            for &x in &xs {
-                a.record(x);
-                all.record(x);
-            }
-            for &y in &ys {
-                b.record(y);
-                all.record(y);
-            }
-            a.merge(&b);
-            assert_eq!(a.count(), all.count());
-            for p in [50.0, 99.0, 100.0] {
-                assert_eq!(a.percentile(p), all.percentile(p));
             }
         }
     }

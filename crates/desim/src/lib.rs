@@ -9,8 +9,6 @@
 //! - [`EventQueue`] — a total-order event queue: one ring kept sorted
 //!   by time. Ties in timestamps are broken by insertion order, so a
 //!   simulation run is a pure function of its inputs and seed.
-//! - [`fxhash`] — an unkeyed, deterministic hasher ([`FxHashMap`]) for
-//!   hot-path lookups that don't need SipHash's DoS resistance.
 //! - [`Rng`] — a small, seedable xoshiro256** generator (no external
 //!   dependency, so results never change under a dependency bump), with
 //!   samplers for the distributions the experiments need (uniform,
@@ -37,7 +35,6 @@
 //!   ([`json::Perfetto`]).
 
 pub mod event;
-pub mod fxhash;
 pub mod hist;
 pub mod json;
 pub mod profile;
@@ -49,7 +46,6 @@ pub mod time;
 pub mod trace;
 
 pub use event::EventQueue;
-pub use fxhash::FxHashMap;
 pub use hist::Histogram;
 pub use profile::{
     CoreProfiler, CoreReport, CoreState, ProfileConfig, ProfileReport, QueueProbe, QueueReport,

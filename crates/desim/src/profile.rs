@@ -101,20 +101,15 @@ impl CoreState {
     }
 }
 
-/// Configuration of the profiler.
-#[derive(Debug, Clone)]
-pub struct ProfileConfig {
-    /// Number of equal sub-windows the measurement window is split into
-    /// for the folded-stack flamegraph and the Perfetto state tracks
-    /// (per-core state *totals* are always window-exact regardless).
-    pub flame_windows: usize,
-}
+/// Number of equal sub-windows the measurement window is split into
+/// for the folded-stack flamegraph and the Perfetto state tracks
+/// (per-core state *totals* are always window-exact regardless).
+pub const FLAME_WINDOWS: usize = 8;
 
-impl Default for ProfileConfig {
-    fn default() -> ProfileConfig {
-        ProfileConfig { flame_windows: 8 }
-    }
-}
+/// Switches the profiler on (`RunParams::profile`). It has nothing to
+/// configure: the sub-window count is [`FLAME_WINDOWS`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProfileConfig;
 
 struct CoreSlot {
     label: String,
@@ -150,10 +145,9 @@ struct CoreSlot {
 pub struct CoreProfiler {
     w_start: SimTime,
     w_end: SimTime,
-    flame_windows: usize,
-    /// The `flame_windows + 1` sub-window boundaries in ns: sub-window
+    /// The `FLAME_WINDOWS + 1` sub-window boundaries in ns: sub-window
     /// `k` covers `[bounds[k], bounds[k + 1])`, `bounds[k] = w_start +
-    /// window · k / flame_windows`. Fixed per run, so they are divided
+    /// window · k / FLAME_WINDOWS`. Fixed per run, so they are divided
     /// out once here and an accrual only compares against them.
     bounds: Vec<u64>,
     cores: Vec<CoreSlot>,
@@ -165,16 +159,14 @@ impl CoreProfiler {
     ///
     /// # Panics
     ///
-    /// Panics when the window is inverted or `flame_windows` is zero.
-    pub fn new(w_start: SimTime, w_end: SimTime, cfg: &ProfileConfig) -> CoreProfiler {
+    /// Panics when the window is inverted.
+    pub fn new(w_start: SimTime, w_end: SimTime, _: &ProfileConfig) -> CoreProfiler {
         assert!(w_end >= w_start, "inverted measurement window");
-        assert!(cfg.flame_windows >= 1, "flame_windows must be positive");
-        let (ws, nb) = (w_start.as_nanos(), cfg.flame_windows as u128);
+        let (ws, nb) = (w_start.as_nanos(), FLAME_WINDOWS as u128);
         let win = (w_end.as_nanos() - ws) as u128;
         CoreProfiler {
             w_start,
             w_end,
-            flame_windows: cfg.flame_windows,
             bounds: (0..=nb).map(|k| ws + (win * k / nb) as u64).collect(),
             cores: Vec::new(),
         }
@@ -189,7 +181,7 @@ impl CoreProfiler {
             cursor: SimTime::ZERO,
             gap: CoreState::Idle,
             sub: 0,
-            tiles: vec![[0; NUM_STATES]; self.flame_windows],
+            tiles: vec![[0; NUM_STATES]; FLAME_WINDOWS],
         });
         self.cores.len() - 1
     }
@@ -232,7 +224,7 @@ impl CoreProfiler {
         }
         let ws = self.w_start.as_nanos();
         let win = self.w_end.as_nanos() - ws;
-        let nb = self.flame_windows as u64;
+        let nb = FLAME_WINDOWS as u64;
         let s = state.idx();
         let tiles = &mut self.cores[core].tiles;
         // Sub-window k covers [ws + win*k/nb, ws + win*(k+1)/nb).
@@ -322,7 +314,6 @@ impl CoreProfiler {
         ProfileReport {
             window,
             w_start: self.w_start,
-            flame_windows: self.flame_windows,
             cores,
             queues,
             frame_wait_ns,
@@ -573,8 +564,6 @@ pub struct ProfileReport {
     pub window: SimDuration,
     /// Window start (virtual time).
     pub w_start: SimTime,
-    /// Flame sub-windows per core.
-    pub flame_windows: usize,
     /// Per-core tilings, dispatcher first.
     pub cores: Vec<CoreReport>,
     /// Per-queue summaries, fixed registration order.
@@ -638,7 +627,7 @@ impl ProfileReport {
             let tid = tid as u64;
             doc.thread_name(pid, tid, &core.label);
             let win = self.window.as_nanos();
-            let nb = self.flame_windows as u64;
+            let nb = FLAME_WINDOWS as u64;
             for (k, tile) in core.tiles.iter().enumerate() {
                 // Sub-window origin, exact to the accrual boundaries.
                 let base = self.w_start.as_nanos() + (win as u128 * k as u128 / nb as u128) as u64;
@@ -662,7 +651,7 @@ impl ToJson for ProfileReport {
     fn write_json(&self, w: &mut Writer) {
         w.object(|w| {
             w.key("window_ns").u64(self.window.as_nanos());
-            w.key("flame_windows").u64(self.flame_windows as u64);
+            w.key("flame_windows").u64(FLAME_WINDOWS as u64);
             w.key("worker_spin_fraction")
                 .f64(self.worker_spin_fraction(), 6);
             w.key("frame_wait_ns").u64(self.frame_wait_ns);
@@ -710,8 +699,7 @@ mod tests {
 
     #[test]
     fn tiling_is_exhaustive_and_exact() {
-        let cfg = ProfileConfig { flame_windows: 4 };
-        let mut p = CoreProfiler::new(t(1_000), t(9_000), &cfg);
+        let mut p = CoreProfiler::new(t(1_000), t(9_000), &ProfileConfig);
         let c = p.add_core("worker0".into(), true);
         // Pre-window activity clamps to nothing.
         p.phase(c, CoreState::Work, t(500));
@@ -733,14 +721,15 @@ mod tests {
         assert_eq!(core.ns(CoreState::Spin), 2_000);
         assert_eq!(core.ns(CoreState::Idle), 0);
         // Every flame sub-window tiles too.
+        assert_eq!(core.tiles.len(), FLAME_WINDOWS);
         for tile in &core.tiles {
-            assert_eq!(tile.iter().sum::<u64>(), 2_000);
+            assert_eq!(tile.iter().sum::<u64>(), 8_000 / FLAME_WINDOWS as u64);
         }
     }
 
     #[test]
     fn untouched_cores_are_all_idle() {
-        let mut p = CoreProfiler::new(t(0), t(5_000), &ProfileConfig::default());
+        let mut p = CoreProfiler::new(t(0), t(5_000), &ProfileConfig);
         p.add_core("dispatcher".into(), false);
         let rep = p.finish(Vec::new(), 0);
         assert_eq!(rep.cores[0].ns(CoreState::Idle), 5_000);
@@ -749,27 +738,27 @@ mod tests {
 
     #[test]
     fn flame_subwindows_split_accruals_exactly() {
-        let cfg = ProfileConfig { flame_windows: 3 };
-        let mut p = CoreProfiler::new(t(0), t(10), &cfg);
+        let mut p = CoreProfiler::new(t(0), t(10), &ProfileConfig);
         let c = p.add_core("w".into(), true);
-        // One accrual spanning all three uneven sub-windows
-        // ([0,3), [3,6), [6,10)).
+        // One accrual spanning all eight uneven sub-windows (boundaries
+        // at 10·k/8: 0, 1, 2, 3, 5, 6, 7, 8, 10).
         p.phase(c, CoreState::Work, t(10));
         let rep = p.finish(Vec::new(), 0);
-        let tiles = &rep.cores[0].tiles;
-        assert_eq!(tiles[0][CoreState::Work.idx()], 3);
-        assert_eq!(tiles[1][CoreState::Work.idx()], 3);
-        assert_eq!(tiles[2][CoreState::Work.idx()], 4);
+        let work: Vec<u64> = rep.cores[0]
+            .tiles
+            .iter()
+            .map(|tile| tile[CoreState::Work.idx()])
+            .collect();
+        assert_eq!(work, [1, 1, 1, 2, 1, 1, 1, 2]);
     }
 
     /// Applies one pseudo-random stream of `phase` / `flush` /
     /// `set_gap` calls to a profiler whose accruals go through the
     /// boundary table and to one driven through
     /// [`CoreProfiler::accrue_reference`], and compares every tile.
-    fn assert_tiles_like_the_reference(ws: u64, we: u64, flame_windows: usize, seed: u64) {
-        let cfg = ProfileConfig { flame_windows };
+    fn assert_tiles_like_the_reference(ws: u64, we: u64, seed: u64) {
         let new = || {
-            let mut p = CoreProfiler::new(t(ws), t(we), &cfg);
+            let mut p = CoreProfiler::new(t(ws), t(we), &ProfileConfig);
             p.add_core("dispatcher".into(), false);
             p.add_core("worker0".into(), true);
             p
@@ -818,10 +807,7 @@ mod tests {
         }
         let fast = fast.finish(Vec::new(), 0);
         for (f, s) in fast.cores.iter().zip(&slow.cores) {
-            assert_eq!(
-                f.tiles, s.tiles,
-                "[{ws}, {we}] / {flame_windows}, seed {seed}"
-            );
+            assert_eq!(f.tiles, s.tiles, "[{ws}, {we}], seed {seed}");
             assert_eq!(f.total_ns(), we - ws);
         }
     }
@@ -829,17 +815,15 @@ mod tests {
     #[test]
     fn boundary_table_accrues_like_the_division_formula() {
         let mut rng = crate::rng::Rng::new(77);
-        for flame_windows in [1, 3, 8] {
-            // The benchmark's open-ended window, degenerate ones
-            // narrower than the sub-window count, and random ones.
-            assert_tiles_like_the_reference(0, u64::MAX / 2, flame_windows, 1);
-            assert_tiles_like_the_reference(1_000, 1_000, flame_windows, 2);
-            assert_tiles_like_the_reference(1_000, 1_005, flame_windows, 3);
-            for seed in 0..40 {
-                let ws = rng.gen_range(1_000_000);
-                let we = ws + 1 + rng.gen_range(50_000_000);
-                assert_tiles_like_the_reference(ws, we, flame_windows, seed);
-            }
+        // The benchmark's open-ended window, degenerate ones narrower
+        // than the sub-window count, and random ones.
+        assert_tiles_like_the_reference(0, u64::MAX / 2, 1);
+        assert_tiles_like_the_reference(1_000, 1_000, 2);
+        assert_tiles_like_the_reference(1_000, 1_005, 3);
+        for seed in 0..40 {
+            let ws = rng.gen_range(1_000_000);
+            let we = ws + 1 + rng.gen_range(50_000_000);
+            assert_tiles_like_the_reference(ws, we, seed);
         }
     }
 
@@ -891,8 +875,7 @@ mod tests {
 
     #[test]
     fn report_serialisations_are_wellformed() {
-        let cfg = ProfileConfig { flame_windows: 2 };
-        let mut p = CoreProfiler::new(t(0), t(1_000), &cfg);
+        let mut p = CoreProfiler::new(t(0), t(1_000), &ProfileConfig);
         let d = p.add_core("dispatcher".into(), false);
         let w = p.add_core("worker0".into(), true);
         p.phase(d, CoreState::Dispatch, t(600));
@@ -904,20 +887,23 @@ mod tests {
         assert!((rep.worker_spin_fraction() - 1.0).abs() < 1e-9);
 
         let json = rep.to_json();
-        assert!(json.starts_with("{\"window_ns\":1000,"));
+        assert!(json.starts_with("{\"window_ns\":1000,\"flame_windows\":8,"));
         assert!(json.contains("\"label\":\"dispatcher\""));
         assert!(json.contains("\"littles_consistency\""));
 
+        // Eight 125 ns sub-windows: dispatch fills four and 100 ns of
+        // the fifth.
         let folded = rep.folded();
-        assert!(folded.contains("dispatcher;dispatch;w0 500"));
-        assert!(folded.contains("worker0;spin;w1 500"));
+        assert!(folded.contains("dispatcher;dispatch;w0 125"));
+        assert!(folded.contains("dispatcher;dispatch;w4 100"));
+        assert!(folded.contains("worker0;spin;w1 125"));
 
         let mut doc = Perfetto::default();
         rep.write_perfetto(&mut doc);
         let evs = doc.finish();
         assert!(evs.contains("\"name\":\"thread_name\",\"args\":{\"name\":\"worker0\"}"));
         assert!(evs.contains(
-            "{\"ph\":\"X\",\"pid\":2000000,\"tid\":1,\"ts\":0.500,\"dur\":0.500,\"name\":\"spin\"}"
+            "{\"ph\":\"X\",\"pid\":2000000,\"tid\":1,\"ts\":0.500,\"dur\":0.125,\"name\":\"spin\"}"
         ));
     }
 }

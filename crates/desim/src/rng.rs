@@ -117,14 +117,6 @@ impl Rng {
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         mean + std_dev * z
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,17 +184,6 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn zero_bound_panics() {
         Rng::new(0).gen_range(0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
     }
 
     /// `gen_range(b)` always returns a value below `b`, across random

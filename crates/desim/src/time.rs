@@ -83,47 +83,16 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to the
-    /// nearest nanosecond.
-    #[inline]
-    pub fn from_secs_f64(secs: f64) -> SimDuration {
-        assert!(secs >= 0.0, "negative duration");
-        SimDuration((secs * NS_PER_SEC as f64).round() as u64)
-    }
-
-    /// Creates a duration from CPU cycles at the 2 GHz testbed clock.
-    ///
-    /// One cycle is 0.5 ns; odd cycle counts round up so that durations
-    /// are never silently shortened.
-    #[inline]
-    pub const fn from_cycles(cycles: u64) -> SimDuration {
-        // ceil(cycles * NS_PER_SEC / CYCLES_PER_SEC) with the 2 GHz ratio
-        // of exactly 2 cycles per ns.
-        SimDuration(cycles.div_ceil(2))
-    }
-
     /// Returns the raw nanosecond count.
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
-    /// Returns this duration expressed in fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns this duration expressed in fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NS_PER_SEC as f64
-    }
-
-    /// Returns this duration expressed in CPU cycles at 2 GHz.
-    #[inline]
-    pub fn as_cycles(self) -> u64 {
-        self.0 * 2
     }
 
     /// Multiplies the duration by an integer factor.
@@ -210,13 +179,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cycles_round_trip() {
-        assert_eq!(SimDuration::from_cycles(40).as_nanos(), 20);
-        assert_eq!(SimDuration::from_cycles(191).as_nanos(), 96); // rounds up
-        assert_eq!(SimDuration::from_nanos(850).as_cycles(), 1_700);
-    }
-
-    #[test]
     fn time_arithmetic() {
         let t = SimTime(1_000) + SimDuration::from_nanos(500);
         assert_eq!(t, SimTime(1_500));
@@ -243,7 +205,6 @@ mod tests {
     fn duration_constructors() {
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 
     #[test]

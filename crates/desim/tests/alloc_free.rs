@@ -99,7 +99,7 @@ fn trace_ring_at_capacity_does_not_allocate() {
 
 #[test]
 fn core_transitions_do_not_allocate() {
-    let mut prof = CoreProfiler::new(SimTime(50_000), SimTime(700_000), &ProfileConfig::default());
+    let mut prof = CoreProfiler::new(SimTime(50_000), SimTime(700_000), &ProfileConfig);
     for core in 0..9 {
         prof.add_core(format!("core{core}"), core > 0);
     }

@@ -38,6 +38,6 @@ pub mod shard;
 pub use eth::{EthPort, RxRing};
 pub use link::Link;
 pub use memnode::MemNode;
-pub use nic::{Completion, CompletionStatus, CqId, OccupancySnapshot, PostError, QpId, RdmaNic};
+pub use nic::{Completion, CompletionStatus, OccupancySnapshot, PostError, QpId, RdmaNic};
 pub use params::FabricParams;
 pub use shard::{ShardMap, ShardPolicy};

@@ -145,12 +145,6 @@ impl Link {
         let busy = after.busy - before.busy;
         busy.as_nanos() as f64 / window.as_nanos() as f64
     }
-
-    /// Computes goodput in bits per second between two snapshots.
-    pub fn throughput_bps(before: &LinkSnapshot, after: &LinkSnapshot, window: SimDuration) -> f64 {
-        assert!(window > SimDuration::ZERO, "zero throughput window");
-        ((after.bytes - before.bytes) * 8) as f64 / window.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -203,8 +197,6 @@ mod tests {
         let after = l.snapshot();
         let util = Link::utilization(&before, &after, SimDuration::from_micros(10));
         assert!((0.45..=0.56).contains(&util), "util = {util}");
-        let tput = Link::throughput_bps(&before, &after, SimDuration::from_micros(10));
-        assert!(tput > 0.0);
     }
 
     #[test]

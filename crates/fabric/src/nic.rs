@@ -40,10 +40,6 @@ use crate::params::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QpId(pub u32);
 
-/// Identifies a completion queue on the NIC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CqId(pub u32);
-
 /// One-sided verbs supported by the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verb {
@@ -78,8 +74,6 @@ pub enum CompletionStatus {
 pub struct Completion {
     /// QP the work request was posted on.
     pub qp: QpId,
-    /// CQ the completion will be raised on (the QP's associated CQ).
-    pub cq: CqId,
     /// Simulated instant the shared WQE engine dispatched the work
     /// request (doorbell + engine queueing paid; wire not yet). The
     /// span layer splits each fetch into `nic_queue` (post→issue) and
@@ -115,12 +109,6 @@ impl Completion {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Qp {
-    outstanding: u32,
-    cq: CqId,
-}
-
 /// Aggregate QP-occupancy accounting at one instant, for computing
 /// time-weighted mean occupancy over a measurement window (diff two
 /// snapshots and divide by the window).
@@ -137,8 +125,9 @@ pub struct OccupancySnapshot {
 pub struct RdmaNic {
     params: FabricParams,
     engine_free: SimTime,
-    qps: Vec<Qp>,
-    /// Running Σ `qps[i].outstanding`: `post` and `on_cqe` adjust it, so
+    /// Outstanding work requests per QP.
+    qps: Vec<u32>,
+    /// Running Σ `qps[i]`: `post` and `on_cqe` adjust it, so
     /// the per-fetch occupancy accounting never re-sums the QPs.
     total: u32,
     /// Compute → memory direction (READ requests, WRITE data).
@@ -169,18 +158,12 @@ pub struct RdmaNic {
 const RTO_GRANULARITY_NS: u64 = 1_000;
 
 impl RdmaNic {
-    /// Creates a NIC with `num_qps` queue pairs; QP *i* initially
-    /// completes into CQ *i*.
+    /// Creates a NIC with `num_qps` queue pairs.
     pub fn new(params: FabricParams, num_qps: u32) -> RdmaNic {
         RdmaNic {
             to_remote: Link::new(&params),
             from_remote: Link::new(&params),
-            qps: (0..num_qps)
-                .map(|i| Qp {
-                    outstanding: 0,
-                    cq: CqId(i),
-                })
-                .collect(),
+            qps: vec![0; num_qps as usize],
             total: 0,
             engine_free: SimTime::ZERO,
             ctrl_bytes: 16,
@@ -206,14 +189,6 @@ impl RdmaNic {
             self.occ_weighted += held * now.since(self.occ_since).as_nanos() as u128;
             self.occ_since = now;
         }
-    }
-
-    /// Re-associates a QP's completions with a different CQ.
-    ///
-    /// This is the CQ/QP semantic Adios leverages for polling delegation
-    /// (§3.4): a CQ can manage multiple QPs.
-    pub fn associate_cq(&mut self, qp: QpId, cq: CqId) {
-        self.qps[qp.0 as usize].cq = cq;
     }
 
     /// The backed-off RTO armed after transmission attempt `attempt`
@@ -310,13 +285,11 @@ impl RdmaNic {
         mem: &mut MemNode,
         plane: &mut FaultPlane,
     ) -> Result<Completion, PostError> {
-        if self.qps[qp.0 as usize].outstanding >= self.params.qp_depth {
+        if self.qps[qp.0 as usize] >= self.params.qp_depth {
             return Err(PostError::QpFull);
         }
         self.advance_occupancy(now);
-        let q = &mut self.qps[qp.0 as usize];
-        q.outstanding += 1;
-        let cq = q.cq;
+        self.qps[qp.0 as usize] += 1;
         self.total += 1;
         self.occ_max = self.occ_max.max(self.total);
 
@@ -402,7 +375,6 @@ impl RdmaNic {
         }
         Ok(Completion {
             qp,
-            cq,
             issued_at: dispatched,
             wire_start: send_at,
             done_at,
@@ -425,8 +397,8 @@ impl RdmaNic {
     pub fn on_cqe(&mut self, now: SimTime, qp: QpId) {
         self.advance_occupancy(now);
         let q = &mut self.qps[qp.0 as usize];
-        assert!(q.outstanding > 0, "CQE for idle QP {qp:?}");
-        q.outstanding -= 1;
+        assert!(*q > 0, "CQE for idle QP {qp:?}");
+        *q -= 1;
         self.total -= 1;
     }
 
@@ -446,16 +418,13 @@ impl RdmaNic {
     /// Outstanding work requests on `qp` (the PF-aware dispatch signal).
     #[inline]
     pub fn outstanding(&self, qp: QpId) -> u32 {
-        self.qps[qp.0 as usize].outstanding
+        self.qps[qp.0 as usize]
     }
 
     /// Total outstanding work requests across all QPs.
     #[inline]
     pub fn total_outstanding(&self) -> u32 {
-        debug_assert_eq!(
-            self.total,
-            self.qps.iter().map(|q| q.outstanding).sum::<u32>()
-        );
+        debug_assert_eq!(self.total, self.qps.iter().sum::<u32>());
         self.total
     }
 
@@ -532,7 +501,6 @@ mod tests {
             .unwrap();
         let us = c.done_at.as_nanos() as f64 / 1000.0;
         assert!((1.9..=3.1).contains(&us), "fetch = {us} us");
-        assert_eq!(c.cq, CqId(0));
         assert_eq!(mem.reads(), 1);
     }
 
@@ -645,25 +613,6 @@ mod tests {
             .unwrap();
         // Both pay engine + wire queueing; the second completes later.
         assert!(b.done_at > a.done_at);
-    }
-
-    #[test]
-    fn cq_reassociation_routes_completions() {
-        let (mut nic, mut mem) = setup();
-        nic.associate_cq(QpId(3), CqId(0));
-        let c = nic
-            .post(
-                SimTime(0),
-                QpId(3),
-                Verb::Read,
-                0,
-                4096,
-                &mut mem,
-                &mut inert(),
-            )
-            .unwrap();
-        assert_eq!(c.cq, CqId(0));
-        assert_eq!(c.qp, QpId(3));
     }
 
     #[test]

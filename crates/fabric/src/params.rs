@@ -115,7 +115,7 @@ mod tests {
             + p.serialize(4096)
             + PROPAGATION
             + LOCAL_DMA;
-        let us = total.as_micros_f64();
+        let us = total.as_nanos() as f64 / 1_000.0;
         assert!((1.9..=3.1).contains(&us), "unloaded fetch = {us} us");
     }
 }

@@ -95,11 +95,6 @@ impl ShardMap {
         self.replicas
     }
 
-    /// Total memnodes across every shard's chain.
-    pub fn nodes(&self) -> usize {
-        self.shards * self.replicas
-    }
-
     /// Placement policy.
     pub fn policy(&self) -> ShardPolicy {
         self.policy
@@ -221,7 +216,6 @@ mod tests {
     #[test]
     fn node_ids_pack_chains_densely() {
         let m = ShardMap::new(3, 2, PAGES, ShardPolicy::Hash);
-        assert_eq!(m.nodes(), 6);
         let ids: Vec<u32> = (0..3)
             .flat_map(|s| (0..2).map(move |r| (s, r)))
             .map(|(s, r)| m.node_id(s, r))

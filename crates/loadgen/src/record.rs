@@ -118,8 +118,6 @@ pub struct Recorder {
     completed: u64,
     completed_in_window: u64,
     dropped: u64,
-    first_completion: Option<SimTime>,
-    last_completion: Option<SimTime>,
 }
 
 impl Recorder {
@@ -137,8 +135,6 @@ impl Recorder {
             completed: 0,
             completed_in_window: 0,
             dropped: 0,
-            first_completion: None,
-            last_completion: None,
         }
     }
 
@@ -170,10 +166,6 @@ impl Recorder {
             self.breakdowns.push((e2e, breakdown));
         }
         self.completed_in_window += 1;
-        if self.first_completion.is_none() {
-            self.first_completion = Some(rx_time);
-        }
-        self.last_completion = Some(rx_time);
     }
 
     /// Records a dropped request (RX ring or queue overflow).
@@ -216,12 +208,6 @@ impl Recorder {
             return 0.0;
         }
         self.completed_in_window as f64 / window.as_secs_f64()
-    }
-
-    /// The first and last completion instants inside the window (for
-    /// sanity-checking that a run actually spanned its window).
-    pub fn completion_span(&self) -> Option<(SimTime, SimTime)> {
-        Some((self.first_completion?, self.last_completion?))
     }
 
     /// Mean component breakdown of requests whose latency falls in a
@@ -304,15 +290,6 @@ mod tests {
             r.complete(0, t(i * 10_000), t(i * 10_000 + 500), Breakdown::default());
         }
         assert!((r.achieved_rps() - 100_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn completion_span_tracks_window() {
-        let mut r = Recorder::new(t(0), t(1_000_000), 1);
-        assert_eq!(r.completion_span(), None);
-        r.complete(0, t(100), t(500), Breakdown::default());
-        r.complete(0, t(200), t(900), Breakdown::default());
-        assert_eq!(r.completion_span(), Some((t(500), t(900))));
     }
 
     #[test]

@@ -13,31 +13,30 @@
 //!   `inflight_at_end`, giving the exact conservation identity
 //!   `issued == hits + lates + wasted + inflight_at_end` per detector
 //!   class and in total.
-//! - **Page heat** — a SpaceSaving top-K heavy-hitter sketch with
-//!   exponential per-window decay (`w ← w · d^Δwindows`), plus a
-//!   bucketed address-range histogram absorbing the weight of pages
-//!   displaced from the sketch, so memory stays `O(K + buckets)`
-//!   regardless of footprint.
+//! - **Page heat** — a [`TOP_K`]-slot SpaceSaving heavy-hitter sketch
+//!   with exponential per-window decay (`w ← w · d^Δwindows`,
+//!   `d =` [`HEAT_DECAY`]), plus a bucketed address-range histogram
+//!   absorbing the weight of pages displaced from the sketch, so the
+//!   heat state stays `O(K + buckets)` regardless of footprint.
 //! - **Working set & heatmap** — per-window distinct-page counts and a
 //!   `page-bucket × time-window → touches` matrix, both capped at
-//!   [`MemObsConfig::max_windows`] rows with explicit drop accounting
+//!   [`MAX_WINDOWS`] rows with explicit drop accounting
 //!   ([`MemObservatory::dropped`]) instead of silent truncation.
 //! - **Shard heat shares** — decayed per-shard touch weights exposing
 //!   placement skew (`max/mean` ratio) as a time series.
 //!
 //! Everything here is deterministic: iteration happens over vectors or
-//! sorted snapshots, hashing uses the seed-free Fx tables, and floats
-//! are serialised at fixed precision — equal-seed runs produce
-//! byte-identical [`MemReport`] serialisations.
+//! sorted snapshots and floats are serialised at fixed precision —
+//! equal-seed runs produce byte-identical [`MemReport`] serialisations.
 //!
 //! Per-page state (last window seen, sketch slot, address bucket, the
-//! tracked prefetch) lives in one page-indexed table (`PageTable`),
-//! so a touch is an indexed load rather than a handful of hash probes,
-//! and the sketch's minimum is the root of an indexed heap rather than
-//! a scan. Both are exact replacements: the report is bit-for-bit what
-//! the hashed, scanning implementation produced.
+//! tracked prefetch) lives in one page-indexed vector sized to the
+//! footprint, so a touch is an indexed load rather than a handful of
+//! hash probes (and a page past the footprint panics), and the sketch's
+//! minimum is the root of an indexed heap rather than a scan. Both are
+//! exact replacements: the report is bit-for-bit what the hashed,
+//! scanning implementation produced.
 
-use desim::fxhash::FxHashMap;
 use desim::json::{Perfetto, ToJson, Writer, PERFETTO_MEMORY_PID};
 use std::fmt::Write as _;
 
@@ -56,42 +55,26 @@ pub enum PrefetchClass {
 /// Display names for the three classes, indexed by discriminant.
 pub const CLASS_NAMES: [&str; 3] = ["readahead", "leap", "speculative"];
 
-/// Observatory configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MemObsConfig {
-    /// Width of a heat/working-set window in virtual nanoseconds.
-    pub heat_window_ns: u64,
-    /// Heavy-hitter slots in the heat sketch.
-    pub top_k: usize,
-    /// Per-window decay multiplier applied to sketch weights, the rest
-    /// histogram and shard heat (`0 < d <= 1`).
-    pub heat_decay: f64,
-    /// Address-range buckets of the heatmap and rest histogram.
-    pub heatmap_buckets: usize,
-    /// Cap on recorded window rows (heatmap + working-set series);
-    /// rows beyond the cap are counted in `obs_dropped`.
-    pub max_windows: usize,
-    /// Cap on simultaneously tracked prefetch records; overflow issues
-    /// are conservatively classified wasted and counted dropped.
-    pub max_tracked: usize,
-    /// Distinct stride deltas kept in the fingerprint; the rest fold
-    /// into an explicit `other` bin.
-    pub max_strides: usize,
-}
+/// Width of a heat / working-set window in virtual nanoseconds (1 ms).
+pub const HEAT_WINDOW_NS: u64 = 1_000_000;
+/// Heavy-hitter slots in the heat sketch.
+pub const TOP_K: usize = 64;
+/// Per-window decay multiplier applied to sketch weights, the rest
+/// histogram and shard heat.
+pub const HEAT_DECAY: f64 = 0.5;
+/// Address-range buckets of the heatmap and rest histogram.
+pub const HEATMAP_BUCKETS: usize = 64;
+/// Cap on recorded window rows (heatmap + working-set series); rows
+/// beyond the cap are counted in `obs_dropped`.
+pub const MAX_WINDOWS: usize = 4096;
+/// Distinct stride deltas kept in the fingerprint; the rest fold into
+/// an explicit `other` bin.
+pub const MAX_STRIDES: usize = 64;
 
-impl Default for MemObsConfig {
-    fn default() -> MemObsConfig {
-        MemObsConfig {
-            heat_window_ns: 1_000_000, // 1 ms
-            top_k: 64,
-            heat_decay: 0.5,
-            heatmap_buckets: 64,
-            max_windows: 4096,
-            max_tracked: 1 << 20,
-            max_strides: 64,
-        }
-    }
-}
+/// Switches the observatory on (`RunParams::memory`). It has nothing to
+/// configure: every size and rate is one of the constants above.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemObsConfig;
 
 /// Fate counters for one detector class.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -153,47 +136,6 @@ fn pf_class(pf: u8) -> usize {
     (pf & !PF_ARRIVED) as usize - 1
 }
 
-/// Page-indexed [`PageRec`]s: a dense zero-initialised slab for pages
-/// inside the footprint, a hash table for the (never, in the simulator)
-/// pages beyond it.
-struct PageTable {
-    dense: Vec<PageRec>,
-    sparse: FxHashMap<u64, PageRec>,
-}
-
-impl PageTable {
-    fn new(total_pages: u64) -> PageTable {
-        let n = usize::try_from(total_pages).expect("page footprint exceeds the address space");
-        PageTable {
-            dense: vec![(0, 0, 0, 0, 0); n],
-            sparse: FxHashMap::default(),
-        }
-    }
-
-    /// The page's record, created empty if the page is new.
-    #[inline]
-    fn rec(&mut self, page: u64) -> &mut PageRec {
-        match self.dense.get_mut(page as usize) {
-            Some(r) => r,
-            None => self.sparse.entry(page).or_default(),
-        }
-    }
-
-    /// The page's record if it could hold anything (a lookup never
-    /// grows the sparse part).
-    #[inline]
-    fn peek(&mut self, page: u64) -> Option<&mut PageRec> {
-        match self.dense.get_mut(page as usize) {
-            Some(r) => Some(r),
-            None => self.sparse.get_mut(&page),
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &PageRec> {
-        self.dense.iter().chain(self.sparse.values())
-    }
-}
-
 struct HeatSlot {
     page: u64,
     weight: f64,
@@ -211,11 +153,11 @@ struct HeatSketch {
 }
 
 impl HeatSketch {
-    fn with_capacity(top_k: usize) -> HeatSketch {
+    fn with_capacity(k: usize) -> HeatSketch {
         HeatSketch {
-            slots: Vec::with_capacity(top_k),
-            heap: Vec::with_capacity(top_k),
-            pos: Vec::with_capacity(top_k),
+            slots: Vec::with_capacity(k),
+            heap: Vec::with_capacity(k),
+            pos: Vec::with_capacity(k),
         }
     }
 
@@ -255,7 +197,7 @@ impl HeatSketch {
     }
 
     /// Adds a slot of weight 1 for `page` and returns its index. (A
-    /// sketch fills its `top_k` slots once, so re-ordering the whole
+    /// sketch fills its slots once, so re-ordering the whole
     /// heap per fill is cheap enough.)
     fn push(&mut self, page: u64) -> u32 {
         let slot = u32::try_from(self.slots.len()).expect("heat sketch has under 2^32 slots");
@@ -303,7 +245,7 @@ impl HeatSketch {
 /// One closed observation window.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WindowRow {
-    /// Window index (`start_ns = idx * heat_window_ns`).
+    /// Window index (`start_ns = idx * HEAT_WINDOW_NS`).
     pub idx: u64,
     /// Distinct pages touched in the window.
     pub ws_pages: u64,
@@ -317,9 +259,9 @@ pub struct WindowRow {
 
 /// Live observatory state; one per enabled run.
 pub struct MemObservatory {
-    cfg: MemObsConfig,
     total_pages: u64,
-    pages: PageTable,
+    /// One record per page of the footprint, indexed by page number.
+    pages: Vec<PageRec>,
     // Prefetch-fate attribution.
     /// Prefetch records currently tracked in `pages`.
     pf_tracked: usize,
@@ -341,8 +283,9 @@ pub struct MemObservatory {
     skew: f64,
     ws_last: u64,
     rows: Vec<WindowRow>,
-    // Stride fingerprint.
-    strides: FxHashMap<i64, u64>,
+    // Stride fingerprint: `(delta, count)` sorted by delta, at most
+    // `MAX_STRIDES` entries.
+    strides: Vec<(i64, u64)>,
     stride_other: u64,
     touches: u64,
     dropped: u64,
@@ -350,40 +293,30 @@ pub struct MemObservatory {
 
 impl MemObservatory {
     /// Creates an observatory over a `total_pages` footprint spread
-    /// across `shards` rails.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate configuration (zero window, no buckets,
-    /// no slots, or a decay outside `(0, 1]`).
-    pub fn new(cfg: MemObsConfig, total_pages: u64, shards: usize) -> MemObservatory {
-        assert!(cfg.heat_window_ns > 0, "zero-width heat window");
-        assert!(cfg.heatmap_buckets > 0 && cfg.top_k > 0, "empty sketch");
-        assert!(
-            cfg.heat_decay > 0.0 && cfg.heat_decay <= 1.0,
-            "decay outside (0, 1]"
-        );
+    /// across `shards` rails. Every page the observatory is handed must
+    /// lie inside the footprint; one past it panics.
+    pub fn new(_: MemObsConfig, total_pages: u64, shards: usize) -> MemObservatory {
         let total_pages = total_pages.max(1);
+        let n = usize::try_from(total_pages).expect("page footprint exceeds the address space");
         MemObservatory {
-            cfg,
             total_pages,
-            pages: PageTable::new(total_pages),
+            pages: vec![(0, 0, 0, 0, 0); n],
             pf_tracked: 0,
             fates: [FateCounters::default(); 3],
-            sketch: HeatSketch::with_capacity(cfg.top_k),
-            rest_hist: vec![0.0; cfg.heatmap_buckets],
+            sketch: HeatSketch::with_capacity(TOP_K),
+            rest_hist: vec![0.0; HEATMAP_BUCKETS],
             cur_window: 0,
-            cur_span: (0, cfg.heat_window_ns),
+            cur_span: (0, HEAT_WINDOW_NS),
             distinct_pages: 0,
             ws_cur: 0,
-            hm_cur: vec![0; cfg.heatmap_buckets],
+            hm_cur: vec![0; HEATMAP_BUCKETS],
             shard_cur: vec![0; shards.max(1)],
             shard_heat: vec![0.0; shards.max(1)],
             shares: vec![0.0; shards.max(1)],
             skew: 0.0,
             ws_last: 0,
             rows: Vec::new(),
-            strides: FxHashMap::default(),
+            strides: Vec::new(),
             stride_other: 0,
             touches: 0,
             dropped: 0,
@@ -391,16 +324,15 @@ impl MemObservatory {
     }
 
     /// Sizes the window-row series for a run closing `windows` windows
-    /// (capped at [`MemObsConfig::max_windows`], past which rows are
-    /// dropped anyway).
+    /// (capped at [`MAX_WINDOWS`], past which rows are dropped anyway).
     pub fn reserve(&mut self, windows: usize) {
-        self.rows.reserve(windows.min(self.cfg.max_windows));
+        self.rows.reserve(windows.min(MAX_WINDOWS));
     }
 
+    /// Address bucket of a page inside the footprint.
     #[inline]
     fn bucket(&self, page: u64) -> usize {
-        let b = self.cfg.heatmap_buckets as u64;
-        ((page.min(self.total_pages - 1) * b) / self.total_pages) as usize
+        ((page * HEATMAP_BUCKETS as u64) / self.total_pages) as usize
     }
 
     /// Closes every window before `w` and advances to it.
@@ -409,7 +341,7 @@ impl MemObservatory {
         let gap = w - self.cur_window;
         // Fold the closing window's shard touches into the decayed
         // heat, then age everything across the (possibly idle) gap.
-        let d = self.cfg.heat_decay;
+        let d = HEAT_DECAY;
         let total: f64 = {
             for (h, c) in self.shard_heat.iter_mut().zip(&self.shard_cur) {
                 *h = *h * d + *c as f64;
@@ -439,13 +371,13 @@ impl MemObservatory {
         }
         self.ws_last = self.ws_cur;
         if self.ws_cur > 0 || self.hm_cur.iter().any(|&c| c > 0) {
-            if self.rows.len() < self.cfg.max_windows {
+            if self.rows.len() < MAX_WINDOWS {
                 self.rows.push(WindowRow {
                     idx: self.cur_window,
                     ws_pages: self.ws_cur,
                     skew: self.skew,
                     hit_rate: self.hit_rate(),
-                    buckets: std::mem::replace(&mut self.hm_cur, vec![0; self.cfg.heatmap_buckets]),
+                    buckets: std::mem::replace(&mut self.hm_cur, vec![0; HEATMAP_BUCKETS]),
                 });
             } else {
                 self.dropped += 1;
@@ -455,12 +387,16 @@ impl MemObservatory {
         self.ws_cur = 0;
         self.shard_cur.iter_mut().for_each(|c| *c = 0);
         self.cur_window = w;
-        let start = w.saturating_mul(self.cfg.heat_window_ns);
-        self.cur_span = (start, start.saturating_add(self.cfg.heat_window_ns));
+        let start = w.saturating_mul(HEAT_WINDOW_NS);
+        self.cur_span = (start, start.saturating_add(HEAT_WINDOW_NS));
     }
 
     /// Books one completed demand access. Returns `true` when one or
     /// more windows closed (gauge values are fresh).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `page` lies past the footprint.
     pub fn on_touch(&mut self, page: u64, shard: usize, now_ns: u64, delta: Option<i64>) -> bool {
         // A skewed worker clock can stamp a touch before the current
         // window; only then (and at a roll) is the window divided out.
@@ -468,14 +404,14 @@ impl MemObservatory {
         let w = if in_current {
             self.cur_window
         } else {
-            now_ns / self.cfg.heat_window_ns
+            now_ns / HEAT_WINDOW_NS
         };
         let rolled = w > self.cur_window;
         if rolled {
             self.roll_to(w);
         }
         self.touches += 1;
-        let &mut (seen, _, slot, bucket, _) = self.pages.rec(page);
+        let (seen, _, slot, bucket, _) = self.pages[page as usize];
         let bucket = match bucket {
             0 => u32::try_from(self.bucket(page) + 1).expect("under 2^32 heatmap buckets"),
             filled => filled,
@@ -486,17 +422,17 @@ impl MemObservatory {
         let slot = if slot != 0 {
             self.sketch.bump(slot - 1);
             slot
-        } else if self.sketch.slots.len() < self.cfg.top_k {
+        } else if self.sketch.slots.len() < TOP_K {
             self.sketch.push(page) + 1
         } else {
             let (slot, old) = self.sketch.displace_min(page);
             // A page in the sketch was touched: its bucket is filled.
-            let (_, _, old_slot, old_bucket, _) = self.pages.rec(old.page);
+            let (_, _, old_slot, old_bucket, _) = &mut self.pages[old.page as usize];
             *old_slot = 0;
             self.rest_hist[*old_bucket as usize - 1] += old.weight;
             slot + 1
         };
-        let (rec_seen, _, rec_slot, rec_bucket, _) = self.pages.rec(page);
+        let (rec_seen, _, rec_slot, rec_bucket, _) = &mut self.pages[page as usize];
         (*rec_seen, *rec_slot, *rec_bucket) = (w + 1, slot, bucket);
         self.hm_cur[bucket as usize - 1] += 1;
         if let Some(c) = self.shard_cur.get_mut(shard) {
@@ -509,29 +445,19 @@ impl MemObservatory {
             self.ws_cur += 1;
         }
         if let Some(d) = delta {
-            if let Some(c) = self.strides.get_mut(&d) {
-                *c += 1;
-            } else if self.strides.len() < self.cfg.max_strides {
-                self.strides.insert(d, 1);
-            } else {
-                self.stride_other += 1;
+            match self.strides.binary_search_by_key(&d, |&(d, _)| d) {
+                Ok(i) => self.strides[i].1 += 1,
+                Err(i) if self.strides.len() < MAX_STRIDES => self.strides.insert(i, (d, 1)),
+                Err(_) => self.stride_other += 1,
             }
         }
         rolled
     }
 
-    /// Records a prefetch issuance. When the record table is full the
-    /// prefetch is conservatively booked `issued + wasted` at once and
-    /// counted dropped, keeping the conservation identity exact.
+    /// Records a prefetch issuance.
     pub fn on_prefetch_issued(&mut self, page: u64, class: PrefetchClass, now_ns: u64) {
-        let f = &mut self.fates[class as usize];
-        f.issued += 1;
-        if self.pf_tracked >= self.cfg.max_tracked {
-            f.wasted += 1;
-            self.dropped += 1;
-            return;
-        }
-        let (_, pf_issued_ns, _, _, pf) = self.pages.rec(page);
+        self.fates[class as usize].issued += 1;
+        let (_, pf_issued_ns, _, _, pf) = &mut self.pages[page as usize];
         let prev = std::mem::replace(pf, class as u8 + 1);
         *pf_issued_ns = now_ns;
         debug_assert!(prev == 0, "prefetch of a page already tracked");
@@ -545,10 +471,9 @@ impl MemObservatory {
 
     /// Marks a tracked prefetch's data as arrived (fetch completed).
     pub fn on_prefetch_arrived(&mut self, page: u64) {
-        if let Some((_, _, _, _, pf)) = self.pages.peek(page) {
-            if *pf != 0 {
-                *pf |= PF_ARRIVED;
-            }
+        let pf = &mut self.pages[page as usize].4;
+        if *pf != 0 {
+            *pf |= PF_ARRIVED;
         }
     }
 
@@ -556,7 +481,7 @@ impl MemObservatory {
     /// its class index and issue instant.
     #[inline]
     fn pf_take(&mut self, page: u64) -> Option<(usize, u64)> {
-        let (_, pf_issued_ns, _, _, pf) = self.pages.peek(page)?;
+        let (_, pf_issued_ns, _, _, pf) = &mut self.pages[page as usize];
         if *pf == 0 {
             return None;
         }
@@ -606,7 +531,7 @@ impl MemObservatory {
         }
     }
 
-    /// Rows (ws/heatmap/series) and records dropped so far.
+    /// Window rows dropped so far by the [`MAX_WINDOWS`] cap.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -644,7 +569,7 @@ impl MemObservatory {
     /// remaining records (arrived → wasted, in flight →
     /// `inflight_at_end`) and freezes the report.
     pub fn finish(mut self, end_ns: u64) -> MemReport {
-        let w = end_ns / self.cfg.heat_window_ns + 1;
+        let w = end_ns / HEAT_WINDOW_NS + 1;
         if w > self.cur_window {
             self.roll_to(w);
         }
@@ -671,11 +596,10 @@ impl MemObservatory {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        let mut strides: Vec<(i64, u64)> = self.strides.iter().map(|(&d, &c)| (d, c)).collect();
+        let mut strides = self.strides;
         strides.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         MemReport {
-            window_ns: self.cfg.heat_window_ns,
-            heatmap_buckets: self.cfg.heatmap_buckets,
+            window_ns: HEAT_WINDOW_NS,
             total_pages: self.total_pages,
             touches: self.touches,
             distinct_pages: self.distinct_pages,
@@ -698,8 +622,6 @@ impl MemObservatory {
 pub struct MemReport {
     /// Window width used for every series.
     pub window_ns: u64,
-    /// Address buckets of the heatmap and rest histogram.
-    pub heatmap_buckets: usize,
     /// Page-space size the buckets divide.
     pub total_pages: u64,
     /// Completed demand accesses booked.
@@ -722,7 +644,7 @@ pub struct MemReport {
     pub shard_shares: Vec<f64>,
     /// Final `max/mean` shard heat skew.
     pub heat_skew: f64,
-    /// Rows/records dropped by bounded-memory caps.
+    /// Window rows dropped by the [`MAX_WINDOWS`] cap.
     pub obs_dropped: u64,
 }
 
@@ -879,7 +801,7 @@ mod tests {
     use super::*;
 
     fn obs(pages: u64, shards: usize) -> MemObservatory {
-        MemObservatory::new(MemObsConfig::default(), pages, shards)
+        MemObservatory::new(MemObsConfig, pages, shards)
     }
 
     #[test]
@@ -911,36 +833,59 @@ mod tests {
         assert_eq!(r.classes[PrefetchClass::Leap as usize].inflight_at_end, 1);
     }
 
+    /// Every page of the footprint prefetched at once is one record per
+    /// page: nothing is dropped, and the sweep conserves every fate.
     #[test]
-    fn record_cap_overflow_stays_conserved_and_counts_dropped() {
-        let cfg = MemObsConfig {
-            max_tracked: 2,
-            ..MemObsConfig::default()
-        };
-        let mut o = MemObservatory::new(cfg, 100, 1);
-        for p in 0..5u64 {
-            o.on_prefetch_issued(p, PrefetchClass::Readahead, 0);
+    fn prefetching_the_whole_footprint_conserves_fates() {
+        const PAGES: u64 = 4_096;
+        let mut o = obs(PAGES, 1);
+        let classes = [
+            PrefetchClass::Readahead,
+            PrefetchClass::Leap,
+            PrefetchClass::Speculative,
+        ];
+        for p in 0..PAGES {
+            o.on_prefetch_issued(p, classes[(p % 3) as usize], 0);
+        }
+        for p in 0..PAGES {
+            match p % 4 {
+                0 => {
+                    o.on_prefetch_arrived(p);
+                    assert!(o.classify_hit(p));
+                }
+                1 => assert!(o.classify_late(p, 10)),
+                2 => o.on_prefetch_arrived(p), // swept wasted
+                _ => {}                        // in flight at the end
+            }
         }
         let r = o.finish(1);
         assert!(r.holds());
-        assert_eq!(r.totals().issued, 5);
-        assert_eq!(r.obs_dropped, 3);
-        assert!(r.to_json().contains("\"warning\""));
+        let t = r.totals();
+        assert_eq!(t.issued, PAGES);
+        let quarter = PAGES / 4;
+        assert_eq!(
+            (t.hits, t.lates, t.wasted, t.inflight_at_end),
+            (quarter, quarter, quarter, quarter)
+        );
+        assert_eq!(r.obs_dropped, 0);
+        assert!(!r.to_json().contains("\"warning\""));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn touch_past_the_footprint_panics() {
+        obs(64, 1).on_touch(64, 0, 0, None);
     }
 
     #[test]
     fn heat_sketch_is_bounded_and_finds_the_heavy_hitter() {
-        let cfg = MemObsConfig {
-            top_k: 4,
-            ..MemObsConfig::default()
-        };
-        let mut o = MemObservatory::new(cfg, 10_000, 1);
+        let mut o = obs(10_000, 1);
         for i in 0..2_000u64 {
             o.on_touch(7, 0, i, None); // hot page
             o.on_touch(i % 1_000, 0, i, None); // churn
         }
         let r = o.finish(2_000);
-        assert_eq!(r.heat_top.len(), 4);
+        assert_eq!(r.heat_top.len(), TOP_K);
         assert_eq!(r.heat_top[0].0, 7, "hot page must top the sketch");
         assert!(
             r.rest_hist.iter().sum::<f64>() > 0.0,
@@ -950,20 +895,16 @@ mod tests {
 
     #[test]
     fn windows_roll_decay_and_cap() {
-        let cfg = MemObsConfig {
-            heat_window_ns: 100,
-            max_windows: 3,
-            ..MemObsConfig::default()
-        };
-        let mut o = MemObservatory::new(cfg, 64, 2);
-        for w in 0..6u64 {
+        let windows = MAX_WINDOWS as u64 + 3;
+        let mut o = obs(64, 2);
+        for w in 0..windows {
             for i in 0..4 {
-                let rolled = o.on_touch(i, (i % 2) as usize, w * 100 + i, None);
+                let rolled = o.on_touch(i, (i % 2) as usize, w * HEAT_WINDOW_NS + i, None);
                 assert_eq!(rolled, w > 0 && i == 0);
             }
         }
-        let r = o.finish(600);
-        assert_eq!(r.rows.len(), 3, "row cap");
+        let r = o.finish(windows * HEAT_WINDOW_NS);
+        assert_eq!(r.rows.len(), MAX_WINDOWS, "row cap");
         assert_eq!(r.obs_dropped, 3, "each dropped row is counted");
         assert_eq!(r.rows[0].ws_pages, 4);
         // Two shards touched evenly → no skew.
@@ -985,17 +926,19 @@ mod tests {
 
     #[test]
     fn stride_fingerprint_tracks_deltas_and_overflows_to_other() {
-        let cfg = MemObsConfig {
-            max_strides: 2,
-            ..MemObsConfig::default()
-        };
-        let mut o = MemObservatory::new(cfg, 1 << 20, 1);
+        let mut o = obs(1 << 12, 1);
         for i in 0..10u64 {
             o.on_touch(i, 0, i, Some(1));
         }
         o.on_touch(100, 0, 20, Some(-3));
-        o.on_touch(200, 0, 21, Some(17)); // over cap → other
+        // Fill the fingerprint with singleton deltas; one more is over
+        // the cap → other.
+        for d in 0..MAX_STRIDES as i64 - 2 {
+            o.on_touch(200, 0, 21, Some(1_000 + d));
+        }
+        o.on_touch(300, 0, 22, Some(17));
         let r = o.finish(100);
+        assert_eq!(r.strides.len(), MAX_STRIDES);
         assert_eq!(r.strides[0], (1, 10));
         assert_eq!(r.strides[1], (-3, 1));
         assert_eq!(r.stride_other, 1);
@@ -1035,17 +978,14 @@ mod tests {
 
     #[test]
     fn ws_counts_distinct_pages_per_window() {
-        let cfg = MemObsConfig {
-            heat_window_ns: 1_000,
-            ..MemObsConfig::default()
-        };
-        let mut o = MemObservatory::new(cfg, 64, 1);
+        let mut o = obs(64, 1);
         for _ in 0..10 {
             o.on_touch(5, 0, 10, None);
         }
         o.on_touch(6, 0, 20, None);
-        o.on_touch(5, 0, 1_500, None); // same page, next window → counted again
-        let r = o.finish(2_000);
+        // Same page, next window → counted again.
+        o.on_touch(5, 0, HEAT_WINDOW_NS + HEAT_WINDOW_NS / 2, None);
+        let r = o.finish(2 * HEAT_WINDOW_NS);
         assert_eq!(r.rows[0].ws_pages, 2);
         assert_eq!(r.rows[1].ws_pages, 1);
         assert_eq!(r.distinct_pages, 2);
@@ -1057,27 +997,23 @@ mod tests {
     /// that crosses a window every ~100 touches, idles once, and
     /// sometimes stamps a touch just behind it — to the observatory and
     /// to the reference, and compares the two reports bit for bit.
-    fn assert_matches_reference(
-        cfg: MemObsConfig,
-        seed: u64,
-        mut next_page: impl FnMut(&mut desim::Rng, u64) -> u64,
-    ) {
+    fn assert_matches_reference(seed: u64, mut next_page: impl FnMut(&mut desim::Rng, u64) -> u64) {
         const PAGES: u64 = 4_096;
         const TOUCHES: u64 = 8_000;
-        let mut new = MemObservatory::new(cfg, PAGES, 4);
-        let mut old = reference::RefObservatory::new(cfg, PAGES, 4);
+        let mut new = obs(PAGES, 4);
+        let mut old = reference::RefObservatory::new(PAGES, 4);
         let mut rng = desim::Rng::new(seed);
         let (mut clock, mut last) = (0u64, 0u64);
         for i in 0..TOUCHES {
-            clock += rng.gen_range(cfg.heat_window_ns / 50);
+            clock += rng.gen_range(HEAT_WINDOW_NS / 50);
             if i == TOUCHES / 2 {
                 // An idle stretch long enough that decay 0.5 underflows
                 // every weight to zero: the whole sketch ties.
-                clock += 1_100 * cfg.heat_window_ns;
+                clock += 1_100 * HEAT_WINDOW_NS;
             }
             // Worker clocks lead the event clock by a bounded skew, so
             // a touch can be stamped before the window just opened.
-            let now = clock.saturating_sub(rng.gen_range(8) / 7 * (cfg.heat_window_ns / 20));
+            let now = clock.saturating_sub(rng.gen_range(8) / 7 * (HEAT_WINDOW_NS / 20));
             let page = next_page(&mut rng, i);
             let (shard, delta) = ((page % 4) as usize, Some(page as i64 - last as i64));
             last = page;
@@ -1089,8 +1025,9 @@ mod tests {
                 old.on_touch(page, shard, now, delta),
                 "touch {i}"
             );
-            // Prefetch traffic next to the touched page, every fate.
-            let near = page + 1 + rng.gen_range(3);
+            // Prefetch traffic next to the touched page, every fate
+            // (the runtime prefetches only inside the footprint).
+            let near = (page + 1 + rng.gen_range(3)).min(PAGES - 1);
             match rng.gen_range(8) {
                 0 | 1 => {
                     // The runtime never re-issues a tracked page.
@@ -1117,10 +1054,7 @@ mod tests {
             assert_eq!(new.ws_last(), old.ws_last());
             assert_eq!(new.dropped(), old.dropped());
         }
-        assert!(
-            clock / cfg.heat_window_ns >= 50,
-            "the run must roll 50 windows"
-        );
+        assert!(clock / HEAT_WINDOW_NS >= 50, "the run must roll 50 windows");
         let (new, old) = (new.finish(clock), old.finish(clock));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(new.heat_top.len(), old.heat_top.len());
@@ -1146,26 +1080,30 @@ mod tests {
         min_i as u32
     }
 
+    /// Small sketches and decay 1.0 (no ageing: every weight a small
+    /// integer, ties everywhere) included.
     #[test]
     fn heap_root_is_the_scan_minimum_after_every_operation() {
         let mut rng = desim::Rng::new(5);
-        let mut sk = HeatSketch::with_capacity(16);
-        for page in 0..16 {
-            sk.push(page);
-            assert_eq!(sk.heap[0], scan_min(&sk));
-        }
-        for step in 0..4_000u64 {
-            match rng.gen_range(10) {
-                0 => sk.decay([1.0, 0.5, 0.9][rng.gen_range(3) as usize]),
-                1..=4 => sk.bump(rng.gen_range(16) as u32),
-                _ => {
-                    let want = scan_min(&sk);
-                    assert_eq!(sk.displace_min(100 + step).0, want);
-                }
+        for k in [1u64, 5, 16] {
+            let mut sk = HeatSketch::with_capacity(k as usize);
+            for page in 0..k {
+                sk.push(page);
+                assert_eq!(sk.heap[0], scan_min(&sk));
             }
-            assert_eq!(sk.heap[0], scan_min(&sk), "step {step}");
-            for (i, &slot) in sk.heap.iter().enumerate() {
-                assert_eq!(sk.pos[slot as usize] as usize, i);
+            for step in 0..4_000u64 {
+                match rng.gen_range(10) {
+                    0 => sk.decay([1.0, 0.5, 0.9][rng.gen_range(3) as usize]),
+                    1..=4 => sk.bump(rng.gen_range(k) as u32),
+                    _ => {
+                        let want = scan_min(&sk);
+                        assert_eq!(sk.displace_min(100 + step).0, want);
+                    }
+                }
+                assert_eq!(sk.heap[0], scan_min(&sk), "{k} slots, step {step}");
+                for (i, &slot) in sk.heap.iter().enumerate() {
+                    assert_eq!(sk.pos[slot as usize] as usize, i);
+                }
             }
         }
     }
@@ -1190,39 +1128,25 @@ mod tests {
 
     #[test]
     fn page_table_and_heap_report_like_hash_maps_and_scan() {
-        for heat_decay in [0.5, 1.0] {
-            for top_k in [1, 5, 64] {
-                let cfg = MemObsConfig {
-                    heat_window_ns: 10_000,
-                    heat_decay,
-                    top_k,
-                    max_tracked: 40,
-                    ..MemObsConfig::default()
-                };
-                // Uniform: nearly every touch displaces, and with no
-                // decay every weight is a small integer — ties
-                // everywhere. Every 500th page lies past the footprint.
-                assert_matches_reference(cfg, 1, |rng, i| match i % 500 {
-                    0 => 4_096 + rng.gen_range(64),
-                    _ => rng.gen_range(4_096),
-                });
-                // Zipf-like: a few heavy hitters stay in the sketch.
-                assert_matches_reference(cfg, 2, |rng, _| {
-                    let u = rng.gen_f64();
-                    ((4_096.0f64).powf(u * u * u) as u64).min(4_095)
-                });
-                // Sequential scan, wrapping.
-                assert_matches_reference(cfg, 3, |_, i| (i * 3) % 4_096);
-            }
-        }
+        // Uniform: nearly every touch displaces.
+        assert_matches_reference(1, |rng, _| rng.gen_range(4_096));
+        // Zipf-like: a few heavy hitters stay in the sketch.
+        assert_matches_reference(2, |rng, _| {
+            let u = rng.gen_f64();
+            ((4_096.0f64).powf(u * u * u) as u64).min(4_095)
+        });
+        // Sequential scan, wrapping.
+        assert_matches_reference(3, |_, i| (i * 3) % 4_096);
     }
 
     /// The observatory as it was before the page table and the heap: hash
     /// maps keyed by page and a linear scan for the sketch's minimum. The
-    /// oracle of the equivalence tests below.
-    #[allow(dead_code)]
+    /// oracle of the equivalence tests above. Its maps are only probed,
+    /// counted, or drained into a sort by a total order, so their
+    /// iteration order never reaches a report.
     mod reference {
         use super::super::*;
+        use std::collections::HashMap;
 
         struct PfRec {
             class: u8,
@@ -1237,18 +1161,17 @@ mod tests {
 
         /// Live observatory state; one per enabled run.
         pub struct RefObservatory {
-            cfg: MemObsConfig,
             total_pages: u64,
             // Prefetch-fate attribution.
-            pf: FxHashMap<u64, PfRec>,
+            pf: HashMap<u64, PfRec>,
             fates: [FateCounters; 3],
             // Heat sketch (SpaceSaving) + displaced-weight histogram.
             slots: Vec<HeatSlot>,
-            slot_of: FxHashMap<u64, usize>,
+            slot_of: HashMap<u64, usize>,
             rest_hist: Vec<f64>,
             // Windows.
             cur_window: u64,
-            last_seen: FxHashMap<u64, u64>,
+            last_seen: HashMap<u64, u64>,
             ws_cur: u64,
             hm_cur: Vec<u64>,
             shard_cur: Vec<u64>,
@@ -1258,7 +1181,7 @@ mod tests {
             ws_last: u64,
             rows: Vec<WindowRow>,
             // Stride fingerprint.
-            strides: FxHashMap<i64, u64>,
+            strides: HashMap<i64, u64>,
             stride_other: u64,
             touches: u64,
             dropped: u64,
@@ -1267,37 +1190,25 @@ mod tests {
         impl RefObservatory {
             /// Creates an observatory over a `total_pages` footprint spread
             /// across `shards` rails.
-            ///
-            /// # Panics
-            ///
-            /// Panics on a degenerate configuration (zero window, no buckets,
-            /// no slots, or a decay outside `(0, 1]`).
-            pub fn new(cfg: MemObsConfig, total_pages: u64, shards: usize) -> RefObservatory {
-                assert!(cfg.heat_window_ns > 0, "zero-width heat window");
-                assert!(cfg.heatmap_buckets > 0 && cfg.top_k > 0, "empty sketch");
-                assert!(
-                    cfg.heat_decay > 0.0 && cfg.heat_decay <= 1.0,
-                    "decay outside (0, 1]"
-                );
+            pub fn new(total_pages: u64, shards: usize) -> RefObservatory {
                 RefObservatory {
-                    cfg,
                     total_pages: total_pages.max(1),
-                    pf: FxHashMap::default(),
+                    pf: HashMap::new(),
                     fates: [FateCounters::default(); 3],
-                    slots: Vec::with_capacity(cfg.top_k),
-                    slot_of: FxHashMap::default(),
-                    rest_hist: vec![0.0; cfg.heatmap_buckets],
+                    slots: Vec::with_capacity(TOP_K),
+                    slot_of: HashMap::new(),
+                    rest_hist: vec![0.0; HEATMAP_BUCKETS],
                     cur_window: 0,
-                    last_seen: FxHashMap::default(),
+                    last_seen: HashMap::new(),
                     ws_cur: 0,
-                    hm_cur: vec![0; cfg.heatmap_buckets],
+                    hm_cur: vec![0; HEATMAP_BUCKETS],
                     shard_cur: vec![0; shards.max(1)],
                     shard_heat: vec![0.0; shards.max(1)],
                     shares: vec![0.0; shards.max(1)],
                     skew: 0.0,
                     ws_last: 0,
                     rows: Vec::new(),
-                    strides: FxHashMap::default(),
+                    strides: HashMap::new(),
                     stride_other: 0,
                     touches: 0,
                     dropped: 0,
@@ -1306,7 +1217,7 @@ mod tests {
 
             #[inline]
             fn bucket(&self, page: u64) -> usize {
-                let b = self.cfg.heatmap_buckets as u64;
+                let b = HEATMAP_BUCKETS as u64;
                 ((page.min(self.total_pages - 1) * b) / self.total_pages) as usize
             }
 
@@ -1316,7 +1227,7 @@ mod tests {
                 let gap = w - self.cur_window;
                 // Fold the closing window's shard touches into the decayed
                 // heat, then age everything across the (possibly idle) gap.
-                let d = self.cfg.heat_decay;
+                let d = HEAT_DECAY;
                 let total: f64 = {
                     for (h, c) in self.shard_heat.iter_mut().zip(&self.shard_cur) {
                         *h = *h * d + *c as f64;
@@ -1348,16 +1259,13 @@ mod tests {
                 }
                 self.ws_last = self.ws_cur;
                 if self.ws_cur > 0 || self.hm_cur.iter().any(|&c| c > 0) {
-                    if self.rows.len() < self.cfg.max_windows {
+                    if self.rows.len() < MAX_WINDOWS {
                         self.rows.push(WindowRow {
                             idx: self.cur_window,
                             ws_pages: self.ws_cur,
                             skew: self.skew,
                             hit_rate: self.hit_rate(),
-                            buckets: std::mem::replace(
-                                &mut self.hm_cur,
-                                vec![0; self.cfg.heatmap_buckets],
-                            ),
+                            buckets: std::mem::replace(&mut self.hm_cur, vec![0; HEATMAP_BUCKETS]),
                         });
                     } else {
                         self.dropped += 1;
@@ -1378,7 +1286,7 @@ mod tests {
                 now_ns: u64,
                 delta: Option<i64>,
             ) -> bool {
-                let w = now_ns / self.cfg.heat_window_ns;
+                let w = now_ns / HEAT_WINDOW_NS;
                 let rolled = w > self.cur_window;
                 if rolled {
                     self.roll_to(w);
@@ -1389,7 +1297,7 @@ mod tests {
                 // which is deterministic).
                 if let Some(&i) = self.slot_of.get(&page) {
                     self.slots[i].weight += 1.0;
-                } else if self.slots.len() < self.cfg.top_k {
+                } else if self.slots.len() < TOP_K {
                     self.slot_of.insert(page, self.slots.len());
                     self.slots.push(HeatSlot { page, weight: 1.0 });
                 } else {
@@ -1422,7 +1330,7 @@ mod tests {
                 if let Some(d) = delta {
                     if let Some(c) = self.strides.get_mut(&d) {
                         *c += 1;
-                    } else if self.strides.len() < self.cfg.max_strides {
+                    } else if self.strides.len() < MAX_STRIDES {
                         self.strides.insert(d, 1);
                     } else {
                         self.stride_other += 1;
@@ -1431,17 +1339,9 @@ mod tests {
                 rolled
             }
 
-            /// Records a prefetch issuance. When the record table is full the
-            /// prefetch is conservatively booked `issued + wasted` at once and
-            /// counted dropped, keeping the conservation identity exact.
+            /// Records a prefetch issuance.
             pub fn on_prefetch_issued(&mut self, page: u64, class: PrefetchClass, now_ns: u64) {
-                let f = &mut self.fates[class as usize];
-                f.issued += 1;
-                if self.pf.len() >= self.cfg.max_tracked {
-                    f.wasted += 1;
-                    self.dropped += 1;
-                    return;
-                }
+                self.fates[class as usize].issued += 1;
                 let prev = self.pf.insert(
                     page,
                     PfRec {
@@ -1504,7 +1404,7 @@ mod tests {
                 }
             }
 
-            /// Rows (ws/heatmap/series) and records dropped so far.
+            /// Window rows dropped so far.
             pub fn dropped(&self) -> u64 {
                 self.dropped
             }
@@ -1512,16 +1412,6 @@ mod tests {
             /// Distinct pages touched in the last closed window.
             pub fn ws_last(&self) -> u64 {
                 self.ws_last
-            }
-
-            /// Shard heat skew (`max/mean` share) as of the last closed window.
-            pub fn heat_skew(&self) -> f64 {
-                self.skew
-            }
-
-            /// Decayed heat share of shard `s` as of the last closed window.
-            pub fn shard_share(&self, s: usize) -> f64 {
-                self.shares.get(s).copied().unwrap_or(0.0)
             }
 
             /// Cumulative strict hit-rate over classified prefetches.
@@ -1542,20 +1432,14 @@ mod tests {
             /// remaining records (arrived → wasted, in flight →
             /// `inflight_at_end`) and freezes the report.
             pub fn finish(mut self, end_ns: u64) -> MemReport {
-                let w = end_ns / self.cfg.heat_window_ns + 1;
+                let w = end_ns / HEAT_WINDOW_NS + 1;
                 if w > self.cur_window {
                     self.roll_to(w);
                 }
-                // Sweep in deterministic page order.
-                let mut leftover: Vec<(u64, bool, u8)> = self
-                    .pf
-                    .iter()
-                    .map(|(&p, r)| (p, r.arrived, r.class))
-                    .collect();
-                leftover.sort_unstable();
-                for (_, arrived, class) in leftover {
-                    let f = &mut self.fates[class as usize];
-                    if arrived {
+                // The fates are counts: the sweep's order is immaterial.
+                for r in self.pf.values() {
+                    let f = &mut self.fates[r.class as usize];
+                    if r.arrived {
                         f.wasted += 1;
                     } else {
                         f.inflight_at_end += 1;
@@ -1568,12 +1452,12 @@ mod tests {
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.0.cmp(&b.0))
                 });
-                let mut strides: Vec<(i64, u64)> =
-                    self.strides.iter().map(|(&d, &c)| (d, c)).collect();
+                // Deltas are distinct, so (count desc, delta asc) is a
+                // total order.
+                let mut strides: Vec<(i64, u64)> = self.strides.into_iter().collect();
                 strides.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 MemReport {
-                    window_ns: self.cfg.heat_window_ns,
-                    heatmap_buckets: self.cfg.heatmap_buckets,
+                    window_ns: HEAT_WINDOW_NS,
                     total_pages: self.total_pages,
                     touches: self.touches,
                     distinct_pages: self.last_seen.len() as u64,

@@ -33,18 +33,6 @@ pub struct Watermarks {
     pub high: f64,
 }
 
-impl Default for Watermarks {
-    fn default() -> Self {
-        // The paper reclaims "immediately after reaching a certain
-        // threshold" (15 %); the narrow hysteresis keeps each reclaim
-        // cycle small so write-back bursts stay bounded.
-        Watermarks {
-            low: 0.15,
-            high: 0.16,
-        }
-    }
-}
-
 impl Watermarks {
     /// Creates watermarks, validating the invariants.
     ///
@@ -65,42 +53,37 @@ impl Watermarks {
     pub fn high_frames(&self, capacity: usize) -> usize {
         ((capacity as f64 * self.high).ceil() as usize).max(2)
     }
-
-    /// Whether reclamation should start.
-    pub fn should_start(&self, free: usize, capacity: usize) -> bool {
-        free < self.low_frames(capacity)
-    }
-
-    /// Whether reclamation may stop.
-    pub fn may_stop(&self, free: usize, capacity: usize) -> bool {
-        free >= self.high_frames(capacity)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's thresholds, as the runtime configures them.
+    fn paper() -> Watermarks {
+        Watermarks::new(0.15, 0.16)
+    }
+
     #[test]
     fn defaults_match_the_paper() {
-        let w = Watermarks::default();
+        let w = paper();
         assert!((w.low - 0.15).abs() < 1e-9);
         // 15 % of a 1000-frame cache.
         assert_eq!(w.low_frames(1000), 150);
     }
 
+    /// Reclamation starts below `low_frames` free and may stop at
+    /// `high_frames`.
     #[test]
     fn start_stop_logic() {
         let w = Watermarks::new(0.1, 0.2);
-        assert!(w.should_start(99, 1000));
-        assert!(!w.should_start(100, 1000));
-        assert!(w.may_stop(200, 1000));
-        assert!(!w.may_stop(199, 1000));
+        assert_eq!(w.low_frames(1000), 100);
+        assert_eq!(w.high_frames(1000), 200);
     }
 
     #[test]
     fn tiny_caches_still_have_margins() {
-        let w = Watermarks::default();
+        let w = paper();
         assert!(w.low_frames(1) >= 1);
         assert!(w.high_frames(1) >= w.low_frames(1));
     }
@@ -116,10 +99,10 @@ mod tests {
     /// capacity in the practical range.
     #[test]
     fn hysteresis() {
-        let w = Watermarks::default();
+        let w = paper();
         for capacity in 2usize..100_000 {
             let stop_at = w.high_frames(capacity);
-            assert!(!w.should_start(stop_at, capacity), "capacity {capacity}");
+            assert!(stop_at >= w.low_frames(capacity), "capacity {capacity}");
         }
     }
 }

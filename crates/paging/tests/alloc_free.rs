@@ -17,7 +17,7 @@ const MEASURED: u64 = 10_000;
 
 #[test]
 fn touches_within_one_window_do_not_allocate() {
-    let mut obs = MemObservatory::new(MemObsConfig::default(), PAGES, 2);
+    let mut obs = MemObservatory::new(MemObsConfig, PAGES, 2);
     let mut rng = Rng::new(41);
     let mut last = 0u64;
     let mut touch = |i: u64| {

@@ -8,7 +8,7 @@ use desim::trace::intern;
 use desim::{Histogram, Metrics, RingTracer, SimDuration, SimTime};
 use fabric::ShardMap;
 use loadgen::{Recorder, TenantSpec};
-use paging::observe::MemObservatory;
+use paging::observe::{MemObservatory, HEAT_WINDOW_NS};
 
 use super::telemetry::{Tallied, TelemBridge};
 use super::{
@@ -167,7 +167,7 @@ impl Observer {
         let mem = params.memory.take().map(|mc| MemPlane {
             obs: {
                 let mut obs = MemObservatory::new(mc, total_pages, shards);
-                obs.reserve((horizon.as_nanos() / mc.heat_window_ns) as usize + 1);
+                obs.reserve((horizon.as_nanos() / HEAT_WINDOW_NS) as usize + 1);
                 obs
             },
             last_page: Vec::new(),

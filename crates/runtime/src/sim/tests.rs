@@ -1090,7 +1090,7 @@ fn wide_planes_register_and_sample_every_entity_once() {
         RunParams {
             warmup: SimDuration::from_millis(1),
             measure: SimDuration::from_millis(3),
-            profile: Some(desim::ProfileConfig::default()),
+            profile: Some(desim::ProfileConfig),
             telemetry: Some(desim::TelemetryConfig::default()),
             ..tenant_params(plane)
         },

@@ -117,11 +117,6 @@ impl ArrayIndexWorkload {
             reply_bytes: 64,
         }
     }
-
-    /// The paper's 40 GB array.
-    pub fn paper_scale() -> ArrayIndexWorkload {
-        ArrayIndexWorkload::new(40 * (1 << 30) / paging::PAGE_SIZE)
-    }
 }
 
 impl Workload for ArrayIndexWorkload {
@@ -326,11 +321,6 @@ impl TenantWorkload {
             class_offsets,
         }
     }
-
-    /// Class index of tenant `t`'s class `i` in the combined table.
-    pub fn tenant_class(&self, t: usize, i: u16) -> u16 {
-        self.class_offsets[t] + i
-    }
 }
 
 impl Workload for TenantWorkload {
@@ -417,8 +407,6 @@ mod tests {
         ]);
         assert_eq!(w.total_pages(), 53_000);
         assert_eq!(w.classes(), &["lookup", "walk", "lookup"]);
-        assert_eq!(w.tenant_class(1, 0), 1);
-        assert_eq!(w.tenant_class(2, 0), 2);
         let mut rng = Rng::new(21);
         let mut buf = Trace::default();
         for _ in 0..300 {
@@ -524,12 +512,6 @@ mod tests {
             ),
             13,
         );
-    }
-
-    #[test]
-    fn paper_scale_is_40gb() {
-        let w = ArrayIndexWorkload::paper_scale();
-        assert_eq!(w.total_pages(), 10 * 1024 * 1024);
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl BufferPool {
         (end & !0xF) as *mut u8
     }
 
-    /// Usable stack bytes per buffer.
-    pub fn stack_bytes(&self) -> usize {
-        (self.buf_size & !0xF) - self.ctx_offset() - std::mem::size_of::<Context>() - 8
-    }
-
     /// The buffer's packet-payload area.
     pub fn payload(&self, idx: u32) -> &[u8] {
         // SAFETY: payload area is in range and u8 has no validity
@@ -158,6 +153,12 @@ impl BufferPool {
 mod tests {
     use super::*;
 
+    /// Usable stack bytes of buffer 0: from the stack top down to the
+    /// canary word past the context block.
+    fn stack_bytes(p: &BufferPool) -> usize {
+        p.stack_top(0) as usize - p.canary_ptr(0) as usize - 8
+    }
+
     #[test]
     fn acquire_release_cycle() {
         let mut p = BufferPool::new(4, 16 * 1024, 1500);
@@ -188,7 +189,7 @@ mod tests {
         assert_eq!(top % 16, 0, "stack top must be 16-aligned");
         assert!(ctx > p.payload(1).as_ptr() as usize);
         assert!(top > ctx + std::mem::size_of::<Context>());
-        assert!(p.stack_bytes() >= 256);
+        assert!(stack_bytes(&p) >= 256);
     }
 
     #[test]
@@ -196,7 +197,7 @@ mod tests {
         // The paper's 4 KB buffer with a 1500 B MTU leaves > 2.4 KB of
         // universal stack.
         let p = BufferPool::new(1, PAPER_BUFFER_SIZE, 1500);
-        assert!(p.stack_bytes() > 2400, "stack = {}", p.stack_bytes());
+        assert!(stack_bytes(&p) > 2400, "stack = {}", stack_bytes(&p));
     }
 
     #[test]

@@ -396,7 +396,7 @@ fn profiler_output_bitwise_reproducible() {
     // profile block at all (the golden byte-stream test above pins
     // that path bit for bit).
     let mut p = params(5);
-    p.profile = Some(adios::desim::ProfileConfig::default());
+    p.profile = Some(adios::desim::ProfileConfig);
     let mut w1 = ArrayIndexWorkload::new(16_384);
     let mut w2 = ArrayIndexWorkload::new(16_384);
     let a = run_one(SystemConfig::adios(), &mut w1, p.clone());
@@ -512,7 +512,7 @@ fn memory_observatory_bitwise_reproducible() {
     // observatory-off runs must carry no memory block at all (the
     // golden byte-stream tests above pin that path bit for bit).
     let mut p = params(5);
-    p.memory = Some(MemObsConfig::default());
+    p.memory = Some(MemObsConfig);
     let mut w1 = ArrayIndexWorkload::new(16_384);
     let mut w2 = ArrayIndexWorkload::new(16_384);
     let a = run_one(SystemConfig::adios(), &mut w1, p.clone());

@@ -47,8 +47,8 @@ pub fn params() -> RunParams {
 pub fn all_planes(mut p: RunParams) -> RunParams {
     p.trace_capacity = Some(200_000);
     p.spans = Some(SpanConfig::with_exemplars(95.0, 32));
-    p.profile = Some(ProfileConfig::default());
-    p.memory = Some(MemObsConfig::default());
+    p.profile = Some(ProfileConfig);
+    p.memory = Some(MemObsConfig);
     p.telemetry = Some(TelemetryConfig::default());
     p
 }
@@ -186,7 +186,7 @@ pub const MATRIX: &[Case] = &[
         name: "adios+profile",
         run: || {
             let mut p = params();
-            p.profile = Some(ProfileConfig::default());
+            p.profile = Some(ProfileConfig);
             array(SystemConfig::adios(), p)
         },
         golden: (6_129, 0x5ecd_6657_81d5_b499),
@@ -195,7 +195,7 @@ pub const MATRIX: &[Case] = &[
         name: "adios+memory",
         run: || {
             let mut p = params();
-            p.memory = Some(MemObsConfig::default());
+            p.memory = Some(MemObsConfig);
             array(SystemConfig::adios(), p)
         },
         golden: (2_501, 0xf70a_4cd5_8190_f3a8),

@@ -68,8 +68,8 @@ fn all_planes_on_add_at_most_one_allocation_per_fifty_requests() {
     let on = RunParams {
         trace_capacity: Some(1 << 16),
         spans: Some(SpanConfig::default()),
-        profile: Some(ProfileConfig::default()),
-        memory: Some(MemObsConfig::default()),
+        profile: Some(ProfileConfig),
+        memory: Some(MemObsConfig),
         telemetry: Some(TelemetryConfig::default()),
         ..off.clone()
     };

@@ -687,7 +687,7 @@ fn core_state_tilings_sum_to_window() {
                 measure: SimDuration::from_millis(6),
                 local_mem_fraction: 0.2,
                 faults,
-                profile: Some(ProfileConfig::default()),
+                profile: Some(ProfileConfig),
                 ..Default::default()
             },
         );
@@ -740,7 +740,7 @@ fn queue_littles_law_holds_on_none_and_lossy() {
                     measure: SimDuration::from_millis(8),
                     local_mem_fraction: 0.2,
                     faults: scenario.clone(),
-                    profile: Some(ProfileConfig::default()),
+                    profile: Some(ProfileConfig),
                     ..Default::default()
                 },
             );
@@ -1122,7 +1122,7 @@ fn memory_observatory_fates_conserve_across_apps_and_detectors() {
                     seed,
                     warmup: SimDuration::from_millis(1),
                     measure: SimDuration::from_millis(4),
-                    memory: Some(MemObsConfig::default()),
+                    memory: Some(MemObsConfig),
                     ..Default::default()
                 },
             );
