@@ -13,6 +13,16 @@
 //! workloads. A GET probes the index, verifies the key bytes and
 //! streams the value — two to three page touches over a multi-GB
 //! working set, which is exactly the paper's Memcached fault profile.
+//!
+//! The load runs in two passes per batch of `LOAD_BATCH` keys: a
+//! write pass lays the items out in key-id order, one after the other,
+//! and an index pass inserts their `(hash, addr)` pairs in the same
+//! order. The arena bytes depend on the insertion order alone (linear
+//! probing places a key by what was inserted before it), so the split
+//! leaves every byte where the item-at-a-time load put it, while the
+//! tight index loop keeps several random slot misses in flight instead
+//! of one per item. The key hash is FNV-1a over the 50 key bytes,
+//! computed in closed form from the key id (see `key_hash`).
 
 use desim::Rng;
 use paging::trace::Trace;
@@ -54,7 +64,7 @@ pub struct Kvs {
 fn key_bytes(key_id: u64) -> [u8; KEY_BYTES] {
     let mut k = [b'k'; KEY_BYTES];
     let mut rest = key_id;
-    for digit in k[..20].iter_mut().rev() {
+    for digit in k[..DIGITS].iter_mut().rev() {
         *digit = b'0' + (rest % 10) as u8;
         rest /= 10;
     }
@@ -68,15 +78,98 @@ fn fill_value(key_id: u64, out: &mut [u8]) {
     }
 }
 
-fn key_hash(key: &[u8]) -> u64 {
-    // FNV-1a: what memcached-style stores actually compute per GET.
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h | 1 // avoid the index sentinel
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01B3;
+
+/// Decimal digits at the head of every key; the rest is `k` filler.
+const DIGITS: usize = 20;
+
+/// One FNV-1a step.
+const fn fnv_step(h: u64, byte: u8) -> u64 {
+    (h ^ byte as u64).wrapping_mul(FNV_PRIME)
 }
+
+/// `ZEROS[z]`: the FNV-1a state after `z` leading `'0'` digits.
+const ZEROS: [u64; DIGITS + 1] = {
+    let mut t = [FNV_OFFSET; DIGITS + 1];
+    let mut z = 1;
+    while z <= DIGITS {
+        t[z] = fnv_step(t[z - 1], b'0');
+        z += 1;
+    }
+    t
+};
+
+/// The FNV-1a state after the `k` filler, starting from `h`, byte by
+/// byte.
+const fn filler_steps(mut h: u64) -> u64 {
+    let mut i = DIGITS;
+    while i < KEY_BYTES {
+        h = fnv_step(h, b'k');
+        i += 1;
+    }
+    h
+}
+
+/// `FNV_PRIME` to the power of the filler length.
+const FILLER_PRIME: u64 = {
+    let mut p = 1u64;
+    let mut i = DIGITS;
+    while i < KEY_BYTES {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// `FILLER_LOW[l] = filler_steps(l) − l · FILLER_PRIME`, for every low
+/// 7-bit state `l`.
+const FILLER_LOW: [u64; 128] = {
+    let mut t = [0u64; 128];
+    let mut l = 0;
+    while l < 128 {
+        t[l] = filler_steps(l as u64).wrapping_sub((l as u64).wrapping_mul(FILLER_PRIME));
+        l += 1;
+    }
+    t
+};
+
+/// The key hash of `key_id`: FNV-1a over [`key_bytes`] — what
+/// memcached-style stores compute per GET — in closed form.
+///
+/// The state after the leading `'0'`s is [`ZEROS`]; each significant
+/// digit is one step. The filler is exact in one multiply-add: XOR with
+/// a byte below 128 adds to `h` an amount that depends on `h mod 128`
+/// alone, and `h mod 128` after a step depends on `h mod 128` alone
+/// (the prime multiplies mod 2⁶⁴, whose low bits see only low bits), so
+/// `n` filler steps take `h` to `h · Pⁿ + S[h mod 128]`, and
+/// `S = FILLER_LOW`.
+fn key_hash(key_id: u64) -> u64 {
+    let mut digits = [0u8; DIGITS];
+    let mut n = 0;
+    let mut rest = key_id;
+    while rest > 0 {
+        digits[n] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        n += 1;
+    }
+    let mut h = ZEROS[DIGITS - n];
+    for &d in digits[..n].iter().rev() {
+        h = fnv_step(h, d);
+    }
+    let h = h
+        .wrapping_mul(FILLER_PRIME)
+        .wrapping_add(FILLER_LOW[(h & 0x7F) as usize]);
+    // Every stored hash (and so every stream anchor) carries this bit.
+    // It does not keep the hash off the index's `EMPTY_KEY`, which is
+    // `u64::MAX` and odd: the `assert_ne!` in
+    // `HashIndex::insert_untraced` guards the sentinel.
+    h | 1
+}
+
+/// Keys whose index inserts a load buffers between its write pass and
+/// its index pass (16 KiB of `(hash, addr)` pairs).
+const LOAD_BATCH: usize = 1_024;
 
 impl Kvs {
     /// Builds and populates a store with `num_keys` keys of
@@ -86,39 +179,54 @@ impl Kvs {
     ///
     /// Panics if `num_keys` is zero.
     pub fn build(num_keys: u64, value_len: u32) -> Kvs {
+        let mut kvs = Kvs::empty(num_keys, value_len);
+        let mut batch = Vec::with_capacity(LOAD_BATCH);
+        for start in (0..num_keys).step_by(LOAD_BATCH) {
+            let end = (start + LOAD_BATCH as u64).min(num_keys);
+            batch.extend((start..end).map(|id| kvs.write_item(id)));
+            for &(h, addr) in &batch {
+                kvs.index.insert_untraced(&mut kvs.arena, h, addr);
+            }
+            batch.clear();
+        }
+        kvs
+    }
+
+    /// A store with its arena and empty index allocated, no item loaded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_keys` is zero.
+    fn empty(num_keys: u64, value_len: u32) -> Kvs {
         assert!(num_keys > 0, "Kvs needs num_keys > 0");
         let item_bytes = ITEM_HEADER + KEY_BYTES as u64 + value_len as u64;
         let index_bytes = (num_keys as f64 / 0.7 * 16.0) as u64 * 2;
         let capacity = num_keys * (item_bytes + 8) + index_bytes + (8 << 20);
         let mut arena = PagedArena::new(capacity);
         let index = HashIndex::build(&mut arena, num_keys);
-        let mut kvs = Kvs {
+        Kvs {
             arena,
             index,
             num_keys,
             value_len,
-        };
-        // One value buffer serves the whole load.
-        let mut value = vec![0u8; value_len as usize];
-        for id in 0..num_keys {
-            fill_value(id, &mut value);
-            kvs.load_item(id, &value);
         }
-        kvs
     }
 
-    fn load_item(&mut self, key_id: u64, value: &[u8]) {
-        let key = key_bytes(key_id);
-        let h = key_hash(&key);
+    /// Allocates and fills the item of `key_id` in place; returns its
+    /// `(hash, addr)` for the index pass.
+    fn write_item(&mut self, key_id: u64) -> (u64, u64) {
+        let h = key_hash(key_id);
         let len = ITEM_HEADER + KEY_BYTES as u64 + self.value_len as u64;
         let addr = self.arena.alloc(len, 8);
-        self.arena.poke_u64(addr, h);
+        let item = self.arena.poke_slice(addr, len);
+        let (header, body) = item.split_at_mut(ITEM_HEADER as usize);
+        let (key, value) = body.split_at_mut(KEY_BYTES);
         let meta = ((KEY_BYTES as u64) << 32) | self.value_len as u64;
-        self.arena.poke_u64(addr + 8, meta);
-        self.arena.poke_bytes(addr + ITEM_HEADER, &key);
-        self.arena
-            .poke_bytes(addr + ITEM_HEADER + KEY_BYTES as u64, value);
-        self.index.insert_untraced(&mut self.arena, h, addr);
+        header[..8].copy_from_slice(&h.to_le_bytes());
+        header[8..].copy_from_slice(&meta.to_le_bytes());
+        key.copy_from_slice(&key_bytes(key_id));
+        fill_value(key_id, value);
+        (h, addr)
     }
 
     /// The deterministic value stored for `key_id`, in a fresh `Vec`
@@ -150,9 +258,8 @@ impl Kvs {
     /// key was never loaded.
     pub fn set(&mut self, key_id: u64, value: &[u8], rec: &mut TraceRecorder) {
         assert_eq!(value.len(), self.value_len as usize, "slab value size");
-        let key = key_bytes(key_id);
         rec.compute_ns(350.0);
-        let h = key_hash(&key);
+        let h = key_hash(key_id);
         let addr = self
             .index
             .get(&self.arena, h, rec)
@@ -178,7 +285,7 @@ impl Kvs {
         let key = key_bytes(key_id);
         // Hashing 50 key bytes + memcached protocol/locking overhead.
         rec.compute_ns(350.0);
-        let h = key_hash(&key);
+        let h = key_hash(key_id);
         let addr = self.index.get(&self.arena, h, rec)?;
         let stored_hash = self.arena.read_u64(addr, rec);
         if stored_hash != h {
@@ -323,6 +430,64 @@ mod tests {
     use paging::trace::CostModel;
 
     use super::*;
+
+    /// Byte-wise FNV-1a over the key, with the stored low bit: the
+    /// oracle of the closed-form [`key_hash`].
+    fn fnv1a(key: &[u8]) -> u64 {
+        key.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, b)) | 1
+    }
+
+    /// The item-at-a-time load: each item written, hashed byte by byte
+    /// and inserted before the next — the oracle of [`Kvs::build`].
+    fn build_item_at_a_time(num_keys: u64, value_len: u32) -> Kvs {
+        let mut kvs = Kvs::empty(num_keys, value_len);
+        let mut value = vec![0u8; value_len as usize];
+        for id in 0..num_keys {
+            fill_value(id, &mut value);
+            let key = key_bytes(id);
+            let h = fnv1a(&key);
+            let len = ITEM_HEADER + KEY_BYTES as u64 + value_len as u64;
+            let addr = kvs.arena.alloc(len, 8);
+            kvs.arena.poke_u64(addr, h);
+            kvs.arena
+                .poke_u64(addr + 8, ((KEY_BYTES as u64) << 32) | value_len as u64);
+            kvs.arena.poke_bytes(addr + ITEM_HEADER, &key);
+            kvs.arena
+                .poke_bytes(addr + ITEM_HEADER + KEY_BYTES as u64, &value);
+            kvs.index.insert_untraced(&mut kvs.arena, h, addr);
+        }
+        kvs
+    }
+
+    #[test]
+    fn batched_load_writes_the_bytes_of_the_item_at_a_time_load() {
+        for num_keys in [1, 1_023, 1_024, 1_025, 50_000] {
+            for value_len in [128, 1_024] {
+                assert_eq!(
+                    crate::arena_digest(&Kvs::build(num_keys, value_len).arena),
+                    crate::arena_digest(&build_item_at_a_time(num_keys, value_len).arena),
+                    "{num_keys} keys x {value_len} B"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_key_hash_is_byte_wise_fnv1a() {
+        let mut ids = vec![0, u64::MAX];
+        let mut p = 1u64;
+        for _ in 0..DIGITS - 1 {
+            // Both sides of every digit-count boundary: 10^k − 1, 10^k.
+            p *= 10;
+            ids.extend([p - 1, p]);
+        }
+        let mut rng = Rng::new(32);
+        // Every magnitude, not only the 19- and 20-digit ids most draws are.
+        ids.extend((0..100_000).map(|i| rng.next_u64() >> (i % 64)));
+        for id in ids {
+            assert_eq!(key_hash(id), fnv1a(&key_bytes(id)), "key id {id}");
+        }
+    }
 
     #[test]
     fn get_returns_stored_values() {

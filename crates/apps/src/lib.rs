@@ -33,6 +33,17 @@ pub use ordb::{OrderedDb, RocksDbWorkload};
 pub use silo::{SiloDb, TpccWorkload};
 pub use vecdb::{FaissWorkload, IvfFlat};
 
+/// `(FNV-1a of every arena byte, total_pages, allocated)`: what the
+/// loaders' differential tests compare against their oracles.
+#[cfg(test)]
+fn arena_digest(arena: &paging::PagedArena) -> (u64, u64, u64) {
+    let bytes = arena.peek_bytes(0, arena.total_pages() * paging::PAGE_SIZE);
+    let h = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
+    });
+    (h, arena.total_pages(), arena.allocated())
+}
+
 #[cfg(test)]
 mod tests {
     use desim::Rng;

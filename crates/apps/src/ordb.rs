@@ -16,6 +16,12 @@
 //! - `SCAN(n)` = `GET`-style positioning + a forward sweep over `n`
 //!   records — sequential page touches that the readahead prefetcher
 //!   detects (this is the long bimodal-tail request of Figure 11).
+//!
+//! The load runs in two passes: a write pass fills the records (each
+//! value in place in the arena) and the sparse index in rank order, then
+//! an index pass recomputes every key and inserts it into the hash
+//! index, again in rank order. The arena bytes depend on that insertion
+//! order alone, so they are the bytes a record-at-a-time load writes.
 
 use desim::Rng;
 use paging::trace::Trace;
@@ -70,6 +76,36 @@ impl OrderedDb {
     ///
     /// Panics if `num_keys` is zero.
     pub fn build(num_keys: u64, value_len: u32) -> OrderedDb {
+        let mut db = OrderedDb::empty(num_keys, value_len);
+        // Write pass: records and sparse-index entries, in rank order,
+        // each value filled in place.
+        for rank in 0..num_keys {
+            let key = Self::key_of_rank(rank);
+            let record = db.arena.poke_slice(db.record_addr(rank), db.record_bytes);
+            let (key_bytes, value) = record.split_at_mut(8);
+            key_bytes.copy_from_slice(&key.to_le_bytes());
+            fill_value(key, value);
+            if rank % GROUP == 0 {
+                let e = db.index_base + (rank / GROUP) * 16;
+                db.arena.poke_u64(e, key);
+                db.arena.poke_u64(e + 8, rank);
+            }
+        }
+        // Index pass: the same keys, in the same (rank) order.
+        for rank in 0..num_keys {
+            db.hash_index
+                .insert_untraced(&mut db.arena, Self::key_of_rank(rank), rank);
+        }
+        db
+    }
+
+    /// A store with its arena, hash index, sparse index and record log
+    /// allocated, no record loaded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_keys` is zero.
+    fn empty(num_keys: u64, value_len: u32) -> OrderedDb {
         assert!(num_keys > 0, "OrderedDb needs num_keys > 0");
         let record_bytes = 8 + value_len as u64;
         let index_entries = num_keys.div_ceil(GROUP);
@@ -81,7 +117,7 @@ impl OrderedDb {
         let hash_index = HashIndex::build(&mut arena, num_keys);
         let index_base = arena.alloc(index_entries * 16, paging::PAGE_SIZE);
         let data_base = arena.alloc(num_keys * record_bytes, paging::PAGE_SIZE);
-        let mut db = OrderedDb {
+        OrderedDb {
             arena,
             hash_index,
             index_base,
@@ -90,23 +126,7 @@ impl OrderedDb {
             num_keys,
             record_bytes,
             value_len,
-        };
-        // One value buffer serves the whole load.
-        let mut value = vec![0u8; value_len as usize];
-        for rank in 0..num_keys {
-            let key = Self::key_of_rank(rank);
-            let addr = db.record_addr(rank);
-            db.arena.poke_u64(addr, key);
-            fill_value(key, &mut value);
-            db.arena.poke_bytes(addr + 8, &value);
-            db.hash_index.insert_untraced(&mut db.arena, key, rank);
-            if rank % GROUP == 0 {
-                let e = db.index_base + (rank / GROUP) * 16;
-                db.arena.poke_u64(e, key);
-                db.arena.poke_u64(e + 8, rank);
-            }
         }
-        db
     }
 
     /// The deterministic sorted key at `rank` (strided with jitter so
@@ -116,7 +136,7 @@ impl OrderedDb {
     }
 
     /// The deterministic value stored under `key`, in a fresh `Vec`
-    /// (the allocating convenience; the load fills a reused buffer).
+    /// (the allocating convenience; the load fills each value in place).
     pub fn value_for(key: u64, value_len: u32) -> Vec<u8> {
         let mut value = vec![0u8; value_len as usize];
         fill_value(key, &mut value);
@@ -312,6 +332,41 @@ mod tests {
 
     fn recorder() -> TraceRecorder {
         TraceRecorder::default()
+    }
+
+    /// The record-at-a-time load: each record staged in a buffer,
+    /// copied in and indexed before the next — the oracle of
+    /// [`OrderedDb::build`].
+    fn build_record_at_a_time(num_keys: u64, value_len: u32) -> OrderedDb {
+        let mut db = OrderedDb::empty(num_keys, value_len);
+        let mut value = vec![0u8; value_len as usize];
+        for rank in 0..num_keys {
+            let key = OrderedDb::key_of_rank(rank);
+            let addr = db.record_addr(rank);
+            db.arena.poke_u64(addr, key);
+            fill_value(key, &mut value);
+            db.arena.poke_bytes(addr + 8, &value);
+            db.hash_index.insert_untraced(&mut db.arena, key, rank);
+            if rank % GROUP == 0 {
+                let e = db.index_base + (rank / GROUP) * 16;
+                db.arena.poke_u64(e, key);
+                db.arena.poke_u64(e + 8, rank);
+            }
+        }
+        db
+    }
+
+    #[test]
+    fn two_pass_load_writes_the_bytes_of_the_record_at_a_time_load() {
+        for num_keys in [1, GROUP - 1, GROUP + 1, 20_000] {
+            for value_len in [32, 1_024] {
+                assert_eq!(
+                    crate::arena_digest(&OrderedDb::build(num_keys, value_len).arena),
+                    crate::arena_digest(&build_record_at_a_time(num_keys, value_len).arena),
+                    "{num_keys} keys x {value_len} B"
+                );
+            }
+        }
     }
 
     #[test]

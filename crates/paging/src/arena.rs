@@ -132,6 +132,14 @@ impl PagedArena {
     pub fn poke_bytes(&mut self, addr: u64, src: &[u8]) {
         self.data[addr as usize..addr as usize + src.len()].copy_from_slice(src);
     }
+
+    /// A writable view of `len` bytes at `addr`, without recording
+    /// (load-time population: a loader fills a record in place instead
+    /// of staging it in a buffer and copying it over).
+    #[inline]
+    pub fn poke_slice(&mut self, addr: u64, len: u64) -> &mut [u8] {
+        &mut self.data[addr as usize..(addr + len) as usize]
+    }
 }
 
 #[cfg(test)]
