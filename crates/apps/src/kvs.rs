@@ -22,7 +22,9 @@
 //! leaves every byte where the item-at-a-time load put it, while the
 //! tight index loop keeps several random slot misses in flight instead
 //! of one per item. The key hash is FNV-1a over the 50 key bytes,
-//! computed in closed form from the key id (see `key_hash`).
+//! computed in closed form from the key id's significant digits, which
+//! are extracted once per item, GET or SET and shared with the key bytes
+//! (see `KeyDigits`).
 
 use desim::Rng;
 use paging::trace::Trace;
@@ -59,18 +61,6 @@ pub struct Kvs {
     value_len: u32,
 }
 
-/// The key of `key_id`: its 20 zero-padded decimal digits (a `u64`
-/// never has more), then `k` filler up to [`KEY_BYTES`].
-fn key_bytes(key_id: u64) -> [u8; KEY_BYTES] {
-    let mut k = [b'k'; KEY_BYTES];
-    let mut rest = key_id;
-    for digit in k[..DIGITS].iter_mut().rev() {
-        *digit = b'0' + (rest % 10) as u8;
-        rest /= 10;
-    }
-    k
-}
-
 /// Writes the deterministic value of `key_id` over `out`.
 fn fill_value(key_id: u64, out: &mut [u8]) {
     for (i, b) in out.iter_mut().enumerate() {
@@ -81,8 +71,21 @@ fn fill_value(key_id: u64, out: &mut [u8]) {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01B3;
 
-/// Decimal digits at the head of every key; the rest is `k` filler.
+/// Decimal digits at the head of every key (a `u64` never has more);
+/// the rest is `k` filler.
 const DIGITS: usize = 20;
+
+/// Every key before its significant digits go in: [`DIGITS`] `'0'`s,
+/// then `k` filler up to [`KEY_BYTES`].
+const KEY_TEMPLATE: [u8; KEY_BYTES] = {
+    let mut k = [b'k'; KEY_BYTES];
+    let mut i = 0;
+    while i < DIGITS {
+        k[i] = b'0';
+        i += 1;
+    }
+    k
+};
 
 /// One FNV-1a step.
 const fn fnv_step(h: u64, byte: u8) -> u64 {
@@ -134,37 +137,66 @@ const FILLER_LOW: [u64; 128] = {
     t
 };
 
-/// The key hash of `key_id`: FNV-1a over [`key_bytes`] — what
-/// memcached-style stores compute per GET — in closed form.
-///
-/// The state after the leading `'0'`s is [`ZEROS`]; each significant
-/// digit is one step. The filler is exact in one multiply-add: XOR with
-/// a byte below 128 adds to `h` an amount that depends on `h mod 128`
-/// alone, and `h mod 128` after a step depends on `h mod 128` alone
-/// (the prime multiplies mod 2⁶⁴, whose low bits see only low bits), so
-/// `n` filler steps take `h` to `h · Pⁿ + S[h mod 128]`, and
-/// `S = FILLER_LOW`.
-fn key_hash(key_id: u64) -> u64 {
-    let mut digits = [0u8; DIGITS];
-    let mut n = 0;
-    let mut rest = key_id;
-    while rest > 0 {
-        digits[n] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        n += 1;
+/// The significant decimal digits of a key id, extracted once and
+/// shared by its key bytes and its key hash.
+struct KeyDigits {
+    /// The significant digits right-aligned, most significant first;
+    /// the bytes before them are unused.
+    buf: [u8; DIGITS],
+    /// How many there are (0 for key id 0).
+    n: usize,
+}
+
+impl KeyDigits {
+    fn of(key_id: u64) -> KeyDigits {
+        let mut buf = [0u8; DIGITS];
+        let mut n = 0;
+        let mut rest = key_id;
+        while rest > 0 {
+            n += 1;
+            buf[DIGITS - n] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        KeyDigits { buf, n }
     }
-    let mut h = ZEROS[DIGITS - n];
-    for &d in digits[..n].iter().rev() {
-        h = fnv_step(h, d);
+
+    fn significant(&self) -> &[u8] {
+        &self.buf[DIGITS - self.n..]
     }
-    let h = h
-        .wrapping_mul(FILLER_PRIME)
-        .wrapping_add(FILLER_LOW[(h & 0x7F) as usize]);
-    // Every stored hash (and so every stream anchor) carries this bit.
-    // It does not keep the hash off the index's `EMPTY_KEY`, which is
-    // `u64::MAX` and odd: the `assert_ne!` in
-    // `HashIndex::insert_untraced` guards the sentinel.
-    h | 1
+
+    /// The key: the 20 zero-padded digits, then `k` filler up to
+    /// [`KEY_BYTES`].
+    fn bytes(&self) -> [u8; KEY_BYTES] {
+        let mut k = KEY_TEMPLATE;
+        k[DIGITS - self.n..DIGITS].copy_from_slice(self.significant());
+        k
+    }
+
+    /// The key hash: FNV-1a over [`KeyDigits::bytes`] — what
+    /// memcached-style stores compute per GET — in closed form.
+    ///
+    /// The state after the leading `'0'`s is [`ZEROS`]; each
+    /// significant digit is one step. The filler is exact in one
+    /// multiply-add: XOR with a byte below 128 adds to `h` an amount
+    /// that depends on `h mod 128` alone, and `h mod 128` after a step
+    /// depends on `h mod 128` alone (the prime multiplies mod 2⁶⁴, whose
+    /// low bits see only low bits), so `n` filler steps take `h` to
+    /// `h · Pⁿ + S[h mod 128]`, and `S = FILLER_LOW`.
+    fn hash(&self) -> u64 {
+        let zeros = ZEROS[DIGITS - self.n];
+        let h = self
+            .significant()
+            .iter()
+            .fold(zeros, |h, &d| fnv_step(h, d));
+        let h = h
+            .wrapping_mul(FILLER_PRIME)
+            .wrapping_add(FILLER_LOW[(h & 0x7F) as usize]);
+        // Every stored hash (and so every stream anchor) carries this
+        // bit. It does not keep the hash off the index's `EMPTY_KEY`,
+        // which is `u64::MAX` and odd: the `assert_ne!` in
+        // `HashIndex::insert_untraced` guards the sentinel.
+        h | 1
+    }
 }
 
 /// Keys whose index inserts a load buffers between its write pass and
@@ -215,7 +247,8 @@ impl Kvs {
     /// Allocates and fills the item of `key_id` in place; returns its
     /// `(hash, addr)` for the index pass.
     fn write_item(&mut self, key_id: u64) -> (u64, u64) {
-        let h = key_hash(key_id);
+        let digits = KeyDigits::of(key_id);
+        let h = digits.hash();
         let len = ITEM_HEADER + KEY_BYTES as u64 + self.value_len as u64;
         let addr = self.arena.alloc(len, 8);
         let item = self.arena.poke_slice(addr, len);
@@ -224,7 +257,7 @@ impl Kvs {
         let meta = ((KEY_BYTES as u64) << 32) | self.value_len as u64;
         header[..8].copy_from_slice(&h.to_le_bytes());
         header[8..].copy_from_slice(&meta.to_le_bytes());
-        key.copy_from_slice(&key_bytes(key_id));
+        key.copy_from_slice(&digits.bytes());
         fill_value(key_id, value);
         (h, addr)
     }
@@ -259,7 +292,7 @@ impl Kvs {
     pub fn set(&mut self, key_id: u64, value: &[u8], rec: &mut TraceRecorder) {
         assert_eq!(value.len(), self.value_len as usize, "slab value size");
         rec.compute_ns(350.0);
-        let h = key_hash(key_id);
+        let h = KeyDigits::of(key_id).hash();
         let addr = self
             .index
             .get(&self.arena, h, rec)
@@ -282,10 +315,10 @@ impl Kvs {
     /// caps Memcached's throughput in the paper (§5.2: "the NIC could
     /// not match the host's processing power").
     pub fn get(&self, key_id: u64, rec: &mut TraceRecorder) -> Option<&[u8]> {
-        let key = key_bytes(key_id);
+        let digits = KeyDigits::of(key_id);
         // Hashing 50 key bytes + memcached protocol/locking overhead.
         rec.compute_ns(350.0);
-        let h = key_hash(key_id);
+        let h = digits.hash();
         let addr = self.index.get(&self.arena, h, rec)?;
         let stored_hash = self.arena.read_u64(addr, rec);
         if stored_hash != h {
@@ -295,7 +328,7 @@ impl Kvs {
         let key_len = meta >> 32;
         let val_len = meta & 0xFFFF_FFFF;
         let stored_key = self.arena.read_bytes(addr + ITEM_HEADER, key_len, rec);
-        if stored_key != key {
+        if stored_key != digits.bytes() {
             return None;
         }
         // Key comparison + LRU bump (a *write* to the item header).
@@ -431,8 +464,20 @@ mod tests {
 
     use super::*;
 
+    /// The key of `key_id`, all 20 digits formatted one by one: the
+    /// oracle of [`KeyDigits::bytes`].
+    fn key_bytes(key_id: u64) -> [u8; KEY_BYTES] {
+        let mut k = [b'k'; KEY_BYTES];
+        let mut rest = key_id;
+        for digit in k[..DIGITS].iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        k
+    }
+
     /// Byte-wise FNV-1a over the key, with the stored low bit: the
-    /// oracle of the closed-form [`key_hash`].
+    /// oracle of the closed-form [`KeyDigits::hash`].
     fn fnv1a(key: &[u8]) -> u64 {
         key.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, b)) | 1
     }
@@ -472,20 +517,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn closed_form_key_hash_is_byte_wise_fnv1a() {
+    /// Both sides of every digit-count boundary: 0, 9, 10, 99, …,
+    /// 10¹⁹, `u64::MAX`.
+    fn digit_count_boundaries() -> Vec<u64> {
         let mut ids = vec![0, u64::MAX];
         let mut p = 1u64;
         for _ in 0..DIGITS - 1 {
-            // Both sides of every digit-count boundary: 10^k − 1, 10^k.
             p *= 10;
             ids.extend([p - 1, p]);
         }
+        ids
+    }
+
+    #[test]
+    fn closed_form_key_hash_is_byte_wise_fnv1a() {
+        let mut ids = digit_count_boundaries();
         let mut rng = Rng::new(32);
         // Every magnitude, not only the 19- and 20-digit ids most draws are.
         ids.extend((0..100_000).map(|i| rng.next_u64() >> (i % 64)));
         for id in ids {
-            assert_eq!(key_hash(id), fnv1a(&key_bytes(id)), "key id {id}");
+            assert_eq!(
+                KeyDigits::of(id).hash(),
+                fnv1a(&key_bytes(id)),
+                "key id {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_digits_give_the_formatted_key_and_its_hash() {
+        for id in digit_count_boundaries() {
+            let digits = KeyDigits::of(id);
+            assert_eq!(digits.bytes(), key_bytes(id), "key id {id}");
+            assert_eq!(digits.hash(), fnv1a(&key_bytes(id)), "key id {id}");
         }
     }
 
@@ -502,7 +566,7 @@ mod tests {
     #[test]
     fn key_digits_match_the_formatted_id() {
         for id in [0u64, 7, 42, 1_999, 10_000_000_019, u64::MAX] {
-            let key = key_bytes(id);
+            let key = KeyDigits::of(id).bytes();
             assert_eq!(&key[..20], format!("{id:020}").as_bytes());
             assert!(key[20..].iter().all(|&b| b == b'k'));
         }

@@ -9,9 +9,48 @@
 //! Addresses are plain `u64` offsets ("remote-memory virtual addresses");
 //! the paper's applications get the same effect by `mmap`ing a
 //! remote-memory region and using ordinary loads and stores.
+//!
+//! The arena is also the simulator's own host memory, and a large one
+//! (about 100 MB at bench scale, 1 GB at Full scale): a loader writes
+//! all of it once and trace generation then probes it at random. So
+//! before its first write, [`PagedArena::new`] advises the 2 MB-aligned
+//! interior of the allocation `MADV_HUGEPAGE` (Linux; elsewhere a
+//! no-op), and the kernel backs it with 2 MB pages instead of faulting
+//! 4 KB at a time. This is host memory only: it is not the modelled
+//! 2 MB fetch granularity of Extension H (`fetch_page_bytes`,
+//! `extension_huge_pages`), and the modelled page stays [`PAGE_SIZE`].
+//! The advice may not change a byte, [`PagedArena::total_pages`] or an
+//! allocation size, and it cannot: it changes how pages are backed,
+//! never what they hold, so its result is ignored.
 
 use crate::trace::TraceRecorder;
 use crate::PAGE_SIZE;
+
+/// Advises the 2 MB-aligned interior of `buf` onto transparent huge
+/// pages. Call it before the first write: the faults it saves are the
+/// first-touch ones.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(buf: &mut [u8]) {
+    // The host's huge-page size: the PMD size of x86-64 and of 4 KB-page
+    // aarch64.
+    const HOST_HUGE_PAGE: usize = 2 << 20;
+    const MADV_HUGEPAGE: i32 = 14;
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    let start = buf.as_mut_ptr() as usize;
+    let lo = start.next_multiple_of(HOST_HUGE_PAGE);
+    let hi = (start + buf.len()) / HOST_HUGE_PAGE * HOST_HUGE_PAGE;
+    if lo < hi {
+        // SAFETY: `[lo, hi)` lies inside `buf`, borrowed mutably here,
+        // and `MADV_HUGEPAGE` changes how the range is backed, never its
+        // contents. An error (no THP support) leaves it as it was.
+        unsafe { madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_: &mut [u8]) {}
 
 /// A byte arena with page-touch recording.
 pub struct PagedArena {
@@ -20,13 +59,13 @@ pub struct PagedArena {
 }
 
 impl PagedArena {
-    /// Creates an arena of `bytes` capacity (rounded up to page size).
+    /// Creates an arena of `bytes` capacity (rounded up to page size),
+    /// zeroed and advised onto host huge pages (see the module doc).
     pub fn new(bytes: u64) -> PagedArena {
         let rounded = bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        PagedArena {
-            data: vec![0u8; rounded as usize],
-            brk: 0,
-        }
+        let mut data = vec![0u8; rounded as usize];
+        advise_huge_pages(&mut data);
+        PagedArena { data, brk: 0 }
     }
 
     /// Number of pages in the arena (the remote working set).
@@ -205,6 +244,56 @@ mod tests {
         assert_eq!(a.peek_u64(0), 42);
         let t = rec.finish(0, 0, 0);
         assert_eq!(t.steps.len(), 0);
+    }
+
+    /// The `VmFlags` of the mapping that holds `addr`, from
+    /// `/proc/self/smaps`.
+    #[cfg(target_os = "linux")]
+    fn vm_flags_at(addr: usize) -> String {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read smaps");
+        let mut holds = false;
+        for line in smaps.lines() {
+            let range = line.split_once(' ').and_then(|(r, _)| r.split_once('-'));
+            if let Some((lo, hi)) = range {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    holds = lo <= addr && addr < hi;
+                    continue;
+                }
+            }
+            if let Some(flags) = line.strip_prefix("VmFlags:").filter(|_| holds) {
+                return flags.to_string();
+            }
+        }
+        panic!("no mapping holds {addr:#x}");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn large_arena_is_advised_onto_huge_pages() {
+        if !std::path::Path::new("/sys/kernel/mm/transparent_hugepage").exists() {
+            return; // a kernel without THP rejects the advice
+        }
+        let a = PagedArena::new(8 << 20);
+        let middle = a.data.as_ptr() as usize + a.data.len() / 2;
+        let flags = vm_flags_at(middle);
+        // `madvise(MADV_HUGEPAGE)` sets `hg` in every THP mode.
+        assert!(
+            flags.split_whitespace().any(|f| f == "hg"),
+            "VmFlags:{flags}"
+        );
+    }
+
+    #[test]
+    fn advice_keeps_size_and_zeroes_around_huge_page_boundaries() {
+        const MB2: u64 = 2 << 20;
+        for bytes in [PAGE_SIZE, MB2 - PAGE_SIZE, MB2, 3 * MB2 + PAGE_SIZE] {
+            let a = PagedArena::new(bytes);
+            assert_eq!(a.total_pages(), bytes / PAGE_SIZE, "{bytes} B");
+            assert_eq!(a.allocated(), 0);
+            assert!(a.data.iter().all(|&b| b == 0), "{bytes} B not zeroed");
+        }
     }
 
     #[test]
