@@ -15,6 +15,7 @@ use apps::ordb::CLASS_SCAN;
 use apps::{MemcachedWorkload, RocksDbWorkload};
 use paging::reclaim::ReclaimerMode;
 use paging::EvictionPolicy;
+use runtime::sim::RunParams;
 use runtime::{ArrayIndexWorkload, QueueModel, SystemConfig};
 
 use super::{fmt_us, fmt_x, peak_rps, sweep};
@@ -26,28 +27,12 @@ pub fn reclaimer(scale: Scale) -> FigureReport {
     let mut report = FigureReport::new("Ablation R", "Proactive vs wake-up reclaimer (§3.3)");
     let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
     let loads = [1_500_000.0, 2_000_000.0, 2_400_000.0];
-    let pro = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        91,
-    );
+    let pro = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(91));
     let wake_cfg = SystemConfig {
         reclaimer_mode: ReclaimerMode::WakeUp,
         ..SystemConfig::adios()
     };
-    let wake = sweep(
-        &wake_cfg,
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        91,
-    );
+    let wake = sweep(&wake_cfg, &mut wl, &loads, scale.params(91));
     let mut s = Series::new(
         "allocation stalls at high fetch rates",
         "   offered   proactive: direct-reclaims / p999(us)   wake-up: direct-reclaims / p999(us)",
@@ -79,28 +64,12 @@ pub fn queueing(scale: Scale) -> FigureReport {
     let mut report = FigureReport::new("Ablation Q", "Single queue vs per-worker d-FCFS (§3.4)");
     let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
     let loads = [1_000_000.0, 1_600_000.0, 2_200_000.0];
-    let sq = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        92,
-    );
+    let sq = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(92));
     let pw_cfg = SystemConfig {
         queue_model: QueueModel::PerWorker,
         ..SystemConfig::adios()
     };
-    let pw = sweep(
-        &pw_cfg,
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        92,
-    );
+    let pw = sweep(&pw_cfg, &mut wl, &loads, scale.params(92));
     let mut s = Series::new(
         "tail latency under each queueing model",
         "   offered   single-queue p999(us)   per-worker p999(us)",
@@ -129,29 +98,13 @@ pub fn prefetch(scale: Scale) -> FigureReport {
     let mut report = FigureReport::new("Ablation P", "Sequential readahead under SCAN(100)");
     let mut wl = RocksDbWorkload::new(scale.rocksdb_keys() / 2, 1024);
     let loads = [150_000.0, 300_000.0];
-    let on = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        93,
-    );
+    let on = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(93));
     let off_cfg = SystemConfig {
         prefetcher: runtime::PrefetcherKind::None,
         speculative_readahead: 0.0,
         ..SystemConfig::adios()
     };
-    let off = sweep(
-        &off_cfg,
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        93,
-    );
+    let off = sweep(&off_cfg, &mut wl, &loads, scale.params(93));
     let mut s = Series::new(
         "SCAN(100) latency with and without readahead",
         "   offered   readahead SCAN p50(us)   none SCAN p50(us)   prefetches",
@@ -188,23 +141,15 @@ pub fn unithread_memory(scale: Scale) -> FigureReport {
     // Adios keeps the full cache; a three-buffer (Shinjuku-style)
     // thread design would forfeit 12.5 % of it (1 GB of the paper's
     // 8 GB cache).
-    let full = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        94,
-    );
+    let full = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(94));
     let shrunk = sweep(
         &SystemConfig::adios(),
         &mut wl,
         &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2 * 0.875,
-        94,
+        RunParams {
+            local_mem_fraction: 0.2 * 0.875,
+            ..scale.params(94)
+        },
     );
     let mut s = Series::new(
         "cache at 20 % vs 17.5 % of the working set",
@@ -250,15 +195,7 @@ pub fn eviction(scale: Scale) -> FigureReport {
             eviction: policy,
             ..SystemConfig::adios()
         };
-        let res = sweep(
-            &cfg,
-            &mut wl,
-            &loads,
-            scale.warmup(),
-            scale.measure(),
-            0.2,
-            101,
-        );
+        let res = sweep(&cfg, &mut wl, &loads, scale.params(101));
         let r = &res[1];
         let hit = r.cache.hits as f64 / (r.cache.hits + r.cache.misses).max(1) as f64;
         hit_rates.push((name, hit));
@@ -300,15 +237,7 @@ pub fn write_mix(scale: Scale) -> FigureReport {
     for set_frac in [0.0f64, 0.3] {
         let mut wl =
             MemcachedWorkload::new(scale.memcached_keys(128).min(500_000), 128).with_sets(set_frac);
-        let res = sweep(
-            &SystemConfig::adios(),
-            &mut wl,
-            &loads,
-            scale.warmup(),
-            scale.measure(),
-            0.2,
-            102,
-        );
+        let res = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(102));
         let r = &res[1];
         utils.push((set_frac, r.rdma_ctrl_util, r.stats.writebacks));
         rows.push(format!(

@@ -32,7 +32,7 @@
 //!   queue stops scaling.
 
 use desim::SimDuration;
-use runtime::sim::{RunParams, Simulation};
+use runtime::sim::{run_one, RunParams};
 use runtime::{
     ArrayIndexWorkload, DispatchPolicy, MixedWorkload, PrefetcherKind, QueueModel, StridedWorkload,
     SystemConfig, SystemKind,
@@ -54,20 +54,9 @@ pub fn infiniswap(scale: Scale) -> FigureReport {
         &SystemConfig::infiniswap(),
         &mut wl,
         &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        95,
+        scale.params(95),
     );
-    let adios = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        95,
-    );
+    let adios = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(95));
     report.series.push(points_series("Infiniswap", &inf));
     report.series.push(points_series("Adios", &adios));
 
@@ -109,15 +98,7 @@ pub fn huge_pages(scale: Scale) -> FigureReport {
     );
     let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
     let loads = [50_000.0, 100_000.0, 200_000.0];
-    let small = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        96,
-    );
+    let small = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(96));
     let huge_cfg = SystemConfig {
         fetch_page_bytes: 2 * 1024 * 1024,
         // Amplified fetches would instantly wipe the cache through
@@ -127,15 +108,7 @@ pub fn huge_pages(scale: Scale) -> FigureReport {
         prefetcher: PrefetcherKind::None,
         ..SystemConfig::adios()
     };
-    let huge = sweep(
-        &huge_cfg,
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        96,
-    );
+    let huge = sweep(&huge_cfg, &mut wl, &loads, scale.params(96));
     let mut s = Series::new(
         "fetch latency and throughput by granularity",
         "   offered   4KB p50(us)   2MB p50(us)   4KB achieved   2MB achieved",
@@ -186,23 +159,12 @@ pub fn prefetcher_policy(scale: Scale) -> FigureReport {
         speculative_readahead: 0.0,
         ..SystemConfig::adios()
     };
-    let none = sweep(
-        &mk(PrefetcherKind::None),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        97,
-    );
+    let none = sweep(&mk(PrefetcherKind::None), &mut wl, &loads, scale.params(97));
     let ra = sweep(
         &mk(PrefetcherKind::Readahead { window: 8 }),
         &mut wl,
         &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        97,
+        scale.params(97),
     );
     let leap = sweep(
         &mk(PrefetcherKind::Leap {
@@ -211,10 +173,7 @@ pub fn prefetcher_policy(scale: Scale) -> FigureReport {
         }),
         &mut wl,
         &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        97,
+        scale.params(97),
     );
     let mut s = Series::new(
         "stride-5 walks (12 pages per request), P50 latency",
@@ -270,28 +229,19 @@ pub fn work_stealing(scale: Scale) -> FigureReport {
         &mk(QueueModel::SingleQueue),
         &mut wl,
         &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        98,
+        scale.params(98),
     );
     let pw = sweep(
         &mk(QueueModel::PerWorker),
         &mut wl,
         &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        98,
+        scale.params(98),
     );
     let ws = sweep(
         &mk(QueueModel::PerWorkerStealing),
         &mut wl,
         &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        98,
+        scale.params(98),
     );
     let mut s = Series::new(
         "P99.9 by queueing model",
@@ -356,13 +306,10 @@ pub fn burst_tolerance(scale: Scale) -> FigureReport {
         };
         let params = RunParams {
             offered_rps: rate,
-            seed: 99,
-            warmup: scale.warmup(),
-            measure: scale.measure(),
             burst: Some((1.9, SimDuration::from_micros(400))),
-            ..Default::default()
+            ..scale.params(99)
         };
-        let r = Simulation::new(cfg, &mut wl, params).run();
+        let r = run_one(cfg, &mut wl, params);
         if i == 0 {
             small_cap_drops = r.recorder.dropped();
         } else {
@@ -398,7 +345,7 @@ pub fn scalability(scale: Scale) -> FigureReport {
     );
     let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
     let mut s = Series::new(
-        "peak throughput vs workers (offered 6 MRPS, all-local memory)",
+        "peak throughput vs workers (offered 9 MRPS, all-local memory)",
         "  workers    achieved    per-worker",
     );
     let mut per_worker = Vec::new();
@@ -409,14 +356,12 @@ pub fn scalability(scale: Scale) -> FigureReport {
         };
         let params = RunParams {
             offered_rps: 9_000_000.0,
-            seed: 100,
-            warmup: scale.warmup(),
             // Saturation probing only: short window.
             measure: SimDuration::from_millis(15),
             local_mem_fraction: 1.0,
-            ..Default::default()
+            ..scale.params(100)
         };
-        let r = Simulation::new(cfg, &mut wl, params).run();
+        let r = run_one(cfg, &mut wl, params);
         let achieved = r.recorder.achieved_rps();
         per_worker.push(achieved / workers as f64);
         s.rows.push(format!(
@@ -480,10 +425,7 @@ pub fn colocation(scale: Scale) -> FigureReport {
             &SystemConfig::for_kind(kind),
             &mut wl,
             &loads,
-            scale.warmup(),
-            scale.measure(),
-            0.2,
-            114,
+            scale.params(114),
         );
         let r = &results[loads.len() - 1];
         let get = r.recorder.class(0);
@@ -544,18 +486,19 @@ pub fn faiss_nprobe(scale: Scale) -> FigureReport {
     );
     let mut recalls = Vec::new();
     let mut latencies = Vec::new();
+    // The index depends only on (vectors, nlist, seed) and search never
+    // writes it: build once, re-set the probe count per leg.
+    let mut wl = apps::FaissWorkload::new(vectors, 64, scale.faiss_nprobe(), 111);
     for nprobe in [2usize, 4, 8, 16] {
-        let mut wl = apps::FaissWorkload::new(vectors, 64, nprobe, 111).with_nprobe(nprobe);
+        wl = wl.with_nprobe(nprobe);
         let mut rng = desim::Rng::new(112);
         let recall = wl.measure_recall(20, &mut rng);
         let params = RunParams {
             offered_rps: 3_000.0,
-            seed: 113,
-            warmup: scale.warmup(),
             measure: SimDuration::from_millis(250),
-            ..Default::default()
+            ..scale.params(113)
         };
-        let r = Simulation::new(SystemConfig::adios(), &mut wl, params).run();
+        let r = run_one(SystemConfig::adios(), &mut wl, params);
         let p50 = r.recorder.overall().percentile(50.0);
         recalls.push(recall);
         latencies.push(p50);
@@ -622,19 +565,13 @@ pub fn networking(scale: Scale) -> FigureReport {
             &mk(SystemConfig::dilos()),
             &mut wl,
             &[load],
-            scale.warmup(),
-            scale.measure(),
-            0.2,
-            115,
+            scale.params(115),
         );
         let a = sweep(
             &mk(SystemConfig::adios()),
             &mut wl,
             &[load],
-            scale.warmup(),
-            scale.measure(),
-            0.2,
-            115,
+            scale.params(115),
         );
         let (dp, ap) = (d[0].point(), a[0].point());
         rows.push((name, dp, ap));
@@ -697,14 +634,12 @@ pub fn networking(scale: Scale) -> FigureReport {
             },
             ..SystemConfig::adios()
         };
-        let r = run_faulty(
-            &cfg,
-            &mut wl,
-            900_000.0,
-            scale,
-            218,
-            faults::FaultScenario::with_loss(0.02),
-        );
+        let params = RunParams {
+            offered_rps: 900_000.0,
+            faults: Some(faults::FaultScenario::with_loss(0.02)),
+            ..scale.params(218)
+        };
+        let r = run_one(cfg, &mut wl, params);
         let p = r.point();
         let retx = r.metrics.counter("fetch_retransmits").unwrap_or(0);
         s.rows.push(format!(
@@ -728,27 +663,6 @@ pub fn networking(scale: Scale) -> FigureReport {
         ladder[3].1 < ladder[2].1,
     ));
     report
-}
-
-/// One run with a fault scenario armed (None = lossless fabric).
-fn run_faulty(
-    cfg: &SystemConfig,
-    wl: &mut ArrayIndexWorkload,
-    offered_rps: f64,
-    scale: Scale,
-    seed: u64,
-    scenario: faults::FaultScenario,
-) -> runtime::sim::RunResult {
-    let params = RunParams {
-        offered_rps,
-        seed,
-        warmup: scale.warmup(),
-        measure: scale.measure(),
-        spans: Some(desim::SpanConfig::stats_only()),
-        faults: Some(scenario),
-        ..Default::default()
-    };
-    Simulation::new(cfg.clone(), wl, params).run()
 }
 
 /// Periodic memnode stalls of a configurable magnitude (the stall-
@@ -806,14 +720,12 @@ pub fn fault_tolerance(scale: Scale) -> FigureReport {
     let mut adios_drops = 0u64;
     for &loss in &losses {
         for (si, kind) in systems.iter().enumerate() {
-            let r = run_faulty(
-                &SystemConfig::for_kind(*kind),
-                &mut wl,
-                load,
-                scale,
-                140,
-                FaultScenario::with_loss(loss),
-            );
+            let params = RunParams {
+                offered_rps: load,
+                faults: Some(FaultScenario::with_loss(loss)),
+                ..scale.params(140)
+            };
+            let r = run_one(SystemConfig::for_kind(*kind), &mut wl, params);
             let p = r.point();
             let c = |name| r.metrics.counter(name).unwrap_or(0);
             p999[si].push(p.p999_ns);
@@ -882,16 +794,13 @@ pub fn fault_tolerance(scale: Scale) -> FigureReport {
     );
     let mut stall_p999 = Vec::new(); // (dilos, adios) per duration
     for &us in &stalls_us {
-        let scenario = stall_scenario(SimDuration::from_micros(us));
-        let d = run_faulty(
-            &SystemConfig::dilos(),
-            &mut wl,
-            load,
-            scale,
-            141,
-            scenario.clone(),
-        );
-        let a = run_faulty(&SystemConfig::adios(), &mut wl, load, scale, 141, scenario);
+        let params = RunParams {
+            offered_rps: load,
+            faults: Some(stall_scenario(SimDuration::from_micros(us))),
+            ..scale.params(141)
+        };
+        let d = run_one(SystemConfig::dilos(), &mut wl, params.clone());
+        let a = run_one(SystemConfig::adios(), &mut wl, params);
         for (name, r) in [("DiLOS", &d), ("Adios", &a)] {
             let p = r.point();
             s.rows.push(format!(
@@ -922,14 +831,12 @@ pub fn fault_tolerance(scale: Scale) -> FigureReport {
         memnode_replicas: 2,
         ..SystemConfig::adios()
     };
-    let r = run_faulty(
-        &crash_cfg,
-        &mut wl,
-        300_000.0,
-        scale,
-        142,
-        FaultScenario::crash(),
-    );
+    let params = RunParams {
+        offered_rps: 300_000.0,
+        faults: Some(FaultScenario::crash()),
+        ..scale.params(142)
+    };
+    let r = run_one(crash_cfg, &mut wl, params);
     let c = |name| r.metrics.counter(name).unwrap_or(0);
     let mut s = Series::new(
         "primary-memnode crash (Adios, 2 replicas, 0.3 MRPS)",
@@ -1009,12 +916,9 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
         };
         let params = RunParams {
             offered_rps: load,
-            seed: 160,
-            warmup: scale.warmup(),
-            measure: scale.measure(),
-            ..Default::default()
+            ..scale.params(160)
         };
-        let r = Simulation::new(cfg, &mut wl, params).run();
+        let r = run_one(cfg, &mut wl, params);
         let bytes: u64 = r.shards.iter().map(|w| w.data_bytes).sum();
         achieved.push(r.recorder.achieved_rps());
         agg_bytes.push(bytes);
@@ -1063,19 +967,15 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
     // pre-sharding single-chain layout collapses *harder* there.)
     let mk_params = |faults| RunParams {
         offered_rps: 100_000.0,
-        seed: 161,
-        warmup: scale.warmup(),
-        measure: scale.measure(),
         faults,
-        ..Default::default()
+        ..scale.params(161)
     };
-    let base = Simulation::new(crash_cfg.clone(), &mut wl, mk_params(None)).run();
-    let crash = Simulation::new(
+    let base = run_one(crash_cfg.clone(), &mut wl, mk_params(None));
+    let crash = run_one(
         crash_cfg,
         &mut wl,
         mk_params(Some(faults::FaultScenario::crash_node(0))),
-    )
-    .run();
+    );
     let c = |s: usize, field: &str| {
         let name = format!("shard{s}.{field}");
         crash.metrics.counter(&name).unwrap_or(0)
@@ -1163,14 +1063,12 @@ pub fn dispatcher_scaling(scale: Scale) -> FigureReport {
             };
             let params = RunParams {
                 offered_rps: 2_500_000.0 * n as f64,
-                seed: 180,
-                warmup: scale.warmup(),
                 // Saturation probing only: short window.
                 measure: SimDuration::from_millis(15),
                 local_mem_fraction: 1.0,
-                ..Default::default()
+                ..scale.params(180)
             };
-            let r = Simulation::new(cfg, &mut wl, params).run();
+            let r = run_one(cfg, &mut wl, params);
             achieved[pi].push(r.recorder.achieved_rps());
         }
     }
@@ -1297,13 +1195,10 @@ pub fn tenant_isolation(scale: Scale) -> FigureReport {
     let run_plane = |plane: TenantPlane, wl: &mut TenantWorkload| {
         let params = RunParams {
             offered_rps: plane.total_rate_rps(),
-            seed: 170,
-            warmup: scale.warmup(),
-            measure: scale.measure(),
             tenants: Some(plane),
-            ..Default::default()
+            ..scale.params(170)
         };
-        Simulation::new(SystemConfig::adios(), wl, params).run()
+        run_one(SystemConfig::adios(), wl, params)
     };
     let mut wl = two_arrays();
     let base = run_plane(TenantPlane::new(vec![hi_spec()]), &mut wl);
@@ -1377,12 +1272,9 @@ pub fn tenant_isolation(scale: Scale) -> FigureReport {
     let leg2 = |mut wl: Box<dyn runtime::Workload>, rate: f64| {
         let params = RunParams {
             offered_rps: rate,
-            seed: 171,
-            warmup: scale.warmup(),
-            measure: scale.measure(),
-            ..Default::default()
+            ..scale.params(171)
         };
-        Simulation::new(SystemConfig::adios(), &mut *wl, params).run()
+        run_one(SystemConfig::adios(), &mut *wl, params)
     };
     let sessions = (pages / 64).max(16) as u32;
     let llm = leg2(
@@ -1425,26 +1317,6 @@ pub fn tenant_isolation(scale: Scale) -> FigureReport {
     report
 }
 
-/// One observatory-enabled run (the only RunParams difference from the
-/// plain legs: `memory: Some(default)`).
-fn run_obs(
-    cfg: &SystemConfig,
-    wl: &mut dyn runtime::Workload,
-    offered_rps: f64,
-    scale: Scale,
-    seed: u64,
-) -> runtime::sim::RunResult {
-    let params = RunParams {
-        offered_rps,
-        seed,
-        warmup: scale.warmup(),
-        measure: scale.measure(),
-        memory: Some(runtime::sim::MemObsConfig),
-        ..Default::default()
-    };
-    Simulation::new(cfg.clone(), wl, params).run()
-}
-
 /// Memory-access observatory across the five applications: prefetch
 /// fates, working sets, access-shape fingerprints, and a Zipfian-skew
 /// leg where one shard's heat share dominates.
@@ -1468,6 +1340,13 @@ pub fn memory_observatory(scale: Scale) -> FigureReport {
         depth: 8,
     });
 
+    // Every leg is observatory-on: this report reads the memory plane.
+    let observed = |offered_rps, seed| RunParams {
+        offered_rps,
+        memory: Some(runtime::sim::MemObsConfig),
+        ..scale.params(seed)
+    };
+
     // -- five apps × two detectors --------------------------------------
     let keys = scale.memcached_keys(128).min(200_000);
     let scan_keys = scale.rocksdb_keys().min(100_000);
@@ -1477,31 +1356,31 @@ pub fn memory_observatory(scale: Scale) -> FigureReport {
         legs.push((
             "KVS",
             det_name,
-            run_obs(cfg, &mut kvs, 400_000.0, scale, 210),
+            run_one(cfg.clone(), &mut kvs, observed(400_000.0, 210)),
         ));
         let mut scan = RocksDbWorkload::new(scan_keys, 1024);
         legs.push((
             "SCAN",
             det_name,
-            run_obs(cfg, &mut scan, 150_000.0, scale, 211),
+            run_one(cfg.clone(), &mut scan, observed(150_000.0, 211)),
         ));
         let mut tpcc = TpccWorkload::new(TpccScale::tiny(), 212);
         legs.push((
             "TPC-C",
             det_name,
-            run_obs(cfg, &mut tpcc, 80_000.0, scale, 212),
+            run_one(cfg.clone(), &mut tpcc, observed(80_000.0, 212)),
         ));
         let mut ivf = FaissWorkload::new(10_000, 32, 8, 213);
         legs.push((
             "IVF-Flat",
             det_name,
-            run_obs(cfg, &mut ivf, 20_000.0, scale, 213),
+            run_one(cfg.clone(), &mut ivf, observed(20_000.0, 213)),
         ));
         let mut llm = LlmServeWorkload::new(64, 64);
         legs.push((
             "llmserve",
             det_name,
-            run_obs(cfg, &mut llm, 300_000.0, scale, 214),
+            run_one(cfg.clone(), &mut llm, observed(300_000.0, 214)),
         ));
     }
 
@@ -1565,7 +1444,7 @@ pub fn memory_observatory(scale: Scale) -> FigureReport {
         ..ra.clone()
     };
     let mut zipf = MemcachedWorkload::new(keys, 128).with_zipf(0.99);
-    let zr = run_obs(&skew_cfg, &mut zipf, 400_000.0, scale, 215);
+    let zr = run_one(skew_cfg, &mut zipf, observed(400_000.0, 215));
     let zm = zr.memory.as_ref().expect("observatory was on");
     let mut s = Series::new(
         "Zipf(0.99) keys, 4 range shards: decayed heat share per shard",

@@ -21,10 +21,7 @@ pub fn run(scale: Scale) -> FigureReport {
                 &SystemConfig::for_kind(kind),
                 &mut wl,
                 &loads,
-                scale.warmup(),
-                scale.measure(),
-                0.2,
-                51,
+                scale.params(51),
             );
             report.series.push(points_series(
                 &format!("{} ({value_len} B)", kind.name()),
@@ -80,28 +77,12 @@ pub fn run(scale: Scale) -> FigureReport {
 
     // (10e) PF-aware vs round-robin dispatching, P99.9 at every load.
     let mut wl = MemcachedWorkload::new(scale.memcached_keys(128), 128);
-    let pf = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        52,
-    );
+    let pf = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(52));
     let rr_cfg = SystemConfig {
         worker_select: WorkerSelect::RoundRobin,
         ..SystemConfig::adios()
     };
-    let rr = sweep(
-        &rr_cfg,
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        52,
-    );
+    let rr = sweep(&rr_cfg, &mut wl, &loads, scale.params(52));
     let mut s = Series::new(
         "PF-aware vs round-robin dispatch, P99.9 (10e)",
         "   offered   RR p999(us)   PF p999(us)   improvement",

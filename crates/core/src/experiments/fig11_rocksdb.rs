@@ -25,10 +25,7 @@ pub fn run(scale: Scale) -> FigureReport {
             &SystemConfig::for_kind(kind),
             &mut wl,
             &loads,
-            scale.warmup(),
-            scale.measure(),
-            0.2,
-            61,
+            scale.params(61),
         );
         report.series.push(class_series(
             &format!("{} — GET", kind.name()),
@@ -109,28 +106,12 @@ pub fn run(scale: Scale) -> FigureReport {
     ));
 
     // (11e) PF-aware vs RR on Adios, GET P99.9.
-    let pf = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        62,
-    );
+    let pf = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(62));
     let rr_cfg = SystemConfig {
         worker_select: WorkerSelect::RoundRobin,
         ..SystemConfig::adios()
     };
-    let rr = sweep(
-        &rr_cfg,
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        62,
-    );
+    let rr = sweep(&rr_cfg, &mut wl, &loads, scale.params(62));
     let mut s = Series::new(
         "PF-aware vs round-robin dispatch, GET P99.9 (11e)",
         "   offered   RR p999(us)   PF p999(us)   improvement",

@@ -7,6 +7,7 @@
 
 use apps::silo::tpcc::TpccScale;
 use apps::TpccWorkload;
+use runtime::sim::RunParams;
 use runtime::{SystemConfig, SystemKind};
 
 use super::{fmt_x, peak_rps, points_series, sweep, takeoff_index};
@@ -26,10 +27,10 @@ pub fn run(scale: Scale) -> FigureReport {
             &SystemConfig::for_kind(kind),
             &mut wl,
             &loads,
-            scale.warmup(),
-            scale.tpcc_measure(),
-            0.2,
-            71,
+            RunParams {
+                measure: scale.tpcc_measure(),
+                ..scale.params(71)
+            },
         );
         report.series.push(points_series(kind.name(), &results));
         per_system.push((kind, results, wl.stats()));

@@ -7,6 +7,7 @@
 //! systems whose request latency is tens or hundreds of milliseconds."
 
 use apps::FaissWorkload;
+use runtime::sim::RunParams;
 use runtime::{SystemConfig, SystemKind};
 
 use super::{fmt_x, peak_rps, points_series, sweep};
@@ -31,10 +32,10 @@ pub fn run(scale: Scale) -> FigureReport {
             &SystemConfig::for_kind(kind),
             &mut wl,
             &loads,
-            scale.warmup(),
-            scale.faiss_measure(),
-            0.2,
-            81,
+            RunParams {
+                measure: scale.faiss_measure(),
+                ..scale.params(81)
+            },
         );
         report.series.push(points_series(kind.name(), &results));
         per_system.push((kind, results));

@@ -5,9 +5,10 @@
 //! P10/P50/P99/P99.9 with busy-wait called out; (d) throughput stall;
 //! (e) RDMA link utilisation stuck near half capacity.
 
+use runtime::sim::{run_one, RunParams};
 use runtime::{ArrayIndexWorkload, SystemConfig};
 
-use super::{fmt_mrps, fmt_us, knee_index, points_series, run_with_breakdowns, sweep};
+use super::{fmt_mrps, fmt_us, knee_index, points_series, sweep};
 use crate::report::{Expectation, FigureReport, Series};
 use crate::scale::Scale;
 
@@ -17,24 +18,8 @@ pub fn run(scale: Scale) -> FigureReport {
     let loads = scale.microbench_loads();
     let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
 
-    let dilos = sweep(
-        &SystemConfig::dilos(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        11,
-    );
-    let dilos_p = sweep(
-        &SystemConfig::dilos_p(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        11,
-    );
+    let dilos = sweep(&SystemConfig::dilos(), &mut wl, &loads, scale.params(11));
+    let dilos_p = sweep(&SystemConfig::dilos_p(), &mut wl, &loads, scale.params(11));
 
     // (a)+(d)+(e): the sweep rows carry P99/P99.9, throughput and util.
     report
@@ -47,7 +32,15 @@ pub fn run(scale: Scale) -> FigureReport {
     // (b)+(c): one instrumented run just below the knee.
     let knee = knee_index(&dilos);
     let knee_load = dilos[knee].offered_rps;
-    let mut res = run_with_breakdowns(&SystemConfig::dilos(), &mut wl, knee_load, scale, 0.2, 11);
+    let mut res = run_one(
+        SystemConfig::dilos(),
+        &mut wl,
+        RunParams {
+            offered_rps: knee_load,
+            keep_breakdowns: true,
+            ..scale.params(11)
+        },
+    );
 
     let mut cdf = Series::new(
         format!("Latency CDF at {} (2b)", fmt_mrps(knee_load)),

@@ -5,11 +5,10 @@
 //! skyrockets (busy-wait gone, queueing collapsed); (d) throughput and
 //! (e) RDMA utilisation for DiLOS vs Adios.
 
+use runtime::sim::{run_one, RunParams};
 use runtime::{ArrayIndexWorkload, SystemConfig, SystemKind};
 
-use super::{
-    fmt_mrps, fmt_us, fmt_x, knee_index, peak_rps, points_series, run_with_breakdowns, sweep,
-};
+use super::{fmt_mrps, fmt_us, fmt_x, knee_index, peak_rps, points_series, sweep};
 use crate::report::{Expectation, FigureReport, Series};
 use crate::scale::Scale;
 
@@ -28,10 +27,7 @@ pub fn run(scale: Scale) -> FigureReport {
             &SystemConfig::for_kind(kind),
             &mut wl,
             &loads,
-            scale.warmup(),
-            scale.measure(),
-            0.2,
-            23,
+            scale.params(23),
         );
         report.series.push(points_series(kind.name(), &results));
         all.push((kind, results));
@@ -45,8 +41,13 @@ pub fn run(scale: Scale) -> FigureReport {
     // (c): Adios breakdown at DiLOS' knee load, compared to DiLOS'.
     let knee = knee_index(dilos);
     let knee_load = dilos[knee].offered_rps;
-    let mut a_res = run_with_breakdowns(&SystemConfig::adios(), &mut wl, knee_load, scale, 0.2, 23);
-    let mut d_res = run_with_breakdowns(&SystemConfig::dilos(), &mut wl, knee_load, scale, 0.2, 23);
+    let breakdowns = RunParams {
+        offered_rps: knee_load,
+        keep_breakdowns: true,
+        ..scale.params(23)
+    };
+    let mut a_res = run_one(SystemConfig::adios(), &mut wl, breakdowns.clone());
+    let mut d_res = run_one(SystemConfig::dilos(), &mut wl, breakdowns);
     let mut bd = Series::new(
         format!("Adios breakdown at {} (7c)", fmt_mrps(knee_load)),
         "  pct     queue(us)  busywait(us)  handle(us)   rdma(us)  ctxsw(us)    net(us)",

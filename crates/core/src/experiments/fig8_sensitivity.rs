@@ -5,6 +5,7 @@
 //! only ~25 %, and Adios at 10 % roughly matches DiLOS at 80 %. With
 //! everything local, DiLOS' simpler code path wins slightly.
 
+use runtime::sim::RunParams;
 use runtime::{ArrayIndexWorkload, SystemConfig};
 
 use super::{fmt_mrps, fmt_us, fmt_x, peak_rps, sweep};
@@ -34,24 +35,12 @@ pub fn run(scale: Scale) -> FigureReport {
     let mut a_peaks = Vec::new();
     let mut p50_at_full = (0u64, 0u64);
     for &frac in fractions {
-        let d = sweep(
-            &SystemConfig::dilos(),
-            &mut wl,
-            &loads,
-            scale.warmup(),
-            scale.measure(),
-            frac,
-            31,
-        );
-        let a = sweep(
-            &SystemConfig::adios(),
-            &mut wl,
-            &loads,
-            scale.warmup(),
-            scale.measure(),
-            frac,
-            31,
-        );
+        let base = RunParams {
+            local_mem_fraction: frac,
+            ..scale.params(31)
+        };
+        let d = sweep(&SystemConfig::dilos(), &mut wl, &loads, base.clone());
+        let a = sweep(&SystemConfig::adios(), &mut wl, &loads, base);
         let (dp, ap) = (peak_rps(&d), peak_rps(&a));
         // P99 at a common mid load (index 1) for the latency panel.
         s.rows.push(format!(

@@ -16,28 +16,12 @@ pub fn run(scale: Scale) -> FigureReport {
     let loads = scale.microbench_loads();
     let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
 
-    let adios = sweep(
-        &SystemConfig::adios(),
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        41,
-    );
+    let adios = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(41));
     let no_deleg_cfg = SystemConfig {
         polling_delegation: false,
         ..SystemConfig::adios()
     };
-    let no_deleg = sweep(
-        &no_deleg_cfg,
-        &mut wl,
-        &loads,
-        scale.warmup(),
-        scale.measure(),
-        0.2,
-        41,
-    );
+    let no_deleg = sweep(&no_deleg_cfg, &mut wl, &loads, scale.params(41));
 
     report.series.push(points_series("Adios", &adios));
     report

@@ -19,8 +19,7 @@ pub mod fig9_polling;
 pub mod table1_ctxswitch;
 pub mod table2_workloads;
 
-use desim::SimDuration;
-use runtime::sim::{RunParams, RunResult, Simulation};
+use runtime::sim::{run_one, RunParams, RunResult};
 use runtime::{SystemConfig, Workload};
 
 use crate::report::{FigureReport, Series};
@@ -83,56 +82,26 @@ pub fn select<S: AsRef<str>>(prefixes: &[S]) -> Result<Vec<&'static Experiment>,
 }
 
 /// Runs one configuration over an offered-load grid, reusing the
-/// workload (datasets build once per sweep).
+/// workload (datasets build once per sweep). Every point is `base` at
+/// its own `offered_rps`; `base` is the report's [`Scale::params`] with
+/// only what differs spelled out, so a point runs planes-off — no
+/// report reads a sweep point's spans.
 pub(crate) fn sweep(
     cfg: &SystemConfig,
     workload: &mut dyn Workload,
     loads: &[f64],
-    warmup: SimDuration,
-    measure: SimDuration,
-    local_mem_fraction: f64,
-    seed: u64,
+    base: RunParams,
 ) -> Vec<RunResult> {
     loads
         .iter()
         .map(|&offered_rps| {
             let params = RunParams {
                 offered_rps,
-                seed,
-                warmup,
-                measure,
-                local_mem_fraction,
-                // Per-stage latency histograms for every sweep row.
-                spans: Some(desim::SpanConfig::stats_only()),
-                ..Default::default()
+                ..base.clone()
             };
-            Simulation::new(cfg.clone(), workload, params).run()
+            run_one(cfg.clone(), workload, params)
         })
         .collect()
-}
-
-/// One run with per-request breakdowns retained.
-pub(crate) fn run_with_breakdowns(
-    cfg: &SystemConfig,
-    workload: &mut dyn Workload,
-    offered_rps: f64,
-    scale: Scale,
-    local_mem_fraction: f64,
-    seed: u64,
-) -> RunResult {
-    let params = RunParams {
-        offered_rps,
-        seed,
-        warmup: scale.warmup(),
-        measure: scale.measure(),
-        local_mem_fraction,
-        keep_breakdowns: true,
-        // Full span layer: the Figure 2c/7c breakdowns are derived from
-        // the per-request span trees' critical paths.
-        spans: Some(desim::SpanConfig::default()),
-        ..Default::default()
-    };
-    Simulation::new(cfg.clone(), workload, params).run()
 }
 
 /// Formats a sweep as a [`Series`] of [`loadgen::LoadPoint`] rows.
@@ -214,22 +183,28 @@ pub(crate) fn fmt_us(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::SimDuration;
     use runtime::ArrayIndexWorkload;
 
     #[test]
     fn sweep_and_knee_work_end_to_end() {
         let mut wl = ArrayIndexWorkload::new(8_192);
         let loads = [200_000.0, 3_000_000.0];
-        let results = sweep(
-            &SystemConfig::dilos(),
-            &mut wl,
-            &loads,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(8),
-            0.2,
-            1,
-        );
+        let base = RunParams {
+            warmup: SimDuration::from_millis(2),
+            measure: SimDuration::from_millis(8),
+            ..Default::default()
+        };
+        let results = sweep(&SystemConfig::dilos(), &mut wl, &loads, base);
         assert_eq!(results.len(), 2);
+        // Every point ran planes-off.
+        for r in &results {
+            assert!(r.spans.is_none());
+            assert!(r.profile.is_none());
+            assert!(r.memory.is_none());
+            assert!(r.telemetry.is_none());
+            assert!(r.trace.is_none());
+        }
         // The low point serves its load; the absurd one cannot.
         assert_eq!(knee_index(&results), 0);
         assert!(peak_rps(&results) > 200_000.0);
@@ -237,6 +212,28 @@ mod tests {
         assert_eq!(s.rows.len(), 2);
         let c = class_series("DiLOS", &results, 0);
         assert_eq!(c.rows.len(), 2);
+    }
+
+    #[test]
+    fn breakdown_runs_need_only_keep_breakdowns() {
+        // Figures 2c / 7c: `keep_breakdowns` alone turns on the
+        // stats-only span layer the breakdown rows are derived from;
+        // no per-request critical-path rows are kept beside them.
+        let mut wl = ArrayIndexWorkload::new(8_192);
+        let params = RunParams {
+            offered_rps: 500_000.0,
+            warmup: SimDuration::from_millis(2),
+            measure: SimDuration::from_millis(8),
+            keep_breakdowns: true,
+            ..Default::default()
+        };
+        let mut res = run_one(SystemConfig::dilos(), &mut wl, params);
+        let b = res.recorder.breakdown_at(99.9);
+        assert!(b.mean_e2e_ns > 0.0);
+        assert!(b.mean.total_ns() > 0.0);
+        let spans = res.spans.expect("breakdowns imply the span layer");
+        assert!(spans.attributions.is_empty());
+        assert!(spans.measured > 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! variable and is what `EXPERIMENTS.md` records.
 
 use desim::SimDuration;
+use runtime::sim::RunParams;
 
 /// How large to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +52,20 @@ impl Scale {
         match self {
             Scale::Quick => SimDuration::from_millis(40),
             Scale::Full => SimDuration::from_millis(150),
+        }
+    }
+
+    /// The run every report point starts from: this scale's horizon
+    /// ([`Scale::warmup`] + [`Scale::measure`]) at `seed`, the paper's
+    /// 20 % local-memory ratio, and every observability plane off. A
+    /// point spells only what differs (`..scale.params(seed)`); a sweep
+    /// sets `offered_rps` per point.
+    pub fn params(self, seed: u64) -> RunParams {
+        RunParams {
+            seed,
+            warmup: self.warmup(),
+            measure: self.measure(),
+            ..Default::default()
         }
     }
 
@@ -185,5 +200,23 @@ mod tests {
         assert!(Scale::Quick.microbench_pages() >= 16_384);
         assert!(Scale::Quick.memcached_keys(128) > 100_000);
         assert!(Scale::Quick.rocksdb_keys() >= 100_000);
+    }
+
+    #[test]
+    fn params_carry_the_horizon_and_no_plane() {
+        for (scale, seed) in [(Scale::Quick, 7), (Scale::Full, 61)] {
+            let p = scale.params(seed);
+            assert_eq!(p.seed, seed);
+            assert_eq!(p.warmup, scale.warmup());
+            assert_eq!(p.measure, scale.measure());
+            assert_eq!(p.local_mem_fraction, 0.2);
+            assert!(!p.keep_breakdowns);
+            assert!(p.burst.is_none() && p.faults.is_none() && p.tenants.is_none());
+            assert!(p.trace_capacity.is_none());
+            assert!(p.spans.is_none());
+            assert!(p.profile.is_none());
+            assert!(p.memory.is_none());
+            assert!(p.telemetry.is_none());
+        }
     }
 }

@@ -24,7 +24,7 @@
 //! [`SpanConfig`]: a store that can never retain an exemplar
 //! (`exemplar_percentile: None` or `max_exemplars == 0` — what
 //! [`SpanConfig::default`] and [`SpanConfig::stats_only`] say, and what
-//! every sweep uses) hands out *sparse* builders, which keep the root,
+//! every breakdown run uses) hands out *sparse* builders, which keep the root,
 //! the stall phases and the fetch spans the overlays read, and drop
 //! every other span after adding it to the totals. The attribution is
 //! the same either way.
@@ -41,7 +41,7 @@
 //! [`SpanStore`] aggregates completed trees three ways:
 //!
 //! - per-stage [`Histogram`]s ([`StageStats`]) for p50/p99/p99.9 per
-//!   component on every sweep row;
+//!   component of every run with the layer on;
 //! - optional per-request [`CriticalPath`] rows (the exact-sum
 //!   breakdown the recorder consumes);
 //! - a bounded *tail exemplar* set: full span trees are retained only
@@ -845,7 +845,8 @@ impl Default for SpanConfig {
 
 impl SpanConfig {
     /// Stage histograms only: no per-request rows, no exemplars. The
-    /// cheapest useful setting — what sweeps use.
+    /// cheapest useful setting — what a breakdown run turns on by
+    /// itself.
     pub fn stats_only() -> SpanConfig {
         SpanConfig {
             keep_attributions: false,
