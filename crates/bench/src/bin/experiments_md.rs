@@ -583,9 +583,8 @@ fn instrumented_runs(cli: &Cli) {
                     e.value_milli % 1000
                 );
             }
-            for (name, s) in t.health_series() {
-                let scores = s.lasts();
-                let min = scores.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
+            for (name, scores) in t.health_series() {
+                let min = scores.iter().copied().fold(f64::INFINITY, f64::min);
                 println!(
                     "    health {name:>7}: min {:.1} over {} samples",
                     if min.is_finite() { min } else { 100.0 },

@@ -22,8 +22,8 @@
 //!   with exact critical-path attribution ([`CriticalPath`]), per-stage
 //!   histograms, tail exemplars, and their Perfetto tracks.
 //! - [`telemetry`] — continuous telemetry: a virtual-time
-//!   [`FlightRecorder`] sampling every counter/gauge into
-//!   [`TimeSeries`] buckets, per-entity health scores, and an SLO
+//!   [`FlightRecorder`] sampling every counter/gauge once per tick,
+//!   per-entity health scores, and an SLO
 //!   burn-rate engine emitting typed [`SloEvent`]s into the trace ring.
 //! - [`profile`] — virtual-time core profiler ([`CoreProfiler`]) tiling
 //!   every core's timeline exhaustively into typed [`CoreState`]s, plus
@@ -39,7 +39,6 @@ pub mod hist;
 pub mod json;
 pub mod profile;
 pub mod rng;
-pub mod series;
 pub mod span;
 pub mod telemetry;
 pub mod time;
@@ -51,7 +50,6 @@ pub use profile::{
     CoreProfiler, CoreReport, CoreState, ProfileConfig, ProfileReport, QueueProbe, QueueReport,
 };
 pub use rng::Rng;
-pub use series::TimeSeries;
 pub use span::{
     CriticalPath, Span, SpanBuilder, SpanConfig, SpanReport, SpanStore, SpanTree, StageStats,
 };

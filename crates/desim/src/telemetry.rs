@@ -4,8 +4,8 @@
 //! Everything the simulator exports today is end-of-run (window-scoped
 //! counters, span percentiles). This module adds the *dynamics*: a
 //! [`FlightRecorder`] samples every registered counter and gauge from a
-//! [`Metrics`] registry on a fixed virtual-time tick into
-//! [`TimeSeries`] buckets, computes per-entity health scores
+//! [`Metrics`] registry on a fixed virtual-time tick — one value per
+//! series per tick — computes per-entity health scores
 //! ([`health_score`]), and evaluates declarative [`SloRule`]s —
 //! latency-objective burn rate, error-budget exhaustion, queue-growth
 //! detection — over sliding windows, emitting typed [`SloEvent`]s into
@@ -17,7 +17,6 @@
 //! identically-seeded runs produce byte-identical telemetry JSON.
 
 use crate::json::{Perfetto, ToJson, Writer, PERFETTO_TELEMETRY_PID};
-use crate::series::TimeSeries;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Metrics, TraceEvent, Tracer};
 use std::collections::VecDeque;
@@ -323,7 +322,7 @@ struct RuleState {
     ring: VecDeque<f64>,
     ring_cap: usize,
     active: bool,
-    burn: TimeSeries,
+    burn: Vec<f64>,
     /// Completions over the latency objective this tick (latency rules).
     lat_over: u64,
     /// Completions observed this tick (latency rules).
@@ -332,21 +331,22 @@ struct RuleState {
 
 /// The flight recorder: samples a [`Metrics`] registry every tick,
 /// maintains health-score trajectories, and runs the SLO engine.
+///
+/// Every series holds one value per tick: value `k` is the sample taken
+/// at `(k+1)·tick`.
 pub struct FlightRecorder {
     tick: SimDuration,
     rules: Vec<SloRule>,
     states: Vec<RuleState>,
     counter_names: Vec<&'static str>,
+    /// Each counter's raw total at the previous tick (raw totals never
+    /// drop, not even across [`Metrics::reset`]).
     counter_prev: Vec<u64>,
-    /// Counts banked by [`FlightRecorder::bank`] across a registry
-    /// reset, folded into the next tick's deltas so the partial period
-    /// before the reset is not dropped from the rate series.
-    counter_carry: Vec<u64>,
-    counter_series: Vec<TimeSeries>,
+    counter_series: Vec<Vec<f64>>,
     gauge_names: Vec<&'static str>,
-    gauge_series: Vec<TimeSeries>,
+    gauge_series: Vec<Vec<f64>>,
     health_names: Vec<String>,
-    health_series: Vec<TimeSeries>,
+    health_series: Vec<Vec<f64>>,
     /// Position of the `drops` / `completions` counters and the
     /// `queue_depth` gauge, when the registry has them (the error and
     /// queue rules read these well-known names).
@@ -370,7 +370,7 @@ impl FlightRecorder {
         assert!(cfg.tick > SimDuration::ZERO, "zero telemetry tick");
         let tick = cfg.tick;
         let counter_names: Vec<_> = metrics.counters_iter().map(|(n, _)| n).collect();
-        let counter_prev: Vec<_> = metrics.counters_iter().map(|(_, v)| v).collect();
+        let counter_prev: Vec<_> = metrics.raw_counters().collect();
         let gauge_names: Vec<_> = metrics.gauges_iter().map(|(n, _)| n).collect();
         let states = cfg
             .rules
@@ -385,7 +385,7 @@ impl FlightRecorder {
                     ring: VecDeque::with_capacity(cap),
                     ring_cap: cap,
                     active: false,
-                    burn: TimeSeries::new(tick),
+                    burn: Vec::new(),
                     lat_over: 0,
                     lat_total: 0,
                 }
@@ -393,16 +393,12 @@ impl FlightRecorder {
             .collect();
         FlightRecorder {
             tick,
-            counter_series: counter_names
-                .iter()
-                .map(|_| TimeSeries::new(tick))
-                .collect(),
-            gauge_series: gauge_names.iter().map(|_| TimeSeries::new(tick)).collect(),
+            counter_series: vec![Vec::new(); counter_names.len()],
+            gauge_series: vec![Vec::new(); gauge_names.len()],
             drops_idx: counter_names.iter().position(|&n| n == "drops"),
             completions_idx: counter_names.iter().position(|&n| n == "completions"),
             queue_idx: gauge_names.iter().position(|&n| n == "queue_depth"),
             counter_names,
-            counter_carry: vec![0; counter_prev.len()],
             counter_prev,
             gauge_names,
             health_names: Vec::new(),
@@ -427,8 +423,7 @@ impl FlightRecorder {
             .chain(&mut self.health_series)
             .chain(self.states.iter_mut().map(|st| &mut st.burn));
         for s in series {
-            // Bucket `ticks` itself is the last one a tick lands in.
-            s.reserve(ticks + 1);
+            s.reserve(ticks);
         }
     }
 
@@ -442,7 +437,7 @@ impl FlightRecorder {
     /// [`HealthInput`] per registered entity, in registration order.
     pub fn register_health(&mut self, name: String) -> usize {
         self.health_names.push(name);
-        self.health_series.push(TimeSeries::new(self.tick));
+        self.health_series.push(Vec::new());
         self.health_names.len() - 1
     }
 
@@ -460,30 +455,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Banks the not-yet-sampled counter deltas (everything accrued
-    /// since the previous tick). Call immediately **before** a
-    /// [`Metrics::reset`]: the reset lowers every counter below the
-    /// recorder's baseline, and without banking, `tick`'s saturating
-    /// subtraction would silently clamp the partial period to zero —
-    /// under-reporting every rate series at the warm-up boundary.
-    /// The banked counts are folded into the next tick's deltas.
-    pub fn bank(&mut self, metrics: &Metrics) {
-        for (i, (_, v)) in metrics.counters_iter().enumerate() {
-            self.counter_carry[i] += v.saturating_sub(self.counter_prev[i]);
-        }
-    }
-
-    /// Re-synchronises counter baselines after a [`Metrics::reset`]
-    /// (the warm-up → measure boundary), so the first post-reset tick
-    /// does not read a bogus delta. Pair with [`FlightRecorder::bank`]
-    /// before the reset, or the partial tick period preceding the
-    /// boundary is lost.
-    pub fn rebase(&mut self, metrics: &Metrics) {
-        for (i, (_, v)) in metrics.counters_iter().enumerate() {
-            self.counter_prev[i] = v;
-        }
-    }
-
     /// Takes one sample: counter deltas and gauge values land in their
     /// series, health inputs are scored, and every SLO rule is
     /// evaluated. Breach transitions are appended to the event log and
@@ -491,10 +462,16 @@ impl FlightRecorder {
     /// `"breach_begin"`/`"breach_end"`, payload `a` = rule index,
     /// `b` = burn in thousandths).
     ///
+    /// Counter deltas diff the registry's raw totals, so a
+    /// [`Metrics::reset`] between two ticks needs no call here: the
+    /// straddling tick counts its whole period.
+    ///
     /// # Panics
     ///
-    /// Panics if `health` does not have one entry per registered
-    /// health entity.
+    /// Panics if `now` is not exactly one period after the previous
+    /// tick (the first tick is at one period): a series' index is its
+    /// instant. Panics if a gauge reads non-finite, or if `health` does
+    /// not have one entry per registered health entity.
     pub fn tick(
         &mut self,
         now: SimTime,
@@ -502,14 +479,19 @@ impl FlightRecorder {
         health: &[HealthInput],
         tracer: &mut dyn Tracer,
     ) {
+        assert_eq!(
+            now,
+            SimTime((self.ticks + 1) * self.tick.as_nanos()),
+            "telemetry tick {} must land one period after the previous one",
+            self.ticks + 1
+        );
         self.ticks += 1;
         let mut drops_delta = 0u64;
         let mut completions_delta = 0u64;
-        for (i, (_, v)) in metrics.counters_iter().enumerate() {
-            let d =
-                v.saturating_sub(self.counter_prev[i]) + std::mem::take(&mut self.counter_carry[i]);
+        for (i, v) in metrics.raw_counters().enumerate() {
+            let d = v - self.counter_prev[i];
             self.counter_prev[i] = v;
-            self.counter_series[i].record(now, d as f64);
+            self.counter_series[i].push(d as f64);
             if Some(i) == self.drops_idx {
                 drops_delta = d;
             }
@@ -518,8 +500,9 @@ impl FlightRecorder {
             }
         }
         let mut queue_now = 0.0;
-        for (i, (_, v)) in metrics.gauges_iter().enumerate() {
-            self.gauge_series[i].record(now, v);
+        for (i, (name, v)) in metrics.gauges_iter().enumerate() {
+            assert!(v.is_finite(), "non-finite gauge {name}: {v}");
+            self.gauge_series[i].push(v);
             if Some(i) == self.queue_idx {
                 queue_now = v;
             }
@@ -530,7 +513,7 @@ impl FlightRecorder {
             "one HealthInput per registered entity"
         );
         for (i, h) in health.iter().enumerate() {
-            self.health_series[i].record(now, health_score(h));
+            self.health_series[i].push(health_score(h));
         }
 
         for (ri, (rule, st)) in self.rules.iter().zip(self.states.iter_mut()).enumerate() {
@@ -577,7 +560,7 @@ impl FlightRecorder {
             // decision, so the event log and the exported burn series
             // agree exactly: in-breach ⇔ series value ≥ 1.0.
             let value_milli = (burn * 1000.0).round() as u64;
-            st.burn.record(now, value_milli as f64 / 1000.0);
+            st.burn.push(value_milli as f64 / 1000.0);
             let breaching = value_milli >= 1000;
             if breaching != st.active {
                 st.active = breaching;
@@ -654,9 +637,10 @@ fn ring_mean(ring: &VecDeque<f64>) -> f64 {
     ring.iter().sum::<f64>() / ring.len() as f64
 }
 
-/// The finished recording: bucketed series, the SLO event log, health
+/// The finished recording: per-tick series, the SLO event log, health
 /// trajectories, and episode annotations, with deterministic JSON and
-/// Perfetto serialisations.
+/// Perfetto serialisations. Every series holds one value per tick;
+/// [`TelemetryReport::points`] stamps them with their instants.
 pub struct TelemetryReport {
     /// Sampling period.
     pub tick: SimDuration,
@@ -668,50 +652,75 @@ pub struct TelemetryReport {
     pub events: Vec<SloEvent>,
     /// Fault episodes that ran during the recording.
     pub episodes: Vec<EpisodeNote>,
-    counters: Vec<(&'static str, TimeSeries)>,
-    gauges: Vec<(&'static str, TimeSeries)>,
-    burn: Vec<TimeSeries>,
-    health: Vec<(String, TimeSeries)>,
+    counters: Vec<(&'static str, Vec<f64>)>,
+    gauges: Vec<(&'static str, Vec<f64>)>,
+    burn: Vec<Vec<f64>>,
+    health: Vec<(String, Vec<f64>)>,
 }
 
 impl TelemetryReport {
     /// Looks a counter-rate series up by name (values are deltas per
     /// tick).
-    pub fn counter_series(&self, name: &str) -> Option<&TimeSeries> {
+    pub fn counter_series(&self, name: &str) -> Option<&[f64]> {
         self.counters
             .iter()
             .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
+            .map(|(_, s)| s.as_slice())
     }
 
-    /// Looks a gauge series up by name (values are last-at-tick).
-    pub fn gauge_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.gauges.iter().find(|(n, _)| *n == name).map(|(_, s)| s)
+    /// Looks a gauge series up by name (values are the gauge at each
+    /// tick).
+    pub fn gauge_series(&self, name: &str) -> Option<&[f64]> {
+        self.gauges
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| s.as_slice())
     }
 
     /// Burn-rate series of rule `i` (values quantised to thousandths,
     /// exactly as the breach decision saw them).
-    pub fn burn_series(&self, i: usize) -> &TimeSeries {
+    pub fn burn_series(&self, i: usize) -> &[f64] {
         &self.burn[i]
     }
 
     /// `(entity name, score series)` per registered health entity.
-    pub fn health_series(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
-        self.health.iter().map(|(n, s)| (n.as_str(), s))
+    pub fn health_series(&self) -> impl Iterator<Item = (&str, &[f64])> {
+        self.health.iter().map(|(n, s)| (n.as_str(), s.as_slice()))
     }
 
-    /// Every counter (per-tick deltas), gauge (last at tick) and burn
-    /// series as `(name, points)`, in export order.
-    fn each_series(&self, mut f: impl FnMut(&str, Vec<(SimTime, f64)>)) {
+    /// `(tick instant, value)` for each value of one of this report's
+    /// series: value `k` was sampled at `(k+1)·tick`.
+    pub fn points<'a>(&self, series: &'a [f64]) -> impl Iterator<Item = (SimTime, f64)> + 'a {
+        let tick = self.tick.as_nanos();
+        (1..)
+            .map(move |k| SimTime(k * tick))
+            .zip(series.iter().copied())
+    }
+
+    /// Every counter (per-tick deltas), gauge and burn series as
+    /// `(name, values)`, in export order.
+    fn each_series(&self, mut f: impl FnMut(&str, &[f64])) {
         for (name, s) in &self.counters {
-            f(name, s.means());
+            f(name, s);
         }
         for (name, s) in &self.gauges {
-            f(name, s.lasts());
+            f(name, s);
         }
         for (i, s) in self.burn.iter().enumerate() {
-            f(&format!("slo{i}.burn"), s.lasts());
+            f(&format!("slo{i}.burn"), s);
         }
+    }
+
+    /// `[[t_ns, value], …]`, values at three decimals.
+    fn write_points(&self, w: &mut Writer, series: &[f64]) {
+        w.array(|w| {
+            for (t, v) in self.points(series) {
+                w.array(|w| {
+                    w.u64(t.as_nanos());
+                    w.f64(v, 3);
+                });
+            }
+        });
     }
 
     /// Writes the telemetry process's tracks into a Perfetto document:
@@ -722,14 +731,14 @@ impl TelemetryReport {
     pub fn write_perfetto(&self, doc: &mut Perfetto) {
         let pid = PERFETTO_TELEMETRY_PID;
         doc.process_name(pid, None, "telemetry");
-        let mut counter = |name: &str, pts: Vec<(SimTime, f64)>| {
-            for (t, v) in pts {
+        let mut counter = |name: &str, series: &[f64]| {
+            for (t, v) in self.points(series) {
                 doc.counter(pid, name, t.as_nanos(), v, 3);
             }
         };
         self.each_series(&mut counter);
         for (name, s) in &self.health {
-            counter(&format!("health.{name}"), s.lasts());
+            counter(&format!("health.{name}"), s);
         }
         for e in &self.events {
             let name = format!("slo{} breach {}", e.rule, e.kind.name());
@@ -778,27 +787,15 @@ impl ToJson for TelemetryReport {
                 }
             });
             w.key("series").object(|w| {
-                self.each_series(|name, pts| points(w.key(name), &pts));
+                self.each_series(|name, s| self.write_points(w.key(name), s));
             });
             w.key("health").object(|w| {
                 for (name, s) in &self.health {
-                    points(w.key(name), &s.lasts());
+                    self.write_points(w.key(name), s);
                 }
             });
         });
     }
-}
-
-/// `[[t_ns, value], …]`, values at three decimals.
-fn points(w: &mut Writer, pts: &[(SimTime, f64)]) {
-    w.array(|w| {
-        for (t, v) in pts {
-            w.array(|w| {
-                w.u64(t.as_nanos());
-                w.f64(*v, 3);
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -914,7 +911,7 @@ mod tests {
         assert!(rep.events[0].value_milli >= 1000);
         assert!(rep.events[1].value_milli < 1000);
         // The burn series agrees with the decisions it produced.
-        for (t, v) in rep.burn_series(0).lasts() {
+        for (t, v) in rep.points(rep.burn_series(0)) {
             let inside = t >= rep.events[0].at && t < rep.events[1].at;
             assert_eq!(v >= 1.0, inside, "burn series disagrees at {t}");
         }
@@ -933,25 +930,21 @@ mod tests {
         m.add(c, 7);
         rec.tick(SimTime(10_000), &m, &[], &mut tracer);
         m.add(c, 3);
-        // Warm-up boundary: bank the 3 not-yet-sampled counts, zero
-        // the registry, re-sync the baselines.
-        rec.bank(&m);
+        // Warm-up boundary: the registry's window reads restart at
+        // zero; the raw totals the recorder diffs keep counting.
         m.reset(SimTime(15_000));
-        rec.rebase(&m);
         m.add(c, 4);
         rec.tick(SimTime(20_000), &m, &[], &mut tracer);
         let rep = rec.finish(Vec::new());
-        let pts = rep.counter_series("work").unwrap().means();
-        // Second tick: 4 counted after the reset + the 3 banked across
+        let pts: Vec<_> = rep.points(rep.counter_series("work").unwrap()).collect();
+        // Second tick: the 3 counted before the reset + the 4 after
         // it — the full period, not a clamped partial.
         assert_eq!(pts, vec![(SimTime(10_000), 7.0), (SimTime(20_000), 7.0)]);
     }
 
-    /// Regression: a `Metrics::reset` between ticks lowers every
-    /// counter below the recorder's baseline; the saturating delta
-    /// then silently clamps the pre-reset tail to zero unless it is
-    /// banked. Conservation must hold across the boundary: the series
-    /// total equals every count ever added.
+    /// A `Metrics::reset` between ticks must not drop the counts
+    /// accrued before it: the series total equals every count ever
+    /// added, across any number of misaligned resets.
     #[test]
     fn rebase_boundary_conserves_counts() {
         let mut m = Metrics::new();
@@ -971,21 +964,36 @@ mod tests {
             if i == 3 || i == 7 {
                 m.add(c, 2);
                 added += 2;
-                rec.bank(&m);
                 m.reset(SimTime(i * 10_000 + 5_000));
-                rec.rebase(&m);
             }
             rec.tick(SimTime((i + 1) * 10_000), &m, &[], &mut tracer);
         }
         let rep = rec.finish(Vec::new());
-        let total: f64 = rep
-            .counter_series("work")
-            .unwrap()
-            .means()
-            .iter()
-            .map(|(_, v)| v)
-            .sum();
+        let total: f64 = rep.counter_series("work").unwrap().iter().sum();
         assert_eq!(total as u64, added, "counts lost across rebase");
+    }
+
+    #[test]
+    #[should_panic(expected = "zero telemetry tick")]
+    fn zero_tick_panics() {
+        let cfg = TelemetryConfig {
+            tick: SimDuration::ZERO,
+            rules: default_rules(),
+        };
+        FlightRecorder::new(cfg, &Metrics::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "one period after the previous one")]
+    fn a_skipped_tick_panics() {
+        let m = Metrics::new();
+        let cfg = TelemetryConfig {
+            tick: SimDuration::from_micros(10),
+            rules: default_rules(),
+        };
+        let mut rec = FlightRecorder::new(cfg, &m);
+        rec.tick(SimTime(10_000), &m, &[], &mut NoopTracer);
+        rec.tick(SimTime(30_000), &m, &[], &mut NoopTracer);
     }
 
     #[test]

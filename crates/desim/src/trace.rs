@@ -499,7 +499,16 @@ pub struct GaugeId(usize);
 #[derive(Debug, Clone)]
 struct Counter {
     name: &'static str,
+    /// Every count ever added; only grows.
     value: u64,
+    /// `value` at the last [`Metrics::reset`]: windowed reads subtract it.
+    base: u64,
+}
+
+impl Counter {
+    fn windowed(&self) -> u64 {
+        self.value - self.base
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -534,7 +543,11 @@ impl Metrics {
             self.counters.iter().all(|c| c.name != name),
             "duplicate counter {name}"
         );
-        self.counters.push(Counter { name, value: 0 });
+        self.counters.push(Counter {
+            name,
+            value: 0,
+            base: 0,
+        });
         CounterId(self.counters.len() - 1)
     }
 
@@ -566,9 +579,9 @@ impl Metrics {
         self.add(id, 1);
     }
 
-    /// Current value of a counter.
+    /// Value of a counter since the last [`Metrics::reset`].
     pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
+        self.counters[id.0].windowed()
     }
 
     /// Sets a gauge to `value` at simulated instant `now`, accumulating
@@ -590,12 +603,19 @@ impl Metrics {
         }
     }
 
-    /// Iterates `(name, value)` over every registered counter in
-    /// registration order. Registration order is deterministic, so the
-    /// telemetry flight recorder can index its per-counter series by
-    /// position.
+    /// Iterates `(name, value since the last reset)` over every
+    /// registered counter in registration order. Registration order is
+    /// deterministic, so the telemetry flight recorder can index its
+    /// per-counter series by position.
     pub fn counters_iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|c| (c.name, c.value))
+        self.counters.iter().map(|c| (c.name, c.windowed()))
+    }
+
+    /// Every counter's total since registration, in registration
+    /// order. A reset does not lower it, so the flight recorder's
+    /// per-tick deltas are plain differences across the window edge.
+    pub(crate) fn raw_counters(&self) -> impl Iterator<Item = u64> + '_ {
+        self.counters.iter().map(|c| c.value)
     }
 
     /// Iterates `(name, current value)` over every registered gauge in
@@ -604,13 +624,14 @@ impl Metrics {
         self.gauges.iter().map(|g| (g.name, g.last))
     }
 
-    /// Re-bases every instrument at `now`: counters return to zero,
-    /// gauges keep their current value but forget their history (max
-    /// and time integral restart). Called at the warm-up→measure
-    /// boundary so every rate covers only the measurement window.
+    /// Re-bases every instrument at `now`: counters read zero from
+    /// here on (their raw totals keep counting), gauges keep their
+    /// current value but forget their history (max and time integral
+    /// restart). Called at the warm-up→measure boundary so every rate
+    /// covers only the measurement window.
     pub fn reset(&mut self, now: SimTime) {
         for c in &mut self.counters {
-            c.value = 0;
+            c.base = c.value;
         }
         for g in &mut self.gauges {
             g.integral = 0.0;
@@ -625,7 +646,7 @@ impl Metrics {
     pub fn snapshot(&self, now: SimTime) -> MetricsSnapshot {
         let window = now.saturating_since(self.reset_at).as_nanos() as f64;
         MetricsSnapshot {
-            counters: self.counters.iter().map(|c| (c.name, c.value)).collect(),
+            counters: self.counters_iter().collect(),
             gauges: self
                 .gauges
                 .iter()
@@ -911,6 +932,33 @@ mod tests {
         assert_eq!((snap.counter_value(a), snap.counter_value(b)), (5, 1));
         m.reset(SimTime(10));
         assert_eq!(m.counter_value(a), 0);
+    }
+
+    #[test]
+    fn reset_zeroes_windowed_reads_while_raw_totals_keep_counting() {
+        let mut m = Metrics::new();
+        let c = m.counter("work");
+        let g = m.gauge("depth");
+        m.add(c, 7);
+        m.gauge_set(g, SimTime(5), 3.0);
+        m.reset(SimTime(10));
+        let snap = m.snapshot(SimTime(10));
+        assert_eq!(m.counter_value(c), 0);
+        assert_eq!(m.counters_iter().collect::<Vec<_>>(), vec![("work", 0)]);
+        assert_eq!((snap.counter("work"), snap.counter_value(c)), (Some(0), 0));
+        assert_eq!(m.raw_counters().collect::<Vec<_>>(), vec![7]);
+        m.add(c, 4);
+        assert_eq!(m.counter_value(c), 4);
+        assert_eq!(m.snapshot(SimTime(20)).counter("work"), Some(4));
+        assert_eq!(m.raw_counters().collect::<Vec<_>>(), vec![11]);
+        // A second reset re-bases at the new total, not at zero.
+        m.reset(SimTime(20));
+        m.inc(c);
+        assert_eq!(m.counter_value(c), 1);
+        assert_eq!(m.raw_counters().collect::<Vec<_>>(), vec![12]);
+        // Gauges re-base as before: the held value stays, history goes.
+        let gs = *m.snapshot(SimTime(20)).gauge("depth").unwrap();
+        assert_eq!((gs.last, gs.max, gs.mean), (3.0, 3.0, 3.0));
     }
 
     #[test]

@@ -331,7 +331,7 @@ pub struct RunResult {
     pub tenants: Vec<TenantWindow>,
     /// End-of-run request conservation, tracked on every run.
     pub conservation: Conservation,
-    /// Continuous-telemetry report: bucketed counter/gauge series, SLO
+    /// Continuous-telemetry report: per-tick counter/gauge series, SLO
     /// event log, per-QP/per-shard health trajectories, and fault
     /// episode annotations (present when [`RunParams::telemetry`] was
     /// set).

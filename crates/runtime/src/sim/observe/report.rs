@@ -66,21 +66,11 @@ pub struct WindowEdge {
 impl Observer {
     /// The warm-up → measure boundary: every counter, gauge and cache
     /// statistic re-bases here so rates cover only the measurement
-    /// window.
+    /// window. The flight recorder diffs the counters' raw totals,
+    /// which the reset leaves alone, so it needs no call here.
     pub fn window_opened(&mut self, now: SimTime, edge: WindowEdge) {
         self.opened = Some(edge);
-        if let Some(b) = &mut self.telem {
-            // Bank the counts accrued since the last tick: the
-            // imminent reset would otherwise drop them from every rate
-            // series.
-            b.rec.bank(&self.metrics);
-        }
         self.metrics.reset(now);
-        if let Some(b) = &mut self.telem {
-            // The reset zeroed every counter; re-sync the recorder's
-            // baselines so the next tick's deltas stay meaningful.
-            b.rec.rebase(&self.metrics);
-        }
     }
 
     /// The window closed at `now`: the link-message and fault-plane

@@ -499,22 +499,46 @@ fn queue_depth_gauge_records_burst_dynamics() {
     );
 
     // The over-time view is the flight recorder's sample of the same
-    // gauge, one sample per tick.
-    let observed = RunParams {
-        telemetry: Some(TelemetryConfig::default()),
-        ..bursty
+    // gauge. Every counter, gauge, burn and health series holds one
+    // point per tick, stamped k·tick for k = 1..=ticks, and the ticks
+    // tile the horizon — at the default tick, and at a finer one under
+    // link loss.
+    let fine = TelemetryConfig {
+        tick: SimDuration::from_micros(250),
+        ..Default::default()
     };
-    let res = run_one(SystemConfig::adios(), &mut w, observed);
-    let report = res.telemetry.expect("telemetry requested");
-    let series = report.gauge_series("queue_depth").expect("sampled");
-    assert!(report.ticks > 0);
-    assert_eq!(series.samples(), report.ticks, "one sample per tick");
-    assert_eq!(
-        series.lasts().len() as u64,
-        report.ticks,
-        "one tick per bucket"
-    );
-    assert!(series.maxima().iter().any(|&(_, depth)| depth > 0.0));
+    let horizon = (bursty.warmup + bursty.measure).as_nanos();
+    for (telemetry, faults) in [
+        (TelemetryConfig::default(), None),
+        (fine, Some(FaultScenario::lossy())),
+    ] {
+        let observed = RunParams {
+            telemetry: Some(telemetry),
+            faults,
+            ..bursty.clone()
+        };
+        let res = run_one(SystemConfig::adios(), &mut w, observed);
+        let report = res.telemetry.expect("telemetry requested");
+        let tick = report.tick.as_nanos();
+        assert_eq!(report.ticks, horizon / tick, "{tick} ns ticks");
+        let stamps: Vec<_> = (1..=report.ticks).map(|k| SimTime(k * tick)).collect();
+        let c = &res.metrics.counters;
+        let counters = c.iter().map(|&(n, _)| (n, report.counter_series(n)));
+        let g = &res.metrics.gauges;
+        let gauges = g.iter().map(|g| (g.name, report.gauge_series(g.name)));
+        let burns = (0..report.rules.len()).map(|i| ("burn", Some(report.burn_series(i))));
+        let health = report.health_series().map(|(n, s)| (n, Some(s)));
+        let mut checked = 0;
+        for (name, series) in counters.chain(gauges).chain(burns).chain(health) {
+            let series = series.unwrap_or_else(|| panic!("{name} unsampled"));
+            let at: Vec<_> = report.points(series).map(|(t, _)| t).collect();
+            assert_eq!(at, stamps, "{name} at {tick} ns ticks");
+            checked += 1;
+        }
+        assert!(checked > c.len() + g.len(), "burn and health series too");
+        let queue = report.gauge_series("queue_depth").expect("sampled");
+        assert!(queue.iter().any(|&depth| depth > 0.0));
+    }
 }
 
 #[test]
@@ -1114,7 +1138,7 @@ fn wide_planes_register_and_sample_every_entity_once() {
     for name in counters {
         assert!(once(&counter_names, &name), "{name}");
         let series = telemetry.counter_series(&name);
-        assert!(series.is_some_and(|s| s.samples() > 0), "{name} unsampled");
+        assert!(series.is_some_and(|s| !s.is_empty()), "{name} unsampled");
     }
     let gauges = per(ndisp, "dispatcher", &["busy_fraction"])
         .into_iter()
@@ -1123,7 +1147,7 @@ fn wide_planes_register_and_sample_every_entity_once() {
     for name in gauges {
         assert!(once(&gauge_names, &name), "{name}");
         let series = telemetry.gauge_series(&name);
-        assert!(series.is_some_and(|s| s.samples() > 0), "{name} unsampled");
+        assert!(series.is_some_and(|s| !s.is_empty()), "{name} unsampled");
     }
     for (d, name) in desim::trace::dispatcher_names::STEALS.iter().enumerate() {
         assert_eq!(*name, format!("dispatcher{d}.steals"));

@@ -52,7 +52,7 @@ fn main() {
             r.recorder.dropped()
         );
         println!("  queue depth over time (500 us ticks, '#' ≈ 4 requests):");
-        for (t, depth) in series.lasts().iter().take(30) {
+        for (t, depth) in telemetry.points(series).take(30) {
             println!(
                 "  {:>7.1} ms |{}",
                 t.as_secs_f64() * 1e3,

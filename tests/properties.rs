@@ -472,43 +472,6 @@ fn app_traces_always_complete() {
     }
 }
 
-/// Telemetry time series keep their bucket accounting honest under
-/// randomized sample streams: bucket starts are aligned to the bucket
-/// width, every sample lands in the bucket `floor(t / width)`, and the
-/// per-bucket mean never exceeds the per-bucket maximum.
-#[test]
-fn time_series_buckets_are_aligned_and_ordered() {
-    use adios::desim::TimeSeries;
-    let mut gen = Rng::new(0xA11C);
-    for case in 0..16 {
-        let bucket = SimDuration::from_micros(1 + gen.gen_range(500));
-        let mut series = TimeSeries::new(bucket);
-        let mut expected = std::collections::BTreeSet::new();
-        let n = 1 + gen.gen_range(200) as usize;
-        for _ in 0..n {
-            let t = SimTime(gen.gen_range(bucket.0 * 64));
-            let v = gen.gen_f64() * 1_000.0 - 200.0;
-            series.record(t, v);
-            expected.insert(t.0 / bucket.0 * bucket.0);
-        }
-        let ctx = format!("case {case} bucket {bucket}");
-        assert_eq!(series.samples(), n as u64, "{ctx}");
-        let means = series.means();
-        let maxima = series.maxima();
-        assert_eq!(means.len(), maxima.len(), "{ctx}");
-        assert_eq!(
-            means.iter().map(|(t, _)| t.0).collect::<Vec<_>>(),
-            expected.iter().copied().collect::<Vec<_>>(),
-            "{ctx}: non-empty buckets must be exactly the sampled ones"
-        );
-        for ((t, mean), (tm, max)) in means.iter().zip(&maxima) {
-            assert_eq!(t, tm, "{ctx}");
-            assert_eq!(t.0 % bucket.0, 0, "{ctx}: bucket start unaligned");
-            assert!(mean <= max, "{ctx}: mean {mean} > max {max} at {t}");
-        }
-    }
-}
-
 /// SLO breach intervals reported by the telemetry plane are well
 /// formed — per rule the events alternate begin/end starting with a
 /// begin, every interval is non-empty, intervals never overlap — and
@@ -599,7 +562,7 @@ fn slo_breach_arc_under_lossy(kind: SystemKind) {
 
         // Agreement with the exported burn series: in-breach ticks are
         // exactly the ticks where the quantised burn reads >= 1.0.
-        for (t, burn) in report.burn_series(i).lasts() {
+        for (t, burn) in report.points(report.burn_series(i)) {
             let in_breach = intervals
                 .iter()
                 .any(|(begin, end)| *begin <= t && end.is_none_or(|end| t < end));
@@ -613,11 +576,11 @@ fn slo_breach_arc_under_lossy(kind: SystemKind) {
 }
 
 /// The completions rate series must not dip at the warm-up rebase
-/// boundary. `Metrics::reset` zeroes every counter between two ticks;
-/// the counts accrued since the last pre-boundary sample are banked
-/// into the straddling tick rather than clamped away by the recorder's
-/// saturating delta (regression: the first in-window tick of every
-/// rate series used to read ~0).
+/// boundary. `Metrics::reset` zeroes every windowed counter read
+/// between two ticks; the recorder diffs the raw totals, so the counts
+/// accrued since the last pre-boundary sample land in the straddling
+/// tick rather than being clamped away (regression: the first
+/// in-window tick of every rate series used to read ~0).
 #[test]
 fn telemetry_rates_survive_the_warmup_rebase_boundary() {
     use adios::desim::TelemetryConfig;
@@ -636,7 +599,7 @@ fn telemetry_rates_survive_the_warmup_rebase_boundary() {
             telemetry: Some(TelemetryConfig {
                 // Four ticks per warm-up ms: the registry reset at 1 ms
                 // lands inside the (750 µs, 1 ms] sampling period, so
-                // the tick at 1 ms must carry the banked tail.
+                // the tick at 1 ms must carry the pre-reset tail.
                 tick: SimDuration::from_micros(250),
                 rules: Vec::new(),
             }),
@@ -644,10 +607,10 @@ fn telemetry_rates_survive_the_warmup_rebase_boundary() {
         },
     );
     let report = r.telemetry.expect("telemetry was enabled");
-    let pts = report
-        .counter_series("completions")
-        .expect("completions series")
-        .means();
+    let completions = report.counter_series("completions");
+    let pts: Vec<_> = report
+        .points(completions.expect("completions series"))
+        .collect();
     assert!(pts.len() >= 20, "expected a tick every 250 µs");
     let mut sorted: Vec<f64> = pts.iter().map(|(_, v)| *v).collect();
     sorted.sort_by(|a, b| a.total_cmp(b));
