@@ -382,7 +382,7 @@ mod tests {
             warmup: SimDuration::from_millis(1),
             measure: SimDuration::from_millis(2),
             trace_capacity: Some(10_000),
-            spans: Some(desim::SpanConfig::stats_only()),
+            spans: Some(desim::SpanConfig::default()),
             ..Default::default()
         };
         let res = run_one(SystemConfig::adios(), &mut w, params);

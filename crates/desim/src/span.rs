@@ -23,10 +23,10 @@
 //! Whether a tree is *materialised* at all follows from the
 //! [`SpanConfig`]: a store that can never retain an exemplar
 //! (`exemplar_percentile: None` or `max_exemplars == 0` — what
-//! [`SpanConfig::default`] and [`SpanConfig::stats_only`] say, and what
-//! every breakdown run uses) hands out *sparse* builders, which keep the root,
-//! the stall phases and the fetch spans the overlays read, and drop
-//! every other span after adding it to the totals. The attribution is
+//! [`SpanConfig::default`] says, and what every breakdown run uses)
+//! hands out *sparse* builders, which keep the root, the stall phases
+//! and the fetch spans the overlays read, and drop every other span
+//! after adding it to the totals. The attribution is
 //! the same either way.
 //!
 //! The layer is zero-cost when disabled (the runtime's observer keeps
@@ -35,15 +35,15 @@
 //! and allocation-free in steady state when on: completed trees return
 //! their span buffers to a pool inside [`SpanStore`],
 //! [`SpanStore::complete`] computes the attribution over scratch the
-//! store owns, and [`SpanStore::reserve`] sizes the per-request rows
-//! once. Only a retained exemplar takes its buffer out of the pool.
+//! store owns and returns it to the caller (the exact-sum breakdown
+//! the recorder consumes) rather than keeping it, so the store's size
+//! is set by its configuration, not by the run's length. Only a
+//! retained exemplar takes its buffer out of the pool.
 //!
-//! [`SpanStore`] aggregates completed trees three ways:
+//! [`SpanStore`] aggregates completed trees two ways:
 //!
 //! - per-stage [`Histogram`]s ([`StageStats`]) for p50/p99/p99.9 per
 //!   component of every run with the layer on;
-//! - optional per-request [`CriticalPath`] rows (the exact-sum
-//!   breakdown the recorder consumes);
 //! - a bounded *tail exemplar* set: full span trees are retained only
 //!   for requests whose end-to-end latency lands at or above a
 //!   configurable percentile of the running distribution, evicting the
@@ -823,9 +823,6 @@ impl ToJson for StageStats {
 /// Configuration for the per-run span layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanConfig {
-    /// Keep one [`CriticalPath`] row per measured request (needed for
-    /// percentile-window breakdowns; costs ~100 B/request).
-    pub keep_attributions: bool,
     /// Retain full span trees for requests at or above this
     /// end-to-end percentile (`None` disables exemplar retention).
     pub exemplar_percentile: Option<f64>,
@@ -834,9 +831,10 @@ pub struct SpanConfig {
 }
 
 impl Default for SpanConfig {
+    /// Stage histograms only, no exemplars: what a breakdown run turns
+    /// on by itself.
     fn default() -> Self {
         SpanConfig {
-            keep_attributions: true,
             exemplar_percentile: None,
             max_exemplars: 0,
         }
@@ -844,22 +842,10 @@ impl Default for SpanConfig {
 }
 
 impl SpanConfig {
-    /// Stage histograms only: no per-request rows, no exemplars. The
-    /// cheapest useful setting — what a breakdown run turns on by
-    /// itself.
-    pub fn stats_only() -> SpanConfig {
-        SpanConfig {
-            keep_attributions: false,
-            exemplar_percentile: None,
-            max_exemplars: 0,
-        }
-    }
-
     /// Stats plus up to `max` full trees for requests at or above the
     /// `p`-th end-to-end percentile.
     pub fn with_exemplars(p: f64, max: usize) -> SpanConfig {
         SpanConfig {
-            keep_attributions: false,
             exemplar_percentile: Some(p),
             max_exemplars: max,
         }
@@ -877,7 +863,6 @@ pub struct SpanStore {
     /// builders are sparse.
     retains: bool,
     stats: StageStats,
-    attributions: Vec<CriticalPath>,
     exemplars: Vec<SpanTree>,
     pool: Vec<Vec<Span>>,
     /// Scratch for the stall intervals of the tree being completed.
@@ -893,22 +878,11 @@ impl SpanStore {
             cfg,
             retains: cfg.exemplar_percentile.is_some() && cfg.max_exemplars > 0,
             stats: StageStats::new(),
-            attributions: Vec::new(),
             exemplars: Vec::new(),
             pool: Vec::new(),
             stalls: Vec::new(),
             next_request: 0,
             measured: 0,
-        }
-    }
-
-    /// Sizes the per-request attribution rows for `measured` completions
-    /// inside the window, so a run of known horizon never regrows (and
-    /// re-copies) them. A no-op unless
-    /// [`SpanConfig::keep_attributions`].
-    pub fn reserve(&mut self, measured: usize) {
-        if self.cfg.keep_attributions {
-            self.attributions.reserve(measured);
         }
     }
 
@@ -935,18 +909,21 @@ impl SpanStore {
 
     /// Completes a request at reply-receipt instant `rx` and returns
     /// its attribution, whose components sum to its end-to-end latency
-    /// exactly. Aggregates (histograms, attribution rows, exemplars)
-    /// only when `in_window` — warm-up and drain-phase completions still
-    /// produce an attribution but leave no trace.
+    /// exactly (checked on every completion, release builds included).
+    /// Aggregates (histograms, exemplars) only when `in_window` —
+    /// warm-up and drain-phase completions still produce an attribution
+    /// but leave no trace.
     pub fn complete(&mut self, b: SpanBuilder, rx: SimTime, in_window: bool) -> CriticalPath {
         let cp = b.attribution(rx, &mut self.stalls);
-        debug_assert_eq!(cp.components_sum(), cp.e2e_ns);
+        assert_eq!(
+            cp.components_sum(),
+            cp.e2e_ns,
+            "request {}: stage components must tile its latency",
+            b.request
+        );
         if in_window {
             self.measured += 1;
             self.stats.record(&cp);
-            if self.cfg.keep_attributions {
-                self.attributions.push(cp);
-            }
         }
         match self.cfg.exemplar_percentile {
             // Online threshold over the measured e2e distribution: a
@@ -983,7 +960,6 @@ impl SpanStore {
         self.exemplars.sort_by_key(|t| t.request);
         SpanReport {
             stats: self.stats,
-            attributions: self.attributions,
             exemplars: self.exemplars,
             measured: self.measured,
         }
@@ -995,9 +971,6 @@ impl SpanStore {
 pub struct SpanReport {
     /// Per-stage histograms over measured requests.
     pub stats: StageStats,
-    /// One attribution row per measured request (empty unless
-    /// [`SpanConfig::keep_attributions`]).
-    pub attributions: Vec<CriticalPath>,
     /// Retained tail exemplar trees, by request sequence.
     pub exemplars: Vec<SpanTree>,
     /// Measured-window completions seen by the store.
@@ -1215,10 +1188,7 @@ mod tests {
     #[test]
     fn store_attributes_alike_whether_or_not_it_keeps_trees() {
         let mut sparse = SpanStore::new(SpanConfig::default());
-        let mut full = SpanStore::new(SpanConfig {
-            keep_attributions: true,
-            ..SpanConfig::with_exemplars(50.0, 8)
-        });
+        let mut full = SpanStore::new(SpanConfig::with_exemplars(50.0, 8));
         assert!(!sparse.retains && full.retains);
         for seed in 0..200 {
             let (mut a, mut b) = (sparse.builder(0, t(0)), full.builder(0, t(0)));
@@ -1231,7 +1201,6 @@ mod tests {
             );
         }
         let (sparse, full) = (sparse.finish(), full.finish());
-        assert_eq!(sparse.attributions, full.attributions);
         assert_eq!(sparse.stats.to_json(), full.stats.to_json());
         assert!(sparse.exemplars.is_empty());
         assert_eq!(full.exemplars.len(), 8);
@@ -1414,7 +1383,6 @@ mod tests {
         assert_eq!(cp.e2e_ns, 250);
         let report = store.finish();
         assert_eq!(report.measured, 1);
-        assert_eq!(report.attributions.len(), 1);
         assert_eq!(report.stats.get("e2e").unwrap().count(), 1);
     }
 
@@ -1467,7 +1435,7 @@ mod tests {
 
     #[test]
     fn store_recycles_buffers() {
-        let mut store = SpanStore::new(SpanConfig::stats_only());
+        let mut store = SpanStore::new(SpanConfig::default());
         for _ in 0..10 {
             let mut b = store.builder(0, t(0));
             b.phase(stage::HANDLE, t(50));

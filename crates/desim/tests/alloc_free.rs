@@ -62,17 +62,11 @@ fn one_request(store: &mut SpanStore, i: u64) {
 
 #[test]
 fn span_build_and_complete_do_not_allocate() {
-    let kept_rows = SpanConfig {
-        keep_attributions: true,
-        ..SpanConfig::with_exemplars(90.0, 8)
-    };
     for (what, cfg) in [
-        ("spans, default (sparse, rows kept)", SpanConfig::default()),
-        ("spans, stats only", SpanConfig::stats_only()),
-        ("spans, exemplars + rows", kept_rows),
+        ("spans, default (sparse)", SpanConfig::default()),
+        ("spans, exemplars", SpanConfig::with_exemplars(90.0, 8)),
     ] {
         let mut store = SpanStore::new(cfg);
-        store.reserve((WARM_UP + MEASURED) as usize);
         assert_alloc_free(what, |i| one_request(&mut store, i));
         assert_eq!(store.finish().measured, WARM_UP + MEASURED);
     }

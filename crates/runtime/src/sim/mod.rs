@@ -95,9 +95,10 @@ pub struct RunParams {
     /// sorted by simulated time.
     pub trace_capacity: Option<usize>,
     /// Per-request span tracing and critical-path attribution (None =
-    /// off, the zero-cost default). Implicitly enabled in stats-only
-    /// mode when [`RunParams::keep_breakdowns`] is set, since
-    /// breakdowns are derived from the span trees.
+    /// off, the zero-cost default). Implicitly enabled as
+    /// [`SpanConfig::default`] (stage histograms only) when
+    /// [`RunParams::keep_breakdowns`] is set, since breakdowns are
+    /// derived from the span trees.
     pub spans: Option<SpanConfig>,
     /// Fault scenario to arm the fabric's fault plane with (None = the
     /// inert plane: a lossless fabric, bit-identical to runs predating
@@ -318,9 +319,10 @@ pub struct RunResult {
     pub window: SimDuration,
     /// Workers configured.
     pub workers: usize,
-    /// Span-layer report: per-stage histograms, critical-path
-    /// attributions and tail exemplars (present when spans were on —
-    /// see [`RunParams::spans`]).
+    /// Span-layer report: per-stage histograms and tail exemplars
+    /// (present when spans were on — see [`RunParams::spans`]).
+    /// Per-request attributions are not kept here; they feed the
+    /// recorder's breakdowns ([`RunParams::keep_breakdowns`]).
     pub spans: Option<SpanReport>,
     /// Per-shard window accounting, one entry per configured memnode
     /// shard (a single entry on unsharded runs).

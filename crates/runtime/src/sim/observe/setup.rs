@@ -5,7 +5,7 @@ use desim::profile::{CoreProfiler, QueueProbe};
 use desim::span::{SpanConfig, SpanStore};
 use desim::telemetry::FlightRecorder;
 use desim::trace::intern;
-use desim::{Histogram, Metrics, RingTracer, SimDuration, SimTime};
+use desim::{Histogram, Metrics, RingTracer, SimTime};
 use fabric::ShardMap;
 use loadgen::{Recorder, TenantSpec};
 use paging::observe::{MemObservatory, HEAT_WINDOW_NS};
@@ -34,14 +34,6 @@ fn multi<T>(n: usize, register: impl FnMut(usize) -> T) -> Vec<T> {
 /// (`shard3.fetches`), built where it is registered.
 fn named(entity: &str, i: usize, field: &str) -> &'static str {
     intern(format_args!("{entity}{i}.{field}"))
-}
-
-/// Completions a Poisson source of `rps` is not expected to exceed over
-/// `measure`: the mean plus six standard deviations (a completion needs
-/// an arrival, so saturation only lowers the count).
-fn measured_bound(rps: f64, measure: SimDuration) -> usize {
-    let mean = rps * measure.as_secs_f64();
-    (mean + 6.0 * mean.sqrt()) as usize + 1
 }
 
 impl Observer {
@@ -222,18 +214,14 @@ impl Observer {
 
         let ring = params.trace_capacity.map(RingTracer::new);
         // Breakdowns are derived from span trees, so keeping them
-        // implies the span layer (stats-only: the recorder holds the
-        // per-request rows itself).
+        // implies the span layer (the recorder holds the per-request
+        // rows itself).
         let spans = params
             .spans
-            .or(params.keep_breakdowns.then(SpanConfig::stats_only))
-            .map(|sc| {
-                let mut store = SpanStore::new(sc);
-                store.reserve(measured_bound(params.offered_rps, params.measure));
-                SpanPlane {
-                    store,
-                    live: Vec::new(),
-                }
+            .or(params.keep_breakdowns.then(SpanConfig::default))
+            .map(|sc| SpanPlane {
+                store: SpanStore::new(sc),
+                live: Vec::new(),
             });
         let bit = |on: bool, bit: u8| if on { bit } else { 0 };
         Observer {

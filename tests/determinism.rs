@@ -642,6 +642,11 @@ fn observer_is_write_only() {
             swept.stats.to_json(),
             "{name}: sparse spans attribute differently"
         );
-        assert_eq!(swept.attributions.len() as u64, swept.measured);
+        // The span plane and the recorder count the same window.
+        assert_eq!(
+            swept.measured,
+            sparse.recorder.completed_in_window(),
+            "{name}: span and recorder windows disagree"
+        );
     }
 }

@@ -14,6 +14,10 @@
 //! requests; the timing wheel the event ring replaced made 877, one per
 //! slot deque it touched for the first time), so the planes' bound is on
 //! the difference: observation must stay a rounding error on top.
+//!
+//! Memory has a budget too: the span plane's peak live bytes (counted
+//! the same way, per thread, in requested bytes) must not grow when the
+//! measured window does.
 
 use adios::desim::{ProfileConfig, SpanConfig};
 use adios::prelude::*;
@@ -48,6 +52,40 @@ fn planes_off() -> RunParams {
         local_mem_fraction: 0.2,
         ..Default::default()
     }
+}
+
+/// Runs the slice once and returns the peak live bytes of
+/// `Simulation::new` + `run`, net of what was live before.
+fn peak_live(params: RunParams) -> i64 {
+    let mut workload = ArrayIndexWorkload::new(65_536);
+    let base = counting_alloc::reset_peak();
+    let res = Simulation::new(SystemConfig::adios(), &mut workload, params).run();
+    let peak = counting_alloc::peak() - base;
+    assert!(res.spans.is_some_and(|s| s.measured > 5_000));
+    peak
+}
+
+/// Peak-byte growth the 20 ms run may show over the 5 ms one. Measured
+/// growth is 0 B (both peak at 1 272 508 B); a store that keeps one
+/// 104 B row per measured request grows by ~2.08 MB over the extra
+/// 15 ms, 32 times this slack.
+const HORIZON_SLACK: i64 = 64 << 10;
+
+/// The span plane's memory is set by its configuration, not by how many
+/// requests it measures: quadrupling the measured window of the
+/// `SpanConfig::default()` slice leaves its peak live bytes unchanged.
+#[test]
+fn span_plane_peak_does_not_grow_with_the_horizon() {
+    let slice = |ms| RunParams {
+        spans: Some(SpanConfig::default()),
+        measure: SimDuration::from_millis(ms),
+        ..planes_off()
+    };
+    let (short, long) = (peak_live(slice(5)), peak_live(slice(20)));
+    assert!(
+        long <= short + HORIZON_SLACK,
+        "peak live bytes grew with the horizon: {short} B at 5 ms, {long} B at 20 ms"
+    );
 }
 
 #[test]

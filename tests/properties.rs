@@ -161,7 +161,7 @@ fn span_percentiles_are_monotone() {
                 warmup: SimDuration::from_millis(2),
                 measure: SimDuration::from_millis(6),
                 local_mem_fraction: 0.2,
-                spans: Some(adios::desim::SpanConfig::stats_only()),
+                spans: Some(adios::desim::SpanConfig::default()),
                 ..Default::default()
             },
         );
@@ -180,9 +180,11 @@ fn span_percentiles_are_monotone() {
 }
 
 /// Critical-path attribution tiles the request exactly: the ten phase
-/// components of every measured request sum to its end-to-end latency,
-/// and the aggregated `BreakdownAt` rows inherit that identity within
-/// float rounding.
+/// components of every request sum to its end-to-end latency — which
+/// `SpanStore::complete` asserts on each completion, release builds
+/// included, so these runs panic if one request breaks it — and the
+/// aggregated `BreakdownAt` rows inherit that identity within float
+/// rounding.
 #[test]
 fn critical_path_components_sum_to_e2e() {
     for kind in SystemKind::all() {
@@ -201,16 +203,8 @@ fn critical_path_components_sum_to_e2e() {
                 ..Default::default()
             },
         );
-        let report = r.spans.as_ref().expect("attributions requested");
-        assert!(!report.attributions.is_empty(), "{}", kind.name());
-        for cp in &report.attributions {
-            assert_eq!(
-                cp.components_sum(),
-                cp.e2e_ns,
-                "{}: stage components must tile the request exactly",
-                kind.name()
-            );
-        }
+        let report = r.spans.as_ref().expect("spans requested");
+        assert!(report.measured > 0, "{}", kind.name());
         for p in [10.0, 50.0, 99.0, 99.9] {
             let b = r.recorder.breakdown_at(p);
             if b.mean_e2e_ns == 0.0 {
