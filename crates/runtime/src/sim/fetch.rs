@@ -644,11 +644,14 @@ impl Simulation<'_> {
                 }
             }
         }
-        // A fault paused on this worker's full QP can retry now.
+        // A fault paused on this worker's full QP can retry now — but
+        // never before it paused: the worker's clock runs ahead of the
+        // event clock, and a retry behind `since` would run the handler
+        // over work the worker already did.
         if let Some((req, since)) = self.workers[w].blocked.take() {
             self.obs.qp_stall_ended(now, w, req, since);
             self.events.push(
-                now,
+                now.max(since),
                 Ev::WorkerWake {
                     worker: w,
                     cont: Cont::RetryFault { req },
