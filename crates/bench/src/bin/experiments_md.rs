@@ -612,10 +612,7 @@ fn instrumented_runs(cli: &Cli) {
                 }
                 println!();
             }
-            println!(
-                "    worker spin fraction (profiler-derived): {:.4}",
-                p.worker_spin_fraction()
-            );
+            println!("    worker spin fraction: {:.4}", res.spin_fraction());
             println!(
                 "    {:<24} {:>9} {:>11} {:>13} {:>13} {:>8}",
                 "queue", "arrivals", "mean_depth", "mean_wait_ns", "p99_wait_ns", "littles"

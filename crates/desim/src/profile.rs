@@ -40,7 +40,9 @@ pub enum CoreState {
     /// Useful request work: setup, compute, fault-handler entry/issue,
     /// page map, reply build.
     Work,
-    /// Busy-waiting on a fetch completion (the paper's enemy).
+    /// Busy-waiting on a fetch completion (the paper's enemy), or
+    /// holding the core in a fault handler paused on a full QP (§5.2)
+    /// — with [`CoreState::TxWait`], the run's whole busy-wait account.
     Spin,
     /// Idle with parked unithreads — yielded work is outstanding and
     /// the core waits for a completion to wake it.
@@ -48,8 +50,8 @@ pub enum CoreState {
     /// Context switching: unithread switches, CQ polls bundled with
     /// them, and preemption costs.
     CtxSwitch,
-    /// Stalled on the fetch path without spinning: paused on a full QP
-    /// or waiting for a free frame (fault retry backoff).
+    /// Stalled on the fetch path without spinning: waiting for a free
+    /// frame (fault retry backoff).
     FetchWait,
     /// Spinning on a reply-TX completion (no polling delegation).
     TxWait,
@@ -113,7 +115,7 @@ pub struct ProfileConfig;
 
 struct CoreSlot {
     label: String,
-    /// Counts toward worker aggregates (`worker_spin_fraction`).
+    /// A worker core (the runtime's busy-wait identity sums these).
     is_worker: bool,
     /// Everything before this instant has been accrued to some state.
     cursor: SimTime,
@@ -278,10 +280,10 @@ impl CoreProfiler {
     }
 
     /// Closes every core's tail gap at the window end and freezes the
-    /// tilings into a report. In debug builds, asserts the tiling
-    /// invariant: each core's state durations sum to the window
+    /// tilings into a report. Asserts the tiling invariant, in release
+    /// builds too: each core's state durations sum to the window
     /// exactly.
-    pub fn finish(mut self, queues: Vec<QueueReport>, frame_wait_ns: u64) -> ProfileReport {
+    pub fn finish(mut self, queues: Vec<QueueReport>) -> ProfileReport {
         let w_end = self.w_end;
         for c in 0..self.cores.len() {
             self.flush(c, w_end);
@@ -297,7 +299,7 @@ impl CoreProfiler {
                         *acc += v;
                     }
                 }
-                debug_assert_eq!(
+                assert_eq!(
                     states.iter().sum::<u64>(),
                     window.as_nanos(),
                     "core `{}` tiling must sum to the measurement window",
@@ -316,7 +318,6 @@ impl CoreProfiler {
             w_start: self.w_start,
             cores,
             queues,
-            frame_wait_ns,
         }
     }
 }
@@ -568,33 +569,9 @@ pub struct ProfileReport {
     pub cores: Vec<CoreReport>,
     /// Per-queue summaries, fixed registration order.
     pub queues: Vec<QueueReport>,
-    /// Window-clamped ns workers spent waiting for a free frame
-    /// (`fetch_wait` minus this is the QP-stall share — the part the
-    /// legacy `spin_ns` counter also books).
-    pub frame_wait_ns: u64,
 }
 
 impl ProfileReport {
-    /// Fraction of worker-core time burned in spin-class states (busy
-    /// spins, TX-completion spins, QP-stall pauses — the same set the
-    /// legacy `spin_ns` counter books), over the *tiled* worker time.
-    /// Unlike the legacy ratio this denominator is proven by the tiling
-    /// invariant rather than assumed.
-    pub fn worker_spin_fraction(&self) -> f64 {
-        let mut spin = 0u64;
-        let mut total = 0u64;
-        for c in self.cores.iter().filter(|c| c.is_worker) {
-            spin += c.ns(CoreState::Spin) + c.ns(CoreState::TxWait) + c.ns(CoreState::FetchWait);
-            total += c.total_ns();
-        }
-        let spin = spin.saturating_sub(self.frame_wait_ns);
-        if total == 0 {
-            0.0
-        } else {
-            spin as f64 / total as f64
-        }
-    }
-
     /// Folded-stack flamegraph text: one line per
     /// core × state × sub-window, weighted in nanoseconds —
     /// `speedscope flame.folded` or
@@ -652,9 +629,6 @@ impl ToJson for ProfileReport {
         w.object(|w| {
             w.key("window_ns").u64(self.window.as_nanos());
             w.key("flame_windows").u64(FLAME_WINDOWS as u64);
-            w.key("worker_spin_fraction")
-                .f64(self.worker_spin_fraction(), 6);
-            w.key("frame_wait_ns").u64(self.frame_wait_ns);
             w.key("cores").array(|w| {
                 for core in &self.cores {
                     w.object(|w| {
@@ -713,7 +687,7 @@ mod tests {
         p.phase(c, CoreState::Spin, t(6_000));
         // Runs past the window end; clamped.
         p.phase(c, CoreState::Work, t(12_000));
-        let rep = p.finish(Vec::new(), 0);
+        let rep = p.finish(Vec::new());
         let core = &rep.cores[0];
         assert_eq!(core.total_ns(), 8_000);
         assert_eq!(core.ns(CoreState::Work), 1_000 + 3_000);
@@ -731,7 +705,7 @@ mod tests {
     fn untouched_cores_are_all_idle() {
         let mut p = CoreProfiler::new(t(0), t(5_000), &ProfileConfig);
         p.add_core("dispatcher".into(), false);
-        let rep = p.finish(Vec::new(), 0);
+        let rep = p.finish(Vec::new());
         assert_eq!(rep.cores[0].ns(CoreState::Idle), 5_000);
         assert_eq!(rep.cores[0].total_ns(), 5_000);
     }
@@ -743,7 +717,7 @@ mod tests {
         // One accrual spanning all eight uneven sub-windows (boundaries
         // at 10·k/8: 0, 1, 2, 3, 5, 6, 7, 8, 10).
         p.phase(c, CoreState::Work, t(10));
-        let rep = p.finish(Vec::new(), 0);
+        let rep = p.finish(Vec::new());
         let work: Vec<u64> = rep.cores[0]
             .tiles
             .iter()
@@ -805,7 +779,7 @@ mod tests {
             let gap = slow.cores[core].gap;
             phase_reference(&mut slow, core, gap, t(we));
         }
-        let fast = fast.finish(Vec::new(), 0);
+        let fast = fast.finish(Vec::new());
         for (f, s) in fast.cores.iter().zip(&slow.cores) {
             assert_eq!(f.tiles, s.tiles, "[{ws}, {we}], seed {seed}");
             assert_eq!(f.total_ns(), we - ws);
@@ -883,8 +857,8 @@ mod tests {
         let mut q = QueueProbe::new("ingress".into(), t(0), t(1_000));
         q.enqueue(t(10));
         q.dequeue(t(20));
-        let rep = p.finish(vec![q.report()], 0);
-        assert!((rep.worker_spin_fraction() - 1.0).abs() < 1e-9);
+        let rep = p.finish(vec![q.report()]);
+        assert!((rep.cores[w].fraction(CoreState::Spin) - 1.0).abs() < 1e-9);
 
         let json = rep.to_json();
         assert!(json.starts_with("{\"window_ns\":1000,\"flame_windows\":8,"));

@@ -308,7 +308,7 @@ impl Simulation<'_> {
                 None => {
                     // Every frame is in flight: wait briefly and retry.
                     let retry_at = t + SimDuration::from_nanos(500);
-                    self.obs.frame_wait(w, req, t, retry_at);
+                    self.obs.frame_wait(w, req, t);
                     self.events.push(
                         retry_at,
                         Ev::WorkerWake {

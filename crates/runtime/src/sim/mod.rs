@@ -300,6 +300,11 @@ pub struct RunResult {
     pub rdma_ctrl_util: f64,
     /// Aggregate counters (compatibility view of [`RunResult::metrics`]).
     pub stats: SimStats,
+    /// Worker time burned busy-waiting over the measurement window, ns:
+    /// fetch spins, reply-TX spins and QP-full pauses, each clamped to
+    /// the window. With the profiler on it equals the workers'
+    /// `Spin + TxWait` tiling exactly.
+    pub spin_ns: u64,
     /// Full metrics-registry snapshot over the measurement window:
     /// every counter plus time-weighted gauges (queue depth, QP
     /// occupancy).
@@ -371,21 +376,12 @@ impl RunResult {
         }
     }
 
-    /// Fraction of total worker time spent spinning.
-    ///
-    /// With the profiler on, this is derived from the per-core state
-    /// tilings, whose denominator is *proven* to cover the window
-    /// exactly (see [`desim::profile::CoreProfiler`]). Without it, the
-    /// legacy counter ratio is used; its denominator assumes every
-    /// worker exists for the full window — true today, but unchecked,
-    /// which is why profiled runs prefer the tiling-derived value.
+    /// Fraction of total worker time spent busy-waiting:
+    /// [`RunResult::spin_ns`] over `workers × window`. Every worker
+    /// exists for the whole window, so on profiled runs this is the
+    /// workers' `Spin + TxWait` share of their tiled time.
     pub fn spin_fraction(&self) -> f64 {
-        match &self.profile {
-            Some(p) => p.worker_spin_fraction(),
-            None => {
-                self.stats.spin_ns as f64 / (self.workers as f64 * self.window.as_nanos() as f64)
-            }
-        }
+        self.spin_ns as f64 / (self.workers as f64 * self.window.as_nanos() as f64)
     }
 }
 

@@ -60,7 +60,6 @@ const PROFILE: u8 = 1 << 2;
 /// Handles to the run-total counters and gauges, resolved once at
 /// construction so hot-path updates are indexed adds.
 struct Ids {
-    spin_ns: CounterId,
     preemptions: CounterId,
     qp_stalls: CounterId,
     coalesced: CounterId,
@@ -201,10 +200,6 @@ struct ProfPlane {
     /// Parked (yielded, fetch outstanding) unithreads per worker —
     /// decides whether an idle gap is `Park` or `Idle`.
     parked: Vec<u32>,
-    /// Window-clamped ns workers spent waiting for a free frame. These
-    /// tile as `FetchWait` but the legacy `spin_ns` counter never
-    /// booked them, so the spin-fraction cross-check subtracts them.
-    frame_wait_ns: u64,
     ingress: Probed,
     /// Empty on single-dispatcher runs.
     dispatcher_ingress: Vec<Probed>,
@@ -270,6 +265,11 @@ pub struct Observer {
     mask: u8,
     w_start: SimTime,
     w_end: SimTime,
+    /// Worker busy-wait ns inside the window: fetch spins, reply-TX
+    /// spins and QP-full pauses, each clamped to `[w_start, w_end)`.
+    /// With the profiler on it equals the workers' `Spin + TxWait`
+    /// tiling exactly (asserted in [`Observer::finish`]).
+    spin_ns: u64,
     recorder: Recorder,
     metrics: Metrics,
     /// The window's edges and, once it closed, the frozen registry.
@@ -341,11 +341,14 @@ impl Observer {
         }
     }
 
-    /// Books `ns` of busy-waiting by worker `w`, issued at `at`.
+    /// Books worker `w`'s busy-wait over `[from, to]`: the trace event
+    /// at `at`, and the part inside the window into the spin tally.
     #[inline]
-    fn book_spin(&mut self, at: SimTime, w: usize, ns: u64) {
-        self.metrics.add(self.ids.spin_ns, ns);
+    fn book_spin(&mut self, at: SimTime, w: usize, from: SimTime, to: SimTime) {
+        let ns = to.saturating_since(from).as_nanos();
         self.trace(at, code::WORKER_SPIN, w as u64, ns);
+        let (a, b) = (from.max(self.w_start), to.min(self.w_end));
+        self.spin_ns += b.saturating_since(a).as_nanos();
     }
 
     /// Publishes the QP-occupancy gauges after a post or a CQE on
@@ -757,7 +760,7 @@ impl Observer {
 
     /// Worker `w` busy-waits on a fetch over `[t, until]`.
     pub fn spun(&mut self, w: usize, id: usize, t: SimTime, until: SimTime) {
-        self.book_spin(t, w, until.saturating_since(t).as_nanos());
+        self.book_spin(t, w, t, until);
         if let Some(sb) = self.span(id) {
             sb.phase(stage::HANDLE, t);
             sb.phase(stage::SPIN, until);
@@ -819,7 +822,7 @@ impl Observer {
             }
             done = cqe_at.max(t);
             self.tile(w, CoreState::TxWait, done);
-            self.book_spin(t, w, cqe_at.saturating_since(t).as_nanos());
+            self.book_spin(t, w, t, cqe_at);
         }
         // Close the tree (reply flight to the client is the final NET
         // phase) and derive the breakdown from its critical path. A
@@ -898,38 +901,34 @@ impl Observer {
     }
 
     /// Request `id`'s fault handler pauses on worker `w` at `t`: the
-    /// handler work so far is flushed and the pause tiles as
-    /// `FetchWait`, closed by the retry wake.
-    fn handler_paused(&mut self, w: usize, id: usize, t: SimTime) {
+    /// handler work so far is flushed and the pause tiles as `gap`,
+    /// closed by the retry wake.
+    fn handler_paused(&mut self, w: usize, id: usize, t: SimTime, gap: CoreState) {
         if let Some(sb) = self.span(id) {
             sb.phase(stage::HANDLE, t);
         }
         if let Some(p) = &mut self.prof {
             p.cores.phase(p.wbase + w, CoreState::Work, t);
-            p.cores.set_gap(p.wbase + w, CoreState::FetchWait);
+            p.cores.set_gap(p.wbase + w, gap);
         }
     }
 
     /// Every frame is in flight: request `id`'s fault waits on worker
-    /// `w` from `t` and retries at `retry_at`. The legacy spin counter
-    /// never booked frame waits, so they are tracked separately for
-    /// the spin cross-check.
-    pub fn frame_wait(&mut self, w: usize, id: usize, t: SimTime, retry_at: SimTime) {
-        self.handler_paused(w, id, t);
-        let (a, b) = (t.max(self.w_start), retry_at.min(self.w_end));
-        if let (Some(p), true) = (&mut self.prof, b > a) {
-            p.frame_wait_ns += b.since(a).as_nanos();
-        }
+    /// `w` from `t` for its retry. The wait tiles as `FetchWait` and is
+    /// not busy-waiting.
+    pub fn frame_wait(&mut self, w: usize, id: usize, t: SimTime) {
+        self.handler_paused(w, id, t, CoreState::FetchWait);
     }
 
     /// Request `id`'s fault on `page` found worker `w`'s QP full at
-    /// `t`: the handler pauses until a CQE frees a slot
-    /// ([`Observer::qp_stall_ended`] emits the QP_STALL phase then).
+    /// `t`: the handler holds the core until a CQE frees a slot
+    /// (§5.2), so the pause tiles as `Spin` ([`Observer::qp_stall_ended`]
+    /// books it and emits the QP_STALL phase then).
     pub fn qp_stalled(&mut self, w: usize, id: usize, t: SimTime, page: u64) {
         self.metrics.inc(self.ids.qp_stalls);
         self.metrics.inc(self.ids.qp_full_retries);
         self.trace(t, code::FAULT_QP_STALL, w as u64, page);
-        self.handler_paused(w, id, t);
+        self.handler_paused(w, id, t, CoreState::Spin);
     }
 
     /// A CQE freed a slot for the fault paused on worker `w`'s full QP
@@ -938,7 +937,7 @@ impl Observer {
         if let Some(sb) = self.span(id) {
             sb.phase(stage::QP_STALL, now);
         }
-        self.book_spin(now, w, now.saturating_since(since).as_nanos());
+        self.book_spin(now, w, since, now);
     }
 
     /// The fault handler finished issuing a demand fetch at `t`

