@@ -115,7 +115,7 @@ pub struct ProfileConfig;
 
 struct CoreSlot {
     label: String,
-    /// A worker core (the runtime's busy-wait identity sums these).
+    /// A worker core, as opposed to a dispatcher core.
     is_worker: bool,
     /// Everything before this instant has been accrued to some state.
     cursor: SimTime,
