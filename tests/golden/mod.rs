@@ -17,7 +17,7 @@
 //! waking before its pause began. Every row was re-pinned once more
 //! when busy-wait time left the registry for the window-clamped spin
 //! tally: the metrics block (and any telemetry series) lost `spin_ns`,
-//! the profile block lost `worker_spin_fraction` and `frame_wait_ns`,
+//! the profile block lost its two spin keys,
 //! QP-full pauses moved from `fetch_wait` to `spin`, and busy-waiting
 //! rows' `spin_fraction` digits moved by the window clamp.
 //! Shared by `tests/determinism.rs` (asserts the table) and
