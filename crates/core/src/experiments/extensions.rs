@@ -1017,14 +1017,21 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
         format!("shards 1–3: 0 errors, fetch p999 within 25 % of baseline = {contained}"),
         spared && contained,
     ));
-    report.expectations.push(Expectation::info(
+    // The full RC retry ladder: 16 µs doubling to a 256 µs cap over 7
+    // retries. A fetch that fails over pays it once; the tail may not
+    // reach two.
+    let ladder_ns = 1_264_000;
+    let p999 = crash.shards[0].fetch_ns.percentile(99.9);
+    report.expectations.push(Expectation::checked(
         "failover cost is the RC retry ladder",
         "first attempt burns ~1.26 ms of RTO before the error CQE",
         format!(
-            "shard 0 fetch p999 {} vs {} without the outage",
-            fmt_us(crash.shards[0].fetch_ns.percentile(99.9)),
-            fmt_us(base.shards[0].fetch_ns.percentile(99.9))
+            "shard 0 fetch p999 {} vs {} without the outage (bound: 2 ladders = {})",
+            fmt_us(p999),
+            fmt_us(base.shards[0].fetch_ns.percentile(99.9)),
+            fmt_us(2 * ladder_ns)
         ),
+        p999 <= 2 * ladder_ns,
     ));
     report
 }
@@ -1039,7 +1046,7 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
 /// every point sits in deep overload (achieved RPS reads capacity).
 pub fn dispatcher_scaling(scale: Scale) -> FigureReport {
     let mut report = FigureReport::new(
-        "Extension H",
+        "Extension K",
         "Dispatcher scaling: shared FCFS vs work stealing vs flat combining",
     );
     let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
@@ -1324,7 +1331,7 @@ pub fn memory_observatory(scale: Scale) -> FigureReport {
     use apps::silo::tpcc::TpccScale;
     use apps::{FaissWorkload, LlmServeWorkload, MemcachedWorkload, RocksDbWorkload, TpccWorkload};
     let mut report = FigureReport::new(
-        "Extension I",
+        "Extension O",
         "Memory-access observatory: prefetch fates, page heat, working sets",
     );
     let mk = |prefetcher: PrefetcherKind| SystemConfig {

@@ -10,7 +10,7 @@ use paging::prefetch::{LeapDetector, SeqDetector};
 use paging::PageState;
 
 use super::observe::Cqe;
-use super::{Cont, Ev, Retire, Simulation};
+use super::{live, Cont, Ev, Retire, Simulation};
 use crate::config::{
     FaultPolicy, PrefetcherKind, DIRECT_RECLAIM_COST, FAULT_ENTRY, FAULT_ISSUE, MAX_FETCH_ATTEMPTS,
     PREFETCH_COMPUTE,
@@ -44,17 +44,20 @@ impl Detector {
     }
 }
 
-/// One fetch in flight: how its terminal completion resolves (see
-/// `Simulation::issue_fetch`) and who is parked on it.
+/// One fetch in flight: how its current attempt's completion resolves
+/// (a failover attempt is posted into the same record, see
+/// `Simulation::on_fetch_done`) and who is parked on it.
 pub(super) struct Inflight {
     page: u64,
-    /// When the terminal completion becomes pollable.
+    /// When the current attempt's completion becomes pollable.
     done_at: SimTime,
-    /// QP whose CQE retires this fetch (the failover QP when the fetch
-    /// chain migrated off the faulting worker's QP).
-    qp: QpId,
-    /// The terminal completion is an error: at `done_at` the page is
-    /// still remote and every requester must abort.
+    /// The request whose fault issued the fetch.
+    req: u32,
+    /// Demand attempt number (routed by `Simulation::attempt_route`),
+    /// or 0 for a prefetch, which gets no failover chain.
+    attempt: u8,
+    /// The current attempt's completion is an error: at `done_at` the
+    /// chain fails over, or the page stays remote.
     failed: bool,
     /// Completion consumed early by a worker that caught up with it.
     completed_early: bool,
@@ -69,11 +72,12 @@ pub(super) struct Inflight {
 }
 
 impl Inflight {
-    fn new(page: u64, qp: QpId, done_at: SimTime, failed: bool) -> Inflight {
+    fn new(page: u64, req: usize, attempt: u8, done_at: SimTime, failed: bool) -> Inflight {
         Inflight {
             page,
             done_at,
-            qp,
+            req: req as u32,
+            attempt,
             failed,
             completed_early: false,
             superseded: false,
@@ -256,27 +260,46 @@ impl Simulation<'_> {
             self.cache.complete_fetch(page);
             return true;
         }
-        // A failed fetch will surface an error CQE: the page never
-        // arrives (it was never mapped, so early consumption is
-        // impossible) and this request aborts too. Yielders park as
-        // usual and are dropped when the error surfaces
-        // (`on_fetch_done`); busy-waiters burn until the CQE and then
-        // abort. On a healthy fetch, `FetchDone` at `done_at` was
-        // scheduled earlier, so FIFO tie-breaking completes the page
-        // before a busy-waiter's wake.
+        // A failed attempt surfaces an error CQE, never the page.
+        // Yielders park and follow the chain to its end; busy-waiters
+        // spin to the CQE, and `FetchDone` at `done_at`, scheduled
+        // earlier, resolves the attempt first (FIFO tie-breaking).
         match self.cfg.fault_policy {
             // Coalesced wait: the fetch belongs to another request.
             FaultPolicy::Yield => self.park(w, req, fetch, t),
-            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => {
-                let cont = if failed {
-                    Cont::AbortFault { req }
-                } else {
-                    Cont::AfterBusyWait { req }
-                };
-                self.busy_wait(w, req, t, done_at, cont);
-            }
+            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => self.spin_on(w, req, t, fetch),
         }
         false
+    }
+
+    /// Busy-waiter `req` woke on worker `w` from an attempt's error CQE,
+    /// which its `FetchDone` (queued first) resolved: spins on the
+    /// chain's next attempt if the page is still in flight (`true`).
+    pub(super) fn spin_on_failover(&mut self, w: usize, req: usize, now: SimTime) -> bool {
+        let r = self.req(req);
+        let page = r.trace.steps[r.step].access.expect("a fault step").page;
+        let in_flight = self.cache.lookup(page) == PageState::InFlight;
+        if in_flight {
+            self.spin_on(w, req, now, FetchId(self.cache.fetch_tag(page)));
+        }
+        in_flight
+    }
+
+    /// Busy-waits worker `w` from `t` until record `fetch`'s current
+    /// attempt surfaces its CQE (no earlier than `t`), then continues
+    /// `req`.
+    fn spin_on(&mut self, w: usize, req: usize, t: SimTime, fetch: FetchId) {
+        let info = self.fetches.get_mut(fetch);
+        let cont = match (info.failed, info.attempt) {
+            (false, _) => Cont::AfterBusyWait { req },
+            // A prefetch has no chain: the waiter faults afresh, with
+            // a chain of its own.
+            (true, 0) => Cont::RetryFault { req },
+            (true, _) => Cont::AfterErrorCqe { req },
+        };
+        let until = info.done_at.max(t);
+        self.obs.spun(w, req, t, until);
+        self.events.push(until, Ev::WorkerWake { worker: w, cont });
     }
 
     /// Handles a page fault: the request always blocks (parks, spins or
@@ -322,13 +345,11 @@ impl Simulation<'_> {
         }
         self.kick_reclaimer(t);
 
-        // Post the one-sided READ on the page's shard rail, following
-        // that shard's failover chain across replicas when completions
-        // come back in error.
-        let shard = self.shard_map.shard_of(page);
-        let qp = self.workers[w].qp;
+        // Post the one-sided READ on the page's shard rail: the chain's
+        // first attempt (an error CQE fails it over when it surfaces).
         let post_at = t + FAULT_ISSUE;
-        let Ok(fetch) = self.issue_fetch(req, qp, shard, page, post_at) else {
+        self.req(req).fetch_posted = post_at;
+        let Ok(c) = self.post_demand(w, req, page, 1, post_at, post_at) else {
             // §5.2: "page fault handlers must pause, waiting for
             // available slots in the QPs". The worker is stuck (even
             // under the yield policy the *handler* occupies it) until a
@@ -340,108 +361,53 @@ impl Simulation<'_> {
             return;
         };
         t += FAULT_ISSUE + PREFETCH_COMPUTE;
+        let shard = self.shard_map.shard_of(page);
         let (total, on_rail) = self.qp_load(shard);
         self.obs.fetch_issued(w, t, shard, total, on_rail);
-        let (done_at, failed) = (fetch.done_at, fetch.failed);
-        let fetch = self.record_fetch(w, fetch);
+        let fetch = self.record_fetch(w, Inflight::new(page, req, 1, c.done_at, c.is_error()));
 
         self.issue_prefetches(w, req, page, t);
 
         match self.cfg.fault_policy {
             FaultPolicy::Yield => self.park(w, req, fetch, t),
-            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => {
-                // Busy-waiters burn the whole retransmission/failover
-                // timeline on-core — the mechanism that separates the
-                // baselines from Adios under faults.
-                let cont = if failed {
-                    Cont::AbortFault { req }
-                } else {
-                    Cont::AfterBusyWait { req }
-                };
-                self.busy_wait(w, req, t, done_at, cont);
-            }
+            // Busy-waiters burn the whole retransmission/failover
+            // timeline on-core — the mechanism that separates the
+            // baselines from Adios under faults.
+            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => self.spin_on(w, req, t, fetch),
         }
     }
 
-    /// Posts a demand READ for `page` at `at` on `qp`, following the
-    /// failover chain when completions surface in error: each error CQE
-    /// re-issues the fetch on the dedicated failover QP against the next
-    /// replica, until a clean completion or the attempt budget
-    /// ([`MAX_FETCH_ATTEMPTS`]) runs out.
-    ///
-    /// The analytic fabric resolves each attempt's completion time at
-    /// post time, so the whole chain is walked here; intermediate error
-    /// CQEs are retired via [`Ev::CqeRetire`] when they surface. The
-    /// previous attempt's CQE is retired only once the next post
-    /// succeeds — a full failover QP ends the chain at that CQE.
-    ///
-    /// Returns `Err(QpFull)` only when the *first* post finds the
-    /// worker's QP full (the caller pauses the fault handler).
-    fn issue_fetch(
+    /// Posts attempt `attempt` of request `req`'s demand READ of `page`
+    /// at `at` (its fault first posted at `began`) from worker `w`.
+    fn post_demand(
         &mut self,
+        w: usize,
         req: usize,
-        qp0: QpId,
-        shard: usize,
         page: u64,
-        post_at: SimTime,
-    ) -> Result<Inflight, PostError> {
-        let replicas = self.cfg.replicas();
-        let failover_qp = QpId(self.cfg.workers as u32 + 1);
-        let mut qp = qp0;
-        let mut replica = 0usize;
-        let mut at = post_at;
-        let mut attempt = 1u32;
-        // Terminal CQE of the previous (errored) attempt.
-        let mut pending: Option<(QpId, SimTime)> = None;
-        loop {
-            let completion = match self.post(at, shard, qp, Verb::Read, page, replica) {
-                Ok(c) => c,
-                Err(e) => {
-                    let Some((pqp, pdone)) = pending else {
-                        return Err(e);
-                    };
-                    // Failover QP full: the chain dies at the previous
-                    // error CQE.
-                    self.obs.chain_cut(at, req, shard, page);
-                    return Ok(Inflight::new(page, pqp, pdone, true));
-                }
-            };
-            let took_over = pending.take();
-            if let Some((pqp, pdone)) = took_over {
-                // The failover post took over: the previous error CQE
-                // only needs retiring when it becomes pollable.
-                self.events.push(pdone, Ev::CqeRetire { shard, qp: pqp });
-            }
-            self.obs.demand_posted(
-                req,
-                shard,
-                qp0,
-                page,
-                at,
-                post_at,
-                &completion,
-                took_over.is_some(),
-            );
-            if !completion.is_error() {
-                return Ok(Inflight::new(page, qp, completion.done_at, false));
-            }
-            let last = attempt >= MAX_FETCH_ATTEMPTS;
-            if !last {
-                replica = (replica + 1) % replicas;
-                attempt += 1;
-            }
-            // The trace/span operand is the *global* memnode id the
-            // chain moves to — on single-shard runs that equals the
-            // replica index, preserving the pre-sharding byte stream.
-            let next = (!last).then(|| (self.shard_map.node_id(shard, replica) as u64, attempt));
-            self.obs
-                .attempt_failed(completion.done_at, req, shard, page, next);
-            if last {
-                return Ok(Inflight::new(page, qp, completion.done_at, true));
-            }
-            pending = Some((qp, completion.done_at));
-            at = completion.done_at;
-            qp = failover_qp;
+        attempt: u8,
+        at: SimTime,
+        began: SimTime,
+    ) -> Result<Completion, PostError> {
+        let shard = self.shard_map.shard_of(page);
+        let (qp, replica) = self.attempt_route(w, attempt);
+        let c = self.post(at, shard, qp, Verb::Read, page, replica)?;
+        let origin = self.workers[w].qp;
+        self.obs
+            .demand_posted(req, shard, origin, page, at, began, &c, attempt > 1);
+        Ok(c)
+    }
+
+    /// The QP and replica of attempt `attempt` of worker `w`'s fetch:
+    /// a first attempt or a prefetch rides the worker's QP to the
+    /// primary (no division on the hot path), a failover the failover
+    /// QP to replica `(attempt − 1) % replicas`.
+    fn attempt_route(&self, w: usize, attempt: u8) -> (QpId, usize) {
+        match attempt {
+            0 | 1 => (self.workers[w].qp, 0),
+            _ => (
+                QpId(self.cfg.workers as u32 + 1),
+                (attempt as usize - 1) % self.cfg.replicas(),
+            ),
         }
     }
 
@@ -538,7 +504,7 @@ impl Simulation<'_> {
                     // surfaces, and a later demand access simply
                     // re-faults.
                     self.obs.prefetch_posted(t, page, p, ps, qp, class, &c);
-                    self.record_fetch(w, Inflight::new(p, qp, c.done_at, c.is_error()));
+                    self.record_fetch(w, Inflight::new(p, req, 0, c.done_at, c.is_error()));
                 }
                 Err(_) => {
                     // QP full: drop the speculative fetch.
@@ -595,52 +561,97 @@ impl Simulation<'_> {
     }
 
     pub(super) fn on_fetch_done(&mut self, now: SimTime, w: usize, fetch: FetchId) {
-        // The event carries its own record. A superseded one only frees
-        // its QP slot and wakes its own waiters — the cache and
-        // observatory state belong to the page's later fetch.
-        let info = self.fetches.remove(fetch);
+        let info = self.fetches.get_mut(fetch);
         debug_assert_eq!(info.done_at, now);
-        let (page, live) = (info.page, !info.superseded);
+        let (page, req, attempt, failed) =
+            (info.page, info.req as usize, info.attempt, info.failed);
         #[cfg(test)]
-        let stale = (!live).then(|| (info.qp, info.waiters.len(), self.stale_probe(page, info.qp)));
-        // The CQE lands on the QP that carried the terminal attempt
-        // (the failover QP when the chain migrated).
+        let stale = info.superseded.then_some(info.waiters.len());
+        // The CQE lands on the QP that carried the current attempt.
         let shard = self.shard_map.shard_of(page);
-        self.consume_cqe(now, shard, info.qp, Cqe::Fetch { worker: w, page });
-        if info.failed {
-            // The terminal completion is an error: the page never
-            // arrived. Cancel the frame reservation and abort every
-            // parked waiter (busy-waiters abort via their own
-            // scheduled wake).
-            debug_assert!(!info.completed_early, "failed fetch consumed early");
-            debug_assert!(live, "superseded fetches are always early-consumed");
-            self.obs.fetch_failed(now, w, page);
-            self.cancel_reservation(page);
-            for waiter in info.waiters {
-                let home = self.req(waiter).worker;
-                self.retire(now, waiter, Retire::AbortedParked);
-                let idle = !self.workers[home].busy;
-                self.obs.unparked(home, now, idle);
-            }
+        let (qp, _) = self.attempt_route(w, attempt);
+        #[cfg(test)]
+        let stale = stale.map(|own| (own, self.stale_probe(page, qp)));
+        // A demand attempt's error CQE with budget left fails the chain
+        // over into the same record, whose waiters stay parked on it.
+        let fails_over = failed && attempt > 0 && u32::from(attempt) < MAX_FETCH_ATTEMPTS;
+        let what = if fails_over {
+            Cqe::Retire { qp }
         } else {
-            if !info.completed_early {
-                self.cache.complete_fetch(page);
-            }
-            if live {
-                // A superseded fetch's own prefetch record was consumed
-                // when it was classified; the page's current record (if
-                // any) belongs to the later fetch still in flight.
-                self.obs.fetch_arrived(page);
-            }
-            for waiter in info.waiters {
-                self.req(waiter).fetch_done_at = now;
-                if self.cfg.resume_delay > SimDuration::ZERO {
-                    // Kernel scheduler wake-up before the thread is
-                    // runnable (Infiniswap).
+            Cqe::Fetch { worker: w, page }
+        };
+        self.consume_cqe(now, shard, qp, what);
+        if failed && attempt > 0 {
+            // The trace/span operand is the *global* memnode id the
+            // chain moves to — on single-shard runs that equals the
+            // replica index, preserving the pre-sharding byte stream.
+            let node = self
+                .shard_map
+                .node_id(shard, attempt as usize % self.cfg.replicas());
+            let next = fails_over.then_some((node as u64, u32::from(attempt) + 1));
+            self.obs.attempt_failed(now, req, shard, page, next);
+        }
+        let failed_over = fails_over && {
+            let began = live(&self.reqs, req).fetch_posted;
+            match self.post_demand(w, req, page, attempt + 1, now, began) {
+                Ok(c) => {
+                    let info = self.fetches.get_mut(fetch);
+                    (info.attempt, info.done_at, info.failed) =
+                        (attempt + 1, c.done_at, c.is_error());
                     self.events
-                        .push(now + self.cfg.resume_delay, Ev::WaiterReady { req: waiter });
+                        .push(c.done_at, Ev::FetchDone { worker: w, fetch });
+                    true
+                }
+                // Failover QP full: the chain dies at this error CQE.
+                Err(_) => {
+                    self.obs.chain_cut(now, req, shard, page);
+                    false
+                }
+            }
+        };
+        if !failed_over {
+            // The record is done: a superseded one only frees its QP slot
+            // and wakes its own waiters — the cache and observatory state
+            // belong to the page's later fetch.
+            let info = self.fetches.remove(fetch);
+            let live = !info.superseded;
+            if info.failed {
+                // The fetch ended in error: the page never arrived.
+                debug_assert!(!info.completed_early, "failed fetch consumed early");
+                debug_assert!(live, "superseded fetches are always early-consumed");
+                self.obs.fetch_failed(now, w, page);
+                self.cancel_reservation(page);
+            } else {
+                if !info.completed_early {
+                    self.cache.complete_fetch(page);
+                }
+                if live {
+                    // A superseded fetch's own prefetch record was consumed
+                    // when it was classified; the page's current record (if
+                    // any) belongs to the later fetch still in flight.
+                    self.obs.fetch_arrived(page);
+                }
+            }
+            // A dead demand chain aborts its parked waiters (busy-waiters
+            // abort at their own wake); any other waiter resumes, into a
+            // fault of its own if its prefetch failed.
+            let died = info.failed && attempt > 0;
+            for waiter in info.waiters {
+                if died {
+                    let home = self.req(waiter).worker;
+                    self.retire(now, waiter, Retire::AbortedParked);
+                    let idle = !self.workers[home].busy;
+                    self.obs.unparked(home, now, idle);
                 } else {
-                    self.make_waiter_ready(now, waiter);
+                    self.req(waiter).fetch_done_at = now;
+                    if self.cfg.resume_delay > SimDuration::ZERO {
+                        // Kernel scheduler wake-up before the thread is
+                        // runnable (Infiniswap).
+                        self.events
+                            .push(now + self.cfg.resume_delay, Ev::WaiterReady { req: waiter });
+                    } else {
+                        self.make_waiter_ready(now, waiter);
+                    }
                 }
             }
         }
@@ -659,7 +670,7 @@ impl Simulation<'_> {
             );
         }
         #[cfg(test)]
-        if let Some((qp, own_waiters, before)) = stale {
+        if let Some((own_waiters, before)) = stale {
             let after = self.stale_probe(page, qp);
             self.stale_completions.push(super::StaleCompletion {
                 outstanding: (before.0, after.0),
@@ -681,12 +692,6 @@ impl Simulation<'_> {
             self.fetches.current_mut(page).map(|f| f.waiters.len()),
         )
     }
-
-    /// An intermediate error CQE of a failover chain surfaced: consume
-    /// it so the QP slot frees (the chain already continued elsewhere).
-    pub(super) fn on_cqe_retire(&mut self, now: SimTime, shard: usize, qp: QpId) {
-        self.consume_cqe(now, shard, qp, Cqe::Retire { qp });
-    }
 }
 
 #[cfg(test)]
@@ -697,7 +702,10 @@ mod tests {
     /// early-consumed records, and refuses to grow past its bound.
     #[test]
     fn fetch_table_reuses_handles_and_tracks_the_current_record() {
-        let fetch = |page| Inflight::new(page, QpId(0), SimTime(10), false);
+        // One record per QP slot, whose bytes the ledger's allocation
+        // metrics see: it must not grow.
+        assert_eq!(std::mem::size_of::<Inflight>(), 48);
+        let fetch = |page| Inflight::new(page, 0, 1, SimTime(10), false);
         let mut t = FetchTable::new(2);
         let a = t.insert(fetch(7));
         let b = t.insert(fetch(8));
@@ -726,7 +734,7 @@ mod tests {
     fn fetch_table_bound_fires_at_capacity_plus_one() {
         let mut t = FetchTable::new(3);
         for page in 0..4 {
-            t.insert(Inflight::new(page, QpId(0), SimTime(10), false));
+            t.insert(Inflight::new(page, 0, 1, SimTime(10), false));
         }
     }
 
@@ -738,9 +746,9 @@ mod tests {
     #[should_panic(expected = "live fetch overwritten")]
     fn fetch_table_refuses_to_supersede_a_pending_fetch() {
         let mut t = FetchTable::new(4);
-        let early = t.insert(Inflight::new(1, QpId(0), SimTime(10), false));
+        let early = t.insert(Inflight::new(1, 0, 1, SimTime(10), false));
         t.consumed_early(early);
-        t.insert(Inflight::new(2, QpId(0), SimTime(10), false));
-        t.insert(Inflight::new(2, QpId(0), SimTime(20), false));
+        t.insert(Inflight::new(2, 0, 1, SimTime(10), false));
+        t.insert(Inflight::new(2, 0, 1, SimTime(20), false));
     }
 }

@@ -159,6 +159,7 @@ impl Simulation<'_> {
             sched_epoch: tx,
             worker: usize::MAX,
             fetch_done_at: SimTime::ZERO,
+            fetch_posted: SimTime::ZERO,
             started: false,
             detector: Detector::new(self.cfg.prefetcher),
         };

@@ -21,7 +21,7 @@
 //! ingress path that feeds them; each file owns its slice of
 //! [`Simulation`]'s state and the events that drive it — `ingress.rs`
 //! (`Arrival`, `Admit`), `worker.rs` (`WorkerWake`, `WaiterReady`),
-//! `fetch.rs` (`FetchDone`, `CqeRetire`), `reclaim.rs` (`ReclaimTick`,
+//! `fetch.rs` (`FetchDone`), `reclaim.rs` (`ReclaimTick`,
 //! `WriteDone`) — while this file keeps the wiring, the event loop and
 //! the public parameter and result types, and `observe.rs` every
 //! measurement (DESIGN.md §3 has the full map).
@@ -41,7 +41,7 @@ use desim::span::{SpanConfig, SpanReport};
 use desim::telemetry::{TelemetryConfig, TelemetryReport};
 use desim::{EventQueue, MetricsSnapshot, Rng, SimDuration, SimTime, TraceLog};
 use fabric::params::RX_RING_ENTRIES;
-use fabric::{EthPort, MemNode, QpId, RdmaNic, ShardMap};
+use fabric::{EthPort, MemNode, RdmaNic, ShardMap};
 use faults::{FaultPlane, FaultScenario};
 use loadgen::{IngressFanIn, LoadPoint, Recorder, TenantMix, TenantPlane};
 pub use paging::observe::MemObsConfig;
@@ -394,11 +394,12 @@ enum Cont {
     Resume { req: usize },
     /// Busy-wait finished: map the page and continue.
     AfterBusyWait { req: usize },
-    /// Retry a fault that could not allocate or post.
+    /// Retry a fault that could not allocate or post, or whose
+    /// busy-waited prefetch failed.
     RetryFault { req: usize },
-    /// A busy-waited fetch surfaced an error completion after retry
-    /// exhaustion / failover-chain exhaustion: the request is dropped.
-    AbortFault { req: usize },
+    /// A busy-waited attempt surfaced an error CQE: spin on the chain's
+    /// next attempt if it failed over, else the request is dropped.
+    AfterErrorCqe { req: usize },
 }
 
 #[derive(Debug)]
@@ -420,10 +421,6 @@ enum Ev {
     WriteDone { shard: usize },
     /// Reclaimer processes its next batch.
     ReclaimTick,
-    /// An intermediate error CQE of a failover chain becomes pollable;
-    /// consuming it frees the QP slot on the shard's rail (the chain
-    /// continued on another QP, so nothing resumes here).
-    CqeRetire { shard: usize, qp: QpId },
     /// The flight recorder takes its next sample (scheduled only when
     /// telemetry is on; see [`RunParams::telemetry`]).
     TelemetryTick,
@@ -465,6 +462,9 @@ struct Req {
     worker: usize,
     /// When the current fault's fetch completed.
     fetch_done_at: SimTime,
+    /// When the current fault first posted its fetch: the latency
+    /// origin of every attempt of its failover chain.
+    fetch_posted: SimTime,
     started: bool,
     detector: Detector,
 }
@@ -630,8 +630,8 @@ impl<'w> Simulation<'w> {
         let ndisp = cfg.ndispatchers();
         let shard_map = ShardMap::new(shards, replicas, total_pages, cfg.shard_policy);
         // Every posted work request holds its QP slot until the one
-        // event that consumes its CQE fires (`FetchDone`, `CqeRetire`,
-        // `WriteDone`): this bounds the fetch table and those events.
+        // event that consumes its CQE fires (`FetchDone`, `WriteDone`):
+        // this bounds the fetch table and those events.
         let qp_slots = shards * (cfg.workers + 2) * cfg.fabric.qp_depth as usize;
         // Admit ticks are one per occupied dispatcher ingress slot; the
         // per-worker queue models admit without an event.
@@ -800,7 +800,6 @@ impl<'w> Simulation<'w> {
             Ev::WaiterReady { req } => self.make_waiter_ready(now, req),
             Ev::WriteDone { shard } => self.on_write_done(now, shard),
             Ev::ReclaimTick => self.on_reclaim_tick(now),
-            Ev::CqeRetire { shard, qp } => self.on_cqe_retire(now, shard, qp),
             Ev::TelemetryTick => self.on_telemetry_tick(now),
         }
         debug_assert!(

@@ -615,7 +615,8 @@ impl Observer {
             Cont::Resume { req } => (code::WORKER_SEG_RESUME, req),
             Cont::AfterBusyWait { req } => (code::WORKER_SEG_AFTER_SPIN, req),
             Cont::RetryFault { req } => (code::WORKER_SEG_RETRY, req),
-            Cont::AbortFault { req } => (code::WORKER_SEG_ABORT, req),
+            // Only a dead chain's wake gets here.
+            Cont::AfterErrorCqe { req } => (code::WORKER_SEG_ABORT, req),
         };
         self.trace(now, code, w as u64, id as u64);
         if let Some(p) = &mut self.prof {
@@ -643,10 +644,10 @@ impl Observer {
                     sb.phase(stage::SPIN, now);
                     sb.end_fault(work_until.unwrap_or(now));
                 }
-                // Waiting for a frame or a QP slot ended; the open
-                // fault span is kept — the retry continues that fault.
+                // A frame, QP-slot or failed-prefetch wait ended; an
+                // open fault span is kept — the retry continues it.
                 Cont::RetryFault { .. } => sb.phase(stage::QUEUE, now),
-                Cont::AbortFault { .. } => {}
+                Cont::AfterErrorCqe { .. } => {}
             }
             if let Some(t) = work_until {
                 sb.phase(stage::HANDLE, t);
@@ -967,8 +968,8 @@ impl Observer {
 
     /// One attempt of request `id`'s demand-fetch chain for `page` was
     /// posted at `at` (the chain's first post was at `post_at`, on
-    /// worker QP `origin`); `took_over` marks a failover post that
-    /// superseded the previous attempt's error CQE.
+    /// worker QP `origin`); `failover` marks an attempt posted when its
+    /// predecessor's error CQE surfaced.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn demand_posted(
@@ -980,10 +981,10 @@ impl Observer {
         at: SimTime,
         post_at: SimTime,
         c: &Completion,
-        took_over: bool,
+        failover: bool,
     ) {
         self.read_posted(shard, origin, at, c);
-        if took_over {
+        if failover {
             self.chain_add(shard, |i| i.failovers, 1);
         }
         let retransmits = c.retransmits as u64;

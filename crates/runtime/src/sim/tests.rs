@@ -5,6 +5,7 @@ use crate::config::{
 };
 use crate::workload::ArrayIndexWorkload;
 use fabric::nic::Verb;
+use fabric::QpId;
 
 /// A small working set so tests run fast: 16 Ki pages, 20 % local.
 fn small_workload() -> ArrayIndexWorkload {
@@ -100,13 +101,17 @@ fn lossy_fabric_retransmits_but_conserves_every_request() {
     }
 }
 
+/// The primary's crash alone: `crash()` adds a steady CQE-error
+/// trickle, and a trickle error on a failover attempt sends the chain's
+/// third attempt round-robin back to the dead primary — a double fault
+/// two replicas cannot absorb.
 #[test]
 fn memnode_crash_fails_over_to_replica() {
     let cfg = SystemConfig {
         memnode_replicas: 2,
         ..SystemConfig::adios()
     };
-    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash());
+    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash_node(0));
     let c = |name| res.metrics.counter(name).unwrap_or(0);
     assert!(
         c("fetch_failovers") > 0,
@@ -713,13 +718,25 @@ fn sharded_crash_fails_over_one_shard_and_spares_the_rest() {
     // layout — with no steady error rate (the canonical `crash`
     // scenario adds 0.1 % background CQE errors, which would touch
     // every shard). Shard 0's pages must walk its replica chain;
-    // shards 1–3 must never see an error.
+    // shards 1–3 must never see an error. The window (12–42 ms) sits
+    // inside the outage (10–60 ms), so every shard-0 fetch of the
+    // window meets the dead primary.
     let cfg = SystemConfig {
         memnode_shards: 4,
         memnode_replicas: 2,
         ..SystemConfig::adios()
     };
-    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash_node(0));
+    let mut w = small_workload();
+    let res = run_one(
+        cfg,
+        &mut w,
+        RunParams {
+            faults: Some(FaultScenario::crash_node(0)),
+            warmup: SimDuration::from_millis(12),
+            measure: SimDuration::from_millis(30),
+            ..quick_params(400_000.0)
+        },
+    );
     let c = |s, field| entity_counter(&res, "shard", s, field);
     assert!(
         c(0, "fetch_failovers") > 0,
@@ -734,6 +751,16 @@ fn sharded_crash_fails_over_one_shard_and_spares_the_rest() {
     }
     assert_eq!(res.recorder.dropped(), 0, "replica absorbs the outage");
     assert_fault_invariant(&res);
+    // A failover costs one RC retry ladder (16 µs doubling to a 256 µs
+    // cap, 7 retries: 1.264 ms) before its error CQE surfaces. A
+    // failover post must not queue the rail behind work posted a ladder
+    // into the future, so the shard's fetch tail stays within two.
+    const LADDER_NS: u64 = 1_264_000;
+    let p999 = res.shards[0].fetch_ns.percentile(99.9);
+    assert!(
+        p999 <= 2 * LADDER_NS,
+        "shard 0 fetch p999 {p999} ns exceeds two RC retry ladders"
+    );
 }
 
 #[test]
@@ -1476,8 +1503,8 @@ fn thrashing_run_reaches_superseded_completions_and_each_is_clean() {
 /// re-summed rails after every event (and, in debug builds, after
 /// every single post and CQE: `Simulation::post` / `consume_cqe`
 /// assert it) on four-rail runs with retransmissions (lossy) and with
-/// failover chains, whose posts and `CqeRetire`s land on the failover
-/// QP (a crashed primary).
+/// failover chains, whose failover attempts post on, and retire their
+/// error CQEs from, the failover QP (a crashed primary).
 #[test]
 fn running_outstanding_totals_match_the_rails_on_faulty_sharded_runs() {
     for (scenario, fails_over) in [

@@ -158,6 +158,11 @@ impl Simulation<'_> {
 
     pub(super) fn on_worker_wake(&mut self, now: SimTime, w: usize, cont: Cont) {
         debug_assert!(self.workers[w].busy, "wake of an idle worker");
+        if let Cont::AfterErrorCqe { req } = cont {
+            if self.spin_on_failover(w, req, now) {
+                return;
+            }
+        }
         let yields = self.cfg.fault_policy == FaultPolicy::Yield;
         let kernel = self.cfg.kernel;
         // The wake's preamble of handler work and, under the yield
@@ -191,12 +196,12 @@ impl Simulation<'_> {
                 (req, Some(mapped), None)
             }
             // Re-enter the fault for the current step's page / abort.
-            Cont::RetryFault { req } | Cont::AbortFault { req } => (req, None, None),
+            Cont::RetryFault { req } | Cont::AfterErrorCqe { req } => (req, None, None),
         };
         let fetch_done = live(&self.reqs, req).fetch_done_at;
         self.obs
             .woke(now, w, cont, fetch_done, work_until, switched_in);
-        if let Cont::AbortFault { .. } = cont {
+        if let Cont::AfterErrorCqe { .. } = cont {
             // The fetch chain exhausted its retries/replicas: the
             // request cannot make progress and is dropped, exactly as a
             // real runtime would surface an I/O error to the
@@ -293,22 +298,6 @@ impl Simulation<'_> {
         self.fetches.get_mut(fetch).waiters.push(req);
         self.obs.parked(w, req, t, switched, polled);
         self.worker_pick_next(w, polled);
-    }
-
-    /// Busy-waits worker `w` from `t` until `until` (no earlier than
-    /// `t`), then continues `req` with `cont`.
-    #[inline]
-    pub(super) fn busy_wait(
-        &mut self,
-        w: usize,
-        req: usize,
-        t: SimTime,
-        until: SimTime,
-        cont: Cont,
-    ) {
-        let until = until.max(t);
-        self.obs.spun(w, req, t, until);
-        self.events.push(until, Ev::WorkerWake { worker: w, cont });
     }
 
     pub(super) fn make_waiter_ready(&mut self, now: SimTime, waiter: usize) {
