@@ -181,6 +181,13 @@ impl FetchTable {
         self.early.push(id);
     }
 
+    /// Puts back record `id`, just removed: its chain failed over.
+    fn reinstate(&mut self, id: FetchId, fetch: Inflight) {
+        debug_assert_eq!(self.free.last(), Some(&id.0), "not the last retired");
+        self.free.pop();
+        self.slots[id.0 as usize] = Some(fetch);
+    }
+
     /// Retires record `id` at its event.
     #[inline]
     fn remove(&mut self, id: FetchId) -> Inflight {
@@ -250,7 +257,7 @@ impl Simulation<'_> {
         let fetch = FetchId(self.cache.fetch_tag(page));
         let info = self.fetches.get_mut(fetch);
         debug_assert!(info.page == page && !info.completed_early && !info.superseded);
-        let (done_at, failed) = (info.done_at, info.failed);
+        let (done_at, failed, attempt) = (info.done_at, info.failed, info.attempt);
         // Demand raced an in-flight fetch (possibly a prefetch: arrived
         // lines classify hit, still-flying ones late).
         self.obs.coalesced(t, req, page, done_at, failed);
@@ -267,7 +274,9 @@ impl Simulation<'_> {
         match self.cfg.fault_policy {
             // Coalesced wait: the fetch belongs to another request.
             FaultPolicy::Yield => self.park(w, req, fetch, t),
-            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => self.spin_on(w, req, t, fetch),
+            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => {
+                self.spin_on(w, req, t, done_at, failed, attempt)
+            }
         }
         false
     }
@@ -280,24 +289,34 @@ impl Simulation<'_> {
         let page = r.trace.steps[r.step].access.expect("a fault step").page;
         let in_flight = self.cache.lookup(page) == PageState::InFlight;
         if in_flight {
-            self.spin_on(w, req, now, FetchId(self.cache.fetch_tag(page)));
+            let info = self.fetches.get_mut(FetchId(self.cache.fetch_tag(page)));
+            let (done_at, failed, attempt) = (info.done_at, info.failed, info.attempt);
+            self.spin_on(w, req, now, done_at, failed, attempt);
         }
         in_flight
     }
 
-    /// Busy-waits worker `w` from `t` until record `fetch`'s current
-    /// attempt surfaces its CQE (no earlier than `t`), then continues
-    /// `req`.
-    fn spin_on(&mut self, w: usize, req: usize, t: SimTime, fetch: FetchId) {
-        let info = self.fetches.get_mut(fetch);
-        let cont = match (info.failed, info.attempt) {
+    /// Busy-waits worker `w` from `t` until the current attempt of the
+    /// fetch `req` waits on (number `attempt`, 0 = a prefetch) surfaces
+    /// its CQE at `done_at` (no earlier than `t`), then continues `req`.
+    /// The fault path passes its fresh completion: no record lookup.
+    fn spin_on(
+        &mut self,
+        w: usize,
+        req: usize,
+        t: SimTime,
+        done_at: SimTime,
+        failed: bool,
+        attempt: u8,
+    ) {
+        let cont = match (failed, attempt) {
             (false, _) => Cont::AfterBusyWait { req },
             // A prefetch has no chain: the waiter faults afresh, with
             // a chain of its own.
             (true, 0) => Cont::RetryFault { req },
             (true, _) => Cont::AfterErrorCqe { req },
         };
-        let until = info.done_at.max(t);
+        let until = done_at.max(t);
         self.obs.spun(w, req, t, until);
         self.events.push(until, Ev::WorkerWake { worker: w, cont });
     }
@@ -349,7 +368,7 @@ impl Simulation<'_> {
         // first attempt (an error CQE fails it over when it surfaces).
         let post_at = t + FAULT_ISSUE;
         self.req(req).fetch_posted = post_at;
-        let Ok(c) = self.post_demand(w, req, page, 1, post_at, post_at) else {
+        let Ok(c) = self.post_demand(w, req, page, 1, post_at) else {
             // §5.2: "page fault handlers must pause, waiting for
             // available slots in the QPs". The worker is stuck (even
             // under the yield policy the *handler* occupies it) until a
@@ -373,12 +392,16 @@ impl Simulation<'_> {
             // Busy-waiters burn the whole retransmission/failover
             // timeline on-core — the mechanism that separates the
             // baselines from Adios under faults.
-            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => self.spin_on(w, req, t, fetch),
+            FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => {
+                self.spin_on(w, req, t, c.done_at, c.is_error(), 1)
+            }
         }
     }
 
     /// Posts attempt `attempt` of request `req`'s demand READ of `page`
-    /// at `at` (its fault first posted at `began`) from worker `w`.
+    /// at `at` from worker `w`. Always inlined, so the fault path's copy
+    /// folds its constant first attempt: it runs on nearly every fault.
+    #[inline(always)]
     fn post_demand(
         &mut self,
         w: usize,
@@ -386,29 +409,32 @@ impl Simulation<'_> {
         page: u64,
         attempt: u8,
         at: SimTime,
-        began: SimTime,
     ) -> Result<Completion, PostError> {
         let shard = self.shard_map.shard_of(page);
         let (qp, replica) = self.attempt_route(w, attempt);
         let c = self.post(at, shard, qp, Verb::Read, page, replica)?;
-        let origin = self.workers[w].qp;
+        let (origin, began) = (self.workers[w].qp, live(&self.reqs, req).fetch_posted);
         self.obs
             .demand_posted(req, shard, origin, page, at, began, &c, attempt > 1);
         Ok(c)
     }
 
-    /// The QP and replica of attempt `attempt` of worker `w`'s fetch:
-    /// a first attempt or a prefetch rides the worker's QP to the
-    /// primary (no division on the hot path), a failover the failover
-    /// QP to replica `(attempt − 1) % replicas`.
+    /// The QP and replica of attempt `attempt` of worker `w`'s fetch —
+    /// the one place the failover route is decided. A first attempt or
+    /// a prefetch rides the worker's QP to the primary (no division on
+    /// the hot path). A failover rides the failover QP and never goes
+    /// back to the primary while there is another replica: it cycles
+    /// over replicas `1 + (attempt − 2) % (replicas − 1)`, or re-posts
+    /// to the primary when it has none.
     fn attempt_route(&self, w: usize, attempt: u8) -> (QpId, usize) {
-        match attempt {
-            0 | 1 => (self.workers[w].qp, 0),
-            _ => (
-                QpId(self.cfg.workers as u32 + 1),
-                (attempt as usize - 1) % self.cfg.replicas(),
-            ),
+        if attempt <= 1 {
+            return (self.workers[w].qp, 0);
         }
+        let replica = match self.cfg.replicas() {
+            1 => 0,
+            n => 1 + (attempt as usize - 2) % (n - 1),
+        };
+        (QpId(self.cfg.workers as u32 + 1), replica)
     }
 
     /// One page-sized post on shard `shard`'s rail against its replica
@@ -561,17 +587,19 @@ impl Simulation<'_> {
     }
 
     pub(super) fn on_fetch_done(&mut self, now: SimTime, w: usize, fetch: FetchId) {
-        let info = self.fetches.get_mut(fetch);
+        // The event carries its own record, retired here; a chain that
+        // fails over puts it back.
+        let info = self.fetches.remove(fetch);
         debug_assert_eq!(info.done_at, now);
         let (page, req, attempt, failed) =
             (info.page, info.req as usize, info.attempt, info.failed);
-        #[cfg(test)]
-        let stale = info.superseded.then_some(info.waiters.len());
         // The CQE lands on the QP that carried the current attempt.
         let shard = self.shard_map.shard_of(page);
         let (qp, _) = self.attempt_route(w, attempt);
         #[cfg(test)]
-        let stale = stale.map(|own| (own, self.stale_probe(page, qp)));
+        let stale = info
+            .superseded
+            .then(|| (info.waiters.len(), self.stale_probe(page, qp)));
         // A demand attempt's error CQE with budget left fails the chain
         // over into the same record, whose waiters stay parked on it.
         let fails_over = failed && attempt > 0 && u32::from(attempt) < MAX_FETCH_ATTEMPTS;
@@ -585,37 +613,39 @@ impl Simulation<'_> {
             // The trace/span operand is the *global* memnode id the
             // chain moves to — on single-shard runs that equals the
             // replica index, preserving the pre-sharding byte stream.
-            let node = self
-                .shard_map
-                .node_id(shard, attempt as usize % self.cfg.replicas());
-            let next = fails_over.then_some((node as u64, u32::from(attempt) + 1));
+            let next = fails_over.then(|| {
+                let (_, replica) = self.attempt_route(w, attempt + 1);
+                let node = self.shard_map.node_id(shard, replica);
+                (node as u64, u32::from(attempt) + 1)
+            });
             self.obs.attempt_failed(now, req, shard, page, next);
         }
-        let failed_over = fails_over && {
-            let began = live(&self.reqs, req).fetch_posted;
-            match self.post_demand(w, req, page, attempt + 1, now, began) {
-                Ok(c) => {
-                    let info = self.fetches.get_mut(fetch);
-                    (info.attempt, info.done_at, info.failed) =
-                        (attempt + 1, c.done_at, c.is_error());
-                    self.events
-                        .push(c.done_at, Ev::FetchDone { worker: w, fetch });
-                    true
-                }
-                // Failover QP full: the chain dies at this error CQE.
-                Err(_) => {
-                    self.obs.chain_cut(now, req, shard, page);
-                    false
-                }
-            }
+        // A failover posts the next attempt into the same record and
+        // puts it back, its waiters still parked; a full failover QP cuts
+        // the chain at this CQE.
+        let retired = if !fails_over {
+            Some(info)
+        } else if let Ok(c) = self.post_demand(w, req, page, attempt + 1, now) {
+            let next = Inflight {
+                attempt: attempt + 1,
+                done_at: c.done_at,
+                failed: c.is_error(),
+                ..info
+            };
+            self.fetches.reinstate(fetch, next);
+            self.events
+                .push(c.done_at, Ev::FetchDone { worker: w, fetch });
+            None
+        } else {
+            self.obs.chain_cut(now, req, shard, page);
+            Some(info)
         };
-        if !failed_over {
+        if let Some(info) = retired {
             // The record is done: a superseded one only frees its QP slot
             // and wakes its own waiters — the cache and observatory state
             // belong to the page's later fetch.
-            let info = self.fetches.remove(fetch);
             let live = !info.superseded;
-            if info.failed {
+            if failed {
                 // The fetch ended in error: the page never arrived.
                 debug_assert!(!info.completed_early, "failed fetch consumed early");
                 debug_assert!(live, "superseded fetches are always early-consumed");
@@ -633,25 +663,29 @@ impl Simulation<'_> {
                 }
             }
             // A dead demand chain aborts its parked waiters (busy-waiters
-            // abort at their own wake); any other waiter resumes, into a
-            // fault of its own if its prefetch failed.
-            let died = info.failed && attempt > 0;
+            // abort at their own wake); any other waiter resumes, or
+            // refaults with a chain of its own if its prefetch failed.
             for waiter in info.waiters {
-                if died {
+                if failed && attempt > 0 {
                     let home = self.req(waiter).worker;
                     self.retire(now, waiter, Retire::AbortedParked);
                     let idle = !self.workers[home].busy;
                     self.obs.unparked(home, now, idle);
+                    continue;
+                }
+                self.req(waiter).fetch_done_at = now;
+                let cont = if failed {
+                    Cont::Refault { req: waiter }
                 } else {
-                    self.req(waiter).fetch_done_at = now;
-                    if self.cfg.resume_delay > SimDuration::ZERO {
-                        // Kernel scheduler wake-up before the thread is
-                        // runnable (Infiniswap).
-                        self.events
-                            .push(now + self.cfg.resume_delay, Ev::WaiterReady { req: waiter });
-                    } else {
-                        self.make_waiter_ready(now, waiter);
-                    }
+                    Cont::Resume { req: waiter }
+                };
+                if self.cfg.resume_delay > SimDuration::ZERO {
+                    // Kernel scheduler wake-up before the thread is
+                    // runnable (Infiniswap).
+                    self.events
+                        .push(now + self.cfg.resume_delay, Ev::WaiterReady { cont });
+                } else {
+                    self.make_waiter_ready(now, cont);
                 }
             }
         }

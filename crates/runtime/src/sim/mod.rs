@@ -392,6 +392,9 @@ enum Cont {
     Start { req: usize },
     /// Resume a yielded unithread whose fetch completed (map + switch).
     Resume { req: usize },
+    /// Resume a yielded unithread whose coalesced prefetch failed:
+    /// switch in and fault afresh, with no page to map.
+    Refault { req: usize },
     /// Busy-wait finished: map the page and continue.
     AfterBusyWait { req: usize },
     /// Retry a fault that could not allocate or post, or whose
@@ -414,8 +417,8 @@ enum Ev {
     /// fetch's own record in the fetch table.
     FetchDone { worker: usize, fetch: FetchId },
     /// A yielded request becomes runnable (after any kernel wake-up
-    /// delay — nonzero only for Infiniswap).
-    WaiterReady { req: usize },
+    /// delay — nonzero only for Infiniswap), to continue with `cont`.
+    WaiterReady { cont: Cont },
     /// A reclaimer write-back completed on its dedicated QP (one per
     /// shard rail).
     WriteDone { shard: usize },
@@ -797,7 +800,7 @@ impl<'w> Simulation<'w> {
             Ev::Admit { req } => self.on_admit(now, req),
             Ev::WorkerWake { worker, cont } => self.on_worker_wake(now, worker, cont),
             Ev::FetchDone { worker, fetch } => self.on_fetch_done(now, worker, fetch),
-            Ev::WaiterReady { req } => self.make_waiter_ready(now, req),
+            Ev::WaiterReady { cont } => self.make_waiter_ready(now, cont),
             Ev::WriteDone { shard } => self.on_write_done(now, shard),
             Ev::ReclaimTick => self.on_reclaim_tick(now),
             Ev::TelemetryTick => self.on_telemetry_tick(now),

@@ -612,7 +612,7 @@ impl Observer {
         }
         let (code, id) = match cont {
             Cont::Start { req } => (code::WORKER_SEG_START, req),
-            Cont::Resume { req } => (code::WORKER_SEG_RESUME, req),
+            Cont::Resume { req } | Cont::Refault { req } => (code::WORKER_SEG_RESUME, req),
             Cont::AfterBusyWait { req } => (code::WORKER_SEG_AFTER_SPIN, req),
             Cont::RetryFault { req } => (code::WORKER_SEG_RETRY, req),
             // Only a dead chain's wake gets here.
@@ -631,11 +631,14 @@ impl Observer {
                     sb.begin_segment(now, w);
                 }
                 // Fetch wall time is the fault's wait; runnable time
-                // past completion is queueing.
-                Cont::Resume { .. } => {
+                // past completion is queueing. Only a mapped page closes
+                // the fault: a refault's re-entered fault continues it.
+                Cont::Resume { .. } | Cont::Refault { .. } => {
                     sb.phase(stage::FETCH_WAIT, fetch_done);
                     sb.phase(stage::QUEUE, now);
-                    sb.end_fault(now);
+                    if let Cont::Resume { .. } = cont {
+                        sb.end_fault(now);
+                    }
                     sb.begin_segment(now, w);
                 }
                 // Spin residue (wake can trail the CQE), then the fault

@@ -101,17 +101,13 @@ fn lossy_fabric_retransmits_but_conserves_every_request() {
     }
 }
 
-/// The primary's crash alone: `crash()` adds a steady CQE-error
-/// trickle, and a trickle error on a failover attempt sends the chain's
-/// third attempt round-robin back to the dead primary — a double fault
-/// two replicas cannot absorb.
 #[test]
 fn memnode_crash_fails_over_to_replica() {
     let cfg = SystemConfig {
         memnode_replicas: 2,
         ..SystemConfig::adios()
     };
-    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash_node(0));
+    let res = run_faulty(cfg, 400_000.0, FaultScenario::crash());
     let c = |name| res.metrics.counter(name).unwrap_or(0);
     assert!(
         c("fetch_failovers") > 0,

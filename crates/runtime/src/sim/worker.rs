@@ -22,8 +22,9 @@ pub(super) struct Worker {
     /// or after this instant.
     pub(super) free_at: SimTime,
     pub(super) qp: QpId,
-    /// Yielded unithreads whose fetches completed (ready to resume).
-    pub(super) resumes: VecDeque<usize>,
+    /// Yielded unithreads whose fetches completed, each with the wake
+    /// that continues it (`Resume` or `Refault`).
+    pub(super) resumes: VecDeque<Cont>,
     /// Per-worker queue (Hermit / d-FCFS ablation).
     pub(super) local_queue: VecDeque<usize>,
     /// A fault paused on a full QP.
@@ -190,6 +191,7 @@ impl Simulation<'_> {
                 let mapped = now + FAULT_MAP;
                 (req, Some(mapped), Some(mapped + self.cfg.ctx_switch))
             }
+            Cont::Refault { req } => (req, None, Some(now + self.cfg.ctx_switch)),
             // Map + (on Hermit) the kernel→user return crossing.
             Cont::AfterBusyWait { req } => {
                 let mapped = now + FAULT_MAP + kernel.map_or(SimDuration::ZERO, |k| k.kernel_exit);
@@ -300,12 +302,15 @@ impl Simulation<'_> {
         self.worker_pick_next(w, polled);
     }
 
-    pub(super) fn make_waiter_ready(&mut self, now: SimTime, waiter: usize) {
-        let home = self.req(waiter).worker;
+    pub(super) fn make_waiter_ready(&mut self, now: SimTime, cont: Cont) {
+        let (Cont::Resume { req } | Cont::Refault { req }) = cont else {
+            unreachable!("a waiter resumes or refaults")
+        };
+        let home = self.req(req).worker;
         let idle = !self.workers[home].busy;
         self.obs.unparked(home, now, idle);
         self.obs.queue(Queue::Runnable(home), now, true);
-        self.workers[home].resumes.push_back(waiter);
+        self.workers[home].resumes.push_back(cont);
         if idle {
             self.workers[home].busy = true;
             let wake = now.max(self.workers[home].free_at);
@@ -364,18 +369,12 @@ impl Simulation<'_> {
     /// queued (used from both the worker path and FetchDone wake-ups).
     #[inline]
     fn wake_for_next(&mut self, w: usize, t: SimTime) {
-        let req = self.workers[w]
+        let cont = self.workers[w]
             .resumes
             .pop_front()
             .expect("wake_for_next without resumes");
         self.obs.queue(Queue::Runnable(w), t, false);
-        self.events.push(
-            t,
-            Ev::WorkerWake {
-                worker: w,
-                cont: Cont::Resume { req },
-            },
-        );
+        self.events.push(t, Ev::WorkerWake { worker: w, cont });
     }
 
     fn finish_request(&mut self, w: usize, req: usize, mut t: SimTime) {

@@ -22,7 +22,9 @@
 //! rows' `spin_fraction` digits moved by the window clamp. The five crash
 //! rows — the only ones whose scenario raises error CQEs — were re-pinned
 //! when a failover attempt came to be posted as its predecessor's error
-//! CQE surfaces rather than at fault time.
+//! CQE surfaces rather than at fault time, never back to a dead primary
+//! while a replica is left, and a waiter parked on a failed prefetch came
+//! to refault without a page map.
 //! Shared by `tests/determinism.rs` (asserts the table) and
 //! `examples/golden_capture.rs` (prints it — refresh a row only when an
 //! intentional format or model change lands).
@@ -259,7 +261,7 @@ pub const MATRIX: &[Case] = &[
             p.faults = Some(FaultScenario::crash());
             array(SystemConfig::adios(), p)
         },
-        golden: (1_140, 0xc08e_17cb_0430_224b),
+        golden: (1_140, 0x29cb_c00f_27dc_91b6),
     },
     Case {
         name: "dilos+crash-unreplicated",
@@ -283,12 +285,12 @@ pub const MATRIX: &[Case] = &[
     Case {
         name: "4x2-shards+crash",
         run: || array(sharded(), crash_params()),
-        golden: (2_414, 0x7309_0d52_a946_9025),
+        golden: (2_409, 0xf1f9_d702_328c_677f),
     },
     Case {
         name: "4x2-shards+crash+all-planes",
         run: || array(sharded(), all_planes(crash_params())),
-        golden: (12_715_011, 0xbf08_1090_6833_b518),
+        golden: (12_718_004, 0x36b4_4d53_487a_fd49),
     },
     Case {
         name: "4-dispatchers+work-stealing",
@@ -362,7 +364,7 @@ pub const MATRIX: &[Case] = &[
             p.faults = Some(FaultScenario::crash());
             serialise(run_one(SystemConfig::adios(), &mut w, p), false)
         },
-        golden: (4_968_214, 0x841f_5d4d_fa00_392c),
+        golden: (4_965_736, 0x5fa0_a593_3958_2ca8),
     },
     Case {
         name: "rocksdb-scan+readahead",

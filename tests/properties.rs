@@ -283,14 +283,10 @@ fn conservation_under_faults() {
 /// Fatal faults stay conserved too: with a replica memnode a crash
 /// fails over without terminally failing a single fetch; without one,
 /// every exhausted retry chain surfaces as an explicit abort and drop —
-/// nothing vanishes silently. The replica leg downs the primary alone
-/// (`crash_node(0)`): `crash()` adds a steady CQE-error trickle, and
-/// a trickle error on a failover attempt sends the chain's third
-/// attempt round-robin back to the dead primary — a double fault two
-/// replicas cannot absorb.
+/// nothing vanishes silently.
 #[test]
 fn crash_faults_account_for_every_request() {
-    let run_crash = |replicas: usize, crash: FaultScenario| {
+    let run_crash = |replicas: usize| {
         let mut wl = ArrayIndexWorkload::new(8_192);
         run_one(
             SystemConfig {
@@ -306,14 +302,14 @@ fn crash_faults_account_for_every_request() {
                 // inside the measurement window.
                 measure: SimDuration::from_millis(27),
                 local_mem_fraction: 0.2,
-                faults: Some(crash),
+                faults: Some(FaultScenario::crash()),
                 telemetry: None,
                 ..Default::default()
             },
         )
     };
 
-    let with_replica = run_crash(2, FaultScenario::crash_node(0));
+    let with_replica = run_crash(2);
     let c = |r: &RunResult, n: &str| r.metrics.counter(n).unwrap_or(0);
     assert!(
         c(&with_replica, "fetch_failovers") > 0,
@@ -329,7 +325,7 @@ fn crash_faults_account_for_every_request() {
         c(&with_replica, "fetch_failovers") + c(&with_replica, "fetch_chain_failures"),
     );
 
-    let without_replica = run_crash(1, FaultScenario::crash());
+    let without_replica = run_crash(1);
     assert!(
         c(&without_replica, "fetch_chain_failures") > 0,
         "without a replica retry chains must exhaust"
@@ -400,36 +396,31 @@ fn sharded_counters_sum_to_run_totals() {
 
 /// The error-CQE partition invariant survives sharding shard by shard
 /// under the crash scenario: within every shard, errors split exactly
-/// into failovers plus chain failures. Its steady CQE-error trickle
-/// reaches every shard; the primary's crash alone (`crash_node(0)`)
-/// kills no demand chain and aborts no request.
+/// into failovers plus chain failures.
 #[test]
 fn sharded_crash_partitions_errors_per_shard() {
     let shards = 4usize;
     let mut wl = ArrayIndexWorkload::new(8_192);
-    let mut run = |crash: FaultScenario| {
-        run_one(
-            SystemConfig {
-                memnode_shards: shards,
-                memnode_replicas: 2,
-                ..SystemConfig::adios()
-            },
-            &mut wl,
-            RunParams {
-                offered_rps: 200_000.0,
-                seed: 29,
-                warmup: SimDuration::from_millis(3),
-                // The outage spans t = 10..60 ms; keep a chunk of it
-                // inside the measurement window.
-                measure: SimDuration::from_millis(27),
-                local_mem_fraction: 0.2,
-                faults: Some(crash),
-                telemetry: None,
-                ..Default::default()
-            },
-        )
-    };
-    let r = run(FaultScenario::crash());
+    let r = run_one(
+        SystemConfig {
+            memnode_shards: shards,
+            memnode_replicas: 2,
+            ..SystemConfig::adios()
+        },
+        &mut wl,
+        RunParams {
+            offered_rps: 200_000.0,
+            seed: 29,
+            warmup: SimDuration::from_millis(3),
+            // The outage spans t = 10..60 ms; keep a chunk of it
+            // inside the measurement window.
+            measure: SimDuration::from_millis(27),
+            local_mem_fraction: 0.2,
+            faults: Some(FaultScenario::crash()),
+            telemetry: None,
+            ..Default::default()
+        },
+    );
     let c = |n: &str| r.metrics.counter(n).unwrap_or(0);
     let shard = |s: usize, field: &str| c(&format!("shard{s}.{field}"));
     for s in 0..shards {
@@ -443,12 +434,9 @@ fn sharded_crash_partitions_errors_per_shard() {
         shard(0, "fetch_failovers") > 0,
         "the crash downs shard 0's primary, which must fail over"
     );
-    // Demand chains never die of the crash alone (the replica absorbs
-    // the outage), and a demand access that coalesced onto a failed
-    // prefetch faults afresh rather than aborting.
-    let alone = run(FaultScenario::crash_node(0));
-    let c = |n: &str| alone.metrics.counter(n).unwrap_or(0);
-    assert!(c("shard0.fetch_failovers") > 0);
+    // Demand chains never fail (the replica absorbs the outage), and a
+    // waiter coalesced onto a failed prefetch — which deliberately gets
+    // no failover chain — faults afresh with a chain of its own.
     assert_eq!(c("fetch_chain_failures"), 0, "no demand chain may die");
     assert_eq!(c("fetch_aborts"), 0, "no request may abort");
 }
