@@ -2,13 +2,14 @@
 //!
 //! DiLOS' key paging optimisation — kept by Adios — is a *unified page
 //! table*: all paging-related metadata is resolved with a single lookup.
-//! [`PageCache`] mirrors that: `state[page]` and `frame_of[page]` are
-//! flat arrays whose entry encodes residency, in-flight status and the
-//! owning frame, and the frame of an in-flight page also names the
-//! fetch filling it ([`PageCache::tag_fetch`] / [`PageCache::fetch_tag`]
-//! carry the caller's 32-bit handle in what used to be padding). A
-//! second access to a page in flight therefore finds the fetch to wait
-//! on with the lookup that told it the page was in flight — the runtime
+//! [`PageCache`] mirrors that with one `u32` word per page: 0 while only
+//! the remote copy exists, else the page's frame + 1, with bit 31 set
+//! while the fetch filling that frame is in flight. An 8-byte frame holds
+//! the page (low 30 bits) under its reference (31) and dirty (30) bits,
+//! and the tag of the fetch in flight into it ([`PageCache::tag_fetch`] /
+//! [`PageCache::fetch_tag`] carry the caller's 32-bit handle). A second
+//! access to a page in flight therefore finds the fetch to wait on
+//! through the word that told it the page was in flight — the runtime
 //! keeps no page → fetch map beside the table.
 //!
 //! Fetches are two-phase because RDMA READs are one-sided: the fault
@@ -44,25 +45,28 @@ pub enum EvictionPolicy {
     Lru,
 }
 
+/// Page-table word: bit 31 marks the page's fetch in flight.
+const INFLIGHT: u32 = 1 << 31;
+/// Frame word: the reference and dirty bits, and below them the 30-bit
+/// page field, all ones in an empty frame.
+const REF: u32 = 1 << 31;
+const DIRTY: u32 = 1 << 30;
+const NO_PAGE: u32 = DIRTY - 1;
 const NO_FRAME: u32 = u32::MAX;
-const NO_PAGE: u64 = u64::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    page: u64,
+    /// The page (low 30 bits), `REF` and `DIRTY`.
+    page: u32,
     /// Caller's tag of the fetch in flight into this frame (see
-    /// [`PageCache::tag_fetch`]); it sits in what was padding.
+    /// [`PageCache::tag_fetch`]).
     fetch_tag: u32,
-    referenced: bool,
-    dirty: bool,
 }
 
 impl Frame {
     const EMPTY: Frame = Frame {
         page: NO_PAGE,
         fetch_tag: 0,
-        referenced: false,
-        dirty: false,
     };
 }
 
@@ -110,49 +114,49 @@ impl CacheStats {
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 pub struct PageCache {
-    /// Per-page state; indexes `frames` when resident or in flight.
-    state: Vec<u8>,
-    frame_of: Vec<u32>,
+    /// The page table: one word per page (see the module doc).
+    entry: Vec<u32>,
     frames: Vec<Frame>,
     free: Vec<u32>,
     clock_hand: usize,
     policy: EvictionPolicy,
     stats: CacheStats,
-    /// Intrusive LRU list over frames (only maintained under
-    /// `EvictionPolicy::Lru`): `lru_prev[f]`/`lru_next[f]` link resident
-    /// frames from least- to most-recently used.
+    /// Intrusive LRU list over frames (allocated and maintained only
+    /// under `EvictionPolicy::Lru`): `lru_prev[f]`/`lru_next[f]` link
+    /// resident frames from least- to most-recently used.
     lru_prev: Vec<u32>,
     lru_next: Vec<u32>,
     lru_head: u32,
     lru_tail: u32,
 }
 
-const S_NOT: u8 = 0;
-const S_INFLIGHT: u8 = 1;
-const S_RESIDENT: u8 = 2;
-
 impl PageCache {
     /// Creates a cache of `capacity` frames over `total_pages` pages.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or exceeds `total_pages`.
+    /// Panics if `total_pages` ≥ 2³⁰ − 1, or `capacity` is 0 or above `total_pages`.
     pub fn new(capacity: usize, total_pages: u64, policy: EvictionPolicy) -> PageCache {
+        assert!(
+            total_pages < u64::from(NO_PAGE),
+            "{total_pages} pages overflow the 30-bit page field"
+        );
         assert!(capacity > 0, "cache needs at least one frame");
         assert!(
             capacity as u64 <= total_pages,
             "cache larger than working set: {capacity} frames > {total_pages} pages"
         );
+        let lru = policy == EvictionPolicy::Lru;
+        let links = if lru { capacity } else { 0 };
         PageCache {
-            state: vec![S_NOT; total_pages as usize],
-            frame_of: vec![NO_FRAME; total_pages as usize],
+            entry: vec![0; total_pages as usize],
             frames: vec![Frame::EMPTY; capacity],
             free: (0..capacity as u32).rev().collect(),
             clock_hand: 0,
             policy,
             stats: CacheStats::default(),
-            lru_prev: vec![NO_FRAME; capacity],
-            lru_next: vec![NO_FRAME; capacity],
+            lru_prev: vec![NO_FRAME; links],
+            lru_next: vec![NO_FRAME; links],
             lru_head: NO_FRAME,
             lru_tail: NO_FRAME,
         }
@@ -208,17 +212,26 @@ impl PageCache {
     /// Pages in the working set.
     #[inline]
     pub fn total_pages(&self) -> u64 {
-        self.state.len() as u64
+        self.entry.len() as u64
     }
 
     /// Returns the page's state (the unified single lookup).
     #[inline]
     pub fn lookup(&self, page: u64) -> PageState {
-        match self.state[page as usize] {
-            S_NOT => PageState::NotResident,
-            S_INFLIGHT => PageState::InFlight,
+        match self.entry[page as usize] {
+            0 => PageState::NotResident,
+            e if e & INFLIGHT != 0 => PageState::InFlight,
             _ => PageState::Resident,
         }
+    }
+
+    /// The frame of `page`'s fetch in flight; `what` names the caller
+    /// in the panic.
+    #[inline]
+    fn inflight_frame(&self, page: u64, what: &str) -> usize {
+        let e = self.entry[page as usize];
+        assert!(e & INFLIGHT != 0, "{what}: page {page} is not in flight");
+        (e & !INFLIGHT) as usize - 1
     }
 
     /// Records an access to a resident page: sets the reference bit (and
@@ -229,14 +242,10 @@ impl PageCache {
     /// Panics if the page is not resident.
     #[inline]
     pub fn touch(&mut self, page: u64, write: bool) {
-        assert_eq!(
-            self.state[page as usize], S_RESIDENT,
-            "touch of non-resident page {page}"
-        );
-        let frame = self.frame_of[page as usize];
-        let f = &mut self.frames[frame as usize];
-        f.referenced = true;
-        f.dirty |= write;
+        // An absent (0) or in-flight word wraps to a frame ≥ `INFLIGHT`.
+        let frame = self.entry[page as usize].wrapping_sub(1);
+        assert!(frame < INFLIGHT, "touch of non-resident page {page}");
+        self.frames[frame as usize].page |= if write { REF | DIRTY } else { REF };
         self.stats.hits += 1;
         if self.policy == EvictionPolicy::Lru {
             self.lru_unlink(frame);
@@ -254,20 +263,17 @@ impl PageCache {
     #[inline]
     pub fn begin_fetch(&mut self, page: u64) -> bool {
         assert_eq!(
-            self.state[page as usize], S_NOT,
+            self.entry[page as usize], 0,
             "begin_fetch on page {page} already present"
         );
         let Some(frame) = self.free.pop() else {
             return false;
         };
         self.stats.misses += 1;
-        self.state[page as usize] = S_INFLIGHT;
-        self.frame_of[page as usize] = frame;
+        self.entry[page as usize] = (frame + 1) | INFLIGHT;
         self.frames[frame as usize] = Frame {
-            page,
+            page: page as u32 | REF,
             fetch_tag: 0,
-            referenced: true,
-            dirty: false,
         };
         if self.policy == EvictionPolicy::Lru {
             self.lru_push_mru(frame);
@@ -293,11 +299,8 @@ impl PageCache {
     /// Panics if no fetch is in flight for `page`.
     #[inline]
     pub fn tag_fetch(&mut self, page: u64, tag: u32) {
-        assert_eq!(
-            self.state[page as usize], S_INFLIGHT,
-            "tag_fetch without begin_fetch for page {page}"
-        );
-        self.frames[self.frame_of[page as usize] as usize].fetch_tag = tag;
+        let f = self.inflight_frame(page, "tag_fetch");
+        self.frames[f].fetch_tag = tag;
     }
 
     /// The tag [`PageCache::tag_fetch`] attached to the fetch in flight
@@ -308,11 +311,7 @@ impl PageCache {
     /// Panics if no fetch is in flight for `page`.
     #[inline]
     pub fn fetch_tag(&self, page: u64) -> u32 {
-        assert_eq!(
-            self.state[page as usize], S_INFLIGHT,
-            "fetch_tag of page {page}, which is not in flight"
-        );
-        self.frames[self.frame_of[page as usize] as usize].fetch_tag
+        self.frames[self.inflight_frame(page, "fetch_tag")].fetch_tag
     }
 
     /// Completes the in-flight fetch of `page`: the page becomes
@@ -323,11 +322,8 @@ impl PageCache {
     /// Panics if no fetch is in flight for `page`.
     #[inline]
     pub fn complete_fetch(&mut self, page: u64) {
-        assert_eq!(
-            self.state[page as usize], S_INFLIGHT,
-            "complete_fetch without begin_fetch for page {page}"
-        );
-        self.state[page as usize] = S_RESIDENT;
+        let f = self.inflight_frame(page, "complete_fetch");
+        self.entry[page as usize] = f as u32 + 1;
     }
 
     /// Evicts one resident page and returns `(page, was_dirty)`, or
@@ -355,19 +351,8 @@ impl PageCache {
             // Walk from the LRU end, skipping in-flight frames.
             let mut f = self.lru_head;
             while f != NO_FRAME {
-                let page = self.frames[f as usize].page;
-                if page != NO_PAGE && self.state[page as usize] != S_INFLIGHT {
-                    let dirty = self.frames[f as usize].dirty;
-                    self.lru_unlink(f);
-                    self.frames[f as usize] = Frame::EMPTY;
-                    self.state[page as usize] = S_NOT;
-                    self.frame_of[page as usize] = NO_FRAME;
-                    self.free.push(f);
-                    self.stats.evictions += 1;
-                    if dirty {
-                        self.stats.dirty_evictions += 1;
-                    }
-                    return Some((page, dirty));
+                if self.evictable(self.frames[f as usize].page) {
+                    return Some(self.retire(f as usize));
                 }
                 f = self.lru_next[f as usize];
             }
@@ -377,27 +362,40 @@ impl PageCache {
         for _ in 0..2 * n {
             let i = self.clock_hand;
             self.clock_hand = next_hand(i, n);
-            let f = &mut self.frames[i];
-            if f.page == NO_PAGE || self.state[f.page as usize] == S_INFLIGHT {
+            let word = self.frames[i].page;
+            if !self.evictable(word) {
                 continue;
             }
-            if self.policy == EvictionPolicy::Clock && f.referenced {
-                f.referenced = false;
+            if self.policy == EvictionPolicy::Clock && word & REF != 0 {
+                self.frames[i].page = word & !REF;
                 continue;
             }
-            let page = f.page;
-            let dirty = f.dirty;
-            *f = Frame::EMPTY;
-            self.state[page as usize] = S_NOT;
-            self.frame_of[page as usize] = NO_FRAME;
-            self.free.push(i as u32);
-            self.stats.evictions += 1;
-            if dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            return Some((page, dirty));
+            return Some(self.retire(i));
         }
         None
+    }
+
+    /// Whether frame word `word` names a resident page (not empty, not in flight).
+    #[inline]
+    fn evictable(&self, word: u32) -> bool {
+        let page = word & NO_PAGE;
+        page != NO_PAGE && self.entry[page as usize] & INFLIGHT == 0
+    }
+
+    /// Evicts frame `f`'s resident page: the one retire path of every policy.
+    #[inline]
+    fn retire(&mut self, f: usize) -> (u64, bool) {
+        let word = self.frames[f].page;
+        let (page, dirty) = (word & NO_PAGE, word & DIRTY != 0);
+        if self.policy == EvictionPolicy::Lru {
+            self.lru_unlink(f as u32);
+        }
+        self.frames[f] = Frame::EMPTY;
+        self.entry[page as usize] = 0;
+        self.free.push(f as u32);
+        self.stats.evictions += 1;
+        self.stats.dirty_evictions += u64::from(dirty);
+        (u64::from(page), dirty)
     }
 
     /// Pre-populates the cache with `n` distinct random pages (steady
@@ -630,11 +628,127 @@ mod tests {
         }
     }
 
-    /// Frame conservation: free + used == capacity under arbitrary
-    /// operation sequences, and no page is ever double-mapped.
+    /// A plain model of the cache: frames as `Option` slots searched
+    /// linearly, the same free stack and CLOCK hand, recency as a list of
+    /// frames (least recently used first).
+    #[derive(Clone, Copy)]
+    struct Slot {
+        page: u64,
+        inflight: bool,
+        referenced: bool,
+        dirty: bool,
+        tag: u32,
+    }
+
+    struct Model {
+        policy: EvictionPolicy,
+        slots: Vec<Option<Slot>>,
+        free: Vec<usize>,
+        hand: usize,
+        recency: Vec<usize>,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn new(cap: usize, policy: EvictionPolicy) -> Model {
+            Model {
+                policy,
+                slots: vec![None; cap],
+                free: (0..cap).rev().collect(),
+                hand: 0,
+                recency: Vec::new(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn slot(&mut self, page: u64) -> Option<&mut Slot> {
+            self.slots.iter_mut().flatten().find(|s| s.page == page)
+        }
+
+        fn state(&mut self, page: u64) -> PageState {
+            match self.slot(page) {
+                None => PageState::NotResident,
+                Some(s) if s.inflight => PageState::InFlight,
+                Some(_) => PageState::Resident,
+            }
+        }
+
+        fn frame(&self, page: u64) -> usize {
+            let holds = |s: &Option<Slot>| s.is_some_and(|s| s.page == page);
+            self.slots.iter().position(holds).unwrap()
+        }
+
+        fn touch(&mut self, page: u64, write: bool) {
+            let f = self.frame(page);
+            let s = self.slots[f].as_mut().unwrap();
+            s.referenced = true;
+            s.dirty |= write;
+            self.recency.retain(|&x| x != f);
+            self.recency.push(f);
+            self.stats.hits += 1;
+        }
+
+        fn begin_fetch(&mut self, page: u64) -> bool {
+            let Some(f) = self.free.pop() else {
+                return false;
+            };
+            self.slots[f] = Some(Slot {
+                page,
+                inflight: true,
+                referenced: true,
+                dirty: false,
+                tag: 0,
+            });
+            self.recency.push(f);
+            self.stats.misses += 1;
+            true
+        }
+
+        fn evict(&mut self) -> Option<(u64, bool)> {
+            let n = self.slots.len();
+            let evictable = |s: &Option<Slot>| s.is_some_and(|s| !s.inflight);
+            let victim = if self.policy == EvictionPolicy::Lru {
+                self.recency
+                    .iter()
+                    .copied()
+                    .find(|&f| evictable(&self.slots[f]))
+            } else {
+                let mut victim = None;
+                for _ in 0..2 * n {
+                    let i = self.hand;
+                    self.hand = (i + 1) % n;
+                    if !evictable(&self.slots[i]) {
+                        continue;
+                    }
+                    let s = self.slots[i].as_mut().unwrap();
+                    if self.policy == EvictionPolicy::Clock && s.referenced {
+                        s.referenced = false;
+                        continue;
+                    }
+                    victim = Some(i);
+                    break;
+                }
+                victim
+            }?;
+            let s = self.slots[victim].take().unwrap();
+            self.recency.retain(|&x| x != victim);
+            self.free.push(victim);
+            self.stats.evictions += 1;
+            self.stats.dirty_evictions += u64::from(s.dirty);
+            Some((s.page, s.dirty))
+        }
+    }
+
+    /// Frame conservation and agreement with [`Model`] under every
+    /// policy: random faults, touches (half writes), completions, fetch
+    /// tags and reclaimer evictions. After each step free + used ==
+    /// capacity, every page's state, the counters and the free frames
+    /// equal the model's, every victim (with its dirty bit) is the
+    /// model's, and an in-flight page reads back the model's tag.
     #[test]
     fn frame_conservation() {
         let mut rng = Rng::new(0xCACE);
+        let (mut victims, mut dirty_victims, mut tag_reads) = (0, 0, 0);
         for round in 0..48 {
             let policy = [
                 EvictionPolicy::Clock,
@@ -642,37 +756,126 @@ mod tests {
                 EvictionPolicy::Lru,
             ][round % 3];
             let mut c = PageCache::new(8, 50, policy);
+            let mut m = Model::new(8, policy);
             let ops = 1 + rng.gen_range(299) as usize;
             for _ in 0..ops {
-                let page = rng.gen_range(50);
+                // Half the accesses go to a 12-page hot set, so pages are
+                // hit, written and evicted dirty.
+                let hot = rng.gen_bool(0.5);
+                let page = rng.gen_range(if hot { 12 } else { 50 });
                 let write = rng.gen_bool(0.5);
-                match c.lookup(page) {
-                    PageState::Resident => c.touch(page, write),
-                    PageState::InFlight => c.complete_fetch(page),
-                    PageState::NotResident => {
-                        if !c.begin_fetch(page) {
-                            // A cache full of in-flight fetches has no
-                            // evictable victim; otherwise eviction must
-                            // make room.
-                            if c.evict_one().is_some() {
-                                assert!(c.begin_fetch(page));
+                let mut victim = None;
+                if rng.gen_bool(0.1) {
+                    // The reclaimer, evicting ahead of demand.
+                    victim = Some(c.evict_one());
+                    assert_eq!(victim.unwrap(), m.evict(), "round {round}");
+                } else {
+                    match c.lookup(page) {
+                        PageState::Resident => {
+                            c.touch(page, write);
+                            m.touch(page, write);
+                        }
+                        PageState::InFlight => {
+                            tag_reads += 1;
+                            assert_eq!(c.fetch_tag(page), m.slot(page).unwrap().tag);
+                            if rng.gen_bool(0.5) {
+                                c.complete_fetch(page);
+                                m.slot(page).unwrap().inflight = false;
+                            }
+                        }
+                        PageState::NotResident => {
+                            if !c.begin_fetch(page) {
+                                assert!(!m.begin_fetch(page));
+                                // A cache full of in-flight fetches has no
+                                // evictable victim; otherwise eviction must
+                                // make room.
+                                victim = Some(c.evict_one());
+                                assert_eq!(victim.unwrap(), m.evict(), "round {round}");
+                                if victim.unwrap().is_some() {
+                                    assert!(c.begin_fetch(page));
+                                    assert!(m.begin_fetch(page));
+                                }
+                            } else {
+                                assert!(m.begin_fetch(page));
+                            }
+                            if c.lookup(page) == PageState::InFlight && rng.gen_bool(0.5) {
+                                let tag = rng.next_u64() as u32;
+                                c.tag_fetch(page, tag);
+                                m.slot(page).unwrap().tag = tag;
+                            }
+                            // Most READs land before the page is wanted again.
+                            if c.lookup(page) == PageState::InFlight && rng.gen_bool(0.7) {
+                                c.complete_fetch(page);
+                                m.slot(page).unwrap().inflight = false;
                             }
                         }
                     }
                 }
+                if let Some(Some((_, dirty))) = victim {
+                    victims += 1;
+                    dirty_victims += u32::from(dirty);
+                }
                 assert_eq!(c.free_frames() + c.used_frames(), c.capacity());
-                // No double mapping: each frame's page is unique.
-                let resident = (0..50)
-                    .filter(|&p| c.lookup(p) != PageState::NotResident)
-                    .count();
-                assert!(resident <= c.capacity());
+                assert_eq!(c.free_frames(), m.free.len());
+                for p in 0..50 {
+                    assert_eq!(c.lookup(p), m.state(p), "page {p}, round {round}");
+                }
+                let (s, e) = (c.stats(), m.stats);
+                assert_eq!(
+                    (s.hits, s.misses, s.evictions, s.dirty_evictions),
+                    (e.hits, e.misses, e.evictions, e.dirty_evictions)
+                );
             }
         }
+        assert!(victims > 2_000, "only {victims} evictions compared");
+        assert!(dirty_victims > 100, "only {dirty_victims} dirty evictions");
+        assert!(tag_reads > 800, "only {tag_reads} tag reads");
+    }
+
+    /// The packed layout: an 8-byte frame, a page-table word of frame + 1
+    /// with bit 31 while in flight, the page under the reference (31) and
+    /// dirty (30) bits, and an all-ones page field in an empty frame.
+    #[test]
+    fn packed_layout() {
+        assert_eq!(std::mem::size_of::<Frame>(), 8);
+        let mut c = cache(2, 10);
+        assert!(c.begin_fetch(5) && c.begin_fetch(6));
+        assert_eq!((c.entry[5], c.entry[6]), (1 | 1 << 31, 2 | 1 << 31));
+        assert_eq!(c.frames[0].page, 5 | 1 << 31, "referenced at fetch");
+        c.complete_fetch(5);
+        c.complete_fetch(6);
+        assert_eq!((c.entry[5], c.entry[6]), (1, 2));
+        c.touch(5, true);
+        assert_eq!(c.frames[0].page, 5 | 1 << 31 | 1 << 30);
+        // The sweep clears both reference bits, then takes frame 0.
+        assert_eq!(c.evict_one(), Some((5, true)));
+        assert_eq!(c.frames[1].page, 6, "reference bit cleared");
+        assert_eq!(c.frames[0].page, (1 << 30) - 1, "empty frame");
+        assert_eq!(c.entry[5], 0);
+    }
+
+    /// The page bound is checked before the table is allocated: a cache
+    /// over 2^30 pages (a 4 GiB table) panics at once.
+    #[test]
+    #[should_panic(expected = "30-bit page field")]
+    fn page_bound_checked_first() {
+        PageCache::new(1, 1 << 30, EvictionPolicy::Clock);
+    }
+
+    /// Only LRU allocates the recency links.
+    #[test]
+    fn lru_links_only_under_lru() {
+        for policy in [EvictionPolicy::Clock, EvictionPolicy::Fifo] {
+            let c = PageCache::new(64, 128, policy);
+            assert_eq!(c.lru_prev.capacity() + c.lru_next.capacity(), 0);
+        }
+        let c = PageCache::new(64, 128, EvictionPolicy::Lru);
+        assert_eq!((c.lru_prev.len(), c.lru_next.len()), (64, 64));
     }
 
     /// The compare-wrapped CLOCK hand picks the victims `% n` picked:
-    /// two caches fed the op streams of `frame_conservation`, one
-    /// stepping its hand with the expression `evict_one` replaced.
+    /// two caches fed random op streams, one stepping its hand with the
+    /// expression `evict_one` replaced.
     #[test]
     fn clock_hand_wrap_matches_modulo() {
         let mut rng = Rng::new(0xCACE);

@@ -4,9 +4,11 @@
 //!
 //! - [`PageCache`] — the local-DRAM page cache with a unified,
 //!   single-lookup page table (DiLOS consolidates all paging metadata
-//!   into one table; we keep the same property: one array lookup
-//!   resolves residency, frame, dirtiness and in-flight state).
-//! - [`cache::EvictionPolicy`] — CLOCK (default) and FIFO victims.
+//!   into one table; we keep the same property: one `u32` per page
+//!   resolves residency, in-flight state and frame, and the 8-byte
+//!   frame it names holds the reference and dirty bits and the
+//!   in-flight fetch's tag).
+//! - [`cache::EvictionPolicy`] — CLOCK (default), FIFO and LRU victims.
 //! - [`reclaim`] — watermark arithmetic for the proactive reclaimer
 //!   (Adios pins a reclaimer that starts below 15 % free, §3.3) and the
 //!   wake-up-based reclaimer of conventional systems.

@@ -30,6 +30,7 @@
 //! intentional format or model change lands).
 
 use adios::desim::{ProfileConfig, SpanConfig};
+use adios::paging::EvictionPolicy;
 use adios::prelude::*;
 
 /// FNV-1a 64 over a byte string (no dependency needed).
@@ -104,6 +105,20 @@ fn crash_params() -> RunParams {
     }
 }
 
+/// `cfg` under eviction `policy` at 5 % local memory: every fault
+/// evicts, so the victim order decides the run.
+fn thrashing(cfg: SystemConfig, policy: EvictionPolicy) -> String {
+    let cfg = SystemConfig {
+        eviction: policy,
+        ..cfg
+    };
+    let p = RunParams {
+        local_mem_fraction: 0.05,
+        ..params()
+    };
+    array(cfg, p)
+}
+
 fn scaled(policy: DispatchPolicy) -> SystemConfig {
     SystemConfig {
         dispatchers: 4,
@@ -145,11 +160,12 @@ pub struct Case {
 
 /// The matrix. Rows 1–5 are the five `SystemConfig` constructors with
 /// every plane off; the rest switch on one plane, fault scenario,
-/// scale-out axis, queue model, application or arrival shape each. The
-/// unreplicated crash rows reach the abort paths (failed-fetch waiters
-/// under yield, `AfterErrorCqe` under busy-wait), the thrash row direct
-/// reclaim and frame waits, the SET-heavy crash row write-back errors
-/// and QP-full deferrals.
+/// scale-out axis, queue model, eviction policy, application or arrival
+/// shape each. The unreplicated crash rows reach the abort paths
+/// (failed-fetch waiters under yield, `AfterErrorCqe` under busy-wait),
+/// the thrash row direct reclaim and frame waits, the SET-heavy crash
+/// row write-back errors and QP-full deferrals, the 5 %-local rows
+/// FIFO's and LRU's victim choice on every fault.
 pub const MATRIX: &[Case] = &[
     Case {
         name: "infiniswap",
@@ -380,6 +396,26 @@ pub const MATRIX: &[Case] = &[
             })
         },
         golden: (1_106, 0x334f_755e_731d_6874),
+    },
+    Case {
+        name: "adios+fifo+5%-local",
+        run: || thrashing(SystemConfig::adios(), EvictionPolicy::Fifo),
+        golden: (1_099, 0xb82b_51d0_89da_1fc7),
+    },
+    Case {
+        name: "adios+lru+5%-local",
+        run: || thrashing(SystemConfig::adios(), EvictionPolicy::Lru),
+        golden: (1_099, 0x1f66_6c1a_366b_862b),
+    },
+    Case {
+        name: "dilos+fifo+5%-local",
+        run: || thrashing(SystemConfig::dilos(), EvictionPolicy::Fifo),
+        golden: (1_099, 0x8687_bdfa_ec8b_958b),
+    },
+    Case {
+        name: "dilos+lru+5%-local",
+        run: || thrashing(SystemConfig::dilos(), EvictionPolicy::Lru),
+        golden: (1_099, 0x10b1_f4fd_581f_732a),
     },
     Case {
         name: "burst",
