@@ -53,7 +53,7 @@ fn help_and_readme_list_every_registry_id() {
 fn bad_invocations_exit_2_with_usage() {
     let cases: &[&[&str]] = &[
         &["--no-such-flag"],
-        // Removed with their superseded paths; they must not come back
+        // Removed with their replaced paths; they must not come back
         // as silently accepted no-ops.
         &["--perfetto", "p.json"],
         &["--flame", "f.folded"],

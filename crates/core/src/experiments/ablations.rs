@@ -1,22 +1,25 @@
 //! Ablations of Adios' individual design choices (DESIGN.md §6).
 //!
-//! Four studies beyond the paper's own figures:
+//! Studies beyond the paper's own figures:
 //!
 //! - **reclaimer**: proactive pinned reclaimer vs wake-up reclaimer —
 //!   the §3.3 design choice;
-//! - **queueing**: single centralized queue vs per-worker d-FCFS — the
-//!   §3.4 single-queueing choice;
 //! - **prefetch**: sequential readahead on/off under SCAN-heavy load;
 //! - **unithread memory**: the §3.2 claim that the unified buffer frees
 //!   12.5 % of the local cache (1 GB of 8 GB) — measured as the
-//!   throughput/latency effect of shrinking the cache by that amount.
+//!   throughput/latency effect of shrinking the cache by that amount;
+//! - **eviction**: CLOCK vs FIFO vs exact LRU;
+//! - **write mix**: write-back traffic under a GET/SET mix.
+//!
+//! The §3.4 single-queueing choice (c-FCFS vs per-worker d-FCFS) is
+//! checked by Extension W (`extensions::work_stealing`).
 
 use apps::ordb::CLASS_SCAN;
 use apps::{MemcachedWorkload, RocksDbWorkload};
 use paging::reclaim::ReclaimerMode;
 use paging::EvictionPolicy;
 use runtime::sim::RunParams;
-use runtime::{ArrayIndexWorkload, QueueModel, SystemConfig};
+use runtime::{ArrayIndexWorkload, SystemConfig};
 
 use super::{fmt_us, fmt_x, peak_rps, sweep};
 use crate::report::{Expectation, FigureReport, Series};
@@ -55,40 +58,6 @@ pub fn reclaimer(scale: Scale) -> FigureReport {
         "no out-of-memory pauses (§3.3)",
         format!("direct reclaims: proactive {pro_dr} vs wake-up {wake_dr}"),
         pro_dr <= wake_dr,
-    ));
-    report
-}
-
-/// Single queue vs per-worker queues.
-pub fn queueing(scale: Scale) -> FigureReport {
-    let mut report = FigureReport::new("Ablation Q", "Single queue vs per-worker d-FCFS (§3.4)");
-    let mut wl = ArrayIndexWorkload::new(scale.microbench_pages());
-    let loads = [1_000_000.0, 1_600_000.0, 2_200_000.0];
-    let sq = sweep(&SystemConfig::adios(), &mut wl, &loads, scale.params(92));
-    let pw_cfg = SystemConfig {
-        queue_model: QueueModel::PerWorker,
-        ..SystemConfig::adios()
-    };
-    let pw = sweep(&pw_cfg, &mut wl, &loads, scale.params(92));
-    let mut s = Series::new(
-        "tail latency under each queueing model",
-        "   offered   single-queue p999(us)   per-worker p999(us)",
-    );
-    for (a, b) in sq.iter().zip(&pw) {
-        s.rows.push(format!(
-            "{:>10.0} {:>21.2} {:>20.2}",
-            a.offered_rps,
-            a.point().p999_ns as f64 / 1000.0,
-            b.point().p999_ns as f64 / 1000.0,
-        ));
-    }
-    report.series.push(s);
-    let (a99, b99) = (sq[1].point().p999_ns as f64, pw[1].point().p999_ns as f64);
-    report.expectations.push(Expectation::checked(
-        "single queueing cuts the tail (c-FCFS vs d-FCFS)",
-        "centralized FCFS achieves the best tail latency",
-        format!("per-worker is {} worse at mid load", fmt_x(b99 / a99)),
-        b99 >= a99,
     ));
     report
 }
@@ -275,12 +244,6 @@ mod tests {
     #[test]
     fn reclaimer_ablation_shape() {
         let r = reclaimer(Scale::Quick);
-        assert!(r.all_ok(), "{}", r.render());
-    }
-
-    #[test]
-    fn queueing_ablation_shape() {
-        let r = queueing(Scale::Quick);
         assert!(r.all_ok(), "{}", r.render());
     }
 

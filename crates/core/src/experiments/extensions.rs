@@ -10,8 +10,8 @@
 //!   of the art; a strided workload separates next-page readahead from
 //!   Leap's majority-trend detection;
 //! - **work_stealing** — §3.4: "centralized and approximated
-//!   centralized FCFS… reduce load imbalance", with stealing's scan
-//!   overhead as the trade-off;
+//!   centralized FCFS… reduce load imbalance": single queueing beats
+//!   per-worker d-FCFS, with stealing's scan overhead as the trade-off;
 //! - **burst_tolerance** — §3.2: the pre-allocated pool "must be
 //!   sufficient to handle bursty request arrivals";
 //! - **scalability** — §6: "single queueing with a dedicated dispatcher
@@ -34,8 +34,8 @@
 use desim::SimDuration;
 use runtime::sim::{run_one, RunParams};
 use runtime::{
-    ArrayIndexWorkload, DispatchPolicy, MixedWorkload, PrefetcherKind, QueueModel, StridedWorkload,
-    SystemConfig, SystemKind,
+    ArrayIndexWorkload, DispatchPolicy, PrefetcherKind, QueueModel, StridedWorkload, SystemConfig,
+    SystemKind, TenantWorkload, Workload,
 };
 
 use super::{fmt_us, fmt_x, points_series, sweep};
@@ -263,6 +263,15 @@ pub fn work_stealing(scale: Scale) -> FigureReport {
         ws[1].point().p999_ns,
     );
     report.expectations.push(Expectation::checked(
+        "single queueing cuts the tail (c-FCFS vs d-FCFS)",
+        "centralized FCFS achieves the best tail latency",
+        format!(
+            "per-worker is {} worse at mid load",
+            fmt_x(b99 as f64 / a99 as f64)
+        ),
+        b99 >= a99,
+    ));
+    report.expectations.push(Expectation::checked(
         "stealing recovers most of d-FCFS' imbalance loss",
         "approximated centralized FCFS (ZygOS)",
         format!(
@@ -398,19 +407,23 @@ pub fn scalability(scale: Scale) -> FigureReport {
 /// SCAN-heavy store — the multi-application setting Canvas (§1) targets.
 /// Busy-waiting lets one tenant's long page-faulting SCANs block the
 /// other tenant's GETs; yielding isolates them without any explicit
-/// partitioning.
+/// partitioning. The two apps are two equal-priority tenants of one
+/// plane (80 % / 20 % of the load, no admission policing), so only
+/// the fault policy separates them.
 pub fn colocation(scale: Scale) -> FigureReport {
+    use loadgen::{TenantPlane, TenantPriority, TenantSpec};
+
     let mut report = FigureReport::new(
         "Extension C",
         "Co-located tenants: KVS + SCAN-heavy store on one node",
     );
     let keys = scale.memcached_keys(128).min(600_000);
-    let mut wl = MixedWorkload::new(
-        apps::MemcachedWorkload::new(keys, 128),
-        apps::RocksDbWorkload::new(scale.rocksdb_keys() / 2, 1024).with_mix(0.2, 100),
-        0.2,
-    );
-    let scan_class = wl.b_class(apps::ordb::CLASS_SCAN);
+    let memcached = apps::MemcachedWorkload::new(keys, 128);
+    let scan_class = memcached.classes().len() as u16 + apps::ordb::CLASS_SCAN;
+    let mut wl = TenantWorkload::new(vec![
+        Box::new(memcached),
+        Box::new(apps::RocksDbWorkload::new(scale.rocksdb_keys() / 2, 1024).with_mix(0.2, 100)),
+    ]);
     let loads = match scale {
         Scale::Quick => vec![200_000.0, 400_000.0],
         Scale::Full => vec![200_000.0, 400_000.0, 600_000.0],
@@ -421,12 +434,21 @@ pub fn colocation(scale: Scale) -> FigureReport {
     );
     let mut a_tails = Vec::new();
     for kind in SystemKind::all() {
-        let results = sweep(
-            &SystemConfig::for_kind(kind),
-            &mut wl,
-            &loads,
-            scale.params(114),
-        );
+        let results: Vec<_> = loads
+            .iter()
+            .map(|&load| {
+                let plane = TenantPlane::new(vec![
+                    TenantSpec::new(0.8 * load, "kvs", TenantPriority::High),
+                    TenantSpec::new(0.2 * load, "scan", TenantPriority::High),
+                ]);
+                let params = RunParams {
+                    offered_rps: load,
+                    tenants: Some(plane),
+                    ..scale.params(114)
+                };
+                run_one(SystemConfig::for_kind(kind), &mut wl, params)
+            })
+            .collect();
         let r = &results[loads.len() - 1];
         let get = r.recorder.class(0);
         a_tails.push((kind, get.percentile(99.9)));
@@ -681,7 +703,6 @@ fn stall_scenario(stall: SimDuration) -> faults::FaultScenario {
     FaultScenario {
         name: "stall-sweep",
         loss: 0.0,
-        corrupt: 0.0,
         cqe_error: 0.0,
         episodes,
     }
@@ -1169,7 +1190,6 @@ pub fn dispatcher_scaling(scale: Scale) -> FigureReport {
 /// LLM-serving vs KVS prefetcher divergence.
 pub fn tenant_isolation(scale: Scale) -> FigureReport {
     use loadgen::{TenantPlane, TenantPriority, TenantSpec};
-    use runtime::TenantWorkload;
 
     let mut report = FigureReport::new(
         "Extension G",

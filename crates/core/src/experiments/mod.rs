@@ -45,7 +45,6 @@ pub const ALL: &[Experiment] = &[
     ("fig12_silo", fig12_silo::run),
     ("fig13_faiss", fig13_faiss::run),
     ("ablation_reclaimer", ablations::reclaimer),
-    ("ablation_queueing", ablations::queueing),
     ("ablation_prefetch", ablations::prefetch),
     ("ablation_unithread_memory", ablations::unithread_memory),
     ("ablation_eviction", ablations::eviction),
@@ -236,7 +235,7 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique_and_well_formed() {
-        assert_eq!(ALL.len(), 30);
+        assert_eq!(ALL.len(), 29);
         for (i, (id, _)) in ALL.iter().enumerate() {
             assert!(
                 !id.is_empty()

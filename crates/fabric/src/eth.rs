@@ -7,65 +7,10 @@
 //! descriptors — is modelled by returning wire-accurate delivery times,
 //! which the load generator records as its RX timestamps.
 
-use std::collections::VecDeque;
-
 use desim::SimTime;
 
 use crate::link::Link;
 use crate::params::{FabricParams, ETH_TX_COMPLETION, ETH_TX_ENGINE};
-
-/// Bounded RX descriptor ring; packets arriving to a full ring are
-/// dropped (this is where offered-load beyond saturation disappears in
-/// Figure 2d).
-#[derive(Debug)]
-pub struct RxRing<T> {
-    ring: VecDeque<T>,
-    capacity: usize,
-    drops: u64,
-}
-
-impl<T> RxRing<T> {
-    /// Creates a ring with `capacity` descriptors.
-    pub fn new(capacity: usize) -> RxRing<T> {
-        RxRing {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            drops: 0,
-        }
-    }
-
-    /// Posts a received packet; returns `false` (and counts a drop) if
-    /// the ring is full.
-    pub fn push(&mut self, item: T) -> bool {
-        if self.ring.len() >= self.capacity {
-            self.drops += 1;
-            false
-        } else {
-            self.ring.push_back(item);
-            true
-        }
-    }
-
-    /// Takes the oldest packet.
-    pub fn pop(&mut self) -> Option<T> {
-        self.ring.pop_front()
-    }
-
-    /// Packets currently queued.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Packets dropped because the ring was full.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-}
 
 /// The reply-transmission result.
 #[derive(Debug, Clone, Copy)]
@@ -118,37 +63,11 @@ impl EthPort {
             client_rx_at,
         }
     }
-
-    /// The ingress (request) direction.
-    pub fn ingress(&self) -> &Link {
-        &self.ingress
-    }
-
-    /// The egress (reply) direction.
-    pub fn egress(&self) -> &Link {
-        &self.egress
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rx_ring_bounds_and_drops() {
-        let mut r = RxRing::new(2);
-        assert!(r.push(1));
-        assert!(r.push(2));
-        assert!(!r.push(3));
-        assert_eq!(r.drops(), 1);
-        assert_eq!(r.pop(), Some(1));
-        assert!(r.push(3));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.pop(), Some(2));
-        assert_eq!(r.pop(), Some(3));
-        assert!(r.is_empty());
-        assert_eq!(r.pop(), None);
-    }
 
     #[test]
     fn request_delivery_has_wire_latency() {

@@ -14,9 +14,11 @@
 //!   to per-QP completion queues. CQ *re-association* — the mechanism
 //!   behind Adios' polling delegation (§3.4 of the paper) — is supported
 //!   by giving each QP an explicit target CQ.
-//! - [`EthPort`] — the Raw-Ethernet client path with a bounded RX ring
-//!   and hardware TX/RX timestamps (the load generator measures
-//!   end-to-end latency exactly as the paper does, from NIC timestamps).
+//! - [`EthPort`] — the Raw-Ethernet client path with hardware TX/RX
+//!   timestamps (the load generator measures end-to-end latency exactly
+//!   as the paper does, from NIC timestamps). The RX ring's bound,
+//!   [`params::RX_RING_ENTRIES`], is enforced by the runtime's admission
+//!   backlog.
 //! - [`MemNode`] — the passive one-sided memory node, with address-range
 //!   validation and service statistics.
 //! - [`ShardMap`] — deterministic page → shard → memnode placement
@@ -35,7 +37,7 @@ pub mod nic;
 pub mod params;
 pub mod shard;
 
-pub use eth::{EthPort, RxRing};
+pub use eth::EthPort;
 pub use link::Link;
 pub use memnode::MemNode;
 pub use nic::{Completion, CompletionStatus, OccupancySnapshot, PostError, QpId, RdmaNic};

@@ -477,7 +477,6 @@ mod tests {
             FaultScenario {
                 name: "black-hole",
                 loss: 1.0,
-                corrupt: 0.0,
                 cqe_error: 0.0,
                 episodes: Vec::new(),
             },
@@ -975,7 +974,6 @@ mod tests {
             FaultScenario {
                 name: "poison",
                 loss: 0.0,
-                corrupt: 0.0,
                 cqe_error: 1.0,
                 episodes: Vec::new(),
             },
@@ -1006,7 +1004,6 @@ mod tests {
             FaultScenario {
                 name: "degraded",
                 loss: 0.0,
-                corrupt: 0.0,
                 cqe_error: 0.0,
                 episodes: vec![faults::Episode {
                     start: SimTime(0),

@@ -6,7 +6,7 @@
 //! and runtime consult at well-defined points in virtual time:
 //!
 //! - a [`FaultScenario`] is a pure description — steady-state per-packet
-//!   loss / corruption / CQE-error probabilities plus a list of
+//!   loss / CQE-error probabilities plus a list of
 //!   [`Episode`]s (time windows during which a link degrades or a
 //!   memnode stalls or goes down);
 //! - a [`FaultPlane`] is the scenario armed with a seeded [`desim::Rng`]
@@ -97,12 +97,10 @@ impl Episode {
 pub struct FaultScenario {
     /// Scenario name (stable identifier used by `--faults <name>`).
     pub name: &'static str,
-    /// Steady-state per-packet loss probability.
+    /// Steady-state per-packet loss probability. A corrupted packet is
+    /// NAK'd / CRC-dropped by the receiver, so the transport treats it
+    /// exactly like a loss (retransmit path): corruption is counted here.
     pub loss: f64,
-    /// Steady-state per-packet corruption probability. A corrupted
-    /// packet is NAK'd / CRC-dropped by the receiver, so the transport
-    /// treats it exactly like a loss (retransmit path).
-    pub corrupt: f64,
     /// Probability that a *delivered* completion is reported as a fatal
     /// CQE error (e.g. remote protection fault, WR flushed).
     pub cqe_error: f64,
@@ -116,14 +114,14 @@ impl FaultScenario {
         FaultScenario {
             name: "none",
             loss: 0.0,
-            corrupt: 0.0,
             cqe_error: 0.0,
             episodes: Vec::new(),
         }
     }
 
-    /// Steady 2 % packet loss — the "congested pod" scenario. Enough
-    /// that ~4 % of fetches eat at least one retransmission timeout.
+    /// Steady 2 % packet loss plus 0.2 % corruption — the "congested
+    /// pod" scenario. Enough that ~4 % of fetches eat at least one
+    /// retransmission timeout.
     /// One 2 ms congestion spike at t = 5 ms (half bandwidth, +4 µs
     /// one-way latency, an extra 10 % loss) gives fault-aware policies
     /// and SLO burn-rate tests a clean before/during/after signal.
@@ -131,8 +129,7 @@ impl FaultScenario {
         let spike_start = SimTime(5_000_000);
         FaultScenario {
             name: "lossy",
-            loss: 0.02,
-            corrupt: 0.002,
+            loss: 0.02 + 0.002,
             cqe_error: 0.0,
             episodes: vec![Episode {
                 start: spike_start,
@@ -167,7 +164,6 @@ impl FaultScenario {
         FaultScenario {
             name: "flaky",
             loss: 0.005,
-            corrupt: 0.0,
             cqe_error: 0.0,
             episodes,
         }
@@ -191,7 +187,6 @@ impl FaultScenario {
         FaultScenario {
             name: "stall",
             loss: 0.0,
-            corrupt: 0.0,
             cqe_error: 0.0,
             episodes,
         }
@@ -204,7 +199,6 @@ impl FaultScenario {
         FaultScenario {
             name: "crash",
             loss: 0.0,
-            corrupt: 0.0,
             cqe_error: 0.001,
             episodes: vec![Episode {
                 start: SimTime(10_000_000),
@@ -224,7 +218,6 @@ impl FaultScenario {
         FaultScenario {
             name: "crash-node",
             loss: 0.0,
-            corrupt: 0.0,
             cqe_error: 0.0,
             episodes: vec![Episode {
                 start: SimTime(10_000_000),
@@ -257,7 +250,6 @@ impl FaultScenario {
         FaultScenario {
             name: "loss-sweep",
             loss,
-            corrupt: 0.0,
             cqe_error: 0.0,
             episodes: Vec::new(),
         }
@@ -265,7 +257,7 @@ impl FaultScenario {
 
     /// Whether this scenario can ever inject anything.
     pub fn is_inert(&self) -> bool {
-        self.loss == 0.0 && self.corrupt == 0.0 && self.cqe_error == 0.0 && self.episodes.is_empty()
+        self.loss == 0.0 && self.cqe_error == 0.0 && self.episodes.is_empty()
     }
 }
 
@@ -273,7 +265,7 @@ impl FaultScenario {
 /// finalization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Packets dropped (steady-state loss + episode loss + corruption).
+    /// Packets dropped (steady-state loss + episode loss).
     pub losses: u64,
     /// Delivered completions flipped to fatal CQE errors.
     pub cqe_errors: u64,
@@ -335,7 +327,7 @@ impl FaultPlane {
         if !self.active {
             return false;
         }
-        let mut p = self.scenario.loss + self.scenario.corrupt;
+        let mut p = self.scenario.loss;
         for ep in &self.scenario.episodes {
             if let EpisodeKind::LinkDegraded { loss, .. } = ep.kind {
                 if ep.active_at(at) {

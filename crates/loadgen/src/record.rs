@@ -115,7 +115,6 @@ pub struct Recorder {
     per_class: Vec<Histogram>,
     breakdowns: Vec<(u64, Breakdown)>,
     keep_breakdowns: bool,
-    completed: u64,
     completed_in_window: u64,
     dropped: u64,
 }
@@ -132,7 +131,6 @@ impl Recorder {
             per_class: (0..classes.max(1)).map(|_| Histogram::new()).collect(),
             breakdowns: Vec::new(),
             keep_breakdowns: false,
-            completed: 0,
             completed_in_window: 0,
             dropped: 0,
         }
@@ -153,7 +151,6 @@ impl Recorder {
         rx_time: SimTime,
         breakdown: Breakdown,
     ) {
-        self.completed += 1;
         if rx_time < self.warmup_end || rx_time >= self.measure_end {
             return;
         }
@@ -188,11 +185,6 @@ impl Recorder {
     /// Completions inside the measurement window.
     pub fn completed_in_window(&self) -> u64 {
         self.completed_in_window
-    }
-
-    /// All completions, including warm-up.
-    pub fn completed_total(&self) -> u64 {
-        self.completed
     }
 
     /// Drops inside the measurement window.
@@ -268,7 +260,6 @@ mod tests {
         r.complete(0, t(1500), t(1700), Breakdown::default());
         r.complete(0, t(2500), t(2600), Breakdown::default()); // after end
         assert_eq!(r.completed_in_window(), 1);
-        assert_eq!(r.completed_total(), 3);
         assert_eq!(r.overall().count(), 1);
         assert_eq!(r.overall().percentile(50.0), 200);
     }

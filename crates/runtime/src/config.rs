@@ -124,7 +124,7 @@ pub enum QueueModel {
     /// One centralized FCFS queue fed by the dispatcher (c-FCFS).
     SingleQueue,
     /// Per-worker queues with random (RSS-style) steering — Hermit's
-    /// kernel path, and the `ablation_queueing` baseline (d-FCFS).
+    /// kernel path, and Extension W's d-FCFS baseline.
     PerWorker,
     /// Per-worker queues with ZygOS-style work stealing: an idle worker
     /// takes the head of the longest peer queue (approximated

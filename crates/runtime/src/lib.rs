@@ -25,4 +25,4 @@ pub use config::{
     DispatchPolicy, FaultPolicy, PrefetcherKind, QueueModel, SystemConfig, SystemKind, WorkerSelect,
 };
 pub use sim::{RunResult, Simulation};
-pub use workload::{ArrayIndexWorkload, MixedWorkload, StridedWorkload, TenantWorkload, Workload};
+pub use workload::{ArrayIndexWorkload, StridedWorkload, TenantWorkload, Workload};

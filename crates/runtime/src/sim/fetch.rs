@@ -59,14 +59,9 @@ pub(super) struct Inflight {
     /// The current attempt's completion is an error: at `done_at` the
     /// chain fails over, or the page stays remote.
     failed: bool,
-    /// Completion consumed early by a worker that caught up with it.
+    /// Completion consumed early by a worker that caught up with it:
+    /// the event only frees the QP slot and wakes this record's waiters.
     completed_early: bool,
-    /// A later fetch of `page` was recorded while this one's
-    /// `FetchDone` was still queued (only an early-consumed record can
-    /// be: its page was evicted and re-faulted). The stale event still
-    /// frees this record's QP slot and wakes this record's waiters; the
-    /// cache and observatory state belong to the later fetch.
-    superseded: bool,
     /// Yield-policy waiters (request ids) to resume on completion.
     pub(super) waiters: Waiters,
 }
@@ -80,7 +75,6 @@ impl Inflight {
             attempt,
             failed,
             completed_early: false,
-            superseded: false,
             waiters: Waiters::default(),
         }
     }
@@ -100,15 +94,14 @@ pub(super) struct FetchId(u32);
 ///
 /// A record holds its QP slot until its event fires, so the table never
 /// holds more than `capacity` = Σ rails × QPs × `qp_depth` records;
-/// [`FetchTable::insert`] asserts it.
+/// [`FetchTable::insert`] asserts it. A page has at most one record its
+/// cache entry names: `PageCache::begin_fetch` refuses a second fetch of
+/// an in-flight page, so only an early-consumed record can share its
+/// page with a later one.
 pub(super) struct FetchTable {
     /// `None` = on the free list.
     slots: Vec<Option<Inflight>>,
     free: Vec<u32>,
-    /// The early-consumed records that are still their page's current
-    /// one: the only records a new fetch can supersede, and seldom more
-    /// than one or two, so `insert` searches these, never the slab.
-    early: Vec<FetchId>,
     capacity: usize,
 }
 
@@ -117,37 +110,12 @@ impl FetchTable {
         FetchTable {
             slots: Vec::new(),
             free: Vec::new(),
-            early: Vec::new(),
             capacity,
         }
     }
 
-    /// The page's current record, if one is still in the table (a scan:
-    /// for assertions and tests).
-    fn current_mut(&mut self, page: u64) -> Option<&mut Inflight> {
-        self.slots
-            .iter_mut()
-            .flatten()
-            .find(|f| f.page == page && !f.superseded)
-    }
-
-    /// Records `fetch` as the current fetch of its page, superseding an
-    /// early-consumed record of the same page whose event is still
-    /// queued. (A pending record that was *not* consumed early keeps its
-    /// page in flight, so `PageCache::begin_fetch` has already refused
-    /// the fetch that would overwrite it.)
+    /// Records `fetch` in a free slot.
     fn insert(&mut self, fetch: Inflight) -> FetchId {
-        let slots = &self.slots;
-        let same_page =
-            |id: &FetchId| slots[id.0 as usize].as_ref().map(|f| f.page) == Some(fetch.page);
-        if let Some(i) = self.early.iter().position(same_page) {
-            let old = self.early.swap_remove(i);
-            self.get_mut(old).superseded = true;
-        }
-        debug_assert!(
-            self.current_mut(fetch.page).is_none(),
-            "live fetch overwritten"
-        );
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(fetch);
@@ -176,9 +144,8 @@ impl FetchTable {
     #[inline]
     fn consumed_early(&mut self, id: FetchId) {
         let f = self.get_mut(id);
-        debug_assert!(!f.completed_early && !f.superseded);
+        debug_assert!(!f.completed_early);
         f.completed_early = true;
-        self.early.push(id);
     }
 
     /// Puts back record `id`, just removed: its chain failed over.
@@ -194,11 +161,6 @@ impl FetchTable {
         let fetch = self.slots[id.0 as usize]
             .take()
             .expect("completion without a fetch record");
-        if fetch.completed_early && !fetch.superseded {
-            let listed = self.early.iter().position(|&e| e == id);
-            self.early
-                .swap_remove(listed.expect("early-consumed current record is listed"));
-        }
         self.free.push(id.0);
         fetch
     }
@@ -256,7 +218,7 @@ impl Simulation<'_> {
         // The page's cache entry names the fetch to wait on.
         let fetch = FetchId(self.cache.fetch_tag(page));
         let info = self.fetches.get_mut(fetch);
-        debug_assert!(info.page == page && !info.completed_early && !info.superseded);
+        debug_assert!(info.page == page && !info.completed_early);
         let (done_at, failed, attempt) = (info.done_at, info.failed, info.attempt);
         // Demand raced an in-flight fetch (possibly a prefetch: arrived
         // lines classify hit, still-flying ones late).
@@ -598,7 +560,7 @@ impl Simulation<'_> {
         let (qp, _) = self.attempt_route(w, attempt);
         #[cfg(test)]
         let stale = info
-            .superseded
+            .completed_early
             .then(|| (info.waiters.len(), self.stale_probe(page, qp)));
         // A demand attempt's error CQE with budget left fails the chain
         // over into the same record, whose waiters stay parked on it.
@@ -641,26 +603,18 @@ impl Simulation<'_> {
             Some(info)
         };
         if let Some(info) = retired {
-            // The record is done: a superseded one only frees its QP slot
-            // and wakes its own waiters — the cache and observatory state
-            // belong to the page's later fetch.
-            let live = !info.superseded;
+            // An early-consumed record only wakes its own waiters: the
+            // coalesce that consumed it completed the page's fetch and
+            // classified its prefetch record, and the page may since have
+            // been evicted and fetched again.
             if failed {
                 // The fetch ended in error: the page never arrived.
                 debug_assert!(!info.completed_early, "failed fetch consumed early");
-                debug_assert!(live, "superseded fetches are always early-consumed");
                 self.obs.fetch_failed(now, w, page);
                 self.cancel_reservation(page);
-            } else {
-                if !info.completed_early {
-                    self.cache.complete_fetch(page);
-                }
-                if live {
-                    // A superseded fetch's own prefetch record was consumed
-                    // when it was classified; the page's current record (if
-                    // any) belongs to the later fetch still in flight.
-                    self.obs.fetch_arrived(page);
-                }
+            } else if !info.completed_early {
+                self.cache.complete_fetch(page);
+                self.obs.fetch_arrived(page);
             }
             // A dead demand chain aborts its parked waiters (busy-waiters
             // abort at their own wake); any other waiter resumes, or
@@ -715,16 +669,16 @@ impl Simulation<'_> {
         }
     }
 
-    /// What a superseded completion of `page` on `qp` may and may not
-    /// change: outstanding work requests run-wide and on `qp`, and the
-    /// waiters parked on the page's later fetch.
+    /// What an early-consumed completion of `page` on `qp` may and may
+    /// not change: outstanding work requests run-wide and on `qp`, and
+    /// the waiters parked on the page's later fetch, if one is in flight.
     #[cfg(test)]
     fn stale_probe(&mut self, page: u64, qp: QpId) -> (u32, u32, Option<usize>) {
-        (
-            self.outstanding,
-            self.qp_outstanding[qp.0 as usize],
-            self.fetches.current_mut(page).map(|f| f.waiters.len()),
-        )
+        let later = (self.cache.lookup(page) == PageState::InFlight).then(|| {
+            let id = FetchId(self.cache.fetch_tag(page));
+            self.fetches.get_mut(id).waiters.len()
+        });
+        (self.outstanding, self.qp_outstanding[qp.0 as usize], later)
     }
 }
 
@@ -732,35 +686,36 @@ impl Simulation<'_> {
 mod tests {
     use super::*;
 
-    /// The fetch table recycles retired handles, supersedes only
-    /// early-consumed records, and refuses to grow past its bound.
+    /// The fetch table recycles retired handles, keeps an early-consumed
+    /// record apart from its page's later fetch, and refuses to grow past
+    /// its bound.
     #[test]
     fn fetch_table_reuses_handles_and_tracks_the_current_record() {
         // One record per QP slot, whose bytes the ledger's allocation
         // metrics see: it must not grow.
         assert_eq!(std::mem::size_of::<Inflight>(), 48);
-        let fetch = |page| Inflight::new(page, 0, 1, SimTime(10), false);
+        let fetch = |page, done_at| Inflight::new(page, 0, 1, SimTime(done_at), false);
         let mut t = FetchTable::new(2);
-        let a = t.insert(fetch(7));
-        let b = t.insert(fetch(8));
+        let a = t.insert(fetch(7, 10));
+        let b = t.insert(fetch(8, 10));
         assert_ne!(a, b);
         // Retire, then reuse the slot: the table stays at two slots.
-        assert!(!t.remove(a).superseded);
-        let c = t.insert(fetch(9));
+        assert!(!t.remove(a).completed_early);
+        let c = t.insert(fetch(9, 10));
         assert_eq!(c, a, "a retired handle is the next one handed out");
-        // An early-consumed record is superseded by the page's next fetch;
-        // its own handle still resolves to it.
+        // An early-consumed record and its page's next fetch are two
+        // records: each handle still resolves to its own.
         t.consumed_early(b);
-        assert!(!t.remove(c).superseded);
-        let d = t.insert(fetch(8));
-        assert_eq!(t.current_mut(8).map(|f| f.done_at), Some(SimTime(10)));
+        assert!(!t.remove(c).completed_early);
+        let d = t.insert(fetch(8, 20));
+        assert_eq!(t.get_mut(d).done_at, SimTime(20));
         t.get_mut(d).waiters.push(3);
         let stale = t.remove(b);
-        assert!(stale.superseded && stale.waiters.into_iter().next().is_none());
+        assert!(stale.completed_early && stale.waiters.into_iter().next().is_none());
         let live = t.remove(d);
-        assert!(!live.superseded);
+        assert!(!live.completed_early);
         assert_eq!(live.waiters.into_iter().collect::<Vec<_>>(), [3]);
-        assert!(t.current_mut(8).is_none());
+        assert!(t.slots.iter().all(Option::is_none));
     }
 
     #[test]
@@ -770,19 +725,5 @@ mod tests {
         for page in 0..4 {
             t.insert(Inflight::new(page, 0, 1, SimTime(10), false));
         }
-    }
-
-    /// A fetch of a page whose current record was *not* consumed early
-    /// would strand that record's waiters: debug builds refuse (in
-    /// release, `PageCache::begin_fetch` has refused it before).
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "live fetch overwritten")]
-    fn fetch_table_refuses_to_supersede_a_pending_fetch() {
-        let mut t = FetchTable::new(4);
-        let early = t.insert(Inflight::new(1, 0, 1, SimTime(10), false));
-        t.consumed_early(early);
-        t.insert(Inflight::new(2, 0, 1, SimTime(10), false));
-        t.insert(Inflight::new(2, 0, 1, SimTime(20), false));
     }
 }

@@ -181,7 +181,7 @@ pub(crate) struct DispatchCharge {
     pub(crate) disp: usize,
 }
 
-/// What one superseded fetch completion did, recorded only under
+/// What one early-consumed fetch completion did, recorded only under
 /// `cfg(test)` (see `Simulation::on_fetch_done`): the stale event must
 /// free its own QP slot and leave the page's later fetch alone.
 #[cfg(test)]
@@ -194,7 +194,7 @@ pub(crate) struct StaleCompletion {
     /// Requests parked on the stale record itself.
     pub(crate) own_waiters: usize,
     /// Requests parked on the page's later fetch, before and after
-    /// (`None` = the page has no record in the table).
+    /// (`None` = no fetch of the page is in flight).
     pub(crate) later_waiters: (Option<usize>, Option<usize>),
 }
 
@@ -550,15 +550,15 @@ pub struct Simulation<'w> {
     /// Dispatcher-timeline charges for the differential oracle.
     #[cfg(test)]
     dispatcher_log: Vec<DispatchCharge>,
-    /// Every superseded fetch completion, in event order.
+    /// Every early-consumed fetch completion, in event order.
     #[cfg(test)]
     stale_completions: Vec<StaleCompletion>,
     /// One record per fetch whose `FetchDone` is still queued, indexed
     /// by the handle the event carries. A fetch whose completion was
     /// consumed early can see its page evicted and re-faulted while its
-    /// event is still queued: the re-fault marks the old record
-    /// superseded, so the stale event still frees the right QP slot and
-    /// wakes its own waiters instead of the later fetch's.
+    /// event is still queued: the event carries its own record, so it
+    /// frees that record's QP slot and wakes its own waiters, and the
+    /// page's cache entry names the later fetch.
     fetches: FetchTable,
     /// Per-shard dirty pages whose write-back is waiting for that
     /// shard's reclaimer-QP slot.

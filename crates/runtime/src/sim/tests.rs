@@ -1371,7 +1371,7 @@ fn event_queue_over_its_ceiling_panics() {
     sim.run();
 }
 
-/// What every superseded completion must have done (see
+/// What every early-consumed completion must have done (see
 /// [`StaleCompletion`]): freed exactly its own QP slot and left the
 /// waiters of the page's later fetch parked.
 fn assert_stale_completion_is_clean(s: &StaleCompletion) {
@@ -1455,15 +1455,16 @@ fn stale_fetch_completion_frees_its_slot_and_wakes_only_its_own_waiter() {
 }
 
 /// The same path reached by a whole run: a thrashing cache (2 % local)
-/// under sequential walks with readahead on. It is rare even there —
-/// early consumption, eviction and re-fault must all fit inside one
-/// fetch's flight time — so this pins a configuration known to reach it
-/// and holds every occurrence to the contract; the scenario test above
-/// is the one that does not depend on the model's timing.
+/// under sequential walks with readahead on. A later fetch in flight at
+/// the stale event is rare even there — early consumption, eviction and
+/// re-fault must all fit inside one fetch's flight time — so this pins a
+/// configuration known to reach it and holds every early-consumed
+/// completion to the contract; the scenario test above is the one that
+/// does not depend on the model's timing.
 #[test]
-fn thrashing_run_reaches_superseded_completions_and_each_is_clean() {
+fn thrashing_run_reaches_stale_completions_and_each_is_clean() {
     use crate::workload::StridedWorkload;
-    // Returns the superseded completions and the evictions of one run.
+    // Returns the early-consumed completions and the evictions of one run.
     let run = |cfg: SystemConfig, rps: f64| {
         let mut w = StridedWorkload::new(16_384, 1, 64);
         let params = RunParams {
@@ -1485,8 +1486,8 @@ fn thrashing_run_reaches_superseded_completions_and_each_is_clean() {
     let (stale, evictions) = run(cfg, 50_000.0);
     assert!(evictions > 10_000, "the cache thrashes: {evictions}");
     assert!(
-        !stale.is_empty(),
-        "no superseded completion: the pinned configuration went cold"
+        stale.iter().any(|s| s.later_waiters.0.is_some()),
+        "no stale completion under a later fetch: the pinned configuration went cold"
     );
     // Deeper into overload, and under busy-waiting (where nobody parks,
     // so a stale event has no waiter of its own).

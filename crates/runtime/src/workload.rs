@@ -208,74 +208,10 @@ impl Workload for StridedWorkload {
     }
 }
 
-/// Two workloads co-located on one node (the multi-application setting
-/// Canvas [§1] targets): requests are drawn from `b` with probability
-/// `fraction_b`, otherwise from `a`. Their page namespaces are disjoint
-/// (`b`'s pages are offset past `a`'s working set) and their request
-/// classes are concatenated, so per-tenant latency remains visible.
-pub struct MixedWorkload<A, B> {
-    a: A,
-    b: B,
-    fraction_b: f64,
-    classes: &'static [&'static str],
-}
-
-impl<A: Workload, B: Workload> MixedWorkload<A, B> {
-    /// Co-locates `a` and `b`; `fraction_b` of requests go to `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction_b` is outside `[0, 1]`.
-    pub fn new(a: A, b: B, fraction_b: f64) -> MixedWorkload<A, B> {
-        assert!((0.0..=1.0).contains(&fraction_b));
-        // The Workload trait hands out 'static class tables; build the
-        // concatenation once per mix (leaked: a handful of pointers per
-        // experiment configuration).
-        let combined: Vec<&'static str> = a.classes().iter().chain(b.classes()).copied().collect();
-        MixedWorkload {
-            classes: Box::leak(combined.into_boxed_slice()),
-            a,
-            b,
-            fraction_b,
-        }
-    }
-
-    /// Class index of tenant `b`'s class `i` in the combined table.
-    pub fn b_class(&self, i: u16) -> u16 {
-        self.a.classes().len() as u16 + i
-    }
-}
-
-impl<A: Workload, B: Workload> Workload for MixedWorkload<A, B> {
-    fn classes(&self) -> &'static [&'static str] {
-        self.classes
-    }
-
-    fn total_pages(&self) -> u64 {
-        self.a.total_pages() + self.b.total_pages()
-    }
-
-    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
-        if rng.gen_bool(self.fraction_b) {
-            self.b.next_request_into(rng, buf);
-            // Shift tenant b into its own page namespace and class range.
-            let offset = self.a.total_pages();
-            for step in &mut buf.steps {
-                if let Some(a) = &mut step.access {
-                    a.page += offset;
-                }
-            }
-            buf.class += self.a.classes().len() as u16;
-        } else {
-            self.a.next_request_into(rng, buf);
-        }
-    }
-}
-
 /// N co-located tenant apps with disjoint page namespaces and
-/// concatenated class tables — the workload side of the tenant plane.
+/// concatenated class tables — the workload side of the tenant plane
+/// and the multi-application setting Canvas (§1) targets.
 ///
-/// Where [`MixedWorkload`] draws the tenant *randomly* per request,
 /// `TenantWorkload` is told which tenant each arrival belongs to (the
 /// [`loadgen::tenant::TenantMix`] merged stream carries the id) and
 /// routes `next_request_for` to that tenant's app, shifting its pages
@@ -312,9 +248,9 @@ impl TenantWorkload {
             combined.extend(app.classes());
         }
         TenantWorkload {
-            // Same deal as MixedWorkload: the trait hands out 'static
-            // class tables, so the concatenation is leaked once per
-            // configuration.
+            // The trait hands out 'static class tables, so the
+            // concatenation is leaked once per configuration (a handful
+            // of pointers).
             classes: Box::leak(combined.into_boxed_slice()),
             apps,
             page_offsets,
@@ -376,29 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_workload_partitions_namespaces() {
-        let a = ArrayIndexWorkload::new(1_000);
-        let b = ArrayIndexWorkload::new(2_000);
-        let mut m = MixedWorkload::new(a, b, 0.5);
-        assert_eq!(m.total_pages(), 3_000);
-        assert_eq!(m.classes(), &["lookup", "lookup"]);
-        let mut rng = Rng::new(9);
-        let (mut from_a, mut from_b) = (0, 0);
-        for _ in 0..2_000 {
-            let t = m.next_request(&mut rng);
-            let page = t.steps[0].access.unwrap().page;
-            if t.class == 0 {
-                assert!(page < 1_000, "tenant a stays in its namespace");
-                from_a += 1;
-            } else {
-                assert!((1_000..3_000).contains(&page), "tenant b offset");
-                from_b += 1;
-            }
-        }
-        assert!(from_a > 800 && from_b > 800, "{from_a}/{from_b}");
-    }
-
-    #[test]
     fn tenant_workload_routes_by_tenant_id() {
         let mut w = TenantWorkload::new(vec![
             Box::new(ArrayIndexWorkload::new(1_000)),
@@ -439,16 +352,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "0.0..=1.0")]
-    fn mixed_rejects_bad_fraction() {
-        MixedWorkload::new(
-            ArrayIndexWorkload::new(100),
-            ArrayIndexWorkload::new(100),
-            1.5,
-        );
-    }
-
-    #[test]
     fn microbench_touches_one_uniform_page() {
         let mut w = ArrayIndexWorkload::new(1000);
         let mut rng = Rng::new(1);
@@ -467,10 +370,11 @@ mod tests {
     /// A recycled, pre-dirtied buffer must come back holding exactly the
     /// trace a fresh buffer gets, from the same rng draws: generators
     /// replace every field — the simulator's byte-determinism depends
-    /// on it.
+    /// on it. Tenant 0 goes through `next_request`, any other tenant
+    /// through `next_request_for` into a fresh buffer.
     #[test]
     fn into_path_matches_allocating_path() {
-        fn check(mut fresh: impl Workload, mut pooled: impl Workload, seed: u64) {
+        fn check(mut fresh: impl Workload, mut pooled: impl Workload, tenant: usize, seed: u64) {
             let mut rng_a = Rng::new(seed);
             let mut rng_b = Rng::new(seed);
             let mut buf = Trace::default();
@@ -481,8 +385,14 @@ mod tests {
             });
             buf.class = 7;
             for _ in 0..500 {
-                let t = fresh.next_request(&mut rng_a);
-                pooled.next_request_into(&mut rng_b, &mut buf);
+                let t = if tenant == 0 {
+                    fresh.next_request(&mut rng_a)
+                } else {
+                    let mut t = Trace::default();
+                    fresh.next_request_for(tenant, &mut rng_a, &mut t);
+                    t
+                };
+                pooled.next_request_for(tenant, &mut rng_b, &mut buf);
                 assert_eq!(t.class, buf.class);
                 assert_eq!(t.steps, buf.steps);
                 assert_eq!(t.request_bytes, buf.request_bytes);
@@ -492,26 +402,22 @@ mod tests {
         check(
             ArrayIndexWorkload::new(5_000),
             ArrayIndexWorkload::new(5_000),
+            0,
             11,
         );
         check(
             StridedWorkload::new(100_000, 7, 12),
             StridedWorkload::new(100_000, 7, 12),
+            0,
             12,
         );
-        check(
-            MixedWorkload::new(
-                ArrayIndexWorkload::new(1_000),
-                StridedWorkload::new(50_000, 3, 4),
-                0.4,
-            ),
-            MixedWorkload::new(
-                ArrayIndexWorkload::new(1_000),
-                StridedWorkload::new(50_000, 3, 4),
-                0.4,
-            ),
-            13,
-        );
+        let two_apps = || {
+            TenantWorkload::new(vec![
+                Box::new(ArrayIndexWorkload::new(1_000)),
+                Box::new(StridedWorkload::new(50_000, 3, 4)),
+            ])
+        };
+        check(two_apps(), two_apps(), 1, 13);
     }
 
     #[test]

@@ -381,8 +381,7 @@ fn workload_traces_independent_of_system() {
     let b = run_one(SystemConfig::adios(), &mut w2, params(11));
     // Both systems clear this light load: same completion counts.
     assert_eq!(
-        a.recorder.completed_total(),
-        b.recorder.completed_total(),
+        a.conservation.completions, b.conservation.completions,
         "identical arrival sequences expected"
     );
 }

@@ -2,29 +2,10 @@
 //! model, each pinned to the `(len, fnv1a)` of its serialised output.
 //!
 //! Every other determinism test compares two runs of the *same* build,
-//! so it cannot see a refactor drift; these constants were captured on
-//! the tree *before* `runtime::sim` was decomposed and must pass
-//! unmodified after. (Three re-pins since: the three telemetry + armed
-//! fault rows, when the report's `"episodes"` annotations stopped being
-//! empty — their bytes differ from the capture only inside that array;
-//! and the 32-worker all-planes row, when every worker's runnable queue
-//! got its `q.wN.runnable.depth` gauge — removing the gauges of workers
-//! 16–31 from the registry and the telemetry series restores the old
-//! bytes exactly; and the MMPP row, when the dynamics timeline whose
-//! series it appended was removed — cutting that suffix off the old
-//! output gives its new pin exactly.) Model re-pins: the sharded crash
-//! rows and the two 4-dispatcher rows, when a QP-full retry stopped
-//! waking before its pause began. Every row was re-pinned once more
-//! when busy-wait time left the registry for the window-clamped spin
-//! tally: the metrics block (and any telemetry series) lost `spin_ns`,
-//! the profile block lost its two spin keys,
-//! QP-full pauses moved from `fetch_wait` to `spin`, and busy-waiting
-//! rows' `spin_fraction` digits moved by the window clamp. The five crash
-//! rows — the only ones whose scenario raises error CQEs — were re-pinned
-//! when a failover attempt came to be posted as its predecessor's error
-//! CQE surfaces rather than at fault time, never back to a dead primary
-//! while a replica is left, and a waiter parked on a failed prefetch came
-//! to refault without a page map.
+//! so it cannot see a refactor drift; a refactor must pass these
+//! constants unmodified. Why a row was re-pinned is in `git log` and
+//! CHANGES.md.
+//!
 //! Shared by `tests/determinism.rs` (asserts the table) and
 //! `examples/golden_capture.rs` (prints it — refresh a row only when an
 //! intentional format or model change lands).
