@@ -12,6 +12,15 @@
 //! through the word that told it the page was in flight — the runtime
 //! keeps no page → fetch map beside the table.
 //!
+//! [`PageCache`]'s private `place` is the one writer of that encoding:
+//! a fault's [`PageCache::begin_fetch`] places a page in flight, warm-up
+//! ([`PageCache::warm`], [`PageCache::warm_with`]) places it resident.
+//! The free frames are the frames eviction released, reused last in
+//! first out, plus the tail of frames no page has held yet, handed out in
+//! ascending order once the released ones run out. That is the order a
+//! full reversed free list would pop, without writing one at set-up:
+//! set-up pays only for the frames warm-up fills.
+//!
 //! Fetches are two-phase because RDMA READs are one-sided: the fault
 //! handler must *reserve a frame first* (the NIC DMA-writes the page
 //! into it), so allocation pressure is felt at fault time, not at
@@ -117,7 +126,11 @@ pub struct PageCache {
     /// The page table: one word per page (see the module doc).
     entry: Vec<u32>,
     frames: Vec<Frame>,
+    /// Frames eviction released, reused last in first out before any
+    /// fresh frame.
     free: Vec<u32>,
+    /// Frames `fresh..` have never held a page.
+    fresh: u32,
     clock_hand: usize,
     policy: EvictionPolicy,
     stats: CacheStats,
@@ -151,7 +164,8 @@ impl PageCache {
         PageCache {
             entry: vec![0; total_pages as usize],
             frames: vec![Frame::EMPTY; capacity],
-            free: (0..capacity as u32).rev().collect(),
+            free: Vec::new(),
+            fresh: 0,
             clock_hand: 0,
             policy,
             stats: CacheStats::default(),
@@ -197,10 +211,39 @@ impl PageCache {
         self.frames.len()
     }
 
-    /// Frames on the free list.
+    /// Frames holding no page: the released ones and the fresh tail.
     #[inline]
     pub fn free_frames(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.frames.len() - self.fresh as usize
+    }
+
+    /// Takes a free frame: the last one released, else the lowest fresh one.
+    #[inline]
+    fn take_frame(&mut self) -> Option<u32> {
+        if let Some(f) = self.free.pop() {
+            return Some(f);
+        }
+        let f = self.fresh;
+        if f as usize == self.frames.len() {
+            return None;
+        }
+        self.fresh += 1;
+        Some(f)
+    }
+
+    /// Places `page` in `frame`: the page-table word (frame + 1 under
+    /// `flag`, `INFLIGHT` or 0), the frame word (referenced, clean,
+    /// untagged) and, under LRU, the MRU link.
+    #[inline]
+    fn place(&mut self, page: u64, frame: u32, flag: u32) {
+        self.entry[page as usize] = (frame + 1) | flag;
+        self.frames[frame as usize] = Frame {
+            page: page as u32 | REF,
+            fetch_tag: 0,
+        };
+        if self.policy == EvictionPolicy::Lru {
+            self.lru_push_mru(frame);
+        }
     }
 
     /// Resident + in-flight pages.
@@ -266,18 +309,11 @@ impl PageCache {
             self.entry[page as usize], 0,
             "begin_fetch on page {page} already present"
         );
-        let Some(frame) = self.free.pop() else {
+        let Some(frame) = self.take_frame() else {
             return false;
         };
         self.stats.misses += 1;
-        self.entry[page as usize] = (frame + 1) | INFLIGHT;
-        self.frames[frame as usize] = Frame {
-            page: page as u32 | REF,
-            fetch_tag: 0,
-        };
-        if self.policy == EvictionPolicy::Lru {
-            self.lru_push_mru(frame);
-        }
+        self.place(page, frame, INFLIGHT);
         true
     }
 
@@ -420,12 +456,11 @@ impl PageCache {
             if self.lookup(page) != PageState::NotResident {
                 continue;
             }
-            assert!(self.begin_fetch(page), "warm ran out of frames");
-            self.complete_fetch(page);
+            let frame = self.take_frame().expect("warm ran out of frames");
+            self.place(page, frame, 0);
             placed += 1;
         }
-        // Warming is not a measured fetch.
-        self.stats = CacheStats::default();
+        self.warmed();
     }
 
     /// Pre-populates the cache with the specific `pages` (used by
@@ -433,15 +468,22 @@ impl PageCache {
     /// sequential load phase).
     pub fn warm_with(&mut self, pages: impl IntoIterator<Item = u64>) {
         for page in pages {
-            if self.free_frames() == 0 {
-                break;
-            }
             if self.lookup(page) != PageState::NotResident {
                 continue;
             }
-            assert!(self.begin_fetch(page));
-            self.complete_fetch(page);
+            let Some(frame) = self.take_frame() else {
+                break;
+            };
+            self.place(page, frame, 0);
         }
+        self.warmed();
+    }
+
+    /// Ends warm-up: sizes the released-frame stack for every frame
+    /// warm-up left fresh, so eviction never grows it inside a run.
+    fn warmed(&mut self) {
+        self.free
+            .reserve_exact(self.frames.len() - self.fresh as usize);
         self.stats = CacheStats::default();
     }
 
@@ -688,20 +730,54 @@ mod tests {
             self.stats.hits += 1;
         }
 
-        fn begin_fetch(&mut self, page: u64) -> bool {
+        /// Puts `page` in the frame on top of the free stack: in flight
+        /// for a fault, resident for warm-up.
+        fn place(&mut self, page: u64, inflight: bool) -> bool {
             let Some(f) = self.free.pop() else {
                 return false;
             };
             self.slots[f] = Some(Slot {
                 page,
-                inflight: true,
+                inflight,
                 referenced: true,
                 dirty: false,
                 tag: 0,
             });
             self.recency.push(f);
-            self.stats.misses += 1;
             true
+        }
+
+        fn begin_fetch(&mut self, page: u64) -> bool {
+            let placed = self.place(page, true);
+            self.stats.misses += u64::from(placed);
+            placed
+        }
+
+        fn warm_with(&mut self, pages: impl IntoIterator<Item = u64>) {
+            for page in pages {
+                if self.free.is_empty() {
+                    break;
+                }
+                if self.state(page) == PageState::NotResident {
+                    self.place(page, false);
+                }
+            }
+        }
+
+        /// Warm-up's contract: every page in page order when all fit,
+        /// else `n` distinct pages in the order `rng` draws them.
+        fn warm(&mut self, n: usize, total: u64, rng: &mut Rng) {
+            if n as u64 == total {
+                return self.warm_with(0..total);
+            }
+            let mut placed = 0;
+            while placed < n {
+                let page = rng.gen_range(total);
+                if self.state(page) == PageState::NotResident {
+                    self.place(page, false);
+                    placed += 1;
+                }
+            }
         }
 
         fn evict(&mut self) -> Option<(u64, bool)> {
@@ -739,97 +815,202 @@ mod tests {
         }
     }
 
-    /// Frame conservation and agreement with [`Model`] under every
-    /// policy: random faults, touches (half writes), completions, fetch
-    /// tags and reclaimer evictions. After each step free + used ==
-    /// capacity, every page's state, the counters and the free frames
-    /// equal the model's, every victim (with its dirty bit) is the
-    /// model's, and an in-flight page reads back the model's tag.
-    #[test]
-    fn frame_conservation() {
-        let mut rng = Rng::new(0xCACE);
-        let (mut victims, mut dirty_victims, mut tag_reads) = (0, 0, 0);
-        for round in 0..48 {
-            let policy = [
-                EvictionPolicy::Clock,
-                EvictionPolicy::Fifo,
-                EvictionPolicy::Lru,
-            ][round % 3];
-            let mut c = PageCache::new(8, 50, policy);
-            let mut m = Model::new(8, policy);
-            let ops = 1 + rng.gen_range(299) as usize;
-            for _ in 0..ops {
-                // Half the accesses go to a 12-page hot set, so pages are
-                // hit, written and evicted dirty.
-                let hot = rng.gen_bool(0.5);
-                let page = rng.gen_range(if hot { 12 } else { 50 });
-                let write = rng.gen_bool(0.5);
-                let mut victim = None;
-                if rng.gen_bool(0.1) {
-                    // The reclaimer, evicting ahead of demand.
-                    victim = Some(c.evict_one());
-                    assert_eq!(victim.unwrap(), m.evict(), "round {round}");
-                } else {
-                    match c.lookup(page) {
-                        PageState::Resident => {
-                            c.touch(page, write);
-                            m.touch(page, write);
+    /// Asserts `c` agrees with `m`: free + used == capacity, the free
+    /// frame count, every page's state, frame and dirty bit, and the
+    /// counters.
+    fn assert_agrees(c: &PageCache, m: &mut Model, round: usize) {
+        assert_eq!(c.free_frames() + c.used_frames(), c.capacity());
+        assert_eq!(c.free_frames(), m.free.len(), "round {round}");
+        for p in 0..c.total_pages() {
+            assert_eq!(c.lookup(p), m.state(p), "page {p}, round {round}");
+            if c.lookup(p) != PageState::NotResident {
+                let f = (c.entry[p as usize] & !INFLIGHT) as usize - 1;
+                assert_eq!(f, m.frame(p), "frame of page {p}, round {round}");
+                let dirty = c.frames[f].page & DIRTY != 0;
+                assert_eq!(dirty, m.slot(p).unwrap().dirty, "page {p}, round {round}");
+            }
+        }
+        let (s, e) = (c.stats(), m.stats);
+        assert_eq!(
+            (s.hits, s.misses, s.evictions, s.dirty_evictions),
+            (e.hits, e.misses, e.evictions, e.dirty_evictions)
+        );
+    }
+
+    /// Evictions, dirty evictions and tag reads [`drive`] compared.
+    #[derive(Default)]
+    struct Compared {
+        victims: u32,
+        dirty_victims: u32,
+        tag_reads: u32,
+    }
+
+    /// Feeds `c` and `m` `ops` random steps — faults, touches (half
+    /// writes, half of all accesses to a 12-page hot set), completions,
+    /// fetch tags and reclaimer evictions — asserting after each that
+    /// they agree, every victim (with its dirty bit) is the model's, and
+    /// an in-flight page reads back the model's tag.
+    fn drive(
+        c: &mut PageCache,
+        m: &mut Model,
+        rng: &mut Rng,
+        ops: usize,
+        round: usize,
+    ) -> Compared {
+        let mut n = Compared::default();
+        let pages = c.total_pages();
+        for _ in 0..ops {
+            let hot = rng.gen_bool(0.5);
+            let page = rng.gen_range(if hot { 12 } else { pages });
+            let write = rng.gen_bool(0.5);
+            let mut victim = None;
+            if rng.gen_bool(0.1) {
+                // The reclaimer, evicting ahead of demand.
+                victim = Some(c.evict_one());
+                assert_eq!(victim.unwrap(), m.evict(), "round {round}");
+            } else {
+                match c.lookup(page) {
+                    PageState::Resident => {
+                        c.touch(page, write);
+                        m.touch(page, write);
+                    }
+                    PageState::InFlight => {
+                        n.tag_reads += 1;
+                        assert_eq!(c.fetch_tag(page), m.slot(page).unwrap().tag);
+                        if rng.gen_bool(0.5) {
+                            c.complete_fetch(page);
+                            m.slot(page).unwrap().inflight = false;
                         }
-                        PageState::InFlight => {
-                            tag_reads += 1;
-                            assert_eq!(c.fetch_tag(page), m.slot(page).unwrap().tag);
-                            if rng.gen_bool(0.5) {
-                                c.complete_fetch(page);
-                                m.slot(page).unwrap().inflight = false;
-                            }
-                        }
-                        PageState::NotResident => {
-                            if !c.begin_fetch(page) {
-                                assert!(!m.begin_fetch(page));
-                                // A cache full of in-flight fetches has no
-                                // evictable victim; otherwise eviction must
-                                // make room.
-                                victim = Some(c.evict_one());
-                                assert_eq!(victim.unwrap(), m.evict(), "round {round}");
-                                if victim.unwrap().is_some() {
-                                    assert!(c.begin_fetch(page));
-                                    assert!(m.begin_fetch(page));
-                                }
-                            } else {
+                    }
+                    PageState::NotResident => {
+                        if !c.begin_fetch(page) {
+                            assert!(!m.begin_fetch(page));
+                            // A cache full of in-flight fetches has no
+                            // evictable victim; otherwise eviction must
+                            // make room.
+                            victim = Some(c.evict_one());
+                            assert_eq!(victim.unwrap(), m.evict(), "round {round}");
+                            if victim.unwrap().is_some() {
+                                assert!(c.begin_fetch(page));
                                 assert!(m.begin_fetch(page));
                             }
-                            if c.lookup(page) == PageState::InFlight && rng.gen_bool(0.5) {
-                                let tag = rng.next_u64() as u32;
-                                c.tag_fetch(page, tag);
-                                m.slot(page).unwrap().tag = tag;
-                            }
-                            // Most READs land before the page is wanted again.
-                            if c.lookup(page) == PageState::InFlight && rng.gen_bool(0.7) {
-                                c.complete_fetch(page);
-                                m.slot(page).unwrap().inflight = false;
-                            }
+                        } else {
+                            assert!(m.begin_fetch(page));
+                        }
+                        if c.lookup(page) == PageState::InFlight && rng.gen_bool(0.5) {
+                            let tag = rng.next_u64() as u32;
+                            c.tag_fetch(page, tag);
+                            m.slot(page).unwrap().tag = tag;
+                        }
+                        // Most READs land before the page is wanted again.
+                        if c.lookup(page) == PageState::InFlight && rng.gen_bool(0.7) {
+                            c.complete_fetch(page);
+                            m.slot(page).unwrap().inflight = false;
                         }
                     }
                 }
-                if let Some(Some((_, dirty))) = victim {
-                    victims += 1;
-                    dirty_victims += u32::from(dirty);
-                }
-                assert_eq!(c.free_frames() + c.used_frames(), c.capacity());
-                assert_eq!(c.free_frames(), m.free.len());
-                for p in 0..50 {
-                    assert_eq!(c.lookup(p), m.state(p), "page {p}, round {round}");
-                }
-                let (s, e) = (c.stats(), m.stats);
-                assert_eq!(
-                    (s.hits, s.misses, s.evictions, s.dirty_evictions),
-                    (e.hits, e.misses, e.evictions, e.dirty_evictions)
-                );
             }
+            if let Some(Some((_, dirty))) = victim {
+                n.victims += 1;
+                n.dirty_victims += u32::from(dirty);
+            }
+            assert_agrees(c, m, round);
         }
-        assert!(victims > 2_000, "only {victims} evictions compared");
-        assert!(dirty_victims > 100, "only {dirty_victims} dirty evictions");
-        assert!(tag_reads > 800, "only {tag_reads} tag reads");
+        n
+    }
+
+    const POLICIES: [EvictionPolicy; 3] = [
+        EvictionPolicy::Clock,
+        EvictionPolicy::Fifo,
+        EvictionPolicy::Lru,
+    ];
+
+    /// Frame conservation and agreement with [`Model`] under every
+    /// policy, from a cold cache (see [`drive`]).
+    #[test]
+    fn frame_conservation() {
+        let mut rng = Rng::new(0xCACE);
+        let mut total = Compared::default();
+        for round in 0..48 {
+            let policy = POLICIES[round % 3];
+            let mut c = PageCache::new(8, 50, policy);
+            let mut m = Model::new(8, policy);
+            let ops = 1 + rng.gen_range(299) as usize;
+            let n = drive(&mut c, &mut m, &mut rng, ops, round);
+            total.victims += n.victims;
+            total.dirty_victims += n.dirty_victims;
+            total.tag_reads += n.tag_reads;
+        }
+        assert!(
+            total.victims > 2_000,
+            "only {} evictions compared",
+            total.victims
+        );
+        assert!(
+            total.dirty_victims > 100,
+            "only {} dirty evictions",
+            total.dirty_victims
+        );
+        assert!(total.tag_reads > 800, "only {} tag reads", total.tag_reads);
+    }
+
+    /// The same agreement from warmed starts, where the model keeps the
+    /// full reversed free stack the cache replaced with released frames
+    /// plus a fresh tail: `warm` below capacity, to a full cache and over
+    /// every page, and `warm_with` a list with repeats, each under every
+    /// policy. Warm-up must leave the model's frames, and draw what it
+    /// draws.
+    #[test]
+    fn warmed_starts_match_model() {
+        let mut rng = Rng::new(0x3A3B);
+        let mut total = Compared::default();
+        for round in 0..96 {
+            let policy = POLICIES[round % 3];
+            let (cap, pages) = if round / 3 % 4 == 2 {
+                (40, 40)
+            } else {
+                (16, 40)
+            };
+            let mut c = PageCache::new(cap, pages, policy);
+            let mut m = Model::new(cap, policy);
+            match round / 3 % 4 {
+                kind @ 0..=2 => {
+                    let n = if kind == 0 {
+                        1 + rng.gen_range(cap as u64 - 1) as usize
+                    } else {
+                        cap
+                    };
+                    let mut model_rng = rng.clone();
+                    c.warm(n, &mut rng);
+                    m.warm(n, pages, &mut model_rng);
+                    assert_eq!(rng.next_u64(), model_rng.next_u64(), "same draws");
+                    assert_eq!(c.used_frames(), n);
+                }
+                _ => {
+                    let list: Vec<u64> =
+                        (0..rng.gen_range(32)).map(|_| rng.gen_range(24)).collect();
+                    c.warm_with(list.iter().copied());
+                    m.warm_with(list);
+                }
+            }
+            assert_eq!(c.stats().misses, 0, "warming is not measured");
+            assert_agrees(&c, &mut m, round);
+            let n = drive(&mut c, &mut m, &mut rng, 300, round);
+            total.victims += n.victims;
+            total.dirty_victims += n.dirty_victims;
+            total.tag_reads += n.tag_reads;
+        }
+        assert!(
+            total.victims > 3_000,
+            "only {} evictions compared",
+            total.victims
+        );
+        assert!(
+            total.dirty_victims > 200,
+            "only {} dirty evictions",
+            total.dirty_victims
+        );
+        assert!(total.tag_reads > 800, "only {} tag reads", total.tag_reads);
     }
 
     /// The packed layout: an 8-byte frame, a page-table word of frame + 1

@@ -1,9 +1,12 @@
-//! Steady-state memory observation allocates nothing: inside one heat
-//! window, `MemObservatory::on_touch` — and the prefetch bookkeeping
-//! around it — must not touch the allocator.
+//! Steady-state paging allocates nothing: inside one heat window,
+//! `MemObservatory::on_touch` — and the prefetch bookkeeping around it —
+//! must not touch the allocator, and neither may a warmed `PageCache`
+//! faulting and evicting between the reclaimer's watermarks.
 
 use desim::Rng;
 use paging::observe::{MemObsConfig, MemObservatory, PrefetchClass};
+use paging::reclaim::Watermarks;
+use paging::{EvictionPolicy, PageCache, PageState};
 
 #[path = "../../desim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -44,4 +47,50 @@ fn touches_within_one_window_do_not_allocate() {
     let report = obs.finish(1_000_000);
     assert_eq!(report.touches, WARM_UP + MEASURED);
     assert!(report.holds());
+}
+
+/// Warm-up sizes the stack of released frames for every frame it left
+/// fresh, so a cache warmed to the high watermark, as the runtime warms
+/// it, then cycled fault → complete → evict with its free frames held
+/// between the watermarks never grows that stack inside a run.
+#[test]
+fn warmed_cache_cycles_without_allocating() {
+    const CAPACITY: usize = 4_096;
+    const CYCLES: u64 = 10_000;
+    let marks = Watermarks::new(0.15, 0.16);
+    let (low, high) = (marks.low_frames(CAPACITY), marks.high_frames(CAPACITY));
+    for policy in [
+        EvictionPolicy::Clock,
+        EvictionPolicy::Fifo,
+        EvictionPolicy::Lru,
+    ] {
+        let mut cache = PageCache::new(CAPACITY, PAGES, policy);
+        let mut rng = Rng::new(43);
+        cache.warm(CAPACITY - high, &mut rng);
+        let before = counting_alloc::allocs();
+        let mut evictions = 0;
+        for _ in 0..CYCLES {
+            let page = loop {
+                let page = rng.gen_range(PAGES);
+                if cache.lookup(page) == PageState::NotResident {
+                    break page;
+                }
+            };
+            assert!(cache.begin_fetch(page), "a frame above the low watermark");
+            cache.complete_fetch(page);
+            cache.touch(page, page % 3 == 0);
+            if cache.free_frames() < low {
+                while cache.free_frames() < high {
+                    cache.evict_one().expect("a resident victim");
+                    evictions += 1;
+                }
+            }
+        }
+        let allocs = counting_alloc::allocs() - before;
+        assert_eq!(allocs, 0, "{policy:?}: allocations in {CYCLES} cycles");
+        assert!(
+            evictions > CYCLES / 2,
+            "{policy:?}: only {evictions} evictions"
+        );
+    }
 }

@@ -1,10 +1,11 @@
-//! Host-time sampler: which functions `Simulation::run` spends host
-//! time in, on the perf ledger's seven workloads.
+//! Host-time sampler: which functions `Simulation::run` — or, with
+//! `--setup`, set-up — spends host time in, on the perf ledger's seven
+//! workloads.
 //!
 //! ```text
 //! RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release \
 //!     --target-dir target/fp --example host_profile
-//! target/fp/release/examples/host_profile [workload ...] [--seconds S] [--seed N] [--out DIR]
+//! target/fp/release/examples/host_profile [workload ...] [--setup] [--seconds S] [--seed N] [--out DIR]
 //! ```
 //!
 //! Each workload runs the ledger's timing slices (`Simulation::new` and
@@ -18,14 +19,21 @@
 //! `[rsp, stack top)`, at most 32 return addresses) into a buffer
 //! allocated before the timer is armed.
 //!
-//! At exit it writes `DIR/<workload>.samples` (default DIR
-//! `results/profile`): one sample per line, hex addresses innermost
-//! first, relative to the executable's load address, so `addr2line -e`
-//! reads them (addresses outside the executable, in libc, read `0x0`).
-//! Beside them it writes `DIR/maps`, a copy of `/proc/self/maps`. README
-//! *Engine performance* has the `addr2line -a -f -i -C` recipe. Without
-//! frame pointers the chains stop early; the innermost address is still
-//! right.
+//! With `--setup` the loop repeats what the ledger's `setup_s` times
+//! instead of a slice: the dataset build and `Simulation::new`, dropped
+//! unrun. Either way it prints the process's minor page faults
+//! (`getrusage`): the first slice's or set-up's, which meets a pristine
+//! heap, and the mean of the rest, which shows whether freed memory
+//! goes back to the kernel and is faulted in again.
+//!
+//! At exit it writes `DIR/<workload>.samples` (`.setup.samples` under
+//! `--setup`; default DIR `results/profile`): one sample per line, hex
+//! addresses innermost first, relative to the executable's load
+//! address, so `addr2line -e` reads them (addresses outside the
+//! executable, in libc, read `0x0`). Beside them it writes `DIR/maps`,
+//! a copy of `/proc/self/maps`. README *Engine performance* has the
+//! `addr2line -a -f -i -C` recipe. Without frame pointers the chains
+//! stop early; the innermost address is still right.
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn main() {
@@ -119,7 +127,7 @@ mod sampler {
     fn usage(err: &str) -> ! {
         eprintln!("{err}");
         eprintln!(
-            "usage: host_profile [workload ...] [--seconds S] [--seed N] [--out DIR]\n\
+            "usage: host_profile [workload ...] [--setup] [--seconds S] [--seed N] [--out DIR]\n\
              workloads: {}",
             WORKLOADS.join(" ")
         );
@@ -162,9 +170,36 @@ mod sampler {
         value: Timeval,
     }
 
+    /// glibc's x86_64 `struct rusage`: two times, then 14 longs from
+    /// `ru_maxrss` to `ru_nivcsw`.
+    #[repr(C)]
+    struct Rusage {
+        utime: Timeval,
+        stime: Timeval,
+        longs: [i64; 14],
+    }
+
+    const RUSAGE_SELF: i32 = 0;
+    /// `ru_minflt`'s index in [`Rusage::longs`].
+    const MINFLT: usize = 4;
+
     extern "C" {
         fn sigaction(sig: i32, act: *const SigAction, old: *mut SigAction) -> i32;
         fn setitimer(which: i32, new: *const Itimerval, old: *mut Itimerval) -> i32;
+        fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+    }
+
+    /// Minor page faults this process has taken so far.
+    fn minor_faults() -> i64 {
+        let mut ru = Rusage {
+            utime: Timeval { sec: 0, usec: 0 },
+            stime: Timeval { sec: 0, usec: 0 },
+            longs: [0; 14],
+        };
+        // SAFETY: `ru` is a valid, writable glibc `struct rusage`.
+        let rc = unsafe { getrusage(RUSAGE_SELF, &mut ru) };
+        assert_eq!(rc, 0, "getrusage failed");
+        ru.longs[MINFLT]
     }
 
     /// The buffer the handler fills: per sample its length, then the RIP
@@ -283,11 +318,13 @@ mod sampler {
         let seconds: f64 = arg(&args, "--seconds", 10.0);
         let seed: u64 = arg(&args, "--seed", 1);
         let out: String = arg(&args, "--out", "results/profile".to_string());
+        let setup = args.iter().any(|a| a == "--setup");
         let mut names: Vec<&str> = Vec::new();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
                 "--seconds" | "--seed" | "--out" => i += 1,
+                "--setup" => {}
                 a if a.starts_with('-') => usage(&format!("unknown flag {a}")),
                 a => names.push(
                     WORKLOADS
@@ -320,16 +357,31 @@ mod sampler {
 
         for name in names {
             let (cfg, params, build) = case(name, seed);
-            let mut workload = build();
+            // The run mode builds the dataset once, outside the count.
+            let mut workload = (!setup).then(build);
             LEN.store(0, Relaxed);
             let (start, mut slices) = (Instant::now(), 0);
+            let (faults, mut first) = (minor_faults(), None);
             set_timer(1_000);
             while start.elapsed().as_secs_f64() < seconds {
-                let res = Simulation::new(cfg.clone(), &mut *workload, params.clone()).run();
-                assert!(res.conservation.holds(), "{name}: requests lost");
+                match &mut workload {
+                    Some(workload) => {
+                        let res =
+                            Simulation::new(cfg.clone(), &mut **workload, params.clone()).run();
+                        assert!(res.conservation.holds(), "{name}: requests lost");
+                    }
+                    None => {
+                        let mut workload = build();
+                        let sim = Simulation::new(cfg.clone(), &mut *workload, params.clone());
+                        std::hint::black_box(&sim);
+                    }
+                }
                 slices += 1;
+                first.get_or_insert_with(|| minor_faults() - faults);
             }
             set_timer(0);
+            let first = first.unwrap_or(0);
+            let rest = (minor_faults() - faults - first) as f64 / f64::from((slices - 1).max(1));
             let len = LEN.load(Relaxed);
             // SAFETY: `buf` holds `BUF_WORDS` ≥ `len` words, and a signal
             // still pending after the disarm writes only from `len` on.
@@ -347,10 +399,14 @@ mod sampler {
                 samples += 1;
                 at += 1 + n;
             }
-            let path = format!("{out}/{name}.samples");
+            let kind = if setup { ".setup" } else { "" };
+            let path = format!("{out}/{name}{kind}.samples");
             std::fs::write(&path, text_out).expect("write the samples");
+            let unit = if setup { "set-up" } else { "slice" };
             println!(
-                "{name:<14} {slices:>6} slices  {samples:>6} samples  {} dropped  -> {path}",
+                "{name:<14} {slices:>6} {unit}s  minor faults {first} first, \
+                 {rest:.1}/{unit} after  \
+                 {samples:>6} samples  {} dropped  -> {path}",
                 DROPPED.swap(0, Relaxed)
             );
         }

@@ -38,8 +38,8 @@ const LEAVES: &[LeafFile] = &[
     // Per step and per fetch: the page cache, the prefetch detectors,
     // placement, and what `RdmaNic::post` / `on_cqe` call.
     leaves!("paging/src/cache.rs": "lookup", "touch", "note_coalesced", "begin_fetch",
-        "tag_fetch", "fetch_tag", "complete_fetch", "evict_one", "evict_one_stepping",
-        "free_frames", "used_frames", "total_pages"),
+        "take_frame", "place", "tag_fetch", "fetch_tag", "complete_fetch", "evict_one",
+        "evict_one_stepping", "free_frames", "used_frames", "total_pages"),
     leaves!("paging/src/prefetch.rs": "on_fault" * 2),
     leaves!("fabric/src/shard.rs": "shard_of", "shard_of_general", "node_id"),
     leaves!("fabric/src/link.rs": "serialize_ns", "serialize_ns_memo", "transmit", "account",
