@@ -13,11 +13,10 @@
 //!   `inflight_at_end`, giving the exact conservation identity
 //!   `issued == hits + lates + wasted + inflight_at_end` per detector
 //!   class and in total.
-//! - **Page heat** — a [`TOP_K`]-slot SpaceSaving heavy-hitter sketch
-//!   with exponential per-window decay (`w ← w · d^Δwindows`,
-//!   `d =` [`HEAT_DECAY`]), plus a bucketed address-range histogram
-//!   absorbing the weight of pages displaced from the sketch, so the
-//!   heat state stays `O(K + buckets)` regardless of footprint.
+//! - **Page heat** — every page's exact touch count with exponential
+//!   per-window decay (`h ← h · d^Δwindows + 1` at each touch,
+//!   `d =` [`HEAT_DECAY`]), kept in the page table and aged lazily;
+//!   the run end lists the [`TOP_K`] hottest pages.
 //! - **Working set & heatmap** — per-window distinct-page counts and a
 //!   `page-bucket × time-window → touches` matrix, both capped at
 //!   [`MAX_WINDOWS`] rows with explicit drop accounting
@@ -29,13 +28,11 @@
 //! sorted snapshots and floats are serialised at fixed precision —
 //! equal-seed runs produce byte-identical [`MemReport`] serialisations.
 //!
-//! Per-page state (last window seen, sketch slot, address bucket, the
+//! Per-page state (last window seen, decayed heat, address bucket, the
 //! tracked prefetch) lives in one page-indexed vector sized to the
 //! footprint, so a touch is an indexed load rather than a handful of
-//! hash probes (and a page past the footprint panics), and the sketch's
-//! minimum is the root of an indexed heap rather than a scan. Both are
-//! exact replacements: the report is bit-for-bit what the hashed,
-//! scanning implementation produced.
+//! hash probes (and a page past the footprint panics). The heatmap's
+//! closed rows share one flat buffer sized from the run's horizon.
 
 use desim::json::{Perfetto, ToJson, Writer, PERFETTO_MEMORY_PID};
 use std::fmt::Write as _;
@@ -57,12 +54,19 @@ pub const CLASS_NAMES: [&str; 3] = ["readahead", "leap", "speculative"];
 
 /// Width of a heat / working-set window in virtual nanoseconds (1 ms).
 pub const HEAT_WINDOW_NS: u64 = 1_000_000;
-/// Heavy-hitter slots in the heat sketch.
+/// Hottest pages listed in [`MemReport::heat_top`].
 pub const TOP_K: usize = 64;
-/// Per-window decay multiplier applied to sketch weights, the rest
-/// histogram and shard heat.
+/// Per-window decay multiplier applied to page and shard heat. A page's
+/// heat is aged only when the page is touched or listed, across every
+/// window since its last touch at once; scaling by a power of two is
+/// exact (while the weight stays a normal float), so that equals ageing
+/// it at every window close.
 pub const HEAT_DECAY: f64 = 0.5;
-/// Address-range buckets of the heatmap and rest histogram.
+const _: () = assert!(
+    HEAT_DECAY > 0.0 && HEAT_DECAY < 1.0 && HEAT_DECAY.to_bits() << 12 == 0,
+    "lazy ageing is exact only for a power-of-two decay"
+);
+/// Address-range buckets of the heatmap.
 pub const HEATMAP_BUCKETS: usize = 64;
 /// Cap on recorded window rows (heatmap + working-set series); rows
 /// beyond the cap are counted in `obs_dropped`.
@@ -121,11 +125,12 @@ impl FateCounters {
 ///
 /// 0. `seen`: last window the page was touched in, plus one;
 /// 1. `pf_issued_ns`: issue instant of the tracked prefetch;
-/// 2. `slot`: heat-sketch slot holding the page, plus one;
+/// 2. `heat`: decayed touch count as of window `seen − 1`
+///    (`f64::to_bits`);
 /// 3. `bucket`: address bucket, plus one (filled on first touch);
 /// 4. `pf`: tracked prefetch — its class plus one, [`PF_ARRIVED`] set
 ///    once the line arrived; zero when none is tracked.
-type PageRec = (u64, u64, u32, u32, u8);
+type PageRec = (u64, u64, u64, u32, u8);
 
 /// Bit of [`PageRec`]'s `pf` field: the prefetched line has arrived.
 const PF_ARRIVED: u8 = 0x80;
@@ -136,110 +141,10 @@ fn pf_class(pf: u8) -> usize {
     (pf & !PF_ARRIVED) as usize - 1
 }
 
-struct HeatSlot {
-    page: u64,
-    weight: f64,
-}
-
-/// The SpaceSaving slots plus a binary min-heap over them keyed
-/// `(weight, slot index)`, so the slot to displace — minimum weight,
-/// lowest index among ties — is the heap's root.
-struct HeatSketch {
-    slots: Vec<HeatSlot>,
-    /// Slot indices in heap order.
-    heap: Vec<u32>,
-    /// Heap position of each slot.
-    pos: Vec<u32>,
-}
-
-impl HeatSketch {
-    fn with_capacity(k: usize) -> HeatSketch {
-        HeatSketch {
-            slots: Vec::with_capacity(k),
-            heap: Vec::with_capacity(k),
-            pos: Vec::with_capacity(k),
-        }
-    }
-
-    #[inline]
-    fn before(&self, a: u32, b: u32) -> bool {
-        let (wa, wb) = (self.slots[a as usize].weight, self.slots[b as usize].weight);
-        wa < wb || (wa == wb && a < b)
-    }
-
-    /// Sinks the slot at heap position `i` (its weight grew).
-    fn sift_down(&mut self, mut i: usize) {
-        let slot = self.heap[i];
-        loop {
-            let mut child = 2 * i + 1;
-            if child >= self.heap.len() {
-                break;
-            }
-            if child + 1 < self.heap.len() && self.before(self.heap[child + 1], self.heap[child]) {
-                child += 1;
-            }
-            if !self.before(self.heap[child], slot) {
-                break;
-            }
-            self.heap[i] = self.heap[child];
-            self.pos[self.heap[i] as usize] = i as u32;
-            i = child;
-        }
-        self.heap[i] = slot;
-        self.pos[slot as usize] = i as u32;
-    }
-
-    /// Restores the heap order over all slots.
-    fn heapify(&mut self) {
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i);
-        }
-    }
-
-    /// Adds a slot of weight 1 for `page` and returns its index. (A
-    /// sketch fills its slots once, so re-ordering the whole
-    /// heap per fill is cheap enough.)
-    fn push(&mut self, page: u64) -> u32 {
-        let slot = u32::try_from(self.slots.len()).expect("heat sketch has under 2^32 slots");
-        self.slots.push(HeatSlot { page, weight: 1.0 });
-        self.pos.push(slot);
-        self.heap.push(slot);
-        self.heapify();
-        slot
-    }
-
-    /// Adds 1 to a tracked slot's weight.
-    #[inline]
-    fn bump(&mut self, slot: u32) {
-        self.slots[slot as usize].weight += 1.0;
-        self.sift_down(self.pos[slot as usize] as usize);
-    }
-
-    /// Hands the minimum slot to `page` with the displaced page's
-    /// weight plus one. Returns the slot and what it held.
-    fn displace_min(&mut self, page: u64) -> (u32, HeatSlot) {
-        let slot = self.heap[0];
-        let s = &mut self.slots[slot as usize];
-        let old = std::mem::replace(
-            s,
-            HeatSlot {
-                page,
-                weight: s.weight + 1.0,
-            },
-        );
-        self.sift_down(0);
-        (slot, old)
-    }
-
-    /// Multiplies every weight by `age` and rebuilds the heap: scaling
-    /// keeps the order of distinct weights but can round two of them
-    /// equal, and a new tie is ordered by slot index.
-    fn decay(&mut self, age: f64) {
-        for s in &mut self.slots {
-            s.weight *= age;
-        }
-        self.heapify();
-    }
+/// Ageing factor across `windows` window closes: `HEAT_DECAY^windows`.
+#[inline]
+fn age(windows: u64) -> f64 {
+    HEAT_DECAY.powi(i32::try_from(windows).unwrap_or(i32::MAX))
 }
 
 /// One closed observation window.
@@ -253,8 +158,6 @@ pub struct WindowRow {
     pub skew: f64,
     /// Cumulative strict prefetch hit-rate at window close.
     pub hit_rate: f64,
-    /// Touches per address bucket inside the window.
-    pub buckets: Vec<u64>,
 }
 
 /// Live observatory state; one per enabled run.
@@ -262,13 +165,10 @@ pub struct MemObservatory {
     total_pages: u64,
     /// One record per page of the footprint, indexed by page number.
     pages: Vec<PageRec>,
-    // Prefetch-fate attribution.
-    /// Prefetch records currently tracked in `pages`.
-    pf_tracked: usize,
+    /// Prefetch fates.
     fates: [FateCounters; 3],
-    // Heat sketch (SpaceSaving) + displaced-weight histogram.
-    sketch: HeatSketch,
-    rest_hist: Vec<f64>,
+    /// The hottest pages, filled at `finish`.
+    heat_top: Vec<(u64, f64)>,
     // Windows.
     cur_window: u64,
     /// `[start, end)` of the current window in ns: a touch inside it
@@ -276,7 +176,10 @@ pub struct MemObservatory {
     cur_span: (u64, u64),
     distinct_pages: u64,
     ws_cur: u64,
-    hm_cur: Vec<u64>,
+    /// Touches per address bucket in the current window.
+    hm_cur: [u64; HEATMAP_BUCKETS],
+    /// The closed rows' buckets, `HEATMAP_BUCKETS` per row.
+    heatmap: Vec<u64>,
     shard_cur: Vec<u64>,
     shard_heat: Vec<f64>,
     shares: Vec<f64>,
@@ -301,15 +204,14 @@ impl MemObservatory {
         MemObservatory {
             total_pages,
             pages: vec![(0, 0, 0, 0, 0); n],
-            pf_tracked: 0,
             fates: [FateCounters::default(); 3],
-            sketch: HeatSketch::with_capacity(TOP_K),
-            rest_hist: vec![0.0; HEATMAP_BUCKETS],
+            heat_top: Vec::with_capacity(TOP_K),
             cur_window: 0,
             cur_span: (0, HEAT_WINDOW_NS),
             distinct_pages: 0,
             ws_cur: 0,
-            hm_cur: vec![0; HEATMAP_BUCKETS],
+            hm_cur: [0; HEATMAP_BUCKETS],
+            heatmap: Vec::new(),
             shard_cur: vec![0; shards.max(1)],
             shard_heat: vec![0.0; shards.max(1)],
             shares: vec![0.0; shards.max(1)],
@@ -323,10 +225,13 @@ impl MemObservatory {
         }
     }
 
-    /// Sizes the window-row series for a run closing `windows` windows
-    /// (capped at [`MAX_WINDOWS`], past which rows are dropped anyway).
+    /// Sizes the window-row series and the heatmap for a run closing
+    /// `windows` windows (capped at [`MAX_WINDOWS`], past which rows are
+    /// dropped anyway).
     pub fn reserve(&mut self, windows: usize) {
-        self.rows.reserve(windows.min(MAX_WINDOWS));
+        let rows = windows.min(MAX_WINDOWS);
+        self.rows.reserve(rows);
+        self.heatmap.reserve(rows * HEATMAP_BUCKETS);
     }
 
     /// Address bucket of a page inside the footprint.
@@ -340,11 +245,10 @@ impl MemObservatory {
         debug_assert!(w > self.cur_window);
         let gap = w - self.cur_window;
         // Fold the closing window's shard touches into the decayed
-        // heat, then age everything across the (possibly idle) gap.
-        let d = HEAT_DECAY;
+        // heat, then age it across the rest of the (possibly idle) gap.
         let total: f64 = {
             for (h, c) in self.shard_heat.iter_mut().zip(&self.shard_cur) {
-                *h = *h * d + *c as f64;
+                *h = *h * HEAT_DECAY + *c as f64;
             }
             self.shard_heat.iter().sum()
         };
@@ -359,15 +263,10 @@ impl MemObservatory {
             self.skew = max * n;
         }
         if gap > 1 {
-            let age = d.powi((gap - 1) as i32);
+            let factor = age(gap - 1);
             for h in &mut self.shard_heat {
-                *h *= age;
+                *h *= factor;
             }
-        }
-        let age_all = d.powi(gap as i32);
-        self.sketch.decay(age_all);
-        for r in &mut self.rest_hist {
-            *r *= age_all;
         }
         self.ws_last = self.ws_cur;
         if self.ws_cur > 0 || self.hm_cur.iter().any(|&c| c > 0) {
@@ -377,12 +276,12 @@ impl MemObservatory {
                     ws_pages: self.ws_cur,
                     skew: self.skew,
                     hit_rate: self.hit_rate(),
-                    buckets: std::mem::replace(&mut self.hm_cur, vec![0; HEATMAP_BUCKETS]),
                 });
+                self.heatmap.extend_from_slice(&self.hm_cur);
             } else {
                 self.dropped += 1;
-                self.hm_cur.iter_mut().for_each(|c| *c = 0);
             }
+            self.hm_cur = [0; HEATMAP_BUCKETS];
         }
         self.ws_cur = 0;
         self.shard_cur.iter_mut().for_each(|c| *c = 0);
@@ -411,29 +310,19 @@ impl MemObservatory {
             self.roll_to(w);
         }
         self.touches += 1;
-        let (seen, _, slot, bucket, _) = self.pages[page as usize];
+        let (seen, _, heat, bucket, _) = self.pages[page as usize];
         let bucket = match bucket {
             0 => u32::try_from(self.bucket(page) + 1).expect("under 2^32 heatmap buckets"),
             filled => filled,
         };
-        // Heat sketch: bump a tracked slot, fill a free one, or
-        // displace the minimum-weight slot (ties broken by slot index,
-        // which is deterministic).
-        let slot = if slot != 0 {
-            self.sketch.bump(slot - 1);
-            slot
-        } else if self.sketch.slots.len() < TOP_K {
-            self.sketch.push(page) + 1
-        } else {
-            let (slot, old) = self.sketch.displace_min(page);
-            // A page in the sketch was touched: its bucket is filled.
-            let (_, _, old_slot, old_bucket, _) = &mut self.pages[old.page as usize];
-            *old_slot = 0;
-            self.rest_hist[*old_bucket as usize - 1] += old.weight;
-            slot + 1
+        // Age the heat across the windows since the page's last touch;
+        // a touch stamped before that window ages nothing.
+        let heat = match (w + 1).saturating_sub(seen) {
+            0 => f64::from_bits(heat),
+            gap => f64::from_bits(heat) * age(gap),
         };
-        let (rec_seen, _, rec_slot, rec_bucket, _) = &mut self.pages[page as usize];
-        (*rec_seen, *rec_slot, *rec_bucket) = (w + 1, slot, bucket);
+        let (rec_seen, _, rec_heat, rec_bucket, _) = &mut self.pages[page as usize];
+        (*rec_seen, *rec_heat, *rec_bucket) = (w + 1, (heat + 1.0).to_bits(), bucket);
         self.hm_cur[bucket as usize - 1] += 1;
         if let Some(c) = self.shard_cur.get_mut(shard) {
             *c += 1;
@@ -461,11 +350,10 @@ impl MemObservatory {
         let prev = std::mem::replace(pf, class as u8 + 1);
         *pf_issued_ns = now_ns;
         debug_assert!(prev == 0, "prefetch of a page already tracked");
-        match prev {
-            0 => self.pf_tracked += 1,
+        if prev != 0 {
             // Defensive: never lose a record — the displaced prefetch
             // was never consumed.
-            displaced => self.fates[pf_class(displaced)].wasted += 1,
+            self.fates[pf_class(prev)].wasted += 1;
         }
     }
 
@@ -485,9 +373,7 @@ impl MemObservatory {
         if *pf == 0 {
             return None;
         }
-        let taken = (pf_class(std::mem::take(pf)), *pf_issued_ns);
-        self.pf_tracked -= 1;
-        Some(taken)
+        Some((pf_class(std::mem::take(pf)), *pf_issued_ns))
     }
 
     /// Classifies a tracked prefetch as a hit. Returns whether a
@@ -567,16 +453,20 @@ impl MemObservatory {
 
     /// Closes the run at `end_ns`: flushes the open window, sweeps the
     /// remaining records (arrived → wasted, in flight →
-    /// `inflight_at_end`) and freezes the report.
+    /// `inflight_at_end`), lists the hottest pages and freezes the
+    /// report.
     pub fn finish(mut self, end_ns: u64) -> MemReport {
         let w = end_ns / HEAT_WINDOW_NS + 1;
         if w > self.cur_window {
             self.roll_to(w);
         }
-        // Sweep what is still tracked (the fates are counts, so the
-        // order of the sweep is immaterial).
-        if self.pf_tracked > 0 {
-            for &(_, _, _, _, pf) in self.pages.iter().filter(|r| r.4 != 0) {
+        // One sweep of the table. The fates are counts, so its order is
+        // immaterial; it visits pages ascending, so a page joins the
+        // list (weight descending, page ascending) only when strictly
+        // hotter than the coolest listed page.
+        let top = &mut self.heat_top;
+        for (page, &(seen, _, heat, _, pf)) in (0u64..).zip(&self.pages) {
+            if pf != 0 {
                 let f = &mut self.fates[pf_class(pf)];
                 if pf & PF_ARRIVED != 0 {
                     f.wasted += 1;
@@ -584,18 +474,19 @@ impl MemObservatory {
                     f.inflight_at_end += 1;
                 }
             }
+            if seen == 0 {
+                continue;
+            }
+            let weight = f64::from_bits(heat) * age(self.cur_window + 1 - seen);
+            if top.len() == TOP_K {
+                if top[TOP_K - 1].1 >= weight {
+                    continue;
+                }
+                top.pop();
+            }
+            let at = top.partition_point(|&(_, w)| w >= weight);
+            top.insert(at, (page, weight));
         }
-        let mut heat_top: Vec<(u64, f64)> = self
-            .sketch
-            .slots
-            .iter()
-            .map(|s| (s.page, s.weight))
-            .collect();
-        heat_top.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
         let mut strides = self.strides;
         strides.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         MemReport {
@@ -604,9 +495,9 @@ impl MemObservatory {
             touches: self.touches,
             distinct_pages: self.distinct_pages,
             classes: self.fates,
-            heat_top,
-            rest_hist: self.rest_hist,
+            heat_top: self.heat_top,
             rows: self.rows,
+            heatmap: self.heatmap,
             strides,
             stride_other: self.stride_other,
             shard_shares: self.shares,
@@ -630,12 +521,13 @@ pub struct MemReport {
     pub distinct_pages: u64,
     /// Per-class fate counters, indexed by [`PrefetchClass`].
     pub classes: [FateCounters; 3],
-    /// Heavy hitters, hottest first (page, decayed weight).
+    /// The [`TOP_K`] hottest pages, hottest first, ties by page
+    /// (page, decayed weight at the run end).
     pub heat_top: Vec<(u64, f64)>,
-    /// Decayed weight displaced from the sketch, per address bucket.
-    pub rest_hist: Vec<f64>,
     /// Closed windows in time order.
     pub rows: Vec<WindowRow>,
+    /// The rows' buckets, read through [`MemReport::buckets`].
+    heatmap: Vec<u64>,
     /// Stride fingerprint, most frequent first (delta pages, count).
     pub strides: Vec<(i64, u64)>,
     /// Stride observations beyond the tracked deltas.
@@ -693,12 +585,17 @@ impl MemReport {
         self.rows.iter().map(|r| r.ws_pages).max().unwrap_or(0)
     }
 
+    /// Touches per address bucket inside closed window `rows[row]`.
+    pub fn buckets(&self, row: usize) -> &[u64] {
+        &self.heatmap[row * HEATMAP_BUCKETS..][..HEATMAP_BUCKETS]
+    }
+
     /// Heatmap CSV: one row per non-zero `window × bucket` cell.
     pub fn heatmap_csv(&self) -> String {
         let mut out = String::from("window_start_us,page_bucket,touches\n");
-        for r in &self.rows {
+        for (i, r) in self.rows.iter().enumerate() {
             let start_us = r.idx * self.window_ns / 1000;
-            for (b, &c) in r.buckets.iter().enumerate() {
+            for (b, &c) in self.buckets(i).iter().enumerate() {
                 if c > 0 {
                     let _ = writeln!(out, "{start_us},{b},{c}");
                 }
@@ -887,10 +784,132 @@ mod tests {
         let r = o.finish(2_000);
         assert_eq!(r.heat_top.len(), TOP_K);
         assert_eq!(r.heat_top[0].0, 7, "hot page must top the sketch");
-        assert!(
-            r.rest_hist.iter().sum::<f64>() > 0.0,
-            "displaced weight lands in the rest"
+    }
+
+    /// Hand-computed heats: ageing across idle windows, a tie listed
+    /// page-ascending, and touches stamped before the current window,
+    /// which count in their own window and age nothing.
+    #[test]
+    fn heat_is_the_exact_decayed_touch_count() {
+        const MS: u64 = HEAT_WINDOW_NS;
+        let mut o = obs(64, 1);
+        for i in 0..3 {
+            o.on_touch(9, 0, i, None); // 3 as of window 0
+        }
+        o.on_touch(13, 0, 3, None);
+        o.on_touch(9, 0, 2 * MS, None); // 3 · 0.25 + 1 as of window 2
+        o.on_touch(5, 0, 2 * MS, None);
+        o.on_touch(3, 0, 2 * MS + 1, None);
+        o.on_touch(7, 0, 3 * MS + MS / 10, None); // opens window 3
+        o.on_touch(7, 0, 3 * MS - MS / 10, None); // 1 + 1, now as of window 2
+        o.on_touch(11, 0, 3 * MS - MS / 20, None); // 1 as of window 2
+        o.on_touch(13, 0, 3 * MS - MS / 30, None); // 1 · 0.25 + 1 as of window 2
+
+        // Closing window 4: every page ages two windows.
+        let r = o.finish(3 * MS + MS / 2);
+        assert_eq!(
+            r.heat_top,
+            [
+                (7, 0.5),
+                (9, 0.4375),
+                (13, 0.3125),
+                (3, 0.25),
+                (5, 0.25),
+                (11, 0.25)
+            ]
         );
+    }
+
+    /// Sixty-three pages (fewer than `TOP_K`, so the SpaceSaving sketch
+    /// this table replaced never displaced one) on a Zipf-like stream
+    /// with idle gaps of 2 to 9 windows: the list equals, bit for bit,
+    /// what that sketch reported, since a power-of-two decay ages a
+    /// weight exactly whether it is applied at every window close or
+    /// across the gap at once.
+    #[test]
+    fn heat_matches_the_sketch_below_its_capacity() {
+        #[rustfmt::skip]
+        const SKETCH: [(u64, u64); 63] = [
+            (0, 0x40361632e192277d),
+            (157, 0x4018903e73c1b864),
+            (314, 0x400f802a29830b6c),
+            (628, 0x4006601a82012158),
+            (471, 0x4002a011e801dec4),
+            (785, 0x400090121481874c),
+            (942, 0x3fffc0226902f200),
+            (2198, 0x3fff200c800183e0),
+            (1099, 0x3ff96008330213e0),
+            (1256, 0x3ff2a02826016350),
+            (1570, 0x3ff0a01c1800ad48),
+            (2983, 0x3fef801928014e20),
+            (6908, 0x3fef002084010220),
+            (2669, 0x3feac0089a0008b0),
+            (3925, 0x3fea000084003640),
+            (8949, 0x3fe800004000c000),
+            (1413, 0x3fe78068da02d4a0),
+            (5024, 0x3fe48009ea01bf80),
+            (2512, 0x3fe2800fb000ede0),
+            (9577, 0x3fe1000410004800),
+            (6280, 0x3fe0800050001000),
+            (3768, 0x3fe0400812018600),
+            (7850, 0x3fe0400258001000),
+            (3297, 0x3fe000182e014830),
+            (1727, 0x3fdf80c240032500),
+            (2355, 0x3fde800110030d80),
+            (3140, 0x3fdb005d20001f80),
+            (5495, 0x3fd8002600028040),
+            (4553, 0x3fd80013f4002000),
+            (2041, 0x3fd500a8d800fb21),
+            (7693, 0x3fd4800100001000),
+            (1884, 0x3fd400619c036c40),
+            (4396, 0x3fd3000a08001480),
+            (7222, 0x3fd300022000a400),
+            (4082, 0x3fd2001260000ca0),
+            (6123, 0x3fd200000000c440),
+            (3611, 0x3fd1000728049820),
+            (7065, 0x3fd0001538002000),
+            (7379, 0x3fd0000820008100),
+            (5181, 0x3fd0000440014b00),
+            (8635, 0x3fd0000204004000),
+            (8792, 0x3fd000010000c040),
+            (2826, 0x3fd0000004025a40),
+            (8007, 0x3fd0000000016000),
+            (5652, 0x3fc6001a10084900),
+            (5338, 0x3fc6000500000c01),
+            (6751, 0x3fc2000480000400),
+            (4239, 0x3fc000aaa000e200),
+            (9734, 0x3fc0003820024400),
+            (4867, 0x3fb4009010000800),
+            (5966, 0x3fa80022c0142400),
+            (5809, 0x3fa0008240001000),
+            (7536, 0x3fa0005000402200),
+            (6594, 0x3fa0002400000001),
+            (9106, 0x3fa0000500001000),
+            (6437, 0x3f90064500044202),
+            (3454, 0x3f9000414002b604),
+            (9420, 0x3f90001480010400),
+            (8321, 0x3f90000000100000),
+            (8478, 0x3f800c0000010000),
+            (4710, 0x3ef4580092400212),
+            (9263, 0x3eb0000814004000),
+            (8164, 0x3eb0000800001810),
+        ];
+        let mut o = obs(10_000, 2);
+        let mut rng = desim::Rng::new(9);
+        let mut clock = 0u64;
+        for i in 0..8_000u64 {
+            clock += rng.gen_range(HEAT_WINDOW_NS / 40);
+            if i % 1_000 == 500 {
+                clock += (2 + i / 1_000) * HEAT_WINDOW_NS;
+            }
+            let u = rng.gen_f64();
+            let k = (TOP_K as f64).powf(u * u) as u64 - 1;
+            let page = (k * 157) % 10_000;
+            o.on_touch(page, (page % 2) as usize, clock, None);
+        }
+        let r = o.finish(clock);
+        let bits: Vec<(u64, u64)> = r.heat_top.iter().map(|&(p, w)| (p, w.to_bits())).collect();
+        assert_eq!(bits, SKETCH);
     }
 
     #[test]
@@ -996,14 +1015,20 @@ mod tests {
     /// `next_page`, prefetch traffic on neighbouring pages, a clock
     /// that crosses a window every ~100 touches, idles once, and
     /// sometimes stamps a touch just behind it — to the observatory and
-    /// to the reference, and compares the two reports bit for bit.
-    fn assert_matches_reference(seed: u64, mut next_page: impl FnMut(&mut desim::Rng, u64) -> u64) {
+    /// to the reference, compares the two reports bit for bit and
+    /// returns the observatory's.
+    fn assert_matches_reference(
+        seed: u64,
+        mut next_page: impl FnMut(&mut desim::Rng, u64) -> u64,
+    ) -> MemReport {
         const PAGES: u64 = 4_096;
         const TOUCHES: u64 = 8_000;
         let mut new = obs(PAGES, 4);
         let mut old = reference::RefObservatory::new(PAGES, 4);
         let mut rng = desim::Rng::new(seed);
         let (mut clock, mut last) = (0u64, 0u64);
+        // Touches stamped in a window before the latest one seen.
+        let (mut early, mut latest) = (0u64, 0u64);
         for i in 0..TOUCHES {
             clock += rng.gen_range(HEAT_WINDOW_NS / 50);
             if i == TOUCHES / 2 {
@@ -1014,6 +1039,8 @@ mod tests {
             // Worker clocks lead the event clock by a bounded skew, so
             // a touch can be stamped before the window just opened.
             let now = clock.saturating_sub(rng.gen_range(8) / 7 * (HEAT_WINDOW_NS / 20));
+            early += u64::from(now / HEAT_WINDOW_NS < latest / HEAT_WINDOW_NS);
+            latest = latest.max(now);
             let page = next_page(&mut rng, i);
             let (shard, delta) = ((page % 4) as usize, Some(page as i64 - last as i64));
             last = page;
@@ -1055,95 +1082,41 @@ mod tests {
             assert_eq!(new.dropped(), old.dropped());
         }
         assert!(clock / HEAT_WINDOW_NS >= 50, "the run must roll 50 windows");
+        assert!(early > 0, "some touches must be stamped a window early");
         let (new, old) = (new.finish(clock), old.finish(clock));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(new.heat_top.len(), old.heat_top.len());
+        assert_eq!(new.heat_top.len(), TOP_K);
         for (n, o) in new.heat_top.iter().zip(&old.heat_top) {
             assert_eq!((n.0, n.1.to_bits()), (o.0, o.1.to_bits()), "heat_top");
         }
-        assert_eq!(bits(&new.rest_hist), bits(&old.rest_hist), "rest_hist");
         assert_eq!(new.rows, old.rows, "rows");
         assert_eq!(new, old);
         assert!(new.holds());
         assert_eq!(new.to_json(), old.to_json());
-    }
-
-    /// The slot a linear scan displaces: minimum weight, lowest index
-    /// among ties.
-    fn scan_min(sk: &HeatSketch) -> u32 {
-        let mut min_i = 0;
-        for (i, s) in sk.slots.iter().enumerate() {
-            if s.weight < sk.slots[min_i].weight {
-                min_i = i;
-            }
-        }
-        min_i as u32
-    }
-
-    /// Small sketches and decay 1.0 (no ageing: every weight a small
-    /// integer, ties everywhere) included.
-    #[test]
-    fn heap_root_is_the_scan_minimum_after_every_operation() {
-        let mut rng = desim::Rng::new(5);
-        for k in [1u64, 5, 16] {
-            let mut sk = HeatSketch::with_capacity(k as usize);
-            for page in 0..k {
-                sk.push(page);
-                assert_eq!(sk.heap[0], scan_min(&sk));
-            }
-            for step in 0..4_000u64 {
-                match rng.gen_range(10) {
-                    0 => sk.decay([1.0, 0.5, 0.9][rng.gen_range(3) as usize]),
-                    1..=4 => sk.bump(rng.gen_range(k) as u32),
-                    _ => {
-                        let want = scan_min(&sk);
-                        assert_eq!(sk.displace_min(100 + step).0, want);
-                    }
-                }
-                assert_eq!(sk.heap[0], scan_min(&sk), "{k} slots, step {step}");
-                for (i, &slot) in sk.heap.iter().enumerate() {
-                    assert_eq!(sk.pos[slot as usize] as usize, i);
-                }
-            }
-        }
+        new
     }
 
     #[test]
-    fn decay_reorders_the_ties_it_creates() {
-        let mut sk = HeatSketch::with_capacity(3);
-        for page in 0..3 {
-            sk.push(page);
-        }
-        // Two distinct subnormal weights that halve to the same value
-        // (3ε → 1.5ε rounds to 2ε; 4ε → 2ε), the smaller in the higher
-        // slot.
-        sk.slots[0].weight = f64::from_bits(4);
-        sk.slots[1].weight = f64::from_bits(3);
-        sk.decay(1.0);
-        assert_eq!(sk.heap[0], 1);
-        sk.decay(0.5);
-        assert_eq!(sk.slots[0].weight.to_bits(), sk.slots[1].weight.to_bits());
-        assert_eq!(sk.heap[0], 0, "a tie goes to the lowest slot");
-    }
-
-    #[test]
-    fn page_table_and_heap_report_like_hash_maps_and_scan() {
-        // Uniform: nearly every touch displaces.
+    fn page_table_reports_like_hash_maps_and_scan() {
+        // Uniform: the listed heats are close, a few tie.
         assert_matches_reference(1, |rng, _| rng.gen_range(4_096));
-        // Zipf-like: a few heavy hitters stay in the sketch.
+        // Zipf-like: a few heavy hitters.
         assert_matches_reference(2, |rng, _| {
             let u = rng.gen_f64();
             ((4_096.0f64).powf(u * u * u) as u64).min(4_095)
         });
-        // Sequential scan, wrapping.
-        assert_matches_reference(3, |_, i| (i * 3) % 4_096);
+        // Sequential scan, wrapping: pages touched once in the same
+        // window tie, and ties list page-ascending.
+        let r = assert_matches_reference(3, |_, i| (i * 3) % 4_096);
+        let ties: Vec<_> = r.heat_top.windows(2).filter(|p| p[0].1 == p[1].1).collect();
+        assert!(!ties.is_empty(), "the scan must list ties");
+        assert!(ties.iter().all(|p| p[0].0 < p[1].0));
     }
 
-    /// The observatory as it was before the page table and the heap: hash
-    /// maps keyed by page and a linear scan for the sketch's minimum. The
-    /// oracle of the equivalence tests above. Its maps are only probed,
-    /// counted, or drained into a sort by a total order, so their
-    /// iteration order never reaches a report.
+    /// The observatory over hash maps keyed by page, with each page's
+    /// heat aged at its touches by the same recurrence and the hottest
+    /// pages picked by a full sort. The oracle of the equivalence tests
+    /// above. Its maps are only probed, counted, or drained into a sort
+    /// by a total order, so their iteration order never reaches a report.
     mod reference {
         use super::super::*;
         use std::collections::HashMap;
@@ -1154,26 +1127,20 @@ mod tests {
             arrived: bool,
         }
 
-        struct HeatSlot {
-            page: u64,
-            weight: f64,
-        }
-
         /// Live observatory state; one per enabled run.
         pub struct RefObservatory {
             total_pages: u64,
             // Prefetch-fate attribution.
             pf: HashMap<u64, PfRec>,
             fates: [FateCounters; 3],
-            // Heat sketch (SpaceSaving) + displaced-weight histogram.
-            slots: Vec<HeatSlot>,
-            slot_of: HashMap<u64, usize>,
-            rest_hist: Vec<f64>,
+            // Decayed heat as of the page's `last_seen` window.
+            heat: HashMap<u64, f64>,
             // Windows.
             cur_window: u64,
             last_seen: HashMap<u64, u64>,
             ws_cur: u64,
             hm_cur: Vec<u64>,
+            heatmap: Vec<u64>,
             shard_cur: Vec<u64>,
             shard_heat: Vec<f64>,
             shares: Vec<f64>,
@@ -1195,13 +1162,12 @@ mod tests {
                     total_pages: total_pages.max(1),
                     pf: HashMap::new(),
                     fates: [FateCounters::default(); 3],
-                    slots: Vec::with_capacity(TOP_K),
-                    slot_of: HashMap::new(),
-                    rest_hist: vec![0.0; HEATMAP_BUCKETS],
+                    heat: HashMap::new(),
                     cur_window: 0,
                     last_seen: HashMap::new(),
                     ws_cur: 0,
                     hm_cur: vec![0; HEATMAP_BUCKETS],
+                    heatmap: Vec::new(),
                     shard_cur: vec![0; shards.max(1)],
                     shard_heat: vec![0.0; shards.max(1)],
                     shares: vec![0.0; shards.max(1)],
@@ -1250,13 +1216,6 @@ mod tests {
                         *h *= age;
                     }
                 }
-                let age_all = d.powi(gap as i32);
-                for s in &mut self.slots {
-                    s.weight *= age_all;
-                }
-                for r in &mut self.rest_hist {
-                    *r *= age_all;
-                }
                 self.ws_last = self.ws_cur;
                 if self.ws_cur > 0 || self.hm_cur.iter().any(|&c| c > 0) {
                     if self.rows.len() < MAX_WINDOWS {
@@ -1265,12 +1224,12 @@ mod tests {
                             ws_pages: self.ws_cur,
                             skew: self.skew,
                             hit_rate: self.hit_rate(),
-                            buckets: std::mem::replace(&mut self.hm_cur, vec![0; HEATMAP_BUCKETS]),
                         });
+                        self.heatmap.extend_from_slice(&self.hm_cur);
                     } else {
                         self.dropped += 1;
-                        self.hm_cur.iter_mut().for_each(|c| *c = 0);
                     }
+                    self.hm_cur.iter_mut().for_each(|c| *c = 0);
                 }
                 self.ws_cur = 0;
                 self.shard_cur.iter_mut().for_each(|c| *c = 0);
@@ -1292,32 +1251,6 @@ mod tests {
                     self.roll_to(w);
                 }
                 self.touches += 1;
-                // Heat sketch: bump a tracked slot, fill a free one, or
-                // displace the minimum-weight slot (ties broken by slot index,
-                // which is deterministic).
-                if let Some(&i) = self.slot_of.get(&page) {
-                    self.slots[i].weight += 1.0;
-                } else if self.slots.len() < TOP_K {
-                    self.slot_of.insert(page, self.slots.len());
-                    self.slots.push(HeatSlot { page, weight: 1.0 });
-                } else {
-                    let mut min_i = 0;
-                    for (i, s) in self.slots.iter().enumerate() {
-                        if s.weight < self.slots[min_i].weight {
-                            min_i = i;
-                        }
-                    }
-                    let old = &self.slots[min_i];
-                    let b = self.bucket(old.page);
-                    self.rest_hist[b] += old.weight;
-                    self.slot_of.remove(&old.page);
-                    let w0 = old.weight;
-                    self.slot_of.insert(page, min_i);
-                    self.slots[min_i] = HeatSlot {
-                        page,
-                        weight: w0 + 1.0,
-                    };
-                }
                 let b = self.bucket(page);
                 self.hm_cur[b] += 1;
                 if let Some(c) = self.shard_cur.get_mut(shard) {
@@ -1327,6 +1260,11 @@ mod tests {
                 if seen != Some(w) && seen.is_none_or(|s| s < w) {
                     self.ws_cur += 1;
                 }
+                // Age across the windows since the last touch (none
+                // for a touch stamped before it), then count this one.
+                let gap = seen.map_or(0, |s| w.saturating_sub(s));
+                let h = self.heat.entry(page).or_insert(0.0);
+                *h = *h * HEAT_DECAY.powi(gap as i32) + 1.0;
                 if let Some(d) = delta {
                     if let Some(c) = self.strides.get_mut(&d) {
                         *c += 1;
@@ -1445,13 +1383,18 @@ mod tests {
                         f.inflight_at_end += 1;
                     }
                 }
-                let mut heat_top: Vec<(u64, f64)> =
-                    self.slots.iter().map(|s| (s.page, s.weight)).collect();
-                heat_top.sort_unstable_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
+                // Pages are distinct, so (weight desc, page asc) is a
+                // total order.
+                let mut heat_top: Vec<(u64, f64)> = self
+                    .heat
+                    .iter()
+                    .map(|(&p, &h)| {
+                        let gap = self.cur_window - self.last_seen[&p];
+                        (p, h * HEAT_DECAY.powi(gap as i32))
+                    })
+                    .collect();
+                heat_top.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                heat_top.truncate(TOP_K);
                 // Deltas are distinct, so (count desc, delta asc) is a
                 // total order.
                 let mut strides: Vec<(i64, u64)> = self.strides.into_iter().collect();
@@ -1463,8 +1406,8 @@ mod tests {
                     distinct_pages: self.last_seen.len() as u64,
                     classes: self.fates,
                     heat_top,
-                    rest_hist: self.rest_hist,
                     rows: self.rows,
+                    heatmap: self.heatmap,
                     strides,
                     stride_other: self.stride_other,
                     shard_shares: self.shares,

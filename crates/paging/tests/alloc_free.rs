@@ -1,10 +1,11 @@
 //! Steady-state paging allocates nothing: inside one heat window,
 //! `MemObservatory::on_touch` — and the prefetch bookkeeping around it —
-//! must not touch the allocator, and neither may a warmed `PageCache`
-//! faulting and evicting between the reclaimer's watermarks.
+//! must not touch the allocator, nor may a reserved observatory closing
+//! windows or finishing, nor a warmed `PageCache` faulting and evicting
+//! between the reclaimer's watermarks.
 
 use desim::Rng;
-use paging::observe::{MemObsConfig, MemObservatory, PrefetchClass};
+use paging::observe::{MemObsConfig, MemObservatory, PrefetchClass, HEAT_WINDOW_NS, TOP_K};
 use paging::reclaim::Watermarks;
 use paging::{EvictionPolicy, PageCache, PageState};
 
@@ -47,6 +48,39 @@ fn touches_within_one_window_do_not_allocate() {
     let report = obs.finish(1_000_000);
     assert_eq!(report.touches, WARM_UP + MEASURED);
     assert!(report.holds());
+}
+
+/// A reserved observatory's allocator calls do not depend on how many
+/// windows the run closes — the closed heatmap rows share one buffer
+/// sized by `reserve` — and `finish` lists the hottest pages into a
+/// buffer allocated with the observatory.
+#[test]
+fn closing_windows_and_finishing_do_not_allocate() {
+    let run = |windows: u64| {
+        let start = counting_alloc::allocs();
+        let mut obs = MemObservatory::new(MemObsConfig, PAGES, 2);
+        // As the runtime sizes it: one row per window of the horizon,
+        // plus one.
+        obs.reserve(windows as usize + 1);
+        let mut rng = Rng::new(47);
+        for w in 0..windows {
+            for i in 0..20 {
+                let page = rng.gen_range(PAGES);
+                obs.on_touch(page, (page % 2) as usize, w * HEAT_WINDOW_NS + i, None);
+            }
+        }
+        let before_finish = counting_alloc::allocs();
+        let report = obs.finish(windows * HEAT_WINDOW_NS);
+        let in_finish = counting_alloc::allocs() - before_finish;
+        assert_eq!(
+            in_finish, 0,
+            "allocations in finish after {windows} windows"
+        );
+        assert_eq!(report.rows.len() as u64, windows);
+        assert_eq!(report.heat_top.len(), TOP_K);
+        before_finish - start
+    };
+    assert_eq!(run(10), run(2_000), "allocations grow with closed windows");
 }
 
 /// Warm-up sizes the stack of released frames for every frame it left

@@ -207,7 +207,7 @@ pub const MATRIX: &[Case] = &[
             p.memory = Some(MemObsConfig);
             array(SystemConfig::adios(), p)
         },
-        golden: (2_489, 0x6589_e67d_0111_d9b4),
+        golden: (2_491, 0xd02c_d1d1_b85a_d1c3),
     },
     Case {
         name: "adios+telemetry",
@@ -221,17 +221,17 @@ pub const MATRIX: &[Case] = &[
     Case {
         name: "adios+all-planes",
         run: || array(SystemConfig::adios(), all_planes(params())),
-        golden: (5_452_316, 0xe87c_b9a2_2283_3c79),
+        golden: (5_452_318, 0x9b3a_4c52_85b3_d3dc),
     },
     Case {
         name: "dilos_p+all-planes",
         run: || array(SystemConfig::dilos_p(), all_planes(params())),
-        golden: (6_911_872, 0xa29d_d98e_7a4d_7749),
+        golden: (6_911_877, 0x0871_a5e7_3ef5_9e14),
     },
     Case {
         name: "hermit+all-planes",
         run: || array(SystemConfig::hermit(), all_planes(params())),
-        golden: (6_245_656, 0xe891_ff71_d285_3c78),
+        golden: (6_245_654, 0xc823_5736_f7cb_c0c8),
     },
     Case {
         name: "dilos+breakdowns",
@@ -277,7 +277,7 @@ pub const MATRIX: &[Case] = &[
             p.local_mem_fraction = 0.02;
             array(SystemConfig::adios(), p)
         },
-        golden: (11_472_661, 0x98ea_9487_3016_d092),
+        golden: (11_472_668, 0xdaeb_67f5_231d_3b7c),
     },
     Case {
         name: "4x2-shards+crash",
@@ -287,7 +287,7 @@ pub const MATRIX: &[Case] = &[
     Case {
         name: "4x2-shards+crash+all-planes",
         run: || array(sharded(), all_planes(crash_params())),
-        golden: (12_718_004, 0x36b4_4d53_487a_fd49),
+        golden: (12_718_004, 0xd8bf_0c1e_b4f3_1245),
     },
     Case {
         name: "4-dispatchers+work-stealing",
@@ -326,7 +326,7 @@ pub const MATRIX: &[Case] = &[
             p.faults = Some(FaultScenario::lossy());
             array(scaled(DispatchPolicy::WorkStealing), p)
         },
-        golden: (10_092_042, 0x642e_c694_6a12_7b45),
+        golden: (10_092_042, 0x7c43_83ba_4510_d27e),
     },
     Case {
         name: "per-worker-stealing",
@@ -361,7 +361,7 @@ pub const MATRIX: &[Case] = &[
             p.faults = Some(FaultScenario::crash());
             serialise(run_one(SystemConfig::adios(), &mut w, p), false)
         },
-        golden: (4_965_736, 0x5fa0_a593_3958_2ca8),
+        golden: (4_965_735, 0x893a_0519_510a_f618),
     },
     Case {
         name: "rocksdb-scan+readahead",

@@ -1114,9 +1114,9 @@ fn memory_observatory_fates_conserve_across_apps_and_detectors() {
                 m.touches == 0 || (share - 1.0).abs() < 1e-6,
                 "{ctx}: shard shares must partition the heat ({share})"
             );
-            for row in &m.rows {
+            for (i, row) in m.rows.iter().enumerate() {
                 assert!((0.0..=1.0).contains(&row.hit_rate), "{ctx}");
-                let in_buckets: u64 = row.buckets.iter().sum();
+                let in_buckets: u64 = m.buckets(i).iter().sum();
                 assert!(in_buckets >= row.ws_pages, "{ctx}: bucket counts cover WS");
             }
         }
